@@ -36,8 +36,9 @@ from repro.core.instance import Direction, Instance
 
 def _directed_matrix(instance: Instance, beta: float) -> np.ndarray:
     """The directed power-control matrix ``B`` for the full instance."""
-    loss = instance.metric.loss_matrix(instance.alpha)
-    cross = loss[np.ix_(instance.receivers, instance.senders)]  # [i, j] = l(u_j, v_i)
+    metric, alpha = instance.metric, instance.alpha
+    # cross[i, j] = l(u_j, v_i)
+    cross = metric.loss_block(instance.receivers, instance.senders, alpha)
     with np.errstate(divide="ignore"):
         inv = np.where(cross > 0, 1.0 / cross, np.inf)
     matrix = beta * instance.link_losses[:, None] * inv
@@ -48,10 +49,10 @@ def _directed_matrix(instance: Instance, beta: float) -> np.ndarray:
 def _bidirectional_matrices(instance: Instance, beta: float) -> Tuple[np.ndarray, np.ndarray]:
     """The two endpoint matrices ``B_u`` and ``B_v`` (rows scaled by
     ``beta * l_i``)."""
-    loss = instance.metric.loss_matrix(instance.alpha)
+    metric, alpha = instance.metric, instance.alpha
     s, r = instance.senders, instance.receivers
-    min_at_u = np.minimum(loss[np.ix_(s, s)], loss[np.ix_(s, r)])
-    min_at_v = np.minimum(loss[np.ix_(r, s)], loss[np.ix_(r, r)])
+    min_at_u = np.minimum(metric.loss_block(s, s, alpha), metric.loss_block(s, r, alpha))
+    min_at_v = np.minimum(metric.loss_block(r, s, alpha), metric.loss_block(r, r, alpha))
     with np.errstate(divide="ignore"):
         inv_u = np.where(min_at_u > 0, 1.0 / min_at_u, np.inf)
         inv_v = np.where(min_at_v > 0, 1.0 / min_at_v, np.inf)

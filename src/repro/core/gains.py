@@ -14,9 +14,11 @@ those primitives, and the engine layers
 schedulers) consume gains **only** through them.  Two implementations:
 
 * :class:`DenseBackend` — the materialized ``(n, n)`` arrays the engine
-  has always used.  Every primitive returns the exact expression the
-  pre-backend code evaluated (same gathers, same layouts), so the dense
-  path is bit-identical to historical behaviour.
+  has always used, built one row tile at a time by the full-matrix
+  builders of :mod:`repro.core.interference` (never from the metric's
+  full matrix on coordinate-backed metrics).  Every primitive returns
+  the exact expression the pre-backend code evaluated on those arrays,
+  so the dense path is bit-identical to historical behaviour.
 * :class:`SparseBackend` — CSR storage (plus CSR transposes for column
   access) built **tiled**, a block of rows at a time, so an instance at
   ``n = 16384`` never materializes a dense matrix (nor, on
@@ -83,8 +85,9 @@ from scipy import sparse as _sp
 
 from repro.core.instance import Direction, Instance
 from repro.core.interference import (
+    DEFAULT_TILE_ROWS,
     _class_sum,
-    _safe_divide,
+    _gain_block,
     bidirectional_gain_matrices,
     directed_gain_matrix,
 )
@@ -132,11 +135,6 @@ BACKENDS = ("dense", "sparse", "array", "sharded")
 #: for the portability namespaces; ``torch``/``cupy`` additionally need
 #: the framework itself).
 ARRAY_NAMESPACES = ("numpy", "array_api_strict", "torch", "cupy")
-
-#: Default number of gain-matrix rows materialized at once while
-#: building (or row-summing) a sparse backend; peak scratch memory is
-#: ``O(tile * n)`` instead of ``O(n^2)``.
-DEFAULT_TILE_ROWS = 512
 
 
 def _env_backend() -> str:
@@ -437,40 +435,46 @@ def _import_array_namespace(name: str):
         ) from None
 
 
-def _gain_block(
+def _full_gain_matrices(
+    instance: Instance, powers: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(G_u, G_v)`` from the shared tiled builders; ``G_v is G_u`` in
+    the directed variant."""
+    if instance.direction is Direction.DIRECTED:
+        gains = directed_gain_matrix(instance, powers)
+        return gains, gains
+    return bidirectional_gain_matrices(instance, powers)
+
+
+def _host_gain_targets(instance: Instance):
+    """Endpoint-node arrays each gain matrix decodes at: ``(receivers,)``
+    for the directed ``G``, ``(senders, receivers)`` for ``(G_u, G_v)``."""
+    if instance.direction is Direction.DIRECTED:
+        return (instance.receivers,)
+    return (instance.senders, instance.receivers)
+
+
+def _fill_appended(
+    out: np.ndarray,
     instance: Instance,
     powers: np.ndarray,
     endpoint_nodes: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-) -> np.ndarray:
-    """One endpoint's gain sub-block ``G[rows][:, cols]``.
-
-    Computed from :meth:`~repro.geometry.metric.Metric.loss_block`
-    tiles with the exact elementwise operations of the full-matrix
-    builders (:func:`~repro.core.interference.directed_gain_matrix` /
-    :func:`~repro.core.interference.bidirectional_gain_matrices`), so
-    every entry is bit-identical to its full-matrix counterpart —
-    including the zero diagonal where a row and column name the same
-    request.  This is the one primitive both the tiled sparse build and
-    the growable appends (:meth:`GainBackend.append_requests`) fill
-    their storage from.
-    """
-    metric = instance.metric
-    alpha = instance.alpha
-    w = endpoint_nodes[rows]
-    if instance.direction is Direction.DIRECTED:
-        loss = metric.loss_block(w, instance.senders[cols], alpha)
-    else:
-        loss = np.minimum(
-            metric.loss_block(w, instance.senders[cols], alpha),
-            metric.loss_block(w, instance.receivers[cols], alpha),
-        )
-    gains = _safe_divide(powers[cols][None, :], loss)
-    diagonal = rows[:, None] == cols[None, :]
-    if np.any(diagonal):
-        gains[diagonal] = 0.0
-    return gains
+    n_old: int,
+) -> bool:
+    """Fill the strips a growth from ``n_old`` to ``instance.n`` requests
+    adds to ``out`` — the arrivals' columns at the existing rows, then
+    the arrivals' full rows — with exactly the entries a cold rebuild
+    computes; returns whether any new entry is infinite."""
+    n_new = instance.n
+    new_idx = np.arange(n_old, n_new)
+    new_inf = False
+    for rows, cols in ((np.arange(n_old), new_idx), (new_idx, np.arange(n_new))):
+        for lo in range(0, rows.size, DEFAULT_TILE_ROWS):
+            tile = rows[lo : lo + DEFAULT_TILE_ROWS]
+            block = _gain_block(instance, powers, endpoint_nodes, tile, cols)
+            new_inf = new_inf or not bool(np.all(np.isfinite(block)))
+            out[tile[0] : tile[-1] + 1, cols[0] : n_new] = block
+    return new_inf
 
 
 def validate_growth(
@@ -782,18 +786,13 @@ class DenseBackend(GainBackend):
 
     @classmethod
     def build(cls, instance: Instance, powers: np.ndarray) -> "DenseBackend":
-        """Build from the shared gain-matrix builders (the exact arrays
-        the pre-backend engine cached)."""
+        """Build from the shared tiled gain-matrix builders (the exact
+        arrays the pre-backend engine cached)."""
         powers = np.asarray(powers, dtype=float).reshape(-1)
-        if instance.direction is Direction.DIRECTED:
-            gains = directed_gain_matrix(instance, powers)
-            gains.setflags(write=False)
-            backend = cls(gains, gains)
-        else:
-            gains_u, gains_v = bidirectional_gain_matrices(instance, powers)
-            gains_u.setflags(write=False)
-            gains_v.setflags(write=False)
-            backend = cls(gains_u, gains_v)
+        gains_u, gains_v = _full_gain_matrices(instance, powers)
+        gains_u.setflags(write=False)
+        gains_v.setflags(write=False)
+        backend = cls(gains_u, gains_v)
         backend._instance = instance
         backend._powers = powers
         return backend
@@ -810,13 +809,15 @@ class DenseBackend(GainBackend):
         n_old = self.n
         cap = max(n_new, 2 * n_old)
         directed = self.directed
-        buf_u = np.zeros((cap, cap))
+        # np.full writes every page now; np.zeros would leave them to
+        # fault in on the admission path, a huge page per 64 new rows.
+        buf_u = np.full((cap, cap), 0.0)
         buf_u[:n_old, :n_old] = self._gains_u
         self._buf_u = buf_u
         if directed:
             self._buf_v = buf_u
         else:
-            buf_v = np.zeros((cap, cap))
+            buf_v = np.full((cap, cap), 0.0)
             buf_v[:n_old, :n_old] = self._gains_v
             self._buf_v = buf_v
 
@@ -833,34 +834,11 @@ class DenseBackend(GainBackend):
             self._instance, self._powers = instance, powers
             return
         self._ensure_capacity(n_new)
-        new_idx = np.arange(n_old, n_new)
-        all_idx = np.arange(n_new)
-        tile = DEFAULT_TILE_ROWS
         new_inf = False
-        if instance.direction is Direction.DIRECTED:
-            targets = ((self._buf_u, instance.receivers),)
-        else:
-            targets = (
-                (self._buf_u, instance.senders),
-                (self._buf_v, instance.receivers),
-            )
-        for buf, nodes in targets:
-            # Top-right block: what the arrivals induce at existing rows.
-            for lo in range(0, n_old, tile):
-                hi = min(lo + tile, n_old)
-                block = _gain_block(
-                    instance, powers, nodes, np.arange(lo, hi), new_idx
-                )
-                new_inf = new_inf or not bool(np.all(np.isfinite(block)))
-                buf[lo:hi, n_old:n_new] = block
-            # Bottom rows: the arrivals' full rows over everyone.
-            for lo in range(n_old, n_new, tile):
-                hi = min(lo + tile, n_new)
-                block = _gain_block(
-                    instance, powers, nodes, np.arange(lo, hi), all_idx
-                )
-                new_inf = new_inf or not bool(np.all(np.isfinite(block)))
-                buf[lo:hi, :n_new] = block
+        for buf, nodes in zip(
+            (self._buf_u, self._buf_v), _host_gain_targets(instance)
+        ):
+            new_inf = _fill_appended(buf, instance, powers, nodes, n_old) or new_inf
         gains_u = self._buf_u[:n_new, :n_new]
         gains_u.setflags(write=False)
         if self._buf_v is self._buf_u:
@@ -892,13 +870,13 @@ class DenseBackend(GainBackend):
         cap = self._buf_u.shape[0]
         ut_old, vt_old = self._gains_t
         if self._buf_ut is None or self._buf_ut.shape[0] < n_new:
-            buf_ut = np.zeros((cap, cap))
+            buf_ut = np.full((cap, cap), 0.0)  # see _ensure_capacity
             buf_ut[:n_old, :n_old] = ut_old
             self._buf_ut = buf_ut
             if self._buf_v is self._buf_u:
                 self._buf_vt = buf_ut
             else:
-                buf_vt = np.zeros((cap, cap))
+                buf_vt = np.full((cap, cap), 0.0)
                 buf_vt[:n_old, :n_old] = vt_old
                 self._buf_vt = buf_vt
         pairs = (
@@ -1073,15 +1051,6 @@ class DenseBackend(GainBackend):
         return f"DenseBackend(n={self.n}, directed={self.directed})"
 
 
-def _host_gain_targets(instance: Instance):
-    """Endpoint-node arrays to build each gain matrix from, in the same
-    order (and with the same endpoint mapping) as
-    :meth:`DenseBackend.append_requests`."""
-    if instance.direction is Direction.DIRECTED:
-        return (instance.receivers,)
-    return (instance.senders, instance.receivers)
-
-
 class ArrayBackend(GainBackend):
     """Gain storage living in any array-API namespace.
 
@@ -1090,8 +1059,8 @@ class ArrayBackend(GainBackend):
     array-API namespace (numpy by default; ``array_api_strict`` for
     portability testing, ``torch``/``cupy`` via ``array-api-compat``
     when installed) and may live on an accelerator device.  The build
-    is tiled through :func:`_gain_block` (host side, exactly the
-    expressions of the full-matrix builders), followed by **one**
+    runs the same tiled host-side builders as :class:`DenseBackend`,
+    followed by **one**
     host→device transfer per endpoint matrix; each primitive computes
     in-namespace and crosses back with a single device→host transfer of
     its (small) result.  Under the numpy namespace both transfers are
@@ -1141,29 +1110,15 @@ class ArrayBackend(GainBackend):
     ) -> "ArrayBackend":
         """Build tile-by-tile on the host, then upload once.
 
-        Host tiles come from :func:`_gain_block` (bit-identical to the
-        full-matrix builders), so the uploaded matrices equal the
-        :class:`DenseBackend` arrays entry for entry; the single
-        ``asarray`` per endpoint matrix is the only host→device
-        transfer of the build.
+        The host matrices come from the same tiled builders as
+        :class:`DenseBackend`, so the uploaded matrices equal its
+        arrays entry for entry; the single ``asarray`` per endpoint
+        matrix is the only host→device transfer of the build.
         """
         name = resolve_array_namespace(namespace)
         xp = _import_array_namespace(name)
         powers = np.asarray(powers, dtype=float).reshape(-1)
-        n = instance.n
-        all_idx = np.arange(n)
-        tile = DEFAULT_TILE_ROWS
-        hosts = []
-        for nodes in _host_gain_targets(instance):
-            out = np.empty((n, n))
-            for lo in range(0, n, tile):
-                hi = min(lo + tile, n)
-                out[lo:hi] = _gain_block(
-                    instance, powers, nodes, all_idx[lo:hi], all_idx
-                )
-            hosts.append(out)
-        host_u = hosts[0]
-        host_v = hosts[0] if len(hosts) == 1 else hosts[1]
+        host_u, host_v = _full_gain_matrices(instance, powers)
         backend = cls(xp, None, None, name, device=device)
         arr_u = backend._upload(host_u)
         backend._arr_u = arr_u
@@ -1226,33 +1181,14 @@ class ArrayBackend(GainBackend):
         # download of the existing matrix, _gain_block tiles for the
         # appended rows/columns (the exact entries a cold rebuild would
         # compute), one upload of the grown matrix.
-        new_idx = np.arange(n_old, n_new)
-        all_idx = np.arange(n_new)
-        tile = DEFAULT_TILE_ROWS
         new_inf = False
         hosts = []
-        olds = (
-            (self._arr_u,)
-            if self._arr_v is self._arr_u
-            else (self._arr_u, self._arr_v)
-        )
-        for nodes, old in zip(_host_gain_targets(instance), olds):
+        for nodes, old in zip(
+            _host_gain_targets(instance), (self._arr_u, self._arr_v)
+        ):
             out = np.empty((n_new, n_new))
             out[:n_old, :n_old] = self._download(old)
-            for lo in range(0, n_old, tile):
-                hi = min(lo + tile, n_old)
-                block = _gain_block(
-                    instance, powers, nodes, np.arange(lo, hi), new_idx
-                )
-                new_inf = new_inf or not bool(np.all(np.isfinite(block)))
-                out[lo:hi, n_old:] = block
-            for lo in range(n_old, n_new, tile):
-                hi = min(lo + tile, n_new)
-                block = _gain_block(
-                    instance, powers, nodes, np.arange(lo, hi), all_idx
-                )
-                new_inf = new_inf or not bool(np.all(np.isfinite(block)))
-                out[lo:hi] = block
+            new_inf = _fill_appended(out, instance, powers, nodes, n_old) or new_inf
             hosts.append(out)
         arr_u = self._upload(hosts[0])
         self._arr_u = arr_u

@@ -14,6 +14,11 @@ transmitting with power ``p_j``.
 
 Pairs that share a node produce infinite entries (zero loss), which is
 the correct semantics: such pairs can never share a color.
+
+Every gain entry comes from one primitive, :func:`_gain_block`, over
+:meth:`~repro.geometry.metric.Metric.loss_block` tiles; the full-matrix
+builders fill their ``(n, n)`` output one row tile at a time and never
+build the metric's full matrix over all ``2n`` endpoints.
 """
 
 from __future__ import annotations
@@ -23,6 +28,11 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.instance import Direction, Instance
+
+#: Default number of gain-matrix rows materialized at once while
+#: building (or row-summing) gains; peak scratch memory is
+#: ``O(tile * n)`` on top of the output.
+DEFAULT_TILE_ROWS = 512
 
 
 def _safe_divide(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
@@ -37,6 +47,55 @@ def _safe_divide(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gain_block(
+    instance: Instance,
+    powers: np.ndarray,
+    endpoint_nodes: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+) -> np.ndarray:
+    """One endpoint's gain sub-block ``G[rows][:, cols]``, with rows
+    decoding at ``endpoint_nodes`` (receivers for ``G``/``G_v``,
+    senders for ``G_u``).
+
+    Every entry takes the same elementwise operations
+    (``distance ** alpha``, :func:`_safe_divide`, zero where a row and
+    column name the same request), so a tile equals the matching block
+    of the full matrix bit for bit.  The full-matrix builders, the
+    sparse and sharded builds and the appends all fill from it.
+    """
+    metric = instance.metric
+    alpha = instance.alpha
+    w = endpoint_nodes[rows]
+    if instance.direction is Direction.DIRECTED:
+        loss = metric.loss_block(w, instance.senders[cols], alpha)
+    else:
+        loss = np.minimum(
+            metric.loss_block(w, instance.senders[cols], alpha),
+            metric.loss_block(w, instance.receivers[cols], alpha),
+        )
+    gains = _safe_divide(powers[cols][None, :], loss)
+    diagonal = rows[:, None] == cols[None, :]
+    if np.any(diagonal):
+        gains[diagonal] = 0.0
+    return gains
+
+
+def _tiled_gain_matrix(
+    instance: Instance, powers: np.ndarray, endpoint_nodes: np.ndarray
+) -> np.ndarray:
+    """The full ``(n, n)`` gain matrix decoding at ``endpoint_nodes``,
+    filled one :data:`DEFAULT_TILE_ROWS` row tile at a time."""
+    idx = np.arange(instance.n)
+    out = np.empty((idx.size, idx.size))
+    for lo in range(0, idx.size, DEFAULT_TILE_ROWS):
+        rows = idx[lo : lo + DEFAULT_TILE_ROWS]
+        out[lo : lo + rows.size] = _gain_block(
+            instance, powers, endpoint_nodes, rows, idx
+        )
+    return out
+
+
 def directed_gain_matrix(instance: Instance, powers: np.ndarray) -> np.ndarray:
     """The directed gain matrix ``G[i, j] = p_j / l(u_j, v_i)``.
 
@@ -44,12 +103,9 @@ def directed_gain_matrix(instance: Instance, powers: np.ndarray) -> np.ndarray:
     itself).
     """
     powers = np.asarray(powers, dtype=float)
-    loss = instance.metric.loss_matrix(instance.alpha)
-    # cross_loss[i, j] = l(u_j, v_i)
-    cross_loss = loss[np.ix_(instance.receivers, instance.senders)]
-    gains = _safe_divide(powers[None, :], cross_loss)
-    np.fill_diagonal(gains, 0.0)
-    return gains
+    if instance.direction is not Direction.DIRECTED:
+        instance = instance.with_direction(Direction.DIRECTED)
+    return _tiled_gain_matrix(instance, powers, instance.receivers)
 
 
 def bidirectional_gain_matrices(
@@ -62,21 +118,12 @@ def bidirectional_gain_matrices(
     ``p_j / min(l(u_j, w), l(v_j, w))``.  Diagonals are zero.
     """
     powers = np.asarray(powers, dtype=float)
-    loss = instance.metric.loss_matrix(instance.alpha)
-    s, r = instance.senders, instance.receivers
-    # min_at_u[i, j] = min(l(u_j, u_i), l(v_j, u_i))
-    l_us_us = loss[np.ix_(s, s)]  # [i, j] = l(u_i, u_j) = l(u_j, u_i)
-    l_vs_us = loss[np.ix_(s, r)]  # [i, j] = l(u_i, v_j) = l(v_j, u_i)
-    min_at_u = np.minimum(l_us_us, l_vs_us)
-    l_us_vs = loss[np.ix_(r, s)]  # [i, j] = l(v_i, u_j)
-    l_vs_vs = loss[np.ix_(r, r)]  # [i, j] = l(v_i, v_j)
-    min_at_v = np.minimum(l_us_vs, l_vs_vs)
-
-    gains_u = _safe_divide(powers[None, :], min_at_u)
-    gains_v = _safe_divide(powers[None, :], min_at_v)
-    np.fill_diagonal(gains_u, 0.0)
-    np.fill_diagonal(gains_v, 0.0)
-    return gains_u, gains_v
+    if instance.direction is not Direction.BIDIRECTIONAL:
+        instance = instance.with_direction(Direction.BIDIRECTIONAL)
+    return (
+        _tiled_gain_matrix(instance, powers, instance.senders),
+        _tiled_gain_matrix(instance, powers, instance.receivers),
+    )
 
 
 def _class_sum(gains: np.ndarray, colors: Optional[np.ndarray]) -> np.ndarray:

@@ -5,16 +5,16 @@ distances.  Implementations must guarantee symmetry, non-negativity and
 zero self-distance; the triangle inequality is assumed (and can be
 verified with :func:`is_metric_matrix`).
 
-The hot path of the library works on the full ``(n, n)`` distance
-matrix, which subclasses may compute lazily and cache.  For instances
-far beyond the dense regime (the sparse gain backend of
-:mod:`repro.core.gains`), :meth:`Metric.pair_distances` and
-:meth:`Metric.distance_block` expose *tiled* access: the defaults
-gather from the cached full matrix (bit-identical, no behaviour
-change), while coordinate-backed metrics such as
+Every gain build in the library (dense, sparse, array and sharded
+backends, and the full-matrix builders of
+:mod:`repro.core.interference`) reads distances through *tiled*
+access: :meth:`Metric.pair_distances`, :meth:`Metric.distance_block`
+and :meth:`Metric.loss_block`.  The defaults gather from the full
+``(n, n)`` distance matrix, which subclasses compute lazily and cache;
+coordinate-backed metrics such as
 :class:`repro.geometry.euclidean.EuclideanMetric` override them to
-compute entries directly — so a block of rows never forces the O(n^2)
-matrix into memory.
+compute entries directly (bit-identical) — so on those metrics a block
+of rows never forces the O(n^2) matrix into memory.
 """
 
 from __future__ import annotations
@@ -61,7 +61,14 @@ class Metric(abc.ABC):
         return self._matrix_cache
 
     def loss_matrix(self, alpha: float) -> np.ndarray:
-        """The pairwise loss matrix ``l(u, v) = d(u, v)**alpha`` (§1.1)."""
+        """The full pairwise loss matrix ``l(u, v) = d(u, v)**alpha``
+        (§1.1), recomputed on every call from the cached distance
+        matrix.
+
+        A reference for tests and small analyses; the library's gain
+        builds use :meth:`loss_block` tiles instead, whose entries
+        match this matrix bit for bit.
+        """
         if alpha < 1:
             raise ValueError(f"path-loss exponent alpha must be >= 1, got {alpha}")
         return self.distance_matrix() ** alpha

@@ -411,14 +411,22 @@ class TestTiledMetricAccess:
         ]
         np.testing.assert_array_equal(instance.link_distances, expected)
 
-    def test_sparse_build_never_builds_distance_matrix(self):
-        """The tiled CSR build must not materialize the metric's full
-        matrix (that is the whole point at n >> 10^3)."""
-        instance = random_uniform_instance(32, rng=12, direction="directed")
-        powers = SquareRootPower()(instance)
+    @pytest.mark.parametrize("direction", ["directed", "bidirectional"])
+    @pytest.mark.parametrize("name", ["dense", "array", "sparse"])
+    def test_sparse_build_never_builds_distance_matrix(self, name, direction):
+        """No backend build, row sum or append may materialize the
+        metric's full distance matrix on a coordinate-backed metric:
+        every gain is computed from tiled metric blocks."""
+        grown = random_uniform_instance(32, rng=12, direction=direction)
+        powers = SquareRootPower()(grown)
+        instance = grown.subset(np.arange(24))
+        assert isinstance(instance.metric, EuclideanMetric)
         assert instance.metric._matrix_cache is None
-        backend = build_backend(instance, powers, backend="sparse")
+        backend = build_backend(instance, powers[:24], backend=name)
         backend.class_sum_u(None)
+        backend.append_requests(grown, powers)
+        backend.class_sum_u(None)
+        assert backend.n == grown.n
         assert instance.metric._matrix_cache is None
 
 

@@ -11,7 +11,89 @@ from repro.core.interference import (
     directed_interference,
     interference,
 )
+from repro.geometry.euclidean import EuclideanMetric
 from repro.geometry.line import LineMetric
+from repro.instances.random_instances import random_uniform_instance
+from repro.power.oblivious import SquareRootPower
+
+
+def _reference_divide(powers, loss):
+    """``powers[j] / loss[i, j]`` with ``x / 0 -> inf``."""
+    out = np.full(loss.shape, np.inf)
+    np.divide(powers[None, :], loss, out=out, where=loss > 0)
+    return out
+
+
+def _reference_directed(instance, powers):
+    """The directed gains gathered from the metric's full loss matrix
+    over every node (the historical full-matrix formula)."""
+    loss = instance.metric.loss_matrix(instance.alpha)
+    gains = _reference_divide(
+        powers, loss[np.ix_(instance.receivers, instance.senders)]
+    )
+    np.fill_diagonal(gains, 0.0)
+    return gains
+
+
+def _reference_bidirectional(instance, powers):
+    loss = instance.metric.loss_matrix(instance.alpha)
+    s, r = instance.senders, instance.receivers
+    min_at_u = np.minimum(loss[np.ix_(s, s)], loss[np.ix_(s, r)])
+    min_at_v = np.minimum(loss[np.ix_(r, s)], loss[np.ix_(r, r)])
+    gains_u = _reference_divide(powers, min_at_u)
+    gains_v = _reference_divide(powers, min_at_v)
+    np.fill_diagonal(gains_u, 0.0)
+    np.fill_diagonal(gains_v, 0.0)
+    return gains_u, gains_v
+
+
+def _bit_identity_cases():
+    cases = {}
+    for direction in (Direction.DIRECTED, Direction.BIDIRECTIONAL):
+        tag = direction.value[:3]
+        shared = LineMetric([0.0, 1.0, 2.5, 4.5, 7.0])
+        cases[f"shared-node-{tag}"] = Instance(
+            shared, [0, 1, 2, 3, 1], [1, 2, 3, 4, 4], direction=direction
+        )
+        line = LineMetric(np.random.default_rng(5).uniform(0, 300, size=60))
+        cases[f"line-{tag}"] = Instance(
+            line, np.arange(0, 60, 2), np.arange(1, 60, 2), direction=direction
+        )
+        # More metric points than request endpoints, some shared.
+        rng = np.random.default_rng(7)
+        extra = EuclideanMetric(rng.uniform(0, 100, size=(300, 2)))
+        senders = rng.integers(0, 300, size=120)
+        receivers = (senders + rng.integers(1, 300, size=120)) % 300
+        cases[f"extra-points-{tag}"] = Instance(
+            extra, senders, receivers, direction=direction
+        )
+        for n in (1, 511, 512, 513):
+            cases[f"n{n}-{tag}"] = random_uniform_instance(
+                n, rng=n, direction=direction
+            )
+    return cases
+
+
+_BIT_CASES = _bit_identity_cases()
+
+
+@pytest.mark.parametrize("case", sorted(_BIT_CASES))
+def test_tiled_builders_match_full_loss_matrix_bitwise(case):
+    """Both full-matrix builders fill their output from row tiles; every
+    entry (``inf`` and the zero diagonal included) must equal the
+    historical gather from the metric's full loss matrix."""
+    instance = _BIT_CASES[case]
+    powers = np.asarray(SquareRootPower()(instance), dtype=float)
+    np.testing.assert_array_equal(
+        directed_gain_matrix(instance, powers),
+        _reference_directed(instance, powers),
+    )
+    gains_u, gains_v = bidirectional_gain_matrices(instance, powers)
+    ref_u, ref_v = _reference_bidirectional(instance, powers)
+    np.testing.assert_array_equal(gains_u, ref_u)
+    np.testing.assert_array_equal(gains_v, ref_v)
+    if case.startswith("shared-node"):
+        assert np.isinf(gains_u).any() and np.isinf(gains_v).any()
 
 
 class TestDirectedGains:
