@@ -94,8 +94,8 @@ def _make_instance(n: int, seed: int):
 def _run_workload(spec: dict) -> dict:
     """Subprocess worker: build the instance, run one workload, report
     wall seconds + peak RSS + schedule/backend stats."""
-    from repro.core import gains
     from repro.core.context import clear_context_cache, get_context
+    from repro.core.gains import config_scope
     from repro.power.oblivious import SquareRootPower
     from repro.scheduling.firstfit import first_fit_schedule
     from repro.scheduling.sqrt_coloring import sqrt_coloring
@@ -106,9 +106,8 @@ def _run_workload(spec: dict) -> dict:
     instance = _make_instance(n, spec["seed"])
     powers = SquareRootPower()(instance)
     clear_context_cache()
-    gains.set_sparse_epsilon(epsilon)
     start = time.perf_counter()
-    with gains.backend_scope(backend):
+    with config_scope(backend=backend, sparse_epsilon=epsilon):
         if spec["workload"] == "first_fit":
             schedule = first_fit_schedule(instance, powers)
         elif spec["workload"] == "sqrt":

@@ -92,6 +92,7 @@ def _sharded_first_fit(
     tuned backend (tile_rows is a build knob, not a context key — it
     never changes bits)."""
     from repro.core.context import InterferenceContext
+    from repro.core.gains import BackendConfig
     from repro.core.kernels import first_fit_colors_sharded
     from repro.distributed import ShardedBackend
 
@@ -109,10 +110,12 @@ def _sharded_first_fit(
         context = InterferenceContext(
             instance,
             powers,
-            backend="sharded",
-            sparse_epsilon=epsilon,
-            shard_workers=workers,
-            shard_executor=executor,
+            config=BackendConfig(
+                "sharded",
+                sparse_epsilon=epsilon,
+                workers=workers,
+                shard_executor=executor,
+            ),
         )
         context._backend = backend
         order = np.argsort(-instance.link_distances, kind="stable")
@@ -140,11 +143,11 @@ def _sharded_first_fit(
 
 
 def _dense_first_fit(instance, powers):
-    from repro.core.gains import backend_scope
+    from repro.core.gains import config_scope
     from repro.scheduling.firstfit import first_fit_schedule
 
     start = time.perf_counter()
-    with backend_scope("dense"):
+    with config_scope(backend="dense"):
         schedule = first_fit_schedule(instance, powers)
     return {
         "seconds": time.perf_counter() - start,

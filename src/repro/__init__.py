@@ -68,6 +68,7 @@ from repro.analysis import (
     verify_schedule,
 )
 from repro.core import (
+    BackendConfig,
     ClassAccumulator,
     ContextBatch,
     ContextPool,
@@ -83,16 +84,15 @@ from repro.core import (
     Schedule,
     ScheduleKernel,
     SparseBackend,
-    backend_scope,
     batch_margins,
     batch_validate_schedules,
     build_schedule,
-    default_backend,
+    config_scope,
+    default_config,
     engine_disabled,
     get_context,
     kernels_disabled,
     peel_max_feasible_subset,
-    set_default_backend,
     stacked_first_fit,
     is_feasible_partition,
     is_feasible_subset,
@@ -196,6 +196,9 @@ __all__ = [
     "batch_margins",
     "batch_validate_schedules",
     "get_context",
+    "BackendConfig",
+    "config_scope",
+    "default_config",
     "engine_disabled",
     "ScheduleKernel",
     "build_schedule",

@@ -116,7 +116,7 @@ def total_affectance(
     """
     powers = np.asarray(powers, dtype=float)
     context = maybe_context(instance, powers)
-    if context is not None and context.backend_name != "dense":
+    if context is not None and context.config.backend != "dense":
         beta_val = instance.beta if beta is None else float(beta)
         idx = (
             np.arange(instance.n)
@@ -146,7 +146,7 @@ def max_average_affectance(
         return 0.0
     powers = np.asarray(powers, dtype=float)
     context = maybe_context(instance, powers)
-    if context is not None and context.backend_name != "dense":
+    if context is not None and context.config.backend != "dense":
         beta_val = instance.beta if beta is None else float(beta)
         totals = _blockwise_row_affectance(
             context, np.arange(instance.n), beta_val, capped=True
@@ -173,7 +173,7 @@ def fixed_power_conflict_bound(
     """
     powers = np.asarray(powers, dtype=float)
     context = maybe_context(instance, powers)
-    if context is not None and context.backend_name != "dense":
+    if context is not None and context.config.backend != "dense":
         beta_val = instance.beta if beta is None else float(beta)
         return _blockwise_conflict_bound(context, beta_val)
     matrix = affectance_matrix(instance, powers, beta=beta, capped=False)

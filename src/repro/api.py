@@ -42,9 +42,8 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -60,18 +59,10 @@ from repro.core.context import (
 )
 from repro.core.errors import InvalidInstanceError, InvalidScheduleError
 from repro.core.gains import (
+    BackendConfig,
     GainBackend,
-    array_namespace_scope,
-    backend_scope,
-    default_sparse_epsilon,
-    resolve_array_namespace,
-    resolve_backend,
-    resolve_shard_executor,
-    resolve_shard_workers,
-    resolve_sparse_epsilon,
-    set_sparse_epsilon,
-    shard_executor_scope,
-    shard_workers_scope,
+    config_scope,
+    default_config,
 )
 from repro.core.instance import Instance
 from repro.core.kernels import (
@@ -272,23 +263,15 @@ class Problem:
         :class:`~repro.power.base.PowerAssignment`, or an explicit
         positive power vector.  Self-powered algorithms (capability
         ``needs_powers=False``) ignore it and emit their own powers.
-    backend, sparse_epsilon:
-        Gain-backend preference for every context the problem's
-        sessions create (``None`` follows the process defaults, see
-        :mod:`repro.core.gains`).  Validated eagerly so a typo fails at
-        construction, not deep inside ``get_context``.
-    array_namespace, device:
-        Array-API namespace and device for ``backend="array"``
-        (``None`` follows :func:`~repro.core.gains.default_array_namespace`
-        / the namespace's default device).  *device* applies to the
-        contexts the session and batch own; context fetches issued
-        inside algorithm implementations resolve the namespace but use
-        its default device.
-    workers, shard_executor:
-        Shard worker count and executor name (``"serial"``/
-        ``"process"``) for ``backend="sharded"`` (``None`` follows
-        :func:`~repro.core.gains.default_shard_workers` /
-        :func:`~repro.core.gains.default_shard_executor`).
+    backend, sparse_epsilon, array_namespace, device, workers, shard_executor:
+        Gain-backend preferences; each ``None`` follows
+        :func:`~repro.core.gains.default_config`.  They are resolved
+        once, at construction, into :attr:`config` (a
+        :class:`~repro.core.gains.BackendConfig`, so a typo fails here,
+        not deep inside ``get_context``); every context the problem's
+        sessions create, and every algorithm run, uses that config.
+        *device* requires ``backend="array"``, and *workers* /
+        *shard_executor* require ``backend="sharded"``.
     """
 
     instance: Instance
@@ -299,29 +282,24 @@ class Problem:
     device: Optional[object] = None
     workers: Optional[int] = None
     shard_executor: Optional[str] = None
+    config: BackendConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        backend_name = resolve_backend(self.backend)
-        if self.sparse_epsilon is not None:
-            resolve_sparse_epsilon(self.sparse_epsilon)
-        if self.array_namespace is not None:
-            resolve_array_namespace(self.array_namespace)
-        if self.device is not None and backend_name != "array":
-            raise ValueError(
-                "device= requires backend='array' "
-                f"(got backend={backend_name!r})"
-            )
-        if self.workers is not None:
-            resolve_shard_workers(self.workers)
-        if self.shard_executor is not None:
-            resolve_shard_executor(self.shard_executor)
-        if (
-            self.workers is not None or self.shard_executor is not None
-        ) and backend_name != "sharded":
-            raise ValueError(
-                "workers=/shard_executor= require backend='sharded' "
-                f"(got backend={backend_name!r})"
-            )
+        self.config = default_config(
+            backend=self.backend,
+            sparse_epsilon=self.sparse_epsilon,
+            array_namespace=self.array_namespace,
+            device=self.device,
+            workers=self.workers,
+            shard_executor=self.shard_executor,
+        )
+
+    def _grown(self, instance: Instance, powers: PowersLike) -> "Problem":
+        """This problem over a new instance and powers, keeping the
+        config resolved at construction."""
+        problem = dataclasses.replace(self, instance=instance, powers=powers)
+        problem.config = self.config
+        return problem
 
     def session(self) -> "Session":
         """A fresh :class:`Session` for this problem."""
@@ -338,33 +316,6 @@ def _resolve_powers(
     if isinstance(powers, PowerAssignment):
         return np.asarray(powers(instance), dtype=float), powers
     return np.asarray(powers, dtype=float), None
-
-
-@contextmanager
-def _preference_scope(
-    backend: Optional[str],
-    sparse_epsilon: Optional[float],
-    array_namespace: Optional[str] = None,
-    shard_workers: Optional[int] = None,
-    shard_executor: Optional[str] = None,
-) -> Iterator[None]:
-    """Make a problem's backend preferences the process defaults for
-    the duration of an algorithm run, so every ``get_context`` the
-    implementation issues resolves to the session's own context."""
-    with backend_scope(backend), array_namespace_scope(
-        array_namespace
-    ), shard_workers_scope(shard_workers), shard_executor_scope(
-        shard_executor
-    ):
-        if sparse_epsilon is None:
-            yield
-        else:
-            previous = default_sparse_epsilon()
-            set_sparse_epsilon(sparse_epsilon)
-            try:
-                yield
-            finally:
-                set_sparse_epsilon(previous)
 
 
 class Session:
@@ -459,8 +410,8 @@ class Session:
     def context(self) -> InterferenceContext:
         """The session's interference context (built once, pinned).
 
-        Built through :func:`~repro.core.context.get_context` under the
-        problem's backend preferences, so algorithm implementations
+        Built through :func:`~repro.core.context.get_context` with the
+        problem's :attr:`~Problem.config`, so algorithm implementations
         fetching the context for ``(instance, powers)`` resolve to this
         very object.  With the engine disabled
         (:func:`~repro.core.context.engine_disabled`) schedulers bypass
@@ -468,14 +419,7 @@ class Session:
         """
         if self._context is None:
             self._context = get_context(
-                self.problem.instance,
-                self._powers,
-                backend=self.problem.backend,
-                sparse_epsilon=self.problem.sparse_epsilon,
-                array_namespace=self.problem.array_namespace,
-                device=self.problem.device,
-                shard_workers=self.problem.workers,
-                shard_executor=self.problem.shard_executor,
+                self.problem.instance, self._powers, config=self.problem.config
             )
         return self._context
 
@@ -612,9 +556,7 @@ class Session:
         # historical full invalidation: drop the context (and kernel)
         # and rebuild cold on next use.
         grow_in_place = np.array_equal(resolved[:n_old], self._powers)
-        self.problem = dataclasses.replace(
-            self.problem, instance=new_instance, powers=new_powers
-        )
+        self.problem = self.problem._grown(new_instance, new_powers)
         self._powers, self._assignment = resolved, assignment
         if grow_in_place and self._context is not None:
             # The context cache keys on (id(instance), power bytes) —
@@ -703,9 +645,7 @@ class Session:
                 new_powers: PowersLike = self._assignment
             else:
                 new_powers = self._powers[active]
-            self.problem = dataclasses.replace(
-                self.problem, instance=new_instance, powers=new_powers
-            )
+            self.problem = self.problem._grown(new_instance, new_powers)
             self._powers, self._assignment = _resolve_powers(
                 new_instance, new_powers
             )
@@ -925,7 +865,7 @@ class Session:
                 algorithm="first_fit_online",
                 params={},
                 backend=context.backend.name,
-                sparse_epsilon=context.sparse_epsilon,
+                sparse_epsilon=context.config.pruning_epsilon,
                 engine=engine_enabled(),
                 kernels=kernels_enabled(),
                 wall_seconds=wall,
@@ -970,13 +910,7 @@ class Session:
         peel_before = peel_risk_events()
         fb_before = len(peel_fallback_records())
         start = time.perf_counter()
-        with _preference_scope(
-            self.problem.backend,
-            self.problem.sparse_epsilon,
-            self.problem.array_namespace,
-            self.problem.workers,
-            self.problem.shard_executor,
-        ):
+        with config_scope(self.problem.config):
             outcome = spec.run(
                 self.problem.instance,
                 powers=self._powers if spec.capabilities.needs_powers else None,
@@ -1001,13 +935,9 @@ class Session:
                 backend=(
                     backend_obj.name
                     if backend_obj is not None
-                    else resolve_backend(self.problem.backend)
+                    else self.problem.config.backend
                 ),
-                sparse_epsilon=(
-                    self._context.sparse_epsilon
-                    if self._context is not None
-                    else resolve_sparse_epsilon(self.problem.sparse_epsilon)
-                ),
+                sparse_epsilon=self.problem.config.pruning_epsilon,
                 engine=engine,
                 kernels=kernels_enabled(),
                 wall_seconds=wall,
@@ -1031,7 +961,7 @@ class Session:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Session(n={self.instance.n}, "
-            f"backend={resolve_backend(self.problem.backend)}, "
+            f"backend={self.problem.config.backend}, "
             f"last={self._last_algorithm!r})"
         )
 
@@ -1061,10 +991,7 @@ class BatchSession:
         normalized = [
             p if isinstance(p, Problem) else Problem(p) for p in problems
         ]
-        prefs = {
-            (p.backend, p.sparse_epsilon, p.array_namespace, p.device)
-            for p in normalized
-        }
+        prefs = {p.config.key() for p in normalized}
         if len(prefs) > 1:
             raise ValueError(
                 "all problems of a BatchSession must share backend "
@@ -1083,14 +1010,10 @@ class BatchSession:
         """The underlying :class:`~repro.core.batch.ContextBatch`
         (built lazily, contexts pinned in :attr:`pool`)."""
         if self._batch is None:
-            first = self.problems[0]
             self._batch = ContextBatch(
                 [(s.instance, s.powers) for s in self.sessions],
                 pool=self.pool,
-                backend=first.backend,
-                sparse_epsilon=first.sparse_epsilon,
-                array_namespace=first.array_namespace,
-                device=first.device,
+                config=self.problems[0].config,
             )
         return self._batch
 
@@ -1170,7 +1093,7 @@ class BatchSession:
                     algorithm=spec.name,
                     params=dict(params),
                     backend=backends[index].name,
-                    sparse_epsilon=batch.contexts[index].sparse_epsilon,
+                    sparse_epsilon=batch.contexts[index].config.pruning_epsilon,
                     engine=True,
                     kernels=True,
                     wall_seconds=wall,

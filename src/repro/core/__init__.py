@@ -25,14 +25,13 @@ from repro.core.context import (
     set_engine_enabled,
 )
 from repro.core.gains import (
+    BackendConfig,
     DenseBackend,
     GainBackend,
     SparseBackend,
-    backend_scope,
     build_backend,
-    default_backend,
-    set_default_backend,
-    set_sparse_epsilon,
+    config_scope,
+    default_config,
 )
 from repro.core.errors import (
     InfeasibleError,
@@ -89,10 +88,9 @@ __all__ = [
     "DenseBackend",
     "SparseBackend",
     "build_backend",
-    "default_backend",
-    "set_default_backend",
-    "set_sparse_epsilon",
-    "backend_scope",
+    "BackendConfig",
+    "config_scope",
+    "default_config",
     "ScheduleKernel",
     "peel_max_feasible_subset",
     "stacked_first_fit",

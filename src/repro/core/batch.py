@@ -49,16 +49,12 @@ import numpy as np
 from repro.core.context import (
     DEFAULT_RTOL,
     InterferenceContext,
+    _cache_key,
     _margins_from,
     get_context,
 )
 from repro.core.errors import InvalidScheduleError
-from repro.core.gains import (
-    DEFAULT_TILE_ROWS,
-    resolve_array_namespace,
-    resolve_backend,
-    resolve_sparse_epsilon,
-)
+from repro.core.gains import DEFAULT_TILE_ROWS, BackendConfig, default_config
 from repro.core.instance import Instance
 from repro.core.kernels import (
     first_fit_colors,
@@ -145,7 +141,7 @@ def _diagnose_fallback(contexts: List[InterferenceContext]) -> Optional[BatchFal
     ):
         reasons.append("mixed_direction")
     if any(
-        ctx.backend_name == "sparse" and ctx.sparse_epsilon > 0
+        ctx.config.backend == "sparse" and ctx.config.sparse_epsilon > 0
         for ctx in contexts
     ):
         reasons.append("lossy_backend")
@@ -203,55 +199,28 @@ class ContextPool:
         powers: np.ndarray,
         beta: Optional[float] = None,
         noise: Optional[float] = None,
-        backend: Optional[str] = None,
-        sparse_epsilon: Optional[float] = None,
-        array_namespace: Optional[str] = None,
-        device: Optional[object] = None,
+        config: Optional[BackendConfig] = None,
     ) -> InterferenceContext:
         """The pooled context for ``(instance, powers)`` (pinned).
 
-        *backend*, *sparse_epsilon*, *array_namespace* and *device*
-        default to the process-wide gain backend settings; the resolved
-        values are part of the pool key (exactly like
-        :func:`get_context`'s cache key), so a pool filled while one
-        backend configuration was active never serves those contexts to
-        a caller running under another.
+        *config* defaults to :func:`~repro.core.gains.default_config`;
+        its :meth:`~repro.core.gains.BackendConfig.key` is part of the
+        pool key (exactly like :func:`get_context`'s cache key), so a
+        pool filled under one backend configuration never serves those
+        contexts to a caller running under another.
         """
         powers_arr = np.asarray(powers, dtype=float)
-        backend_name = resolve_backend(backend)
-        epsilon = (
-            resolve_sparse_epsilon(sparse_epsilon)
-            if backend_name == "sparse"
-            else 0.0
-        )
-        namespace = (
-            resolve_array_namespace(array_namespace)
-            if backend_name == "array"
-            else ""
-        )
-        if backend_name != "array":
-            device = None
-        key = (
-            id(instance),
-            powers_arr.tobytes(),
+        config = default_config() if config is None else config
+        key = (id(instance),) + _cache_key(
+            powers_arr,
             instance.beta if beta is None else float(beta),
             instance.noise if noise is None else float(noise),
-            backend_name,
-            epsilon,
-            namespace,
-            "" if device is None else str(device),
+            config,
         )
         context = self._contexts.get(key)
         if context is None:
             context = get_context(
-                instance,
-                powers_arr,
-                beta=beta,
-                noise=noise,
-                backend=backend_name,
-                sparse_epsilon=epsilon,
-                array_namespace=namespace or None,
-                device=device,
+                instance, powers_arr, beta=beta, noise=noise, config=config
             )
             self._contexts[key] = context
             if (
@@ -288,9 +257,10 @@ class ContextBatch:
     pool:
         Optional :class:`ContextPool` to pin the contexts in; a private
         pool is created when omitted.
-    backend, sparse_epsilon, array_namespace, device:
-        Optional gain-backend preference applied to every pair's
-        context (``None`` follows the process default, exactly like
+    config:
+        Optional :class:`~repro.core.gains.BackendConfig` applied to
+        every pair's context (``None`` follows
+        :func:`~repro.core.gains.default_config`, exactly like
         :func:`repro.core.context.get_context`).
 
     Notes
@@ -309,23 +279,13 @@ class ContextBatch:
         self,
         pairs: Sequence[PairLike],
         pool: Optional[ContextPool] = None,
-        backend: Optional[str] = None,
-        sparse_epsilon: Optional[float] = None,
-        array_namespace: Optional[str] = None,
-        device: Optional[object] = None,
+        config: Optional[BackendConfig] = None,
     ):
         if len(pairs) == 0:
             raise ValueError("a ContextBatch needs at least one pair")
         self.pool = ContextPool() if pool is None else pool
         self.contexts: List[InterferenceContext] = [
-            self.pool.get(
-                instance,
-                powers,
-                backend=backend,
-                sparse_epsilon=sparse_epsilon,
-                array_namespace=array_namespace,
-                device=device,
-            )
+            self.pool.get(instance, powers, config=config)
             for instance, powers in pairs
         ]
         # Stacking needs same-shape pairs and a lossless backend (the
@@ -401,7 +361,7 @@ class ContextBatch:
         arrays (the backend conformance contract), so the stacked
         queries stay exact.
         """
-        if all(ctx.backend_name == "dense" for ctx in self.contexts):
+        if all(ctx.config.backend == "dense" for ctx in self.contexts):
             directed = all(
                 ctx.gains_u is ctx.gains_v for ctx in self.contexts
             )

@@ -42,12 +42,13 @@ default :class:`~repro.core.gains.DenseBackend` keeps the materialized
 ``(n, n)`` arrays of the original engine, while
 :class:`~repro.core.gains.SparseBackend` stores ε-pruned CSR gains so
 instances at ``n >> 10^3`` fit in memory.  Select per context via
-``get_context(..., backend="sparse")``, or process-wide via
-:func:`repro.core.gains.set_default_backend` / the ``REPRO_BACKEND``
-environment variable.  The dense compatibility properties
-(:attr:`InterferenceContext.gains_u` and friends) still exist on every
-context, but on a sparse backend they *materialize* an O(n^2) array
-per call — hot paths use the backend primitives instead.
+``get_context(..., config=BackendConfig("sparse"))``, or for a block via
+``with config_scope(backend="sparse"): ...`` / the ``REPRO_BACKEND``
+environment variable (see :mod:`repro.core.gains`).  The dense
+compatibility properties (:attr:`InterferenceContext.gains_u` and
+friends) still exist on every context, but on a sparse backend they
+*materialize* an O(n^2) array per call — hot paths use the backend
+primitives instead.
 
 Numerical contract
 ------------------
@@ -96,14 +97,11 @@ import numpy as np
 
 from repro.core.errors import InvalidScheduleError
 from repro.core.gains import (
+    BackendConfig,
     DenseBackend,
     GainBackend,
     build_backend,
-    resolve_array_namespace,
-    resolve_backend,
-    resolve_shard_executor,
-    resolve_shard_workers,
-    resolve_sparse_epsilon,
+    default_config,
     validate_growth,
 )
 from repro.core.instance import Direction, Instance
@@ -151,23 +149,9 @@ class InterferenceContext:
     beta, noise:
         Defaults for the per-query overrides; fall back to the
         instance's values.
-    backend:
-        Gain-backend name (``"dense"``/``"sparse"``/``"array"``/
-        ``"sharded"``); ``None`` uses the process default
-        (:func:`repro.core.gains.default_backend`).
-    sparse_epsilon:
-        Pruning budget for the sparse and sharded backends (``None`` =
-        the process default; ignored by the dense backend).
-    array_namespace, device:
-        Array-API namespace and device for the ``"array"`` backend
-        (``None`` = the process default namespace / the namespace's
-        default device; ignored by the other backends).
-    shard_workers, shard_executor:
-        Worker count and executor name (``"serial"``/``"process"``)
-        for the ``"sharded"`` backend (``None`` = the process defaults,
-        :func:`repro.core.gains.default_shard_workers` /
-        :func:`repro.core.gains.default_shard_executor`; ignored by the
-        other backends).
+    config:
+        The :class:`~repro.core.gains.BackendConfig` selecting the gain
+        backend (``None`` = :func:`~repro.core.gains.default_config`).
 
     Notes
     -----
@@ -184,12 +168,7 @@ class InterferenceContext:
         powers: np.ndarray,
         beta: Optional[float] = None,
         noise: Optional[float] = None,
-        backend: Optional[str] = None,
-        sparse_epsilon: Optional[float] = None,
-        array_namespace: Optional[str] = None,
-        device: Optional[object] = None,
-        shard_workers: Optional[int] = None,
-        shard_executor: Optional[str] = None,
+        config: Optional[BackendConfig] = None,
     ):
         powers = np.array(powers, dtype=float).reshape(-1)
         if powers.shape != (instance.n,):
@@ -207,24 +186,7 @@ class InterferenceContext:
             raise ValueError(f"beta must be > 0, got {self.beta}")
         if self.noise < 0:
             raise ValueError(f"noise must be >= 0, got {self.noise}")
-        self.backend_name = resolve_backend(backend)
-        self.sparse_epsilon = (
-            resolve_sparse_epsilon(sparse_epsilon)
-            if self.backend_name in ("sparse", "sharded")
-            else 0.0
-        )
-        self.array_namespace = (
-            resolve_array_namespace(array_namespace)
-            if self.backend_name == "array"
-            else ""
-        )
-        self.device = device if self.backend_name == "array" else None
-        if self.backend_name == "sharded":
-            self.shard_workers = resolve_shard_workers(shard_workers)
-            self.shard_executor = resolve_shard_executor(shard_executor)
-        else:
-            self.shard_workers = 0
-            self.shard_executor = ""
+        self.config = default_config() if config is None else config
         self._signals: Optional[np.ndarray] = None
         self._backend: Optional[GainBackend] = None
 
@@ -253,14 +215,7 @@ class InterferenceContext:
         """
         if self._backend is None:
             self._backend = build_backend(
-                self.instance,
-                self.powers,
-                backend=self.backend_name,
-                sparse_epsilon=self.sparse_epsilon,
-                array_namespace=self.array_namespace or None,
-                device=self.device,
-                shard_workers=self.shard_workers or None,
-                shard_executor=self.shard_executor or None,
+                self.instance, self.powers, self.config
             )
         return self._backend
 
@@ -584,7 +539,7 @@ class InterferenceContext:
         return (
             f"InterferenceContext(n={self.n}, "
             f"direction={self.instance.direction.value}, "
-            f"backend={self.backend_name}, gains={state})"
+            f"backend={self.config.backend}, gains={state})"
         )
 
 
@@ -1055,20 +1010,16 @@ def get_context(
     powers: np.ndarray,
     beta: Optional[float] = None,
     noise: Optional[float] = None,
-    backend: Optional[str] = None,
-    sparse_epsilon: Optional[float] = None,
-    array_namespace: Optional[str] = None,
-    device: Optional[object] = None,
-    shard_workers: Optional[int] = None,
-    shard_executor: Optional[str] = None,
+    config: Optional[BackendConfig] = None,
 ) -> InterferenceContext:
     """The shared :class:`InterferenceContext` for ``(instance, powers)``.
 
     Contexts are cached per instance — on the instance object itself,
     so dropping the instance lets the garbage collector reclaim its
     contexts — under the *value* of the power vector plus the resolved
-    ``beta``/``noise`` defaults and the resolved gain backend, with a
-    **global** LRU bound across all instances
+    ``beta``/``noise`` defaults and :meth:`BackendConfig.key` of
+    *config* (``None`` = :func:`~repro.core.gains.default_config`), with
+    a **global** LRU bound across all instances
     (:func:`context_cache_limit`, default
     :data:`DEFAULT_CONTEXT_CACHE_LIMIT`, env ``REPRO_CONTEXT_CACHE``) —
     so long runs over many instances hold bounded gain-matrix memory.
@@ -1080,34 +1031,12 @@ def get_context(
     """
     global _hits, _misses
     powers_arr = np.asarray(powers, dtype=float)
-    backend_name = resolve_backend(backend)
-    epsilon = (
-        resolve_sparse_epsilon(sparse_epsilon)
-        if backend_name in ("sparse", "sharded")
-        else 0.0
-    )
-    namespace = (
-        resolve_array_namespace(array_namespace)
-        if backend_name == "array"
-        else ""
-    )
-    if backend_name != "array":
-        device = None
-    if backend_name == "sharded":
-        workers = resolve_shard_workers(shard_workers)
-        executor = resolve_shard_executor(shard_executor)
-    else:
-        workers, executor = 0, ""
-    key = (
-        powers_arr.tobytes(),
+    config = default_config() if config is None else config
+    key = _cache_key(
+        powers_arr,
         instance.beta if beta is None else float(beta),
         instance.noise if noise is None else float(noise),
-        backend_name,
-        epsilon,
-        namespace,
-        "" if device is None else str(device),
-        workers,
-        executor,
+        config,
     )
     with _lock:
         per_instance = getattr(instance, _CACHE_ATTR, None)
@@ -1123,16 +1052,7 @@ def get_context(
             return context
         _misses += 1
         context = InterferenceContext(
-            instance,
-            powers_arr,
-            beta=beta,
-            noise=noise,
-            backend=backend_name,
-            sparse_epsilon=epsilon,
-            array_namespace=namespace or None,
-            device=device,
-            shard_workers=workers or None,
-            shard_executor=executor or None,
+            instance, powers_arr, beta=beta, noise=noise, config=config
         )
         per_instance[key] = context
         _lru[lru_key] = weakref.ref(instance)
@@ -1140,18 +1060,16 @@ def get_context(
         return context
 
 
+def _cache_key(
+    powers: np.ndarray, beta: float, noise: float, config: BackendConfig
+) -> tuple:
+    return (powers.tobytes(), beta, noise) + config.key()
+
+
 def _context_key(context: InterferenceContext) -> tuple:
     """The cache key *context* occupies (must match :func:`get_context`)."""
-    return (
-        context.powers.tobytes(),
-        context.beta,
-        context.noise,
-        context.backend_name,
-        context.sparse_epsilon,
-        context.array_namespace,
-        "" if context.device is None else str(context.device),
-        context.shard_workers,
-        context.shard_executor,
+    return _cache_key(
+        context.powers, context.beta, context.noise, context.config
     )
 
 

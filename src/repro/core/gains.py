@@ -63,14 +63,17 @@ the scheduler wrappers reads it before and after (or calls
 Selecting a backend
 -------------------
 
-The process-wide default is ``"dense"``; override it with the
-``REPRO_BACKEND`` environment variable, :func:`set_default_backend`, or
-temporarily with ``with backend_scope("sparse"): ...``.  Individual
-contexts accept an explicit ``backend=`` argument through
-:func:`repro.core.context.get_context`, and experiment specs carry a
-``backend`` field the orchestrator applies per run
-(:mod:`repro.runner`).  ``REPRO_SPARSE_EPSILON`` (or
-:func:`set_sparse_epsilon`) sets the default pruning budget.
+One frozen :class:`BackendConfig` names the backend and its knobs
+(pruning budget, array namespace and device, shard workers and
+executor).  The process default is read once, at import, from the
+``REPRO_BACKEND`` / ``REPRO_SPARSE_EPSILON`` / ``REPRO_ARRAY_NAMESPACE``
+/ ``REPRO_SHARD_WORKERS`` / ``REPRO_SHARD_EXECUTOR`` environment
+variables (:meth:`BackendConfig.from_env`); :func:`default_config`
+returns the config in effect and ``with config_scope(backend="sparse"):
+...`` replaces it for a block.  :func:`repro.core.context.get_context`
+and :func:`build_backend` take an explicit ``config=``, and
+:class:`repro.api.Problem` resolves its keyword preferences into one
+at construction.
 """
 
 from __future__ import annotations
@@ -78,6 +81,8 @@ from __future__ import annotations
 import abc
 import os
 from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -95,30 +100,14 @@ from repro.core.interference import (
 __all__ = [
     "ARRAY_NAMESPACES",
     "BACKENDS",
+    "BackendConfig",
     "GainBackend",
     "ArrayBackend",
     "DenseBackend",
     "SparseBackend",
     "build_backend",
-    "default_backend",
-    "set_default_backend",
-    "backend_scope",
-    "resolve_backend",
-    "default_sparse_epsilon",
-    "set_sparse_epsilon",
-    "resolve_sparse_epsilon",
-    "default_array_namespace",
-    "set_array_namespace",
-    "array_namespace_scope",
-    "resolve_array_namespace",
-    "default_shard_workers",
-    "set_shard_workers",
-    "shard_workers_scope",
-    "resolve_shard_workers",
-    "default_shard_executor",
-    "set_shard_executor",
-    "shard_executor_scope",
-    "resolve_shard_executor",
+    "config_scope",
+    "default_config",
     "validate_growth",
 ]
 
@@ -137,52 +126,6 @@ BACKENDS = ("dense", "sparse", "array", "sharded")
 ARRAY_NAMESPACES = ("numpy", "array_api_strict", "torch", "cupy")
 
 
-def _env_backend() -> str:
-    """Validate ``REPRO_BACKEND`` at import (load) time, listing the
-    allowed values — a typo must not survive until the first
-    ``get_context`` call."""
-    name = os.environ.get("REPRO_BACKEND", "dense").strip().lower()
-    if name not in BACKENDS:
-        raise ValueError(
-            f"REPRO_BACKEND must be one of {BACKENDS}, got {name!r}"
-        )
-    return name
-
-
-def _env_epsilon() -> float:
-    """Validate ``REPRO_SPARSE_EPSILON`` at import (load) time."""
-    raw = os.environ.get("REPRO_SPARSE_EPSILON", "0")
-    try:
-        epsilon = float(raw)
-    except ValueError:
-        raise ValueError(
-            "REPRO_SPARSE_EPSILON must be a float in [0, 1) (the sparse "
-            f"backend's per-row pruned-mass budget), got {raw!r}"
-        ) from None
-    if not 0.0 <= epsilon < 1.0:
-        raise ValueError(
-            f"REPRO_SPARSE_EPSILON must be in [0, 1), got {raw!r}"
-        )
-    return epsilon
-
-
-def _env_array_namespace() -> str:
-    """Validate ``REPRO_ARRAY_NAMESPACE`` at import (load) time, listing
-    the registered namespaces — selecting a namespace whose package is
-    missing still fails *lazily* at backend build, with an error naming
-    the install extra, because validation here must not import heavy
-    frameworks."""
-    raw = os.environ.get("REPRO_ARRAY_NAMESPACE", "numpy")
-    name = raw.strip().lower() or "numpy"
-    if name not in ARRAY_NAMESPACES:
-        raise ValueError(
-            f"REPRO_ARRAY_NAMESPACE must be one of {ARRAY_NAMESPACES} "
-            f"(the array-API namespace hosting ArrayBackend storage), "
-            f"got {raw!r}"
-        )
-    return name
-
-
 #: Registered shard-executor names (mirrors
 #: :data:`repro.runner.executors.SHARD_EXECUTORS`; duplicated here so
 #: validating a configuration never imports the runner package).
@@ -193,217 +136,198 @@ SHARD_EXECUTORS = ("serial", "process")
 MAX_SHARD_WORKERS = 256
 
 
-def _env_shard_workers() -> int:
-    """Validate ``REPRO_SHARD_WORKERS`` at import (load) time."""
-    raw = os.environ.get("REPRO_SHARD_WORKERS", "2")
+def _choice(choices: Tuple[str, ...]):
+    """A validator normalizing a name to one of *choices*."""
+
+    def check(label: str, value) -> str:
+        name = str(value).strip().lower()
+        if name not in choices:
+            raise ValueError(f"{label} must be one of {choices}, got {value!r}")
+        return name
+
+    return check
+
+
+def _epsilon(label: str, value) -> float:
     try:
-        workers = int(raw)
-    except ValueError:
+        epsilon = float(value)
+    except (TypeError, ValueError):
         raise ValueError(
-            "REPRO_SHARD_WORKERS must be an integer in "
-            f"[1, {MAX_SHARD_WORKERS}] (the sharded backend's worker "
-            f"count), got {raw!r}"
+            f"{label} must be a float in [0, 1) (the sparse backend's "
+            f"per-row pruned-mass budget), got {value!r}"
         ) from None
-    if not 1 <= workers <= MAX_SHARD_WORKERS:
-        raise ValueError(
-            f"REPRO_SHARD_WORKERS must be in [1, {MAX_SHARD_WORKERS}], "
-            f"got {raw!r}"
-        )
-    return workers
-
-
-def _env_shard_executor() -> str:
-    """Validate ``REPRO_SHARD_EXECUTOR`` at import (load) time."""
-    raw = os.environ.get("REPRO_SHARD_EXECUTOR", "process")
-    name = raw.strip().lower() or "process"
-    if name not in SHARD_EXECUTORS:
-        raise ValueError(
-            f"REPRO_SHARD_EXECUTOR must be one of {SHARD_EXECUTORS} "
-            f"(how the sharded backend hosts its workers), got {raw!r}"
-        )
-    return name
-
-
-_default_backend = _env_backend()
-_default_epsilon = _env_epsilon()
-_default_array_namespace = _env_array_namespace()
-_default_shard_workers = _env_shard_workers()
-_default_shard_executor = _env_shard_executor()
-
-
-def default_backend() -> str:
-    """The process-wide default backend name."""
-    return _default_backend
-
-
-def set_default_backend(name: str) -> None:
-    """Set the process-wide default backend (``"dense"``/``"sparse"``)."""
-    global _default_backend
-    _default_backend = resolve_backend(name)
-
-
-def resolve_backend(name: Optional[str]) -> str:
-    """Validate *name*, resolving ``None`` to the current default."""
-    if name is None:
-        return _default_backend
-    name = str(name).strip().lower()
-    if name not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {name!r}")
-    return name
-
-
-@contextmanager
-def backend_scope(name: Optional[str]) -> Iterator[str]:
-    """Temporarily switch the default backend (``None`` = leave as is)."""
-    global _default_backend
-    previous = _default_backend
-    if name is not None:
-        set_default_backend(name)
-    try:
-        yield _default_backend
-    finally:
-        _default_backend = previous
-
-
-def default_sparse_epsilon() -> float:
-    """The default per-row pruned-mass budget of sparse backends."""
-    return _default_epsilon
-
-
-def set_sparse_epsilon(epsilon: float) -> None:
-    """Set the default pruning budget (fraction of each row's finite
-    mass allowed to be dropped; ``0`` keeps every nonzero entry)."""
-    global _default_epsilon
-    _default_epsilon = resolve_sparse_epsilon(float(epsilon))
-
-
-def resolve_sparse_epsilon(epsilon: Optional[float]) -> float:
-    """Validate *epsilon*, resolving ``None`` to the current default."""
-    if epsilon is None:
-        return _default_epsilon
-    epsilon = float(epsilon)
     if not 0.0 <= epsilon < 1.0:
-        raise ValueError(f"sparse epsilon must be in [0, 1), got {epsilon}")
+        raise ValueError(f"{label} must be in [0, 1), got {value!r}")
     return epsilon
 
 
-def default_array_namespace() -> str:
-    """The default array-API namespace of :class:`ArrayBackend`."""
-    return _default_array_namespace
-
-
-def set_array_namespace(name: str) -> None:
-    """Set the default array-API namespace (see :data:`ARRAY_NAMESPACES`)."""
-    global _default_array_namespace
-    _default_array_namespace = resolve_array_namespace(name)
-
-
-def resolve_array_namespace(name: Optional[str]) -> str:
-    """Validate *name*, resolving ``None`` to the current default."""
-    if name is None:
-        return _default_array_namespace
-    name = str(name).strip().lower()
-    if name not in ARRAY_NAMESPACES:
-        raise ValueError(
-            f"array namespace must be one of {ARRAY_NAMESPACES}, got {name!r}"
-        )
-    return name
-
-
-@contextmanager
-def array_namespace_scope(name: Optional[str]) -> Iterator[str]:
-    """Temporarily switch the default array namespace (``None`` = leave
-    as is)."""
-    global _default_array_namespace
-    previous = _default_array_namespace
-    if name is not None:
-        set_array_namespace(name)
+def _workers(label: str, value) -> int:
     try:
-        yield _default_array_namespace
-    finally:
-        _default_array_namespace = previous
-
-
-def default_shard_workers() -> int:
-    """The default worker count of the ``"sharded"`` backend."""
-    return _default_shard_workers
-
-
-def set_shard_workers(workers: int) -> None:
-    """Set the default shard worker count (block-rows per build)."""
-    global _default_shard_workers
-    _default_shard_workers = resolve_shard_workers(int(workers))
-
-
-def resolve_shard_workers(workers: Optional[int]) -> int:
-    """Validate *workers*, resolving ``None`` to the current default."""
-    if workers is None:
-        return _default_shard_workers
-    workers = int(workers)
+        workers = int(value)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"{label} must be an integer in [1, {MAX_SHARD_WORKERS}] "
+            f"(the sharded backend's worker count), got {value!r}"
+        ) from None
     if not 1 <= workers <= MAX_SHARD_WORKERS:
         raise ValueError(
-            f"shard workers must be in [1, {MAX_SHARD_WORKERS}], "
-            f"got {workers}"
+            f"{label} must be in [1, {MAX_SHARD_WORKERS}], got {value!r}"
         )
     return workers
 
 
-@contextmanager
-def shard_workers_scope(workers: Optional[int]) -> Iterator[int]:
-    """Temporarily switch the default shard worker count (``None`` =
-    leave as is)."""
-    global _default_shard_workers
-    previous = _default_shard_workers
-    if workers is not None:
-        set_shard_workers(workers)
-    try:
-        yield _default_shard_workers
-    finally:
-        _default_shard_workers = previous
+_backend_name = _choice(BACKENDS)
+
+#: ``(field, label in errors, environment variable, validator)`` for
+#: every validated :class:`BackendConfig` field.
+_FIELDS = (
+    ("backend", "backend", "REPRO_BACKEND", _backend_name),
+    ("sparse_epsilon", "sparse epsilon", "REPRO_SPARSE_EPSILON", _epsilon),
+    (
+        "array_namespace",
+        "array namespace",
+        "REPRO_ARRAY_NAMESPACE",
+        _choice(ARRAY_NAMESPACES),
+    ),
+    ("workers", "shard workers", "REPRO_SHARD_WORKERS", _workers),
+    (
+        "shard_executor",
+        "shard executor",
+        "REPRO_SHARD_EXECUTOR",
+        _choice(SHARD_EXECUTORS),
+    ),
+)
 
 
-def default_shard_executor() -> str:
-    """The default executor name of the ``"sharded"`` backend."""
-    return _default_shard_executor
+@dataclass(frozen=True)
+class BackendConfig:
+    """Which gain backend to build, and how.
 
+    Every field is stored validated and fully resolved, including the
+    ones the chosen backend ignores — so ``REPRO_SPARSE_EPSILON`` under
+    a dense default still reaches a later ``derive(backend="sparse")``.
+    :meth:`key` drops the ignored fields; it is what caches compare.
 
-def set_shard_executor(name: str) -> None:
-    """Set the default shard executor (``"serial"``/``"process"``)."""
-    global _default_shard_executor
-    _default_shard_executor = resolve_shard_executor(name)
+    Parameters
+    ----------
+    backend:
+        ``"dense"``, ``"sparse"``, ``"array"`` or ``"sharded"``.
+    sparse_epsilon:
+        Per-row pruned-mass budget of the sparse and sharded backends,
+        in ``[0, 1)``.
+    array_namespace, device:
+        Array-API namespace (see :data:`ARRAY_NAMESPACES`) and device of
+        the array backend; a device other than ``None`` requires
+        ``backend="array"``.
+    workers, shard_executor:
+        Worker count and executor name (``"serial"``/``"process"``) of
+        the sharded backend.
+    """
 
+    backend: str = "dense"
+    sparse_epsilon: float = 0.0
+    array_namespace: str = "numpy"
+    device: Optional[object] = None
+    workers: int = 2
+    shard_executor: str = "process"
 
-def resolve_shard_executor(name: Optional[str]) -> str:
-    """Validate *name*, resolving ``None`` to the current default."""
-    if name is None:
-        return _default_shard_executor
-    name = str(name).strip().lower()
-    if name not in SHARD_EXECUTORS:
-        raise ValueError(
-            f"shard executor must be one of {SHARD_EXECUTORS}, got {name!r}"
+    def __post_init__(self) -> None:
+        for name, label, _, check in _FIELDS:
+            object.__setattr__(self, name, check(label, getattr(self, name)))
+        if self.device is not None and self.backend != "array":
+            raise ValueError(
+                "device= requires backend='array' "
+                f"(got backend={self.backend!r})"
+            )
+
+    @classmethod
+    def from_env(cls) -> "BackendConfig":
+        """The config the ``REPRO_*`` variables select (blank = default);
+        a malformed value fails naming the variable."""
+        fields = {}
+        for name, _, var, check in _FIELDS:
+            raw = os.environ.get(var, "").strip()
+            if raw:
+                fields[name] = check(var, raw)
+        return cls(**fields)
+
+    def derive(self, **overrides) -> "BackendConfig":
+        """This config with every override that is not ``None`` applied.
+
+        A device is kept only while the backend stays ``"array"``, and
+        overriding ``workers``/``shard_executor`` requires the sharded
+        backend.
+        """
+        given = {k: v for k, v in overrides.items() if v is not None}
+        backend = _backend_name("backend", given.get("backend", self.backend))
+        if backend != "array":
+            given.setdefault("device", None)
+        config = replace(self, **given)
+        if backend != "sharded" and (
+            "workers" in given or "shard_executor" in given
+        ):
+            raise ValueError(
+                "workers=/shard_executor= require backend='sharded' "
+                f"(got backend={backend!r})"
+            )
+        return config
+
+    @property
+    def pruning_epsilon(self) -> float:
+        """The pruning budget actually applied: ``sparse_epsilon`` on the
+        sparse and sharded backends, ``0.0`` on the others."""
+        return self.sparse_epsilon if self.backend in ("sparse", "sharded") else 0.0
+
+    def key(self) -> tuple:
+        """The canonical cache key: the fields the backend reads, with
+        the ignored ones blanked."""
+        sharded = self.backend == "sharded"
+        return (
+            self.backend,
+            self.pruning_epsilon,
+            self.array_namespace if self.backend == "array" else "",
+            "" if self.device is None else str(self.device),
+            self.workers if sharded else 0,
+            self.shard_executor if sharded else "",
         )
-    return name
+
+
+_config: ContextVar[BackendConfig] = ContextVar(
+    "repro_backend_config", default=BackendConfig.from_env()
+)
+
+
+def default_config(**overrides) -> BackendConfig:
+    """The backend config in effect (see :func:`config_scope`), with
+    *overrides* applied via :meth:`BackendConfig.derive`."""
+    config = _config.get()
+    return config.derive(**overrides) if overrides else config
 
 
 @contextmanager
-def shard_executor_scope(name: Optional[str]) -> Iterator[str]:
-    """Temporarily switch the default shard executor (``None`` = leave
-    as is)."""
-    global _default_shard_executor
-    previous = _default_shard_executor
-    if name is not None:
-        set_shard_executor(name)
+def config_scope(
+    config: Optional[BackendConfig] = None, **overrides
+) -> Iterator[BackendConfig]:
+    """Make *config* (default: the current one), with *overrides*
+    applied via :meth:`BackendConfig.derive`, the default for the body.
+
+    The default lives in a :class:`contextvars.ContextVar`, so the
+    scope is restored on exit (exception or not) and never leaks into
+    concurrently running asyncio tasks.
+    """
+    scoped = (_config.get() if config is None else config).derive(**overrides)
+    token = _config.set(scoped)
     try:
-        yield _default_shard_executor
+        yield scoped
     finally:
-        _default_shard_executor = previous
+        _config.reset(token)
 
 
 def _import_array_namespace(name: str):
     """The array-API namespace module backing *name*.
 
     Imports are deferred to backend build so merely *configuring* a
-    namespace (env var, :func:`set_array_namespace`) never imports a
+    namespace (env var, :class:`BackendConfig`) never imports a
     heavy framework — and a missing package fails with an error naming
     the install extra instead of a bare ``ModuleNotFoundError``.
     """
@@ -1115,7 +1039,7 @@ class ArrayBackend(GainBackend):
         arrays entry for entry; the single ``asarray`` per endpoint
         matrix is the only host→device transfer of the build.
         """
-        name = resolve_array_namespace(namespace)
+        name = default_config(array_namespace=namespace).array_namespace
         xp = _import_array_namespace(name)
         powers = np.asarray(powers, dtype=float).reshape(-1)
         host_u, host_v = _full_gain_matrices(instance, powers)
@@ -1606,7 +1530,7 @@ class SparseBackend(GainBackend):
         so every *stored* entry is bit-identical to its dense
         counterpart.
         """
-        epsilon = resolve_sparse_epsilon(epsilon)
+        epsilon = default_config(sparse_epsilon=epsilon).sparse_epsilon
         powers = np.asarray(powers, dtype=float).reshape(-1)
         n = instance.n
         tile_rows = max(1, int(tile_rows))
@@ -2006,30 +1930,21 @@ class SparseBackend(GainBackend):
 def build_backend(
     instance: Instance,
     powers: np.ndarray,
-    backend: Optional[str] = None,
-    sparse_epsilon: Optional[float] = None,
-    array_namespace: Optional[str] = None,
-    device=None,
-    shard_workers: Optional[int] = None,
-    shard_executor: Optional[str] = None,
+    config: Optional[BackendConfig] = None,
 ) -> GainBackend:
-    """Construct the gain backend for ``(instance, powers)``.
-
-    *backend*, *sparse_epsilon*, *array_namespace*, *shard_workers*
-    and *shard_executor* default to the process-wide settings
-    (:func:`default_backend` / :func:`default_sparse_epsilon` /
-    :func:`default_array_namespace` / :func:`default_shard_workers` /
-    :func:`default_shard_executor`); *device* applies to the array
-    backend only (``None`` = the namespace's default device).
-    """
-    name = resolve_backend(backend)
-    if name == "sparse":
-        return SparseBackend.build(instance, powers, epsilon=sparse_epsilon)
-    if name == "array":
+    """Construct the gain backend *config* (default:
+    :func:`default_config`) selects for ``(instance, powers)``."""
+    config = default_config() if config is None else config
+    if config.backend == "sparse":
+        return SparseBackend.build(instance, powers, epsilon=config.sparse_epsilon)
+    if config.backend == "array":
         return ArrayBackend.build(
-            instance, powers, namespace=array_namespace, device=device
+            instance,
+            powers,
+            namespace=config.array_namespace,
+            device=config.device,
         )
-    if name == "sharded":
+    if config.backend == "sharded":
         # Lazy import: repro.distributed consumes this module's
         # primitives (_assemble_csr and friends), so the dependency
         # must point that way at import time.
@@ -2038,8 +1953,8 @@ def build_backend(
         return ShardedBackend.build(
             instance,
             powers,
-            epsilon=sparse_epsilon,
-            workers=shard_workers,
-            executor=shard_executor,
+            epsilon=config.sparse_epsilon,
+            workers=config.workers,
+            executor=config.shard_executor,
         )
     return DenseBackend.build(instance, powers)

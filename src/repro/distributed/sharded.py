@@ -58,9 +58,7 @@ from repro.core.gains import (
     GainBackend,
     _assemble_csr,
     _host_gain_targets,
-    resolve_shard_executor,
-    resolve_shard_workers,
-    resolve_sparse_epsilon,
+    default_config,
 )
 from repro.core.instance import Instance
 from repro.runner.executors import (
@@ -328,17 +326,23 @@ class ShardedBackend(GainBackend):
         """Build ``W`` shards owner-computes style.
 
         *executor* is either a registered executor name
-        (``"serial"``/``"process"``; ``None`` = the process default,
-        env ``REPRO_SHARD_EXECUTOR``) or an already-constructed,
+        (``"serial"``/``"process"``; ``None`` =
+        :func:`~repro.core.gains.default_config`) or an already-constructed,
         unstarted :class:`~repro.runner.executors.ShardExecutor` whose
         worker count must equal *workers*.  Each worker receives only
         ``(instance, powers, lo, hi, epsilon)`` and builds its block
         row locally — the parent never touches gain values at all.
         """
-        epsilon = resolve_sparse_epsilon(epsilon)
-        workers = resolve_shard_workers(workers)
+        given = isinstance(executor, ShardExecutor)
+        config = default_config(
+            backend="sharded",
+            sparse_epsilon=epsilon,
+            workers=workers,
+            shard_executor=None if given else executor,
+        )
+        epsilon, workers = config.sparse_epsilon, config.workers
         powers = np.asarray(powers, dtype=float).reshape(-1)
-        if isinstance(executor, ShardExecutor):
+        if given:
             exec_obj = executor
             if exec_obj.workers != workers:
                 raise ValueError(
@@ -346,10 +350,9 @@ class ShardedBackend(GainBackend):
                     f"expected {workers}"
                 )
         else:
-            name = resolve_shard_executor(
-                executor if executor is None else str(executor)
+            exec_obj = build_shard_executor(
+                config.shard_executor, workers, retry=retry
             )
-            exec_obj = build_shard_executor(name, workers, retry=retry)
         bounds = shard_bounds(instance.n, workers)
         tile_rows = max(1, int(tile_rows))
         payloads = [

@@ -20,10 +20,9 @@ from the experiment specs alone and results merge in spec order (see
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
-from repro.core.gains import ARRAY_NAMESPACES, BACKENDS, set_array_namespace
+from repro.core.gains import ARRAY_NAMESPACES, BACKENDS, config_scope
 from repro.experiments.registry import get_registry
 from repro.resilience.policy import RetryPolicy
 from repro.runner.orchestrator import run_experiments
@@ -78,8 +77,8 @@ def main(argv=None) -> int:
         default=None,
         help=(
             "array-API namespace for the 'array' backend (default: the "
-            "process default, see REPRO_ARRAY_NAMESPACE); exported to "
-            "the environment so --jobs workers inherit it"
+            "process default, see REPRO_ARRAY_NAMESPACE); shipped to "
+            "--jobs workers with the rest of the backend config"
         ),
     )
     parser.add_argument(
@@ -144,12 +143,6 @@ def main(argv=None) -> int:
         parser.error("--jobs must be >= 1")
     if args.max_attempts is not None and args.max_attempts < 1:
         parser.error("--max-attempts must be >= 1")
-    if args.array_namespace is not None:
-        # Per-process default plus the environment, so --jobs worker
-        # processes (which re-read REPRO_ARRAY_NAMESPACE on import)
-        # resolve the same namespace as the parent.
-        os.environ["REPRO_ARRAY_NAMESPACE"] = args.array_namespace
-        set_array_namespace(args.array_namespace)
     retry = None
     if args.max_attempts is not None or args.shard_deadline is not None:
         retry = RetryPolicy(
@@ -174,16 +167,17 @@ def main(argv=None) -> int:
         print()
 
     try:
-        run_experiments(
-            args.experiments,
-            fast=args.fast,
-            jobs=args.jobs,
-            artifacts_dir=args.artifacts,
-            on_report=_print_report,
-            backend=args.backend,
-            retry=retry,
-            resume=not args.no_resume,
-        )
+        with config_scope(array_namespace=args.array_namespace):
+            run_experiments(
+                args.experiments,
+                fast=args.fast,
+                jobs=args.jobs,
+                artifacts_dir=args.artifacts,
+                on_report=_print_report,
+                backend=args.backend,
+                retry=retry,
+                resume=not args.no_resume,
+            )
     except KeyError as exc:
         # resolve_specs rejects unknown ids before any work starts.
         parser.error(str(exc).strip("'\""))

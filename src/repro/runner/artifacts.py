@@ -325,10 +325,11 @@ def write_checkpoint(
 ) -> pathlib.Path:
     """Atomically persist one completed shard's table.
 
-    *backend* is the resolved execution-backend tag of the run (e.g.
-    ``"sparse"``, ``"array:numpy"``); it becomes part of the staleness
-    key so a resume under a different ``--backend`` re-runs the shard
-    instead of splicing in tables computed on another backend.
+    *backend* is the resolved execution-backend tag of the run (the
+    orchestrator writes ``str(BackendConfig.key())``); it becomes part
+    of the staleness key so a resume under a different ``--backend`` or
+    pruning budget re-runs the shard instead of splicing in tables
+    computed on another backend configuration.
     """
     path = checkpoint_path(directory, experiment, shard_index)
     path.parent.mkdir(parents=True, exist_ok=True)

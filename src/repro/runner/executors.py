@@ -528,14 +528,13 @@ def build_shard_executor(
 ) -> ShardExecutor:
     """Construct a registered executor by name.
 
-    ``None`` resolves to the process default
-    (:func:`repro.core.gains.default_shard_executor`, env
-    ``REPRO_SHARD_EXECUTOR``).
+    ``None`` resolves to the executor of
+    :func:`repro.core.gains.default_config`.
     """
     if name is None:
-        from repro.core.gains import default_shard_executor
+        from repro.core.gains import default_config
 
-        name = default_shard_executor()
+        name = default_config().shard_executor
     name = str(name).strip().lower()
     if name == "serial":
         return SerialShardExecutor(workers)

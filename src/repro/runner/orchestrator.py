@@ -61,11 +61,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.gains import (
-    backend_scope,
-    default_array_namespace,
-    resolve_backend,
-)
+from repro.core.gains import BackendConfig, config_scope, default_config
 from repro.resilience.faults import FaultPlan
 from repro.resilience.policy import RetryPolicy, ShardFailure
 from repro.runner.artifacts import (
@@ -119,16 +115,17 @@ def run_shard(
     spec_id: str,
     fast: bool,
     shard_index: int,
-    backend: Optional[str] = None,
+    config: Optional[BackendConfig] = None,
     attempt: int = 0,
     fault_plan: Optional[FaultPlan] = None,
 ) -> Tuple[Table, float]:
     """Execute one shard (in this process) and time it.
 
-    *backend* is the resolved gain-backend name for this shard; it is
-    applied process-locally (workers receive it explicitly, since the
-    parent's :func:`repro.core.gains.set_default_backend` state does
-    not cross the process boundary).  *attempt* is the 0-based retry
+    *config* is the resolved :class:`~repro.core.gains.BackendConfig`
+    for this shard (``None`` = :func:`~repro.core.gains.default_config`);
+    it is applied with :func:`~repro.core.gains.config_scope` (workers
+    receive it explicitly, since the parent's scope does not cross the
+    process boundary).  *attempt* is the 0-based retry
     attempt — it does not influence the computation (shard seeds come
     from the spec alone, so retries are bit-identical), only the
     deterministic *fault_plan* injection point ``("shard",
@@ -143,7 +140,7 @@ def run_shard(
     shard = spec.shards(fast)[shard_index]
     run = spec.resolve()
     start = time.perf_counter()
-    with backend_scope(backend):
+    with config_scope(config):
         table = run(**shard.kwargs)
     return table, time.perf_counter() - start
 
@@ -183,13 +180,13 @@ class _ShardScheduler:
         self,
         jobs: int,
         fast: bool,
-        backends: Dict[str, str],
+        configs: Dict[str, BackendConfig],
         policies: Dict[str, Optional[RetryPolicy]],
         fault_plan: Optional[FaultPlan],
     ):
         self.jobs = jobs
         self.fast = fast
-        self.backends = backends
+        self.configs = configs
         self.policies = policies
         self.fault_plan = fault_plan
         self.work: Dict[_ShardKey, Shard] = {}
@@ -244,7 +241,7 @@ class _ShardScheduler:
             spec_id,
             self.fast,
             shard_index,
-            backend=self.backends[spec_id],
+            config=self.configs[spec_id],
             attempt=self._failures.get(key, 0),
             fault_plan=self.fault_plan,
         )
@@ -312,7 +309,7 @@ class _ShardScheduler:
                     spec_id,
                     self.fast,
                     shard_index,
-                    backend=self.backends[spec_id],
+                    config=self.configs[spec_id],
                     attempt=attempt,
                     fault_plan=self.fault_plan,
                 )
@@ -430,9 +427,12 @@ def run_experiments(
     backend:
         Run-level gain-backend choice (the CLI ``--backend`` flag).  A
         spec's own ``backend`` pin wins over this; ``None`` falls back
-        to the process default, so ``REPRO_BACKEND=sparse`` flips a
-        whole run.  The resolved name is recorded per experiment in
-        the artifact's ``env`` section.
+        to :func:`~repro.core.gains.default_config`, so
+        ``REPRO_BACKEND=sparse`` (or an enclosing
+        :func:`~repro.core.gains.config_scope`) flips a whole run.  The
+        other backend settings always come from the default config.
+        The resolved name is recorded per experiment in the artifact's
+        ``env`` section.
     retry:
         Run-level :class:`~repro.resilience.RetryPolicy`.  A spec's
         own ``retry`` pin wins over this.  With **no** policy anywhere
@@ -448,8 +448,8 @@ def run_experiments(
     resume:
         Load shard checkpoints left by an interrupted run with the
         same *artifacts_dir* (default ``True``).  Stale checkpoints —
-        key, seed or resolved backend no longer matching the spec and
-        run configuration — are ignored.
+        key, seed or resolved backend config no longer matching the
+        spec and run configuration — are ignored.
 
     Returns
     -------
@@ -462,20 +462,18 @@ def run_experiments(
     plan: List[Tuple[ExperimentSpec, List[Shard]]] = [
         (spec, spec.shards(fast)) for spec in specs
     ]
-    # Resolve each spec's backend and retry policy up front: spec pin >
-    # run-level choice > default.  Workers receive the resolved
-    # backend name explicitly.
-    backends: Dict[str, str] = {
-        spec.id: resolve_backend(spec.backend or backend) for spec, _ in plan
+    # Resolve each spec's backend config and retry policy up front:
+    # spec pin > run-level choice > default.  Workers receive the
+    # resolved config explicitly.
+    configs: Dict[str, BackendConfig] = {
+        spec.id: default_config(backend=spec.backend or backend)
+        for spec, _ in plan
     }
-    # Checkpoint staleness tag: the resolved backend, qualified with the
-    # array namespace when it matters — shard tables are only reusable
-    # across runs that execute on the same backend configuration.
+    # Checkpoint staleness tag: the config's canonical key — shard
+    # tables are only reusable across runs that execute on the same
+    # backend configuration (pruning budget and namespace included).
     backend_tags: Dict[str, str] = {
-        spec_id: (
-            f"array:{default_array_namespace()}" if name == "array" else name
-        )
-        for spec_id, name in backends.items()
+        spec_id: str(config.key()) for spec_id, config in configs.items()
     }
     policies: Dict[str, Optional[RetryPolicy]] = {
         spec.id: (spec.retry if spec.retry is not None else retry)
@@ -513,7 +511,7 @@ def run_experiments(
                         table, seconds, attempts=attempts, resumed=True
                     )
 
-    scheduler = _ShardScheduler(jobs, fast, backends, policies, fault_plan)
+    scheduler = _ShardScheduler(jobs, fast, configs, policies, fault_plan)
     work: Dict[_ShardKey, Shard] = {}
     for spec, shards in plan:
         for shard in shards:
@@ -584,7 +582,7 @@ def run_experiments(
                 run_wall_seconds=time.perf_counter() - start,
                 jobs=jobs,
                 metric=spec.metric,
-                backend=backends[spec.id],
+                backend=configs[spec.id].backend,
                 algorithms=tuple(spec.algorithms),
                 failures=failures,
             )

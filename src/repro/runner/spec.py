@@ -84,7 +84,7 @@ class ExperimentSpec:
         Optional gain-backend pin (``"dense"``/``"sparse"``) for every
         shard of this experiment.  ``None`` (the default) follows the
         run-level ``--backend`` choice, falling back to the process
-        default (:func:`repro.core.gains.default_backend`).  The
+        default (:func:`repro.core.gains.default_config`).  The
         resolved name is recorded in the ``BENCH_*.json`` artifact.
     algorithms:
         Names from :mod:`repro.scheduling.registry` this experiment

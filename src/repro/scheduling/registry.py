@@ -65,7 +65,7 @@ from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from repro.core.gains import default_backend
+from repro.core.gains import config_scope, default_config
 from repro.core.instance import Instance
 from repro.core.schedule import Schedule
 
@@ -187,7 +187,7 @@ class AlgorithmSpec:
                 f"algorithm {self.name!r} is deterministic; rng= is not "
                 "accepted"
             )
-        if not caps.supports_sparse and default_backend() == "sparse":
+        if not caps.supports_sparse and default_config().backend == "sparse":
             warnings.warn(
                 f"algorithm {self.name!r} has no sparse-backend support; "
                 "this run materializes dense O(n^2) state despite the "
@@ -266,18 +266,13 @@ def _adapt_first_fit(instance, powers, rng, params) -> AlgorithmOutcome:
 
 
 def _adapt_first_fit_sharded(instance, powers, rng, params) -> AlgorithmOutcome:
-    from repro.core.gains import (
-        backend_scope,
-        shard_executor_scope,
-        shard_workers_scope,
-    )
     from repro.scheduling.firstfit import first_fit_schedule
 
-    workers = params.pop("workers", None)
-    executor = params.pop("executor", None)
-    with backend_scope("sharded"), shard_workers_scope(
-        workers
-    ), shard_executor_scope(executor):
+    with config_scope(
+        backend="sharded",
+        workers=params.pop("workers", None),
+        shard_executor=params.pop("executor", None),
+    ):
         schedule = first_fit_schedule(instance, powers, **params)
     return AlgorithmOutcome(schedule, None, {})
 

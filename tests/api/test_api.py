@@ -5,7 +5,7 @@ import pytest
 
 from repro.api import BatchSession, Problem, ScheduleResult, Session, schedule_batch
 from repro.core.batch import BatchFallbackInfo
-from repro.core.context import clear_context_cache, engine_disabled
+from repro.core.context import cache_info, clear_context_cache, engine_disabled
 from repro.core.errors import InvalidScheduleError
 from repro.instances.random_instances import random_uniform_instance
 from repro.power.oblivious import SquareRootPower, UniformPower
@@ -217,6 +217,58 @@ class TestIncremental:
         session.schedule("gain_scaling", gamma_target=2.0)
         fresh = session.reschedule("first_fit")
         assert fresh.provenance.params == {}
+
+
+class TestBackendConfigPlumbing:
+    """A problem's backend config reaches every context its sessions,
+    batches and algorithm runs build — one config, one context."""
+
+    def _sharded(self, seed, workers=3):
+        return Problem(
+            random_uniform_instance(10, rng=seed),
+            backend="sharded",
+            sparse_epsilon=0.05,
+            workers=workers,
+            shard_executor="serial",
+        )
+
+    def test_batch_pools_the_problem_config(self):
+        from repro.runner.executors import SerialShardExecutor
+
+        batch = BatchSession([self._sharded(0)])
+        pooled = batch.batch.contexts[0]
+        backend = pooled.backend
+        try:
+            assert (backend.epsilon, backend.workers) == (0.05, 3)
+            assert isinstance(backend.executor, SerialShardExecutor)
+        finally:
+            backend.close()
+        session = batch.sessions[0]
+        assert pooled.config == session.context.config
+        assert pooled is session.context
+
+    def test_batch_rejects_mixed_shard_workers(self):
+        with pytest.raises(ValueError, match="share backend"):
+            BatchSession([self._sharded(0, workers=2), self._sharded(1)])
+
+    def test_device_run_builds_one_context(self, instance):
+        clear_context_cache()
+        session = Problem(instance, backend="array", device="cpu").session()
+        result = session.schedule("first_fit")
+        assert cache_info()["contexts"] == 1
+        assert session.context.config.device == "cpu"
+        assert result.provenance.certified is True
+        clear_context_cache()
+
+    def test_dense_default_epsilon_reaches_sparse_problem(
+        self, instance
+    ):
+        from repro.core.gains import config_scope
+
+        with config_scope(backend="dense", sparse_epsilon=0.05):
+            problem = Problem(instance, backend="sparse")
+        assert problem.config.sparse_epsilon == 0.05
+        assert problem.session().context.backend.epsilon == 0.05
 
 
 class TestBatchSession:

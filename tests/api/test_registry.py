@@ -113,18 +113,18 @@ class TestCapabilityEnforcement:
     def test_sparse_default_warns_for_unsupported_algorithm(
         self, instance, powers
     ):
-        from repro.core.gains import backend_scope
+        from repro.core.gains import config_scope
 
-        with backend_scope("sparse"):
+        with config_scope(backend="sparse"):
             with pytest.warns(RuntimeWarning, match="sparse-backend"):
                 run_algorithm("protocol_model", instance, powers=powers)
 
     def test_sparse_capable_algorithm_does_not_warn(self, instance, powers):
         import warnings as _warnings
 
-        from repro.core.gains import backend_scope
+        from repro.core.gains import config_scope
 
-        with backend_scope("sparse"):
+        with config_scope(backend="sparse"):
             with _warnings.catch_warnings():
                 _warnings.simplefilter("error", RuntimeWarning)
                 run_algorithm("first_fit", instance, powers=powers)

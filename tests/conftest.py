@@ -21,9 +21,9 @@ def dense_backend():
     machinery (stacked ``(B, n, n)`` batching, transpose aliasing,
     read-only array views) — such tests must keep passing when the
     suite runs under ``REPRO_BACKEND=sparse``."""
-    from repro.core.gains import backend_scope
+    from repro.core.gains import config_scope
 
-    with backend_scope("dense"):
+    with config_scope(backend="dense"):
         yield
 
 

@@ -17,6 +17,7 @@ from repro.core.batch import (
 )
 from repro.core.context import get_context
 from repro.core.errors import InvalidScheduleError
+from repro.core.gains import default_config
 from repro.core.instance import Instance
 from repro.core.schedule import Schedule
 from repro.geometry.line import LineMetric
@@ -324,7 +325,8 @@ class TestFallbackInfo:
         reset_batch_fallback_registry()
         with caplog.at_level(logging.WARNING, logger="repro.core.batch"):
             batch = ContextBatch(
-                _pairs([8, 8]), backend="sparse", sparse_epsilon=1e-3
+                _pairs([8, 8]),
+                config=default_config(backend="sparse", sparse_epsilon=1e-3),
             )
         assert batch.fallback is not None
         assert batch.fallback.reasons == ("lossy_backend",)
@@ -334,13 +336,13 @@ class TestFallbackInfo:
 
     def test_lossless_sparse_batch_stacks(self):
         batch = ContextBatch(
-            _pairs([8, 8]), backend="sparse", sparse_epsilon=0.0
+            _pairs([8, 8]), config=default_config(backend="sparse", sparse_epsilon=0.0)
         )
         assert batch.stacked
         assert batch.fallback is None
 
     def test_array_backend_batch_stacks(self):
-        batch = ContextBatch(_pairs([8, 8]), backend="array")
+        batch = ContextBatch(_pairs([8, 8]), config=default_config(backend="array"))
         assert batch.stacked
         assert batch.fallback is None
 
@@ -353,7 +355,7 @@ class TestFallbackInfo:
         pairs = _pairs([8, 8])
         with caplog.at_level(logging.DEBUG, logger="repro.core.batch"):
             for _ in range(3):
-                ContextBatch(pairs, backend="sparse", sparse_epsilon=1e-3)
+                ContextBatch(pairs, config=default_config(backend="sparse", sparse_epsilon=1e-3))
         records = [r for r in caplog.records if "lossy_backend" in r.message]
         assert [r.levelno for r in records] == [
             logging.WARNING,
@@ -363,7 +365,7 @@ class TestFallbackInfo:
         # A different call site warns again.
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="repro.core.batch"):
-            ContextBatch(pairs, backend="sparse", sparse_epsilon=1e-3)
+            ContextBatch(pairs, config=default_config(backend="sparse", sparse_epsilon=1e-3))
         records = [r for r in caplog.records if "lossy_backend" in r.message]
         assert [r.levelno for r in records] == [logging.WARNING]
         reset_batch_fallback_registry()
@@ -386,8 +388,10 @@ class TestFallbackInfo:
         )
 
     def test_backend_preference_threads_to_contexts(self):
-        batch = ContextBatch(_pairs([8]), backend="sparse", sparse_epsilon=0.0)
-        assert batch.contexts[0].backend_name == "sparse"
+        batch = ContextBatch(
+            _pairs([8]), config=default_config(backend="sparse", sparse_epsilon=0.0)
+        )
+        assert batch.contexts[0].config.backend == "sparse"
 
 
 class TestBlockStacking:
@@ -402,7 +406,9 @@ class TestBlockStacking:
     def test_stacked_queries_match_dense(self, direction, backend, epsilon):
         pairs = _pairs([640, 640], direction=direction, seed=80)
         dense = ContextBatch(pairs)
-        other = ContextBatch(pairs, backend=backend, sparse_epsilon=epsilon)
+        other = ContextBatch(
+            pairs, config=default_config(backend=backend, sparse_epsilon=epsilon)
+        )
         assert dense.stacked and other.stacked
         np.testing.assert_array_equal(other.margins(), dense.margins())
         schedules = dense.first_fit_schedules()
@@ -430,8 +436,7 @@ class TestBlockStacking:
             monkeypatch.setattr(cls, name, boom)
         batch = ContextBatch(
             _pairs([12, 12], seed=81),
-            backend=backend,
-            sparse_epsilon=epsilon,
+            config=default_config(backend=backend, sparse_epsilon=epsilon),
         )
         assert batch.stacked
         batch.margins()
@@ -452,7 +457,9 @@ class TestLocalSearchSchedules:
         from repro.scheduling.local_search import improve_schedule
 
         pairs = _pairs([30, 30, 30], direction=direction, seed=90)
-        batch = ContextBatch(pairs, backend=backend, sparse_epsilon=epsilon)
+        batch = ContextBatch(
+            pairs, config=default_config(backend=backend, sparse_epsilon=epsilon)
+        )
         assert batch.stacked
         seeds = batch.first_fit_schedules()
         improved = batch.local_search_schedules(seeds)

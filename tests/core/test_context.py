@@ -22,6 +22,7 @@ from repro.core.context import (
     maybe_context,
 )
 from repro.core.errors import InvalidScheduleError
+from repro.core.gains import default_config
 from repro.core.feasibility import (
     feasible_subset_mask,
     is_feasible_partition,
@@ -253,14 +254,23 @@ class TestContextCache:
 
     def test_backend_variants_get_distinct_cache_slots(self):
         instance, powers = POOL["bidir"], POWERS["bidir"]
-        dense = get_context(instance, powers, backend="dense")
-        sparse = get_context(instance, powers, backend="sparse")
+        dense = get_context(
+            instance, powers, config=default_config(backend="dense")
+        )
+        sparse = get_context(
+            instance, powers, config=default_config(backend="sparse")
+        )
         pruned = get_context(
-            instance, powers, backend="sparse", sparse_epsilon=0.01
+            instance,
+            powers,
+            config=default_config(backend="sparse", sparse_epsilon=0.01),
         )
         assert dense is not sparse
         assert sparse is not pruned
-        assert get_context(instance, powers, backend="sparse") is sparse
+        again = get_context(
+            instance, powers, config=default_config(backend="sparse")
+        )
+        assert again is sparse
 
     def test_duplicate_subset_indices_match_legacy(self):
         """A repeated index in `subset` is two copies of one request;

@@ -16,22 +16,18 @@ Contracts under test (see :mod:`repro.core.gains`):
   behaves as documented.
 """
 
-from contextlib import contextmanager
-
 import numpy as np
 import pytest
 
-from repro.core import gains
 from repro.core.context import clear_context_cache, engine_disabled, get_context
 from repro.core.gains import (
     ArrayBackend,
+    BackendConfig,
     DenseBackend,
     SparseBackend,
-    backend_scope,
     build_backend,
-    default_backend,
-    resolve_backend,
-    set_default_backend,
+    config_scope,
+    default_config,
 )
 from repro.core.instance import Direction, Instance
 from repro.geometry.euclidean import EuclideanMetric
@@ -72,16 +68,6 @@ def _grid():
 GRID = _grid()
 
 
-@contextmanager
-def gains_epsilon(value):
-    previous = gains.default_sparse_epsilon()
-    gains.set_sparse_epsilon(value)
-    try:
-        yield
-    finally:
-        gains.set_sparse_epsilon(previous)
-
-
 @pytest.fixture(autouse=True)
 def _fresh_cache():
     clear_context_cache()
@@ -95,9 +81,9 @@ class TestLosslessBitIdentity:
     @pytest.mark.parametrize("name", sorted(GRID))
     def test_primitives_match_dense(self, name):
         instance, powers = GRID[name]
-        dense = build_backend(instance, powers, backend="dense")
+        dense = build_backend(instance, powers, config=default_config(backend="dense"))
         sparse = build_backend(
-            instance, powers, backend="sparse", sparse_epsilon=0.0
+            instance, powers, config=default_config(backend="sparse", sparse_epsilon=0.0)
         )
         assert sparse.is_lossless
         assert sparse.directed == dense.directed
@@ -143,9 +129,9 @@ class TestLosslessBitIdentity:
         bitwise — on every backend, with and without a column subset,
         including infinite (shared-node) rows."""
         instance, powers = GRID[name]
-        dense = build_backend(instance, powers, backend="dense")
+        dense = build_backend(instance, powers, config=default_config(backend="dense"))
         sparse = build_backend(
-            instance, powers, backend="sparse", sparse_epsilon=0.0
+            instance, powers, config=default_config(backend="sparse", sparse_epsilon=0.0)
         )
         n = instance.n
         rows = np.arange(n)
@@ -175,7 +161,7 @@ class TestLosslessBitIdentity:
         """Tiled accumulation must not change the bits: shrinking the
         tile to 1 row yields the same sums."""
         instance, powers = GRID["euclid-bid"]
-        dense = build_backend(instance, powers, backend="dense")
+        dense = build_backend(instance, powers, config=default_config(backend="dense"))
         rows = np.arange(instance.n)
         expected = dense.row_sums_u(rows)
         dense.tile_rows = 1
@@ -184,8 +170,8 @@ class TestLosslessBitIdentity:
     @pytest.mark.parametrize("name", sorted(GRID))
     def test_context_queries_match_dense(self, name):
         instance, powers = GRID[name]
-        ctx_dense = get_context(instance, powers, backend="dense")
-        ctx_sparse = get_context(instance, powers, backend="sparse")
+        ctx_dense = get_context(instance, powers, config=default_config(backend="dense"))
+        ctx_sparse = get_context(instance, powers, config=default_config(backend="sparse"))
         assert ctx_dense is not ctx_sparse  # distinct cache slots
         np.testing.assert_array_equal(
             ctx_dense.margins(), ctx_sparse.margins()
@@ -212,8 +198,8 @@ class TestLosslessBitIdentity:
                 ).colors,
             }
             clear_context_cache()
-            with backend_scope("sparse"):
-                assert default_backend() == "sparse"
+            with config_scope(backend="sparse"):
+                assert default_config().backend == "sparse"
                 results = {
                     "first_fit": first_fit_schedule(instance, powers).colors,
                     "peeling": peeling_schedule(instance, powers).colors,
@@ -235,9 +221,11 @@ class TestLosslessBitIdentity:
 
 class TestPrunedBackend:
     def _pruned(self, instance, powers, epsilon):
-        dense = build_backend(instance, powers, backend="dense")
+        dense = build_backend(instance, powers, config=default_config(backend="dense"))
         sparse = build_backend(
-            instance, powers, backend="sparse", sparse_epsilon=epsilon
+            instance,
+            powers,
+            config=default_config(backend="sparse", sparse_epsilon=epsilon),
         )
         return dense, sparse
 
@@ -264,7 +252,11 @@ class TestPrunedBackend:
         assert sparse.has_infinite_gains
         # Adjacent shared-node requests must still see infinite gain.
         assert np.isinf(sparse.col_u(1)).any() or np.isinf(sparse.col_v(1)).any()
-        ctx = get_context(instance, powers, backend="sparse", sparse_epsilon=0.5)
+        ctx = get_context(
+            instance,
+            powers,
+            config=default_config(backend="sparse", sparse_epsilon=0.5),
+        )
         slack = ctx.budget_slack(np.asarray([0, 1]))
         assert np.all(np.isneginf(slack))
 
@@ -278,11 +270,13 @@ class TestPrunedBackend:
         # Small epsilon: pruning is active but far from any margin.
         epsilon = 1e-5
         ctx = get_context(
-            instance, powers, backend="sparse", sparse_epsilon=epsilon
+            instance,
+            powers,
+            config=default_config(backend="sparse", sparse_epsilon=epsilon),
         )
         assert not ctx.backend.is_lossless
         ctx.backend.reset_flip_risk()
-        with backend_scope("sparse"), gains_epsilon(epsilon):
+        with config_scope(backend="sparse", sparse_epsilon=epsilon):
             sparse_colors = first_fit_schedule(instance, powers).colors
         assert ctx.backend.flip_risk_events == 0
         np.testing.assert_array_equal(sparse_colors, dense_colors)
@@ -303,10 +297,12 @@ class TestPrunedBackend:
             dense_colors = first_fit_schedule(instance, powers).colors
             clear_context_cache()
             ctx = get_context(
-                instance, powers, backend="sparse", sparse_epsilon=epsilon
+                instance,
+                powers,
+                config=default_config(backend="sparse", sparse_epsilon=epsilon),
             )
             ctx.backend.reset_flip_risk()
-            with backend_scope("sparse"), gains_epsilon(epsilon):
+            with config_scope(backend="sparse", sparse_epsilon=epsilon):
                 sparse_colors = first_fit_schedule(instance, powers).colors
             risk = ctx.backend.flip_risk_events
             any_risk = any_risk or risk > 0
@@ -328,9 +324,11 @@ class TestPrunedBackend:
         powers = SquareRootPower()(instance)
         epsilon = 0.3
         ctx = get_context(
-            instance, powers, backend="sparse", sparse_epsilon=epsilon
+            instance,
+            powers,
+            config=default_config(backend="sparse", sparse_epsilon=epsilon),
         )
-        with backend_scope("sparse"), gains_epsilon(epsilon):
+        with config_scope(backend="sparse", sparse_epsilon=epsilon):
             first_fit_schedule(instance, powers)
             first_run = ctx.backend.flip_risk_events
             assert first_run > 0  # seed 401 trips the band (see above)
@@ -359,14 +357,20 @@ class TestPrunedBackend:
         instance = random_uniform_instance(12, rng=21)
         powers = SquareRootPower()(instance)
         pool = ContextPool()
-        lossless = pool.get(instance, powers, backend="sparse")
-        assert lossless.sparse_epsilon == 0.0
-        with gains_epsilon(0.2):
-            pruned = pool.get(instance, powers, backend="sparse")
+        lossless = pool.get(
+            instance, powers, config=default_config(backend="sparse")
+        )
+        assert lossless.config.sparse_epsilon == 0.0
+        with config_scope(sparse_epsilon=0.2):
+            pruned = pool.get(
+                instance, powers, config=default_config(backend="sparse")
+            )
         assert pruned is not lossless
-        assert pruned.sparse_epsilon == 0.2
+        assert pruned.config.sparse_epsilon == 0.2
         explicit = pool.get(
-            instance, powers, backend="sparse", sparse_epsilon=0.2
+            instance,
+            powers,
+            config=default_config(backend="sparse", sparse_epsilon=0.2),
         )
         assert explicit is pruned
         assert len(pool) == 2
@@ -422,7 +426,9 @@ class TestTiledMetricAccess:
         instance = grown.subset(np.arange(24))
         assert isinstance(instance.metric, EuclideanMetric)
         assert instance.metric._matrix_cache is None
-        backend = build_backend(instance, powers[:24], backend=name)
+        backend = build_backend(
+            instance, powers[:24], config=default_config(backend=name)
+        )
         backend.class_sum_u(None)
         backend.append_requests(grown, powers)
         backend.class_sum_u(None)
@@ -432,32 +438,83 @@ class TestTiledMetricAccess:
 
 class TestBackendSelection:
     def test_resolve_and_default(self):
-        assert resolve_backend(None) == default_backend()
-        assert resolve_backend("DENSE") == "dense"
+        assert default_config(backend=None) == default_config()
+        assert BackendConfig("DENSE").backend == "dense"
         with pytest.raises(ValueError):
-            resolve_backend("gpu")
+            BackendConfig("gpu")
         with pytest.raises(ValueError):
-            gains.resolve_sparse_epsilon(1.5)
+            BackendConfig(sparse_epsilon=1.5)
 
     def test_scope_restores_default(self):
-        before = default_backend()
-        with backend_scope("sparse"):
-            assert default_backend() == "sparse"
-            with backend_scope(None):  # None = leave as is
-                assert default_backend() == "sparse"
-        assert default_backend() == before
+        before = default_config()
+        with config_scope(backend="sparse"):
+            assert default_config().backend == "sparse"
+            with config_scope():  # no overrides = leave as is
+                assert default_config().backend == "sparse"
+        assert default_config() == before
 
-    def test_set_default_backend_roundtrip(self):
-        before = default_backend()
-        try:
-            set_default_backend("sparse")
+    def test_scoped_default_reaches_get_context(self):
+        before = default_config()
+        with config_scope(backend="sparse"):
             instance = random_uniform_instance(6, rng=3)
             powers = SquareRootPower()(instance)
             ctx = get_context(instance, powers)
-            assert ctx.backend_name == "sparse"
+            assert ctx.config.backend == "sparse"
             assert isinstance(ctx.backend, SparseBackend)
-        finally:
-            set_default_backend(before)
+        assert default_config() == before
+
+    def test_scope_restores_default_on_exception(self):
+        before = default_config()
+        with pytest.raises(RuntimeError, match="boom"):
+            with config_scope(backend="sparse", sparse_epsilon=0.1):
+                assert default_config().sparse_epsilon == 0.1
+                raise RuntimeError("boom")
+        assert default_config() == before
+
+    def test_scope_is_invisible_to_concurrent_tasks(self):
+        import asyncio
+
+        async def scoped(entered, release):
+            with config_scope(backend="sparse"):
+                entered.set()
+                await release.wait()
+                return default_config().backend
+
+        async def bystander(entered, release):
+            await entered.wait()
+            seen = default_config().backend
+            release.set()
+            return seen
+
+        async def main():
+            entered, release = asyncio.Event(), asyncio.Event()
+            return await asyncio.gather(
+                scoped(entered, release), bystander(entered, release)
+            )
+
+        before = default_config().backend
+        assert asyncio.run(main()) == ["sparse", before]
+        assert default_config().backend == before
+
+    def test_config_cross_checks(self):
+        with pytest.raises(ValueError, match="device= requires"):
+            BackendConfig("dense", device="cpu")
+        with pytest.raises(ValueError, match="require backend='sharded'"):
+            BackendConfig().derive(backend="sparse", workers=3)
+        # A device belongs to the array backend only: switching away
+        # drops it instead of failing the cross-check.
+        array = BackendConfig("array", device="cpu")
+        assert array.derive(backend="dense").device is None
+        assert array.derive(sparse_epsilon=0.1).device == "cpu"
+
+    def test_key_drops_ignored_fields(self):
+        dense = BackendConfig("dense", sparse_epsilon=0.05, workers=7)
+        assert dense.key() == BackendConfig("dense").key()
+        assert dense.sparse_epsilon == 0.05  # stored fully resolved
+        assert dense.pruning_epsilon == 0.0
+        sparse = dense.derive(backend="sparse")
+        assert sparse.key() != BackendConfig("sparse").key()
+        assert sparse.pruning_epsilon == 0.05
 
     def test_engine_disabled_ignores_backend(self):
         """The legacy (engine-off) path stays the dense from-scratch
@@ -465,14 +522,14 @@ class TestBackendSelection:
         instance = random_uniform_instance(12, rng=9)
         powers = SquareRootPower()(instance)
         expected = first_fit_schedule(instance, powers).colors
-        with backend_scope("sparse"), engine_disabled():
+        with config_scope(backend="sparse"), engine_disabled():
             legacy = first_fit_schedule(instance, powers).colors
         np.testing.assert_array_equal(legacy, expected)
 
     def test_dense_backend_reuses_context_arrays(self):
         instance = random_uniform_instance(8, rng=2)
         powers = SquareRootPower()(instance)
-        ctx = get_context(instance, powers, backend="dense")
+        ctx = get_context(instance, powers, config=default_config(backend="dense"))
         backend = ctx.backend
         assert isinstance(backend, DenseBackend)
         assert ctx.gains_u is backend.gains_u
@@ -486,8 +543,8 @@ class TestArrayBackend:
     @pytest.mark.parametrize("name", sorted(GRID))
     def test_primitives_match_dense(self, name):
         instance, powers = GRID[name]
-        dense = build_backend(instance, powers, backend="dense")
-        array = build_backend(instance, powers, backend="array")
+        dense = build_backend(instance, powers, config=default_config(backend="dense"))
+        array = build_backend(instance, powers, config=default_config(backend="array"))
         assert isinstance(array, ArrayBackend)
         assert array.name == "array"
         assert array.namespace == "numpy"
@@ -538,7 +595,7 @@ class TestArrayBackend:
         identity: primitives return host float64 arrays without a
         round-trip copy of the whole matrix."""
         instance, powers = GRID["euclid-bid"]
-        array = build_backend(instance, powers, backend="array")
+        array = build_backend(instance, powers, config=default_config(backend="array"))
         col = array.col_u(0)
         assert isinstance(col, np.ndarray)
         assert col.dtype == np.float64
@@ -555,7 +612,7 @@ class TestArrayBackend:
                 ).colors,
             }
             clear_context_cache()
-            with backend_scope("array"):
+            with config_scope(backend="array"):
                 results = {
                     "first_fit": first_fit_schedule(instance, powers).colors,
                     "peeling": peeling_schedule(instance, powers).colors,
@@ -575,10 +632,12 @@ class TestArrayBackend:
         instance, powers = GRID["euclid-dir"]
         with pytest.raises(ValueError, match="array namespace"):
             build_backend(
-                instance, powers, backend="array", array_namespace="jax"
+                instance,
+                powers,
+                config=default_config(backend="array", array_namespace="jax"),
             )
         with pytest.raises(ValueError, match="array namespace"):
-            gains.resolve_array_namespace("pandas")
+            BackendConfig(array_namespace="pandas")
 
     def test_missing_framework_names_install_extra(self):
         """Selecting an uninstalled namespace fails at build with an
@@ -595,26 +654,36 @@ class TestArrayBackend:
             pytest.skip("torch and cupy both installed")
         with pytest.raises(ImportError, match=r"\[array\]"):
             build_backend(
-                instance, powers, backend="array", array_namespace=missing[0]
+                instance,
+                powers,
+                config=default_config(
+                    backend="array", array_namespace=missing[0]
+                ),
             )
 
     def test_namespace_scope_and_default(self):
-        before = gains.default_array_namespace()
-        with gains.array_namespace_scope("numpy"):
-            assert gains.default_array_namespace() == "numpy"
-            with gains.array_namespace_scope(None):
-                assert gains.default_array_namespace() == "numpy"
-        assert gains.default_array_namespace() == before
+        before = default_config().array_namespace
+        with config_scope(array_namespace="numpy"):
+            assert default_config().array_namespace == "numpy"
+            with config_scope(array_namespace=None):
+                assert default_config().array_namespace == "numpy"
+        assert default_config().array_namespace == before
 
     def test_context_cache_keys_on_namespace_and_device(self):
         instance, powers = GRID["euclid-bid"]
-        dense_ctx = get_context(instance, powers, backend="dense")
-        array_ctx = get_context(instance, powers, backend="array")
-        again = get_context(instance, powers, backend="array")
+        dense_ctx = get_context(
+            instance, powers, config=default_config(backend="dense")
+        )
+        array_ctx = get_context(
+            instance, powers, config=default_config(backend="array")
+        )
+        again = get_context(
+            instance, powers, config=default_config(backend="array")
+        )
         assert dense_ctx is not array_ctx
         assert array_ctx is again
-        assert array_ctx.array_namespace == "numpy"
-        assert array_ctx.backend_name == "array"
+        assert array_ctx.config.array_namespace == "numpy"
+        assert array_ctx.config.backend == "array"
 
 
 class TestArrayApiStrict:
@@ -629,12 +698,11 @@ class TestArrayApiStrict:
     @pytest.mark.parametrize("name", sorted(GRID))
     def test_primitives_match_dense(self, name):
         instance, powers = GRID[name]
-        dense = build_backend(instance, powers, backend="dense")
+        dense = build_backend(instance, powers, config=default_config(backend="dense"))
         strict = build_backend(
             instance,
             powers,
-            backend="array",
-            array_namespace="array_api_strict",
+            config=default_config(backend="array", array_namespace="array_api_strict"),
         )
         assert strict.namespace == "array_api_strict"
         n = instance.n
@@ -676,8 +744,6 @@ class TestArrayApiStrict:
         powers = SquareRootPower()(instance)
         expected = first_fit_schedule(instance, powers).colors
         clear_context_cache()
-        with backend_scope("array"), gains.array_namespace_scope(
-            "array_api_strict"
-        ):
+        with config_scope(backend="array", array_namespace="array_api_strict"):
             got = first_fit_schedule(instance, powers).colors
         np.testing.assert_array_equal(got, expected)

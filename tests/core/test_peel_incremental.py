@@ -24,9 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import gains
 from repro.core.context import clear_context_cache, get_context
-from repro.core.gains import backend_scope, build_backend
+from repro.core.gains import build_backend, config_scope, default_config
 from repro.core.instance import Direction, Instance
 from repro.core.kernels import (
     PeelFallbackInfo,
@@ -127,18 +126,13 @@ class TestGridConformance:
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.05])
     def test_sparse_backend_matches_its_own_reference(self, epsilon):
-        previous = gains.default_sparse_epsilon()
-        gains.set_sparse_epsilon(epsilon)
-        try:
-            with backend_scope("sparse"):
-                for seed in range(4):
-                    inst = random_uniform_instance(14, rng=seed)
-                    powers = SquareRootPower()(inst)
-                    ctx = get_context(inst, powers)
-                    assert ctx.backend.name == "sparse"
-                    _both_ways(ctx)
-        finally:
-            gains.set_sparse_epsilon(previous)
+        with config_scope(backend="sparse", sparse_epsilon=epsilon):
+            for seed in range(4):
+                inst = random_uniform_instance(14, rng=seed)
+                powers = SquareRootPower()(inst)
+                ctx = get_context(inst, powers)
+                assert ctx.backend.name == "sparse"
+                _both_ways(ctx)
 
     def test_trivial_sizes(self):
         inst = random_uniform_instance(3, rng=9)
@@ -264,7 +258,9 @@ class TestSparseNeverDensifies:
         inst = random_uniform_instance(12, rng=11)
         powers = SquareRootPower()(inst)
         backend = build_backend(
-            inst, powers, backend="sparse", sparse_epsilon=0.0
+            inst,
+            powers,
+            config=default_config(backend="sparse", sparse_epsilon=0.0),
         )
 
         def _boom(*args, **kwargs):  # pragma: no cover - must not run
@@ -275,7 +271,7 @@ class TestSparseNeverDensifies:
 
         monkeypatch.setattr(type(backend), "block_u", _boom)
         monkeypatch.setattr(type(backend), "block_v", _boom)
-        with backend_scope("sparse"):
+        with config_scope(backend="sparse"):
             ctx = get_context(inst, powers)
         assert ctx.backend.name == "sparse"
         monkeypatch.setattr(type(ctx.backend), "block_u", _boom)

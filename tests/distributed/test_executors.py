@@ -98,9 +98,9 @@ class TestBuildShardExecutor:
         assert tuple(SHARD_EXECUTORS) == tuple(gains_names)
 
     def test_none_resolves_process_default(self):
-        from repro.core.gains import shard_executor_scope
+        from repro.core.gains import config_scope
 
-        with shard_executor_scope("serial"):
+        with config_scope(backend="sharded", shard_executor="serial"):
             assert isinstance(build_shard_executor(None, 1), SerialShardExecutor)
 
 

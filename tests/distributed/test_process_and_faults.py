@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.context import clear_context_cache
-from repro.core.gains import build_backend
+from repro.core.gains import build_backend, default_config
 from repro.distributed import ShardedBackend, distributed_protocol
 from repro.instances.random_instances import random_uniform_instance
 from repro.power.oblivious import SquareRootPower
@@ -38,7 +38,9 @@ class TestProcessConformance:
     def test_process_matches_dense_and_owns_real_workers(self):
         instance = _instance()
         powers = SquareRootPower()(instance)
-        dense = build_backend(instance, powers, backend="dense")
+        dense = build_backend(
+            instance, powers, config=default_config(backend="dense")
+        )
         backend = ShardedBackend.build(
             instance, powers, epsilon=0.0, workers=2, executor="process"
         )
@@ -82,7 +84,9 @@ class TestSigkillRecovery:
         instance = _instance(n=24, seed=11)
         powers = SquareRootPower()(instance)
         colors = np.arange(instance.n) % 2
-        dense = build_backend(instance, powers, backend="dense")
+        dense = build_backend(
+            instance, powers, config=default_config(backend="dense")
+        )
         expected_dense_u = dense.dense_u()
         expected_class_sum = dense.class_sum_u(colors)
         backend = ShardedBackend.build(
@@ -113,7 +117,9 @@ class TestSigkillRecovery:
         so even ``max_attempts=1`` survives an idle-time SIGKILL."""
         instance = _instance(n=12, seed=3)
         powers = SquareRootPower()(instance)
-        dense = build_backend(instance, powers, backend="dense")
+        dense = build_backend(
+            instance, powers, config=default_config(backend="dense")
+        )
         expected = dense.dense_u()
         retry = RetryPolicy(max_attempts=1, base_delay=0.0)
         executor = ProcessShardExecutor(2, retry=retry)

@@ -13,20 +13,12 @@ All cases here run on the serial executor (the conformance reference);
 real-process equivalence is covered by ``test_process_and_faults.py``.
 """
 
-from contextlib import contextmanager
-
 import numpy as np
 import pytest
 
 from repro.api import Problem
-from repro.core import gains
 from repro.core.context import clear_context_cache, get_context
-from repro.core.gains import (
-    backend_scope,
-    build_backend,
-    shard_executor_scope,
-    shard_workers_scope,
-)
+from repro.core.gains import build_backend, config_scope, default_config
 from repro.core.instance import Direction, Instance
 from repro.core.kernels import first_fit_colors_sharded
 from repro.distributed import ShardedBackend, shard_bounds
@@ -64,21 +56,20 @@ def _grid():
 GRID = _grid()
 
 
-@contextmanager
-def gains_epsilon(value):
-    previous = gains.default_sparse_epsilon()
-    gains.set_sparse_epsilon(value)
-    try:
-        yield
-    finally:
-        gains.set_sparse_epsilon(previous)
-
-
 @pytest.fixture(autouse=True)
 def _fresh_cache():
     clear_context_cache()
     yield
     clear_context_cache()
+
+
+def _serial_config(workers):
+    return default_config(
+        backend="sharded",
+        sparse_epsilon=0.0,
+        workers=workers,
+        shard_executor="serial",
+    )
 
 
 def _sharded(instance, powers, workers, epsilon=0.0):
@@ -114,7 +105,9 @@ class TestLosslessBitIdentity:
     @pytest.mark.parametrize("workers", WORKER_GRID)
     def test_primitives_match_dense(self, name, workers):
         instance, powers = GRID[name]
-        dense = build_backend(instance, powers, backend="dense")
+        dense = build_backend(
+            instance, powers, config=default_config(backend="dense")
+        )
         sharded = _sharded(instance, powers, workers)
         assert sharded.workers == workers
         assert sharded.is_lossless
@@ -169,11 +162,14 @@ class TestLosslessBitIdentity:
     @pytest.mark.parametrize("workers", WORKER_GRID)
     def test_first_fit_schedule_matches_dense(self, workers):
         instance, powers = GRID["euclid-dir"]
-        with backend_scope("dense"):
+        with config_scope(backend="dense"):
             baseline = first_fit_schedule(instance, powers)
-        with backend_scope("sharded"), shard_workers_scope(
-            workers
-        ), shard_executor_scope("serial"), gains_epsilon(0.0):
+        with config_scope(
+            backend="sharded",
+            workers=workers,
+            shard_executor="serial",
+            sparse_epsilon=0.0,
+        ):
             sharded = first_fit_schedule(instance, powers)
         np.testing.assert_array_equal(baseline.colors, sharded.colors)
 
@@ -188,7 +184,9 @@ class TestPrunedMatchesSparse:
         instance, powers = GRID[name]
         epsilon = 0.05
         sparse = build_backend(
-            instance, powers, backend="sparse", sparse_epsilon=epsilon
+            instance,
+            powers,
+            config=default_config(backend="sparse", sparse_epsilon=epsilon),
         )
         sharded = _sharded(instance, powers, workers, epsilon=epsilon)
         assert not sharded.is_lossless
@@ -226,7 +224,9 @@ class TestColumnCache:
     def test_prefetch_then_hits_are_local(self):
         instance, powers = GRID["euclid-dir"]
         backend = _sharded(instance, powers, 4)
-        dense = build_backend(instance, powers, backend="dense")
+        dense = build_backend(
+            instance, powers, config=default_config(backend="dense")
+        )
         js = np.arange(6)
         backend.prefetch_columns(js)
         for j in js:
@@ -261,25 +261,19 @@ class TestShardedFirstFitDriver:
     @pytest.mark.parametrize("window", (1, 3, 64))
     def test_window_invariance(self, window):
         instance, powers = GRID["euclid-dir"]
-        context = get_context(
-            instance, powers, backend="sharded",
-            sparse_epsilon=0.0, shard_workers=2, shard_executor="serial",
-        )
+        context = get_context(instance, powers, config=_serial_config(2))
         order = np.argsort(-instance.link_distances, kind="stable")
         limits = context.budgets() * (1.0 + 1e-9)
         colors = first_fit_colors_sharded(
             context, order, limits, window=window
         )
-        with backend_scope("dense"):
+        with config_scope(backend="dense"):
             baseline = first_fit_schedule(instance, powers)
         np.testing.assert_array_equal(colors, baseline.colors)
 
     def test_window_validated(self):
         instance, powers = GRID["euclid-dir"]
-        context = get_context(
-            instance, powers, backend="sharded",
-            sparse_epsilon=0.0, shard_workers=2, shard_executor="serial",
-        )
+        context = get_context(instance, powers, config=_serial_config(2))
         with pytest.raises(ValueError):
             first_fit_colors_sharded(
                 context, np.arange(instance.n), context.budgets(), window=0
@@ -334,18 +328,9 @@ class TestProblemIntegration:
 
     def test_context_cache_keys_on_workers(self):
         instance, powers = GRID["euclid-dir"]
-        a = get_context(
-            instance, powers, backend="sharded",
-            sparse_epsilon=0.0, shard_workers=2, shard_executor="serial",
-        )
-        b = get_context(
-            instance, powers, backend="sharded",
-            sparse_epsilon=0.0, shard_workers=4, shard_executor="serial",
-        )
-        same = get_context(
-            instance, powers, backend="sharded",
-            sparse_epsilon=0.0, shard_workers=2, shard_executor="serial",
-        )
+        a = get_context(instance, powers, config=_serial_config(2))
+        b = get_context(instance, powers, config=_serial_config(4))
+        same = get_context(instance, powers, config=_serial_config(2))
         assert a is not b
         assert a is same
         assert a.backend.workers == 2

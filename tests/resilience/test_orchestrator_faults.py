@@ -289,6 +289,32 @@ class TestCheckpointResume:
         )[0]
         assert [s.resumed for s in report.shards] == [False, False]
 
+    def test_resume_under_different_sparse_epsilon_reruns_shards(
+        self, tmp_path
+    ):
+        from repro.core.gains import config_scope
+
+        plan = FaultPlan(
+            specs=(FaultSpec(site="checkpoint", key="e1:0", at=(0,)),)
+        )
+        with config_scope(backend="sparse", sparse_epsilon=0.0):
+            with pytest.raises(InjectedFault):
+                run_experiments(
+                    ["e1"],
+                    fast=True,
+                    jobs=1,
+                    artifacts_dir=str(tmp_path),
+                    fault_plan=plan,
+                )
+        assert checkpoint_path(tmp_path, "e1", 0).is_file()
+        # Same backend name, different pruning budget: the lossless
+        # checkpoint must not be spliced into a pruned run.
+        with config_scope(backend="sparse", sparse_epsilon=0.05):
+            report = run_experiments(
+                ["e1"], fast=True, jobs=1, artifacts_dir=str(tmp_path)
+            )[0]
+        assert [s.resumed for s in report.shards] == [False, False]
+
     def test_corrupt_checkpoint_is_ignored(self, tmp_path, clean_e1):
         path = checkpoint_path(tmp_path, "e1", 0)
         path.parent.mkdir(parents=True)

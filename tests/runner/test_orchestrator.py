@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro.core.gains import default_config
 from repro.experiments.registry import get_registry
 from repro.runner.artifacts import (
     BenchReport,
@@ -98,8 +99,12 @@ class TestBackendPlumbing:
         assert sparse[0].backend == "sparse"
 
     def test_run_shard_applies_backend(self):
-        table_dense, _ = run_shard("e2", True, 0, backend="dense")
-        table_sparse, _ = run_shard("e2", True, 0, backend="sparse")
+        table_dense, _ = run_shard(
+            "e2", True, 0, config=default_config(backend="dense")
+        )
+        table_sparse, _ = run_shard(
+            "e2", True, 0, config=default_config(backend="sparse")
+        )
         assert table_dense.rows == table_sparse.rows
 
     def test_old_artifacts_read_as_dense(self):
