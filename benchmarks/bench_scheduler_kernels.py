@@ -1,63 +1,41 @@
-"""Benchmark: vectorized scheduler kernels vs. the accumulator paths.
+"""Benchmark: stacked batch kernels vs a per-pair loop of the same kernels.
 
-Times every scheduler the PR-3 kernel layer rewired — first-fit,
-peeling, local search and ``sqrt_coloring`` — on the kernel path
-(:mod:`repro.core.kernels`) and on the PR-1 accumulator /
-subset-rebuild engine reference restored by
-:func:`repro.core.kernels.kernels_disabled`.  Outputs are asserted
-identical between the two paths, so the comparison is apples to
-apples.  A batched row compares :meth:`ContextBatch.first_fit_schedules`
-(lockstep over stacked gains) against the per-pair kernel loop, and a
-second, gated batched row compares
-:meth:`ContextBatch.local_search_schedules` (the
-``stacked_local_search`` kernel, lockstep over (B,n,n) stacked gains)
-against the per-instance looped ``improve_schedule`` reference path at
-B=32, n=1024 — the PR-9 acceptance gate (>= ``--target``).  Both sides
-of that row report best-of-2 wall time (see ``_time_min``) so the gate
-measures steady-state throughput rather than first-touch page faults
-on the (B, n, n) working set.
+Two rows per size, each on ``B`` same-shape random instances:
+
+* ``first_fit_batch{B}`` — :meth:`ContextBatch.first_fit_schedules`
+  (the ``stacked_first_fit`` kernel, lockstep over ``(B, n, n)``
+  stacked gains) against a loop of per-pair
+  :func:`~repro.scheduling.firstfit.first_fit_schedule` calls;
+* ``local_search_batch{B}`` — :meth:`ContextBatch.local_search_schedules`
+  (the ``stacked_local_search`` kernel) against a loop of per-pair
+  :func:`~repro.scheduling.local_search.improve_schedule` calls, both
+  sides reporting best-of-2 wall time (see ``_time_min``).
+
+Both sides of a row run the production kernels, so the ratio measures
+lockstep batching alone, and every row asserts the two sides emit
+bit-identical schedules.  The rows are reported, not gated: the
+stacked local search wins at large ``n`` and ``B`` and can lose at
+small ones.
 
 Shared engine state (cached gain matrices, signals) is warmed before
-timing — both paths read the same cache, and this benchmark measures
-the scheduler layer, not the PR-1 matrix build.  The kernel-only
-transposed-gains cache is **not** pre-warmed; the kernel timings pay
-for it.
-
-``sqrt_coloring`` is run with ``use_lp=False``: the LP solve is
-orthogonal to the interference machinery and costs the same on both
-paths.
+timing — both sides read the same cache, and this benchmark measures
+the scheduler layer, not the matrix build.
 
 Run as a script::
 
     PYTHONPATH=src python benchmarks/bench_scheduler_kernels.py
-    PYTHONPATH=src python benchmarks/bench_scheduler_kernels.py --sizes 64,256
+    PYTHONPATH=src python benchmarks/bench_scheduler_kernels.py --sizes 64,128 --ls-batch-pairs 4
 
-The script exits non-zero when the first-fit speedup at the largest
-``--sizes`` entry falls below ``--target`` (default 5x) — the PR-3
-acceptance gate — or when the stacked local-search speedup over the
-looped reference does (the PR-9 gate; ``--ls-batch-pairs 0`` disables
-that row).  ``--aux-sizes`` bounds the other (ungated, slower)
-workloads.
-
-Reference results (one run, default sizes)::
-
-    workload               n    reference      kernel   speedup
-    first_fit             64        9.1 ms     14.8 ms      0.6x
-    first_fit            256      104.3 ms     27.1 ms      3.8x
-    first_fit           1024     1407.8 ms    217.1 ms      6.5x
-    peeling               64       56.1 ms     19.2 ms      2.9x
-    peeling              256      237.6 ms     75.4 ms      3.2x
-    local_search          64        5.9 ms      4.4 ms      1.3x
-    local_search         256      139.6 ms     20.8 ms      6.7x
-    sqrt                  64        9.5 ms     12.9 ms      0.7x
-    sqrt                 256      157.6 ms     92.7 ms      1.7x
-    first_fit_batch4     256       74.9 ms     59.3 ms      1.3x
-    local_search_batch32 1024   45687.3 ms   3279.5 ms     13.9x
+The default arguments are the full run committed as
+``benchmarks/artifacts/BENCH_sched_kernels.json``; any other arguments
+record ``mode: smoke``.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import platform
 import sys
 import time
 
@@ -65,25 +43,16 @@ import numpy as np
 
 from repro.core.batch import ContextBatch
 from repro.core.context import clear_context_cache, get_context
-from repro.core.kernels import kernels_disabled
 from repro.instances.random_instances import random_uniform_instance
 from repro.power.oblivious import SquareRootPower
 from repro.runner.artifacts import BenchReport, ShardResult, write_artifact
 from repro.scheduling.firstfit import first_fit_schedule
 from repro.scheduling.local_search import improve_schedule
-from repro.scheduling.peeling import peeling_schedule
-from repro.scheduling.sqrt_coloring import sqrt_coloring
 from repro.util.tables import Table
 
-GATED_WORKLOAD = "first_fit"
-
-
-def _warm(instance, powers):
-    context = get_context(instance, powers)
-    context.gains_u
-    context.gains_v
-    context.signals
-    return context
+DEFAULT_SIZES = "256,1024"
+DEFAULT_BATCH_PAIRS = 4
+DEFAULT_LS_BATCH_PAIRS = 32
 
 
 def _time(fn):
@@ -93,14 +62,14 @@ def _time(fn):
 
 
 def _time_min(fn, repeats=2):
-    """Best-of-``repeats`` wall time (both paths are pure functions).
+    """Best-of-``repeats`` wall time (both sides are pure functions).
 
     Used for the batched local-search row, whose working set (a
     (B, n, n) stacked gain tensor plus lockstep state) is large enough
     that the first run is dominated by first-touch page faults rather
-    than compute on freshly booted VMs.  The repeat reuses the freed
-    pages, so the minimum reports steady-state throughput; both sides
-    of the comparison are measured the same way.
+    than compute.  The repeat reuses the freed pages, so the minimum
+    reports steady-state throughput; both sides are measured the same
+    way.
     """
     best, result = _time(fn)
     for _ in range(repeats - 1):
@@ -109,255 +78,143 @@ def _time_min(fn, repeats=2):
     return best, result
 
 
-def _colors(result):
-    return result[0].colors if isinstance(result, tuple) else result.colors
+def _warm_pairs(n, count, seed):
+    pairs = []
+    for index in range(count):
+        instance = random_uniform_instance(n, rng=seed + index)
+        pairs.append((instance, SquareRootPower()(instance)))
+    clear_context_cache()
+    for instance, powers in pairs:
+        context = get_context(instance, powers)
+        context.gains_u
+        context.gains_v
+        context.signals
+    return pairs
 
 
-def _workloads():
-    def first_fit(instance, powers):
-        return first_fit_schedule(instance, powers)
-
-    def peeling(instance, powers):
-        return peeling_schedule(instance, powers)
-
-    def local_search(instance, powers):
-        # The base schedule is path-independent (first-fit is
-        # bit-identical across paths), so compute it outside the timer.
-        base = first_fit_schedule(instance, powers)
-        return lambda: improve_schedule(instance, base)
-
-    def sqrt(instance, powers):
-        return sqrt_coloring(instance, rng=3, use_lp=False)
-
-    return {
-        "first_fit": first_fit,
-        "peeling": peeling,
-        "local_search": local_search,
-        "sqrt": sqrt,
-    }
+def _assert_identical(batched, looped, name):
+    for schedule, reference in zip(batched, looped):
+        assert np.array_equal(schedule.colors, reference.colors), (
+            f"{name}: stacked schedules diverged from the per-pair loop"
+        )
 
 
-def run(
-    sizes, aux_sizes, target, batch_pairs=4, ls_batch_pairs=32, seed=7,
-    artifacts=None,
-):
+def _local_search_row(n, count, seed):
+    pairs = _warm_pairs(n, count, seed + 200)
+    # The seed schedules are the same for both sides; compute them
+    # outside both timers via a throwaway batch so no per-context
+    # transpose caches linger.  The stacked timer pays for its own
+    # stack assembly.
+    seed_batch = ContextBatch(pairs)
+    seeds = seed_batch.first_fit_schedules()
+    del seed_batch
+    batch = ContextBatch(pairs)
+    t_batch, improved = _time_min(lambda: batch.local_search_schedules(seeds))
+    t_loop, references = _time_min(
+        lambda: [improve_schedule(inst, s) for (inst, _), s in zip(pairs, seeds)]
+    )
+    name = f"local_search_batch{count}"
+    _assert_identical(improved, references, name)
+    clear_context_cache()
+    return name, n, t_loop, t_batch
+
+
+def _first_fit_row(n, count, seed):
+    pairs = _warm_pairs(n, count, seed + 100)
+    batch = ContextBatch(pairs)
+    t_batch, schedules = _time(batch.first_fit_schedules)
+    t_loop, references = _time(
+        lambda: [first_fit_schedule(inst, p) for inst, p in pairs]
+    )
+    name = f"first_fit_batch{count}"
+    _assert_identical(schedules, references, name)
+    clear_context_cache()
+    return name, n, t_loop, t_batch
+
+
+def run(sizes, batch_pairs, ls_batch_pairs, seed=7, artifacts=None, mode="smoke"):
     run_start = time.perf_counter()
-    workloads = _workloads()
     rows = []
-    gated_speedup = None
+    for n in sizes:
+        # Local search first: it is the largest resident set (B stacked
+        # (n, n) matrices plus B warmed contexts), and timing it before
+        # the first-fit row churns the heap keeps both timers on fresh
+        # memory.
+        if ls_batch_pairs > 1:
+            rows.append(_local_search_row(n, ls_batch_pairs, seed))
+        if batch_pairs > 1:
+            rows.append(_first_fit_row(n, batch_pairs, seed))
 
-    # Batched local search (gated): stacked lockstep kernel vs the
-    # per-instance looped reference path (kernels_disabled) — the same
-    # reference every per-instance row in this benchmark is measured
-    # against, here paid once per instance in a loop.  This block runs
-    # first (its row is still printed last): it is the largest resident
-    # set in the benchmark (B stacked (n, n) matrices plus B warmed
-    # contexts), and timing it before the other workloads churn the
-    # heap keeps both timers on fresh, fragmentation-free memory.
-    ls_row = None
-    ls_speedup = None
-    if ls_batch_pairs > 1 and sizes:
-        n = sizes[-1]
-        pairs = []
-        for index in range(ls_batch_pairs):
-            instance = random_uniform_instance(n, rng=seed + 200 + index)
-            pairs.append((instance, SquareRootPower()(instance)))
-        clear_context_cache()
-        for instance, powers in pairs:
-            _warm(instance, powers)
-        # The seed schedules are path-independent (batched first-fit is
-        # bit-identical to the per-pair loop); compute them outside both
-        # timers via a throwaway batch so no per-context transpose
-        # caches linger.  The stacked timer pays for its own stack
-        # assembly.
-        seed_batch = ContextBatch(pairs)
-        seeds = seed_batch.first_fit_schedules()
-        del seed_batch
-        batch = ContextBatch(pairs)
-        t_batch, improved = _time_min(
-            lambda: batch.local_search_schedules(seeds)
-        )
-        with kernels_disabled():
-            t_loop, references = _time_min(
-                lambda: [
-                    improve_schedule(inst, s)
-                    for (inst, _), s in zip(pairs, seeds)
-                ]
-            )
-        for schedule, reference in zip(improved, references):
-            assert np.array_equal(schedule.colors, reference.colors), (
-                "batched local search diverged from per-instance schedules"
-            )
-        ls_speedup = t_loop / t_batch if t_batch > 0 else float("inf")
-        ls_row = (
-            f"local_search_batch{ls_batch_pairs}", n, t_loop, t_batch,
-            ls_speedup,
-        )
-        del batch, pairs, seeds, improved, references
-        clear_context_cache()
-
-    for name, runner in workloads.items():
-        my_sizes = sizes if name == GATED_WORKLOAD else aux_sizes
-        for n in my_sizes:
-            instance = random_uniform_instance(n, rng=seed)
-            powers = SquareRootPower()(instance)
-            clear_context_cache()
-            _warm(instance, powers)
-            if name == "local_search":
-                prepared = runner(instance, powers)
-                t_kernel, rk = _time(prepared)
-                with kernels_disabled():
-                    t_reference, rr = _time(prepared)
-            else:
-                t_kernel, rk = _time(lambda: runner(instance, powers))
-                with kernels_disabled():
-                    t_reference, rr = _time(lambda: runner(instance, powers))
-            assert np.array_equal(_colors(rk), _colors(rr)), (
-                f"{name} outputs diverged at n={n}"
-            )
-            speedup = t_reference / t_kernel if t_kernel > 0 else float("inf")
-            rows.append((name, n, t_reference, t_kernel, speedup))
-            if name == GATED_WORKLOAD:
-                gated_speedup = speedup  # sizes ascend; keeps the largest n
-
-    # Batched first-fit: stacked lockstep kernel vs per-pair kernel loop.
-    if batch_pairs > 1 and aux_sizes:
-        n = aux_sizes[-1]
-        pairs = []
-        for index in range(batch_pairs):
-            instance = random_uniform_instance(n, rng=seed + 100 + index)
-            pairs.append((instance, SquareRootPower()(instance)))
-        clear_context_cache()
-        for instance, powers in pairs:
-            _warm(instance, powers)
-        batch = ContextBatch(pairs)
-        t_batch, schedules = _time(batch.first_fit_schedules)
-        t_loop, references = _time(
-            lambda: [first_fit_schedule(inst, p) for inst, p in pairs]
-        )
-        for schedule, reference in zip(schedules, references):
-            assert np.array_equal(schedule.colors, reference.colors), (
-                "batched first-fit diverged from per-pair schedules"
-            )
-        speedup = t_loop / t_batch if t_batch > 0 else float("inf")
-        rows.append((f"first_fit_batch{batch_pairs}", n, t_loop, t_batch, speedup))
-
-    if ls_row is not None:
-        rows.append(ls_row)
-
-    print(f"{'workload':<18} {'n':>5} {'reference':>12} {'kernel':>11} {'speedup':>9}")
-    for name, n, reference, kernel, speedup in rows:
+    print(f"{'workload':<22} {'n':>5} {'loop':>12} {'stacked':>11} {'ratio':>7}")
+    table_rows = []
+    for name, n, loop, stacked in rows:
+        ratio = loop / stacked if stacked > 0 else float("inf")
+        table_rows.append((name, n, loop, stacked, ratio))
         print(
-            f"{name:<18} {n:>5} {reference * 1e3:>10.1f} ms {kernel * 1e3:>8.1f} ms "
-            f"{speedup:>8.1f}x"
+            f"{name:<22} {n:>5} {loop * 1e3:>10.1f} ms {stacked * 1e3:>8.1f} ms "
+            f"{ratio:>6.2f}x"
         )
 
     if artifacts is not None:
         table = Table(
-            title="Scheduler kernels vs accumulator paths",
-            columns=[
-                "workload",
-                "n",
-                "reference_seconds",
-                "kernel_seconds",
-                "speedup",
-            ],
+            title="Stacked batch kernels vs per-pair kernel loop",
+            columns=["workload", "n", "loop_seconds", "stacked_seconds", "ratio"],
         )
         table.add_note(
-            f"gates: {GATED_WORKLOAD} >= {target}x at n={sizes[-1]}; "
-            f"local_search_batch{ls_batch_pairs} (stacked lockstep vs "
-            f"per-instance loop, best-of-2 per side) >= {target}x at "
-            f"n={sizes[-1]}; "
-            "reference = PR-1 accumulator/subset-rebuild engine paths "
-            "(kernels_disabled); outputs asserted bit-identical"
+            "loop = per-pair first_fit_schedule / improve_schedule calls; "
+            "stacked = ContextBatch.first_fit_schedules / "
+            "local_search_schedules; local_search rows best-of-2 per side; "
+            "schedules asserted bit-identical; ungated"
+        )
+        table.add_note(
+            f"machine: {platform.machine()}, {os.cpu_count()} CPUs, "
+            f"Python {platform.python_version()}, NumPy {np.__version__}"
         )
         shards = []
-        for name, n, reference, kernel, speedup in rows:
+        for name, n, loop, stacked, ratio in table_rows:
             table.add_row(
                 workload=name,
                 n=n,
-                reference_seconds=reference,
-                kernel_seconds=kernel,
-                speedup=speedup,
+                loop_seconds=loop,
+                stacked_seconds=stacked,
+                ratio=ratio,
             )
             shards.append(
                 ShardResult(
-                    key=f"{name}:n={n}",
-                    seed=seed,
-                    rows=1,
-                    seconds=reference + kernel,
+                    key=f"{name}:n={n}", seed=seed, rows=1, seconds=loop + stacked
                 )
             )
         report = BenchReport(
             experiment="sched_kernels",
-            title="Vectorized scheduler kernel speedup",
-            mode="smoke",
+            title="Stacked batch kernel ratio",
+            mode=mode,
             table=table,
             shards=shards,
             run_wall_seconds=time.perf_counter() - run_start,
-            metric="speedup",
+            metric="ratio",
         )
         write_artifact(artifacts, report)
-
-    if gated_speedup is None:
-        print("FAIL: gated workload was not measured")
-        return 1
-    status = 0
-    if gated_speedup < target:
-        print(
-            f"FAIL: {GATED_WORKLOAD} speedup {gated_speedup:.1f}x below "
-            f"{target}x at n={sizes[-1]}"
-        )
-        status = 1
-    else:
-        print(f"OK: {GATED_WORKLOAD} >= {target}x at n={sizes[-1]}")
-    if ls_speedup is not None:
-        if ls_speedup < target:
-            print(
-                f"FAIL: stacked local search speedup {ls_speedup:.1f}x "
-                f"below {target}x at B={ls_batch_pairs}, n={sizes[-1]}"
-            )
-            status = 1
-        else:
-            print(
-                f"OK: stacked local search >= {target}x at "
-                f"B={ls_batch_pairs}, n={sizes[-1]}"
-            )
-    return status
+    return 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--sizes",
-        default="64,256,1024",
-        help="comma-separated sizes for the gated first-fit workload (ascending)",
-    )
-    parser.add_argument(
-        "--aux-sizes",
-        default="64,256",
-        help="comma-separated sizes for the ungated workloads (ascending)",
-    )
-    parser.add_argument(
-        "--target",
-        type=float,
-        default=5.0,
-        help="required first-fit speedup at the largest --sizes entry",
+        default=DEFAULT_SIZES,
+        help="comma-separated instance sizes; both rows run at each",
     )
     parser.add_argument(
         "--batch-pairs",
         type=int,
-        default=4,
+        default=DEFAULT_BATCH_PAIRS,
         help="pairs in the batched first-fit row (0/1 disables it)",
     )
     parser.add_argument(
         "--ls-batch-pairs",
         type=int,
-        default=32,
-        help=(
-            "pairs in the gated stacked local-search row "
-            "(0/1 disables the row and its gate)"
-        ),
+        default=DEFAULT_LS_BATCH_PAIRS,
+        help="pairs in the batched local-search row (0/1 disables it)",
     )
     parser.add_argument(
         "--artifacts",
@@ -366,15 +223,17 @@ def main(argv=None) -> int:
         help="write BENCH_sched_kernels.json under DIR",
     )
     args = parser.parse_args(argv)
-    sizes = sorted(int(s) for s in args.sizes.split(","))
-    aux_sizes = sorted(int(s) for s in args.aux_sizes.split(",") if s)
+    full = (args.sizes, args.batch_pairs, args.ls_batch_pairs) == (
+        DEFAULT_SIZES,
+        DEFAULT_BATCH_PAIRS,
+        DEFAULT_LS_BATCH_PAIRS,
+    )
     return run(
-        sizes,
-        aux_sizes,
-        args.target,
-        batch_pairs=args.batch_pairs,
-        ls_batch_pairs=args.ls_batch_pairs,
+        sorted(int(s) for s in args.sizes.split(",")),
+        args.batch_pairs,
+        args.ls_batch_pairs,
         artifacts=args.artifacts,
+        mode="full" if full else "smoke",
     )
 
 

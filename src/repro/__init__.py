@@ -89,9 +89,7 @@ from repro.core import (
     build_schedule,
     config_scope,
     default_config,
-    engine_disabled,
     get_context,
-    kernels_disabled,
     peel_max_feasible_subset,
     stacked_first_fit,
     is_feasible_partition,
@@ -199,12 +197,10 @@ __all__ = [
     "BackendConfig",
     "config_scope",
     "default_config",
-    "engine_disabled",
     "ScheduleKernel",
     "build_schedule",
     "peel_max_feasible_subset",
     "stacked_first_fit",
-    "kernels_disabled",
     # geometry
     "Metric",
     "EuclideanMetric",

@@ -20,13 +20,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.context import InterferenceContext, maybe_context
+from repro.core.context import InterferenceContext, get_context
 from repro.core.gains import DEFAULT_TILE_ROWS
-from repro.core.instance import Direction, Instance
-from repro.core.interference import (
-    bidirectional_gain_matrices,
-    directed_gain_matrix,
-)
+from repro.core.instance import Instance
 
 
 def _worst_block(
@@ -82,19 +78,11 @@ def affectance_matrix(
     consumed by request ``j``; the diagonal is zero.  For the
     bidirectional variant the worst endpoint of ``i`` is charged.
 
-    Routes through the shared interference engine when enabled, so the
-    worst-endpoint gain matrix is fetched from the context cache.
+    The worst-endpoint gain matrix is fetched from the context cache.
     """
     beta = instance.beta if beta is None else float(beta)
     powers = np.asarray(powers, dtype=float)
-    context = maybe_context(instance, powers)
-    if context is not None:
-        gains = context.worst_gains
-    elif instance.direction is Direction.DIRECTED:
-        gains = directed_gain_matrix(instance, powers)
-    else:
-        gains_u, gains_v = bidirectional_gain_matrices(instance, powers)
-        gains = np.maximum(gains_u, gains_v)
+    gains = get_context(instance, powers).worst_gains
     signals = powers / instance.link_losses
     affectance = beta * gains / signals[:, None]
     if capped:
@@ -115,8 +103,8 @@ def total_affectance(
     "load" measure.
     """
     powers = np.asarray(powers, dtype=float)
-    context = maybe_context(instance, powers)
-    if context is not None and context.config.backend != "dense":
+    context = get_context(instance, powers)
+    if context.config.backend != "dense":
         beta_val = instance.beta if beta is None else float(beta)
         idx = (
             np.arange(instance.n)
@@ -145,8 +133,8 @@ def max_average_affectance(
     if instance.n <= 1:
         return 0.0
     powers = np.asarray(powers, dtype=float)
-    context = maybe_context(instance, powers)
-    if context is not None and context.config.backend != "dense":
+    context = get_context(instance, powers)
+    if context.config.backend != "dense":
         beta_val = instance.beta if beta is None else float(beta)
         totals = _blockwise_row_affectance(
             context, np.arange(instance.n), beta_val, capped=True
@@ -172,8 +160,8 @@ def fixed_power_conflict_bound(
     power-agnostic analogue.
     """
     powers = np.asarray(powers, dtype=float)
-    context = maybe_context(instance, powers)
-    if context is not None and context.config.backend != "dense":
+    context = get_context(instance, powers)
+    if context.config.backend != "dense":
         beta_val = instance.beta if beta is None else float(beta)
         return _blockwise_conflict_bound(context, beta_val)
     matrix = affectance_matrix(instance, powers, beta=beta, capped=False)

@@ -15,10 +15,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.context import InterferenceContext, maybe_context
-from repro.core.feasibility import feasible_subset_mask, sinr_margins
+from repro.core.context import InterferenceContext, get_context
 from repro.core.instance import Instance
-from repro.core.kernels import kernels_enabled, peel_max_feasible_subset
+from repro.core.kernels import peel_max_feasible_subset
 
 
 def greedy_max_feasible_subset(
@@ -35,47 +34,23 @@ def greedy_max_feasible_subset(
     its SINR constraint, then greedily re-adds dropped requests that
     still fit (so the result is inclusion-maximal).
 
-    When the shared interference engine is enabled (or an explicit
-    *context* for ``(instance, powers)`` is passed), the peeling loop
-    runs on the cached gain matrices — by default via the incremental
-    kernel :func:`repro.core.kernels.peel_max_feasible_subset`
-    (identical decisions from maintained interference sums, O(k)
-    vectorized work per round; near-boundary decisions re-resolved
-    exactly and counted as ``peel_risk_events``); under
-    :func:`repro.core.kernels.kernels_disabled` via the PR-1
-    per-round-rebuild reference
-    :meth:`InterferenceContext.greedy_max_feasible_subset`.
+    Runs the incremental peel kernel
+    :func:`repro.core.kernels.peel_max_feasible_subset` on the cached
+    context for ``(instance, powers)`` (or the explicit *context*):
+    maintained interference sums, O(k) vectorized work per round, with
+    near-boundary decisions re-resolved exactly and counted as
+    ``peel_risk_events``.
+
+    Raises
+    ------
+    ValueError
+        If a candidate is not a request index in ``[0, n)``.
     """
     if context is None:
-        context = maybe_context(instance, powers)
-    if context is not None:
-        if kernels_enabled():
-            return peel_max_feasible_subset(
-                context, candidates=candidates, beta=beta, rtol=rtol
-            )
-        return context.greedy_max_feasible_subset(
-            candidates=candidates, beta=beta, rtol=rtol
-        )
-    if candidates is None:
-        current = list(range(instance.n))
-    else:
-        current = [int(i) for i in candidates]
-    powers = np.asarray(powers, dtype=float)
-    dropped: list = []
-    while current:
-        subset = np.asarray(current, dtype=int)
-        mask = feasible_subset_mask(instance, powers, subset, beta=beta, rtol=rtol)
-        if np.all(mask):
-            break
-        margins = sinr_margins(instance, powers, subset=subset, beta=beta)
-        worst = int(np.argmin(margins))
-        dropped.append(current.pop(worst))
-    # Maximality pass: re-add any dropped request that still fits.
-    for req in reversed(dropped):
-        trial = np.asarray(current + [req], dtype=int)
-        if np.all(feasible_subset_mask(instance, powers, trial, beta=beta, rtol=rtol)):
-            current.append(req)
-    return np.asarray(sorted(current), dtype=int)
+        context = get_context(instance, powers)
+    return peel_max_feasible_subset(
+        context, candidates=candidates, beta=beta, rtol=rtol
+    )
 
 
 def one_shot_capacity(

@@ -22,9 +22,8 @@ kernels, the pluggable gain backends and the batched
   :mod:`repro.scheduling.registry`, and supports incremental workloads
   via :meth:`~Session.add_requests` / :meth:`~Session.reschedule`.
 * :class:`ScheduleResult` — the schedule plus :class:`Provenance`:
-  which algorithm and parameters produced it, on which backend, with
-  the engine/kernel layers on or off, whether a pruned-sparse run is
-  *certified* bit-identical to dense (zero
+  which algorithm and parameters produced it, on which backend, whether
+  a pruned-sparse run is *certified* bit-identical to dense (zero
   :attr:`~repro.core.gains.GainBackend.flip_risk_events`), the wall
   time, and any batched-execution fallback
   (:class:`~repro.core.batch.BatchFallbackInfo`).
@@ -52,7 +51,6 @@ from repro.core.batch import BatchFallbackInfo, ContextBatch, ContextPool
 from repro.core.context import (
     DEFAULT_RTOL,
     InterferenceContext,
-    engine_enabled,
     get_context,
     repin_context,
     unpin_context,
@@ -68,7 +66,6 @@ from repro.core.instance import Instance
 from repro.core.kernels import (
     PeelFallbackInfo,
     ScheduleKernel,
-    kernels_enabled,
     peel_fallback_records,
     peel_risk_events,
 )
@@ -112,9 +109,6 @@ class Provenance:
         Resolved gain-backend name (``"dense"``/``"sparse"``).
     sparse_epsilon:
         Resolved pruning budget (``0.0`` on dense / lossless runs).
-    engine, kernels:
-        Whether the shared interference engine and the vectorized
-        scheduler kernels were active on the call path.
     wall_seconds:
         Wall time of the algorithm run.
     flip_risk_events:
@@ -124,9 +118,8 @@ class Provenance:
         ``True`` — the run is provably bit-identical to the dense
         backend (zero flip-risk events on a certifiable algorithm);
         ``False`` — pruning may have changed a decision; ``None`` —
-        certification does not apply (engine off, or the algorithm's
-        decisions do not all route through the flip-risk-counting
-        kernel).
+        certification does not apply (the algorithm's decisions do not
+        all route through the flip-risk-counting kernel).
     batch_fallback:
         Why a batched entry point could not run in lockstep (``None``
         for plain sessions and stacked batches).
@@ -136,7 +129,7 @@ class Provenance:
         peel/stop/re-add comparisons that landed inside the
         :data:`~repro.core.kernels.PEEL_RISK_RTOL` band and were
         resolved by exact reference-order recomputation.  Always ``0``
-        when the run never peels (or the incremental peel is disabled).
+        when the run never peels.
     peel_fallbacks:
         :class:`~repro.core.kernels.PeelFallbackInfo` records emitted
         during the run — peel calls (e.g. duplicate candidates) that
@@ -156,8 +149,6 @@ class Provenance:
     params: Dict[str, Any]
     backend: str
     sparse_epsilon: float
-    engine: bool
-    kernels: bool
     wall_seconds: float
     flip_risk_events: int = 0
     certified: Optional[bool] = None
@@ -413,9 +404,7 @@ class Session:
         Built through :func:`~repro.core.context.get_context` with the
         problem's :attr:`~Problem.config`, so algorithm implementations
         fetching the context for ``(instance, powers)`` resolve to this
-        very object.  With the engine disabled
-        (:func:`~repro.core.context.engine_disabled`) schedulers bypass
-        it, but the property stays usable for direct queries.
+        very object.
         """
         if self._context is None:
             self._context = get_context(
@@ -866,8 +855,6 @@ class Session:
                 params={},
                 backend=context.backend.name,
                 sparse_epsilon=context.config.pruning_epsilon,
-                engine=engine_enabled(),
-                kernels=kernels_enabled(),
                 wall_seconds=wall,
                 flip_risk_events=kernel.flip_risk_events,
                 certified=kernel.flip_risk_events == 0,
@@ -888,7 +875,6 @@ class Session:
         params: Dict[str, Any],
         batch_fallback: Optional[BatchFallbackInfo],
     ) -> ScheduleResult:
-        engine = engine_enabled()
         backend_obj: Optional[GainBackend] = None
         # Fixed-power algorithms run on the session's (instance,
         # powers) context: build it on first use, and re-pin it in the
@@ -897,16 +883,14 @@ class Session:
         # flip-risk events onto a context we never read.  Self-powered
         # algorithms (e.g. trivial, sqrt_coloring) resolve their own
         # power vectors, so the session context is not built for them.
-        if engine and (
-            spec.capabilities.needs_powers or self._context is not None
-        ):
+        if spec.capabilities.needs_powers or self._context is not None:
             context = self.context
             repin_context(context)
             backend_obj = context.backend
         before = backend_obj.flip_risk_events if backend_obj is not None else 0
         # Peel counters are module totals (self-powered algorithms build
         # contexts this session never sees), so snapshot-and-diff around
-        # the run — single scheduler thread, like the toggles.
+        # the run (single scheduler thread).
         peel_before = peel_risk_events()
         fb_before = len(peel_fallback_records())
         start = time.perf_counter()
@@ -938,8 +922,6 @@ class Session:
                     else self.problem.config.backend
                 ),
                 sparse_epsilon=self.problem.config.pruning_epsilon,
-                engine=engine,
-                kernels=kernels_enabled(),
                 wall_seconds=wall,
                 flip_risk_events=delta,
                 certified=certified,
@@ -1094,8 +1076,6 @@ class BatchSession:
                     params=dict(params),
                     backend=backends[index].name,
                     sparse_epsilon=batch.contexts[index].config.pruning_epsilon,
-                    engine=True,
-                    kernels=True,
                     wall_seconds=wall,
                     flip_risk_events=delta,
                     certified=(

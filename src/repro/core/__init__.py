@@ -18,11 +18,8 @@ from repro.core.context import (
     cache_info,
     clear_context_cache,
     context_cache_limit,
-    engine_disabled,
-    engine_enabled,
     get_context,
     set_context_cache_limit,
-    set_engine_enabled,
 )
 from repro.core.gains import (
     BackendConfig,
@@ -42,10 +39,7 @@ from repro.core.errors import (
 from repro.core.instance import Direction, Instance
 from repro.core.kernels import (
     ScheduleKernel,
-    kernels_disabled,
-    kernels_enabled,
     peel_max_feasible_subset,
-    set_kernels_enabled,
     stacked_first_fit,
 )
 from repro.core.interference import (
@@ -77,9 +71,6 @@ __all__ = [
     "batch_margins",
     "batch_validate_schedules",
     "get_context",
-    "engine_enabled",
-    "engine_disabled",
-    "set_engine_enabled",
     "cache_info",
     "clear_context_cache",
     "context_cache_limit",
@@ -94,9 +85,6 @@ __all__ = [
     "ScheduleKernel",
     "peel_max_feasible_subset",
     "stacked_first_fit",
-    "kernels_enabled",
-    "kernels_disabled",
-    "set_kernels_enabled",
     "Direction",
     "Instance",
     "Schedule",

@@ -57,8 +57,8 @@ from repro.core.errors import InvalidScheduleError
 from repro.core.gains import DEFAULT_TILE_ROWS, BackendConfig, default_config
 from repro.core.instance import Instance
 from repro.core.kernels import (
+    check_order,
     first_fit_colors,
-    kernels_enabled,
     stacked_first_fit,
     stacked_local_search,
 )
@@ -566,8 +566,10 @@ class ContextBatch:
         Parameters
         ----------
         orders:
-            Optional per-pair processing orders (longest link first by
-            default, matching ``first_fit_schedule``).
+            Optional per-pair processing orders, each a permutation of
+            ``range(n)`` of its pair (longest link first by default,
+            matching ``first_fit_schedule``); anything else raises
+            ``ValueError``.
         beta, rtol:
             As in ``first_fit_schedule``.
         """
@@ -581,7 +583,12 @@ class ContextBatch:
                 raise ValueError(
                     f"{len(orders)} orders for {len(self)} pairs"
                 )
-            order_list = [np.asarray(order, dtype=int) for order in orders]
+            order_list = []
+            for index, (order, ctx) in enumerate(zip(orders, self.contexts)):
+                try:
+                    order_list.append(check_order(order, ctx.n))
+                except ValueError as exc:
+                    raise ValueError(f"pair {index}: {exc}") from None
         limits = self._first_fit_limits(beta, rtol)
 
         if self.stacked:
@@ -619,8 +626,8 @@ class ContextBatch:
         attempts advance in lockstep — and each returned schedule is
         identical to calling
         :func:`repro.scheduling.local_search.improve_schedule` on that
-        pair alone.  Ragged/lossy batches (or a disabled kernel engine)
-        fall back to a per-pair ``improve_schedule`` loop.
+        pair alone.  Ragged/lossy batches fall back to a per-pair
+        ``improve_schedule`` loop.
 
         Parameters
         ----------
@@ -652,7 +659,7 @@ class ContextBatch:
                     "pair powers"
                 )
 
-        if not (self.stacked and kernels_enabled()):
+        if not self.stacked:
             return [
                 improve_schedule(
                     ctx.instance, schedule, beta=beta, max_rounds=max_rounds

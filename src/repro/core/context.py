@@ -53,18 +53,17 @@ primitives instead.
 Numerical contract
 ------------------
 
-The context reproduces the from-scratch path bit-for-bit: gain-matrix
-entries are computed by the same :mod:`repro.core.interference`
-builders, and subset/color reductions use the same operation order, so
+Gain-matrix entries come from the :mod:`repro.core.interference`
+builders, and subset/color reductions use one fixed operation order, so
 margins (and therefore every feasibility decision and every schedule)
-are identical with the engine on or off.  The accumulator is the one
-exception — it maintains sums incrementally, so its values agree with
-:func:`~repro.core.feasibility.sinr_margins` only up to floating-point
-accumulation order (tested to 1e-9 relative).  A lossless sparse
-backend (``epsilon = 0``, the default) preserves this contract exactly;
-a pruned one underestimates interference by at most the per-request
-:attr:`~repro.core.gains.GainBackend.pruned_mass_u` bound (see
-:mod:`repro.core.gains` for the certification story).
+are deterministic bit for bit.  The accumulator maintains sums
+incrementally, so its values agree with a fresh subset sum only up to
+floating-point accumulation order (tested against the independent
+oracle in ``tests/oracle.py`` to 1e-9 relative).  A lossless sparse
+backend (``epsilon = 0``, the default) reproduces the dense values
+exactly; a pruned one underestimates interference by at most the
+per-request :attr:`~repro.core.gains.GainBackend.pruned_mass_u` bound
+(see :mod:`repro.core.gains` for the certification story).
 
 Shared-node pairs (infinite gain) are tracked exactly: the accumulator
 counts infinite contributions separately from the finite sum, so
@@ -73,15 +72,6 @@ of leaving ``inf - inf = nan`` behind.  Zero interference is exact
 too — the accumulator counts positive contributors per request, so a
 request whose interferers all left reports margin ``inf`` again rather
 than a cancellation residue.
-
-Disabling the engine
---------------------
-
-``with engine_disabled(): ...`` (or ``set_engine_enabled(False)``)
-routes every wrapper back to the pre-engine from-scratch code path.
-The conformance suite runs every scheduler both ways; the benchmark
-(``benchmarks/bench_context_engine.py``) uses it to time the legacy
-path honestly.
 """
 
 from __future__ import annotations
@@ -90,8 +80,7 @@ import os
 import threading
 import weakref
 from collections import OrderedDict
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -416,9 +405,7 @@ class InterferenceContext:
     ) -> np.ndarray:
         """SINR margins ``signal / (beta * (interference + noise))``.
 
-        Bit-for-bit identical to
-        :func:`repro.core.feasibility.sinr_margins` (which routes here
-        when the engine is enabled).
+        :func:`repro.core.feasibility.sinr_margins` answers from here.
         """
         beta = self.beta if beta is None else float(beta)
         noise = self.noise if noise is None else float(noise)
@@ -509,11 +496,10 @@ class InterferenceContext:
         """A maximal feasible subset of *candidates* (peel worst margin,
         then re-add).
 
-        Decision-for-decision identical to the legacy
-        :func:`repro.analysis.capacity.greedy_max_feasible_subset` loop
-        (margins are computed with the same operation order), but each
-        round costs O(k^2) on the cached gains instead of re-deriving
-        loss and gain matrices from the metric.
+        The plain O(k^2)-per-round loop, kept as the fallback of
+        :func:`repro.core.kernels.peel_max_feasible_subset` for
+        duplicate candidates and as the bitwise reference its
+        incremental peel is tested against.
         """
         if candidates is None:
             current = list(range(self.n))
@@ -546,12 +532,11 @@ class InterferenceContext:
 class ClassAccumulator:
     """Incremental same-color interference bookkeeping for one class.
 
-    Generalizes the private ``_ClassState`` bookkeeping that used to
-    live inside ``first_fit_schedule``: the accumulator maintains, for
-    **every** request of the instance, the interference it would suffer
-    from the current member set — so testing whether an outside request
-    can join is O(k), and joining/leaving is O(n) (one gain-matrix
-    column), never an O(k^2) recompute.
+    The accumulator maintains, for **every** request of the instance,
+    the interference it would suffer from the current member set — so
+    testing whether an outside request can join is O(k), and
+    joining/leaving is O(n) (one gain-matrix column), never an O(k^2)
+    recompute.
 
     Infinite gains (shared-node pairs) are tracked as separate counts so
     that removal is exact: ``inf`` contributions never enter the finite
@@ -894,11 +879,10 @@ class ClassAccumulator:
 
 
 # ----------------------------------------------------------------------
-# Engine toggle + per-instance context cache
+# Per-instance context cache
 # ----------------------------------------------------------------------
 
 _lock = threading.RLock()
-_engine_enabled = True
 #: Per-instance caches live *on the instance* (as the attribute named
 #: below): instance -> contexts -> instance is then a self-contained
 #: reference cycle the garbage collector can reclaim once the caller
@@ -948,29 +932,6 @@ def _env_cache_limit() -> int:
 _cache_limit = _env_cache_limit()
 _hits = 0
 _misses = 0
-
-
-def engine_enabled() -> bool:
-    """Is the shared interference engine active on the wrapper paths?"""
-    return _engine_enabled
-
-
-def set_engine_enabled(flag: bool) -> None:
-    """Globally enable/disable routing the public wrappers through the
-    cached engine (disabled = pre-engine from-scratch code paths)."""
-    global _engine_enabled
-    _engine_enabled = bool(flag)
-
-
-@contextmanager
-def engine_disabled() -> Iterator[None]:
-    """Temporarily restore the from-scratch (legacy) compute paths."""
-    previous = _engine_enabled
-    set_engine_enabled(False)
-    try:
-        yield
-    finally:
-        set_engine_enabled(previous)
 
 
 def context_cache_limit() -> int:
@@ -1126,24 +1087,6 @@ def unpin_context(context: InterferenceContext) -> None:
         if not per_instance:
             delattr(instance, _CACHE_ATTR)
             _cached_instances.discard(instance)
-
-
-def maybe_context(
-    instance: Instance, powers: np.ndarray
-) -> Optional[InterferenceContext]:
-    """:func:`get_context` when the engine is enabled, else ``None``.
-
-    The idiom for algorithms with a legacy fallback::
-
-        ctx = maybe_context(instance, powers)
-        if ctx is not None:
-            ...  # cached fast path
-        else:
-            ...  # from-scratch path
-    """
-    if not _engine_enabled:
-        return None
-    return get_context(instance, powers)
 
 
 def cache_info() -> Dict[str, int]:

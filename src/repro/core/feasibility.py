@@ -12,12 +12,9 @@ schedule that is strictly feasible at ``sigma = 0`` becomes feasible at
 any ``sigma > 0`` after multiplying all powers by a large enough factor
 — is implemented by :func:`scale_powers_for_noise`.
 
-These functions are thin wrappers: when the shared interference engine
-is enabled (the default) they answer from the cached
+These functions are thin wrappers: they answer from the cached
 :class:`repro.core.context.InterferenceContext` for ``(instance,
-powers)``, falling back to the from-scratch computation under
-:func:`repro.core.context.engine_disabled`.  Both paths produce
-bit-identical margins.
+powers)``.
 """
 
 from __future__ import annotations
@@ -26,10 +23,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.context import maybe_context
+from repro.core.context import get_context
 from repro.core.errors import InvalidScheduleError
 from repro.core.instance import Instance
-from repro.core.interference import interference
 
 #: Default relative tolerance for feasibility comparisons.
 DEFAULT_RTOL = 1e-9
@@ -77,19 +73,9 @@ def sinr_margins(
         raise ValueError(f"beta must be > 0, got {beta}")
     if noise < 0:
         raise ValueError(f"noise must be >= 0, got {noise}")
-    context = maybe_context(instance, powers)
-    if context is not None:
-        return context.margins(colors=colors, subset=subset, beta=beta, noise=noise)
-    signals = signal_strengths(instance, powers)
-    interf = interference(instance, powers, colors, subset)
-    if subset is not None:
-        signals = signals[np.asarray(subset, dtype=int)]
-    denom = beta * (interf + noise)
-    margins = np.full(signals.shape, np.inf)
-    np.divide(signals, denom, out=margins, where=denom > 0)
-    # inf interference (shared node) must dominate any signal.
-    margins[np.isinf(interf)] = 0.0
-    return margins
+    return get_context(instance, powers).margins(
+        colors=colors, subset=subset, beta=beta, noise=noise
+    )
 
 
 def is_feasible_subset(
@@ -171,11 +157,7 @@ def scale_powers_for_noise(
     beta = instance.beta if beta is None else float(beta)
     powers = np.asarray(powers, dtype=float)
     signals = signal_strengths(instance, powers)
-    context = maybe_context(instance, powers)
-    if context is not None:
-        interf = context.interference(colors=np.asarray(colors))
-    else:
-        interf = interference(instance, powers, np.asarray(colors))
+    interf = get_context(instance, powers).interference(colors=np.asarray(colors))
     slack = signals - beta * interf
     if np.any(slack <= 0):
         raise InvalidScheduleError(

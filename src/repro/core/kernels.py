@@ -24,9 +24,7 @@ of vectorized passes:
   margins) instead of the reference's O(k²) block recompute — O(k²)
   total versus O(k³).  Decisions that land inside the
   :data:`PEEL_RISK_RTOL` band of their boundary are re-resolved with
-  fresh reference-order row sums and counted as risk events;
-  ``peel_incremental_disabled()`` routes to the retained compacting
-  reference implementation.
+  fresh reference-order row sums and counted as risk events.
 * :func:`stacked_first_fit` — the first-fit kernel over stacked
   ``(B, n, n)`` gains, scheduling a whole
   :class:`~repro.core.batch.ContextBatch` of same-shape instances in
@@ -44,39 +42,30 @@ Numerical contract
 ------------------
 
 :meth:`ScheduleKernel.first_fit_admit` reproduces the sequential
-``ClassAccumulator`` scan of the PR-1 engine **bit-for-bit**: class
-rows accumulate gain columns in the same insertion order with the same
-operations, interference is resolved with the same
-``interference_parts`` formula, and the comparisons are the same
-elementwise float ops — so the admitted class (and hence every
-first-fit schedule) is identical, enforced by the conformance suite
-and the determinism goldens.  :func:`peel_max_feasible_subset`
-maintains interference sums incrementally, so raw margins agree with
-the reference only up to accumulation order — but every peel, stop,
-and re-add decision is made **identically**: comparisons within
+``ClassAccumulator`` scan **bit-for-bit**: class rows accumulate gain
+columns in the same insertion order with the same operations,
+interference is resolved with the same ``interference_parts`` formula,
+and the comparisons are the same elementwise float ops — so the
+admitted class (and hence every first-fit schedule) is identical to a
+per-class scan; the kernel-state property tests hold the rows bitwise
+equal to per-class accumulators, and the scheduler goldens in
+``tests/data/scheduler_goldens.json`` pin the emitted colorings.
+:func:`peel_max_feasible_subset` maintains interference sums
+incrementally, so raw margins agree with the reference only up to
+accumulation order — but every peel, stop, and re-add decision is made
+**identically**: comparisons within
 :data:`PEEL_RISK_RTOL` of their boundary (argmin ties, threshold
 crossings) are re-resolved from fresh row sums taken in the
 reference's own membership order (bitwise the reference's values) and
 surfaced as ``peel_risk_events`` in the result provenance.  Calls the
 incremental path cannot express (duplicate candidate indices) fall
-back to the from-scratch reference and are recorded as
+back to the per-round reference and are recorded as
 :class:`PeelFallbackInfo` entries.  The local-search delta checks are
-the remaining exception: like
-the accumulator itself they maintain sums incrementally, so they agree
-with from-scratch subset margins only up to floating-point accumulation
-order (~1e-16 relative, far inside the 1e-9 feasibility tolerance);
-``tests/core/test_kernels.py`` asserts the emitted colorings match the
-reference path exactly on the conformance grid.
-
-Disabling the kernels
----------------------
-
-``with kernels_disabled(): ...`` routes the rewired schedulers back to
-their PR-1 accumulator/subset-rebuild engine paths (the conformance
-references), exactly like :func:`repro.core.context.engine_disabled`
-restores the pre-engine code.  The benchmark
-(``benchmarks/bench_scheduler_kernels.py``) uses it to time the
-reference paths honestly.
+the remaining exception: like the accumulator itself they maintain sums incrementally, so they agree
+with fresh subset margins only up to floating-point accumulation order
+(~1e-16 relative, far inside the 1e-9 feasibility tolerance);
+``tests/core/test_kernels.py`` checks the emitted colorings against
+the pinned goldens and the independent oracle in ``tests/oracle.py``.
 
 When to use what
 ----------------
@@ -95,9 +84,8 @@ When to use what
 from __future__ import annotations
 
 import logging
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -112,17 +100,12 @@ __all__ = [
     "PeelFallbackInfo",
     "DEFAULT_ADMISSION_WINDOW",
     "ScheduleKernel",
+    "check_order",
     "first_fit_colors",
     "first_fit_colors_sharded",
     "peel_max_feasible_subset",
     "stacked_first_fit",
     "stacked_local_search",
-    "kernels_enabled",
-    "set_kernels_enabled",
-    "kernels_disabled",
-    "peel_incremental_enabled",
-    "set_peel_incremental_enabled",
-    "peel_incremental_disabled",
     "peel_risk_events",
     "peel_fallback_records",
     "reset_peel_events",
@@ -132,40 +115,8 @@ logger = logging.getLogger(__name__)
 
 
 # ----------------------------------------------------------------------
-# Kernel toggle (mirrors the engine toggle in repro.core.context)
+# Peel provenance counters
 # ----------------------------------------------------------------------
-
-_kernels_enabled = True
-
-
-def kernels_enabled() -> bool:
-    """Are the vectorized scheduler kernels active on the engine paths?"""
-    return _kernels_enabled
-
-
-def set_kernels_enabled(flag: bool) -> None:
-    """Globally enable/disable the kernel paths (disabled = the PR-1
-    accumulator / subset-rebuild engine paths)."""
-    global _kernels_enabled
-    _kernels_enabled = bool(flag)
-
-
-@contextmanager
-def kernels_disabled() -> Iterator[None]:
-    """Temporarily restore the accumulator-based engine paths."""
-    previous = _kernels_enabled
-    set_kernels_enabled(False)
-    try:
-        yield
-    finally:
-        set_kernels_enabled(previous)
-
-
-# ----------------------------------------------------------------------
-# Incremental-peel toggle + peel provenance counters
-# ----------------------------------------------------------------------
-
-_peel_incremental_enabled = True
 
 #: Relative width of the incremental peel's decision-risk band.  A
 #: peel/stop/re-add comparison whose incrementally maintained margin
@@ -178,32 +129,6 @@ _peel_incremental_enabled = True
 #: wider than the drift a full peel can accumulate (a few ulps per
 #: subtraction), so out-of-band comparisons are certain.
 PEEL_RISK_RTOL = 1e-9
-
-
-def peel_incremental_enabled() -> bool:
-    """Is the incremental (sub-cubic) peel active inside
-    :func:`peel_max_feasible_subset`?"""
-    return _peel_incremental_enabled
-
-
-def set_peel_incremental_enabled(flag: bool) -> None:
-    """Globally enable/disable the incremental peel (disabled = the
-    O(k^3) compacting-buffer conformance reference)."""
-    global _peel_incremental_enabled
-    _peel_incremental_enabled = bool(flag)
-
-
-@contextmanager
-def peel_incremental_disabled() -> Iterator[None]:
-    """Temporarily restore the compacting-buffer peel reference
-    (mirrors :func:`kernels_disabled` /
-    :func:`repro.core.context.engine_disabled`)."""
-    previous = _peel_incremental_enabled
-    set_peel_incremental_enabled(False)
-    try:
-        yield
-    finally:
-        set_peel_incremental_enabled(previous)
 
 
 @dataclass(frozen=True)
@@ -238,8 +163,7 @@ class PeelFallbackInfo:
 # context its caller resolved — including contexts built *inside*
 # self-powered algorithms (e.g. sqrt_coloring) that a Session never
 # sees — so per-run accounting snapshots these process-wide totals
-# before/after the run (single scheduler thread, like the toggles
-# above) instead of hanging counters off one backend object.
+# before/after the run (single scheduler thread) instead of hanging counters off one backend object.
 _peel_risk_events = 0
 _peel_fallbacks: List[PeelFallbackInfo] = []
 
@@ -938,6 +862,34 @@ class ScheduleKernel:
         )
 
 
+def check_order(order: Sequence[int], n: int) -> np.ndarray:
+    """*order* as an index array, or ``ValueError`` naming the first
+    entry that keeps it from being a permutation of ``range(n)``."""
+    order = np.asarray(order, dtype=int).reshape(-1)
+    outside = (order < 0) | (order >= n)
+    if np.any(outside):
+        position = int(np.argmax(outside))
+        raise ValueError(
+            f"order entry {int(order[position])} at position {position} is "
+            f"not a request index in [0, {n})"
+        )
+    repeated = np.ones(order.size, dtype=bool)
+    repeated[np.unique(order, return_index=True)[1]] = False
+    if np.any(repeated):
+        position = int(np.argmax(repeated))
+        raise ValueError(
+            f"order repeats request {int(order[position])} at position "
+            f"{position}"
+        )
+    if order.size != n:
+        missing = np.setdiff1d(np.arange(n), order)
+        raise ValueError(
+            f"order has {order.size} entries for {n} requests; request "
+            f"{int(missing[0])} is missing"
+        )
+    return order
+
+
 def first_fit_colors(
     context: InterferenceContext,
     order: np.ndarray,
@@ -1016,7 +968,7 @@ def first_fit_colors_sharded(
 
 
 # ----------------------------------------------------------------------
-# Greedy peeling: incremental (sub-cubic) kernel + compacting reference
+# Greedy peeling: incremental (sub-cubic) kernel
 # ----------------------------------------------------------------------
 
 
@@ -1030,7 +982,7 @@ def peel_max_feasible_subset(
     then re-add), agreeing decision-for-decision with
     :meth:`InterferenceContext.greedy_max_feasible_subset`.
 
-    By default this runs the **incremental** peel: per-candidate
+    This is the **incremental** peel: per-candidate
     interference sums are maintained under subtraction as requests are
     peeled (O(n) per round instead of an O(k²) block re-sum, O(k·n +
     k²) per full peel instead of O(k³)), victim selection is one
@@ -1051,14 +1003,12 @@ def peel_max_feasible_subset(
     as one :func:`peel_risk_events` event (surfaced per run in
     :class:`repro.api.Provenance.peel_risk_events`).  Out-of-band
     comparisons cannot flip: the band is orders of magnitude wider than
-    the drift a peel can accumulate.  ``with peel_incremental_disabled():``
-    routes this call to the PR-5 compacting-buffer implementation (one
-    block gather, bit-identical fresh sums every round) as the
-    conformance reference.
+    the drift a peel can accumulate.
 
-    Duplicate candidate indices name two copies of one request, which
+    Candidates must be request indices in ``[0, n)``; anything else
+    raises ``ValueError``.  Duplicate candidate indices name two copies of one request, which
     the cached matrices' zero diagonal cannot express; such calls fall
-    back to the from-scratch subset path, recording a logged
+    back to the per-round reference, recording a logged
     :class:`PeelFallbackInfo` (surfaced in
     :class:`repro.api.Provenance.peel_fallbacks`).
     """
@@ -1068,6 +1018,13 @@ def peel_max_feasible_subset(
         idx = np.asarray([int(i) for i in candidates], dtype=int)
     if idx.size == 0:
         return np.asarray([], dtype=int)
+    outside = (idx < 0) | (idx >= context.n)
+    if np.any(outside):
+        position = int(np.argmax(outside))
+        raise ValueError(
+            f"peel candidate {int(idx[position])} at position {position} "
+            f"is not a request index in [0, {context.n})"
+        )
     if np.unique(idx).size != idx.size:
         info = PeelFallbackInfo(
             reasons=("duplicate_candidates",),
@@ -1084,95 +1041,7 @@ def peel_max_feasible_subset(
         return context.greedy_max_feasible_subset(
             candidates=candidates, beta=beta, rtol=rtol
         )
-    if _peel_incremental_enabled:
-        return _peel_incremental(context, idx, beta, rtol)
-    return _peel_compacting(context, idx, beta, rtol)
-
-
-def _peel_compacting(
-    context: InterferenceContext,
-    idx: np.ndarray,
-    beta: Optional[float],
-    rtol: float,
-) -> np.ndarray:
-    """The compacting-buffer peel (conformance reference) —
-    bit-identical to
-    :meth:`InterferenceContext.greedy_max_feasible_subset`.
-
-    Gathers the O(k²) gain block **once** and compacts it in place as
-    requests are peeled; each round's row sums run over a buffer with
-    the same values, order and contiguity as a fresh gather, so NumPy's
-    pairwise summation produces the same bits and every
-    argmin/threshold decision is preserved exactly.  Cost is O(k²) per
-    round (O(k³) per full peel) — reach it via
-    :func:`peel_incremental_disabled`.
-    """
-    beta_v = context.beta if beta is None else float(beta)
-    noise = context.noise
-    backend = context.backend
-    directed = backend.directed
-    signals = context.signals
-    threshold = 1.0 - rtol
-
-    buf_u = backend.block_u(idx)
-    buf_v = buf_u if directed else backend.block_v(idx)
-    sig = signals[idx].copy()
-    order = idx.copy()
-    k = idx.size
-    dropped: List[int] = []
-
-    while k > 0:
-        interf = buf_u[:k, :k].sum(axis=1)
-        if not directed:
-            interf = np.maximum(interf, buf_v[:k, :k].sum(axis=1))
-        margins = _margins_from(sig[:k], interf, beta_v, noise)
-        if np.all(margins >= threshold):
-            break
-        p = int(np.argmin(margins))
-        dropped.append(int(order[p]))
-        for buf in (buf_u,) if directed else (buf_u, buf_v):
-            buf[p : k - 1, :k] = buf[p + 1 : k, :k]
-            buf[: k - 1, p : k - 1] = buf[: k - 1, p + 1 : k]
-        sig[p : k - 1] = sig[p + 1 : k]
-        order[p : k - 1] = order[p + 1 : k]
-        k -= 1
-
-    for req in reversed(dropped):
-        # Rebuild the (k+1, k+1) trial block so its row sums reproduce
-        # the reference's fresh pairwise summation bitwise.
-        t = k + 1
-        trial_sig = np.append(sig[:k], signals[req])
-        blocks: List[np.ndarray] = []
-        endpoints = (
-            ((backend.col_u, backend.row_u, buf_u),)
-            if directed
-            else (
-                (backend.col_u, backend.row_u, buf_u),
-                (backend.col_v, backend.row_v, buf_v),
-            )
-        )
-        for col_fn, row_fn, buf in endpoints:
-            col = col_fn(req)
-            row = row_fn(req)
-            tb = np.empty((t, t))
-            tb[:k, :k] = buf[:k, :k]
-            tb[:k, k] = col[order[:k]]
-            tb[k, :k] = row[order[:k]]
-            tb[k, k] = row[req]
-            blocks.append(tb)
-        interf = blocks[0].sum(axis=1)
-        if not directed:
-            interf = np.maximum(interf, blocks[1].sum(axis=1))
-        margins = _margins_from(trial_sig, interf, beta_v, noise)
-        if np.all(margins >= threshold):
-            for buf, tb in zip((buf_u,) if directed else (buf_u, buf_v), blocks):
-                buf[:k, k] = tb[:k, k]
-                buf[k, : k + 1] = tb[k, :]
-            sig[k] = trial_sig[k]
-            order[k] = req
-            k += 1
-
-    return np.asarray(sorted(int(i) for i in order[:k]), dtype=int)
+    return _peel_incremental(context, idx, beta, rtol)
 
 
 def _band(margin: float) -> float:
@@ -1260,8 +1129,9 @@ def _peel_incremental(
     def exact_margin(g: int, member_globals: np.ndarray) -> float:
         """Fresh margin of request *g* among *member_globals*, summed
         in the reference's membership order — the same contiguous value
-        sequence (hence the same bits) the compacting reference
-        reduces for this row."""
+        sequence (hence the same bits)
+        :meth:`InterferenceContext.greedy_max_feasible_subset` reduces
+        for this row."""
         interf = -np.inf
         for _, _, _, row_fn in endpoint_state:
             part = float(row_fn(g)[member_globals].sum())

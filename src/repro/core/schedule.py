@@ -122,10 +122,10 @@ def build_schedule(
 ) -> Schedule:
     """The shared constructor for scheduler outputs.
 
-    Every scheduler (engine, kernel and legacy paths alike) routes its
-    result through here so dtype/shape normalization and the structural
-    checks of :class:`Schedule` run exactly once, and so the emitted
-    schedule never aliases a caller-owned power array
+    Every scheduler routes its result through here so dtype/shape
+    normalization and the structural checks of :class:`Schedule` run
+    exactly once, and so the emitted schedule never aliases a
+    caller-owned power array
     (``copy_powers=True``, the default, takes a defensive copy; pass
     ``False`` only when the array is already private to the caller).
 

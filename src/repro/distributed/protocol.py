@@ -35,8 +35,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.context import maybe_context
-from repro.core.feasibility import feasible_subset_mask
+from repro.core.context import get_context
 from repro.core.instance import Instance
 from repro.core.schedule import Schedule, build_schedule
 from repro.distributed.sharded import shard_bounds
@@ -148,7 +147,7 @@ def distributed_protocol(
     if power is None:
         power = SquareRootPower()
     powers = power(instance)
-    context = maybe_context(instance, powers)
+    context = get_context(instance, powers)
     if max_slots is None:
         max_slots = int(64 * instance.n / p_min)
 
@@ -189,10 +188,7 @@ def distributed_protocol(
                 stats.idle_slots += 1
                 continue
             stats.attempts += int(transmitters.size)
-            if context is not None:
-                ok = context.feasible_mask(transmitters)
-            else:
-                ok = feasible_subset_mask(instance, powers, transmitters)
+            ok = context.feasible_mask(transmitters)
             winners = transmitters[ok]
             losers = transmitters[~ok]
             if winners.size:

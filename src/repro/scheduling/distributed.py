@@ -31,9 +31,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.context import maybe_context
+from repro.core.context import get_context
 from repro.core.errors import ReproError
-from repro.core.feasibility import feasible_subset_mask
 from repro.core.instance import Instance
 from repro.core.schedule import Schedule, build_schedule
 from repro.power.base import PowerAssignment
@@ -120,7 +119,7 @@ def distributed_coloring(
     powers = power(instance)
     # One shared context serves every slot's feasibility check (the
     # power vector never changes during the run).
-    context = maybe_context(instance, powers)
+    context = get_context(instance, powers)
     if max_slots is None:
         max_slots = int(64 * instance.n / p_min)
 
@@ -140,10 +139,7 @@ def distributed_coloring(
             stats.idle_slots += 1
             continue
         stats.attempts += int(transmitters.size)
-        if context is not None:
-            ok = context.feasible_mask(transmitters)
-        else:
-            ok = feasible_subset_mask(instance, powers, transmitters)
+        ok = context.feasible_mask(transmitters)
         winners = transmitters[ok]
         losers = transmitters[~ok]
         if winners.size:

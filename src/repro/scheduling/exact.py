@@ -22,9 +22,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.analysis.power_control import free_power_feasible, free_powers
-from repro.core.context import maybe_context
+from repro.core.context import get_context
 from repro.core.errors import ReproError
-from repro.core.feasibility import is_feasible_subset
 from repro.core.instance import Instance
 from repro.core.schedule import Schedule, build_schedule
 
@@ -45,7 +44,7 @@ def _feasibility_table(
     n = instance.n
     # The 2^n fixed-power checks share one cached context; the
     # free-power variant has no fixed powers to cache against.
-    context = None if powers is None else maybe_context(instance, powers)
+    context = None if powers is None else get_context(instance, powers)
     feasible = [False] * (1 << n)
     feasible[0] = True
     for mask in range(1, 1 << n):
@@ -60,12 +59,8 @@ def _feasibility_table(
             continue
         if powers is None:
             feasible[mask] = free_power_feasible(instance, members, beta=beta)
-        elif context is not None:
-            feasible[mask] = context.is_feasible_subset(members, beta=beta)
         else:
-            feasible[mask] = is_feasible_subset(
-                instance, powers, members, beta=beta
-            )
+            feasible[mask] = context.is_feasible_subset(members, beta=beta)
     return feasible
 
 

@@ -9,18 +9,11 @@ propositions.
 
 Two variants:
 
-* :func:`first_fit_schedule` — fixed power assignment.  The default
-  path runs on the vectorized
-  :class:`repro.core.kernels.ScheduleKernel`: all color classes are
-  maintained simultaneously as dense ``(C, n)`` interference state, so
-  each request needs **one** admission check across every open class
-  instead of a Python loop over per-class accumulators.  The PR-1
-  per-class :class:`~repro.core.context.ClassAccumulator` scan remains
-  as the conformance reference under
-  :func:`~repro.core.kernels.kernels_disabled`, and the pre-engine
-  from-scratch bookkeeping under
-  :func:`~repro.core.context.engine_disabled`.  All three paths emit
-  bit-identical schedules.
+* :func:`first_fit_schedule` — fixed power assignment, run on the
+  vectorized :class:`repro.core.kernels.ScheduleKernel`: all color
+  classes are maintained simultaneously as dense ``(C, n)``
+  interference state, so each request needs **one** admission check
+  across every open class.
 * :func:`first_fit_free_power_schedule` — powers are free per class;
   class feasibility is decided by power-control theory
   (:mod:`repro.analysis.power_control`) and each class receives its
@@ -30,7 +23,6 @@ Two variants:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -39,31 +31,16 @@ from repro.analysis.power_control import (
     free_power_feasible,
     free_powers,
 )
-from repro.core.context import ClassAccumulator, InterferenceContext, maybe_context
+from repro.core.context import get_context
 from repro.core.errors import InvalidScheduleError
-from repro.core.instance import Direction, Instance
-from repro.core.interference import (
-    bidirectional_gain_matrices,
-    directed_gain_matrix,
-)
-from repro.core.kernels import first_fit_colors, kernels_enabled
+from repro.core.instance import Instance
+from repro.core.kernels import check_order, first_fit_colors
 from repro.core.schedule import Schedule, build_schedule
 
 
 def _default_order(instance: Instance) -> np.ndarray:
     """Longest links first (ties broken by index for determinism)."""
     return np.argsort(-instance.link_distances, kind="stable")
-
-
-@dataclass
-class _ClassState:
-    """Legacy incremental bookkeeping for one color class (engine-off
-    path; the engine path uses :class:`ClassAccumulator` or the
-    :class:`ScheduleKernel` instead)."""
-
-    members: List[int]
-    interference_u: np.ndarray  # running interference at each member (endpoint u)
-    interference_v: np.ndarray  # endpoint v (same as u in directed mode)
 
 
 def _check_budgets(
@@ -76,74 +53,6 @@ def _check_budgets(
             f"(signal {signals[bad]:.4g} < beta*noise {beta * noise:.4g}); "
             "scale the powers first (see scale_powers_for_noise)"
         )
-
-
-def _first_fit_kernel(
-    context: InterferenceContext,
-    powers: np.ndarray,
-    order: np.ndarray,
-    beta: float,
-    rtol: float,
-) -> Schedule:
-    """Kernel path: one vectorized admission check per request across
-    every open class (decision-identical to :func:`_first_fit_engine`)."""
-    signals = context.signals
-    budget = context.budgets(beta=beta)
-    _check_budgets(signals, budget, beta, context.noise)
-    limits = budget * (1.0 + rtol)
-    return build_schedule(first_fit_colors(context, order, limits), powers)
-
-
-def _first_fit_engine(
-    context: InterferenceContext,
-    powers: np.ndarray,
-    order: np.ndarray,
-    beta: float,
-    rtol: float,
-) -> Schedule:
-    """Accumulator reference path: per-class :class:`ClassAccumulator`
-    bookkeeping, scanned one class at a time."""
-    instance = context.instance
-    noise = context.noise
-    signals = context.signals
-    budget = context.budgets(beta=beta)
-    _check_budgets(signals, budget, beta, noise)
-    backend = context.backend
-    directed = context.directed
-
-    classes: List[ClassAccumulator] = []
-    colors = np.full(instance.n, -1, dtype=int)
-    tolerance = 1.0 + rtol
-
-    for req in order:
-        placed = False
-        # The request's gain columns (what it would add at every other
-        # request), fetched once per request from the backend — same
-        # values as the dense gains_u[members, req] gathers.
-        col_u = backend.col_u(int(req))
-        col_v = col_u if directed else backend.col_v(int(req))
-        for color, acc in enumerate(classes):
-            members = acc.members
-            # One resolution pass covers the candidate (last entry) and
-            # every member; values are identical to resolving them in
-            # two separate calls.
-            int_u, int_v = acc.interference_parts(np.append(members, req))
-            if max(float(int_u[-1]), float(int_v[-1])) > budget[req] * tolerance:
-                continue
-            limits = budget[members] * tolerance
-            if np.any(int_u[:-1] + col_u[members] > limits):
-                continue
-            if np.any(int_v[:-1] + col_v[members] > limits):
-                continue
-            acc.add(int(req))
-            colors[req] = color
-            placed = True
-            break
-        if not placed:
-            classes.append(context.accumulator(members=[int(req)], beta=beta))
-            colors[req] = len(classes) - 1
-
-    return build_schedule(colors, powers)
 
 
 def first_fit_schedule(
@@ -160,68 +69,27 @@ def first_fit_schedule(
     powers:
         The (fixed) power of every request.
     order:
-        Processing order; longest-first by default.
+        Processing order, a permutation of ``range(n)``; longest-first
+        by default.
     beta:
         Gain override (defaults to the instance's).
+
+    Raises
+    ------
+    ValueError
+        If *order* is not a permutation of ``range(n)``.
     """
     beta = instance.beta if beta is None else float(beta)
-    noise = instance.noise
-    powers = np.asarray(powers, dtype=float)
     if order is None:
         order = _default_order(instance)
-    order = np.asarray(order, dtype=int)
-
-    context = maybe_context(instance, powers)
-    if context is not None:
-        if kernels_enabled():
-            return _first_fit_kernel(context, powers, order, beta, rtol)
-        return _first_fit_engine(context, powers, order, beta, rtol)
-
-    if instance.direction is Direction.DIRECTED:
-        gains = directed_gain_matrix(instance, powers)
-        gains_u, gains_v = gains, gains
     else:
-        gains_u, gains_v = bidirectional_gain_matrices(instance, powers)
-    signals = powers / instance.link_losses
-    budget = signals / beta - noise  # max tolerable interference per request
-    _check_budgets(signals, budget, beta, noise)
-
-    classes: List[_ClassState] = []
-    colors = np.full(instance.n, -1, dtype=int)
-    tolerance = 1.0 + rtol
-
-    for req in order:
-        placed = False
-        for color, state in enumerate(classes):
-            members = state.members
-            new_u = float(np.sum(gains_u[req, members]))
-            new_v = float(np.sum(gains_v[req, members]))
-            if max(new_u, new_v) > budget[req] * tolerance:
-                continue
-            member_arr = np.asarray(members)
-            add_u = gains_u[member_arr, req]
-            add_v = gains_v[member_arr, req]
-            if np.any(state.interference_u + add_u > budget[member_arr] * tolerance):
-                continue
-            if np.any(state.interference_v + add_v > budget[member_arr] * tolerance):
-                continue
-            state.interference_u = np.append(state.interference_u + add_u, new_u)
-            state.interference_v = np.append(state.interference_v + add_v, new_v)
-            state.members.append(int(req))
-            colors[req] = color
-            placed = True
-            break
-        if not placed:
-            classes.append(
-                _ClassState(
-                    members=[int(req)],
-                    interference_u=np.zeros(1),
-                    interference_v=np.zeros(1),
-                )
-            )
-            colors[req] = len(classes) - 1
-
-    return build_schedule(colors, powers)
+        order = check_order(order, instance.n)
+    powers = np.asarray(powers, dtype=float)
+    context = get_context(instance, powers)
+    budget = context.budgets(beta=beta)
+    _check_budgets(context.signals, budget, beta, context.noise)
+    limits = budget * (1.0 + rtol)
+    return build_schedule(first_fit_colors(context, order, limits), powers)
 
 
 def first_fit_free_power_schedule(

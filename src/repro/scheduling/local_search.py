@@ -9,21 +9,14 @@ The pass never increases the number of colors and never breaks
 feasibility, so it composes with every scheduler in this package
 (first-fit, peeling, LP pipeline, distributed protocol output).
 
-Move checks run, by default, as
-:class:`repro.core.kernels.ScheduleKernel` delta checks: the kernel
-keeps every class's interference state dense, so testing a move costs
-one vectorized pass (candidate margin against each class plus every
-member's margin with the candidate's gain column added) instead of
-rebuilding and re-validating the target subset from scratch, and a
-failed dissolution rolls back via an exact (bitwise) state snapshot.
-Under :func:`repro.core.kernels.kernels_disabled` — or with the engine
-off entirely — moves fall back to the subset-rebuild checks, with the
-per-target member lists hoisted per dissolution attempt instead of
-recomputed per (member, target) pair.  Kernel delta checks agree with
-the rebuild path up to floating-point accumulation order (the
-:class:`~repro.core.context.ClassAccumulator` contract, ~1e-16
-relative); the emitted colorings are asserted equal on the conformance
-grid in ``tests/core/test_kernels.py``.
+Move checks run as :class:`repro.core.kernels.ScheduleKernel` delta
+checks: the kernel keeps every class's interference state dense, so
+testing a move costs one vectorized pass (candidate margin against each
+class plus every member's margin with the candidate's gain column
+added), and a failed dissolution rolls back via an exact (bitwise)
+state snapshot.  Delta checks maintain sums incrementally, so they
+agree with a fresh subset check only up to floating-point accumulation
+order (~1e-16 relative, far inside the 1e-9 feasibility tolerance).
 """
 
 from __future__ import annotations
@@ -32,69 +25,14 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.context import InterferenceContext, maybe_context
-from repro.core.feasibility import is_feasible_subset
+from repro.core.context import get_context
 from repro.core.instance import Instance
-from repro.core.kernels import ScheduleKernel, kernels_enabled
+from repro.core.kernels import ScheduleKernel
 from repro.core.schedule import Schedule, build_schedule
 
 
-def _subset_feasible(
-    instance: Instance,
-    context: Optional[InterferenceContext],
-    powers: np.ndarray,
-    subset: np.ndarray,
-    beta: Optional[float],
-) -> bool:
-    if context is not None:
-        return context.is_feasible_subset(subset, beta=beta)
-    return is_feasible_subset(instance, powers, subset, beta=beta)
-
-
-def _try_empty_class(
-    instance: Instance,
-    context: Optional[InterferenceContext],
-    colors: np.ndarray,
-    powers: np.ndarray,
-    victim: int,
-    beta: Optional[float],
-) -> bool:
-    """Subset-rebuild fallback: dissolve color class *victim* by moving
-    its members, re-validating each trial subset from scratch.
-
-    Moves are committed member by member; on the first stuck member,
-    every prior move is rolled back (all-or-nothing semantics keep the
-    invariant simple and the result a strict improvement).  Per-target
-    member lists are hoisted once per attempt and maintained in sorted
-    order as moves commit, so each trial costs one append instead of a
-    fresh ``np.flatnonzero`` scan.
-    """
-    members = np.flatnonzero(colors == victim)
-    snapshot = colors.copy()
-    targets = [c for c in np.unique(colors) if c != victim]
-    target_members = {c: np.flatnonzero(colors == c) for c in targets}
-    for request in members:
-        placed = False
-        for target in targets:
-            trial = np.append(target_members[target], request)
-            if _subset_feasible(instance, context, powers, trial, beta=beta):
-                colors[request] = target
-                current = target_members[target]
-                target_members[target] = np.insert(
-                    current, np.searchsorted(current, request), request
-                )
-                placed = True
-                break
-        if not placed:
-            colors[:] = snapshot
-            return False
-    return True
-
-
-def _try_empty_class_kernel(
-    kernel: ScheduleKernel, victim: int
-) -> bool:
-    """Kernel path: dissolve *victim* with vectorized delta checks.
+def _dissolve(kernel: ScheduleKernel, victim: int) -> bool:
+    """Dissolve class *victim* with vectorized delta checks.
 
     One :meth:`ScheduleKernel.admissible_targets` pass per member
     scores every potential target class at once; failed attempts
@@ -139,17 +77,16 @@ def improve_schedule(
         unchanged.
     """
     schedule.validate(instance, beta=beta)
-    colors = schedule.compacted().colors.copy()
+    colors = schedule.compacted().colors
     powers = schedule.powers
-    context = maybe_context(instance, powers)
-    kernel: Optional[ScheduleKernel] = None
-    if context is not None and kernels_enabled():
-        kernel = ScheduleKernel.from_colors(context, colors, beta=beta)
+    kernel = ScheduleKernel.from_colors(
+        get_context(instance, powers), colors, beta=beta
+    )
     if max_rounds is None:
         max_rounds = int(np.unique(colors).size)
 
     for _ in range(max_rounds):
-        current = kernel.colors if kernel is not None else colors
+        current = kernel.colors
         sizes = {c: int(np.sum(current == c)) for c in np.unique(current)}
         if len(sizes) <= 1:
             break
@@ -157,23 +94,14 @@ def improve_schedule(
         # the first success (classes change) or give up entirely.
         dissolved = False
         for victim in sorted(sizes, key=lambda c: (sizes[c], c)):
-            if kernel is not None:
-                dissolved = _try_empty_class_kernel(kernel, int(victim))
-            else:
-                dissolved = _try_empty_class(
-                    instance, context, colors, powers, victim, beta
-                )
+            dissolved = _dissolve(kernel, int(victim))
             if dissolved:
                 break
         if not dissolved:
             break
         # Re-compact so color ids stay dense.
-        if kernel is not None:
-            kernel.drop_empty_class(int(victim))
-        else:
-            _, colors = np.unique(colors, return_inverse=True)
+        kernel.drop_empty_class(int(victim))
 
-    final = kernel.colors if kernel is not None else colors
-    improved = build_schedule(final, powers)
+    improved = build_schedule(kernel.colors, powers)
     improved.validate(instance, beta=beta)
     return improved

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from repro.analysis.capacity import greedy_max_feasible_subset
-from repro.core.context import maybe_context
+from repro.core.context import get_context
 from repro.core.instance import Instance
 from repro.core.schedule import Schedule, build_schedule
 
@@ -29,7 +29,7 @@ def peeling_schedule(
     """Color the instance by repeatedly peeling maximal feasible subsets.
 
     The shared :class:`~repro.core.context.InterferenceContext` is
-    fetched once (when the engine is enabled) so every extraction round
+    fetched once so every extraction round
     reuses the same cached gain matrices, and each extraction runs on
     the incremental peel kernel
     (:func:`repro.core.kernels.peel_max_feasible_subset`, identical
@@ -38,7 +38,7 @@ def peeling_schedule(
     :func:`greedy_max_feasible_subset`.
     """
     powers = np.asarray(powers, dtype=float)
-    context = maybe_context(instance, powers)
+    context = get_context(instance, powers)
     remaining = list(range(instance.n))
     colors = np.full(instance.n, -1, dtype=int)
     color = 0

@@ -25,11 +25,11 @@ approximation for the optimal number of colors."
 The repair (step 3) and thinning (step 4) passes are the hot path;
 they run through :func:`greedy_max_feasible_subset`, which executes on
 the incremental peel kernel
-(:func:`repro.core.kernels.peel_max_feasible_subset`) when the engine
-is enabled — identical peeling decisions from maintained interference
-sums, O(k) vectorized work per round instead of re-gathering an O(k²)
-gain block (tolerance-window decisions are re-resolved exactly and
-surfaced as ``peel_risk_events`` in the result provenance).
+(:func:`repro.core.kernels.peel_max_feasible_subset`) — peeling
+decisions from maintained interference sums, O(k) vectorized work per
+round instead of re-gathering an O(k²) gain block (tolerance-window
+decisions are re-resolved exactly and surfaced as ``peel_risk_events``
+in the result provenance).
 """
 
 from __future__ import annotations
@@ -42,13 +42,9 @@ import numpy as np
 from scipy.optimize import linprog
 
 from repro.analysis.capacity import greedy_max_feasible_subset
-from repro.core.context import InterferenceContext, maybe_context
-from repro.core.gains import DenseBackend, GainBackend
-from repro.core.instance import Direction, Instance
-from repro.core.interference import (
-    bidirectional_gain_matrices,
-    directed_gain_matrix,
-)
+from repro.core.context import InterferenceContext, get_context
+from repro.core.gains import GainBackend
+from repro.core.instance import Instance
 from repro.core.schedule import Schedule, build_schedule
 from repro.power.oblivious import SquareRootPower
 from repro.util.rng import RngLike, ensure_rng
@@ -119,7 +115,6 @@ def _lp_select(
 def _select_one_class(
     instance: Instance,
     remaining: np.ndarray,
-    backend: GainBackend,
     budgets: np.ndarray,
     beta: float,
     rng: np.random.Generator,
@@ -127,10 +122,11 @@ def _select_one_class(
     rounding_trials: int,
     stats: SqrtColoringStats,
     powers: np.ndarray,
-    context: Optional[InterferenceContext],
+    context: InterferenceContext,
 ) -> np.ndarray:
     """One run of algorithm A: extract a large feasible subset of
     *remaining* (global indices) for the square-root assignment."""
+    backend = context.backend
     distances = instance.link_distances[remaining]
     classes = _distance_classes(distances)
     stats.distance_classes_seen += len(classes)
@@ -229,22 +225,8 @@ def sqrt_coloring(
     beta = instance.beta if beta is None else float(beta)
     rng = ensure_rng(rng)
     powers = SquareRootPower()(instance)
-    context = maybe_context(instance, powers)
-    if context is not None:
-        backend = context.backend
-        signals = context.signals
-    else:
-        # Legacy (engine-off) path: wrap the from-scratch dense arrays
-        # in a DenseBackend so the selection code below is one path.
-        if instance.direction is Direction.DIRECTED:
-            gains = directed_gain_matrix(instance, powers)
-            backend = DenseBackend(gains, gains)
-        else:
-            backend = DenseBackend(
-                *bidirectional_gain_matrices(instance, powers)
-            )
-        signals = powers / instance.link_losses
-    budgets = signals / beta  # max tolerable interference per request
+    context = get_context(instance, powers)
+    budgets = context.signals / beta  # max tolerable interference per request
 
     stats = SqrtColoringStats()
     colors = np.full(instance.n, -1, dtype=int)
@@ -255,7 +237,6 @@ def sqrt_coloring(
         chosen = _select_one_class(
             instance,
             remaining,
-            backend,
             budgets,
             beta,
             rng,

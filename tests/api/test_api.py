@@ -5,7 +5,7 @@ import pytest
 
 from repro.api import BatchSession, Problem, ScheduleResult, Session, schedule_batch
 from repro.core.batch import BatchFallbackInfo
-from repro.core.context import cache_info, clear_context_cache, engine_disabled
+from repro.core.context import cache_info, clear_context_cache
 from repro.core.errors import InvalidScheduleError
 from repro.instances.random_instances import random_uniform_instance
 from repro.power.oblivious import SquareRootPower, UniformPower
@@ -66,8 +66,6 @@ class TestSessionSchedule:
         prov = result.provenance
         assert prov.algorithm == "first_fit"
         assert prov.backend == "dense"
-        assert prov.engine is True
-        assert prov.kernels is True
         assert prov.wall_seconds >= 0.0
         assert prov.flip_risk_events == 0
         assert prov.certified is True  # dense, certifiable algorithm
@@ -117,14 +115,6 @@ class TestSessionSchedule:
         base = session.schedule("first_fit")
         improved = session.schedule("local_search", schedule=base)
         assert improved.num_colors <= base.num_colors
-
-    def test_engine_disabled_still_works(self, instance, powers):
-        with engine_disabled():
-            result = Problem(instance).session().schedule("first_fit")
-            assert result.provenance.engine is False
-            assert result.provenance.certified is None
-        ref = first_fit_schedule(instance, powers)
-        np.testing.assert_array_equal(result.colors, ref.colors)
 
     def test_sparse_session_certified_and_identical(self, instance):
         clear_context_cache()

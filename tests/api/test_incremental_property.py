@@ -16,12 +16,18 @@ request):
    rebuild after every batch.  With departures in the stream the
    rebuilt session replays the same arrivals/departures — history,
    not just the surviving set, determines first-fit colors.
+
+At every step the live partition is also checked against the
+independent oracle (``tests/oracle.py``): it must be oracle-feasible,
+and equal the oracle's first-fit replay of the same arrival/departure
+history unless a decision of that replay is too close to call.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from repro.api import Problem
 from repro.core.instance import Instance
 from repro.instances.random_instances import random_uniform_instance
@@ -59,6 +65,22 @@ def _live_colors(session):
     )
 
 
+def _check_with_oracle(session, events):
+    """The live partition is oracle-feasible and, unless ambiguous,
+    equals the oracle's first-fit replay of *events*.  Until a rebuild,
+    a request's uid is its storage index."""
+    result = session.live_result()
+    assert oracle.SINROracle(result.instance, result.powers).feasible(
+        result.colors
+    )
+    replay = oracle.online_first_fit(session.instance, session.powers, events)
+    if not replay.ambiguous:
+        active = sorted(h.uid for h in session.handles)
+        np.testing.assert_array_equal(
+            _live_colors(session), [replay.value[uid] for uid in active]
+        )
+
+
 class TestArrivalStreams:
     @settings(max_examples=15, deadline=None)
     @given(
@@ -74,11 +96,13 @@ class TestArrivalStreams:
         ).session()
         dense.ensure_live()
         sparse.ensure_live()
+        events = [("arrive", index) for index in range(instance.n)]
 
         for count in batches:
             pairs = _arrival_pairs(dense.instance, rng, count)
-            dense.add_requests(pairs)
+            handles = dense.add_requests(pairs)
             sparse.add_requests(pairs)
+            events += [("arrive", h.uid) for h in handles]
 
             live = np.asarray(dense.ensure_live().colors)
             # (1) dense and lossless sparse agree bitwise.
@@ -93,6 +117,7 @@ class TestArrivalStreams:
             )
             # The live partition is feasible right now.
             dense.live_result().validate()
+            _check_with_oracle(dense, events)
 
 
 class TestArrivalDepartureStreams:
@@ -116,6 +141,7 @@ class TestArrivalDepartureStreams:
         ).session()
         dense.ensure_live()
         sparse.ensure_live()
+        events = [("arrive", index) for index in range(instance.n)]
 
         for op, count in ops:
             if op == "arrive":
@@ -125,6 +151,7 @@ class TestArrivalDepartureStreams:
                 assert [h.uid for h in d_handles] == [
                     h.uid for h in s_handles
                 ]
+                events += [("arrive", h.uid) for h in d_handles]
             else:
                 live = dense.handles
                 if len(live) <= count:
@@ -133,11 +160,13 @@ class TestArrivalDepartureStreams:
                 uids = [live[int(i)].uid for i in victims]
                 dense.remove_requests(uids)
                 sparse.remove_requests(uids)
+                events += [("depart", uid) for uid in uids]
 
             np.testing.assert_array_equal(
                 _live_colors(dense), _live_colors(sparse)
             )
             dense.live_result().validate()
+            _check_with_oracle(dense, events)
             assert dense.arrivals == sparse.arrivals
             assert dense.departures == sparse.departures
 

@@ -1,10 +1,12 @@
 """Unit + property tests for the shared interference engine.
 
-The hypothesis properties drive a :class:`ClassAccumulator` through
-random add/remove sequences and require agreement with from-scratch
-:func:`sinr_margins` to 1e-9 relative — including infinite-gain
-(shared-node) entries, which must survive removal exactly (no
-``inf - inf`` debris).
+Context margins and the feasibility wrappers are checked against the
+independent SINR oracle (``tests/oracle.py``) to 1e-12 relative.  The
+hypothesis properties drive a :class:`ClassAccumulator` through random
+add/remove sequences and require agreement with the oracle's margins
+to 1e-9 relative (the accumulator sums incrementally) — including
+infinite-gain (shared-node) entries, which must survive removal
+exactly (no ``inf - inf`` debris).
 """
 
 import numpy as np
@@ -12,14 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from repro.core.context import (
     InterferenceContext,
     cache_info,
     clear_context_cache,
-    engine_disabled,
-    engine_enabled,
     get_context,
-    maybe_context,
 )
 from repro.core.errors import InvalidScheduleError
 from repro.core.gains import default_config
@@ -59,8 +59,28 @@ POOL = _instance_pool()
 POWERS = {name: SquareRootPower()(inst) for name, inst in POOL.items()}
 
 
-class TestContextMatchesLegacy:
-    """The engine path must be bit-identical to the from-scratch path."""
+def oracle_margins(instance, powers, colors=None, subset=None, beta=None, noise=None):
+    """The oracle's margins with the sinr_margins argument conventions:
+    same-color interference under *colors*, restricted to *subset*."""
+    sinr = oracle.SINROracle(instance, powers, beta=beta, noise=noise)
+    members = list(range(instance.n)) if subset is None else [int(i) for i in subset]
+    margins = []
+    for i in members:
+        peers = [j for j in members if colors is None or colors[j] == colors[i]]
+        margins.append(sinr.margin(i, peers))
+    return np.asarray(margins)
+
+
+def assert_margins_match(got, expected, rtol):
+    """inf/0 entries exactly (they come from exact rules), the rest to
+    *rtol* relative."""
+    exact = ~np.isfinite(expected) | (expected == 0)
+    np.testing.assert_array_equal(got[exact], expected[exact])
+    np.testing.assert_allclose(got[~exact], expected[~exact], rtol=rtol, atol=0)
+
+
+class TestContextMatchesOracle:
+    """Context margins and the wrappers agree with the oracle."""
 
     @pytest.mark.parametrize("name", sorted(POOL))
     def test_margins_full_and_colored(self, name):
@@ -76,34 +96,36 @@ class TestContextMatchesLegacy:
             {"beta": 2.5},
             {"noise": 0.25},
         ):
-            with engine_disabled():
-                expected = sinr_margins(instance, powers, **kwargs)
-            got = context.margins(**kwargs)
-            np.testing.assert_array_equal(got, expected)
+            expected = oracle_margins(instance, powers, **kwargs)
+            assert_margins_match(context.margins(**kwargs), expected, 1e-12)
 
     @pytest.mark.parametrize("name", sorted(POOL))
-    def test_wrappers_agree_across_engine_toggle(self, name):
+    def test_wrappers_match_oracle(self, name):
         instance, powers = POOL[name], POWERS[name]
         subset = np.asarray([0, 1, 3])
         colors = np.asarray([0, 1, 0, 1, 2] + [0] * (instance.n - 5))
-        with engine_disabled():
-            legacy = (
-                sinr_margins(instance, powers),
-                feasible_subset_mask(instance, powers, subset),
-                is_feasible_subset(instance, powers, subset),
-                is_feasible_partition(instance, powers, colors),
-            )
-        assert engine_enabled()
-        engine = (
-            sinr_margins(instance, powers),
-            feasible_subset_mask(instance, powers, subset),
-            is_feasible_subset(instance, powers, subset),
-            is_feasible_partition(instance, powers, colors),
+        sinr = oracle.SINROracle(instance, powers)
+        threshold = 1.0 - oracle.RTOL
+        subset_margins = np.asarray(sinr.margins(subset.tolist()))
+        assert not any(oracle.near(m, threshold) for m in subset_margins)
+        assert not any(
+            oracle.near(m, threshold) for m in sinr.class_margins(colors)
         )
-        np.testing.assert_array_equal(engine[0], legacy[0])
-        np.testing.assert_array_equal(engine[1], legacy[1])
-        assert engine[2] == legacy[2]
-        assert engine[3] == legacy[3]
+        assert_margins_match(
+            sinr_margins(instance, powers),
+            oracle_margins(instance, powers),
+            1e-12,
+        )
+        np.testing.assert_array_equal(
+            feasible_subset_mask(instance, powers, subset),
+            subset_margins >= threshold,
+        )
+        assert is_feasible_subset(instance, powers, subset) == bool(
+            np.all(subset_margins >= threshold)
+        )
+        assert is_feasible_partition(instance, powers, colors) == sinr.feasible(
+            colors
+        )
 
     def test_budget_slack_sign_matches_feasibility(self):
         instance, powers = POOL["bidir"], POWERS["bidir"]
@@ -147,13 +169,6 @@ class TestContextCache:
         assert plain is not seeded
         assert plain.noise == instance.noise and plain.beta == instance.beta
         assert get_context(instance, powers, noise=5.0, beta=2.0) is seeded
-
-    def test_maybe_context_respects_toggle(self):
-        instance, powers = POOL["bidir"], POWERS["bidir"]
-        assert maybe_context(instance, powers) is not None
-        with engine_disabled():
-            assert maybe_context(instance, powers) is None
-        assert maybe_context(instance, powers) is not None
 
     def test_context_validates_powers(self):
         instance = POOL["bidir"]
@@ -272,18 +287,31 @@ class TestContextCache:
         )
         assert again is sparse
 
-    def test_duplicate_subset_indices_match_legacy(self):
-        """A repeated index in `subset` is two copies of one request;
-        engine and legacy paths must agree on its (in)feasibility."""
+    def test_duplicate_subset_indices_are_two_copies(self):
+        """A repeated index in `subset` is two copies of one request:
+        margins equal the oracle's on an instance holding the request
+        twice."""
         for name in ("bidir", "directed"):
             instance, powers = POOL[name], POWERS[name]
             subset = np.asarray([2, 2])
-            with engine_disabled():
-                legacy_margins = sinr_margins(instance, powers, subset=subset)
-                legacy_ok = is_feasible_subset(instance, powers, subset)
-            engine_margins = sinr_margins(instance, powers, subset=subset)
-            np.testing.assert_array_equal(engine_margins, legacy_margins)
-            assert is_feasible_subset(instance, powers, subset) == legacy_ok
+            twice = Instance(
+                instance.metric,
+                instance.senders[subset],
+                instance.receivers[subset],
+                direction=instance.direction,
+                alpha=instance.alpha,
+                beta=instance.beta,
+                noise=instance.noise,
+            )
+            expected = np.asarray(
+                oracle.SINROracle(twice, powers[subset]).margins([0, 1])
+            )
+            assert_margins_match(
+                sinr_margins(instance, powers, subset=subset), expected, 1e-12
+            )
+            assert is_feasible_subset(instance, powers, subset) == bool(
+                np.all(expected >= 1.0 - oracle.RTOL)
+            )
 
     def test_context_immune_to_caller_mutation(self):
         instance = POOL["bidir"]
@@ -298,27 +326,23 @@ class TestContextCache:
 
 class TestGreedyOnContext:
     @pytest.mark.parametrize("name", sorted(POOL))
-    def test_greedy_matches_legacy(self, name):
+    @pytest.mark.parametrize("beta_factor", [1.0, 0.5])
+    def test_greedy_matches_oracle(self, name, beta_factor):
+        """Full gain and the rescaled gain of the Theorem 15 repair."""
         from repro.analysis.capacity import greedy_max_feasible_subset
 
         instance, powers = POOL[name], POWERS[name]
-        with engine_disabled():
-            legacy = greedy_max_feasible_subset(instance, powers)
-        engine = greedy_max_feasible_subset(instance, powers)
-        np.testing.assert_array_equal(engine, legacy)
-        # Also at a rescaled gain (the Theorem 15 repair setting).
-        with engine_disabled():
-            legacy_half = greedy_max_feasible_subset(
-                instance, powers, beta=instance.beta / 2.0
-            )
-        engine_half = greedy_max_feasible_subset(
-            instance, powers, beta=instance.beta / 2.0
+        beta = instance.beta * beta_factor
+        replay = oracle.peel(instance, powers, beta=beta)
+        assert not replay.ambiguous
+        np.testing.assert_array_equal(
+            greedy_max_feasible_subset(instance, powers, beta=beta),
+            replay.value,
         )
-        np.testing.assert_array_equal(engine_half, legacy_half)
 
 
 # ----------------------------------------------------------------------
-# Property-based: ClassAccumulator vs from-scratch sinr_margins
+# Property-based: ClassAccumulator vs the oracle
 # ----------------------------------------------------------------------
 
 
@@ -349,15 +373,10 @@ def test_accumulator_matches_from_scratch_margins(name, ops):
     if not members:
         assert acc.feasible()
         return
-    subset = np.asarray(sorted(members), dtype=int)
-    with engine_disabled():
-        expected = sinr_margins(instance, powers, subset=subset)
-    got = acc.margins()
+    expected = oracle_margins(instance, powers, subset=sorted(members))
     # inf/0 entries (shared-node pairs) must match exactly; finite
     # entries to 1e-9 relative.
-    finite = np.isfinite(expected) & (expected > 0)
-    np.testing.assert_array_equal(got[~finite], expected[~finite])
-    np.testing.assert_allclose(got[finite], expected[finite], rtol=1e-9)
+    assert_margins_match(acc.margins(), expected, 1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -368,8 +387,8 @@ def test_accumulator_matches_from_scratch_margins(name, ops):
 )
 def test_accumulator_interference_at_outsiders(name, ops, probe):
     """The accumulator answers "what would request i suffer if it
-    joined?" for non-members too — checked against a from-scratch
-    computation on members + probe."""
+    joined?" for non-members too — checked against the oracle on
+    members + probe."""
     instance, powers = POOL[name], POWERS[name]
     context = get_context(instance, powers)
     acc = context.accumulator()
@@ -377,10 +396,9 @@ def test_accumulator_interference_at_outsiders(name, ops, probe):
     probe = probe % instance.n
     if probe in members:
         return
-    trial = np.asarray(sorted(members + [probe]), dtype=int)
-    with engine_disabled():
-        expected = sinr_margins(instance, powers, subset=trial)
-    expected_probe = expected[int(np.searchsorted(trial, probe))]
+    expected_probe = oracle.SINROracle(instance, powers).margin(
+        probe, members + [probe]
+    )
     got_interf = acc.interference(np.asarray([probe]))[0]
     signal = context.signals[probe]
     if np.isinf(got_interf):
@@ -401,9 +419,11 @@ def test_accumulator_feasible_matches_is_feasible_subset(name, ops):
     instance, powers = POOL[name], POWERS[name]
     acc = get_context(instance, powers).accumulator()
     members = _apply_ops(acc, ops)
-    with engine_disabled():
-        expected = is_feasible_subset(instance, powers, sorted(members))
-    assert acc.feasible() == expected
+    margins = oracle.SINROracle(instance, powers).margins(members)
+    threshold = 1.0 - oracle.RTOL
+    if any(oracle.near(m, threshold) for m in margins):
+        return  # too close to call at the accumulator's 1e-9 agreement
+    assert acc.feasible() == all(m >= threshold for m in margins)
 
 
 class TestAccumulatorUnit:

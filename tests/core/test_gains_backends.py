@@ -19,7 +19,7 @@ Contracts under test (see :mod:`repro.core.gains`):
 import numpy as np
 import pytest
 
-from repro.core.context import clear_context_cache, engine_disabled, get_context
+from repro.core.context import clear_context_cache, get_context
 from repro.core.gains import (
     ArrayBackend,
     BackendConfig,
@@ -515,16 +515,6 @@ class TestBackendSelection:
         sparse = dense.derive(backend="sparse")
         assert sparse.key() != BackendConfig("sparse").key()
         assert sparse.pruning_epsilon == 0.05
-
-    def test_engine_disabled_ignores_backend(self):
-        """The legacy (engine-off) path stays the dense from-scratch
-        reference regardless of the backend default."""
-        instance = random_uniform_instance(12, rng=9)
-        powers = SquareRootPower()(instance)
-        expected = first_fit_schedule(instance, powers).colors
-        with config_scope(backend="sparse"), engine_disabled():
-            legacy = first_fit_schedule(instance, powers).colors
-        np.testing.assert_array_equal(legacy, expected)
 
     def test_dense_backend_reuses_context_arrays(self):
         instance = random_uniform_instance(8, rng=2)

@@ -2,11 +2,15 @@
 
 Contracts under test (see :func:`repro.core.kernels.peel_max_feasible_subset`):
 
-* the incremental peel returns exactly the same subset as the retained
-  compacting reference (``peel_incremental_disabled()``) and as the
-  PR-1 from-scratch reference, across the conformance grid — directed
-  and bidirectional instances, shared nodes (infinite gains), candidate
-  subsets, beta overrides, and epsilon-pruned sparse backends;
+* the incremental peel returns exactly the same subset as the plain
+  per-round reference
+  (:meth:`~repro.core.context.InterferenceContext.greedy_max_feasible_subset`)
+  and, on lossless backends, as the independent oracle's replay
+  (``tests/oracle.py``) whenever that replay is unambiguous — across
+  directed and bidirectional instances, shared nodes (infinite gains),
+  candidate subsets, beta overrides, and epsilon-pruned sparse
+  backends;
+* candidates outside ``[0, n)`` are rejected;
 * tolerance-window decisions (argmin ties, threshold crossings) are
   resolved exactly and counted as ``peel_risk_events``;
 * heap/argmin tie-breaking is deterministic (golden subset, stable
@@ -24,14 +28,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
+from repro.analysis.capacity import greedy_max_feasible_subset
 from repro.core.context import clear_context_cache, get_context
 from repro.core.gains import build_backend, config_scope, default_config
 from repro.core.instance import Direction, Instance
 from repro.core.kernels import (
     PeelFallbackInfo,
     peel_fallback_records,
-    peel_incremental_disabled,
-    peel_incremental_enabled,
     peel_max_feasible_subset,
     peel_risk_events,
     reset_peel_events,
@@ -77,20 +81,21 @@ def _mirror_quad_instance():
 
 
 def _both_ways(context, candidates=None, beta=None):
+    """The incremental peel against the per-round reference (bitwise)
+    and, on a lossless backend, the oracle's unambiguous replay."""
     incremental = peel_max_feasible_subset(
         context, candidates=candidates, beta=beta
     )
-    assert peel_incremental_enabled()
-    with peel_incremental_disabled():
-        assert not peel_incremental_enabled()
-        reference = peel_max_feasible_subset(
-            context, candidates=candidates, beta=beta
-        )
-    scratch = context.greedy_max_feasible_subset(
+    reference = context.greedy_max_feasible_subset(
         candidates=candidates, beta=beta
     )
     np.testing.assert_array_equal(incremental, reference)
-    np.testing.assert_array_equal(incremental, scratch)
+    if context.config.pruning_epsilon == 0.0:
+        replay = oracle.peel(
+            context.instance, context.powers, candidates=candidates, beta=beta
+        )
+        if not replay.ambiguous:
+            np.testing.assert_array_equal(incremental, replay.value)
     return incremental
 
 
@@ -251,6 +256,25 @@ class TestDuplicateFallback:
         ctx = get_context(inst, SquareRootPower()(inst))
         peel_max_feasible_subset(ctx, candidates=[0, 1, 3, 4])
         assert peel_fallback_records() == ()
+
+
+class TestCandidateRange:
+    @pytest.mark.parametrize("j", range(12))
+    def test_negative_alias_rejected(self, j):
+        """Regression: ``j - n`` used to wrap to request ``j``, so the
+        peel counted one request twice without a fallback record."""
+        inst = random_uniform_instance(12, rng=0)
+        powers = SquareRootPower()(inst)
+        candidates = list(range(12)) + [j - 12]
+        with pytest.raises(ValueError, match=f"candidate {j - 12} at position 12"):
+            greedy_max_feasible_subset(inst, powers, candidates=candidates)
+        assert peel_fallback_records() == ()
+
+    def test_index_past_end_rejected(self):
+        inst = random_uniform_instance(6, rng=1)
+        ctx = get_context(inst, SquareRootPower()(inst))
+        with pytest.raises(ValueError, match=r"candidate 6 at position 1 .*\[0, 6\)"):
+            peel_max_feasible_subset(ctx, candidates=[0, 6])
 
 
 class TestSparseNeverDensifies:

@@ -16,6 +16,7 @@ real-process equivalence is covered by ``test_process_and_faults.py``.
 import numpy as np
 import pytest
 
+import oracle
 from repro.api import Problem
 from repro.core.context import clear_context_cache, get_context
 from repro.core.gains import build_backend, config_scope, default_config
@@ -172,6 +173,9 @@ class TestLosslessBitIdentity:
         ):
             sharded = first_fit_schedule(instance, powers)
         np.testing.assert_array_equal(baseline.colors, sharded.colors)
+        replay = oracle.first_fit(instance, powers)
+        assert not replay.ambiguous
+        np.testing.assert_array_equal(sharded.colors, replay.value)
 
 
 class TestPrunedMatchesSparse:

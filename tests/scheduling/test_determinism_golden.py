@@ -1,17 +1,16 @@
 """Determinism regression: pinned golden schedules.
 
-The golden colorings below were produced by the pre-engine
-implementation (before the shared ``InterferenceContext`` refactor) on
-two small instances.  ``first_fit_schedule`` and ``sqrt_coloring``
-must keep reproducing them bit-for-bit, with the engine on *and* off —
-any divergence means the refactor changed scheduling decisions, not
-just their cost.
+The golden colorings below were produced by the implementation that
+predates the shared ``InterferenceContext`` on two small instances.
+``first_fit_schedule`` and ``sqrt_coloring`` must keep reproducing them
+bit-for-bit — any divergence means a refactor changed scheduling
+decisions, not just their cost.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.context import clear_context_cache, engine_disabled
+from repro.core.context import clear_context_cache
 from repro.instances.random_instances import random_uniform_instance
 from repro.power.oblivious import SquareRootPower
 from repro.scheduling.firstfit import first_fit_schedule
@@ -40,40 +39,34 @@ def _instances():
     }
 
 
-@pytest.fixture(params=["engine", "legacy"])
-def engine_mode(request):
+@pytest.fixture(autouse=True)
+def _fresh_cache():
     clear_context_cache()
-    if request.param == "legacy":
-        with engine_disabled():
-            yield request.param
-    else:
-        yield request.param
+    yield
     clear_context_cache()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_first_fit_matches_golden(engine_mode, name):
+def test_first_fit_matches_golden(name):
     instance = _instances()[name]
     powers = SquareRootPower()(instance)
     schedule = first_fit_schedule(instance, powers)
     assert schedule.colors.tolist() == GOLDEN[name]["first_fit"], (
-        f"first_fit diverged from the pre-refactor golden on {name} "
-        f"({engine_mode} path)"
+        f"first_fit diverged from the pre-refactor golden on {name}"
     )
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_sqrt_coloring_matches_golden(engine_mode, name):
+def test_sqrt_coloring_matches_golden(name):
     instance = _instances()[name]
     schedule, _ = sqrt_coloring(instance, rng=42)
     assert schedule.colors.tolist() == GOLDEN[name]["sqrt_coloring"], (
-        f"sqrt_coloring diverged from the pre-refactor golden on {name} "
-        f"({engine_mode} path)"
+        f"sqrt_coloring diverged from the pre-refactor golden on {name}"
     )
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_identical_seeds_identical_schedules(engine_mode, name):
+def test_identical_seeds_identical_schedules(name):
     """Same seed twice -> bitwise-identical output (no hidden state)."""
     instance = _instances()[name]
     first, _ = sqrt_coloring(instance, rng=7)

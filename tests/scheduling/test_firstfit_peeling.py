@@ -1,9 +1,12 @@
 """Tests for first-fit and peeling schedulers."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Problem
+from repro.core.batch import ContextBatch
 from repro.core.instance import Instance
 from repro.geometry.line import LineMetric
 from repro.instances.random_instances import clustered_instance, random_uniform_instance
@@ -58,6 +61,46 @@ class TestFirstFit:
         sched = first_fit_schedule(small_random_instance, powers)
         used = np.unique(sched.colors)
         assert np.array_equal(used, np.arange(used.size))
+
+
+#: Orders that are not a permutation of range(8), with the entry each
+#: error must name.
+BAD_ORDERS = {
+    "negative": ([-8, 1, 2, 3, 4, 5, 6, 7], "order entry -8 at position 0"),
+    "short": ([0, 1, 2, 3, 4, 5, 6], "7 entries for 8 requests; request 7"),
+    "duplicate": ([0, 1, 2, 0, 4, 5, 6, 7], "repeats request 0 at position 3"),
+    "past-end": ([0, 1, 2, 3, 4, 5, 6, 8], "order entry 8 at position 7"),
+}
+
+
+class TestFirstFitOrderValidation:
+    """Regression: a negative entry used to wrap around, and short,
+    duplicated or past-the-end orders failed with unrelated errors."""
+
+    @pytest.fixture
+    def pair(self):
+        instance = random_uniform_instance(8, rng=0)
+        return instance, SquareRootPower()(instance)
+
+    @pytest.mark.parametrize("case", sorted(BAD_ORDERS))
+    def test_free_function(self, pair, case):
+        order, message = BAD_ORDERS[case]
+        with pytest.raises(ValueError, match=message):
+            first_fit_schedule(*pair, order=order)
+
+    @pytest.mark.parametrize("case", sorted(BAD_ORDERS))
+    def test_session(self, pair, case):
+        order, message = BAD_ORDERS[case]
+        session = Problem(pair[0], powers=pair[1]).session()
+        with pytest.raises(ValueError, match=message):
+            session.schedule("first_fit", order=order)
+
+    @pytest.mark.parametrize("case", sorted(BAD_ORDERS))
+    def test_batch(self, pair, case):
+        order, message = BAD_ORDERS[case]
+        batch = ContextBatch([pair, pair])
+        with pytest.raises(ValueError, match=f"pair 1: .*{message}"):
+            batch.first_fit_schedules(orders=[np.arange(8), order])
 
 
 class TestFirstFitFreePower:

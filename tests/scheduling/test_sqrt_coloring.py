@@ -155,17 +155,6 @@ class TestSingleRequestFallback:
         assert sorted(schedule.colors.tolist()) == list(range(inst.n))
         assert stats.class_sizes == [1] * inst.n
 
-    def test_fallback_matches_between_engine_paths(self):
-        from repro.core.context import clear_context_cache, engine_disabled
-
-        clear_context_cache()
-        _, (engine_schedule, _) = self._run(noise=1e12)
-        with engine_disabled():
-            _, (legacy_schedule, _) = self._run(noise=1e12)
-        assert (
-            engine_schedule.colors.tolist() == legacy_schedule.colors.tolist()
-        )
-
     def test_fallback_picks_longest_first(self):
         import numpy as np
 

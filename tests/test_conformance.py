@@ -3,23 +3,28 @@
 Every scheduler in :mod:`repro.scheduling` is run over a shared grid
 of instances — directed x bidirectional, Euclidean / line / tree
 metrics, n in {1, 2, 8, 32}, plus shared-node adversarial cases — and
-every emitted schedule must satisfy
-:func:`repro.core.feasibility.is_feasible_partition`.
+every emitted schedule must
 
-The whole grid runs twice: once with the shared interference engine on
-the call path (the default) and once with it disabled
-(:func:`repro.core.context.engine_disabled` restores the pre-engine
-from-scratch computation), so a regression in either path — or any
-divergence in feasibility semantics between them — fails loudly.
+* satisfy :func:`repro.core.feasibility.is_feasible_partition` *and*
+  the independent SINR oracle of ``tests/oracle.py``;
+* reproduce, bit for bit, the golden coloring in
+  ``tests/data/scheduler_goldens.json``.  The goldens were recorded at
+  commit 4024ade, where every scheduler still had its from-scratch and
+  accumulator reference paths, and each golden was checked identical
+  across all of them before it was written;
+* for first-fit, peeling and local search, equal the oracle's
+  brute-force replay of the greedy decisions whenever the replay is
+  unambiguous.
 """
 
-import contextlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.context import clear_context_cache, engine_disabled
-from repro.core.kernels import kernels_disabled
+import oracle
+from repro.core.context import clear_context_cache
 from repro.core.feasibility import is_feasible_partition
 from repro.core.instance import Direction, Instance
 from repro.geometry.line import LineMetric
@@ -122,24 +127,21 @@ def _schedulers():
 
 SCHEDULERS = _schedulers()
 
+GOLDENS = json.loads(
+    (Path(__file__).parent / "data" / "scheduler_goldens.json").read_text()
+)["conformance"]
 
-@pytest.fixture(params=["engine", "legacy"])
-def engine_mode(request):
-    """Run the test body with the context engine enabled or disabled."""
+
+@pytest.fixture(autouse=True)
+def _fresh_cache():
     clear_context_cache()
-    if request.param == "legacy":
-        with engine_disabled():
-            yield request.param
-    else:
-        yield request.param
+    yield
     clear_context_cache()
 
 
 @pytest.mark.parametrize("scheduler_name", sorted(SCHEDULERS))
 @pytest.mark.parametrize("instance_name", sorted(GRID))
-def test_scheduler_emits_feasible_partition(
-    engine_mode, instance_name, scheduler_name
-):
+def test_scheduler_emits_feasible_partition(instance_name, scheduler_name):
     instance = GRID[instance_name]
     if scheduler_name == "exact" and instance.n > MAX_EXACT_N:
         pytest.skip(f"exact solver caps at n={MAX_EXACT_N}")
@@ -150,13 +152,20 @@ def test_scheduler_emits_feasible_partition(
     assert np.all(schedule.colors >= 0)
     assert np.all(schedule.powers > 0)
     assert is_feasible_partition(instance, schedule.powers, schedule.colors), (
-        f"{scheduler_name} emitted an infeasible schedule on {instance_name} "
-        f"({engine_mode} path)"
+        f"{scheduler_name} emitted an infeasible schedule on {instance_name}"
+    )
+    assert oracle.SINROracle(instance, schedule.powers).feasible(
+        schedule.colors
+    ), f"{scheduler_name} on {instance_name} is infeasible per the oracle"
+    np.testing.assert_array_equal(
+        schedule.colors,
+        GOLDENS[scheduler_name][instance_name],
+        err_msg=f"{scheduler_name} on {instance_name} differs from its golden",
     )
 
 
 @pytest.mark.parametrize("instance_name", sorted(GRID))
-def test_gain_scaling_respects_target(engine_mode, instance_name):
+def test_gain_scaling_respects_target(instance_name):
     """The rescaled coloring must be feasible at the *stricter* gain."""
     instance = GRID[instance_name]
     powers = SquareRootPower()(instance)
@@ -165,64 +174,39 @@ def test_gain_scaling_respects_target(engine_mode, instance_name):
     assert is_feasible_partition(
         instance, schedule.powers, schedule.colors, beta=target
     )
+    assert oracle.SINROracle(instance, schedule.powers, beta=target).feasible(
+        schedule.colors
+    )
 
 
-#: The four engine/kernels toggle combinations: every scheduler must
-#: emit an *identical* schedule on each (kernels only matter when the
-#: engine is on, but the combination must still hold trivially).
-TOGGLE_COMBOS = {
-    "engine+kernels": (),
-    "engine-only": ("kernels",),
-    "legacy+kernels": ("engine",),
-    "legacy-only": ("engine", "kernels"),
+def _local_search_replay(instance, powers):
+    """Local search from first-fit, ambiguous if either replay is."""
+    seed = oracle.first_fit(instance, powers)
+    replay = oracle.local_search(instance, powers, seed.value)
+    return oracle.Replay(replay.value, seed.ambiguous or replay.ambiguous)
+
+
+#: Oracle replays of the greedy schedulers, keyed like SCHEDULERS.
+REPLAYS = {
+    "first_fit": oracle.first_fit,
+    "peeling": oracle.peeling,
+    "local_search": _local_search_replay,
 }
 
 
-def _toggle_stack(disabled):
-    stack = contextlib.ExitStack()
-    if "engine" in disabled:
-        stack.enter_context(engine_disabled())
-    if "kernels" in disabled:
-        stack.enter_context(kernels_disabled())
-    return stack
-
-
-@pytest.mark.parametrize("scheduler_name", sorted(SCHEDULERS))
-@pytest.mark.parametrize(
-    "instance_name",
-    sorted(
-        name
-        for name in GRID
-        if name.endswith(("n8", "n32")) or "shared-node" in name
-    ),
-)
-def test_all_toggle_combinations_emit_identical_schedules(
-    instance_name, scheduler_name
-):
-    """Satellite coverage: engine_disabled() and kernels_disabled()
-    nest in all four on/off combinations, and every combination must
-    produce the same schedule (randomized schedulers get identical
-    seeds per combination)."""
+@pytest.mark.parametrize("scheduler_name", sorted(REPLAYS))
+@pytest.mark.parametrize("instance_name", sorted(GRID))
+def test_greedy_decisions_match_oracle(instance_name, scheduler_name):
+    """First-fit, peeling and local search make exactly the greedy
+    decisions the oracle replays, unless a decision is too close to
+    call (then only feasibility, checked above, is required)."""
     instance = GRID[instance_name]
-    if scheduler_name == "exact" and instance.n > MAX_EXACT_N:
-        pytest.skip(f"exact solver caps at n={MAX_EXACT_N}")
-    scheduler = SCHEDULERS[scheduler_name]
-    results = {}
-    for combo, disabled in TOGGLE_COMBOS.items():
-        clear_context_cache()
-        with _toggle_stack(disabled):
-            schedule = scheduler(instance, np.random.default_rng(99))
-        results[combo] = schedule.colors
-    reference = results["engine+kernels"]
-    for combo, colors in results.items():
-        np.testing.assert_array_equal(
-            colors,
-            reference,
-            err_msg=(
-                f"{scheduler_name} on {instance_name}: schedule under "
-                f"{combo} differs from engine+kernels"
-            ),
-        )
+    powers = SquareRootPower()(instance)
+    replay = REPLAYS[scheduler_name](instance, powers)
+    if replay.ambiguous:
+        pytest.skip("a decision lies within 1e-9 of its boundary")
+    schedule = SCHEDULERS[scheduler_name](instance, np.random.default_rng(99))
+    np.testing.assert_array_equal(schedule.colors, replay.value)
 
 
 #: Session.schedule equivalents of the legacy free-function calls
@@ -301,7 +285,7 @@ def test_session_matches_legacy_free_functions(
 @pytest.mark.parametrize(
     "direction", [Direction.DIRECTED, Direction.BIDIRECTIONAL]
 )
-def test_shared_node_pairs_never_share_colors(engine_mode, direction):
+def test_shared_node_pairs_never_share_colors(direction):
     """On the shared-node chain, adjacent requests have infinite mutual
     gain; every scheduler must keep them in distinct colors."""
     instance = _shared_node_instance(direction)
