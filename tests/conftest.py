@@ -27,6 +27,27 @@ def dense_backend():
         yield
 
 
+@pytest.fixture(params=["cold", "warm"])
+def prime_context_cache(request):
+    """Run a test once on a cleared context cache ("cold") and once on
+    a cache an identical earlier call has already filled ("warm").
+
+    Cached :class:`~repro.core.context.InterferenceContext` objects are
+    shared by every later call on the same ``(instance, powers)``, so a
+    schedule must not depend on what an earlier call left in them.
+    Yields ``prime(fn)``: calls *fn* once in warm mode, nothing in cold.
+    """
+    from repro.core.context import clear_context_cache
+
+    def prime(fn):
+        if request.param == "warm":
+            fn()
+
+    clear_context_cache()
+    yield prime
+    clear_context_cache()
+
+
 @pytest.fixture
 def line_metric():
     """Five points on the line: 0, 1, 3, 6, 10."""

@@ -3,14 +3,14 @@
 The golden colorings below were produced by the implementation that
 predates the shared ``InterferenceContext`` on two small instances.
 ``first_fit_schedule`` and ``sqrt_coloring`` must keep reproducing them
-bit-for-bit — any divergence means a refactor changed scheduling
+bit-for-bit, on a cold context cache and on one an identical earlier
+call has filled — any divergence means a refactor changed scheduling
 decisions, not just their cost.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.context import clear_context_cache
 from repro.instances.random_instances import random_uniform_instance
 from repro.power.oblivious import SquareRootPower
 from repro.scheduling.firstfit import first_fit_schedule
@@ -39,37 +39,44 @@ def _instances():
     }
 
 
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    clear_context_cache()
-    yield
-    clear_context_cache()
-
-
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_first_fit_matches_golden(name):
+def test_first_fit_matches_golden(prime_context_cache, name):
     instance = _instances()[name]
-    powers = SquareRootPower()(instance)
-    schedule = first_fit_schedule(instance, powers)
+
+    def run():
+        return first_fit_schedule(instance, SquareRootPower()(instance))
+
+    prime_context_cache(run)
+    schedule = run()
     assert schedule.colors.tolist() == GOLDEN[name]["first_fit"], (
         f"first_fit diverged from the pre-refactor golden on {name}"
     )
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_sqrt_coloring_matches_golden(name):
+def test_sqrt_coloring_matches_golden(prime_context_cache, name):
     instance = _instances()[name]
-    schedule, _ = sqrt_coloring(instance, rng=42)
+
+    def run():
+        return sqrt_coloring(instance, rng=42)[0]
+
+    prime_context_cache(run)
+    schedule = run()
     assert schedule.colors.tolist() == GOLDEN[name]["sqrt_coloring"], (
         f"sqrt_coloring diverged from the pre-refactor golden on {name}"
     )
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_identical_seeds_identical_schedules(name):
+def test_identical_seeds_identical_schedules(prime_context_cache, name):
     """Same seed twice -> bitwise-identical output (no hidden state)."""
     instance = _instances()[name]
-    first, _ = sqrt_coloring(instance, rng=7)
-    second, _ = sqrt_coloring(instance, rng=7)
+
+    def run():
+        return sqrt_coloring(instance, rng=7)[0]
+
+    prime_context_cache(run)
+    first = run()
+    second = run()
     np.testing.assert_array_equal(first.colors, second.colors)
     np.testing.assert_array_equal(first.powers, second.powers)
