@@ -31,18 +31,13 @@ Package map
 ``repro.instances``   adversarial (Thm 1), nested, random generators
 ``repro.analysis``    power control, capacity, OPT bounds, verification
 ``repro.experiments`` one module per paper claim (E1 .. E10)
-
-The legacy free functions (``first_fit_schedule`` …) re-exported here
-are deprecation shims; see the README migration table.
 """
 
-from repro._deprecation import ReproDeprecationWarning
 from repro.api import (
     BatchSession,
     Problem,
     Provenance,
     RequestHandle,
-    RequestHandles,
     ScheduleResult,
     Session,
     schedule_batch,
@@ -142,16 +137,6 @@ from repro.power import (
     geometric_power,
 )
 from repro.distributed import ShardedBackend, distributed_protocol
-from repro.scheduling import (
-    distributed_coloring,
-    exact_minimum_colors,
-    first_fit_free_power_schedule,
-    first_fit_schedule,
-    peeling_schedule,
-    protocol_schedule,
-    sqrt_coloring,
-    trivial_schedule,
-)
 from repro.serialization import dumps as schedule_dumps
 from repro.serialization import loads as schedule_loads
 
@@ -166,14 +151,12 @@ __all__ = [
     "ScheduleResult",
     "Provenance",
     "RequestHandle",
-    "RequestHandles",
     "schedule_batch",
     "AlgorithmSpec",
     "AlgorithmCapabilities",
     "get_algorithm",
     "list_algorithms",
     "run_algorithm",
-    "ReproDeprecationWarning",
     # core
     "Instance",
     "Direction",
@@ -221,16 +204,8 @@ __all__ = [
     "ExplicitPower",
     "geometric_power",
     # scheduling
-    "trivial_schedule",
-    "first_fit_schedule",
-    "first_fit_free_power_schedule",
-    "peeling_schedule",
-    "sqrt_coloring",
-    "protocol_schedule",
-    "distributed_coloring",
     "distributed_protocol",
     "ShardedBackend",
-    "exact_minimum_colors",
     "schedule_dumps",
     "schedule_loads",
     # node-loss / embedding

@@ -32,9 +32,9 @@ kernels, the pluggable gain backends and the batched
   :class:`~repro.core.batch.ContextBatch` when the algorithm has a
   batched kernel.
 
-Every result is bit-identical to the legacy free functions (which are
-now deprecation shims around the very same implementations); the
-conformance suite asserts this on both dense and sparse backends.
+Every result is bit-identical to calling the submodule implementations
+directly; the conformance suite asserts this on both dense and sparse
+backends.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro._deprecation import warn_deprecated
 from repro.core.batch import BatchFallbackInfo, ContextBatch, ContextPool
 from repro.core.context import (
     DEFAULT_RTOL,
@@ -81,7 +80,6 @@ __all__ = [
     "Problem",
     "Provenance",
     "RequestHandle",
-    "RequestHandles",
     "ScheduleResult",
     "Session",
     "schedule_batch",
@@ -106,7 +104,7 @@ class Provenance:
     params:
         The algorithm-specific keyword arguments, as passed.
     backend:
-        Resolved gain-backend name (``"dense"``/``"sparse"``).
+        Resolved gain-backend name (``"dense"``/``"sparse"``/``"sharded"``).
     sparse_epsilon:
         Resolved pruning budget (``0.0`` on dense / lossless runs).
     wall_seconds:
@@ -175,39 +173,6 @@ class RequestHandle:
     receiver: int
 
 
-class RequestHandles(list):
-    """The list of :class:`RequestHandle` returned by
-    :meth:`Session.add_requests`.
-
-    Compatibility shim: ``add_requests`` used to return the session
-    itself for chaining (``session.add_requests(...).reschedule()``).
-    Unknown attribute access forwards to the owning session with a
-    :class:`~repro._deprecation.ReproDeprecationWarning`, so the old
-    chaining idiom keeps working while migrating callers see exactly
-    where they rely on it.
-    """
-
-    def __init__(self, handles: Sequence[RequestHandle], session: "Session"):
-        super().__init__(handles)
-        self._session = session
-
-    def __getattr__(self, name: str) -> Any:
-        if name.startswith("_"):
-            raise AttributeError(name)
-        session = self.__dict__.get("_session")
-        if session is None or not hasattr(session, name):
-            raise AttributeError(name)
-        warn_deprecated(
-            f"Session.add_requests(...).{name}",
-            replacement=(
-                "the Session itself (add_requests now returns "
-                "RequestHandles, not the session)"
-            ),
-            stacklevel=3,
-        )
-        return getattr(session, name)
-
-
 @dataclass(frozen=True)
 class ScheduleResult:
     """A schedule plus the provenance of its computation."""
@@ -261,7 +226,7 @@ class Problem:
         :class:`~repro.core.gains.BackendConfig`, so a typo fails here,
         not deep inside ``get_context``); every context the problem's
         sessions create, and every algorithm run, uses that config.
-        *device* requires ``backend="array"``, and *workers* /
+        *device* requires ``backend="dense"``, and *workers* /
         *shard_executor* require ``backend="sharded"``.
     """
 
@@ -467,7 +432,7 @@ class Session:
         self,
         pairs: Sequence[Tuple[int, int]],
         powers: Optional[Sequence[float]] = None,
-    ) -> "RequestHandles":
+    ) -> List[RequestHandle]:
         """Append requests (``(sender, receiver)`` node pairs on the
         same metric) and grow the cached context **in place**.
 
@@ -488,13 +453,11 @@ class Session:
         the metric up front, naming the offending pair.
 
         Returns the new requests' stable :class:`RequestHandle` list
-        (hand them back to :meth:`remove_requests`).  The historical
-        return-``self`` chaining still works through a deprecation shim
-        on the returned :class:`RequestHandles`.
+        (hand them back to :meth:`remove_requests`).
         """
         pairs = [(int(p[0]), int(p[1])) for p in pairs]
         if not pairs:
-            return RequestHandles([], self)
+            return []
         self._fire_fault("add_requests:pre")
         old = self.problem.instance
         metric_size = old.metric.n
@@ -578,7 +541,7 @@ class Session:
                 RequestHandle(uid=uid, sender=sender, receiver=receiver)
             )
         self._arrivals += len(pairs)
-        return RequestHandles(handles, self)
+        return handles
 
     def remove_requests(
         self, handles: Sequence[Union[RequestHandle, int]]

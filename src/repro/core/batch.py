@@ -100,17 +100,15 @@ class BatchFallbackInfo:
     detail: str
 
 
-# Call sites that already logged a lossy-backend fallback WARNING —
-# keyed like :func:`repro._deprecation.warn_deprecated` so a batch
+# Call sites that already logged a lossy-backend fallback WARNING,
+# keyed by the call site's ``(filename, lineno)`` so a batch
 # constructed inside a loop warns once, not once per construction.
 _warned_fallback_sites: Set[Tuple[str, int]] = set()
 
 
 def reset_batch_fallback_registry() -> None:
     """Forget which call sites already logged a fallback ``WARNING``
-    (repeats log at ``DEBUG``).  Mirrors
-    :func:`repro._deprecation.reset_deprecation_registry`; used by
-    tests."""
+    (repeats log at ``DEBUG``); used by tests."""
     _warned_fallback_sites.clear()
 
 
@@ -351,9 +349,10 @@ class ContextBatch:
         """The ``(B, n, n)`` gain stacks, assembled through backend
         block primitives.
 
-        All-dense batches stack the cached per-context arrays directly;
-        any other lossless backend (``epsilon = 0`` sparse, array) is
-        tiled into the preallocated stack via
+        Batches of numpy dense contexts stack the per-context arrays
+        directly; any other lossless backend (``epsilon = 0`` sparse,
+        dense in another array namespace) is tiled into the
+        preallocated stack via
         :meth:`~repro.core.gains.GainBackend.cross_block_u` /
         ``cross_block_v`` in :data:`~repro.core.gains.DEFAULT_TILE_ROWS`
         row strips — the backend never materializes its own full dense
@@ -361,10 +360,11 @@ class ContextBatch:
         arrays (the backend conformance contract), so the stacked
         queries stay exact.
         """
-        if all(ctx.config.backend == "dense" for ctx in self.contexts):
-            directed = all(
-                ctx.gains_u is ctx.gains_v for ctx in self.contexts
-            )
+        if all(
+            ctx.config.backend == "dense" and ctx.config.array_namespace == "numpy"
+            for ctx in self.contexts
+        ):
+            directed = all(ctx.backend.directed for ctx in self.contexts)
             if transposed:
                 # Transpose straight into the stack instead of stacking
                 # the per-context transpose caches: materializing

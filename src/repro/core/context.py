@@ -87,7 +87,6 @@ import numpy as np
 from repro.core.errors import InvalidScheduleError
 from repro.core.gains import (
     BackendConfig,
-    DenseBackend,
     GainBackend,
     build_backend,
     default_config,
@@ -199,8 +198,8 @@ class InterferenceContext:
         """The gain backend (built lazily on first use, then shared).
 
         All interference math routes through its primitives; see
-        :mod:`repro.core.gains` for the protocol and the dense/sparse
-        implementations.
+        :mod:`repro.core.gains` for the protocol and the dense, sparse
+        and sharded implementations.
         """
         if self._backend is None:
             self._backend = build_backend(
@@ -223,40 +222,30 @@ class InterferenceContext:
         the directed variant; read-only on the dense backend).
 
         Compatibility property for dense-only consumers (stacked
-        batching, affectance analyses): on a sparse backend every
-        access **materializes** an O(n^2) array — hot paths use the
-        :attr:`backend` primitives instead.
+        batching, affectance analyses): the dense backend's numpy
+        storage is returned without a copy, but a sparse backend
+        **materializes** an O(n^2) array on every access — hot paths
+        use the :attr:`backend` primitives instead.
         """
-        backend = self.backend
-        if isinstance(backend, DenseBackend):
-            return backend.gains_u
-        return backend.dense_u()
+        return self.backend.dense_u()
 
     @property
     def gains_v(self) -> np.ndarray:
         """Gain matrix at endpoint ``v`` (aliases :attr:`gains_u` in the
-        directed variant; see :attr:`gains_u` for the sparse caveat)."""
-        backend = self.backend
-        if isinstance(backend, DenseBackend):
-            return backend.gains_v
-        if backend.directed:
-            return backend.dense_u()
-        return backend.dense_v()
+        directed variant on the dense backend; see :attr:`gains_u` for
+        the sparse caveat)."""
+        return self.backend.dense_v()
 
     @property
     def worst_gains(self) -> np.ndarray:
         """Worst-endpoint gain matrix ``max(G_u, G_v)``.
 
         The matrix affectance and conflict-graph analyses work on; in
-        the directed variant it is :attr:`gains_u` itself.  Sparse
-        backends materialize it per call (see :attr:`gains_u`).
+        the directed variant it is :attr:`gains_u` itself.  Cached on
+        the dense backend; sparse backends materialize it per call
+        (see :attr:`gains_u`).
         """
-        backend = self.backend
-        if isinstance(backend, DenseBackend):
-            return backend.worst_gains
-        if backend.directed:
-            return backend.dense_u()
-        return np.maximum(backend.dense_u(), backend.dense_v())
+        return self.backend.dense_worst()
 
     @property
     def gains_ut(self) -> np.ndarray:
@@ -269,21 +258,14 @@ class InterferenceContext:
         ``backend.col_u(j)``, which reads this layout on the dense
         backend and a transposed CSR row on the sparse one.
         """
-        backend = self.backend
-        if isinstance(backend, DenseBackend):
-            return backend.gains_ut
-        return backend.dense_ut()
+        return self.backend.dense_ut()
 
     @property
     def gains_vt(self) -> np.ndarray:
         """Contiguous transpose of :attr:`gains_v` (aliases
-        :attr:`gains_ut` in the directed variant)."""
-        backend = self.backend
-        if isinstance(backend, DenseBackend):
-            return backend.gains_vt
-        if backend.directed:
-            return backend.dense_ut()
-        return backend.dense_vt()
+        :attr:`gains_ut` in the directed variant on the dense
+        backend)."""
+        return self.backend.dense_vt()
 
     @property
     def has_infinite_gains(self) -> bool:

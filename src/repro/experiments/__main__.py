@@ -76,7 +76,7 @@ def main(argv=None) -> int:
         choices=list(ARRAY_NAMESPACES),
         default=None,
         help=(
-            "array-API namespace for the 'array' backend (default: the "
+            "array-API namespace for the 'dense' backend (default: the "
             "process default, see REPRO_ARRAY_NAMESPACE); shipped to "
             "--jobs workers with the rest of the backend config"
         ),

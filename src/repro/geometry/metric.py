@@ -5,7 +5,7 @@ distances.  Implementations must guarantee symmetry, non-negativity and
 zero self-distance; the triangle inequality is assumed (and can be
 verified with :func:`is_metric_matrix`).
 
-Every gain build in the library (dense, sparse, array and sharded
+Every gain build in the library (dense, sparse and sharded
 backends, and the full-matrix builders of
 :mod:`repro.core.interference`) reads distances through *tiled*
 access: :meth:`Metric.pair_distances`, :meth:`Metric.distance_block`

@@ -53,7 +53,9 @@ the artifact's ``shards`` section.
 
 from __future__ import annotations
 
+import os
 import sys
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
@@ -145,11 +147,33 @@ def run_shard(
     return table, time.perf_counter() - start
 
 
-def _init_worker(sys_path: List[str]) -> None:
-    """Reproduce the parent's import path in spawned workers."""
+#: How often a pool worker checks that its parent is still alive.
+_PARENT_POLL_S = 0.5
+
+
+def _exit_with_parent(parent_pid: int) -> None:
+    while os.getppid() == parent_pid:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
+
+
+def _init_worker(sys_path: List[str], parent_pid: int) -> None:
+    """Reproduce the parent's import path in spawned workers, and make
+    each worker exit once its parent dies.
+
+    A killed orchestrator never shuts its pool down; its workers are
+    re-parented (``os.getppid()`` changes), and a daemon thread watching
+    for that ends them instead of leaving them running.  A worker whose
+    parent is not the orchestrator (a fork server in between) is not
+    watched.
+    """
     for entry in sys_path:
         if entry not in sys.path:
             sys.path.append(entry)
+    if os.getppid() == parent_pid:
+        threading.Thread(
+            target=_exit_with_parent, args=(parent_pid,), daemon=True
+        ).start()
 
 
 @dataclass
@@ -217,7 +241,7 @@ class _ShardScheduler:
         return ProcessPoolExecutor(
             max_workers=self.jobs,
             initializer=_init_worker,
-            initargs=(list(sys.path),),
+            initargs=(list(sys.path), os.getpid()),
         )
 
     def _rebuild_pool(self) -> None:

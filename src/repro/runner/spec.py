@@ -81,11 +81,12 @@ class ExperimentSpec:
         Optional numeric column summarizing scheduler quality in the
         bench artifact (mean/min/max are recorded).
     backend:
-        Optional gain-backend pin (``"dense"``/``"sparse"``) for every
-        shard of this experiment.  ``None`` (the default) follows the
-        run-level ``--backend`` choice, falling back to the process
-        default (:func:`repro.core.gains.default_config`).  The
-        resolved name is recorded in the ``BENCH_*.json`` artifact.
+        Optional gain-backend pin (``"dense"``/``"sparse"``/
+        ``"sharded"``) for every shard of this experiment.  ``None``
+        (the default) follows the run-level ``--backend`` choice,
+        falling back to the process default
+        (:func:`repro.core.gains.default_config`).  The resolved name
+        is recorded in the ``BENCH_*.json`` artifact.
     algorithms:
         Names from :mod:`repro.scheduling.registry` this experiment
         exercises.  Validated against the registry at spec construction

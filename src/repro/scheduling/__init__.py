@@ -20,114 +20,20 @@
 * :mod:`~repro.scheduling.protocol_model` — a graph-based
   (protocol-model) baseline from the pre-SINR literature.
 
-.. deprecated:: 1.1
-   The free functions re-exported at this package level
-   (``first_fit_schedule`` and friends) are now thin shims around the
-   unchanged implementations in their submodules: calls stay
-   bit-identical but emit a
-   :class:`repro._deprecation.ReproDeprecationWarning` once per call
-   site.  Migrate to :class:`repro.api.Session` /
-   :func:`repro.scheduling.registry.run_algorithm` (see the README
-   migration table).  The submodule functions themselves
-   (``repro.scheduling.firstfit.first_fit_schedule`` …) are the
-   engine-internal implementations and do not warn.
+The algorithms are called through the registry; their implementations
+are the functions of the submodules above (for example
+``repro.scheduling.firstfit.first_fit_schedule``).
 """
 
-from repro._deprecation import deprecated_shim
-from repro.scheduling.exact import (
-    InstanceTooLargeError,
-    exact_minimum_colors as _exact_minimum_colors,
-)
-from repro.scheduling.local_search import improve_schedule as _improve_schedule
-from repro.scheduling.distributed import (
-    DistributedStats,
-    ProtocolStalledError,
-    distributed_coloring as _distributed_coloring,
-)
-from repro.scheduling.firstfit import (
-    first_fit_free_power_schedule as _first_fit_free_power_schedule,
-    first_fit_schedule as _first_fit_schedule,
-)
-from repro.scheduling.gain_scaling import (
-    densest_subset_at_gain as _densest_subset_at_gain,
-    rescale_gain_coloring as _rescale_gain_coloring,
-)
-from repro.scheduling.peeling import peeling_schedule as _peeling_schedule
-from repro.scheduling.protocol_model import (
-    protocol_conflict_graph,
-    protocol_schedule as _protocol_schedule,
-)
-from repro.scheduling.sqrt_coloring import (
-    SqrtColoringStats,
-    sqrt_coloring as _sqrt_coloring,
-)
-from repro.scheduling.trivial import trivial_schedule as _trivial_schedule
-
-exact_minimum_colors = deprecated_shim(
-    _exact_minimum_colors,
-    "exact_minimum_colors",
-    "Session.schedule('exact')",
-)
-improve_schedule = deprecated_shim(
-    _improve_schedule,
-    "improve_schedule",
-    "Session.schedule('local_search', schedule=...)",
-)
-distributed_coloring = deprecated_shim(
-    _distributed_coloring,
-    "distributed_coloring",
-    "Session.schedule('distributed', rng=...)",
-)
-trivial_schedule = deprecated_shim(
-    _trivial_schedule, "trivial_schedule", "Session.schedule('trivial')"
-)
-first_fit_schedule = deprecated_shim(
-    _first_fit_schedule, "first_fit_schedule", "Session.schedule('first_fit')"
-)
-first_fit_free_power_schedule = deprecated_shim(
-    _first_fit_free_power_schedule,
-    "first_fit_free_power_schedule",
-    "Session.schedule('first_fit_free_power')",
-)
-peeling_schedule = deprecated_shim(
-    _peeling_schedule, "peeling_schedule", "Session.schedule('peeling')"
-)
-rescale_gain_coloring = deprecated_shim(
-    _rescale_gain_coloring,
-    "rescale_gain_coloring",
-    "Session.schedule('gain_scaling', gamma_target=...)",
-)
-densest_subset_at_gain = deprecated_shim(
-    _densest_subset_at_gain,
-    "densest_subset_at_gain",
-    "Session.schedule('gain_scaling', gamma_target=...).extras['densest_subset']",
-)
-sqrt_coloring = deprecated_shim(
-    _sqrt_coloring,
-    "sqrt_coloring",
-    "Session.schedule('sqrt_coloring', rng=...)",
-)
-protocol_schedule = deprecated_shim(
-    _protocol_schedule,
-    "protocol_schedule",
-    "Session.schedule('protocol_model')",
-)
+from repro.scheduling.distributed import DistributedStats, ProtocolStalledError
+from repro.scheduling.exact import InstanceTooLargeError
+from repro.scheduling.protocol_model import protocol_conflict_graph
+from repro.scheduling.sqrt_coloring import SqrtColoringStats
 
 __all__ = [
-    "exact_minimum_colors",
     "InstanceTooLargeError",
-    "improve_schedule",
-    "distributed_coloring",
     "DistributedStats",
     "ProtocolStalledError",
-    "trivial_schedule",
-    "first_fit_schedule",
-    "first_fit_free_power_schedule",
-    "peeling_schedule",
-    "rescale_gain_coloring",
-    "densest_subset_at_gain",
-    "sqrt_coloring",
     "SqrtColoringStats",
     "protocol_conflict_graph",
-    "protocol_schedule",
 ]

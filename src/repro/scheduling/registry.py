@@ -49,10 +49,8 @@ distributed shard executor) plug in through :func:`register` — no
 signature sweep across the experiment modules required.
 
 Implementations themselves live untouched in their modules
-(:mod:`repro.scheduling.firstfit` etc.); the package-level re-exports
-(``repro.first_fit_schedule``) are deprecation shims around the same
-callables, so registry results are bit-identical to the legacy API by
-construction.
+(:mod:`repro.scheduling.firstfit` etc.), so registry results are
+bit-identical to calling them directly by construction.
 """
 
 from __future__ import annotations

@@ -24,9 +24,10 @@ def powers(instance):
 
 
 class TestProblem:
-    def test_bad_backend_fails_at_construction(self, instance):
-        with pytest.raises(ValueError, match="dense"):
-            Problem(instance, backend="gpu")
+    @pytest.mark.parametrize("backend", ["gpu", "array"])
+    def test_bad_backend_fails_at_construction(self, instance, backend):
+        with pytest.raises(ValueError, match="'dense', 'sparse', 'sharded'"):
+            Problem(instance, backend=backend)
 
     def test_bad_epsilon_fails_at_construction(self, instance):
         with pytest.raises(ValueError, match="epsilon"):
@@ -243,7 +244,9 @@ class TestBackendConfigPlumbing:
 
     def test_device_run_builds_one_context(self, instance):
         clear_context_cache()
-        session = Problem(instance, backend="array", device="cpu").session()
+        session = Problem(
+            instance, backend="dense", array_namespace="numpy", device="cpu"
+        ).session()
         result = session.schedule("first_fit")
         assert cache_info()["contexts"] == 1
         assert session.context.config.device == "cpu"

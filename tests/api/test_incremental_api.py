@@ -5,8 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro import ReproDeprecationWarning
-from repro.api import Problem, RequestHandle, RequestHandles, Session
+from repro.api import Problem, RequestHandle
 from repro.core.errors import InvalidInstanceError, InvalidScheduleError
 from repro.instances.random_instances import random_uniform_instance
 from repro.scheduling.firstfit import first_fit_schedule
@@ -26,7 +25,7 @@ def session(instance):
 class TestHandles:
     def test_add_requests_returns_handles(self, session):
         handles = session.add_requests([(0, 3), (2, 7)])
-        assert isinstance(handles, RequestHandles)
+        assert type(handles) is list
         assert all(isinstance(h, RequestHandle) for h in handles)
         assert [(h.sender, h.receiver) for h in handles] == [(0, 3), (2, 7)]
         # uids are fresh and distinct from the initial requests'.
@@ -44,11 +43,6 @@ class TestHandles:
     def test_color_of_unknown_handle_raises(self, session):
         with pytest.raises(KeyError):
             session.color_of(RequestHandle(uid=999, sender=0, receiver=1))
-
-    def test_chaining_shim_warns_once_and_forwards(self, session):
-        with pytest.warns(ReproDeprecationWarning, match="add_requests"):
-            result = session.add_requests([(0, 3)]).schedule("first_fit")
-        assert result.colors.size == 11
 
     def test_plain_list_behavior_is_silent(self, session):
         with warnings.catch_warnings():

@@ -26,6 +26,16 @@ from repro.power.oblivious import SquareRootPower, UniformPower
 from repro.scheduling.firstfit import first_fit_schedule
 
 
+#: Dense storage namespaces to batch on: numpy plus the process
+#: default's (``REPRO_ARRAY_NAMESPACE``, numpy unless set).
+NAMESPACES = sorted({"numpy", default_config().array_namespace})
+
+#: ``(backend, sparse_epsilon, array_namespace)`` of the lossless
+#: configurations the stacked paths must match numpy dense on.
+SPARSE = pytest.param("sparse", 0.0, None, id="sparse-0.0")
+DENSE = [pytest.param("dense", None, ns, id=f"dense-{ns}") for ns in NAMESPACES]
+
+
 def _pairs(n_values, direction="bidirectional", seed=0):
     pairs = []
     for i, n in enumerate(n_values):
@@ -341,8 +351,12 @@ class TestFallbackInfo:
         assert batch.stacked
         assert batch.fallback is None
 
-    def test_array_backend_batch_stacks(self):
-        batch = ContextBatch(_pairs([8, 8]), config=default_config(backend="array"))
+    @pytest.mark.parametrize("namespace", NAMESPACES)
+    def test_dense_namespace_batch_stacks(self, namespace):
+        batch = ContextBatch(
+            _pairs([8, 8]),
+            config=default_config(backend="dense", array_namespace=namespace),
+        )
         assert batch.stacked
         assert batch.fallback is None
 
@@ -396,18 +410,24 @@ class TestFallbackInfo:
 
 class TestBlockStacking:
     """The (B, n, n) stack is assembled through backend block
-    primitives, so non-dense lossless backends stack bit-identically to
-    the dense route (tentpole: close the dense-only batching gap)."""
+    primitives, so lossless backends other than numpy dense stack
+    bit-identically to the numpy dense route (tentpole: close the
+    dense-only batching gap)."""
 
     @pytest.mark.parametrize("direction", ["bidirectional", "directed"])
-    @pytest.mark.parametrize(
-        "backend,epsilon", [("sparse", 0.0), ("array", None)]
-    )
-    def test_stacked_queries_match_dense(self, direction, backend, epsilon):
+    @pytest.mark.parametrize("backend,epsilon,namespace", [SPARSE] + DENSE)
+    def test_stacked_queries_match_dense(
+        self, direction, backend, epsilon, namespace
+    ):
         pairs = _pairs([640, 640], direction=direction, seed=80)
-        dense = ContextBatch(pairs)
+        dense = ContextBatch(
+            pairs, config=default_config(backend="dense", array_namespace="numpy")
+        )
         other = ContextBatch(
-            pairs, config=default_config(backend=backend, sparse_epsilon=epsilon)
+            pairs,
+            config=default_config(
+                backend=backend, sparse_epsilon=epsilon, array_namespace=namespace
+            ),
         )
         assert dense.stacked and other.stacked
         np.testing.assert_array_equal(other.margins(), dense.margins())
@@ -417,10 +437,12 @@ class TestBlockStacking:
             np.testing.assert_array_equal(a.colors, b.colors)
 
     @pytest.mark.parametrize(
-        "backend,epsilon", [("sparse", 0.0), ("array", None)]
+        "backend,epsilon,namespace",
+        # numpy dense stacks its own host arrays by design.
+        [SPARSE] + [param for param in DENSE if param.values[2] != "numpy"],
     )
     def test_stack_assembly_never_densifies(
-        self, backend, epsilon, monkeypatch
+        self, backend, epsilon, namespace, monkeypatch
     ):
         from repro.core import gains as gains_mod
 
@@ -430,13 +452,15 @@ class TestBlockStacking:
         cls = (
             gains_mod.SparseBackend
             if backend == "sparse"
-            else gains_mod.ArrayBackend
+            else gains_mod.DenseBackend
         )
         for name in ("dense_u", "dense_v", "dense_ut", "dense_vt"):
             monkeypatch.setattr(cls, name, boom)
         batch = ContextBatch(
             _pairs([12, 12], seed=81),
-            config=default_config(backend=backend, sparse_epsilon=epsilon),
+            config=default_config(
+                backend=backend, sparse_epsilon=epsilon, array_namespace=namespace
+            ),
         )
         assert batch.stacked
         batch.margins()
@@ -450,15 +474,20 @@ class TestLocalSearchSchedules:
 
     @pytest.mark.parametrize("direction", ["bidirectional", "directed"])
     @pytest.mark.parametrize(
-        "backend,epsilon",
-        [("dense", None), ("sparse", 0.0), ("array", None)],
+        "backend,epsilon,namespace",
+        [pytest.param("dense", None, None, id="dense-None"), SPARSE] + DENSE,
     )
-    def test_matches_improve_schedule(self, direction, backend, epsilon):
+    def test_matches_improve_schedule(
+        self, direction, backend, epsilon, namespace
+    ):
         from repro.scheduling.local_search import improve_schedule
 
         pairs = _pairs([30, 30, 30], direction=direction, seed=90)
         batch = ContextBatch(
-            pairs, config=default_config(backend=backend, sparse_epsilon=epsilon)
+            pairs,
+            config=default_config(
+                backend=backend, sparse_epsilon=epsilon, array_namespace=namespace
+            ),
         )
         assert batch.stacked
         seeds = batch.first_fit_schedules()

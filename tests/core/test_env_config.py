@@ -73,16 +73,19 @@ class TestBackendEnv:
         monkeypatch.setenv("REPRO_BACKEND", "  Sparse ")
         assert _env_backend() == "sparse"
 
-    def test_array_backend_accepted(self, monkeypatch):
+    def test_array_backend_rejected(self, monkeypatch):
+        """The array backend is the dense backend's namespace now."""
         monkeypatch.setenv("REPRO_BACKEND", "array")
-        assert _env_backend() == "array"
+        with pytest.raises(ValueError, match="REPRO_BACKEND") as err:
+            _env_backend()
+        assert "('dense', 'sparse', 'sharded')" in str(err.value)
 
     def test_unknown_backend_lists_allowed_values(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "gpu")
         with pytest.raises(ValueError, match="REPRO_BACKEND") as err:
             _env_backend()
         assert "dense" in str(err.value) and "sparse" in str(err.value)
-        assert "array" in str(err.value)
+        assert "sharded" in str(err.value)
 
 
 class TestArrayNamespaceEnv:

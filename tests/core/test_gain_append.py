@@ -2,8 +2,9 @@
 
 The tentpole contract: appending rows/columns to a built backend is
 bit-identical to rebuilding the backend from scratch on the grown
-``(instance, powers)`` — for the dense backend always, and for the
-sparse backend at ``epsilon=0`` (the lossless setting the conformance
+``(instance, powers)`` — for the dense backend always, in numpy and in
+the process default's array namespace, and for the sparse backend at
+``epsilon=0`` (the lossless setting the conformance
 grid runs on).  ε>0 appends stay conservative (pruned mass only ever
 adds to the bound) but are exempt from bit-identity, because pruning
 a row tile in isolation cannot reproduce the whole-row kept set.
@@ -13,9 +14,9 @@ import numpy as np
 import pytest
 
 from repro.core.gains import (
-    ArrayBackend,
     DenseBackend,
     SparseBackend,
+    default_config,
     validate_growth,
 )
 from repro.core.instance import Instance
@@ -50,12 +51,22 @@ def _base(n, direction, rng_seed, metric_nodes=40):
     ), rng
 
 
-def _build(backend_cls, instance, powers):
-    if backend_cls is SparseBackend:
-        return SparseBackend.build(instance, powers, epsilon=0.0)
-    if backend_cls is ArrayBackend:
-        return ArrayBackend.build(instance, powers, namespace="numpy")
-    return DenseBackend.build(instance, powers)
+#: Parametrization ids -> builders: dense on numpy, dense in the
+#: process default's namespace (numpy unless ``REPRO_ARRAY_NAMESPACE``
+#: says otherwise), lossless sparse.
+BUILDERS = {
+    "DenseBackend": DenseBackend.build,
+    "DenseBackend-default-namespace": lambda instance, powers: DenseBackend.build(
+        instance, powers, namespace=default_config().array_namespace
+    ),
+    "SparseBackend": lambda instance, powers: SparseBackend.build(
+        instance, powers, epsilon=0.0
+    ),
+}
+
+
+def _build(kind, instance, powers):
+    return BUILDERS[kind](instance, powers)
 
 
 def _backend_state(backend):
@@ -90,21 +101,19 @@ def _assert_identical(grown, cold):
 
 
 @pytest.mark.parametrize("direction", ["directed", "bidirectional"])
-@pytest.mark.parametrize(
-    "backend_cls", [DenseBackend, SparseBackend, ArrayBackend]
-)
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
 class TestAppendBitIdentity:
-    def test_single_append_matches_cold_build(self, backend_cls, direction):
+    def test_single_append_matches_cold_build(self, kind, direction):
         small, rng = _base(6, direction, rng_seed=11)
         big = _grown(small, 9, rng)
         powers = SquareRootPower()(big)
 
-        grown = _build(backend_cls, small, powers[: small.n])
+        grown = _build(kind, small, powers[: small.n])
         grown.append_requests(big, powers)
-        cold = _build(backend_cls, big, powers)
+        cold = _build(kind, big, powers)
         _assert_identical(grown, cold)
 
-    def test_repeated_appends_match_cold_build(self, backend_cls, direction):
+    def test_repeated_appends_match_cold_build(self, kind, direction):
         small, rng = _base(5, direction, rng_seed=13)
         sizes = [7, 8, 12, 17]
         instances = [small]
@@ -112,14 +121,14 @@ class TestAppendBitIdentity:
             instances.append(_grown(instances[-1], size, rng))
         final_powers = SquareRootPower()(instances[-1])
 
-        grown = _build(backend_cls, small, final_powers[: small.n])
+        grown = _build(kind, small, final_powers[: small.n])
         for inst in instances[1:]:
             grown.append_requests(inst, final_powers[: inst.n])
-            cold = _build(backend_cls, inst, final_powers[: inst.n])
+            cold = _build(kind, inst, final_powers[: inst.n])
             _assert_identical(grown, cold)
 
     def test_shared_node_pairs_append_infinite_gains(
-        self, backend_cls, direction
+        self, kind, direction
     ):
         """Arrivals sharing a node with an existing request create inf
         gains in the appended block; the flag and values must match a
@@ -140,23 +149,20 @@ class TestAppendBitIdentity:
             alpha=small.alpha,
         )
         powers = SquareRootPower()(big)
-        grown = _build(backend_cls, small, powers[: small.n])
+        grown = _build(kind, small, powers[: small.n])
         assert not grown.has_infinite_gains
         grown.append_requests(big, powers)
-        cold = _build(backend_cls, big, powers)
+        cold = _build(kind, big, powers)
         assert grown.has_infinite_gains
         _assert_identical(grown, cold)
 
-    def test_raw_backend_cannot_grow(self, backend_cls, direction):
+    def test_raw_backend_cannot_grow(self, kind, direction):
         small, rng = _base(4, direction, rng_seed=19)
         big = _grown(small, 6, rng)
         powers = SquareRootPower()(big)
-        if backend_cls is DenseBackend:
+        if kind.startswith("DenseBackend"):
             gains = np.zeros((small.n, small.n))
             backend = DenseBackend(gains, gains)
-        elif backend_cls is ArrayBackend:
-            gains = np.zeros((small.n, small.n))
-            backend = ArrayBackend(np, gains, gains, "numpy")
         else:
             import scipy.sparse as sp
 

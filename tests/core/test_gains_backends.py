@@ -12,6 +12,7 @@ Contracts under test (see :mod:`repro.core.gains`):
   times the row mass;
 * tiled metric access (``pair_distances`` / ``distance_block``) is
   bit-identical to full-matrix gathers;
+* the dense backend returns the same bits in every array namespace;
 * backend selection (defaults, scopes, env plumbing, cache keying)
   behaves as documented.
 """
@@ -21,7 +22,6 @@ import pytest
 
 from repro.core.context import clear_context_cache, get_context
 from repro.core.gains import (
-    ArrayBackend,
     BackendConfig,
     DenseBackend,
     SparseBackend,
@@ -122,6 +122,7 @@ class TestLosslessBitIdentity:
             np.testing.assert_array_equal(
                 op(dense, "dense", ), op(sparse, "dense", )
             )
+        np.testing.assert_array_equal(dense.dense_worst(), sparse.dense_worst())
 
     @pytest.mark.parametrize("name", sorted(GRID))
     def test_row_sums_match_block_gather(self, name):
@@ -416,8 +417,17 @@ class TestTiledMetricAccess:
         np.testing.assert_array_equal(instance.link_distances, expected)
 
     @pytest.mark.parametrize("direction", ["directed", "bidirectional"])
-    @pytest.mark.parametrize("name", ["dense", "array", "sparse"])
-    def test_sparse_build_never_builds_distance_matrix(self, name, direction):
+    @pytest.mark.parametrize(
+        "name,namespace",
+        [
+            pytest.param("dense", None, id="dense"),
+            pytest.param("dense", "numpy", id="dense-numpy"),
+            pytest.param("sparse", None, id="sparse"),
+        ],
+    )
+    def test_sparse_build_never_builds_distance_matrix(
+        self, name, namespace, direction
+    ):
         """No backend build, row sum or append may materialize the
         metric's full distance matrix on a coordinate-backed metric:
         every gain is computed from tiled metric blocks."""
@@ -427,7 +437,9 @@ class TestTiledMetricAccess:
         assert isinstance(instance.metric, EuclideanMetric)
         assert instance.metric._matrix_cache is None
         backend = build_backend(
-            instance, powers[:24], config=default_config(backend=name)
+            instance,
+            powers[:24],
+            config=default_config(backend=name, array_namespace=namespace),
         )
         backend.class_sum_u(None)
         backend.append_requests(grown, powers)
@@ -442,6 +454,8 @@ class TestBackendSelection:
         assert BackendConfig("DENSE").backend == "dense"
         with pytest.raises(ValueError):
             BackendConfig("gpu")
+        with pytest.raises(ValueError, match=r"one of \('dense', 'sparse', 'sharded'\)"):
+            BackendConfig("array")
         with pytest.raises(ValueError):
             BackendConfig(sparse_epsilon=1.5)
 
@@ -497,15 +511,17 @@ class TestBackendSelection:
         assert default_config().backend == before
 
     def test_config_cross_checks(self):
-        with pytest.raises(ValueError, match="device= requires"):
-            BackendConfig("dense", device="cpu")
+        with pytest.raises(ValueError, match="device= requires backend='dense'"):
+            BackendConfig("sparse", device="cpu")
+        with pytest.raises(ValueError, match="device= requires backend='dense'"):
+            BackendConfig("sharded", device="cpu")
         with pytest.raises(ValueError, match="require backend='sharded'"):
             BackendConfig().derive(backend="sparse", workers=3)
-        # A device belongs to the array backend only: switching away
+        # A device belongs to the dense backend only: switching away
         # drops it instead of failing the cross-check.
-        array = BackendConfig("array", device="cpu")
-        assert array.derive(backend="dense").device is None
-        assert array.derive(sparse_epsilon=0.1).device == "cpu"
+        dense = BackendConfig("dense", device="cpu")
+        assert dense.derive(backend="sparse").device is None
+        assert dense.derive(sparse_epsilon=0.1).device == "cpu"
 
     def test_key_drops_ignored_fields(self):
         dense = BackendConfig("dense", sparse_epsilon=0.05, workers=7)
@@ -515,33 +531,70 @@ class TestBackendSelection:
         sparse = dense.derive(backend="sparse")
         assert sparse.key() != BackendConfig("sparse").key()
         assert sparse.pruning_epsilon == 0.05
+        # The namespace is read by the dense backend only.
+        torch = BackendConfig("dense", array_namespace="torch")
+        assert torch.key() != BackendConfig("dense").key()
+        assert torch.derive(backend="sparse").key() == BackendConfig("sparse").key()
 
-    def test_dense_backend_reuses_context_arrays(self):
-        instance = random_uniform_instance(8, rng=2)
+    @pytest.mark.parametrize("direction", ["directed", "bidirectional"])
+    def test_dense_backend_reuses_context_arrays(self, direction):
+        """On numpy the context's dense views are the backend's own
+        arrays, never copies."""
+        instance = random_uniform_instance(8, rng=2, direction=direction)
         powers = SquareRootPower()(instance)
-        ctx = get_context(instance, powers, config=default_config(backend="dense"))
+        ctx = get_context(
+            instance,
+            powers,
+            config=default_config(backend="dense", array_namespace="numpy"),
+        )
         backend = ctx.backend
         assert isinstance(backend, DenseBackend)
         assert ctx.gains_u is backend.gains_u
+        assert ctx.gains_v is backend.gains_v
         assert ctx.gains_ut is backend.gains_ut
+        assert ctx.gains_vt is backend.gains_vt
+        assert ctx.worst_gains is backend.worst_gains
+        assert not ctx.gains_u.flags.writeable
+        if direction == "directed":
+            assert ctx.gains_v is ctx.gains_u
+            assert ctx.worst_gains is ctx.gains_u
 
 
-class TestArrayBackend:
-    """Tentpole: the array-API backend under the numpy namespace is
-    float64 bit-identical to the dense backend on every primitive."""
+#: The namespace the process default puts dense storage in (numpy
+#: unless ``REPRO_ARRAY_NAMESPACE`` says otherwise, as in CI's
+#: array-API job).
+DEFAULT_NAMESPACE = default_config().array_namespace
+
+
+def _dense(instance, powers, namespace=None):
+    """A dense backend in *namespace* (default: the process default's)."""
+    return build_backend(
+        instance,
+        powers,
+        config=default_config(backend="dense", array_namespace=namespace),
+    )
+
+
+class TestDenseNamespaces:
+    """The dense backend under the process default's namespace returns
+    float64 bits identical to an explicit numpy build on every
+    primitive."""
 
     @pytest.mark.parametrize("name", sorted(GRID))
-    def test_primitives_match_dense(self, name):
+    def test_primitives_match_numpy(self, name):
         instance, powers = GRID[name]
-        dense = build_backend(instance, powers, config=default_config(backend="dense"))
-        array = build_backend(instance, powers, config=default_config(backend="array"))
-        assert isinstance(array, ArrayBackend)
-        assert array.name == "array"
-        assert array.namespace == "numpy"
-        assert array.is_lossless
-        assert np.all(array.pruned_bound == 0.0)
-        assert array.directed == dense.directed
-        assert array.has_infinite_gains == dense.has_infinite_gains
+        numpy = _dense(instance, powers, "numpy")
+        other = _dense(instance, powers)
+        assert isinstance(other, DenseBackend)
+        assert other.name == "dense"
+        assert numpy.namespace == "numpy"
+        assert other.namespace == DEFAULT_NAMESPACE
+        assert other.is_lossless
+        assert np.all(other.pruned_bound == 0.0)
+        assert other.directed == numpy.directed
+        assert other.has_infinite_gains == numpy.has_infinite_gains
+        assert other.nnz == numpy.nnz
+        assert other.nbytes == numpy.nbytes
         n = instance.n
         idx = np.arange(0, n, 2)
         members = np.asarray([0, n - 1])
@@ -552,70 +605,143 @@ class TestArrayBackend:
 
             for j in (0, n // 2, n - 1):
                 np.testing.assert_array_equal(
-                    op(dense, "col", j), op(array, "col", j)
+                    op(numpy, "col", j), op(other, "col", j)
                 )
                 np.testing.assert_array_equal(
-                    op(dense, "row", j), op(array, "row", j)
+                    op(numpy, "row", j), op(other, "row", j)
                 )
             np.testing.assert_array_equal(
-                op(dense, "gather_cols", members),
-                op(array, "gather_cols", members),
+                op(numpy, "gather_cols", members),
+                op(other, "gather_cols", members),
             )
             np.testing.assert_array_equal(
-                op(dense, "block", idx), op(array, "block", idx)
+                op(numpy, "block", idx), op(other, "block", idx)
             )
             np.testing.assert_array_equal(
-                op(dense, "cross_block", idx, members),
-                op(array, "cross_block", idx, members),
+                op(numpy, "cross_block", idx, members),
+                op(other, "cross_block", idx, members),
             )
             np.testing.assert_array_equal(
-                op(dense, "row_sums", np.arange(n)),
-                op(array, "row_sums", np.arange(n)),
+                op(numpy, "row_sums", np.arange(n)),
+                op(other, "row_sums", np.arange(n)),
             )
             for c in (None, colors):
                 np.testing.assert_array_equal(
-                    op(dense, "class_sum", c), op(array, "class_sum", c)
+                    op(numpy, "class_sum", c), op(other, "class_sum", c)
                 )
+            for method in (f"dense_{endpoint}", f"dense_{endpoint}t"):
+                np.testing.assert_array_equal(
+                    getattr(numpy, method)(), getattr(other, method)()
+                )
+        np.testing.assert_array_equal(numpy.dense_worst(), other.dense_worst())
+
+    def test_gather_cols_keeps_column_layout(self):
+        """A column gather has the layout of ``G[:, members]``, so the
+        kernels' row reductions over it sum in the same order."""
+        instance, powers = GRID["euclid-bid"]
+        numpy = _dense(instance, powers, "numpy")
+        members = np.arange(1, instance.n, 3)
+        got = numpy.gather_cols_u(members)
+        expected = numpy.gains_u[:, members]
+        np.testing.assert_array_equal(got, expected)
+        assert got.strides == expected.strides
+        np.testing.assert_array_equal(got.sum(axis=1), expected.sum(axis=1))
+
+    @pytest.mark.parametrize("direction", ["directed", "bidirectional"])
+    def test_growth_uploads_only_new_strips(self, direction, monkeypatch):
+        """An arrival uploads its new rows and columns into the growth
+        buffers; no upload is ever the size of the whole matrix."""
+        grown = random_uniform_instance(40, rng=14, direction=direction)
+        powers = SquareRootPower()(grown)
+        backend = _dense(grown.subset(np.arange(32)), powers[:32], "numpy")
+        backend.gains_ut  # transposes grow in place, never re-uploaded
+        uploads = []
+        upload = DenseBackend._upload
+
+        def record(self, host):
+            uploads.append(np.shape(host))
+            return upload(self, host)
+
+        monkeypatch.setattr(DenseBackend, "_upload", record)
+        for n in range(33, 41):
+            backend.append_requests(grown.subset(np.arange(n)), powers[:n])
+            assert uploads and all(
+                rows * cols <= n for rows, cols in uploads
+            ), uploads
+            uploads.clear()
+        cold = _dense(grown, powers, "numpy")
+        np.testing.assert_array_equal(backend.dense_u(), cold.dense_u())
+        np.testing.assert_array_equal(backend.dense_vt(), cold.dense_vt())
+
+    @pytest.mark.parametrize("direction", ["directed", "bidirectional"])
+    def test_pickle_round_trip(self, direction):
+        """Backends travel inside pickled instances (shard payloads
+        carry the instance's context cache)."""
+        import pickle
+
+        instance = random_uniform_instance(12, rng=15, direction=direction)
+        backend = _dense(instance, SquareRootPower()(instance))
+        backend.gains_ut
+        again = pickle.loads(pickle.dumps(backend))
+        assert again.namespace == backend.namespace
+        assert again.directed == backend.directed
+        for method in ("dense_u", "dense_vt", "dense_worst"):
             np.testing.assert_array_equal(
-                op(dense, "dense"), op(array, "dense")
+                getattr(again, method)(), getattr(backend, method)()
             )
+        np.testing.assert_array_equal(
+            again.gather_cols_v([3, 1]), backend.gather_cols_v([3, 1])
+        )
+
+    def test_array_backend_name_is_only_an_alias(self):
+        """``ArrayBackend`` survives only as a body-less subclass for
+        the benchmark's span list: a distinct class (wrapping its build
+        must not wrap ``DenseBackend.build`` twice), not exported, and
+        not a selectable backend."""
+        from repro.core import gains
+
+        assert issubclass(gains.ArrayBackend, DenseBackend)
+        assert gains.ArrayBackend is not DenseBackend
+        assert [k for k in vars(gains.ArrayBackend) if not k.startswith("_")] == []
+        assert "ArrayBackend" not in gains.__all__
+        assert gains.BACKENDS == ("dense", "sparse", "sharded")
 
     def test_numpy_namespace_is_zero_copy(self):
         """Under the numpy namespace the transfer boundary is the
-        identity: primitives return host float64 arrays without a
-        round-trip copy of the whole matrix."""
+        identity: primitives return host float64 views of the stored
+        arrays without a round-trip copy of the whole matrix."""
         instance, powers = GRID["euclid-bid"]
-        array = build_backend(instance, powers, config=default_config(backend="array"))
-        col = array.col_u(0)
+        numpy = _dense(instance, powers, "numpy")
+        col = numpy.col_u(0)
         assert isinstance(col, np.ndarray)
         assert col.dtype == np.float64
+        assert col.base is numpy.gains_ut
+        assert numpy.dense_u() is numpy.gains_u
+        assert numpy.dense_vt() is numpy.gains_vt
 
-    def test_schedulers_match_dense_bitwise(self):
+    def test_schedulers_match_numpy_bitwise(self):
         for direction in ("directed", "bidirectional"):
             instance = random_uniform_instance(32, rng=78, direction=direction)
             powers = SquareRootPower()(instance)
-            reference = {
-                "first_fit": first_fit_schedule(instance, powers).colors,
-                "peeling": peeling_schedule(instance, powers).colors,
-                "local_search": improve_schedule(
-                    instance, first_fit_schedule(instance, powers)
-                ).colors,
-            }
-            clear_context_cache()
-            with config_scope(backend="array"):
-                results = {
-                    "first_fit": first_fit_schedule(instance, powers).colors,
-                    "peeling": peeling_schedule(instance, powers).colors,
-                    "local_search": improve_schedule(
-                        instance, first_fit_schedule(instance, powers)
-                    ).colors,
-                }
-                backend = get_context(instance, powers).backend
-                assert isinstance(backend, ArrayBackend)
-                assert backend.flip_risk_events == 0
-            for key, expected in reference.items():
+            results = {}
+            for namespace in ("numpy", DEFAULT_NAMESPACE):
+                clear_context_cache()
+                with config_scope(backend="dense", array_namespace=namespace):
+                    results[namespace] = {
+                        "first_fit": first_fit_schedule(instance, powers).colors,
+                        "peeling": peeling_schedule(instance, powers).colors,
+                        "local_search": improve_schedule(
+                            instance, first_fit_schedule(instance, powers)
+                        ).colors,
+                    }
+                    backend = get_context(instance, powers).backend
+                    assert backend.namespace == namespace
+                    assert backend.flip_risk_events == 0
+            for key, expected in results["numpy"].items():
                 np.testing.assert_array_equal(
-                    results[key], expected, err_msg=f"{direction}:{key}"
+                    results[DEFAULT_NAMESPACE][key],
+                    expected,
+                    err_msg=f"{direction}:{key}",
                 )
 
     def test_namespace_validation(self):
@@ -624,7 +750,7 @@ class TestArrayBackend:
             build_backend(
                 instance,
                 powers,
-                config=default_config(backend="array", array_namespace="jax"),
+                config=default_config(backend="dense", array_namespace="jax"),
             )
         with pytest.raises(ValueError, match="array namespace"):
             BackendConfig(array_namespace="pandas")
@@ -643,13 +769,7 @@ class TestArrayBackend:
         if not missing:
             pytest.skip("torch and cupy both installed")
         with pytest.raises(ImportError, match=r"\[array\]"):
-            build_backend(
-                instance,
-                powers,
-                config=default_config(
-                    backend="array", array_namespace=missing[0]
-                ),
-            )
+            _dense(instance, powers, missing[0])
 
     def test_namespace_scope_and_default(self):
         before = default_config().array_namespace
@@ -661,19 +781,30 @@ class TestArrayBackend:
 
     def test_context_cache_keys_on_namespace_and_device(self):
         instance, powers = GRID["euclid-bid"]
-        dense_ctx = get_context(
-            instance, powers, config=default_config(backend="dense")
+        host = get_context(
+            instance,
+            powers,
+            config=default_config(backend="dense", array_namespace="numpy"),
         )
-        array_ctx = get_context(
-            instance, powers, config=default_config(backend="array")
+        on_cpu = get_context(
+            instance,
+            powers,
+            config=default_config(
+                backend="dense", array_namespace="numpy", device="cpu"
+            ),
         )
         again = get_context(
-            instance, powers, config=default_config(backend="array")
+            instance,
+            powers,
+            config=default_config(
+                backend="dense", array_namespace="numpy", device="cpu"
+            ),
         )
-        assert dense_ctx is not array_ctx
-        assert array_ctx is again
-        assert array_ctx.config.array_namespace == "numpy"
-        assert array_ctx.config.backend == "array"
+        assert host is not on_cpu
+        assert on_cpu is again
+        assert on_cpu.config.device == "cpu"
+        assert on_cpu.backend.device == "cpu"
+        np.testing.assert_array_equal(on_cpu.margins(), host.margins())
 
 
 class TestArrayApiStrict:
@@ -688,11 +819,11 @@ class TestArrayApiStrict:
     @pytest.mark.parametrize("name", sorted(GRID))
     def test_primitives_match_dense(self, name):
         instance, powers = GRID[name]
-        dense = build_backend(instance, powers, config=default_config(backend="dense"))
+        dense = _dense(instance, powers, "numpy")
         strict = build_backend(
             instance,
             powers,
-            config=default_config(backend="array", array_namespace="array_api_strict"),
+            config=default_config(backend="dense", array_namespace="array_api_strict"),
         )
         assert strict.namespace == "array_api_strict"
         n = instance.n
@@ -732,8 +863,9 @@ class TestArrayApiStrict:
     def test_schedules_match_dense(self):
         instance = random_uniform_instance(24, rng=79)
         powers = SquareRootPower()(instance)
-        expected = first_fit_schedule(instance, powers).colors
+        with config_scope(backend="dense", array_namespace="numpy"):
+            expected = first_fit_schedule(instance, powers).colors
         clear_context_cache()
-        with config_scope(backend="array", array_namespace="array_api_strict"):
+        with config_scope(backend="dense", array_namespace="array_api_strict"):
             got = first_fit_schedule(instance, powers).colors
         np.testing.assert_array_equal(got, expected)

@@ -28,6 +28,12 @@ class TestCli:
         with pytest.raises(SystemExit):
             cli_main(["e2", "--jobs", "0"])
 
+    def test_array_backend_errors(self, capsys):
+        """The array backend is the dense backend's namespace now."""
+        with pytest.raises(SystemExit):
+            cli_main(["e2", "--fast", "--backend", "array"])
+        assert "'dense', 'sparse', 'sharded'" in capsys.readouterr().err
+
     def test_jobs_and_artifacts(self, capsys, tmp_path):
         out_dir = tmp_path / "artifacts"
         assert cli_main(

@@ -14,6 +14,8 @@ import signal
 import subprocess
 import sys
 import textwrap
+import time
+import uuid
 
 import pytest
 
@@ -417,13 +419,81 @@ class TestProcessPoolRecovery:
         assert "deadline" in report.failures[0].error
 
 
+def _processes_with_env(entry: bytes):
+    """Pids of live processes whose environment holds *entry*."""
+    pids = []
+    for environ in pathlib.Path("/proc").glob("[0-9]*/environ"):
+        try:
+            if entry in environ.read_bytes().split(b"\0"):
+                pids.append(int(environ.parent.name))
+        except OSError:
+            continue
+    return pids
+
+
+class TestWorkerReaping:
+    def test_worker_exits_when_its_parent_dies(self):
+        """A pool worker whose orchestrator dies without shutting the
+        pool down exits on its own."""
+        driver = textwrap.dedent(
+            """
+            import os, time
+            from repro.runner.orchestrator import _init_worker
+
+            read, write = os.pipe()
+            if os.fork() == 0:  # stands in for the orchestrator
+                if os.fork() == 0:  # its pool worker
+                    os.close(read)
+                    _init_worker([], os.getppid())
+                    os.write(write, b"up")
+                    time.sleep(60)
+                    os._exit(0)
+                os.close(write)
+                # Die without shutting the worker down, once it is up.
+                os._exit(0 if os.read(read, 2) == b"up" else 1)
+            os.close(read)
+            os.close(write)
+            _, status = os.wait()
+            raise SystemExit(os.waitstatus_to_exitcode(status))
+            """
+        )
+        token = uuid.uuid4().hex
+        proc = subprocess.run(
+            [sys.executable, "-c", driver],
+            env={
+                **os.environ,
+                "PYTHONPATH": SRC_DIR,
+                "REPRO_ORPHANED_WORKER_MARKER": token,
+            },
+            timeout=60,
+        )
+        assert proc.returncode == 0, "the worker never came up"
+        marker = f"REPRO_ORPHANED_WORKER_MARKER={token}".encode()
+        deadline = time.monotonic() + 10.0
+        while _processes_with_env(marker) and time.monotonic() < deadline:
+            time.sleep(0.2)
+        assert not _processes_with_env(marker)
+
+    def test_worker_under_another_parent_is_not_watched(self):
+        """A worker whose parent is not the orchestrator (a fork server
+        in between) must not take that for its parent's death."""
+        import threading
+
+        from repro.runner.orchestrator import _init_worker
+
+        before = threading.active_count()
+        _init_worker([], -1)
+        assert threading.active_count() == before
+
+
 @pytest.mark.slow
 class TestSigkillResume:
     def test_killed_jobs4_run_resumes_bit_identically(self, tmp_path):
         """Acceptance criterion (b): SIGKILL a ``--jobs 4`` run after
         its first checkpoint, resume it, and get an artifact
         bit-identical to a clean run's — having re-executed only the
-        unfinished shards."""
+        unfinished shards — and the killed run's pool workers exit
+        instead of outliving it."""
         driver = textwrap.dedent(
             """
             import sys
@@ -450,12 +520,25 @@ class TestSigkillResume:
             raise SystemExit("unreachable: the kill fault did not fire")
             """
         )
+        # Every process of the killed run inherits this unique entry.
+        token = uuid.uuid4().hex
+        marker = f"REPRO_KILLED_RUN_MARKER={token}".encode()
         proc = subprocess.run(
             [sys.executable, "-c", driver, str(tmp_path)],
-            env={**os.environ, "PYTHONPATH": SRC_DIR},
+            env={
+                **os.environ,
+                "PYTHONPATH": SRC_DIR,
+                "REPRO_KILLED_RUN_MARKER": token,
+            },
             timeout=300,
         )
         assert proc.returncode == FAULT_KILL_EXIT == -signal.SIGKILL
+        deadline = time.monotonic() + 10.0
+        survivors = _processes_with_env(marker)
+        while survivors and time.monotonic() < deadline:
+            time.sleep(0.2)
+            survivors = _processes_with_env(marker)
+        assert not survivors, f"pool workers outlived the killed run: {survivors}"
         assert checkpoint_path(tmp_path, "e1", 0).is_file()
         assert not (tmp_path / "BENCH_e1.json").exists()
 

@@ -249,7 +249,14 @@ SESSION_CALLS = {
 }
 
 
-@pytest.mark.parametrize("backend", ["dense", "sparse", "array"])
+@pytest.mark.parametrize(
+    "backend,namespace",
+    [
+        pytest.param("dense", None, id="dense"),
+        pytest.param("sparse", None, id="sparse"),
+        pytest.param("dense", "numpy", id="dense-numpy"),
+    ],
+)
 @pytest.mark.parametrize("scheduler_name", sorted(SESSION_CALLS))
 @pytest.mark.parametrize(
     "instance_name",
@@ -260,13 +267,13 @@ SESSION_CALLS = {
     ),
 )
 def test_session_matches_legacy_free_functions(
-    backend, instance_name, scheduler_name
+    backend, namespace, instance_name, scheduler_name
 ):
     """Acceptance: every scheduler resolved through the registry and
-    called via Session.schedule emits the very schedule the legacy free
-    function emits — on the dense, the (lossless) sparse, and the
-    array-API (numpy namespace) backend — with zero flip-risk
-    events."""
+    called via Session.schedule emits the very schedule the submodule
+    function emits under the process default — on the dense backend
+    (default and numpy namespace) and the (lossless) sparse backend —
+    with zero flip-risk events."""
     from repro.api import Problem
 
     instance = GRID[instance_name]
@@ -277,7 +284,9 @@ def test_session_matches_legacy_free_functions(
     clear_context_cache()
     algorithm, params = SESSION_CALLS[scheduler_name]
     params = dict(params)
-    session = Problem(instance, backend=backend).session()
+    session = Problem(
+        instance, backend=backend, array_namespace=namespace
+    ).session()
     rng = None
     if scheduler_name in ("sqrt_coloring", "sqrt_coloring_no_lp", "distributed"):
         rng = np.random.default_rng(99)

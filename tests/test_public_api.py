@@ -1,8 +1,6 @@
 """Public API surface tests: everything advertised in __all__ exists
 and the README quickstart works."""
 
-import warnings
-
 import numpy as np
 
 import repro
@@ -28,25 +26,16 @@ class TestPublicSurface:
         assert result.validate().num_colors >= 1
         assert result.provenance.algorithm == "sqrt_coloring"
 
-    def test_legacy_quickstart_still_works_but_warns(self):
-        from repro._deprecation import reset_deprecation_registry
+    def test_free_function_shims_are_gone(self):
+        """Schedulers run through the registry; their implementations
+        are imported from the submodules, not re-exported."""
+        import repro.scheduling
 
-        rng = np.random.default_rng(0)
-        points = rng.uniform(0, 100, size=(20, 2))
-        pairs = [(2 * i, 2 * i + 1) for i in range(10)]
-        instance = repro.Instance.bidirectional(
-            repro.EuclideanMetric(points), pairs
-        )
-        reset_deprecation_registry()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            schedule, stats = repro.sqrt_coloring(instance, rng=rng)
-        schedule.validate(instance)
-        assert any(
-            issubclass(w.category, repro.ReproDeprecationWarning)
-            for w in caught
-        )
-        reset_deprecation_registry()
+        for name in ("first_fit_schedule", "peeling_schedule", "trivial_schedule"):
+            assert not hasattr(repro, name)
+            assert name not in repro.scheduling.__all__
+        assert not hasattr(repro, "ReproDeprecationWarning")
+        assert not hasattr(repro, "RequestHandles")
 
     def test_registry_surface(self):
         names = repro.run_algorithm.__module__  # exported callables exist
