@@ -36,15 +36,18 @@ DEFAULT_TILE_ROWS = 512
 
 
 def _safe_divide(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
-    """Elementwise ``numerator / denominator`` with ``x/0 -> inf``."""
-    if np.all(denominator > 0):
+    """Elementwise ``numerator / denominator`` with ``x/0 -> inf``,
+    written over *denominator* (a fresh float block of the result's
+    shape)."""
+    positive = denominator > 0
+    if np.all(positive):
         # Fast path (no shared-node pairs): a plain divide produces the
         # identical values without the inf-fill and masked-divide
         # passes.
-        return np.true_divide(numerator, denominator)
-    out = np.full(np.broadcast(numerator, denominator).shape, np.inf)
-    np.divide(numerator, denominator, out=out, where=denominator > 0)
-    return out
+        return np.true_divide(numerator, denominator, out=denominator)
+    np.divide(numerator, denominator, out=denominator, where=positive)
+    denominator[~positive] = np.inf
+    return denominator
 
 
 def _gain_block(
@@ -67,12 +70,10 @@ def _gain_block(
     metric = instance.metric
     alpha = instance.alpha
     w = endpoint_nodes[rows]
-    if instance.direction is Direction.DIRECTED:
-        loss = metric.loss_block(w, instance.senders[cols], alpha)
-    else:
-        loss = np.minimum(
-            metric.loss_block(w, instance.senders[cols], alpha),
-            metric.loss_block(w, instance.receivers[cols], alpha),
+    loss = metric.loss_block(w, instance.senders[cols], alpha)
+    if instance.direction is not Direction.DIRECTED:
+        np.minimum(
+            loss, metric.loss_block(w, instance.receivers[cols], alpha), out=loss
         )
     gains = _safe_divide(powers[cols][None, :], loss)
     diagonal = rows[:, None] == cols[None, :]
@@ -85,8 +86,11 @@ def _tiled_gain_matrix(
     instance: Instance, powers: np.ndarray, endpoint_nodes: np.ndarray
 ) -> np.ndarray:
     """The full ``(n, n)`` gain matrix decoding at ``endpoint_nodes``,
-    filled one :data:`DEFAULT_TILE_ROWS` row tile at a time."""
+    filled one :data:`DEFAULT_TILE_ROWS` row tile at a time (a single
+    tile is the matrix itself)."""
     idx = np.arange(instance.n)
+    if idx.size <= DEFAULT_TILE_ROWS:
+        return _gain_block(instance, powers, endpoint_nodes, idx, idx)
     out = np.empty((idx.size, idx.size))
     for lo in range(0, idx.size, DEFAULT_TILE_ROWS):
         rows = idx[lo : lo + DEFAULT_TILE_ROWS]

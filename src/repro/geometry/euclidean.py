@@ -68,17 +68,19 @@ class EuclideanMetric(Metric):
         cols = np.asarray(cols, dtype=int)
         a = self._points[rows]
         b = self._points[cols]
-        if self.dim < 8:
-            # Accumulate squared differences one coordinate at a time:
-            # (r, c) scratch per dimension instead of an (r, c, d)
-            # broadcast.  For fewer than 8 summands NumPy's axis-sum is
-            # a plain left-to-right reduction, so this accumulation
-            # order (and hence every bit) matches _compute_matrix.
-            total = np.zeros((a.shape[0], b.shape[0]))
-            for k in range(self.dim):
+        if 0 < self.dim < 8:
+            # Accumulate squared differences one coordinate at a time,
+            # in place: (r, c) scratch per dimension instead of an
+            # (r, c, d) broadcast.  For fewer than 8 summands NumPy's
+            # axis-sum is a plain left-to-right reduction starting at
+            # the first term, so this accumulation order (and hence
+            # every bit) matches _compute_matrix.
+            total = a[:, 0, None] - b[None, :, 0]
+            total *= total
+            for k in range(1, self.dim):
                 diff = a[:, k, None] - b[None, :, k]
                 diff *= diff
                 total += diff
-            return np.sqrt(total)
+            return np.sqrt(total, out=total)
         diff = a[:, None, :] - b[None, :, :]
         return np.sqrt(np.sum(diff * diff, axis=-1))

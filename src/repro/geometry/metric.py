@@ -92,9 +92,10 @@ class Metric(abc.ABC):
 
         Same contract as :meth:`pair_distances`: the default is a
         gather from the cached matrix, coordinate-backed metrics
-        compute the block directly with bit-identical entries.  This is
-        the primitive the tiled sparse gain build
-        (:class:`repro.core.gains.SparseBackend`) iterates over.
+        compute the block directly with bit-identical entries.  Either
+        way the block is a fresh array the caller may overwrite
+        (:meth:`loss_block` raises it to ``alpha`` in place).  This is
+        the primitive the tiled gain builds iterate over.
         """
         rows = np.asarray(rows, dtype=int)
         cols = np.asarray(cols, dtype=int)
@@ -108,7 +109,9 @@ class Metric(abc.ABC):
         the full loss matrix bit-for-bit)."""
         if alpha < 1:
             raise ValueError(f"path-loss exponent alpha must be >= 1, got {alpha}")
-        return self.distance_block(rows, cols) ** alpha
+        block = self.distance_block(rows, cols)
+        block **= alpha
+        return block
 
     def loss(self, u: int, v: int, alpha: float) -> float:
         """Loss ``l(u, v) = d(u, v)**alpha`` between two nodes."""

@@ -22,12 +22,16 @@ The extracted class is colored, removed, and the process repeats —
 "It is easy to see that such a greedy approach yields an O(log n)
 approximation for the optimal number of colors."
 
-The repair (step 3) and thinning (step 4) passes are the hot path;
-they run through :func:`greedy_max_feasible_subset`, which executes on
-the incremental peel kernel
-(:func:`repro.core.kernels.peel_max_feasible_subset`) — peeling
-decisions from maintained interference sums, O(k) vectorized work per
-round instead of re-gathering an O(k²) gain block (tolerance-window
+The class LPs (step 3) are the hot path, so HiGHS sees each distinct
+constraint once and only runs when the answer is not already known: on
+a directed instance the ``u`` and ``v`` budget rows coincide and the LP
+gets the ``k x k`` gain block once (bidirectional instances keep both
+row sets), and a class whose every row sum already fits its budget has
+the all-ones vector as its unique optimum, taken in closed form.  The
+repair (step 3) and thinning (step 4) passes run through
+:func:`greedy_max_feasible_subset`, on the incremental peel kernel
+(:func:`repro.core.kernels.peel_max_feasible_subset`) — O(k) vectorized
+work per round from maintained interference sums (tolerance-window
 decisions are re-resolved exactly and surfaced as ``peel_risk_events``
 in the result provenance).
 """
@@ -80,28 +84,49 @@ def _lp_select(
     rounding_trials: int,
 ) -> Tuple[np.ndarray, float]:
     """Solve the class LP and round; returns (chosen positions into
-    *candidates*, LP objective)."""
+    *candidates*, LP objective).
+
+    The LP maximizes ``sum(x)`` over ``x in [0, 1]^k`` subject to one
+    budget row ``A x <= relax * slack`` per candidate endpoint: the
+    ``k x k`` gain block on a directed instance (its ``u`` and ``v``
+    rows coincide), the stacked ``u`` and ``v`` blocks otherwise.
+
+    * A column with an infinite entry (a shared node) fixes its ``x``
+      at 0; the LP runs on the finite columns.  With none left the
+      pick is empty and the rng is not drawn from.
+    * When every row sum fits its budget, the all-ones vector is
+      feasible and hence the unique optimum: it is taken in closed
+      form, without calling HiGHS.
+
+    A HiGHS failure raises :class:`RuntimeError` (the LP always has the
+    feasible point ``x = 0``, so a failure is a model error).
+    """
     k = candidates.size
-    sub_u = backend.block_u(candidates)
-    sub_v = sub_u if backend.directed else backend.block_v(candidates)
-    # Shared nodes produce infinite gains; clamp them so the LP stays
-    # finite (an infinite column forces the corresponding x to 0 via a
-    # huge coefficient).
-    big = 1e30
-    sub_u = np.where(np.isfinite(sub_u), sub_u, big)
-    sub_v = np.where(np.isfinite(sub_v), sub_v, big)
-    a_ub = np.vstack([sub_u, sub_v])
-    b_ub = np.concatenate([relax * slack, relax * slack])
-    result = linprog(
-        c=-np.ones(k),
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=[(0.0, 1.0)] * k,
-        method="highs",
-    )
-    if not result.success:  # pragma: no cover - LP is always feasible (x=0)
+    a_ub = backend.block_u(candidates)
+    b_ub = relax * slack
+    if not backend.directed:
+        a_ub = np.vstack([a_ub, backend.block_v(candidates)])
+        b_ub = np.concatenate([b_ub, b_ub])
+    finite = np.isfinite(a_ub).all(axis=0)
+    if not finite.any():
         return np.zeros(0, dtype=int), 0.0
-    x = np.clip(result.x, 0.0, 1.0)
+    if not finite.all():
+        a_ub = a_ub[:, finite]
+
+    x = np.zeros(k)
+    if np.all(a_ub.sum(axis=1) <= b_ub):
+        x[finite] = 1.0
+    else:
+        result = linprog(
+            c=-np.ones(a_ub.shape[1]),
+            A_ub=a_ub,
+            b_ub=b_ub,
+            bounds=(0.0, 1.0),
+            method="highs",
+        )
+        if not result.success:
+            raise RuntimeError(f"Theorem 15 class LP failed: {result.message}")
+        x[finite] = np.clip(result.x, 0.0, 1.0)
     objective = float(np.sum(x))
 
     best: np.ndarray = np.zeros(0, dtype=int)

@@ -407,6 +407,25 @@ class TestTiledMetricAccess:
             metric.distance_block(rows, cols), full[np.ix_(rows, cols)]
         )
 
+    @pytest.mark.parametrize(
+        "metric",
+        [
+            LineMetric([0.0, 1.0, 3.0, 6.0, 10.0]),
+            EuclideanMetric(np.random.default_rng(4).uniform(0, 50, size=(5, 3))),
+        ],
+        ids=["gathered", "coordinates"],
+    )
+    def test_loss_block_leaves_the_distance_cache_alone(self, metric):
+        """loss_block raises its block to alpha in place: the block
+        must be fresh, never a view of the cached distance matrix."""
+        full = metric.distance_matrix().copy()
+        rows = np.asarray([1, 4])
+        cols = np.asarray([0, 2, 3])
+        first = metric.loss_block(rows, cols, 3.0)
+        np.testing.assert_array_equal(metric.distance_matrix(), full)
+        np.testing.assert_array_equal(metric.loss_block(rows, cols, 3.0), first)
+        np.testing.assert_array_equal(first, full[np.ix_(rows, cols)] ** 3.0)
+
     def test_instance_link_distances_unchanged(self):
         """Instance now resolves link lengths via pair_distances; the
         values must match the historical full-matrix gather bitwise."""

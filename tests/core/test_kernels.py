@@ -10,7 +10,10 @@ Three layers of guarantees:
   and trivial (zero-interference) edge cases.  The goldens were
   recorded at commit 4024ade, where each was checked identical on the
   kernel path and on the accumulator, subset-rebuild and from-scratch
-  reference paths that existed then.  Outputs are also oracle-feasible
+  reference paths that existed then; the ``sqrt_coloring`` entries of
+  the instances with shared nodes were re-recorded once their class LPs
+  fixed the infinite-gain columns at 0 instead of failing in HiGHS.
+  Outputs are also oracle-feasible
   (``tests/oracle.py``) and equal the oracle's greedy replay whenever
   no decision of it is too close to call.
 * **Property tests** — random add/remove/move sequences keep the

@@ -1,9 +1,16 @@
 """Tests for the Theorem 15 LP coloring algorithm."""
 
 import numpy as np
+import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
+import repro.scheduling.sqrt_coloring as sqrt_module
+from repro.core.context import get_context
+from repro.core.instance import Direction, Instance
+from repro.geometry.line import LineMetric
 from repro.instances.nested import nested_instance
 from repro.instances.random_instances import clustered_instance, random_uniform_instance
 from repro.power.oblivious import SquareRootPower
@@ -163,3 +170,109 @@ class TestSingleRequestFallback:
         # sort by descending link length (ties impossible here).
         order = np.argsort(-inst.link_distances, kind="stable")
         assert schedule.colors[order].tolist() == list(range(inst.n))
+
+
+@pytest.fixture
+def linprog_calls(monkeypatch):
+    """Record the keyword arguments of every class-LP ``linprog`` call
+    (through the module attribute the solver looks up)."""
+    calls = []
+    real = sqrt_module.linprog
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sqrt_module, "linprog", spy)
+    return calls
+
+
+def _separated_links():
+    """Four unit links 1000 apart: every class LP has all-ones feasible."""
+    metric = LineMetric([0.0, 1.0, 1000.0, 1001.0, 2000.0, 2001.0, 3000.0, 3001.0])
+    return Instance.directed(metric, [(0, 1), (2, 3), (4, 5), (6, 7)])
+
+
+def _shared_node_chain(direction):
+    """Consecutive requests share a node: infinite mutual gain."""
+    metric = LineMetric([0.0, 1.0, 2.5, 4.5, 7.0])
+    return Instance(metric, [0, 1, 2, 3], [1, 2, 3, 4], direction=direction)
+
+
+class TestClassLP:
+    @pytest.mark.parametrize(
+        "direction, rows_per_candidate",
+        [(Direction.DIRECTED, 1), (Direction.BIDIRECTIONAL, 2)],
+    )
+    def test_one_row_per_distinct_constraint(
+        self, linprog_calls, direction, rows_per_candidate
+    ):
+        inst = random_uniform_instance(20, rng=3, direction=direction)
+        sqrt_coloring(inst, rng=0)
+        assert linprog_calls, "instance must exercise HiGHS"
+        for call in linprog_calls:
+            k = call["c"].size
+            assert call["A_ub"].shape == (rows_per_candidate * k, k)
+            assert call["b_ub"].shape == (rows_per_candidate * k,)
+            assert call["bounds"] == (0.0, 1.0)
+
+    def test_all_fit_class_skips_highs(self, linprog_calls):
+        inst = _separated_links()
+        schedule, stats = sqrt_coloring(inst, rng=0)
+        schedule.validate(inst)
+        assert linprog_calls == []
+        assert stats.lp_solves >= 1
+        # The first class holds every request: objective k = n.
+        assert stats.lp_objectives[0] == inst.n
+
+        # HiGHS on the same LP agrees: all ones.
+        powers = SquareRootPower()(inst)
+        context = get_context(inst, powers)
+        every = np.arange(inst.n)
+        budget = (2.0**inst.alpha) * (context.signals / inst.beta) / 2.0
+        result = scipy.optimize.linprog(
+            c=-np.ones(inst.n),
+            A_ub=context.backend.block_u(every),
+            b_ub=budget,
+            bounds=(0.0, 1.0),
+            method="highs",
+        )
+        assert result.success
+        np.testing.assert_array_equal(result.x, np.ones(inst.n))
+
+    def test_mixed_instance_calls_highs_only_for_tight_classes(
+        self, linprog_calls
+    ):
+        inst = random_uniform_instance(20, rng=3, direction="directed")
+        _, stats = sqrt_coloring(inst, rng=0)
+        assert 0 < len(linprog_calls) < stats.lp_solves
+
+    def test_directed_shared_node_chain_lps_succeed(self):
+        inst = _shared_node_chain(Direction.DIRECTED)
+        schedule, stats = sqrt_coloring(inst, rng=99)
+        assert stats.lp_solves == len(stats.lp_objectives) > 0
+        assert max(stats.lp_objectives) > 0
+        powers = SquareRootPower()(inst)
+        assert oracle.SINROracle(inst, powers).feasible(schedule.colors)
+        # Consecutive requests share a node: they never share a color.
+        assert np.all(np.diff(schedule.colors) != 0)
+
+    def test_bidirectional_shared_node_chain_has_no_finite_column(
+        self, linprog_calls
+    ):
+        inst = _shared_node_chain(Direction.BIDIRECTIONAL)
+        schedule, stats = sqrt_coloring(inst, rng=99)
+        assert linprog_calls == []
+        assert stats.lp_objectives and set(stats.lp_objectives) == {0.0}
+        schedule.validate(inst)
+
+    def test_failed_solve_raises(self, monkeypatch):
+        def failing(*args, **kwargs):
+            return scipy.optimize.OptimizeResult(
+                success=False, status=4, message="numerical trouble"
+            )
+
+        monkeypatch.setattr(sqrt_module, "linprog", failing)
+        inst = random_uniform_instance(20, rng=3, direction="directed")
+        with pytest.raises(RuntimeError, match="numerical trouble"):
+            sqrt_coloring(inst, rng=0)

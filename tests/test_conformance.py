@@ -11,7 +11,10 @@ every emitted schedule must
   ``tests/data/scheduler_goldens.json``.  The goldens were recorded at
   commit 4024ade, where every scheduler still had its from-scratch and
   accumulator reference paths, and each golden was checked identical
-  across all of them before it was written;
+  across all of them before it was written.  The ``sqrt_coloring``
+  entries of the instances with shared nodes (``shared-node-dir`` and
+  the tree instances) were re-recorded, oracle-checked, once the class
+  LP fixed infinite-gain columns at 0 instead of failing in HiGHS;
 * for first-fit, peeling and local search, equal the oracle's
   brute-force replay of the greedy decisions whenever the replay is
   unambiguous.
