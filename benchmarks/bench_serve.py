@@ -9,8 +9,11 @@ measures (and gates) that unlock at steady state:
 
 * **incremental**: a live session held at ``--n`` active requests
   (default 4096); each step admits one arrival through
-  ``Session.add_requests`` and departs the oldest request, so n is
-  constant.  Reports arrivals/sec and p50/p99 per-admission latency.
+  ``Session.add_requests`` and departs the oldest request, so the
+  active count is constant — and so is storage: every arrival after
+  the first takes over the slot the previous departure freed, so the
+  session stores ``n + 1`` rows throughout.  Reports arrivals/sec and
+  p50/p99 per-admission latency.
 * **rebuild-per-arrival**: the pre-PR behavior — every arrival builds
   a cold context for the grown instance and replays all admissions.
   Amortized over ``--baseline-arrivals`` arrivals (few: each one costs
@@ -24,10 +27,27 @@ at least ``--speedup`` (default 10x) faster than mean
 rebuild-per-arrival admission.  The rebuild path is O(n^2) against the
 incremental path's O(n), so the gate engages at every size CI runs.
 
+**Soak mode** (``--soak N``) replaces the workloads above with one long
+run: ``N`` arrive/depart pairs at ``--n`` active requests through the
+serve front-end (with ``--fault-every K``, one recovered mid-admission
+fault every ``K`` arrivals), arrivals cycling through a pool of links
+drawn like the instance's own.  It gates what sustained churn must not
+do: the p99 of the last decile of arrivals must stay within 1.5x of the
+first decile's, the peak resident memory of the last decile within 5%
+of the first decile's, and storage at most ``n + 1`` rows.
+``--backend sparse`` runs it on the lossless (``epsilon = 0``) sparse
+backend, whose slot edits wait in an overlay that is written back every
+``nnz / 2n`` replaced slots.
+
 Run as a script::
 
     PYTHONPATH=src python benchmarks/bench_serve.py
     PYTHONPATH=src python benchmarks/bench_serve.py --n 512 --artifacts out/
+    PYTHONPATH=src python benchmarks/bench_serve.py --n 512 --soak 20000
+    PYTHONPATH=src python benchmarks/bench_serve.py --n 512 --soak 20000 \
+        --fault-every 32
+    PYTHONPATH=src python benchmarks/bench_serve.py --n 512 --soak 20000 \
+        --backend sparse
 
 Reference results (one run, defaults, see
 ``benchmarks/artifacts/BENCH_serve.json``): at n=4096 steady state the
@@ -40,6 +60,9 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import collections
+import os
+import resource
 import sys
 import time
 
@@ -70,6 +93,27 @@ def _pair_stream(instance, seed):
         r = int(rng.integers(0, metric_size))
         if s != r:
             yield (s, r)
+
+
+def _churn_stream(n: int, seed: int):
+    """``(instance, pairs)`` for sustained churn: a pool of ``2n`` links
+    drawn like the instance's own, the first ``n`` active and the rest,
+    cycled, the arrival stream.  With oldest-first departures a link
+    re-arrives only after it has departed, and arrivals keep the
+    instance's link lengths (and hence its color count) instead of the
+    long random pairs of :func:`_pair_stream`, which would drive the
+    class count towards ``n/2``."""
+    pool = _make_instance(2 * n, seed)
+    order = np.random.default_rng(seed + 1).permutation(2 * n)
+
+    def pairs():
+        k = n
+        while True:
+            link = int(order[k % (2 * n)])
+            yield int(pool.senders[link]), int(pool.receivers[link])
+            k += 1
+
+    return pool.subset(order[:n]), pairs()
 
 
 def _percentiles(latencies):
@@ -181,6 +225,33 @@ def measure_serve(n: int, arrivals: int, seed: int) -> dict:
     return asyncio.run(main())
 
 
+def _fault_plan(arrivals: int, fault_every: int):
+    """A plan faulting every *fault_every*-th arrival mid-admission
+    (``add_requests:grown``), for a supervisor that retries once."""
+    from repro.resilience.faults import FaultPlan, FaultSpec
+
+    # Each add_requests fires one "grown" occurrence, and each faulted
+    # admission consumes a second one for its retry — replay the
+    # arithmetic to fault exactly every fault_every-th arrival.
+    fault_at = []
+    occurrence = 0
+    for index in range(arrivals):
+        if (index + 1) % fault_every == 0:
+            fault_at.append(occurrence)
+            occurrence += 2  # the fault + the successful retry
+        else:
+            occurrence += 1
+    return FaultPlan(
+        specs=(
+            FaultSpec(
+                site="session",
+                phase="add_requests:grown",
+                at=tuple(fault_at),
+            ),
+        )
+    )
+
+
 def measure_serve_faulty(
     n: int, arrivals: int, seed: int, fault_every: int
 ) -> dict:
@@ -195,30 +266,9 @@ def measure_serve_faulty(
     rate, which the gate still holds against the rebuild baseline.
     """
     from repro.api import Problem
-    from repro.resilience.faults import FaultPlan, FaultSpec
     from repro.serve import ScheduleServer, ServeConfig
 
-    # Each add_requests fires one "grown" occurrence, and each faulted
-    # admission consumes a second one for its retry — replay the
-    # arithmetic to fault exactly every fault_every-th arrival.
-    fault_at = []
-    occurrence = 0
-    for index in range(arrivals):
-        if (index + 1) % fault_every == 0:
-            fault_at.append(occurrence)
-            occurrence += 2  # the fault + the successful retry
-        else:
-            occurrence += 1
-    plan = FaultPlan(
-        specs=(
-            FaultSpec(
-                site="session",
-                phase="add_requests:grown",
-                at=tuple(fault_at),
-            ),
-        )
-    )
-
+    plan = _fault_plan(arrivals, fault_every)
     instance = _make_instance(n, seed)
     pairs = _pair_stream(instance, seed + 1)
 
@@ -255,7 +305,184 @@ def measure_serve_faulty(
     return asyncio.run(main())
 
 
+def _rss_mb() -> float:
+    """Current resident set size (falls back to the peak where
+    ``/proc`` is unavailable)."""
+    try:
+        with open("/proc/self/statm") as statm:
+            pages = int(statm.read().split()[1])
+        return pages * os.sysconf("SC_PAGE_SIZE") / 2**20
+    except (OSError, ValueError, IndexError):
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        return peak / (2**20 if sys.platform == "darwin" else 2**10)
+
+
+def measure_soak(
+    n: int, pairs: int, seed: int, fault_every: int = 0,
+    backend: str = "dense",
+) -> dict:
+    """*pairs* arrive/depart pairs at *n* active requests through the
+    serve front-end on the given gain *backend*, optionally with a
+    recovered fault every *fault_every* arrivals.  Returns per-decile
+    p99 latency and peak RSS, the storage size at the end and the
+    recovery count."""
+    from repro.api import Problem
+    from repro.serve import ScheduleServer, ServeConfig
+
+    instance, stream = _churn_stream(n, seed)
+    plan = _fault_plan(pairs, fault_every) if fault_every > 0 else None
+    decile = max(1, pairs // 10)
+    sample_every = max(1, decile // 64)
+
+    async def main():
+        async with ScheduleServer() as server:
+            session = server.add_session(
+                "soak",
+                Problem(instance, backend=backend, sparse_epsilon=0.0),
+                ServeConfig(
+                    queue_capacity=128,
+                    fault_plan=plan,
+                    admit_retries=1 if plan is not None else 0,
+                ),
+            )
+            session.ensure_live()
+            fifo = collections.deque(session.handles)
+            # Preallocated, so the harness itself adds nothing to the
+            # memory the gate watches.
+            latencies = np.empty(pairs)
+            rss = []
+            start = time.perf_counter()
+            for index in range(pairs):
+                t0 = time.perf_counter()
+                decision = await server.submit("soak", next(stream))
+                latencies[index] = time.perf_counter() - t0
+                assert decision.accepted, decision
+                server.remove("soak", fifo.popleft())
+                fifo.append(decision.handle)
+                if index % sample_every == 0 or index == pairs - 1:
+                    rss.append((index, _rss_mb()))
+            elapsed = time.perf_counter() - start
+            damage = session.check_consistency()
+            assert damage is None, damage
+            session.live_result().validate()
+            return (
+                latencies, rss, elapsed, session.instance.n,
+                server.stats("soak")["recoveries"],
+            )
+
+    latencies, rss, elapsed, storage, recoveries = asyncio.run(main())
+    first, last = latencies[:decile], latencies[-decile:]
+    rss_first = max(mb for index, mb in rss if index < decile)
+    rss_last = max(mb for index, mb in rss if index >= pairs - decile)
+    return {
+        "workload": "soak" + (f"-faulty(1/{fault_every})" if fault_every else ""),
+        "backend": backend,
+        "n": n,
+        "arrivals": pairs,
+        "arrivals_per_sec": pairs / elapsed,
+        **_percentiles(latencies),
+        "p99_first_decile_ms": float(np.percentile(first, 99) * 1e3),
+        "p99_last_decile_ms": float(np.percentile(last, 99) * 1e3),
+        "rss_first_decile_mb": rss_first,
+        "rss_last_decile_mb": rss_last,
+        "storage_rows": storage,
+        "recoveries": recoveries,
+    }
+
+
+def run_soak(args) -> int:
+    """The ``--soak`` mode: one long churn run and its gates."""
+    run_start = time.perf_counter()
+    result = measure_soak(
+        args.n, args.soak, args.seed, args.fault_every, args.backend
+    )
+    print(
+        f"{result['workload']:<22} {result['backend']} n={result['n']:<6} "
+        f"arrivals={result['arrivals']:<7} "
+        f"{result['arrivals_per_sec']:>10.1f}/s "
+        f"p50={result['p50_ms']:>8.3f} ms p99={result['p99_ms']:>8.3f} ms"
+    )
+    print(
+        f"p99 first/last decile: {result['p99_first_decile_ms']:.3f} / "
+        f"{result['p99_last_decile_ms']:.3f} ms; peak RSS first/last "
+        f"decile: {result['rss_first_decile_mb']:.1f} / "
+        f"{result['rss_last_decile_mb']:.1f} MB; storage "
+        f"{result['storage_rows']} rows; recoveries {result['recoveries']}"
+    )
+    failures = []
+    if result["p99_last_decile_ms"] > 1.5 * result["p99_first_decile_ms"]:
+        failures.append(
+            "p99 is not flat: the last decile's "
+            f"{result['p99_last_decile_ms']:.3f} ms exceeds 1.5x the first "
+            f"decile's {result['p99_first_decile_ms']:.3f} ms"
+        )
+    if result["rss_last_decile_mb"] > 1.05 * result["rss_first_decile_mb"]:
+        failures.append(
+            "resident memory grew: the last decile's peak "
+            f"{result['rss_last_decile_mb']:.1f} MB exceeds the first "
+            f"decile's {result['rss_first_decile_mb']:.1f} MB by over 5%"
+        )
+    if result["storage_rows"] > args.n + 1:
+        failures.append(
+            f"storage holds {result['storage_rows']} rows for {args.n} "
+            "active requests (departed slots are not being reused)"
+        )
+    if args.fault_every > 0:
+        expected = args.soak // args.fault_every
+        if result["recoveries"] != expected:
+            failures.append(
+                f"expected {expected} recoveries, the server counted "
+                f"{result['recoveries']}"
+            )
+
+    if args.artifacts is not None:
+        from repro.runner.artifacts import (
+            BenchReport,
+            ShardResult,
+            write_artifact,
+        )
+        from repro.util.tables import Table
+
+        table = Table(
+            title="Online serving under sustained churn (soak)",
+            columns=list(result),
+        )
+        table.add_note(
+            "gates: last-decile p99 <= 1.5x first-decile p99; last-decile "
+            "peak RSS <= first-decile peak + 5%; storage <= n + 1 rows"
+        )
+        table.add_row(**result)
+        report = BenchReport(
+            experiment="serve_soak",
+            title="Online serving layer under sustained churn",
+            mode="full" if args.n >= 4096 and args.soak >= 100_000 else "smoke",
+            table=table,
+            shards=[
+                ShardResult(
+                    key=f"{result['workload']}:n={args.n}",
+                    seed=args.seed,
+                    rows=1,
+                    seconds=args.soak / result["arrivals_per_sec"],
+                )
+            ],
+            run_wall_seconds=time.perf_counter() - run_start,
+            metric="arrivals_per_sec",
+            backend=args.backend,
+            algorithms=("first_fit",),
+        )
+        print(f"wrote {write_artifact(args.artifacts, report)}")
+
+    if failures:
+        for failure in failures:
+            print(f"FAIL: {failure}")
+        return 1
+    print("OK: all soak gates passed")
+    return 0
+
+
 def run(args) -> int:
+    if args.soak > 0:
+        return run_soak(args)
     rows = []
     failures = []
     run_start = time.perf_counter()
@@ -428,6 +655,20 @@ def main(argv=None) -> int:
         help="inject one recovered mid-admission fault every N arrivals "
         "in an extra serve workload and gate its degraded mean too "
         "(0 = off)",
+    )
+    parser.add_argument(
+        "--soak",
+        type=int,
+        default=0,
+        help="run only the soak: this many arrive/depart pairs at --n "
+        "active requests (faulty with --fault-every), gating a flat p99 "
+        "and bounded memory (0 = off)",
+    )
+    parser.add_argument(
+        "--backend",
+        choices=("dense", "sparse"),
+        default="dense",
+        help="gain backend of the soak session (soak only; default dense)",
     )
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(

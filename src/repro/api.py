@@ -39,7 +39,8 @@ backends.
 
 from __future__ import annotations
 
-import dataclasses
+import copy
+import heapq
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -253,8 +254,8 @@ class Problem:
     def _grown(self, instance: Instance, powers: PowersLike) -> "Problem":
         """This problem over a new instance and powers, keeping the
         config resolved at construction."""
-        problem = dataclasses.replace(self, instance=instance, powers=powers)
-        problem.config = self.config
+        problem = copy.copy(self)
+        problem.instance, problem.powers = instance, powers
         return problem
 
     def session(self) -> "Session":
@@ -302,16 +303,20 @@ class Session:
         self._last_rng: Any = None
         self.last_result: Optional[ScheduleResult] = None
         # Incremental serving state: stable request uids -> current
-        # dense index (initial requests get uids 0..n-1), tombstoned
-        # indices awaiting compaction, and the live online kernel.
+        # storage slot (initial requests get uids 0..n-1, and the dict
+        # is kept in uid order), a min-heap of departed slots free for
+        # reuse, and the live online kernel.
         n = problem.instance.n
         self._uid_to_index: Dict[int, int] = {uid: uid for uid in range(n)}
         self._uid_seq: int = n
-        self._departed: set = set()
+        self._free: List[int] = []
         self._kernel: Optional[ScheduleKernel] = None
         self._limits: Optional[np.ndarray] = None
         self._arrivals: int = 0
         self._departures: int = 0
+        # Bumped by every arrival, departure and rebuild (each changes
+        # what a storage slot holds); kernel snapshots carry it.
+        self._epoch: int = 0
         # Fault-injection hook (tests / chaos harness; see
         # repro.resilience.faults).  None in production.
         self._fault_plan: Optional["FaultPlan"] = None
@@ -348,7 +353,7 @@ class Session:
     @property
     def handles(self) -> List[RequestHandle]:
         """Live :class:`RequestHandle` for every active request, in
-        current index order (includes the initial requests, whose uids
+        arrival (uid) order (includes the initial requests, whose uids
         are ``0 .. n0-1``)."""
         inst = self.problem.instance
         return [
@@ -357,10 +362,27 @@ class Session:
                 sender=int(inst.senders[idx]),
                 receiver=int(inst.receivers[idx]),
             )
-            for uid, idx in sorted(
-                self._uid_to_index.items(), key=lambda kv: kv[1]
-            )
+            for uid, idx in self._uid_to_index.items()
         ]
+
+    def _active_slots(self) -> np.ndarray:
+        """Storage slots of the active requests, in uid order."""
+        return np.fromiter(
+            self._uid_to_index.values(), dtype=int, count=len(self._uid_to_index)
+        )
+
+    def _compact(self) -> bool:
+        """Do the stored rows differ from the active requests in uid
+        order (free slots, or slots reused out of order)?"""
+        return not np.array_equal(
+            self._active_slots(), np.arange(self.problem.instance.n)
+        )
+
+    def _stamp(self) -> None:
+        """Tag the live kernel (and hence its snapshots) with the
+        session's epoch."""
+        if self._kernel is not None:
+            self._kernel.stamp = self._epoch
 
     @property
     def context(self) -> InterferenceContext:
@@ -389,11 +411,13 @@ class Session:
         ``gamma_target=``, ``use_lp=``, ``schedule=`` for
         ``local_search``).  Randomized algorithms take ``rng=``.
 
-        Pending departures (see :meth:`remove_requests`) are compacted
-        away first via :meth:`rebuild` — batch algorithms run over the
-        whole instance, so tombstoned requests must not participate.
+        Free slots and reused slots (see :meth:`remove_requests`) are
+        compacted away first via :meth:`rebuild` — batch algorithms run
+        over the whole instance, so departed requests must not
+        participate, and the active requests must stand in arrival
+        order, as they would in a session that never reused a slot.
         """
-        if self._departed:
+        if self._compact():
             self.rebuild()
         spec = get_algorithm(algorithm)
         return self._run(spec, rng, params, batch_fallback=None)
@@ -433,21 +457,28 @@ class Session:
         pairs: Sequence[Tuple[int, int]],
         powers: Optional[Sequence[float]] = None,
     ) -> List[RequestHandle]:
-        """Append requests (``(sender, receiver)`` node pairs on the
-        same metric) and grow the cached context **in place**.
+        """Admit requests (``(sender, receiver)`` node pairs on the
+        same metric), updating the cached context **in place**.
 
-        An already-built context (and its gain backend) extends via
-        :meth:`~repro.core.context.InterferenceContext.extend_to` —
-        only the new rows/columns of the gain matrices are computed, so
-        an arrival costs O(n) instead of the former O(n^2) cold
-        rebuild, bit-identically (at ``epsilon = 0``) to one.  If the
-        session's live online kernel is active (see
-        :meth:`live_result`), each new request is immediately admitted
-        with one O(n) vectorized first-fit check.
+        Each arrival takes over the storage slot of a departed request
+        when one is free (lowest slot first), and is appended only when
+        none is, so storage never exceeds the most requests ever active
+        at once.  A built context rewrites just the reused slots' gain
+        rows and columns
+        (:meth:`~repro.core.context.InterferenceContext.replace_requests`)
+        and grows by just the appended ones
+        (:meth:`~repro.core.context.InterferenceContext.extend_to`):
+        ``O(n)`` per arrival instead of an ``O(n^2)`` cold rebuild, and
+        bit-identical (at ``epsilon = 0``) to one.  If the session's
+        live online kernel is active (see :meth:`live_result`), each
+        new request is immediately admitted with one ``O(n)``
+        vectorized first-fit check.  Slots are storage only: handles,
+        :meth:`live_result`, :meth:`rebuild` and kernel replays all
+        follow arrival (uid) order.
 
         When the problem's powers came from a
         :class:`~repro.power.base.PowerAssignment` (or the default
-        square-root assignment) the vector is re-resolved for the grown
+        square-root assignment) the vector is re-resolved for the new
         instance; with explicit powers, pass one power per new request
         via *powers*.  Sender/receiver indices are validated against
         the metric up front, naming the offending pair.
@@ -469,15 +500,6 @@ class Session:
                         f"index {node} is out of range for a metric with "
                         f"{metric_size} nodes (valid: 0..{metric_size - 1})"
                     )
-        new_instance = Instance(
-            old.metric,
-            np.concatenate([old.senders, [p[0] for p in pairs]]),
-            np.concatenate([old.receivers, [p[1] for p in pairs]]),
-            direction=old.direction,
-            alpha=old.alpha,
-            beta=old.beta,
-            noise=old.noise,
-        )
         if self._assignment is not None:
             if powers is not None:
                 raise ValueError(
@@ -485,39 +507,71 @@ class Session:
                     f"({self._assignment!r}); the assignment re-resolves "
                     "automatically"
                 )
-            new_powers: PowersLike = self._assignment
         else:
             if powers is None:
                 raise ValueError(
                     "the problem was built with an explicit power vector; "
                     f"pass powers= ({len(pairs)} values) for the new requests"
                 )
-            appended = np.asarray(powers, dtype=float).reshape(-1)
-            if appended.size != len(pairs):
+            arriving = np.asarray(powers, dtype=float).reshape(-1)
+            if arriving.size != len(pairs):
                 raise ValueError(
-                    f"powers has {appended.size} entries for "
+                    f"powers has {arriving.size} entries for "
                     f"{len(pairs)} new requests"
                 )
-            new_powers = np.concatenate([self._powers, appended])
         n_old = old.n
+        # The lowest free slots, in order (the ones heappop would give).
+        slots = heapq.nsmallest(min(len(pairs), len(self._free)), self._free)
+        reused, appended = pairs[: len(slots)], pairs[len(slots) :]
+        edited = old.replaced(slots, reused) if slots else old
+        new_instance = edited
+        if appended:
+            new_instance = Instance(
+                old.metric,
+                np.concatenate([edited.senders, [p[0] for p in appended]]),
+                np.concatenate([edited.receivers, [p[1] for p in appended]]),
+                direction=old.direction,
+                alpha=old.alpha,
+                beta=old.beta,
+                noise=old.noise,
+            )
+        if self._assignment is not None:
+            new_powers: PowersLike = self._assignment
+        else:
+            new_powers = self._powers.copy()
+            new_powers[slots] = arriving[: len(slots)]
+            new_powers = np.concatenate([new_powers, arriving[len(slots) :]])
         resolved, assignment = _resolve_powers(new_instance, new_powers)
         # Oblivious assignments are elementwise over link losses, so
-        # re-resolving preserves the existing powers bit-for-bit — the
-        # contract in-place growth needs.  A (hypothetical) assignment
-        # whose powers depend on the whole instance falls back to the
-        # historical full invalidation: drop the context (and kernel)
-        # and rebuild cold on next use.
-        grow_in_place = np.array_equal(resolved[:n_old], self._powers)
+        # re-resolving preserves every untouched power bit-for-bit —
+        # the contract in-place editing needs.  A (hypothetical)
+        # assignment whose powers depend on the whole instance falls
+        # back to the historical full invalidation: drop the context
+        # (and kernel) and rebuild cold on next use.
+        expected = self._powers.copy()
+        expected[slots] = resolved[slots]
+        in_place = np.array_equal(resolved[:n_old], expected)
+        # Mutation starts here.  Until the uids are assigned, a reused
+        # slot is neither active nor free: an orphan check_consistency
+        # sees.
+        for _ in slots:
+            heapq.heappop(self._free)
         self.problem = self.problem._grown(new_instance, new_powers)
         self._powers, self._assignment = resolved, assignment
-        if grow_in_place and self._context is not None:
+        indices = slots + list(range(n_old, new_instance.n))
+        if in_place and self._context is not None:
             # The context cache keys on (id(instance), power bytes) —
-            # release the old slot, grow, take the new slot.
+            # release the old slot, edit, take the new slot.
             unpin_context(self._context)
-            self._context.extend_to(new_instance, resolved)
+            if slots:
+                self._context.replace_requests(
+                    slots, edited, resolved[:n_old]
+                )
+            if appended:
+                self._context.extend_to(new_instance, resolved)
             repin_context(self._context)
             if self._kernel is not None:
-                self._admit_arrivals(range(n_old, new_instance.n))
+                self._admit_arrivals(indices, reused=slots)
         else:
             # Release the old instance's cache slot eagerly: the
             # context / cache-dict / instance reference cycle only dies
@@ -528,19 +582,21 @@ class Session:
             self._context = None
             self._kernel = None
             self._limits = None
-        # Instance, context and kernel have grown, but the arrivals are
+        # Instance, context and kernel hold the arrivals, but they are
         # not yet uid-accounted: a fault here leaves the session
         # genuinely half-mutated (what recover() must repair).
         self._fire_fault("add_requests:grown")
         handles = []
-        for offset, (sender, receiver) in enumerate(pairs):
+        for index, (sender, receiver) in zip(indices, pairs):
             uid = self._uid_seq
             self._uid_seq += 1
-            self._uid_to_index[uid] = n_old + offset
+            self._uid_to_index[uid] = index
             handles.append(
                 RequestHandle(uid=uid, sender=sender, receiver=receiver)
             )
         self._arrivals += len(pairs)
+        self._epoch += 1
+        self._stamp()
         return handles
 
     def remove_requests(
@@ -550,10 +606,12 @@ class Session:
 
         On the live online kernel a departure is the kernel's existing
         exact O(n) remove — no context invalidation, no re-coloring of
-        anyone else.  The request's storage slot is tombstoned until
-        the next :meth:`rebuild` (or batch :meth:`schedule` /
-        :meth:`reschedule`, which compact automatically); tombstoned
-        requests are not members of any class, so they contribute no
+        anyone else.  The request's storage slot goes on the free list:
+        the next arrival takes it over in place (see
+        :meth:`add_requests`), and a :meth:`rebuild` (or batch
+        :meth:`schedule` / :meth:`reschedule`, which compact
+        automatically) drops the slots still free.  A departed request
+        is not a member of any class, so it contributes no
         interference.  Returns ``self`` for chaining.
         """
         uids = []
@@ -572,26 +630,31 @@ class Session:
             index = self._uid_to_index.pop(uid)
             if self._kernel is not None and self._kernel.colors[index] >= 0:
                 self._kernel.remove(index)
-            self._departed.add(index)
+            heapq.heappush(self._free, index)
         self._departures += len(uids)
+        self._epoch += 1
+        self._stamp()
         return self
 
     def rebuild(self) -> "Session":
-        """Compact departures away and drop to a cold context — the
-        historical :meth:`add_requests` behavior, now explicit.
+        """Compact the stored requests to the active ones and drop to a
+        cold context.
 
-        The instance shrinks to the active requests (handles stay
-        valid; dense indices are remapped), powers are re-resolved (or
-        sliced, for explicit vectors), and the cached context and live
-        kernel are discarded so the next use rebuilds from scratch.
+        The instance becomes the active requests in arrival (uid) order
+        — free slots dropped, reused slots put back in order — so it is
+        the instance a session that never reused a slot would hold
+        (handles stay valid; storage slots are remapped).  Powers are
+        re-resolved (or sliced, for explicit vectors), and the cached
+        context and live kernel are discarded so the next use rebuilds
+        from scratch.
         """
         if not self._uid_to_index:
             raise InvalidScheduleError(
                 "cannot rebuild a session with zero active requests"
             )
         old = self.problem.instance
-        active = np.asarray(sorted(self._uid_to_index.values()), dtype=int)
-        if self._departed:
+        if self._compact():
+            active = self._active_slots()
             new_instance = old.subset(active)
             if self._assignment is not None:
                 new_powers: PowersLike = self._assignment
@@ -601,19 +664,16 @@ class Session:
             self._powers, self._assignment = _resolve_powers(
                 new_instance, new_powers
             )
-            index_to_uid = {
-                index: uid for uid, index in self._uid_to_index.items()
-            }
             self._uid_to_index = {
-                index_to_uid[index]: position
-                for position, index in enumerate(active)
+                uid: position for position, uid in enumerate(self._uid_to_index)
             }
-            self._departed = set()
+            self._free = []
         if self._context is not None:
             unpin_context(self._context)
         self._context = None
         self._kernel = None
         self._limits = None
+        self._epoch += 1
         return self
 
     # -- fault tolerance -----------------------------------------------
@@ -653,25 +713,30 @@ class Session:
         sound, else a description of the damage.
 
         The invariant: every request row of the current instance is
-        either uid-accounted (active) or tombstoned (departed).  An
-        exception escaping mid-:meth:`add_requests` — uids are assigned
-        *last* — breaks exactly this, so the check is a reliable
-        damage detector for supervisors.  The live kernel, when built,
-        must also span the instance.
+        either uid-accounted (active) or on the free list (departed).
+        An exception escaping mid-:meth:`add_requests` — slots are
+        taken first, uids are assigned *last* — breaks exactly this, so
+        the check is a reliable damage detector for supervisors.  The
+        live kernel, when built, must also span the instance and hold
+        no free slot in a class.
         """
         n = self.problem.instance.n
-        accounted = len(self._uid_to_index) + len(self._departed)
+        accounted = len(self._uid_to_index) + len(self._free)
         if accounted != n:
             return (
                 f"instance has {n} request rows but only {accounted} are "
-                "accounted (active + departed): an admission was "
+                "accounted (active + free): an admission was "
                 "interrupted mid-mutation"
             )
-        if self._kernel is not None and len(self._kernel.colors) != n:
-            return (
-                f"live kernel spans {len(self._kernel.colors)} requests "
-                f"but the instance has {n}"
-            )
+        if self._kernel is not None:
+            colors = self._kernel.colors
+            if len(colors) != n:
+                return (
+                    f"live kernel spans {len(colors)} requests "
+                    f"but the instance has {n}"
+                )
+            if self._free and np.any(colors[self._free] >= 0):
+                return "the live kernel still places a departed request"
         return None
 
     def recover(
@@ -687,13 +752,14 @@ class Session:
             the O(C·n) transactional-rollback fast path.
         ``"rekernel"``
             No structural damage but the snapshot could not be applied
-            (kernel since grown/dropped, or no snapshot given): the
-            live kernel is discarded and replays lazily on next use.
+            (an arrival, departure or rebuild completed since it was
+            taken, the kernel was dropped, or no snapshot was given):
+            the live kernel is discarded and replays lazily on next use.
         ``"rebuild"``
-            Structural damage (orphaned half-admitted rows): the
-            orphans are tombstoned and :meth:`rebuild` compacts the
-            session back to its accounted requests — equivalent to a
-            cold rebuild from the active set.
+            Structural damage (orphaned half-admitted slots): the
+            orphans are freed and :meth:`rebuild` compacts the session
+            back to its accounted requests — equivalent to a cold
+            rebuild from the active set.
 
         After any of these the session satisfies
         :meth:`check_consistency` and subsequent scheduling is
@@ -703,15 +769,24 @@ class Session:
         if self.check_consistency() is not None:
             n = self.problem.instance.n
             accounted = set(self._uid_to_index.values())
-            orphans = set(range(n)) - accounted - self._departed
-            # Tombstoning the orphans turns "interrupted admission"
-            # into "departure awaiting compaction" — rebuild() already
-            # knows how to heal that, and it discards the (possibly
-            # also damaged) context and kernel with the same stroke.
-            self._departed |= orphans
+            orphans = set(range(n)) - accounted - set(self._free)
+            # Freeing the orphans turns "interrupted admission" into
+            # "departure awaiting compaction" — rebuild() already knows
+            # how to heal that, and it discards the (possibly also
+            # damaged) context and kernel with the same stroke.
+            self._free.extend(orphans)
+            heapq.heapify(self._free)
             self.rebuild()
             return "rebuild"
-        if self._kernel is not None and kernel_snapshot is not None:
+        # A snapshot from before a completed arrival, departure or
+        # rebuild would bring back an old membership or slot layout
+        # (with slot reuse, at the same n), so only a snapshot of the
+        # current epoch is restored.
+        if (
+            self._kernel is not None
+            and kernel_snapshot is not None
+            and kernel_snapshot.get("stamp") == self._epoch
+        ):
             try:
                 self._kernel.restore(kernel_snapshot)
                 return "snapshot"
@@ -725,6 +800,7 @@ class Session:
     # -- live online kernel --------------------------------------------
 
     def _compute_limits(self, context: InterferenceContext) -> np.ndarray:
+        """Tolerance-scaled interference budgets of every request."""
         budgets = context.budgets()
         if np.any(budgets < 0):
             bad = int(np.argmax(budgets < 0))
@@ -734,14 +810,18 @@ class Session:
             )
         return budgets * (1.0 + DEFAULT_RTOL)
 
-    def _admit_arrivals(self, indices: Sequence[int]) -> None:
-        """Extend the live kernel to the grown context and first-fit
-        admit *indices* in arrival order — one O(n) vectorized
-        admission check each (a fresh class opens when none fits, so
-        every arrival is placed)."""
+    def _admit_arrivals(self, indices: Sequence[int], reused: List[int]) -> None:
+        """Bring the live kernel up to the edited context — reseed the
+        *reused* slots, extend to appended ones — and first-fit admit
+        *indices* in arrival order, one O(n) vectorized admission check
+        each (a fresh class opens when none fits, so every arrival is
+        placed)."""
         kernel = self._kernel
         context = self.context
-        kernel.extend_to(context.n)
+        if reused:
+            kernel.reseed(reused)
+        if context.n > kernel.n:
+            kernel.extend_to(context.n)
         self._limits = self._compute_limits(context)
         for index in indices:
             color = kernel.first_fit_admit(int(index), self._limits)
@@ -751,7 +831,7 @@ class Session:
 
     def ensure_live(self) -> ScheduleKernel:
         """The session's live online first-fit kernel, built on first
-        use by admitting every active request in arrival (index) order.
+        use by admitting every active request in arrival (uid) order.
 
         Once live, :meth:`add_requests` admits each arrival with a
         single O(n) vectorized check and :meth:`remove_requests`
@@ -766,13 +846,12 @@ class Session:
             kernel = ScheduleKernel(context)
             self._limits = self._compute_limits(context)
             self._kernel = kernel
-            for index in range(context.n):
-                if index in self._departed:
-                    continue
+            for index in self._uid_to_index.values():
                 color = kernel.first_fit_admit(index, self._limits)
                 if color < 0:
                     color = kernel.open_class()
                 kernel.add(index, color)
+            self._stamp()
         return self._kernel
 
     def color_of(self, handle: Union[RequestHandle, int]) -> int:
@@ -787,7 +866,7 @@ class Session:
 
     def live_result(self) -> ScheduleResult:
         """A :class:`ScheduleResult` for the live kernel's current
-        coloring over the **active** requests.
+        coloring over the **active** requests, in arrival (uid) order.
 
         Builds the kernel on first use (see :meth:`ensure_live`).  The
         provenance records ``incremental=True`` plus the session's
@@ -797,18 +876,16 @@ class Session:
         start = time.perf_counter()
         kernel = self.ensure_live()
         context = self.context
-        active = np.asarray(sorted(self._uid_to_index.values()), dtype=int)
+        active = self._active_slots()
         if active.size == 0:
             raise InvalidScheduleError(
                 "no active requests: every request has departed"
             )
         colors = np.asarray(kernel.colors)[active]
         schedule = build_schedule(colors, self._powers[active]).compacted()
-        instance = (
-            self.problem.instance
-            if active.size == self.problem.instance.n
-            else self.problem.instance.subset(active)
-        )
+        instance = self.problem.instance
+        if not np.array_equal(active, np.arange(instance.n)):
+            instance = instance.subset(active)
         wall = time.perf_counter() - start
         result = ScheduleResult(
             schedule=schedule,

@@ -90,6 +90,7 @@ from repro.core.gains import (
     GainBackend,
     build_backend,
     default_config,
+    _distinct_slots,
     validate_growth,
 )
 from repro.core.instance import Direction, Instance
@@ -226,6 +227,11 @@ class InterferenceContext:
         storage is returned without a copy, but a sparse backend
         **materializes** an O(n^2) array on every access — hot paths
         use the :attr:`backend` primitives instead.
+
+        The dense array is read-only to callers but not immutable: a
+        live session's slot reuse (:meth:`replace_requests`) rewrites
+        the reused rows and columns of this very array in place.  Copy
+        it to keep a snapshot across arrivals.
         """
         return self.backend.dense_u()
 
@@ -243,7 +249,9 @@ class InterferenceContext:
         The matrix affectance and conflict-graph analyses work on; in
         the directed variant it is :attr:`gains_u` itself.  Cached on
         the dense backend; sparse backends materialize it per call
-        (see :attr:`gains_u`).
+        (see :attr:`gains_u`).  Slot reuse edits the directed matrix in
+        place and recomputes the undirected one on next access: copy
+        it to keep a snapshot across arrivals (see :attr:`gains_u`).
         """
         return self.backend.dense_worst()
 
@@ -256,7 +264,9 @@ class InterferenceContext:
         every other request suffers when ``j`` transmits — laid out
         contiguously.  Column-consuming hot loops use
         ``backend.col_u(j)``, which reads this layout on the dense
-        backend and a transposed CSR row on the sparse one.
+        backend and a transposed CSR row on the sparse one.  Slot
+        reuse rewrites the cached dense transpose in place, like
+        :attr:`gains_u`.
         """
         return self.backend.dense_ut()
 
@@ -312,6 +322,47 @@ class InterferenceContext:
         powers.setflags(write=False)
         self.powers = powers
         self._signals = None
+
+    def replace_requests(
+        self, slots: Sequence[int], instance: Instance, powers: np.ndarray
+    ) -> None:
+        """Swap the requests at *slots* for those of ``(instance,
+        powers)`` in place, keeping ``n`` (every other request and its
+        power bit-unchanged — see :func:`repro.core.gains.validate_growth`
+        with ``replaced=``).
+
+        An already-built gain backend rewrites only the slots' rows and
+        columns (:meth:`~repro.core.gains.GainBackend.replace_requests`,
+        ``O(n)`` per slot on the dense backend); cached signals are
+        patched at the slots, bit-identically to recomputing them.  The
+        cache discipline of :meth:`extend_to` applies: unpin before,
+        repin after.
+        """
+        slots = _distinct_slots(slots)
+        powers = np.array(powers, dtype=float).reshape(-1)
+        if instance.n != self.n or powers.shape != (self.n,):
+            raise InvalidScheduleError(
+                f"replacement keeps n={self.n}; got an instance of "
+                f"n={instance.n} and powers of shape {powers.shape}"
+            )
+        if not all(power > 0 for power in powers[slots].tolist()):
+            raise InvalidScheduleError("all powers must be strictly positive")
+        if self._backend is None:
+            validate_growth(
+                self.instance, self.powers, instance, powers, replaced=slots
+            )
+        else:
+            # The backend holds this very pair and validates the edit
+            # itself before touching anything.
+            self._backend.replace_requests(slots, instance, powers)
+        if self._signals is not None:
+            signals = self._signals.copy()
+            signals[slots] = powers[slots] / instance.link_losses[slots]
+            signals.setflags(write=False)
+            self._signals = signals
+        self.instance = instance
+        powers.setflags(write=False)
+        self.powers = powers
 
     def budgets(
         self, beta: Optional[float] = None, noise: Optional[float] = None

@@ -89,7 +89,7 @@ import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse as _sp
@@ -395,14 +395,19 @@ def validate_growth(
     old_powers: np.ndarray,
     new_instance: Instance,
     new_powers: np.ndarray,
+    replaced: Optional[Sequence[int]] = None,
 ) -> None:
     """Check that ``(new_instance, new_powers)`` extends the old pair
     *in place*: same metric object, variant and alpha; the existing
     requests (and their powers, bitwise) unchanged as a prefix; only
-    new requests appended.  Raises :class:`ValueError` naming the first
-    violated condition — the contract every
-    :meth:`GainBackend.append_requests` (and the context/kernel growth
-    built on it) relies on for bit-identity with a cold rebuild.
+    new requests appended.  Requests at the *replaced* indices of the
+    prefix are exempt: they may carry new pairs and powers (see
+    :meth:`GainBackend.replace_requests`).  Raises :class:`ValueError`
+    naming the first violated condition — the contract every
+    :meth:`GainBackend.append_requests` and
+    :meth:`GainBackend.replace_requests` (and the context/kernel
+    updates built on them) relies on for bit-identity with a cold
+    rebuild.
     """
     if new_instance.metric is not old_instance.metric:
         raise ValueError(
@@ -425,11 +430,24 @@ def validate_growth(
             f"growth cannot shrink the instance "
             f"(n={old_instance.n} -> n={new_instance.n})"
         )
+    if replaced is not None:
+        replaced = np.asarray(replaced, dtype=int).reshape(-1)
+        if replaced.size and (replaced.min() < 0 or replaced.max() >= n_old):
+            raise ValueError(
+                f"replaced indices must lie in 0..{n_old - 1}, got "
+                f"{replaced.min()}..{replaced.max()}"
+            )
+
+    def unchanged(new: np.ndarray, old: np.ndarray) -> bool:
+        """Does *new* start with *old*, except at the replaced slots?"""
+        changed = np.flatnonzero(new[:n_old] != old)
+        if replaced is None or not changed.size:
+            return not changed.size
+        return set(changed.tolist()) <= set(replaced.tolist())
+
     if not (
-        np.array_equal(new_instance.senders[:n_old], old_instance.senders)
-        and np.array_equal(
-            new_instance.receivers[:n_old], old_instance.receivers
-        )
+        unchanged(new_instance.senders, old_instance.senders)
+        and unchanged(new_instance.receivers, old_instance.receivers)
     ):
         raise ValueError(
             "growth must keep the existing request pairs unchanged as a "
@@ -441,14 +459,18 @@ def validate_growth(
             f"powers must have shape ({new_instance.n},), "
             f"got {new_powers.shape}"
         )
-    if not np.array_equal(
-        new_powers[:n_old], np.asarray(old_powers, dtype=float)
-    ):
+    if not unchanged(new_powers, np.asarray(old_powers, dtype=float)):
         raise ValueError(
             "growth must keep the powers of existing requests bit-identical "
             "(oblivious assignments are elementwise, so re-resolving them "
             "preserves the prefix; explicit vectors must be appended to)"
         )
+
+
+def _distinct_slots(slots: Sequence[int]) -> np.ndarray:
+    """*slots* as a sorted array of distinct indices (arrivals edit one
+    or a few slots, where a set beats :func:`numpy.unique`)."""
+    return np.array(sorted({int(slot) for slot in slots}), dtype=int)
 
 
 class GainBackend(abc.ABC):
@@ -494,6 +516,25 @@ class GainBackend(abc.ABC):
         """
         raise NotImplementedError(
             f"backend {self.name!r} does not support in-place growth"
+        )
+
+    def replace_requests(
+        self, slots: Sequence[int], instance: Instance, powers: np.ndarray
+    ) -> None:
+        """Swap the requests at *slots* for those of ``(instance,
+        powers)`` in place; every other request must be unchanged (see
+        :func:`validate_growth` with ``replaced=slots``) and ``n`` stays
+        the same.  Powers are oblivious, so only the slots' gain rows
+        and columns change: they are recomputed from
+        :func:`_gain_block` tiles, ``O(n)`` entries per slot and
+        endpoint, and with ``epsilon = 0`` the storage is
+        **bit-identical** to a cold build of the edited pair.
+
+        Backends that cannot edit in place raise
+        :class:`NotImplementedError`.
+        """
+        raise NotImplementedError(
+            f"backend {self.name!r} does not support in-place replacement"
         )
 
     # -- shape / bookkeeping -------------------------------------------
@@ -716,7 +757,9 @@ class DenseBackend(GainBackend):
         self._gains_v = gains_v
         self._gains_t: Optional[Tuple[object, object]] = None
         self._worst = None
-        self._has_inf: Optional[bool] = None
+        # Infinite entries across the stored matrices (counted once,
+        # lazily; then maintained by appends and edits).
+        self._inf_count: Optional[int] = None
         self._zero_mass: Optional[np.ndarray] = None
         # Growth state (populated by build(); raw-constructed backends
         # cannot grow because they do not know their instance).
@@ -741,20 +784,24 @@ class DenseBackend(GainBackend):
         powers = np.asarray(powers, dtype=float).reshape(-1)
         host_u, host_v = _full_gain_matrices(instance, powers)
         backend = cls(None, None, namespace, device)
-        backend._gains_u = _frozen(backend._upload(host_u))
-        backend._gains_v = (
-            backend._gains_u
-            if host_v is host_u
-            else _frozen(backend._upload(host_v))
-        )
+        backend._buf_u, backend._gains_u = backend._adopt(host_u)
+        if host_v is host_u:
+            backend._buf_v, backend._gains_v = backend._buf_u, backend._gains_u
+        else:
+            backend._buf_v, backend._gains_v = backend._adopt(host_v)
         backend._instance = instance
         backend._powers = powers
         return backend
 
     def __getstate__(self) -> dict:
-        # A module does not pickle; its registered name does.
+        # A module does not pickle; its registered name does.  The
+        # storage owners do not either: the public views pickle as
+        # plain (n, n) arrays, and a later edit re-derives owners from
+        # them (transposes are re-materialized on demand).
         state = dict(self.__dict__)
         del state["_xp"]
+        for key in ("_buf_u", "_buf_v", "_buf_ut", "_buf_vt", "_gains_t"):
+            state[key] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -784,6 +831,15 @@ class DenseBackend(GainBackend):
         out = self._download(x)
         return out if out.flags.writeable else out.copy()
 
+    def _adopt(self, host: np.ndarray):
+        """Upload a freshly built host matrix and return ``(storage,
+        public)``: the uploaded array itself, frozen, is what callers
+        see, and a writable view of it is the storage in-place edits
+        write through (the two are one array outside numpy)."""
+        public = self._upload(host)
+        storage = public[...]
+        return storage, _frozen(public)
+
     def _idx(self, idx):
         """Index array in-namespace (int64, on the backend's device)."""
         return self._upload(np.asarray(idx, dtype=np.int64))
@@ -796,15 +852,34 @@ class DenseBackend(GainBackend):
 
     # -- growth --------------------------------------------------------
 
+    def _bind(self, n: int) -> None:
+        """Point the public arrays at the leading ``(n, n)`` block of
+        the (reallocated) storage, as read-only views."""
+        self._gains_u = _frozen(self._buf_u[:n, :n])
+        self._gains_v = (
+            self._gains_u
+            if self._buf_v is self._buf_u
+            else _frozen(self._buf_v[:n, :n])
+        )
+        if self._gains_t is not None:
+            gains_ut = _frozen(self._buf_ut[:n, :n])
+            self._gains_t = (
+                (gains_ut, gains_ut)
+                if self._buf_vt is self._buf_ut
+                else (gains_ut, _frozen(self._buf_vt[:n, :n]))
+            )
+
     def _ensure_capacity(self, n_new: int) -> None:
         """Guarantee the backing buffers hold at least ``n_new`` rows
-        and columns, doubling capacity on reallocation so a stream of
+        and columns, doubling capacity on growth so a stream of
         single-request appends reallocates ``O(log n)`` times (amortized
-        O(1) copied entries per appended entry)."""
+        O(1) copied entries per appended entry).  An unpickled backend
+        has no storage; an in-place edit copies its arrays into storage
+        of exactly their size."""
         if self._buf_u is not None and self._buf_u.shape[0] >= n_new:
             return
         n_old = self.n
-        cap = max(n_new, 2 * n_old)
+        cap = max(n_new, 2 * n_old) if n_new > n_old else n_new
         buf_u = self._zeros(cap)
         buf_u[:n_old, :n_old] = self._gains_u
         self._buf_u = buf_u
@@ -820,15 +895,15 @@ class DenseBackend(GainBackend):
         requests adds to *buf* — the arrivals' columns at the existing
         rows, then the arrivals' full rows — with exactly the entries a
         cold rebuild computes, uploading only those strips; returns
-        whether any new entry is infinite."""
+        how many new entries are infinite."""
         n_new = instance.n
         new_idx = np.arange(n_old, n_new)
-        new_inf = False
+        new_inf = 0
         for rows, cols in ((np.arange(n_old), new_idx), (new_idx, np.arange(n_new))):
             for lo in range(0, rows.size, DEFAULT_TILE_ROWS):
                 tile = rows[lo : lo + DEFAULT_TILE_ROWS]
                 block = _gain_block(instance, powers, nodes, tile, cols)
-                new_inf = new_inf or not bool(np.all(np.isfinite(block)))
+                new_inf += int(np.count_nonzero(np.isinf(block)))
                 buf[tile[0] : tile[-1] + 1, cols[0] : n_new] = self._upload(block)
         return new_inf
 
@@ -845,32 +920,22 @@ class DenseBackend(GainBackend):
             self._instance, self._powers = instance, powers
             return
         self._ensure_capacity(n_new)
-        new_inf = False
+        new_inf = 0
         for buf, nodes in zip(
             (self._buf_u, self._buf_v), _host_gain_targets(instance)
         ):
-            new_inf = (
-                self._fill_appended(buf, instance, powers, nodes, n_old)
-                or new_inf
-            )
-        self._gains_u = _frozen(self._buf_u[:n_new, :n_new])
-        self._gains_v = (
-            self._gains_u
-            if self._buf_v is self._buf_u
-            else _frozen(self._buf_v[:n_new, :n_new])
-        )
+            new_inf += self._fill_appended(buf, instance, powers, nodes, n_old)
         if self._gains_t is not None:
             # Extend the materialized transposes in place: dropping
             # them would make the next col_u/col_v after every arrival
             # re-transpose the whole O(n^2) matrix, turning the O(n)
             # admission path quadratic.
             self._grow_transposes(n_old, n_new)
+        self._bind(n_new)
         self._worst = None
         self._zero_mass = None
-        if new_inf:
-            self._has_inf = True
-        # else: False stays False (old and new entries all finite) and
-        # None stays lazily recomputed over the grown matrix.
+        if self._inf_count is not None:
+            self._inf_count += new_inf
         self._instance, self._powers = instance, powers
 
     def _grow_transposes(self, n_old: int, n_new: int) -> None:
@@ -881,7 +946,7 @@ class DenseBackend(GainBackend):
         single-append stream reallocates them O(log n) times too."""
         cap = self._buf_u.shape[0]
         ut_old, vt_old = self._gains_t
-        if self._buf_ut is None or self._buf_ut.shape[0] < n_new:
+        if self._buf_ut.shape[0] < n_new:
             buf_ut = self._zeros(cap)
             buf_ut[:n_old, :n_old] = ut_old
             self._buf_ut = buf_ut
@@ -901,11 +966,65 @@ class DenseBackend(GainBackend):
             # the new rows) = new rows of G.  No overlap, full coverage.
             buf_t[n_old:n_new, :n_new] = buf[:n_new, n_old:n_new].T
             buf_t[:n_old, n_old:n_new] = buf[n_old:n_new, :n_old].T
-        gains_ut = _frozen(self._buf_ut[:n_new, :n_new])
-        if self._buf_vt is self._buf_ut:
-            self._gains_t = (gains_ut, gains_ut)
-        else:
-            self._gains_t = (gains_ut, _frozen(self._buf_vt[:n_new, :n_new]))
+
+    def replace_requests(
+        self, slots: Sequence[int], instance: Instance, powers: np.ndarray
+    ) -> None:
+        if self._instance is None:
+            raise ValueError(
+                "this DenseBackend was constructed from raw arrays; only "
+                "backends built via DenseBackend.build(...) can be edited"
+            )
+        slots = _distinct_slots(slots)
+        validate_growth(
+            self._instance, self._powers, instance, powers, replaced=slots
+        )
+        powers = np.asarray(powers, dtype=float).reshape(-1)
+        n = self.n
+        if instance.n != n:
+            raise ValueError(
+                f"replacement keeps n={n}; got an instance of n={instance.n} "
+                "(append_requests grows)"
+            )
+        if self._buf_u is None:
+            self._ensure_capacity(n)
+            self._bind(n)
+        every = np.arange(n)
+
+        def infs(rows, cols) -> int:
+            """Infinite entries of the slots' rows and columns, the
+            (slots, slots) block counted once."""
+            return int(
+                np.count_nonzero(np.isinf(rows))
+                + np.count_nonzero(np.isinf(cols))
+                - np.count_nonzero(np.isinf(cols[slots]))
+            )
+
+        targets = _host_gain_targets(instance)
+        bufs = ((self._buf_u, self._buf_ut), (self._buf_v, self._buf_vt))
+        for (buf, buf_t), nodes in zip(bufs[: len(targets)], targets):
+            rows = _gain_block(instance, powers, nodes, slots, every)
+            cols = _gain_block(instance, powers, nodes, every, slots)
+            if self._inf_count is not None:
+                self._inf_count += infs(rows, cols)
+                if self._inf_count > 0:
+                    old = [
+                        (self._download(buf[s, :n]), self._download(buf[:n, s]))
+                        for s in slots.tolist()
+                    ]
+                    self._inf_count -= infs(
+                        np.stack([r for r, _ in old]),
+                        np.stack([c for _, c in old], axis=1),
+                    )
+            for pos, s in enumerate(slots.tolist()):
+                row, col = self._upload(rows[pos]), self._upload(cols[:, pos])
+                buf[s, :n] = row
+                buf[:n, s] = col
+                if buf_t is not None:
+                    buf_t[s, :n] = col
+                    buf_t[:n, s] = row
+        self._worst = None
+        self._instance, self._powers = instance, powers
 
     # -- the arrays ----------------------------------------------------
 
@@ -924,15 +1043,16 @@ class DenseBackend(GainBackend):
         # Laid out on the host, where a contiguous transpose is one
         # call, then uploaded once (both transfers are identities
         # under numpy).
-        return _frozen(self._upload(np.ascontiguousarray(self._download(arr).T)))
+        return self._adopt(np.ascontiguousarray(self._download(arr).T))
 
     def _transposes(self) -> Tuple[object, object]:
         if self._gains_t is None:
-            gains_ut = self._transpose(self._gains_u)
+            self._buf_ut, gains_ut = self._transpose(self._gains_u)
             if self.directed:
-                self._gains_t = (gains_ut, gains_ut)
+                self._buf_vt, gains_vt = self._buf_ut, gains_ut
             else:
-                self._gains_t = (gains_ut, self._transpose(self._gains_v))
+                self._buf_vt, gains_vt = self._transpose(self._gains_v)
+            self._gains_t = (gains_ut, gains_vt)
         return self._gains_t
 
     @property
@@ -972,13 +1092,17 @@ class DenseBackend(GainBackend):
 
     @property
     def has_infinite_gains(self) -> bool:
-        if self._has_inf is None:
+        if self._inf_count is None:
             xp = self._xp
-            has_inf = not bool(xp.all(xp.isfinite(self._gains_u)))
-            if not has_inf and not self.directed:
-                has_inf = not bool(xp.all(xp.isfinite(self._gains_v)))
-            self._has_inf = has_inf
-        return self._has_inf
+            self._inf_count = sum(
+                int(xp.count_nonzero(xp.isinf(g)))
+                for g in (
+                    (self._gains_u,)
+                    if self.directed
+                    else (self._gains_u, self._gains_v)
+                )
+            )
+        return self._inf_count > 0
 
     @property
     def pruned_mass_u(self) -> np.ndarray:
@@ -1235,6 +1359,41 @@ class _PendingBlock:
         return total
 
 
+class _SlotEdits:
+    """Unconsolidated slot replacements of one sparse endpoint.
+
+    Holds the current gain row and column of every edited slot as
+    dense buffer rows — ``rows[p]`` is ``G[slot, :]`` and ``cols[p]``
+    is ``G[:, slot]`` for the slot at position ``p`` (positions are
+    assigned by :class:`SparseBackend`, in edit order).  Reads overlay
+    them on the base CSR and :meth:`SparseBackend.flush_growth` writes
+    them back, so a stream of replacements pays amortized ``O(n)``
+    each instead of an ``O(nnz)`` reassembly.
+    """
+
+    __slots__ = ("rows", "cols")
+
+    def __init__(self, n: int):
+        self.rows = np.zeros((0, n))
+        self.cols = np.zeros((0, n))
+
+    def reserve(self, count: int) -> None:
+        """Room for *count* positions, doubling on reallocation."""
+        cap = self.rows.shape[0]
+        if count <= cap:
+            return
+        cap = max(count, 2 * cap)
+        for name in ("rows", "cols"):
+            old = getattr(self, name)
+            new = np.zeros((cap, old.shape[1]))
+            new[: old.shape[0]] = old
+            setattr(self, name, new)
+
+    @property
+    def nbytes(self) -> int:
+        return self.rows.nbytes + self.cols.nbytes
+
+
 def _csr_cell(csr: "_sp.csr_matrix", row: int, col: int) -> float:
     """One stored entry of a (sorted) CSR, ``0.0`` when absent."""
     lo, hi = csr.indptr[row], csr.indptr[row + 1]
@@ -1263,6 +1422,13 @@ class SparseBackend(GainBackend):
     instead of rebuilding ``O(nnz)`` transposes per arrival, while the
     hot single-row/column queries of live admission read base +
     pending directly without consolidating at all.
+
+    Slot replacement (``replace_requests``) is deferred the same way:
+    the edited slots' rows and columns are kept as :class:`_SlotEdits`
+    overlays, read directly by the single-row/column queries, and
+    written back every ``nnz / 2n`` edited slots (or on demand), so a
+    churning session pays amortized ``O(n)`` per replaced slot.  Pending appends and pending edits
+    never coexist: each kind consolidates the other first.
     """
 
     name = "sparse"
@@ -1288,7 +1454,9 @@ class SparseBackend(GainBackend):
         pruned_mass_v.setflags(write=False)
         self._pruned_u = pruned_mass_u
         self._pruned_v = pruned_mass_v
-        self._has_inf = bool(has_infinite)
+        # Infinite stored entries (None: count lazily on first query;
+        # then maintained by appends and edits).
+        self._inf_count: Optional[int] = None if has_infinite else 0
         self.tile_rows = DEFAULT_TILE_ROWS
         # Growth state (populated by build(); raw-constructed backends
         # cannot grow because they do not know their instance).
@@ -1299,6 +1467,13 @@ class SparseBackend(GainBackend):
         self._n = int(csr_u.shape[0])
         self._pend_u: list = []
         self._pend_v: list = self._pend_u if csr_v is csr_u else []
+        # Deferred slot edits: slot -> overlay position (insertion
+        # ordered, so ``_edit_slots[p]`` is the slot at position p),
+        # and one overlay per endpoint (aliased when directed).
+        self._edit_pos: Dict[int, int] = {}
+        self._edit_slots = np.zeros(0, dtype=int)
+        self._edits_u: Optional[_SlotEdits] = None
+        self._edits_v: Optional[_SlotEdits] = None
 
     # -- construction --------------------------------------------------
 
@@ -1386,6 +1561,7 @@ class SparseBackend(GainBackend):
         if n_new == n_old:
             self._instance, self._powers = instance, powers
             return
+        self._fold_edits()
         epsilon = self.epsilon
         tile = max(1, int(self.tile_rows))
         old_idx = np.arange(n_old)
@@ -1406,7 +1582,12 @@ class SparseBackend(GainBackend):
                 [np.asarray(pruned_old) + extra_pruned, pruned_new]
             )
             pruned.setflags(write=False)
-            return pruned, inf_right or inf_bottom
+            new_inf = 0
+            if inf_right or inf_bottom:
+                new_inf = int(np.count_nonzero(np.isinf(right.data))) + int(
+                    np.count_nonzero(np.isinf(bottom.data))
+                )
+            return pruned, new_inf
 
         if instance.direction is Direction.DIRECTED:
             pruned_u, new_inf = extend_endpoint(
@@ -1420,10 +1601,10 @@ class SparseBackend(GainBackend):
             pruned_v, inf_v = extend_endpoint(
                 self._pend_v, self._pruned_v, instance.receivers
             )
-            new_inf = inf_u or inf_v
+            new_inf = inf_u + inf_v
         self._pruned_u, self._pruned_v = pruned_u, pruned_v
-        if new_inf:
-            self._has_inf = True
+        if self._inf_count is not None:
+            self._inf_count += new_inf
         self._n = n_new
         self._instance, self._powers = instance, powers
         # Doubling rule: consolidate once the buffered rows match the
@@ -1434,9 +1615,189 @@ class SparseBackend(GainBackend):
         if self._n - base_n >= max(base_n, 1):
             self.flush_growth()
 
+    def replace_requests(
+        self, slots: Sequence[int], instance: Instance, powers: np.ndarray
+    ) -> None:
+        """Recompute the slots' gain rows and columns into the
+        :class:`_SlotEdits` overlay — ``O(n)`` per slot, plus an
+        ``O(nnz)`` write-back amortized over ``nnz / 2n`` edited slots.
+
+        With ``epsilon = 0`` the kept set of an entry does not depend on
+        its row, so every query (and the storage after write-back) is
+        **bit-identical** to a cold build of the edited pair.  With
+        ``epsilon > 0`` the slots' own rows are pruned afresh (their
+        recorded bound is the fresh one), and the slots' new columns at
+        every other row are pruned as one block the way
+        :meth:`append_requests` prunes appended columns; that block's
+        dropped mass is added to each row's bound, and nothing is ever
+        subtracted, so the bound stays a true upper bound.
+        """
+        if self._instance is None:
+            raise ValueError(
+                "this SparseBackend was constructed from raw matrices; "
+                "only backends built via SparseBackend.build(...) can be "
+                "edited"
+            )
+        slots = _distinct_slots(slots)
+        validate_growth(
+            self._instance, self._powers, instance, powers, replaced=slots
+        )
+        powers = np.asarray(powers, dtype=float).reshape(-1)
+        n = self.n
+        if instance.n != n:
+            raise ValueError(
+                f"replacement keeps n={n}; got an instance of n={instance.n} "
+                "(append_requests grows)"
+            )
+        self._fold_appends()
+        tile = max(1, int(self.tile_rows))
+        every = np.arange(n)
+        in_slots = np.zeros(n, dtype=bool)
+        in_slots[slots] = True
+        others = np.flatnonzero(~in_slots)
+        directed = instance.direction is Direction.DIRECTED
+        endpoints = [
+            (self._pruned_u, self.row_u, self.col_u),
+            (self._pruned_v, self.row_v, self.col_v),
+        ][: 1 if directed else 2]
+        targets = (
+            (instance.receivers,)
+            if directed
+            else (instance.senders, instance.receivers)
+        )
+        fresh = []
+        for (pruned_old, row_of, col_of), nodes in zip(endpoints, targets):
+            rows_csr, pruned_rows, _ = _assemble_csr(
+                instance, powers, nodes, slots, every, self.epsilon, tile
+            )
+            cols_csr, pruned_cols, _ = _assemble_csr(
+                instance, powers, nodes, others, slots, self.epsilon, tile
+            )
+            rows = rows_csr.toarray()
+            cols = np.empty((n, slots.size))
+            cols[others] = cols_csr.toarray()
+            cols[slots] = rows[:, slots]
+            if self._inf_count is not None:
+                self._inf_count += self._touched_infs(rows, cols, in_slots)
+                if self._inf_count > 0:
+                    self._inf_count -= self._touched_infs(
+                        np.stack([row_of(s) for s in slots.tolist()]),
+                        np.stack([col_of(s) for s in slots.tolist()], axis=1),
+                        in_slots,
+                    )
+            pruned = np.array(pruned_old, dtype=float)
+            pruned[others] += pruned_cols
+            pruned[slots] = pruned_rows
+            pruned.setflags(write=False)
+            fresh.append((rows, cols, pruned))
+
+        # Slots edited before (and not now) keep their overlay lines,
+        # patched at the new slots; the new slots take (or reuse) a
+        # position each.
+        kept_pos = np.array(
+            [p for slot, p in self._edit_pos.items() if not in_slots[slot]],
+            dtype=int,
+        )
+        kept_slots = self._edit_slots[kept_pos]
+        for slot in slots.tolist():
+            self._edit_pos.setdefault(slot, len(self._edit_pos))
+        self._edit_slots = np.fromiter(
+            self._edit_pos, dtype=int, count=len(self._edit_pos)
+        )
+        positions = np.array(
+            [self._edit_pos[slot] for slot in slots.tolist()], dtype=int
+        )
+        if self._edits_u is None:
+            self._edits_u = _SlotEdits(n)
+            self._edits_v = self._edits_u if directed else _SlotEdits(n)
+        for edits, (rows, cols, _) in zip(
+            (self._edits_u, self._edits_v), fresh
+        ):
+            edits.reserve(len(self._edit_pos))
+            if kept_pos.size:
+                edits.rows[np.ix_(kept_pos, slots)] = cols[kept_slots]
+                edits.cols[np.ix_(kept_pos, slots)] = rows[:, kept_slots].T
+            edits.rows[positions] = rows
+            edits.cols[positions] = cols.T
+        self._pruned_u = fresh[0][2]
+        self._pruned_v = fresh[-1][2]
+        self._instance, self._powers = instance, powers
+        # Write back every ~nnz/(2n) edited slots: O(nnz) each time,
+        # amortized O(n) per slot, and the overlay (2n entries per
+        # slot) stays at most the size of the CSR it shadows.
+        if 2 * n * len(self._edit_pos) >= max(int(self._csr_u.nnz), n):
+            self._fold_edits()
+
+    @staticmethod
+    def _touched_infs(
+        rows: np.ndarray, cols: np.ndarray, in_slots: np.ndarray
+    ) -> int:
+        """Infinite entries among the slots' rows (``(k, n)``) and
+        columns (``(n, k)``), the ``(slots, slots)`` block counted
+        once."""
+        return int(
+            np.count_nonzero(np.isinf(rows))
+            + np.count_nonzero(np.isinf(cols[~in_slots]))
+        )
+
+    def _fold_edits(self) -> None:
+        """Write the slot-edit overlay back into the base CSR (and
+        rebuild the transposed matrices once).  The result holds the
+        overlay's nonzero entries where the edited rows and columns
+        lie and the base entries elsewhere — with ``epsilon = 0``
+        exactly what a cold build stores."""
+        if not self._edit_pos:
+            return
+        n = self._n
+        slots = self._edit_slots
+        count = slots.size
+        in_slots = np.zeros(n, dtype=bool)
+        in_slots[slots] = True
+
+        def fold(csr, edits):
+            owner = np.repeat(np.arange(n), np.diff(csr.indptr))
+            keep = ~(in_slots[owner] | in_slots[csr.indices])
+            indptr = np.zeros(n + 1, dtype=csr.indptr.dtype)
+            np.cumsum(np.bincount(owner[keep], minlength=n), out=indptr[1:])
+            base = _sp.csr_matrix(
+                (csr.data[keep], csr.indices[keep], indptr), shape=(n, n)
+            )
+            rows = edits.rows[:count]
+            cols = np.where(in_slots, 0.0, edits.cols[:count])
+            row_pos, row_col = np.nonzero(rows)
+            col_pos, col_row = np.nonzero(cols)
+            patch = _sp.csr_matrix(
+                (
+                    np.concatenate(
+                        [rows[row_pos, row_col], cols[col_pos, col_row]]
+                    ),
+                    (
+                        np.concatenate([slots[row_pos], col_row]),
+                        np.concatenate([row_col, slots[col_pos]]),
+                    ),
+                ),
+                shape=(n, n),
+            )
+            # Disjoint supports: the sum only merges the sorted rows.
+            out = base + patch
+            out.sort_indices()
+            return out
+
+        csr_u = fold(self._csr_u, self._edits_u)
+        if self._csr_v is self._csr_u:
+            csr_v = csr_u
+        else:
+            csr_v = fold(self._csr_v, self._edits_v)
+        self._csr_u, self._csr_v = csr_u, csr_v
+        self._csr_ut = csr_u.T.tocsr()
+        self._csr_vt = self._csr_ut if csr_v is csr_u else csr_v.T.tocsr()
+        self._edit_pos = {}
+        self._edit_slots = np.zeros(0, dtype=int)
+        self._edits_u = self._edits_v = None
+
     def flush_growth(self) -> None:
-        """Fold every pending arrival block into the base CSR (and
-        rebuild the transposed matrices once).
+        """Fold every pending arrival block and slot edit into the base
+        CSR (and rebuild the transposed matrices once).
 
         Folding in arrival order reproduces exactly the storage the
         historical rebuild-per-arrival path produced, so calling this
@@ -1444,6 +1805,11 @@ class SparseBackend(GainBackend):
         consolidated eagerly — block-structured queries simply call it
         on demand.  Idempotent; a no-op when nothing is pending.
         """
+        self._fold_appends()
+        self._fold_edits()
+
+    def _fold_appends(self) -> None:
+        """Fold the pending arrival blocks (see :meth:`flush_growth`)."""
         if not self._pend_u:
             return
 
@@ -1478,7 +1844,14 @@ class SparseBackend(GainBackend):
 
     @property
     def has_infinite_gains(self) -> bool:
-        return self._has_inf
+        if self._inf_count is None:
+            self.flush_growth()
+            self._inf_count = int(np.count_nonzero(np.isinf(self._csr_u.data)))
+            if self._csr_v is not self._csr_u:
+                self._inf_count += int(
+                    np.count_nonzero(np.isinf(self._csr_v.data))
+                )
+        return self._inf_count > 0
 
     @property
     def pruned_mass_u(self) -> np.ndarray:
@@ -1521,6 +1894,20 @@ class SparseBackend(GainBackend):
                 out[blk.bottom.indices[lo:hi]] = blk.bottom.data[lo:hi]
         return out
 
+    def _edited_line(self, csr, own, cross, i: int) -> np.ndarray:
+        """Row ``i`` of *csr* under the slot-edit overlay: an edited
+        slot's own overlay line (*own*), else the stored row with the
+        edited slots' entries taken from the *cross* lines.  Called
+        with the transposed CSR (and the overlay's columns as *own*)
+        it yields columns.  Pure scatter of the stored floats, like
+        :meth:`_grown_row`."""
+        pos = self._edit_pos.get(i)
+        if pos is not None:
+            return own[pos].copy()
+        out = self._expand_row(csr, i)
+        out[self._edit_slots] = cross[: self._edit_slots.size, i]
+        return out
+
     def _grown_col(self, base_t, pend, j: int) -> np.ndarray:
         """Column ``j`` of base + pending (see :meth:`_grown_row`)."""
         out = np.zeros(self._n)
@@ -1543,21 +1930,33 @@ class SparseBackend(GainBackend):
     def col_u(self, j: int) -> np.ndarray:
         if self._pend_u:
             return self._grown_col(self._csr_ut, self._pend_u, int(j))
+        if self._edit_pos:
+            edits = self._edits_u
+            return self._edited_line(self._csr_ut, edits.cols, edits.rows, int(j))
         return self._expand_row(self._csr_ut, int(j))
 
     def col_v(self, j: int) -> np.ndarray:
         if self._pend_v:
             return self._grown_col(self._csr_vt, self._pend_v, int(j))
+        if self._edit_pos:
+            edits = self._edits_v
+            return self._edited_line(self._csr_vt, edits.cols, edits.rows, int(j))
         return self._expand_row(self._csr_vt, int(j))
 
     def row_u(self, i: int) -> np.ndarray:
         if self._pend_u:
             return self._grown_row(self._csr_u, self._pend_u, int(i))
+        if self._edit_pos:
+            edits = self._edits_u
+            return self._edited_line(self._csr_u, edits.rows, edits.cols, int(i))
         return self._expand_row(self._csr_u, int(i))
 
     def row_v(self, i: int) -> np.ndarray:
         if self._pend_v:
             return self._grown_row(self._csr_v, self._pend_v, int(i))
+        if self._edit_pos:
+            edits = self._edits_v
+            return self._edited_line(self._csr_v, edits.rows, edits.cols, int(i))
         return self._expand_row(self._csr_v, int(i))
 
     def gather_cols_u(self, members: np.ndarray) -> np.ndarray:
@@ -1577,12 +1976,7 @@ class SparseBackend(GainBackend):
         return self._csr_v[idx][:, idx].toarray()
 
     def _cross_block(self, which_u: bool, rows, cols) -> np.ndarray:
-        base, pend = (
-            (self._csr_u, self._pend_u)
-            if which_u
-            else (self._csr_v, self._pend_v)
-        )
-        if pend:
+        if self._pend_u or self._edit_pos:
             rows = np.asarray(rows, dtype=int)
             if rows.size > 64:
                 # Bulk query (peel init, class analysis): consolidate
@@ -1592,10 +1986,11 @@ class SparseBackend(GainBackend):
                 # Admission-path query (a handful of arrival rows):
                 # assemble from base + pending.  Pure gather of the
                 # same stored values, so bit-identical to flushing.
+                row_of = self.row_u if which_u else self.row_v
                 cols = np.asarray(cols, dtype=int)
                 out = np.empty((rows.size, cols.size))
                 for pos, i in enumerate(rows):
-                    out[pos] = self._grown_row(base, pend, int(i))[cols]
+                    out[pos] = row_of(int(i))[cols]
                 return out
         csr = self._csr_u if which_u else self._csr_v
         return csr[rows][:, cols].toarray()
@@ -1685,6 +2080,7 @@ class SparseBackend(GainBackend):
 
     @property
     def nnz(self) -> int:
+        self._fold_edits()
         count = int(self._csr_u.nnz) + sum(blk.nnz for blk in self._pend_u)
         if self._csr_v is not self._csr_u:
             count += int(self._csr_v.nnz) + sum(
@@ -1706,6 +2102,8 @@ class SparseBackend(GainBackend):
                 total += blk.nbytes
             if self._pend_v is self._pend_u:
                 break
+        for edits in {id(e): e for e in (self._edits_u, self._edits_v) if e}.values():
+            total += edits.nbytes
         return total
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

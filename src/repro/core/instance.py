@@ -12,8 +12,9 @@ arrays.
 
 from __future__ import annotations
 
+import copy
 import enum
-from typing import Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -74,10 +75,6 @@ class Instance:
             )
         if senders_arr.size == 0:
             raise InvalidInstanceError("instance must contain at least one request")
-        if np.any(senders_arr < 0) or np.any(senders_arr >= metric.n):
-            raise InvalidInstanceError("sender index out of range")
-        if np.any(receivers_arr < 0) or np.any(receivers_arr >= metric.n):
-            raise InvalidInstanceError("receiver index out of range")
         if isinstance(direction, str):
             direction = Direction(direction)
         if alpha < 1:
@@ -88,29 +85,54 @@ class Instance:
             raise InvalidInstanceError(f"noise must be >= 0, got {noise}")
 
         self.metric = metric
-        self.senders = senders_arr.copy()
-        self.receivers = receivers_arr.copy()
-        self.senders.setflags(write=False)
-        self.receivers.setflags(write=False)
         self.direction = direction
         self.alpha = float(alpha)
         self.beta = float(beta)
         self.noise = float(noise)
+        self._set_requests(senders_arr.copy(), receivers_arr.copy())
 
-        # pair_distances instead of a full-matrix gather: for
-        # coordinate-backed metrics this keeps huge instances (the
-        # sparse-backend regime, n >> 10^3) from materializing the
-        # O(n^2) distance matrix just to resolve n link lengths.
-        distances = metric.pair_distances(self.senders, self.receivers)
+    def _set_requests(
+        self,
+        senders: np.ndarray,
+        receivers: np.ndarray,
+        patch: Optional[Tuple["Instance", Sequence[int]]] = None,
+    ) -> None:
+        """Validate the request arrays against the metric and set them,
+        read-only, with their link distances and losses.
+
+        With ``patch=(source, slots)`` only the links at *slots* are
+        measured; every other link value is copied from *source*, whose
+        requests must agree outside *slots* (link values are
+        elementwise in the pair, so the result is bit-identical to
+        measuring every link).
+        """
+        for role, nodes in (("sender", senders), ("receiver", receivers)):
+            if np.any(nodes < 0) or np.any(nodes >= self.metric.n):
+                raise InvalidInstanceError(f"{role} index out of range")
+        if patch is None:
+            # pair_distances instead of a full-matrix gather: for
+            # coordinate-backed metrics this keeps huge instances (the
+            # sparse-backend regime, n >> 10^3) from materializing the
+            # O(n^2) distance matrix just to resolve n link lengths.
+            distances = self.metric.pair_distances(senders, receivers)
+            losses = distances**self.alpha
+        else:
+            source, slots = patch
+            distances = source._link_distances.copy()
+            losses = source._link_losses.copy()
+            distances[slots] = self.metric.pair_distances(
+                senders[slots], receivers[slots]
+            )
+            losses[slots] = distances[slots] ** self.alpha
         if np.any(distances <= 0):
             bad = int(np.argmax(distances <= 0))
             raise InvalidInstanceError(
                 f"request {bad} has zero distance between its endpoints"
             )
-        self._link_distances = distances
-        self._link_distances.setflags(write=False)
-        self._link_losses = distances**self.alpha
-        self._link_losses.setflags(write=False)
+        for arr in (senders, receivers, distances, losses):
+            arr.setflags(write=False)
+        self.senders, self.receivers = senders, receivers
+        self._link_distances, self._link_losses = distances, losses
 
     # ------------------------------------------------------------------
     # Constructors
@@ -180,6 +202,32 @@ class Instance:
             beta=beta,
             noise=self.noise,
         )
+
+    def replaced(
+        self, slots: Sequence[int], pairs: Sequence[Tuple[int, int]]
+    ) -> "Instance":
+        """A copy with request ``slots[k]`` replaced by ``pairs[k]``.
+
+        Only the new links are measured: every other request keeps its
+        endpoints, link distance and loss bit for bit, so the copy costs
+        a few O(n) memory copies and no metric work over the unchanged
+        requests.  The result equals building the edited request list
+        from scratch (link values are elementwise in the pair).
+        """
+        slots = [int(slot) for slot in slots]
+        if len(slots) != len(pairs):
+            raise InvalidInstanceError(
+                f"{len(slots)} slots for {len(pairs)} replacement pairs"
+            )
+        for slot in slots:
+            if not 0 <= slot < self.n:
+                raise InvalidInstanceError(f"replaced slot {slot} out of range")
+        senders, receivers = self.senders.copy(), self.receivers.copy()
+        senders[slots] = [int(p[0]) for p in pairs]
+        receivers[slots] = [int(p[1]) for p in pairs]
+        out = copy.copy(self)
+        out._set_requests(senders, receivers, patch=(self, slots))
+        return out
 
     def subset(self, indices: Sequence[int]) -> "Instance":
         """The sub-instance restricted to the given request *indices*.

@@ -253,29 +253,23 @@ class ScheduleKernel:
         #: The backend's :attr:`~repro.core.gains.GainBackend.flip_risk_events`
         #: accumulates the same events across every kernel sharing it.
         self.flip_risk_events = 0
-        self._colors = np.full(n, -1, dtype=int)
+        #: Opaque tag an owner keeps current and every :meth:`snapshot`
+        #: records (:class:`repro.api.Session` stores an epoch that
+        #: every arrival, departure and rebuild bumps, so a snapshot
+        #: older than the last membership or slot-layout change is
+        #: recognizably stale).
+        self.stamp = 0
         self._sizes: List[int] = []
+        # The state lives in buffers with spare room in both dimensions
+        # (class rows, request columns); the named arrays are views of
+        # their leading (classes, n) blocks, rebound on reallocation.
+        endpoints = 1 if self._directed else 2
+        dtypes = [float, np.int64, np.int64] * endpoints
         cap = max(1, int(capacity))
-        self._fin_u = np.zeros((cap, n))
-        self._ninf_u = np.zeros((cap, n), dtype=np.int64)
-        self._npos_u = np.zeros((cap, n), dtype=np.int64)
-        self._own_fin_u = np.zeros(n)
-        self._own_ninf_u = np.zeros(n, dtype=np.int64)
-        self._own_npos_u = np.zeros(n, dtype=np.int64)
-        if self._directed:
-            self._fin_v = self._fin_u
-            self._ninf_v = self._ninf_u
-            self._npos_v = self._npos_u
-            self._own_fin_v = self._own_fin_u
-            self._own_ninf_v = self._own_ninf_u
-            self._own_npos_v = self._own_npos_u
-        else:
-            self._fin_v = np.zeros((cap, n))
-            self._ninf_v = np.zeros((cap, n), dtype=np.int64)
-            self._npos_v = np.zeros((cap, n), dtype=np.int64)
-            self._own_fin_v = np.zeros(n)
-            self._own_ninf_v = np.zeros(n, dtype=np.int64)
-            self._own_npos_v = np.zeros(n, dtype=np.int64)
+        self._row_bufs = [np.zeros((cap, n), dtype=dtype) for dtype in dtypes]
+        self._own_bufs = [np.zeros(n, dtype=dtype) for dtype in dtypes]
+        self._colors_buf = np.full(n, -1, dtype=int)
+        self._bind()
 
     # ------------------------------------------------------------------
     # Construction / introspection
@@ -305,7 +299,7 @@ class ScheduleKernel:
             if members.size == 0:
                 continue
             kernel._bulk_seed(color, members)
-        kernel._colors = colors.copy()
+        kernel._colors[:] = colors
         idx = np.flatnonzero(colors >= 0)
         pairs = [
             (kernel._own_fin_u, kernel._fin_u),
@@ -348,26 +342,91 @@ class ScheduleKernel:
     # State updates
     # ------------------------------------------------------------------
 
-    def _grow(self) -> None:
-        cap = self._fin_u.shape[0]
-        new_cap = max(1, 2 * cap)
+    def _reallocate(self, classes: int, columns: int) -> None:
+        """Move the state into zeroed buffers of ``(classes, columns)``
+        capacity (``-1`` for unplaced colors), keeping the current
+        ``(C, n)`` blocks.  Entries past ``n`` are never written, so
+        they hold exactly the zeros a new request's state starts from."""
+        n = self._n
+        for k, old in enumerate(self._row_bufs):
+            new = np.zeros((classes, columns), dtype=old.dtype)
+            new[: old.shape[0], :n] = old[:, :n]
+            self._row_bufs[k] = new
+        for k, old in enumerate(self._own_bufs):
+            new = np.zeros(columns, dtype=old.dtype)
+            new[:n] = old[:n]
+            self._own_bufs[k] = new
+        colors = np.full(columns, -1, dtype=int)
+        colors[:n] = self._colors_buf[:n]
+        self._colors_buf = colors
+        self._bind()
 
-        def enlarge(arr: np.ndarray) -> np.ndarray:
-            out = np.zeros((new_cap, self._n), dtype=arr.dtype)
-            out[:cap] = arr
-            return out
-
-        self._fin_u = enlarge(self._fin_u)
-        self._ninf_u = enlarge(self._ninf_u)
-        self._npos_u = enlarge(self._npos_u)
+    def _bind(self) -> None:
+        """Rebind the named state arrays to the buffers' first ``n``
+        columns (the ``_v`` names alias ``_u`` when directed)."""
+        n = self._n
+        rows = [buf[:, :n] for buf in self._row_bufs]
+        own = [buf[:n] for buf in self._own_bufs]
         if self._directed:
-            self._fin_v = self._fin_u
-            self._ninf_v = self._ninf_u
-            self._npos_v = self._npos_u
-        else:
-            self._fin_v = enlarge(self._fin_v)
-            self._ninf_v = enlarge(self._ninf_v)
-            self._npos_v = enlarge(self._npos_v)
+            rows, own = rows * 2, own * 2
+        self._fin_u, self._ninf_u, self._npos_u = rows[:3]
+        self._fin_v, self._ninf_v, self._npos_v = rows[3:]
+        self._own_fin_u, self._own_ninf_u, self._own_npos_u = own[:3]
+        self._own_fin_v, self._own_ninf_v, self._own_npos_v = own[3:]
+        self._colors = self._colors_buf[:n]
+
+    def _grow(self) -> None:
+        cap = self._row_bufs[0].shape[0]
+        self._reallocate(max(1, 2 * cap), self._row_bufs[0].shape[1])
+
+    def _refresh_backend_flags(self) -> None:
+        """Re-resolve the all-finite fast path and the pruned-mass
+        bound from the backend after its storage changed.  Both flips
+        are exact: counts of infinite contributions are maintained on
+        either path, and are all zero whenever the backend holds no
+        infinite entry."""
+        self._finite = not self._backend.has_infinite_gains
+        pruned = self._backend.pruned_bound
+        self._pruned = pruned if bool(np.any(pruned > 0)) else None
+
+    def _seed_rows(self, requests: Sequence[int]) -> None:
+        """Set every class's sums at *requests* (unplaced) from their
+        gain rows: members accumulate in index order, exactly as the
+        bulk column sums of :meth:`_bulk_seed` do, so the entries equal
+        a freshly seeded kernel's bit for bit."""
+        count = len(self._sizes)
+        placed = np.flatnonzero(self._colors >= 0)
+        colors = self._colors[placed]
+        backend = self._backend
+        for fin, ninf, npos, row_of in (
+            (self._fin_u, self._ninf_u, self._npos_u, backend.row_u),
+            (self._fin_v, self._ninf_v, self._npos_v, backend.row_v),
+        ):
+            for request in requests:
+                row = row_of(int(request))[placed]
+                if self._finite:
+                    fin[:count, request] = np.bincount(
+                        colors, weights=row, minlength=count
+                    )
+                    # A reused slot may carry counts from a request
+                    # whose row held infinite gains.
+                    ninf[:count, request] = 0
+                    npos[:count, request] = np.bincount(
+                        colors[row > 0], minlength=count
+                    )
+                else:
+                    finite = np.isfinite(row)
+                    fin[:count, request] = np.bincount(
+                        colors[finite], weights=row[finite], minlength=count
+                    )
+                    ninf[:count, request] = np.bincount(
+                        colors[~finite], minlength=count
+                    )
+                    npos[:count, request] = np.bincount(
+                        colors[finite & (row > 0)], minlength=count
+                    )
+            if self._directed:
+                break
 
     def extend_to(self, n_new: int) -> None:
         """Grow the kernel to a context that has grown to *n_new*
@@ -376,16 +435,17 @@ class ScheduleKernel:
 
         Existing per-class and own-class entries are untouched (the new
         requests are not members of anything yet, so no existing sum
-        changes); the new requests' class-row entries are seeded in one
-        vectorized pass per nonempty class over the members' gain block
-        at the new rows — the same per-row pairwise column sums as
-        :meth:`_bulk_seed`, so a subsequent :meth:`first_fit_admit` of
-        an arrival sees exactly the state a freshly seeded kernel
-        would.  The all-finite fast path and the pruned-mass bound are
-        re-resolved from the (grown) backend, since arrivals can
-        introduce shared-node pairs or pruned rows that did not exist
-        at construction; an instance that *was* all-finite has zero
-        infinite counts everywhere, so flipping the flag is exact.
+        changes); the new requests' class-row entries are seeded from
+        their gain rows with the member order of :meth:`_bulk_seed`,
+        so the grown state equals a freshly seeded kernel's bit for bit
+        and a subsequent :meth:`first_fit_admit` of an arrival sees
+        exactly the state a fresh kernel would.  The request capacity
+        doubles when exhausted (like the dense backend's buffers), so
+        a stream of arrivals copies the ``(classes, n)`` state
+        ``O(log n)`` times, not once per arrival.  The all-finite fast
+        path and the pruned-mass bound are re-resolved from the
+        (grown) backend, since arrivals can introduce shared-node pairs
+        or pruned rows that did not exist at construction.
         """
         n_new = int(n_new)
         n_old = self._n
@@ -400,68 +460,38 @@ class ScheduleKernel:
             )
         if n_new == n_old:
             return
-        self._finite = not self._backend.has_infinite_gains
-        pruned = self._backend.pruned_bound
-        self._pruned = pruned if bool(np.any(pruned > 0)) else None
-        cap = self._fin_u.shape[0]
-
-        def enlarge_rows(arr: np.ndarray) -> np.ndarray:
-            out = np.zeros((cap, n_new), dtype=arr.dtype)
-            out[:, :n_old] = arr
-            return out
-
-        def enlarge_own(arr: np.ndarray) -> np.ndarray:
-            out = np.zeros(n_new, dtype=arr.dtype)
-            out[:n_old] = arr
-            return out
-
-        self._fin_u = enlarge_rows(self._fin_u)
-        self._ninf_u = enlarge_rows(self._ninf_u)
-        self._npos_u = enlarge_rows(self._npos_u)
-        self._own_fin_u = enlarge_own(self._own_fin_u)
-        self._own_ninf_u = enlarge_own(self._own_ninf_u)
-        self._own_npos_u = enlarge_own(self._own_npos_u)
-        if self._directed:
-            self._fin_v = self._fin_u
-            self._ninf_v = self._ninf_u
-            self._npos_v = self._npos_u
-            self._own_fin_v = self._own_fin_u
-            self._own_ninf_v = self._own_ninf_u
-            self._own_npos_v = self._own_npos_u
-        else:
-            self._fin_v = enlarge_rows(self._fin_v)
-            self._ninf_v = enlarge_rows(self._ninf_v)
-            self._npos_v = enlarge_rows(self._npos_v)
-            self._own_fin_v = enlarge_own(self._own_fin_v)
-            self._own_ninf_v = enlarge_own(self._own_ninf_v)
-            self._own_npos_v = enlarge_own(self._own_npos_v)
-        colors = np.full(n_new, -1, dtype=int)
-        colors[:n_old] = self._colors
-        self._colors = colors
+        self._refresh_backend_flags()
+        columns = self._row_bufs[0].shape[1]
+        if n_new > columns:
+            self._reallocate(
+                self._row_bufs[0].shape[0], max(n_new, 2 * columns)
+            )
         self._n = n_new
-        tail = np.arange(n_old, n_new)
-        backend = self._backend
-        for fin, ninf, npos, cross_block in (
-            (self._fin_u, self._ninf_u, self._npos_u, backend.cross_block_u),
-            (self._fin_v, self._ninf_v, self._npos_v, backend.cross_block_v),
-        ):
-            for color, size in enumerate(self._sizes):
-                if size == 0:
-                    continue
-                members = np.flatnonzero(self._colors == color)
-                block = cross_block(tail, members)
-                if self._finite:
-                    fin[color, n_old:] = block.sum(axis=1)
-                    npos[color, n_old:] = (block > 0).sum(axis=1)
-                else:
-                    finite = np.isfinite(block)
-                    fin[color, n_old:] = np.where(finite, block, 0.0).sum(
-                        axis=1
-                    )
-                    ninf[color, n_old:] = (~finite).sum(axis=1)
-                    npos[color, n_old:] = (finite & (block > 0)).sum(axis=1)
-            if self._directed:
-                break
+        self._bind()
+        self._seed_rows(range(n_old, n_new))
+
+    def reseed(self, requests: Sequence[int]) -> None:
+        """Re-derive the state at *requests* after the context swapped
+        them for new requests in place
+        (:meth:`InterferenceContext.replace_requests`) — ``O(n)`` per
+        request, no replay.
+
+        The requests must be unplaced.  Their old gain columns never
+        entered a class sum (they were not members), so only their own
+        entries change: each class's sums are re-seeded from the new
+        gain rows (bit for bit what a freshly seeded kernel holds) and
+        the own-class sums reset to zero.  The backend flags are
+        re-resolved, since the swap can add or clear infinite or pruned
+        entries.
+        """
+        requests = [int(r) for r in requests]
+        placed = [r for r in requests if self._colors[r] >= 0]
+        if placed:
+            raise ValueError(f"requests {placed} are placed; remove them first")
+        self._refresh_backend_flags()
+        self._seed_rows(requests)
+        for own in self._own_arrays():
+            own[requests] = 0
 
     def _endpoint_rows(self):
         # gather_cols materializes bulk column gathers (for pairwise
@@ -658,6 +688,7 @@ class ScheduleKernel:
         no recompute, no accumulated rounding residue."""
         return {
             "n": int(self._colors.shape[0]),
+            "stamp": self.stamp,
             "colors": self._colors.copy(),
             "sizes": list(self._sizes),
             "rows": [arr[: len(self._sizes)].copy() for arr in self._row_arrays()],
@@ -687,6 +718,7 @@ class ScheduleKernel:
                 "restored across instance growth — rebuild instead"
             )
         self._colors[:] = state["colors"]
+        self.stamp = state.get("stamp", self.stamp)
         self._sizes = list(state["sizes"])
         count = len(self._sizes)
         for arr, saved in zip(self._row_arrays(), state["rows"]):

@@ -60,14 +60,16 @@ class EuclideanMetric(Metric):
     def pair_distances(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         us = np.asarray(us, dtype=int)
         vs = np.asarray(vs, dtype=int)
-        diff = self._points[us] - self._points[vs]
+        # np.take gathers whole coordinate rows several times faster
+        # than fancy indexing, with the same values.
+        diff = np.take(self._points, us, axis=0) - np.take(self._points, vs, axis=0)
         return np.sqrt(np.sum(diff * diff, axis=-1))
 
     def distance_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=int)
         cols = np.asarray(cols, dtype=int)
-        a = self._points[rows]
-        b = self._points[cols]
+        a = np.take(self._points, rows, axis=0)
+        b = np.take(self._points, cols, axis=0)
         if 0 < self.dim < 8:
             # Accumulate squared differences one coordinate at a time,
             # in place: (r, c) scratch per dimension instead of an

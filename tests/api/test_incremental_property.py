@@ -20,7 +20,10 @@ request):
 At every step the live partition is also checked against the
 independent oracle (``tests/oracle.py``): it must be oracle-feasible,
 and equal the oracle's first-fit replay of the same arrival/departure
-history unless a decision of that replay is too close to call.
+history unless a decision of that replay is too close to call.  The
+session's bookkeeping must be consistent, and with departed slots
+reused by later arrivals its storage never exceeds the most requests
+ever active at once (plus one).
 """
 
 import numpy as np
@@ -31,6 +34,7 @@ import oracle
 from repro.api import Problem
 from repro.core.instance import Instance
 from repro.instances.random_instances import random_uniform_instance
+from repro.power.oblivious import SquareRootPower
 
 
 def _base_instance(seed, n=4, metric_nodes=24):
@@ -65,15 +69,27 @@ def _live_colors(session):
     )
 
 
-def _check_with_oracle(session, events):
+def _check_with_oracle(session, events, history):
     """The live partition is oracle-feasible and, unless ambiguous,
-    equals the oracle's first-fit replay of *events*.  Until a rebuild,
-    a request's uid is its storage index."""
+    equals the oracle's first-fit replay of *events*.  The replay runs
+    on *history*, every pair that ever arrived indexed by uid (reused
+    slots no longer hold a departed request's pair)."""
+    assert session.check_consistency() is None
     result = session.live_result()
     assert oracle.SINROracle(result.instance, result.powers).feasible(
         result.colors
     )
-    replay = oracle.online_first_fit(session.instance, session.powers, events)
+    base = session.instance
+    played = Instance(
+        base.metric,
+        [pair[0] for pair in history],
+        [pair[1] for pair in history],
+        direction=base.direction,
+        alpha=base.alpha,
+    )
+    replay = oracle.online_first_fit(
+        played, SquareRootPower()(played), events
+    )
     if not replay.ambiguous:
         active = sorted(h.uid for h in session.handles)
         np.testing.assert_array_equal(
@@ -97,12 +113,14 @@ class TestArrivalStreams:
         dense.ensure_live()
         sparse.ensure_live()
         events = [("arrive", index) for index in range(instance.n)]
+        history = instance.pairs()
 
         for count in batches:
             pairs = _arrival_pairs(dense.instance, rng, count)
             handles = dense.add_requests(pairs)
             sparse.add_requests(pairs)
             events += [("arrive", h.uid) for h in handles]
+            history += pairs
 
             live = np.asarray(dense.ensure_live().colors)
             # (1) dense and lossless sparse agree bitwise.
@@ -117,7 +135,7 @@ class TestArrivalStreams:
             )
             # The live partition is feasible right now.
             dense.live_result().validate()
-            _check_with_oracle(dense, events)
+            _check_with_oracle(dense, events, history)
 
 
 class TestArrivalDepartureStreams:
@@ -142,6 +160,8 @@ class TestArrivalDepartureStreams:
         dense.ensure_live()
         sparse.ensure_live()
         events = [("arrive", index) for index in range(instance.n)]
+        history = instance.pairs()
+        peak = instance.n
 
         for op, count in ops:
             if op == "arrive":
@@ -152,6 +172,7 @@ class TestArrivalDepartureStreams:
                     h.uid for h in s_handles
                 ]
                 events += [("arrive", h.uid) for h in d_handles]
+                history += pairs
             else:
                 live = dense.handles
                 if len(live) <= count:
@@ -166,9 +187,13 @@ class TestArrivalDepartureStreams:
                 _live_colors(dense), _live_colors(sparse)
             )
             dense.live_result().validate()
-            _check_with_oracle(dense, events)
+            _check_with_oracle(dense, events, history)
+            assert sparse.check_consistency() is None
             assert dense.arrivals == sparse.arrivals
             assert dense.departures == sparse.departures
+            peak = max(peak, dense.active_requests)
+            assert dense.instance.n <= peak + 1
+            assert sparse.instance.n == dense.instance.n
 
         # Compacting rebuild + batch reschedule equals the free
         # function on the surviving instance for both backends.

@@ -97,7 +97,7 @@ class TestRecover:
         assert session.check_consistency() is None
 
     def test_recovered_removal_state_survives(self):
-        # Damage after a departure: recovery must keep the tombstone
+        # Damage after a departure: recovery must keep the free-slot
         # bookkeeping intact.
         session = make_session()
         session.ensure_live()

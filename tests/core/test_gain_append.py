@@ -287,3 +287,295 @@ class TestValidateGrowth:
         with pytest.raises(ValueError, match="metric"):
             validate_growth(small, power(big)[: small.n], other,
                             SquareRootPower()(other))
+
+
+def _edited(instance, slots, pairs):
+    """A cold-built instance with ``slots[k]`` holding ``pairs[k]``."""
+    senders = instance.senders.copy()
+    receivers = instance.receivers.copy()
+    senders[slots] = [p[0] for p in pairs]
+    receivers[slots] = [p[1] for p in pairs]
+    return Instance(
+        instance.metric,
+        senders,
+        receivers,
+        direction=instance.direction,
+        alpha=instance.alpha,
+    )
+
+
+def _fresh_pairs(instance, rng, count):
+    metric_size = instance.metric.n
+    pairs = []
+    while len(pairs) < count:
+        s, r = (int(v) for v in rng.integers(0, metric_size, size=2))
+        if s != r:
+            pairs.append((s, r))
+    return pairs
+
+
+def _csr_storage(backend):
+    """The raw CSR arrays of a consolidated sparse backend."""
+    backend.flush_growth()
+    out = []
+    for csr in (backend._csr_u, backend._csr_v, backend._csr_ut, backend._csr_vt):
+        out += [csr.data, csr.indices, csr.indptr]
+    return out
+
+
+@pytest.mark.parametrize("direction", ["directed", "bidirectional"])
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+class TestReplaceBitIdentity:
+    """replace_requests: a departed slot taken over in place holds
+    exactly what a cold build of the edited instance holds."""
+
+    def _check(self, kind, backend, instance, powers):
+        cold = _build(kind, instance, powers)
+        _assert_identical(backend, cold)
+        if kind == "SparseBackend":
+            for got, want in zip(_csr_storage(backend), _csr_storage(cold)):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("warm_transposes", [False, True])
+    def test_single_slot_matches_cold_build(
+        self, kind, direction, warm_transposes
+    ):
+        base, rng = _base(9, direction, rng_seed=41)
+        powers = SquareRootPower()(base)
+        backend = _build(kind, base, powers)
+        if warm_transposes:
+            backend.dense_ut()
+            backend.col_u(0)
+        edited = base.replaced([4], _fresh_pairs(base, rng, 1))
+        edited_powers = SquareRootPower()(edited)
+        backend.replace_requests([4], edited, edited_powers)
+        self._check(kind, backend, edited, edited_powers)
+
+    def test_repeated_replacements_match_cold_build(self, kind, direction):
+        base, rng = _base(10, direction, rng_seed=43)
+        instance, powers = base, SquareRootPower()(base)
+        backend = _build(kind, instance, powers)
+        backend.col_u(0)
+        for slots in ([0], [9], [3, 7], [2, 5, 6], [3]):
+            instance = instance.replaced(
+                slots, _fresh_pairs(instance, rng, len(slots))
+            )
+            powers = SquareRootPower()(instance)
+            backend.replace_requests(slots, instance, powers)
+            self._check(kind, backend, instance, powers)
+
+    def test_replace_after_append_matches_cold_build(self, kind, direction):
+        small, rng = _base(6, direction, rng_seed=47)
+        big = _grown(small, 9, rng)
+        backend = _build(kind, small, SquareRootPower()(small))
+        backend.append_requests(big, SquareRootPower()(big))
+        edited = big.replaced([1, 7], _fresh_pairs(big, rng, 2))
+        powers = SquareRootPower()(edited)
+        backend.replace_requests([1, 7], edited, powers)
+        self._check(kind, backend, edited, powers)
+
+    def test_append_after_replace_matches_cold_build(self, kind, direction):
+        base, rng = _base(8, direction, rng_seed=49)
+        edited = base.replaced([2, 5], _fresh_pairs(base, rng, 2))
+        backend = _build(kind, base, SquareRootPower()(base))
+        backend.replace_requests([2, 5], edited, SquareRootPower()(edited))
+        big = _grown(edited, 11, rng)
+        powers = SquareRootPower()(big)
+        backend.append_requests(big, powers)
+        self._check(kind, backend, big, powers)
+
+    def test_shared_node_arrivals_set_and_clear_infinite_gains(
+        self, kind, direction
+    ):
+        """An arrival sharing a node with a live request creates inf
+        gains; replacing it again with a disjoint pair clears them —
+        the flag follows a cold build both ways."""
+        base, rng = _base(8, direction, rng_seed=53)
+        powers = SquareRootPower()(base)
+        backend = _build(kind, base, powers)
+        backend.dense_ut()
+        assert not backend.has_infinite_gains
+        # Sent from request 0's receiver: shared node in both variants.
+        shared = [(int(base.receivers[0]), int(base.senders[1]))]
+        edited = _edited(base, [5], shared)
+        edited_powers = SquareRootPower()(edited)
+        backend.replace_requests([5], edited, edited_powers)
+        assert backend.has_infinite_gains
+        self._check(kind, backend, edited, edited_powers)
+
+        used = set(edited.senders.tolist()) | set(edited.receivers.tolist())
+        free = [v for v in range(edited.metric.n) if v not in used][:2]
+        cleared = _edited(edited, [5], [tuple(free)])
+        cleared_powers = SquareRootPower()(cleared)
+        backend.replace_requests([5], cleared, cleared_powers)
+        assert not backend.has_infinite_gains
+        self._check(kind, backend, cleared, cleared_powers)
+
+    def test_replacement_must_keep_n(self, kind, direction):
+        small, rng = _base(5, direction, rng_seed=59)
+        big = _grown(small, 6, rng)
+        backend = _build(kind, small, SquareRootPower()(small))
+        with pytest.raises(ValueError, match="keeps n"):
+            backend.replace_requests([0], big, SquareRootPower()(big))
+
+    def test_raw_backend_cannot_be_edited(self, kind, direction):
+        base, rng = _base(4, direction, rng_seed=61)
+        edited = base.replaced([0], _fresh_pairs(base, rng, 1))
+        if kind.startswith("DenseBackend"):
+            gains = np.zeros((base.n, base.n))
+            backend = DenseBackend(gains, gains)
+        else:
+            import scipy.sparse as sp
+
+            csr = sp.csr_matrix((base.n, base.n))
+            zero = np.zeros(base.n)
+            backend = SparseBackend(csr, csr, zero, zero.copy(), 0.0, False)
+        with pytest.raises(ValueError, match="edited"):
+            backend.replace_requests([0], edited, SquareRootPower()(edited))
+
+
+class TestDenseReplaceStorage:
+    def test_edits_write_through_and_views_stay_readonly(self):
+        base, rng = _base(8, "bidirectional", rng_seed=67)
+        backend = DenseBackend.build(base, SquareRootPower()(base))
+        gains_u, gains_ut = backend.gains_u, backend.gains_ut
+        edited = base.replaced([2], _fresh_pairs(base, rng, 1))
+        backend.replace_requests([2], edited, SquareRootPower()(edited))
+        # Same arrays, edited in place: nothing was reallocated.
+        assert backend.gains_u is gains_u and backend.gains_ut is gains_ut
+        cold = DenseBackend.build(edited, SquareRootPower()(edited))
+        np.testing.assert_array_equal(gains_u, cold.gains_u)
+        np.testing.assert_array_equal(gains_ut, cold.gains_ut)
+        for arr in (backend.gains_u, backend.gains_v, backend.gains_ut):
+            assert arr.flags.writeable is False
+
+    def test_unpickled_backend_can_be_edited(self):
+        import pickle
+
+        base, rng = _base(7, "directed", rng_seed=71)
+        backend = DenseBackend.build(base, SquareRootPower()(base))
+        backend.gains_ut
+        copy = pickle.loads(pickle.dumps(backend))
+        # The copy carries its own instance (and metric object).
+        edited = copy._instance.replaced([3], _fresh_pairs(base, rng, 1))
+        powers = SquareRootPower()(edited)
+        copy.replace_requests([3], edited, powers)
+        _assert_identical(copy, DenseBackend.build(edited, powers))
+
+
+@pytest.mark.parametrize("direction", ["directed", "bidirectional"])
+class TestSparseDeferredReplace:
+    """Slot edits wait in an overlay: every query answered before the
+    write-back equals a cold build's (ε=0), and so does the storage
+    after it."""
+
+    def _queries(self, backend, n):
+        rows = np.arange(n)
+        out = {"has_inf": backend.has_infinite_gains}
+        for name in ("row_u", "row_v", "col_u", "col_v"):
+            out[name] = np.stack([getattr(backend, name)(i) for i in rows])
+        out["cross_u"] = backend.cross_block_u(rows[:5], rows[3:])
+        out["cross_v"] = backend.cross_block_v(rows[2:9], rows)
+        return out
+
+    def test_queries_with_pending_edits_match_cold_build(self, direction):
+        base, rng = _base(36, direction, rng_seed=89, metric_nodes=120)
+        instance, powers = base, SquareRootPower()(base)
+        backend = SparseBackend.build(instance, powers, epsilon=0.0)
+        for slots in ([4], [30, 2], [4, 17], [35]):
+            instance = instance.replaced(
+                slots, _fresh_pairs(instance, rng, len(slots))
+            )
+            powers = SquareRootPower()(instance)
+            backend.replace_requests(slots, instance, powers)
+            assert backend._edit_pos  # still deferred
+            cold = SparseBackend.build(instance, powers, epsilon=0.0)
+            got, want = (self._queries(b, instance.n) for b in (backend, cold))
+            for key in want:
+                np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+        for got, want in zip(_csr_storage(backend), _csr_storage(cold)):
+            np.testing.assert_array_equal(got, want)
+        assert not backend._edit_pos
+
+    def test_shared_node_edit_is_tracked_while_pending(self, direction):
+        base, _ = _base(36, direction, rng_seed=97, metric_nodes=120)
+        powers = SquareRootPower()(base)
+        backend = SparseBackend.build(base, powers, epsilon=0.0)
+        assert not backend.has_infinite_gains
+        shared = [(int(base.receivers[0]), int(base.senders[1]))]
+        edited = _edited(base, [5], shared)
+        backend.replace_requests([5], edited, SquareRootPower()(edited))
+        assert backend._edit_pos and backend.has_infinite_gains
+        assert np.isinf(backend.row_u(5)).any() or np.isinf(backend.col_u(5)).any()
+        used = set(edited.senders.tolist()) | set(edited.receivers.tolist())
+        free = [v for v in range(edited.metric.n) if v not in used][:2]
+        cleared = edited.replaced([5], [tuple(free)])
+        backend.replace_requests([5], cleared, SquareRootPower()(cleared))
+        assert backend._edit_pos and not backend.has_infinite_gains
+
+    def test_overlay_is_written_back_periodically(self, direction):
+        base, rng = _base(12, direction, rng_seed=101)
+        instance = base
+        backend = SparseBackend.build(
+            instance, SquareRootPower()(instance), epsilon=0.0
+        )
+        pending = []
+        for slot in [0, 3, 6, 9, 1, 4, 7, 10] * 2:
+            instance = instance.replaced([slot], _fresh_pairs(instance, rng, 1))
+            backend.replace_requests([slot], instance, SquareRootPower()(instance))
+            pending.append(len(backend._edit_pos))
+        # Written back every nnz / 2n edited slots.
+        assert max(pending) * 2 * instance.n <= instance.n**2 + 2 * instance.n
+        assert 0 in pending
+
+
+class TestSparseEpsilonReplace:
+    def test_pruned_replace_is_conservative(self):
+        """ε>0: the slot's row is pruned afresh and its new column is
+        pruned as a block; every row's bound still covers the mass it
+        is missing against the exact matrix."""
+        base, rng = _base(14, "directed", rng_seed=73)
+        backend = SparseBackend.build(
+            base, SquareRootPower()(base), epsilon=0.2
+        )
+        before = np.array(backend.pruned_mass_u)
+        instance = base
+        for slots in ([3], [0, 11], [3]):
+            instance = instance.replaced(
+                slots, _fresh_pairs(instance, rng, len(slots))
+            )
+            powers = SquareRootPower()(instance)
+            backend.replace_requests(slots, instance, powers)
+        dense = DenseBackend.build(instance, powers)
+        rows = np.arange(instance.n)
+        full = dense.row_sums_u(rows)
+        kept = backend.row_sums_u(rows)
+        pruned = backend.pruned_mass_u
+        finite = np.isfinite(full)
+        assert np.all(
+            full[finite] - kept[finite]
+            <= pruned[finite] + 1e-12 * np.abs(full[finite])
+        )
+        # Rows that were never replaced only ever gain bound.
+        others = np.setdiff1d(rows, [0, 3, 11])
+        assert np.all(pruned[others] >= before[others])
+
+
+class TestValidateReplacement:
+    def test_accepts_changes_at_replaced_slots_only(self):
+        base, rng = _base(6, "directed", rng_seed=79)
+        edited = base.replaced([1, 4], _fresh_pairs(base, rng, 2))
+        power = SquareRootPower()
+        validate_growth(
+            base, power(base), edited, power(edited), replaced=[1, 4]
+        )
+        with pytest.raises(ValueError, match="prefix"):
+            validate_growth(
+                base, power(base), edited, power(edited), replaced=[1]
+            )
+
+    def test_rejects_out_of_range_slots(self):
+        base, rng = _base(6, "directed", rng_seed=83)
+        power = SquareRootPower()
+        with pytest.raises(ValueError, match="replaced indices"):
+            validate_growth(base, power(base), base, power(base), replaced=[6])

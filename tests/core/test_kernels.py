@@ -36,7 +36,11 @@ from hypothesis import strategies as st
 import oracle
 from repro.analysis.capacity import greedy_max_feasible_subset
 from repro.core.batch import ContextBatch
-from repro.core.context import clear_context_cache, get_context
+from repro.core.context import (
+    InterferenceContext,
+    clear_context_cache,
+    get_context,
+)
 from repro.core.errors import InvalidScheduleError
 from repro.core.instance import Direction, Instance
 from repro.core.kernels import (
@@ -410,6 +414,148 @@ class TestKernelStateProperties:
 # ----------------------------------------------------------------------
 # Batched first-fit
 # ----------------------------------------------------------------------
+
+
+def _kernel_state(kernel):
+    """Every array of a kernel's state over its open classes."""
+    count = kernel.num_classes
+    state = [np.array(kernel.colors), kernel.class_sizes]
+    state += [arr[:count].copy() for arr in kernel._row_arrays()]
+    state += [arr.copy() for arr in kernel._own_arrays()]
+    return state
+
+
+def _assert_same_kernel_state(got, want):
+    for a, b in zip(_kernel_state(got), _kernel_state(want)):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+def _edit_stream(seed, direction, n=12, metric_nodes=16):
+    """A base instance on a small metric plus random pairs over it
+    (shared nodes, hence infinite gains, are likely)."""
+    full = random_uniform_instance(metric_nodes // 2, rng=seed, direction=direction)
+    rng = np.random.default_rng(seed)
+    senders = rng.integers(0, full.metric.n, size=n + 8)
+    receivers = (senders + rng.integers(1, full.metric.n, size=n + 8)) % full.metric.n
+    base = Instance(
+        full.metric, senders[:n], receivers[:n], direction=direction
+    )
+    extra = list(zip(senders[n:].tolist(), receivers[n:].tolist()))
+    return base, extra, rng
+
+
+class TestKernelGrowthAndReseed:
+    """extend_to and reseed leave exactly the state a kernel freshly
+    seeded (from_colors) on the grown or edited context holds."""
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_grown_kernel_equals_fresh_seed(self, direction, seed):
+        base, extra, rng = _edit_stream(seed, direction)
+        colors = rng.integers(-1, 4, size=base.n)
+        context = InterferenceContext(base, SquareRootPower()(base))
+        kernel = ScheduleKernel.from_colors(context, colors)
+        instance = base
+        for size in (1, 3, 1, 2):
+            pairs, extra = extra[:size], extra[size:]
+            instance = Instance(
+                base.metric,
+                np.concatenate([instance.senders, [p[0] for p in pairs]]),
+                np.concatenate([instance.receivers, [p[1] for p in pairs]]),
+                direction=direction,
+            )
+            powers = SquareRootPower()(instance)
+            context.extend_to(instance, powers)
+            kernel.extend_to(instance.n)
+            colors = np.concatenate([colors, -np.ones(size, dtype=int)])
+            fresh = ScheduleKernel.from_colors(
+                InterferenceContext(instance, powers), colors
+            )
+            _assert_same_kernel_state(kernel, fresh)
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_reseeded_kernel_equals_fresh_seed(self, direction, seed):
+        base, extra, rng = _edit_stream(seed, direction)
+        colors = rng.integers(0, 4, size=base.n)
+        instance = base
+        context = InterferenceContext(base, SquareRootPower()(base))
+        for slots in ([3], [0, 7], [3], [11]):
+            colors[slots] = -1
+            kernel = ScheduleKernel.from_colors(context, colors)
+            pairs, extra = extra[: len(slots)], extra[len(slots) :]
+            instance = instance.replaced(slots, pairs)
+            powers = SquareRootPower()(instance)
+            context.replace_requests(slots, instance, powers)
+            kernel.reseed(slots)
+            fresh = ScheduleKernel.from_colors(
+                InterferenceContext(instance, powers), colors
+            )
+            _assert_same_kernel_state(kernel, fresh)
+            colors[slots] = rng.integers(0, 4, size=len(slots))
+
+    def test_reseed_clears_counts_when_gains_turn_finite(self):
+        """The slot's departed request shared a node with a member; its
+        replacement shares none, so the backend turns all-finite and
+        the kernel takes the finite path — the slot's stale infinite
+        counts must not survive."""
+        metric = LineMetric([0.0, 1.0, 2.5, 4.5, 7.0, 11.0, 16.0])
+        instance = Instance(
+            metric, [0, 1, 3], [1, 2, 4], direction=Direction.BIDIRECTIONAL
+        )
+        colors = np.array([0, -1, 0])
+        context = InterferenceContext(instance, SquareRootPower()(instance))
+        kernel = ScheduleKernel.from_colors(context, colors)
+        assert context.has_infinite_gains and kernel._ninf_u[0, 1] == 1
+        edited = instance.replaced([1], [(5, 6)])
+        powers = SquareRootPower()(edited)
+        context.replace_requests([1], edited, powers)
+        assert not context.has_infinite_gains
+        kernel.reseed([1])
+        assert kernel._finite
+        fresh = ScheduleKernel.from_colors(
+            InterferenceContext(edited, powers), colors
+        )
+        _assert_same_kernel_state(kernel, fresh)
+
+    def test_reseed_rejects_placed_requests(self):
+        instance = random_uniform_instance(6, rng=3)
+        context = InterferenceContext(instance, SquareRootPower()(instance))
+        kernel = ScheduleKernel.from_colors(context, np.zeros(6, dtype=int))
+        with pytest.raises(ValueError, match="placed"):
+            kernel.reseed([2])
+
+    def test_request_capacity_doubles(self):
+        """Single arrivals reallocate the (classes, n) state O(log n)
+        times, not once per arrival."""
+        base, _, _ = _edit_stream(5, Direction.DIRECTED, n=8, metric_nodes=40)
+        instance = base
+        context = InterferenceContext(base, SquareRootPower()(base))
+        kernel = ScheduleKernel.from_colors(context, np.zeros(8, dtype=int))
+        buffers = set()
+        rng = np.random.default_rng(5)
+        for _ in range(56):
+            s, r = rng.choice(instance.metric.n, size=2, replace=False)
+            instance = Instance(
+                base.metric,
+                np.append(instance.senders, s),
+                np.append(instance.receivers, r),
+                direction=base.direction,
+            )
+            context.extend_to(instance, SquareRootPower()(instance))
+            kernel.extend_to(instance.n)
+            buffers.add(id(kernel._row_bufs[0]))
+            color = kernel.first_fit_admit(instance.n - 1, context.budgets() * 2)
+            kernel.add(instance.n - 1, color if color >= 0 else kernel.open_class())
+        # 8 -> 64 requests: capacities 16, 32, 64 (plus class growth).
+        assert kernel.n == 64
+        assert len(buffers) <= 3 + int(np.log2(kernel.num_classes + 1)) + 1
+        fresh = ScheduleKernel.from_colors(
+            InterferenceContext(instance, SquareRootPower()(instance)),
+            np.asarray(kernel.colors),
+        )
+        np.testing.assert_array_equal(kernel.colors, fresh.colors)
 
 
 class TestBatchedFirstFit:
