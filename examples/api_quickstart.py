@@ -4,8 +4,8 @@
 Walks the ``Problem -> Session -> ScheduleResult`` facade end to end:
 resolving algorithms by name from the registry, reading provenance
 (backend, certification, wall time), growing a session incrementally,
-switching to the sparse gain backend, and batching many problems
-through one stacked kernel pass.
+switching to the sparse gain backend, and scheduling many problems
+at once with one stacked validation pass.
 
 Run:  python examples/api_quickstart.py [seed]
 """
@@ -54,15 +54,17 @@ def main(seed: int = 0) -> None:
     print(f"\nsparse backend: {sparse.num_colors} colors, "
           f"certified dense-equal: {sparse.provenance.certified}")
 
-    # -- many problems, one stacked kernel pass -------------------------
+    # -- many problems: one session each, one stacked validation ------
     problems = [
         Problem(random_uniform_instance(24, rng=seed + i), backend="dense")
         for i in range(8)
     ]
-    results = BatchSession(problems).schedule("first_fit")
+    batch = BatchSession(problems)
+    results = batch.schedule("first_fit")
+    batch.validate()
     print(f"\nbatch of {len(results)}: "
           f"{[r.num_colors for r in results]} colors "
-          f"(stacked: {results[0].provenance.batch_fallback is None})")
+          f"(validation stacked: {batch.batch.stacked})")
 
 
 if __name__ == "__main__":

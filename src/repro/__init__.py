@@ -86,7 +86,6 @@ from repro.core import (
     default_config,
     get_context,
     peel_max_feasible_subset,
-    stacked_first_fit,
     is_feasible_partition,
     is_feasible_subset,
     scale_powers_for_noise,
@@ -183,7 +182,6 @@ __all__ = [
     "ScheduleKernel",
     "build_schedule",
     "peel_max_feasible_subset",
-    "stacked_first_fit",
     # geometry
     "Metric",
     "EuclideanMetric",

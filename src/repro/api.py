@@ -2,7 +2,7 @@
 
 The one coherent entry point over the whole engine stack
 (:class:`~repro.core.context.InterferenceContext`, the scheduler
-kernels, the pluggable gain backends and the batched
+kernels, the pluggable gain backends and the batched validation of
 :class:`~repro.core.batch.ContextBatch`):
 
 >>> from repro.api import Problem
@@ -25,12 +25,12 @@ kernels, the pluggable gain backends and the batched
   which algorithm and parameters produced it, on which backend, whether
   a pruned-sparse run is *certified* bit-identical to dense (zero
   :attr:`~repro.core.gains.GainBackend.flip_risk_events`), the wall
-  time, and any batched-execution fallback
-  (:class:`~repro.core.batch.BatchFallbackInfo`).
+  time, and the peel and arrival counters.
 * :class:`BatchSession` / :func:`schedule_batch` — the same facade
-  over many problems at once, stacking them through
-  :class:`~repro.core.batch.ContextBatch` when the algorithm has a
-  batched kernel.
+  over many problems at once: each problem runs through its own
+  :class:`Session` (one production path per algorithm), and
+  :meth:`BatchSession.validate` checks every result in one stacked
+  :class:`~repro.core.batch.ContextBatch` pass.
 
 Every result is bit-identical to calling the submodule implementations
 directly; the conformance suite asserts this on both dense and sparse
@@ -47,7 +47,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.batch import BatchFallbackInfo, ContextBatch, ContextPool
+from repro.core.batch import ContextBatch, ContextPool
 from repro.core.context import (
     DEFAULT_RTOL,
     InterferenceContext,
@@ -119,9 +119,6 @@ class Provenance:
         ``False`` — pruning may have changed a decision; ``None`` —
         certification does not apply (the algorithm's decisions do not
         all route through the flip-risk-counting kernel).
-    batch_fallback:
-        Why a batched entry point could not run in lockstep (``None``
-        for plain sessions and stacked batches).
     peel_risk_events:
         Growth of the incremental peel's at-risk-decision counter
         (:func:`repro.core.kernels.peel_risk_events`) during the run:
@@ -151,7 +148,6 @@ class Provenance:
     wall_seconds: float
     flip_risk_events: int = 0
     certified: Optional[bool] = None
-    batch_fallback: Optional[BatchFallbackInfo] = None
     peel_risk_events: int = 0
     peel_fallbacks: Tuple[PeelFallbackInfo, ...] = ()
     incremental: bool = False
@@ -420,7 +416,7 @@ class Session:
         if self._compact():
             self.rebuild()
         spec = get_algorithm(algorithm)
-        return self._run(spec, rng, params, batch_fallback=None)
+        return self._run(spec, rng, params)
 
     def reschedule(
         self,
@@ -749,11 +745,13 @@ class Session:
         ``"snapshot"``
             No structural damage and *kernel_snapshot* (taken from
             :attr:`live_kernel` before the mutation) restored bitwise —
-            the O(C·n) transactional-rollback fast path.
+            the copy-on-write transactional-rollback fast path (O(n)
+            plus one row copy per class the mutation touched).
         ``"rekernel"``
             No structural damage but the snapshot could not be applied
             (an arrival, departure or rebuild completed since it was
-            taken, the kernel was dropped, or no snapshot was given):
+            taken, a later snapshot superseded it, the kernel was
+            dropped, or no snapshot was given):
             the live kernel is discarded and replays lazily on next use.
         ``"rebuild"``
             Structural damage (orphaned half-admitted slots): the
@@ -791,7 +789,8 @@ class Session:
                 self._kernel.restore(kernel_snapshot)
                 return "snapshot"
             except ValueError:
-                # Snapshot predates kernel growth; fall through.
+                # Not the kernel's live snapshot any more (superseded,
+                # or the kernel grew or reseeded since); fall through.
                 pass
         self._kernel = None
         self._limits = None
@@ -913,7 +912,6 @@ class Session:
         spec: AlgorithmSpec,
         rng: Any,
         params: Dict[str, Any],
-        batch_fallback: Optional[BatchFallbackInfo],
     ) -> ScheduleResult:
         backend_obj: Optional[GainBackend] = None
         # Fixed-power algorithms run on the session's (instance,
@@ -965,7 +963,6 @@ class Session:
                 wall_seconds=wall,
                 flip_risk_events=delta,
                 certified=certified,
-                batch_fallback=batch_fallback,
                 peel_risk_events=peel_risk_events() - peel_before,
                 peel_fallbacks=peel_fallback_records()[fb_before:],
                 arrivals=self._arrivals,
@@ -991,13 +988,11 @@ class Session:
 class BatchSession:
     """The facade over many problems at once.
 
-    Algorithms with a batched kernel (capability ``supports_batch``,
-    currently ``first_fit`` and ``local_search``) run in lockstep over
-    a :class:`~repro.core.batch.ContextBatch`; everything else loops
-    the per-problem sessions, which is recorded as a
-    :class:`~repro.core.batch.BatchFallbackInfo` in each result's
-    provenance (as is the batch's own pooled fallback on ragged or
-    lossy-backed batches).
+    Every algorithm runs through each problem's own :class:`Session`,
+    so each result is identical to scheduling that problem alone;
+    randomized algorithms draw one spawned stream of ``rng`` per
+    problem.  :meth:`validate` checks all results in one stacked
+    :class:`~repro.core.batch.ContextBatch` pass.
 
     All problems must agree on the backend preferences (one batch, one
     substrate).
@@ -1042,47 +1037,25 @@ class BatchSession:
     def schedule(
         self, algorithm: str = "first_fit", rng: Any = None, **params: Any
     ) -> List[ScheduleResult]:
-        """Schedule every problem; one :class:`ScheduleResult` each."""
+        """Schedule every problem; one :class:`ScheduleResult` each.
+
+        ``local_search`` takes ``schedule=`` as one seed per problem (a
+        :class:`~repro.core.schedule.Schedule` or :class:`ScheduleResult`
+        each), paired with the problems in order.
+        """
         spec = get_algorithm(algorithm)
         if spec.capabilities.deterministic and rng is not None:
             raise TypeError(
                 f"algorithm {spec.name!r} is deterministic; rng= is not "
                 "accepted"
             )
-        # The stacked path carries no rng, so only deterministic
-        # algorithms may take it; a future randomized batch kernel
-        # falls through to the per-session loop with spawned streams.
-        if spec.capabilities.supports_batch and spec.capabilities.deterministic:
-            return self._schedule_stacked(spec, params)
-        fallback = BatchFallbackInfo(
-            reasons=("no_batch_kernel",),
-            pairs=len(self),
-            detail=(
-                f"algorithm {spec.name!r} has no batched kernel; "
-                "problems were scheduled one session at a time"
-            ),
-        )
         if spec.capabilities.deterministic:
             rngs: List[Any] = [None] * len(self)
         else:
             rngs = list(spawn_rngs(ensure_rng(rng), len(self)))
-        return [
-            session._run(spec, child, dict(params), batch_fallback=fallback)
-            for session, child in zip(self.sessions, rngs)
-        ]
-
-    def _schedule_stacked(
-        self, spec: AlgorithmSpec, params: Dict[str, Any]
-    ) -> List[ScheduleResult]:
-        batch = self.batch
-        backends = [ctx.backend for ctx in batch.contexts]
-        before = [b.flip_risk_events for b in backends]
-        start = time.perf_counter()
-        if spec.name == "first_fit":
-            schedules = batch.first_fit_schedules(**params)
-        elif spec.name == "local_search":
-            run_params = dict(params)
-            seeds = run_params.pop("schedule", None)
+        runs = [dict(params) for _ in self.sessions]
+        if spec.name == "local_search":
+            seeds = params.get("schedule")
             if seeds is None:
                 raise TypeError(
                     "algorithm 'local_search' improves existing schedules; "
@@ -1093,42 +1066,12 @@ class BatchSession:
                 raise ValueError(
                     f"{len(seeds)} schedules for {len(self)} problems"
                 )
-            schedules = batch.local_search_schedules(
-                [getattr(seed, "schedule", seed) for seed in seeds],
-                **run_params,
-            )
-        else:  # pragma: no cover - registry flag without batch wiring
-            raise RuntimeError(
-                f"algorithm {spec.name!r} declares supports_batch but "
-                "BatchSession has no stacked dispatch for it"
-            )
-        wall = time.perf_counter() - start
-        results = []
-        for index, (session, schedule) in enumerate(
-            zip(self.sessions, schedules)
-        ):
-            delta = backends[index].flip_risk_events - before[index]
-            result = ScheduleResult(
-                schedule=schedule,
-                instance=session.instance,
-                provenance=Provenance(
-                    algorithm=spec.name,
-                    params=dict(params),
-                    backend=backends[index].name,
-                    sparse_epsilon=batch.contexts[index].config.pruning_epsilon,
-                    wall_seconds=wall,
-                    flip_risk_events=delta,
-                    certified=(
-                        delta == 0 if spec.capabilities.certifiable else None
-                    ),
-                    batch_fallback=batch.fallback,
-                ),
-            )
-            session._last_algorithm = spec.name
-            session._last_params = dict(params)
-            session.last_result = result
-            results.append(result)
-        return results
+            for run, seed in zip(runs, seeds):
+                run["schedule"] = seed
+        return [
+            session._run(spec, child, run)
+            for session, child, run in zip(self.sessions, rngs, runs)
+        ]
 
     def validate(self) -> "BatchSession":
         """Batched validation of every session's latest result."""

@@ -40,7 +40,6 @@ from repro.core.instance import Direction, Instance
 from repro.core.kernels import (
     ScheduleKernel,
     peel_max_feasible_subset,
-    stacked_first_fit,
 )
 from repro.core.interference import (
     bidirectional_gain_matrices,
@@ -84,7 +83,6 @@ __all__ = [
     "default_config",
     "ScheduleKernel",
     "peel_max_feasible_subset",
-    "stacked_first_fit",
     "Direction",
     "Instance",
     "Schedule",

@@ -22,12 +22,10 @@ This module closes that gap:
   :func:`repro.core.context.get_context` caches through a small global
   LRU; the pool pins a batch's contexts for its lifetime so a sweep
   over hundreds of pairs cannot thrash that LRU.
-* :meth:`ContextBatch.first_fit_schedules` /
-  :meth:`ContextBatch.local_search_schedules` — batched **scheduling**,
-  not just batched validation: the stacked gains feed the vectorized
-  lockstep kernels (:func:`repro.core.kernels.stacked_first_fit`,
-  :func:`repro.core.kernels.stacked_local_search`), emitting per-pair
-  schedules identical to scheduling each pair alone.
+
+Scheduling is not batched here: :class:`repro.api.BatchSession` runs
+each problem's own session (one production path per scheduler) and
+uses the batch only to validate the results.
 
 Numerical contract: the stacked path reproduces the per-context
 results bit-for-bit — gain matrices are the cached per-context arrays
@@ -56,13 +54,7 @@ from repro.core.context import (
 from repro.core.errors import InvalidScheduleError
 from repro.core.gains import DEFAULT_TILE_ROWS, BackendConfig, default_config
 from repro.core.instance import Instance
-from repro.core.kernels import (
-    check_order,
-    first_fit_colors,
-    stacked_first_fit,
-    stacked_local_search,
-)
-from repro.core.schedule import Schedule, build_schedule
+from repro.core.schedule import Schedule
 
 PairLike = Tuple[Instance, np.ndarray]
 ColorsLike = Union[None, np.ndarray, Sequence[Optional[np.ndarray]]]
@@ -72,13 +64,15 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class BatchFallbackInfo:
-    """Why a :class:`ContextBatch` could not take the stacked fast path.
+    """Why a :class:`ContextBatch` could not stack its queries.
 
     Attached as :attr:`ContextBatch.fallback` (``None`` when the batch
-    is stacked) and surfaced in
-    :class:`repro.api.Provenance.batch_fallback`, so the pooled
-    per-pair fallback is a *visible* property of a result instead of a
-    silent performance cliff.
+    is stacked), so the pooled per-pair fallback of
+    :meth:`~ContextBatch.interference`, :meth:`~ContextBatch.margins`,
+    :meth:`~ContextBatch.feasible` and
+    :meth:`~ContextBatch.validate_schedules` is a *visible* property of
+    the batch instead of a silent performance cliff.  It covers these
+    queries only; scheduling never stacks.
 
     Attributes
     ----------
@@ -86,9 +80,8 @@ class BatchFallbackInfo:
         Machine-readable reason tags, any of ``"ragged_n"`` (pairs
         disagree on request count), ``"mixed_direction"`` (directed and
         bidirectional pairs mixed), ``"lossy_backend"`` (a pair uses an
-        ε-pruned sparse backend — the stacked kernels carry no
-        flip-risk certification, so lossy pairs keep the certifying
-        per-pair path).
+        ε-pruned sparse backend; lossy pairs keep their per-pair
+        contexts).
     pairs:
         Batch size.
     detail:
@@ -106,7 +99,7 @@ class BatchFallbackInfo:
 _warned_fallback_sites: Set[Tuple[str, int]] = set()
 
 
-def reset_batch_fallback_registry() -> None:
+def reset_fallback_warnings() -> None:
     """Forget which call sites already logged a fallback ``WARNING``
     (repeats log at ``DEBUG``); used by tests."""
     _warned_fallback_sites.clear()
@@ -286,17 +279,15 @@ class ContextBatch:
             self.pool.get(instance, powers, config=config)
             for instance, powers in pairs
         ]
-        # Stacking needs same-shape pairs and a lossless backend (the
-        # stacked kernels carry no flip-risk counters); ragged or
-        # ε-pruned batches take the pooled per-pair fallback (every
-        # query and the scheduling kernels are backend-generic there),
-        # recorded as a structured :class:`BatchFallbackInfo` instead
-        # of a silent switch.
+        # Stacking needs same-shape pairs and a lossless backend;
+        # ragged or ε-pruned batches take the pooled per-pair fallback
+        # (every query is backend-generic there), recorded as a
+        # structured :class:`BatchFallbackInfo` instead of a silent
+        # switch.
         self.fallback = _diagnose_fallback(self.contexts)
         self.stacked = self.fallback is None
         self._signals: Optional[np.ndarray] = None
         self._gains: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._gains_t: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -345,8 +336,8 @@ class ContextBatch:
             self._signals = np.stack([ctx.signals for ctx in self.contexts])
         return self._signals
 
-    def _assemble_stack(self, transposed: bool) -> Tuple[np.ndarray, np.ndarray]:
-        """The ``(B, n, n)`` gain stacks, assembled through backend
+    def _stacked_gains(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(B, n, n)`` gain stacks, assembled once through backend
         block primitives.
 
         Batches of numpy dense contexts stack the per-context arrays
@@ -360,71 +351,36 @@ class ContextBatch:
         arrays (the backend conformance contract), so the stacked
         queries stay exact.
         """
+        if self._gains is not None:
+            return self._gains
+        directed = all(ctx.backend.directed for ctx in self.contexts)
         if all(
             ctx.config.backend == "dense" and ctx.config.array_namespace == "numpy"
             for ctx in self.contexts
         ):
-            directed = all(ctx.backend.directed for ctx in self.contexts)
-            if transposed:
-                # Transpose straight into the stack instead of stacking
-                # the per-context transpose caches: materializing
-                # ``ctx.gains_ut`` for every pair would leave B extra
-                # (n, n) arrays resident with no later use.  A transpose
-                # is pure element reordering, so the stacked values are
-                # bitwise the cached transposes either way.
-                stack_u = np.empty((len(self), self.n, self.n))
-                for index, ctx in enumerate(self.contexts):
-                    stack_u[index] = ctx.gains_u.T
-                if directed:
-                    return stack_u, stack_u
-                stack_v = np.empty_like(stack_u)
-                for index, ctx in enumerate(self.contexts):
-                    stack_v[index] = ctx.gains_v.T
-                return stack_u, stack_v
             stack_u = np.stack([ctx.gains_u for ctx in self.contexts])
-            if directed:
-                return stack_u, stack_u
-            return stack_u, np.stack([ctx.gains_v for ctx in self.contexts])
-        n = self.n
-        all_idx = np.arange(n)
-        directed = all(ctx.backend.directed for ctx in self.contexts)
-        stack_u = np.empty((len(self), n, n))
-        stack_v = stack_u if directed else np.empty((len(self), n, n))
-        for index, ctx in enumerate(self.contexts):
-            backend = ctx.backend
-            for lo in range(0, n, DEFAULT_TILE_ROWS):
-                rows = all_idx[lo : lo + DEFAULT_TILE_ROWS]
-                hi = lo + rows.size
-                if transposed:
-                    stack_u[index, lo:hi] = backend.cross_block_u(
-                        all_idx, rows
-                    ).T
-                    if not directed:
-                        stack_v[index, lo:hi] = backend.cross_block_v(
-                            all_idx, rows
-                        ).T
-                else:
-                    stack_u[index, lo:hi] = backend.cross_block_u(
-                        rows, all_idx
-                    )
+            stack_v = (
+                stack_u
+                if directed
+                else np.stack([ctx.gains_v for ctx in self.contexts])
+            )
+        else:
+            n = self.n
+            all_idx = np.arange(n)
+            stack_u = np.empty((len(self), n, n))
+            stack_v = stack_u if directed else np.empty((len(self), n, n))
+            for index, ctx in enumerate(self.contexts):
+                backend = ctx.backend
+                for lo in range(0, n, DEFAULT_TILE_ROWS):
+                    rows = all_idx[lo : lo + DEFAULT_TILE_ROWS]
+                    hi = lo + rows.size
+                    stack_u[index, lo:hi] = backend.cross_block_u(rows, all_idx)
                     if not directed:
                         stack_v[index, lo:hi] = backend.cross_block_v(
                             rows, all_idx
                         )
-        return stack_u, stack_v
-
-    def _stacked_gains(self) -> Tuple[np.ndarray, np.ndarray]:
-        if self._gains is None:
-            self._gains = self._assemble_stack(transposed=False)
+        self._gains = (stack_u, stack_v)
         return self._gains
-
-    def _stacked_gains_t(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Stacked contiguous-transpose gains ``(B, n, n)`` for the
-        column-consuming scheduler kernels (see
-        :attr:`InterferenceContext.gains_ut`)."""
-        if self._gains_t is None:
-            self._gains_t = self._assemble_stack(transposed=True)
-        return self._gains_t
 
     def _colors_array(self, colors: ColorsLike) -> Optional[np.ndarray]:
         if colors is None:
@@ -525,168 +481,6 @@ class ContextBatch:
         if isinstance(margins, np.ndarray) and margins.ndim == 2:
             return np.all(margins >= 1.0 - rtol, axis=1)
         return np.asarray([bool(np.all(m >= 1.0 - rtol)) for m in margins])
-
-    # ------------------------------------------------------------------
-    # Batched scheduling
-    # ------------------------------------------------------------------
-
-    def _first_fit_limits(
-        self, beta: Optional[float], rtol: float
-    ) -> List[np.ndarray]:
-        limits = []
-        for index, ctx in enumerate(self.contexts):
-            budget = ctx.budgets(beta=beta)
-            if np.any(budget < 0):
-                bad = int(np.argmax(budget < 0))
-                raise InvalidScheduleError(
-                    f"pair {index}: request {bad} cannot satisfy its SINR "
-                    "constraint even alone; scale the powers first "
-                    "(see scale_powers_for_noise)"
-                )
-            limits.append(budget * (1.0 + rtol))
-        return limits
-
-    def first_fit_schedules(
-        self,
-        orders: Optional[Sequence[Sequence[int]]] = None,
-        beta: Optional[float] = None,
-        rtol: float = 1e-9,
-    ) -> List[Schedule]:
-        """First-fit coloring of every pair in the batch.
-
-        Stacked batches run :func:`repro.core.kernels.stacked_first_fit`
-        over the ``(B, n, n)`` transposed gain stack — every order
-        position is one vectorized admission pass covering all pairs —
-        and each returned schedule is bit-identical to calling
-        :func:`repro.scheduling.firstfit.first_fit_schedule` on that
-        pair alone.  Ragged batches fall back to a per-pair
-        :class:`~repro.core.kernels.ScheduleKernel` loop (still the
-        kernel path, just not in lockstep).
-
-        Parameters
-        ----------
-        orders:
-            Optional per-pair processing orders, each a permutation of
-            ``range(n)`` of its pair (longest link first by default,
-            matching ``first_fit_schedule``); anything else raises
-            ``ValueError``.
-        beta, rtol:
-            As in ``first_fit_schedule``.
-        """
-        if orders is None:
-            order_list = [
-                np.argsort(-ctx.instance.link_distances, kind="stable")
-                for ctx in self.contexts
-            ]
-        else:
-            if len(orders) != len(self):
-                raise ValueError(
-                    f"{len(orders)} orders for {len(self)} pairs"
-                )
-            order_list = []
-            for index, (order, ctx) in enumerate(zip(orders, self.contexts)):
-                try:
-                    order_list.append(check_order(order, ctx.n))
-                except ValueError as exc:
-                    raise ValueError(f"pair {index}: {exc}") from None
-        limits = self._first_fit_limits(beta, rtol)
-
-        if self.stacked:
-            gains_ut, gains_vt = self._stacked_gains_t()
-            colors = stacked_first_fit(
-                gains_ut,
-                gains_vt,
-                np.stack(limits),
-                np.stack(order_list),
-                finite=all(
-                    not ctx.has_infinite_gains for ctx in self.contexts
-                ),
-            )
-            return [
-                build_schedule(colors[index], ctx.powers)
-                for index, ctx in enumerate(self.contexts)
-            ]
-
-        return [
-            build_schedule(first_fit_colors(ctx, order, pair_limits), ctx.powers)
-            for ctx, order, pair_limits in zip(self.contexts, order_list, limits)
-        ]
-
-    def local_search_schedules(
-        self,
-        schedules: Sequence[Schedule],
-        beta: Optional[float] = None,
-        max_rounds: Optional[int] = None,
-    ) -> List[Schedule]:
-        """Local-search improvement of one schedule per pair.
-
-        Stacked batches run
-        :func:`repro.core.kernels.stacked_local_search` over the
-        ``(B, n, n)`` transposed gain stack — the per-pair dissolution
-        attempts advance in lockstep — and each returned schedule is
-        identical to calling
-        :func:`repro.scheduling.local_search.improve_schedule` on that
-        pair alone.  Ragged/lossy batches fall back to a per-pair
-        ``improve_schedule`` loop.
-
-        Parameters
-        ----------
-        schedules:
-            One feasible schedule per pair, built from the pair's own
-            powers (validated before and after, like the per-pair
-            reference).
-        beta, max_rounds:
-            As in ``improve_schedule``.
-        """
-        # Lazy import: scheduling sits above core in the layer order.
-        from repro.scheduling.local_search import improve_schedule
-
-        if len(schedules) != len(self):
-            raise InvalidScheduleError(
-                f"{len(schedules)} schedules for {len(self)} pairs"
-            )
-        for index, (ctx, schedule) in enumerate(
-            zip(self.contexts, schedules)
-        ):
-            if schedule.n != ctx.n:
-                raise InvalidScheduleError(
-                    f"pair {index}: schedule covers {schedule.n} requests, "
-                    f"instance has {ctx.n}"
-                )
-            if not np.array_equal(schedule.powers, ctx.powers):
-                raise InvalidScheduleError(
-                    f"pair {index}: schedule powers differ from the batch "
-                    "pair powers"
-                )
-
-        if not self.stacked:
-            return [
-                improve_schedule(
-                    ctx.instance, schedule, beta=beta, max_rounds=max_rounds
-                )
-                for ctx, schedule in zip(self.contexts, schedules)
-            ]
-
-        for ctx, schedule in zip(self.contexts, schedules):
-            schedule.validate(ctx.instance, beta=beta)
-        betas, noises = self._defaults(beta, None)
-        gains_ut, gains_vt = self._stacked_gains_t()
-        colors = stacked_local_search(
-            gains_ut,
-            gains_vt,
-            np.stack([schedule.compacted().colors for schedule in schedules]),
-            self._stacked_signals(),
-            betas[:, 0],
-            noises[:, 0],
-            max_rounds=max_rounds,
-            finite=all(not ctx.has_infinite_gains for ctx in self.contexts),
-        )
-        improved = []
-        for index, ctx in enumerate(self.contexts):
-            schedule = build_schedule(colors[index], ctx.powers)
-            schedule.validate(ctx.instance, beta=beta)
-            improved.append(schedule)
-        return improved
 
     def validate_schedules(
         self,

@@ -16,7 +16,8 @@ of vectorized passes:
   check across every open class per request
   (:meth:`~ScheduleKernel.first_fit_admit`), and local-search moves
   become delta checks (:meth:`~ScheduleKernel.admissible_targets`) with
-  snapshot/restore rollback instead of per-move subset rebuilds.
+  copy-on-write snapshot/restore rollback instead of per-move subset
+  rebuilds.
 * :func:`peel_max_feasible_subset` — the greedy peeling primitive on
   incrementally maintained interference sums: **identical** decisions
   to :meth:`InterferenceContext.greedy_max_feasible_subset` at O(k)
@@ -25,18 +26,6 @@ of vectorized passes:
   total versus O(k³).  Decisions that land inside the
   :data:`PEEL_RISK_RTOL` band of their boundary are re-resolved with
   fresh reference-order row sums and counted as risk events.
-* :func:`stacked_first_fit` — the first-fit kernel over stacked
-  ``(B, n, n)`` gains, scheduling a whole
-  :class:`~repro.core.batch.ContextBatch` of same-shape instances in
-  lockstep (one vectorized admission pass per order position covers all
-  ``B`` pairs).
-* :func:`stacked_local_search` — the local-search dissolution pass over
-  the same stacked gains: per-pair delta evaluation is embarrassingly
-  parallel, so every engine step runs **one** batched
-  ``admissible_targets`` analogue plus one batched move across all
-  still-active pairs, with bitwise per-pair snapshot rollback — each
-  slice conformant to :func:`repro.scheduling.local_search.improve_schedule`
-  on that pair alone.
 
 Numerical contract
 ------------------
@@ -77,8 +66,6 @@ When to use what
   changes, O(k) feasibility probes).
 * *Many* classes probed per request (schedulers, searches) →
   :class:`ScheduleKernel` (one vectorized pass over all classes).
-* Many same-shape instances → :func:`stacked_first_fit` via
-  :meth:`repro.core.batch.ContextBatch.first_fit_schedules`.
 """
 
 from __future__ import annotations
@@ -104,8 +91,6 @@ __all__ = [
     "first_fit_colors",
     "first_fit_colors_sharded",
     "peel_max_feasible_subset",
-    "stacked_first_fit",
-    "stacked_local_search",
     "peel_risk_events",
     "peel_fallback_records",
     "reset_peel_events",
@@ -260,6 +245,9 @@ class ScheduleKernel:
         #: recognizably stale).
         self.stamp = 0
         self._sizes: List[int] = []
+        # The single live :meth:`snapshot`, whose row store :meth:`add`
+        # and :meth:`remove` fill before their first write to a row.
+        self._snapshot: Optional[Dict[str, object]] = None
         # The state lives in buffers with spare room in both dimensions
         # (class rows, request columns); the named arrays are views of
         # their leading (classes, n) blocks, rebound on reallocation.
@@ -460,6 +448,7 @@ class ScheduleKernel:
             )
         if n_new == n_old:
             return
+        self._snapshot = None
         self._refresh_backend_flags()
         columns = self._row_bufs[0].shape[1]
         if n_new > columns:
@@ -488,6 +477,7 @@ class ScheduleKernel:
         placed = [r for r in requests if self._colors[r] >= 0]
         if placed:
             raise ValueError(f"requests {placed} are placed; remove them first")
+        self._snapshot = None
         self._refresh_backend_flags()
         self._seed_rows(requests)
         for own in self._own_arrays():
@@ -565,6 +555,7 @@ class ScheduleKernel:
             raise ValueError(f"request {request} is already placed")
         if not 0 <= color < len(self._sizes):
             raise ValueError(f"class {color} is not open")
+        self._save_row(color)
         peers = self._colors == color
         for fin, ninf, npos, own_fin, own_ninf, own_npos, _, col in (
             self._endpoint_rows()
@@ -607,6 +598,7 @@ class ScheduleKernel:
         color = int(self._colors[request])
         if color < 0:
             raise ValueError(f"request {request} is not placed")
+        self._save_row(color)
         self._colors[request] = -1
         self._sizes[color] -= 1
         emptied = self._sizes[color] == 0
@@ -653,6 +645,7 @@ class ScheduleKernel:
         color = int(color)
         if self._sizes[color] != 0:
             raise ValueError(f"class {color} is not empty")
+        self._snapshot = None
         count = len(self._sizes)
         for fin, ninf, npos, _, _, _, _, _ in self._endpoint_rows():
             fin[color : count - 1] = fin[color + 1 : count]
@@ -683,49 +676,62 @@ class ScheduleKernel:
         return own
 
     def snapshot(self) -> Dict[str, object]:
-        """An exact (bitwise) copy of the kernel state.  Restoring it
-        makes a failed sequence of moves perfectly side-effect-free —
-        no recompute, no accumulated rounding residue."""
-        return {
-            "n": int(self._colors.shape[0]),
+        """Take the kernel's live snapshot (copy-on-write).
+
+        Colors, sizes and the ``(n,)`` own-class vectors are copied
+        now; a ``(C, n)`` class row is copied by :meth:`add` /
+        :meth:`remove` right before its first write since the snapshot,
+        so rolling back a few moves copies the rows they touched, not
+        every class.  A new snapshot supersedes the previous one.
+        """
+        self._snapshot = {
+            "n": self._n,
             "stamp": self.stamp,
             "colors": self._colors.copy(),
             "sizes": list(self._sizes),
-            "rows": [arr[: len(self._sizes)].copy() for arr in self._row_arrays()],
+            "rows": {},
             "own": [arr.copy() for arr in self._own_arrays()],
         }
+        return self._snapshot
+
+    def _save_row(self, color: int) -> None:
+        """Copy class *color*'s rows into the live snapshot unless they
+        are saved already or the class opened after it (restore zeroes
+        those)."""
+        snap = self._snapshot
+        if snap is None or color >= len(snap["sizes"]) or color in snap["rows"]:
+            return
+        snap["rows"][color] = [arr[color].copy() for arr in self._row_arrays()]
 
     def restore(self, state: Dict[str, object]) -> None:
-        """Restore a :meth:`snapshot` (bitwise; O(C·n) memcpy).
+        """Restore the live :meth:`snapshot` bitwise: write back the
+        saved rows, zero the rows opened since, and copy back colors,
+        sizes and own-class vectors.  The snapshot stays live.
 
-        Rows are written into the kernel's *current* arrays, so a
-        restore stays correct even if :meth:`open_class` grew the
-        class-row allocation after the snapshot was taken (every row at
-        or above the snapshot's class count is reset to exact zero).
-
-        A snapshot does **not** survive request-dimension growth: a
-        kernel built over a grown instance has strictly more columns
-        than the snapshot recorded, and rolling those away would need
-        the old instance back.  Restoring across an ``n`` change raises
-        ``ValueError`` — callers (see :meth:`repro.api.Session.recover`)
-        must fall back to a rebuild instead.
+        Only the live snapshot restores.  One superseded by a later
+        :meth:`snapshot`, or taken before a :meth:`drop_empty_class`,
+        :meth:`reseed` or :meth:`extend_to` (instance growth) — which
+        rewrite state without saving it — raises ``ValueError``;
+        callers (see :meth:`repro.api.Session.recover`) must rebuild
+        instead.
         """
-        saved_n = state.get("n", int(np.asarray(state["colors"]).shape[0]))
-        if saved_n != self._colors.shape[0]:
+        if state is not self._snapshot:
             raise ValueError(
-                f"kernel snapshot holds {saved_n} requests but the kernel "
-                f"now has {self._colors.shape[0]}; snapshots cannot be "
-                "restored across instance growth — rebuild instead"
+                "not the kernel's live snapshot: a later snapshot superseded "
+                "it, or drop_empty_class, reseed or extend_to (instance "
+                "growth) ran since it was taken — rebuild instead"
             )
+        rows = self._row_arrays()
+        for color, saved in state["rows"].items():
+            for arr, row in zip(rows, saved):
+                arr[color] = row
+        for arr in rows:
+            arr[len(state["sizes"]) : len(self._sizes)].fill(0)
         self._colors[:] = state["colors"]
-        self.stamp = state.get("stamp", self.stamp)
         self._sizes = list(state["sizes"])
-        count = len(self._sizes)
-        for arr, saved in zip(self._row_arrays(), state["rows"]):
-            arr[:count] = saved
-            arr[count:].fill(0)
         for arr, saved in zip(self._own_arrays(), state["own"]):
             arr[:] = saved
+        self.stamp = state["stamp"]
 
     # ------------------------------------------------------------------
     # Vectorized admission checks
@@ -929,11 +935,9 @@ def first_fit_colors(
 ) -> np.ndarray:
     """The kernel first-fit admission loop for one context.
 
-    Shared by :func:`repro.scheduling.firstfit.first_fit_schedule` and
-    the ragged fallback of
-    :meth:`repro.core.batch.ContextBatch.first_fit_schedules`, so the
-    admission semantics live in exactly one place.  *limits* is the
-    tolerance-scaled budget array (``budget * (1 + rtol)``).
+    The admission loop behind
+    :func:`repro.scheduling.firstfit.first_fit_schedule`.  *limits* is
+    the tolerance-scaled budget array (``budget * (1 + rtol)``).
     """
     backend = context.backend
     if hasattr(backend, "prefetch_columns"):
@@ -1326,790 +1330,3 @@ def _peel_incremental(
 
     _peel_risk_events += risk
     return np.asarray(sorted(order_list), dtype=int)
-
-
-# ----------------------------------------------------------------------
-# Stacked (batched) first-fit over (B, n, n) gains
-# ----------------------------------------------------------------------
-
-
-def stacked_first_fit(
-    gains_ut: np.ndarray,
-    gains_vt: np.ndarray,
-    limits: np.ndarray,
-    orders: np.ndarray,
-    capacity: int = 4,
-    finite: Optional[bool] = None,
-) -> np.ndarray:
-    """First-fit colorings for a stack of instances in lockstep.
-
-    Parameters
-    ----------
-    gains_ut, gains_vt:
-        Stacked **transposed** gain matrices ``(B, n, n)`` —
-        ``gains_ut[b, j]`` is pair ``b``'s gain column of request ``j``
-        laid out contiguously (see
-        :attr:`InterferenceContext.gains_ut`).  Pass the same array
-        twice for the directed variant.
-    limits:
-        Tolerance-scaled interference budgets ``(B, n)``
-        (``budget * (1 + rtol)``).
-    orders:
-        Processing order per pair ``(B, n)``.
-    capacity:
-        Initial per-pair class-row allocation (grows by doubling).
-    finite:
-        Whether every gain entry is finite (no shared-node pairs).
-        Callers holding per-context state should pass
-        ``all(not ctx.has_infinite_gains ...)`` — that answer is cached
-        per context, while deriving it here costs a full O(B·n²) scan.
-
-    Returns
-    -------
-    ``(B, n)`` int colors.  Each slice is bit-identical to running the
-    :class:`ScheduleKernel` first-fit on that pair alone: all state
-    updates and comparisons are elementwise over the batch axis, so no
-    cross-pair accumulation order exists to differ.
-    """
-    num_pairs, n = orders.shape
-    directed = gains_vt is gains_ut
-    if finite is None:
-        finite = bool(np.all(np.isfinite(gains_ut)))
-        if finite and not directed:
-            finite = bool(np.all(np.isfinite(gains_vt)))
-    else:
-        finite = bool(finite)
-    b_ar = np.arange(num_pairs)
-    colors = np.full((num_pairs, n), -1, dtype=int)
-    num_classes = np.zeros(num_pairs, dtype=int)
-    cap = max(1, int(capacity))
-
-    def alloc(dtype):
-        return np.zeros((num_pairs, cap, n), dtype=dtype)
-
-    fin_u, ninf_u, npos_u = alloc(float), alloc(np.int64), alloc(np.int64)
-    own_fin_u = np.zeros((num_pairs, n))
-    own_ninf_u = np.zeros((num_pairs, n), dtype=np.int64)
-    own_npos_u = np.zeros((num_pairs, n), dtype=np.int64)
-    if directed:
-        fin_v, ninf_v, npos_v = fin_u, ninf_u, npos_u
-        own_fin_v, own_ninf_v, own_npos_v = own_fin_u, own_ninf_u, own_npos_u
-    else:
-        fin_v, ninf_v, npos_v = alloc(float), alloc(np.int64), alloc(np.int64)
-        own_fin_v = np.zeros((num_pairs, n))
-        own_ninf_v = np.zeros((num_pairs, n), dtype=np.int64)
-        own_npos_v = np.zeros((num_pairs, n), dtype=np.int64)
-
-    def grow():
-        nonlocal fin_u, ninf_u, npos_u, fin_v, ninf_v, npos_v, cap
-        new_cap = 2 * cap
-
-        def enlarge(arr):
-            out = np.zeros((num_pairs, new_cap, n), dtype=arr.dtype)
-            out[:, :cap] = arr
-            return out
-
-        fin_u, ninf_u, npos_u = enlarge(fin_u), enlarge(ninf_u), enlarge(npos_u)
-        if directed:
-            fin_v, ninf_v, npos_v = fin_u, ninf_u, npos_u
-        else:
-            fin_v, ninf_v, npos_v = (
-                enlarge(fin_v),
-                enlarge(ninf_v),
-                enlarge(npos_v),
-            )
-        cap = new_cap
-
-    def endpoints() -> List[Tuple]:
-        rows = [
-            (fin_u, ninf_u, npos_u, own_fin_u, own_ninf_u, own_npos_u, gains_ut)
-        ]
-        if not directed:
-            rows.append(
-                (fin_v, ninf_v, npos_v, own_fin_v, own_ninf_v, own_npos_v, gains_vt)
-            )
-        return rows
-
-    for step in range(n):
-        reqs = orders[:, step]
-        req_limits = limits[b_ar, reqs]  # (B,)
-        # Candidate-budget check across every open class of every pair.
-        cand_u = _resolve(
-            fin_u[b_ar, :, reqs],
-            ninf_u[b_ar, :, reqs],
-            npos_u[b_ar, :, reqs],
-            finite,
-        )  # (B, cap)
-        if directed:
-            cand = cand_u
-        else:
-            cand_v = _resolve(
-                fin_v[b_ar, :, reqs],
-                ninf_v[b_ar, :, reqs],
-                npos_v[b_ar, :, reqs],
-                finite,
-            )
-            cand = np.maximum(cand_u, cand_v)
-        open_mask = np.arange(cap)[None, :] < num_classes[:, None]
-        admit = open_mask & ~(cand > req_limits[:, None])
-        # Member-budget delta check across every placed request.
-        placed = colors >= 0
-        col_u = gains_ut[b_ar, reqs]  # (B, n): pair b's gain column of req_b
-        own_u = _resolve(own_fin_u, own_ninf_u, own_npos_u, finite)
-        viol = placed & ((own_u + col_u) > limits)
-        if not directed:
-            col_v = gains_vt[b_ar, reqs]
-            own_v = _resolve(own_fin_v, own_ninf_v, own_npos_v, finite)
-            viol |= placed & ((own_v + col_v) > limits)
-        if np.any(viol):
-            flat = (colors + cap * b_ar[:, None])[viol]
-            bad = np.bincount(flat, minlength=num_pairs * cap).reshape(
-                num_pairs, cap
-            ) > 0
-            admit &= ~bad
-        chosen = np.where(
-            admit.any(axis=1), np.argmax(admit, axis=1), num_classes
-        )
-        num_classes = np.maximum(num_classes, chosen + 1)
-        if np.any(num_classes > cap):
-            grow()
-        # Commit: accumulate the request's gain column into the chosen
-        # class row of each pair, update peers' own-class state, place.
-        peers = colors == chosen[:, None]  # (B, n)
-        for fin, ninf, npos, own_fin, own_ninf, own_npos, gains_t in endpoints():
-            column = gains_t[b_ar, reqs]  # (B, n)
-            if finite:
-                add_pos = column > 0
-                fin[b_ar, chosen] += column
-                npos[b_ar, chosen] += add_pos
-                np.add(own_fin, column, out=own_fin, where=peers)
-                np.add(own_npos, add_pos, out=own_npos, where=peers)
-            else:
-                col_finite = np.isfinite(column)
-                add_fin = np.where(col_finite, column, 0.0)
-                add_inf = ~col_finite
-                add_pos = col_finite & (column > 0)
-                fin[b_ar, chosen] += add_fin
-                ninf[b_ar, chosen] += add_inf
-                npos[b_ar, chosen] += add_pos
-                np.add(own_fin, add_fin, out=own_fin, where=peers)
-                np.add(own_ninf, add_inf, out=own_ninf, where=peers)
-                np.add(own_npos, add_pos, out=own_npos, where=peers)
-            own_fin[b_ar, reqs] = fin[b_ar, chosen, reqs]
-            own_ninf[b_ar, reqs] = ninf[b_ar, chosen, reqs]
-            own_npos[b_ar, reqs] = npos[b_ar, chosen, reqs]
-        colors[b_ar, reqs] = chosen
-
-    return colors
-
-
-# ----------------------------------------------------------------------
-# Stacked (batched) local search over (B, n, n) gains
-# ----------------------------------------------------------------------
-
-
-class _LocalSearchController:
-    """The sequential decision state of one pair inside
-    :func:`stacked_local_search`.
-
-    Replicates the exact control flow of
-    :func:`repro.scheduling.local_search.improve_schedule`'s kernel path
-    (round over victim classes smallest-first, member-by-member
-    dissolution with snapshot rollback, recompaction after each
-    success); all the heavy math — the ``admissible_targets`` analogue
-    and the committed moves — runs batched across every live controller
-    in the engine loop, this object only *consumes* its row of the
-    batched answer.
-    """
-
-    __slots__ = (
-        "b",
-        "engine",
-        "rounds_left",
-        "done",
-        "uniq",
-        "victims",
-        "vpos",
-        "victim",
-        "members",
-        "mpos",
-        "targets",
-        "snap",
-        "chosen",
-    )
-
-    def __init__(self, engine: "_StackedLocalSearchState", b: int, max_rounds: Optional[int]):
-        self.engine = engine
-        self.b = b
-        self.done = False
-        self.chosen = -1
-        colors = engine.colors[b]
-        self.rounds_left = (
-            int(np.unique(colors).size) if max_rounds is None else int(max_rounds)
-        )
-        self._start_round()
-
-    @property
-    def request(self) -> int:
-        """The member whose admissibility the next engine step answers."""
-        return int(self.members[self.mpos])
-
-    def _start_round(self) -> None:
-        if self.rounds_left <= 0:
-            self.done = True
-            self.engine.discard_snapshot(self.b)
-            return
-        uniq, counts = np.unique(self.engine.colors[self.b], return_counts=True)
-        if uniq.size <= 1:
-            self.done = True
-            self.engine.discard_snapshot(self.b)
-            return
-        # Victims from the smallest class upward, color id breaking ties
-        # (the reference's ``sorted(sizes, key=lambda c: (sizes[c], c))``).
-        self.uniq = uniq
-        self.victims = uniq[np.lexsort((uniq, counts))]
-        self.vpos = 0
-        self._start_attempt()
-
-    def _start_attempt(self) -> None:
-        self.victim = int(self.victims[self.vpos])
-        self.members = np.flatnonzero(self.engine.colors[self.b] == self.victim)
-        self.mpos = 0
-        self.targets = self.uniq[self.uniq != self.victim]
-        self.snap = self.engine.snapshot_pair(self.b)
-
-    def choose(self, admissible_row: np.ndarray) -> int:
-        """First admissible target class for the pending member
-        (ascending color order, the reference's scan), or ``-1``."""
-        hits = np.flatnonzero(admissible_row[self.targets])
-        self.chosen = int(self.targets[hits[0]]) if hits.size else -1
-        return self.chosen
-
-    def advance(self) -> None:
-        """Consume this step's outcome (after the batched move landed)."""
-        if self.chosen >= 0:
-            self.mpos += 1
-            if self.mpos == self.members.size:
-                # Victim dissolved: recompact and start the next round.
-                self.engine.drop_empty_class_pair(self.b, self.victim)
-                self.rounds_left -= 1
-                self._start_round()
-        else:
-            # Stuck member: roll the attempt back bitwise, next victim.
-            self.engine.restore_pair(self.b, self.snap)
-            self.vpos += 1
-            if self.vpos == len(self.victims):
-                self.done = True
-                self.engine.discard_snapshot(self.b)
-            else:
-                self._start_attempt()
-
-
-class _StackedLocalSearchState:
-    """Per-class interference state for a stack of pairs — the
-    ``(B, cap, n)`` analogue of ``B`` independent
-    :class:`ScheduleKernel` instances, updated in lockstep.
-
-    Every array op mirrors the single-pair kernel elementwise (same
-    operations on the same operands per slice), so the state — and
-    therefore every admissibility decision — is bitwise what the
-    per-pair kernels would hold.
-    """
-
-    def __init__(
-        self,
-        gains_ut: np.ndarray,
-        gains_vt: np.ndarray,
-        colors: np.ndarray,
-        signals: np.ndarray,
-        betas: np.ndarray,
-        noises: np.ndarray,
-        threshold: float,
-        finite: bool,
-    ):
-        num_pairs, n = colors.shape
-        self.gains_ut = gains_ut
-        self.gains_vt = gains_vt
-        self.directed = gains_vt is gains_ut
-        self.colors = colors
-        self.signals = signals
-        self.betas = betas
-        self.noises = noises
-        self.threshold = threshold
-        self.finite = finite
-        self.n = n
-        self.counts = colors.max(axis=1) + 1  # compacted: classes 0..C-1
-        cap = int(max(1, self.counts.max()))
-        self.cap = cap
-        self.sizes = np.zeros((num_pairs, cap), dtype=int)
-        # Live copy-on-write snapshots, one slot per pair (see
-        # :meth:`snapshot_pair` / :meth:`_save_row`).
-        self.snaps: List[Optional[Dict[str, object]]] = [None] * num_pairs
-
-        def alloc(dtype):
-            return np.zeros((num_pairs, cap, n), dtype=dtype)
-
-        self.fin_u, self.ninf_u, self.npos_u = (
-            alloc(float),
-            alloc(np.int64),
-            alloc(np.int64),
-        )
-        self.own_fin_u = np.zeros((num_pairs, n))
-        self.own_ninf_u = np.zeros((num_pairs, n), dtype=np.int64)
-        self.own_npos_u = np.zeros((num_pairs, n), dtype=np.int64)
-        if self.directed:
-            self.fin_v, self.ninf_v, self.npos_v = (
-                self.fin_u,
-                self.ninf_u,
-                self.npos_u,
-            )
-            self.own_fin_v = self.own_fin_u
-            self.own_ninf_v = self.own_ninf_u
-            self.own_npos_v = self.own_npos_u
-        else:
-            self.fin_v, self.ninf_v, self.npos_v = (
-                alloc(float),
-                alloc(np.int64),
-                alloc(np.int64),
-            )
-            self.own_fin_v = np.zeros((num_pairs, n))
-            self.own_ninf_v = np.zeros((num_pairs, n), dtype=np.int64)
-            self.own_npos_v = np.zeros((num_pairs, n), dtype=np.int64)
-        ar_n = np.arange(n)
-        for b in range(num_pairs):
-            count = int(self.counts[b])
-            self.sizes[b, :count] = np.bincount(colors[b], minlength=count)
-            for color in range(count):
-                members = np.flatnonzero(colors[b] == color)
-                if members.size == 0:
-                    continue
-                self._bulk_seed(b, color, members)
-            # Own-class entries: exact copies of each request's cell of
-            # its class row (``ScheduleKernel.from_colors``).
-            for own, rows in zip(self._own_arrays(), self._row_arrays()):
-                own[b] = rows[b][colors[b], ar_n]
-
-    # -- array plumbing ------------------------------------------------
-
-    def _endpoints(self):
-        yield (
-            self.fin_u,
-            self.ninf_u,
-            self.npos_u,
-            self.own_fin_u,
-            self.own_ninf_u,
-            self.own_npos_u,
-            self.gains_ut,
-        )
-        if not self.directed:
-            yield (
-                self.fin_v,
-                self.ninf_v,
-                self.npos_v,
-                self.own_fin_v,
-                self.own_ninf_v,
-                self.own_npos_v,
-                self.gains_vt,
-            )
-
-    def _row_arrays(self) -> List[np.ndarray]:
-        rows = [self.fin_u, self.ninf_u, self.npos_u]
-        if not self.directed:
-            rows += [self.fin_v, self.ninf_v, self.npos_v]
-        return rows
-
-    def _own_arrays(self) -> List[np.ndarray]:
-        own = [self.own_fin_u, self.own_ninf_u, self.own_npos_u]
-        if not self.directed:
-            own += [self.own_fin_v, self.own_ninf_v, self.own_npos_v]
-        return own
-
-    def _bulk_seed(self, b: int, color: int, members: np.ndarray) -> None:
-        # Same pairwise column sums as ``ScheduleKernel._bulk_seed``;
-        # the contiguous copy matches the dense backend's gather layout
-        # (values are layout-independent, the copy is for speed).
-        for fin, ninf, npos, _, _, _, gains_t in self._endpoints():
-            columns = np.ascontiguousarray(gains_t[b, members].T)  # (n, k)
-            if self.finite:
-                np.add(fin[b, color], columns.sum(axis=1), out=fin[b, color])
-                np.add(
-                    npos[b, color],
-                    (columns > 0).sum(axis=1),
-                    out=npos[b, color],
-                )
-            else:
-                col_finite = np.isfinite(columns)
-                np.add(
-                    fin[b, color],
-                    np.where(col_finite, columns, 0.0).sum(axis=1),
-                    out=fin[b, color],
-                )
-                np.add(
-                    ninf[b, color],
-                    (~col_finite).sum(axis=1),
-                    out=ninf[b, color],
-                )
-                np.add(
-                    npos[b, color],
-                    (col_finite & (columns > 0)).sum(axis=1),
-                    out=npos[b, color],
-                )
-
-    # -- per-pair bookkeeping (tiny, interpreter-side) -----------------
-
-    def snapshot_pair(self, b: int) -> Dict[str, object]:
-        """Copy-on-write snapshot of pair *b* — the exact restore
-        semantics of ``ScheduleKernel.snapshot`` at a fraction of the
-        memory traffic.
-
-        Colors, sizes and the (n,)-sized own-entry vectors are copied
-        eagerly; the (count, n) class rows are saved lazily by
-        :meth:`_save_row` right before a batched move first dirties
-        them, so a failed attempt (often zero or few committed moves)
-        copies only what it touched.  Untouched rows are untouched —
-        the restored state is bitwise the pre-attempt state either
-        way."""
-        snap = {
-            "colors": self.colors[b].copy(),
-            "sizes": self.sizes[b].copy(),
-            "rows": {},
-            "own": [arr[b].copy() for arr in self._own_arrays()],
-        }
-        self.snaps[b] = snap
-        return snap
-
-    def _save_row(self, b: int, color: int) -> None:
-        """Save class *color*'s rows into pair *b*'s live snapshot
-        (no-op when already saved or no snapshot is active)."""
-        snap = self.snaps[b]
-        if snap is None:
-            return
-        rows = snap["rows"]
-        color = int(color)
-        if color not in rows:
-            rows[color] = [arr[b, color].copy() for arr in self._row_arrays()]
-
-    def discard_snapshot(self, b: int) -> None:
-        self.snaps[b] = None
-
-    def restore_pair(self, b: int, snap: Dict[str, object]) -> None:
-        self.colors[b] = snap["colors"]
-        self.sizes[b] = snap["sizes"]
-        for color, saved in snap["rows"].items():
-            for arr, row in zip(self._row_arrays(), saved):
-                arr[b, color] = row
-        for arr, saved in zip(self._own_arrays(), snap["own"]):
-            arr[b] = saved
-
-    def drop_empty_class_pair(self, b: int, color: int) -> None:
-        """Pair-local ``ScheduleKernel.drop_empty_class``: shift higher
-        class rows down one slot, matching a dense recompaction."""
-        count = int(self.counts[b])
-        for arr in self._row_arrays():
-            arr[b, color : count - 1] = arr[b, color + 1 : count]
-            arr[b, count - 1] = 0
-        self.sizes[b, color : count - 1] = self.sizes[b, color + 1 : count]
-        self.sizes[b, count - 1] = 0
-        self.counts[b] = count - 1
-        np.subtract(
-            self.colors[b], 1, out=self.colors[b], where=self.colors[b] > color
-        )
-
-    # -- batched engine steps ------------------------------------------
-
-    def admissible_batch(self, bs: np.ndarray, reqs: np.ndarray) -> np.ndarray:
-        """``ScheduleKernel.admissible_targets`` for one pending request
-        of every active pair at once — ``(A, cap)`` bool.
-
-        All comparisons are elementwise over the pair axis, so each row
-        equals the single-pair answer bit-for-bit; columns at or beyond
-        a pair's class count are masked off (their rows are exact
-        zeros, which the per-pair kernel never even evaluates).
-        """
-        num_active = bs.size
-        cand_u = _resolve(
-            self.fin_u[bs, :, reqs],
-            self.ninf_u[bs, :, reqs],
-            self.npos_u[bs, :, reqs],
-            self.finite,
-        )  # (A, cap)
-        if self.directed:
-            cand = cand_u
-        else:
-            cand_v = _resolve(
-                self.fin_v[bs, :, reqs],
-                self.ninf_v[bs, :, reqs],
-                self.npos_v[bs, :, reqs],
-                self.finite,
-            )
-            cand = np.maximum(cand_u, cand_v)
-        pair_betas = self.betas[bs][:, None]
-        pair_noises = self.noises[bs][:, None]
-        sig = self.signals[bs, reqs][:, None]
-        cand_margins = _margins_from(
-            np.broadcast_to(sig, (num_active, self.cap)),
-            cand,
-            pair_betas,
-            pair_noises,
-        )
-        admissible = cand_margins >= self.threshold
-        admissible &= np.arange(self.cap)[None, :] < self.counts[bs][:, None]
-        # Member-side delta check: every placed request's margin with
-        # the candidate's gain column added.
-        placed = self.colors[bs] >= 0
-        own_u = _resolve(
-            self.own_fin_u[bs],
-            self.own_ninf_u[bs],
-            self.own_npos_u[bs],
-            self.finite,
-        )
-        new_interf = own_u + self.gains_ut[bs, reqs]
-        if not self.directed:
-            own_v = _resolve(
-                self.own_fin_v[bs],
-                self.own_ninf_v[bs],
-                self.own_npos_v[bs],
-                self.finite,
-            )
-            new_interf = np.maximum(
-                new_interf, own_v + self.gains_vt[bs, reqs]
-            )
-        member_margins = _margins_from(
-            self.signals[bs], new_interf, pair_betas, pair_noises
-        )
-        viol = placed & ~(member_margins >= self.threshold)
-        if np.any(viol):
-            flat = (self.colors[bs] + self.cap * np.arange(num_active)[:, None])[
-                viol
-            ]
-            bad = np.bincount(flat, minlength=num_active * self.cap).reshape(
-                num_active, self.cap
-            ) > 0
-            admissible &= ~bad
-        return admissible
-
-    def move_batch(
-        self, bs: np.ndarray, reqs: np.ndarray, targets: np.ndarray
-    ) -> np.ndarray:
-        """Commit one move per listed pair (``ScheduleKernel.move`` =
-        remove + add) in lockstep.  Each pair appears at most once, so
-        the gather-update-scatter row updates never collide."""
-        colors = self.colors
-        src = colors[bs, reqs]
-        # Copy-on-write: bank the class rows this batched commit is
-        # about to dirty while their pairs' snapshots are still clean.
-        for b, s, t in zip(bs, src, targets):
-            self._save_row(b, s)
-            self._save_row(b, t)
-        colors[bs, reqs] = -1
-        self.sizes[bs, src] -= 1
-        emptied = self.sizes[bs, src] == 0
-        not_emptied = ~emptied
-        nb, nr, nc = bs[not_emptied], reqs[not_emptied], src[not_emptied]
-        eb, ec = bs[emptied], src[emptied]
-        for fin, ninf, npos, own_fin, own_ninf, own_npos, gains_t in (
-            self._endpoints()
-        ):
-            # Remove from the source class: emptied rows reset to exact
-            # zero, survivors subtract the mover's gain column.
-            for b, c in zip(eb, ec):
-                fin[b, c] = 0.0
-                ninf[b, c] = 0
-                npos[b, c] = 0
-            if nb.size:
-                column = gains_t[nb, nr]  # (A', n)
-                peers = colors[nb] == nc[:, None]
-                if self.finite:
-                    sub_pos = column > 0
-                    fin[nb, nc] -= column
-                    npos[nb, nc] -= sub_pos
-                    own = own_fin[nb]
-                    np.subtract(own, column, out=own, where=peers)
-                    own_fin[nb] = own
-                    own = own_npos[nb]
-                    np.subtract(own, sub_pos, out=own, where=peers)
-                    own_npos[nb] = own
-                else:
-                    col_finite = np.isfinite(column)
-                    sub_fin = np.where(col_finite, column, 0.0)
-                    sub_inf = ~col_finite
-                    sub_pos = col_finite & (column > 0)
-                    fin[nb, nc] -= sub_fin
-                    ninf[nb, nc] -= sub_inf
-                    npos[nb, nc] -= sub_pos
-                    own = own_fin[nb]
-                    np.subtract(own, sub_fin, out=own, where=peers)
-                    own_fin[nb] = own
-                    own = own_ninf[nb]
-                    np.subtract(own, sub_inf, out=own, where=peers)
-                    own_ninf[nb] = own
-                    own = own_npos[nb]
-                    np.subtract(own, sub_pos, out=own, where=peers)
-                    own_npos[nb] = own
-            own_fin[bs, reqs] = 0.0
-            own_ninf[bs, reqs] = 0
-            own_npos[bs, reqs] = 0
-            # Add to the target class (peers computed while the mover
-            # is unplaced, exactly like ``ScheduleKernel.add``).
-            column = gains_t[bs, reqs]  # (A, n)
-            peers = colors[bs] == targets[:, None]
-            if self.finite:
-                add_pos = column > 0
-                fin[bs, targets] += column
-                npos[bs, targets] += add_pos
-                own = own_fin[bs]
-                np.add(own, column, out=own, where=peers)
-                own_fin[bs] = own
-                own = own_npos[bs]
-                np.add(own, add_pos, out=own, where=peers)
-                own_npos[bs] = own
-            else:
-                col_finite = np.isfinite(column)
-                add_fin = np.where(col_finite, column, 0.0)
-                add_inf = ~col_finite
-                add_pos = col_finite & (column > 0)
-                fin[bs, targets] += add_fin
-                ninf[bs, targets] += add_inf
-                npos[bs, targets] += add_pos
-                own = own_fin[bs]
-                np.add(own, add_fin, out=own, where=peers)
-                own_fin[bs] = own
-                own = own_ninf[bs]
-                np.add(own, add_inf, out=own, where=peers)
-                own_ninf[bs] = own
-                own = own_npos[bs]
-                np.add(own, add_pos, out=own, where=peers)
-                own_npos[bs] = own
-            own_fin[bs, reqs] = fin[bs, targets, reqs]
-            own_ninf[bs, reqs] = ninf[bs, targets, reqs]
-            own_npos[bs, reqs] = npos[bs, targets, reqs]
-        colors[bs, reqs] = targets
-        self.sizes[bs, targets] += 1
-        return colors
-
-
-def stacked_local_search(
-    gains_ut: np.ndarray,
-    gains_vt: np.ndarray,
-    colors: np.ndarray,
-    signals: np.ndarray,
-    betas: np.ndarray,
-    noises: np.ndarray,
-    max_rounds: Optional[int] = None,
-    rtol: float = DEFAULT_RTOL,
-    finite: Optional[bool] = None,
-) -> np.ndarray:
-    """Local-search dissolution for a stack of schedules in lockstep.
-
-    The batched counterpart of
-    :func:`repro.scheduling.local_search.improve_schedule`'s kernel
-    path.  Per-pair delta evaluation is embarrassingly parallel: each
-    engine step answers the ``admissible_targets`` question for the
-    pending member of **every** still-active pair in one vectorized
-    pass over the ``(B, cap, n)`` class state, then commits all chosen
-    moves in one batched update; the sequential per-pair decisions
-    (victim order, first-admissible-target scan, snapshot rollback of a
-    failed dissolution, recompaction) run in tiny per-pair controllers
-    on top.  Pairs finish independently — the active set shrinks as
-    searches reach their fixed points.
-
-    Parameters
-    ----------
-    gains_ut, gains_vt:
-        Stacked transposed gain matrices ``(B, n, n)`` (same convention
-        as :func:`stacked_first_fit`; pass the same array twice for the
-        directed variant).
-    colors:
-        Initial colorings ``(B, n)``; every request placed, class ids
-        compacted to ``0 .. C_b - 1`` per pair (the reference operates
-        on ``schedule.compacted()``).
-    signals:
-        Received signal strengths ``(B, n)``
-        (:attr:`InterferenceContext.signals` per pair).
-    betas, noises:
-        Per-pair SINR threshold and noise, ``(B,)``.
-    max_rounds:
-        Cap on dissolution rounds; ``None`` = each pair's initial color
-        count (the reference default).
-    rtol:
-        Feasibility tolerance of the margin checks
-        (:data:`~repro.core.context.DEFAULT_RTOL`).
-    finite:
-        Whether every gain entry is finite; see
-        :func:`stacked_first_fit`.
-
-    Returns
-    -------
-    ``(B, n)`` int colors.  Each slice is **identical** to running the
-    per-instance local search on that pair alone (same kernel state
-    bitwise, same comparisons, same decision sequence), so the batching
-    changes wall-clock, never schedules.
-    """
-    directed = gains_vt is gains_ut
-    gains_ut = np.asarray(gains_ut, dtype=float)
-    gains_vt = gains_ut if directed else np.asarray(gains_vt, dtype=float)
-    colors = np.array(np.asarray(colors, dtype=int))  # working copy
-    if colors.ndim != 2:
-        raise ValueError(f"colors must be (B, n), got shape {colors.shape}")
-    num_pairs, n = colors.shape
-    if gains_ut.shape != (num_pairs, n, n):
-        raise ValueError(
-            f"gains must be {(num_pairs, n, n)}, got {gains_ut.shape}"
-        )
-    if np.any(colors < 0):
-        raise ValueError("colors must place every request (no -1 entries)")
-    signals = np.asarray(signals, dtype=float)
-    if signals.shape != (num_pairs, n):
-        raise ValueError(
-            f"signals must be {(num_pairs, n)}, got {signals.shape}"
-        )
-    betas = np.asarray(betas, dtype=float).reshape(-1)
-    noises = np.asarray(noises, dtype=float).reshape(-1)
-    if betas.shape != (num_pairs,) or noises.shape != (num_pairs,):
-        raise ValueError(
-            f"betas/noises must be ({num_pairs},), got "
-            f"{betas.shape}/{noises.shape}"
-        )
-    if finite is None:
-        finite = bool(np.all(np.isfinite(gains_ut)))
-        if finite and not directed:
-            finite = bool(np.all(np.isfinite(gains_vt)))
-    else:
-        finite = bool(finite)
-
-    state = _StackedLocalSearchState(
-        gains_ut,
-        gains_vt,
-        colors,
-        signals,
-        betas,
-        noises,
-        threshold=1.0 - rtol,
-        finite=finite,
-    )
-    controllers = [
-        _LocalSearchController(state, b, max_rounds) for b in range(num_pairs)
-    ]
-    active = [c for c in controllers if not c.done]
-    while active:
-        bs = np.asarray([c.b for c in active], dtype=int)
-        reqs = np.asarray([c.request for c in active], dtype=int)
-        admissible = state.admissible_batch(bs, reqs)
-        move_bs: List[int] = []
-        move_reqs: List[int] = []
-        move_targets: List[int] = []
-        for row, controller in enumerate(active):
-            if controller.choose(admissible[row]) >= 0:
-                move_bs.append(controller.b)
-                move_reqs.append(controller.request)
-                move_targets.append(controller.chosen)
-        if move_bs:
-            state.move_batch(
-                np.asarray(move_bs, dtype=int),
-                np.asarray(move_reqs, dtype=int),
-                np.asarray(move_targets, dtype=int),
-            )
-        for controller in active:
-            controller.advance()
-        active = [c for c in active if not c.done]
-    return colors

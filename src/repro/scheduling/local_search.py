@@ -13,8 +13,9 @@ Move checks run as :class:`repro.core.kernels.ScheduleKernel` delta
 checks: the kernel keeps every class's interference state dense, so
 testing a move costs one vectorized pass (candidate margin against each
 class plus every member's margin with the candidate's gain column
-added), and a failed dissolution rolls back via an exact (bitwise)
-state snapshot.  Delta checks maintain sums incrementally, so they
+added), and a failed dissolution rolls back via the kernel's exact
+(bitwise) copy-on-write snapshot, which copies only the class rows the
+attempt touched.  Delta checks maintain sums incrementally, so they
 agree with a fresh subset check only up to floating-point accumulation
 order (~1e-16 relative, far inside the 1e-9 feasibility tolerance).
 """
@@ -35,23 +36,21 @@ def _dissolve(kernel: ScheduleKernel, victim: int) -> bool:
     """Dissolve class *victim* with vectorized delta checks.
 
     One :meth:`ScheduleKernel.admissible_targets` pass per member
-    scores every potential target class at once; failed attempts
+    scores every potential target class at once, and the member moves
+    to the first admissible one in color order; failed attempts
     restore the pre-attempt state bitwise from a snapshot.
     """
     members = np.flatnonzero(kernel.colors == victim)
     snapshot = kernel.snapshot()
-    targets = [int(c) for c in np.unique(kernel.colors) if c != victim]
+    # Every class is non-empty (the colors are compacted), so the
+    # targets are all classes but the victim.
+    targets = np.delete(np.arange(kernel.num_classes), victim)
     for request in members:
-        admissible = kernel.admissible_targets(int(request))
-        placed = False
-        for target in targets:
-            if admissible[target]:
-                kernel.move(int(request), target)
-                placed = True
-                break
-        if not placed:
+        hits = np.flatnonzero(kernel.admissible_targets(int(request))[targets])
+        if hits.size == 0:
             kernel.restore(snapshot)
             return False
+        kernel.move(int(request), int(targets[hits[0]]))
     return True
 
 
@@ -83,17 +82,17 @@ def improve_schedule(
         get_context(instance, powers), colors, beta=beta
     )
     if max_rounds is None:
-        max_rounds = int(np.unique(colors).size)
+        max_rounds = kernel.num_classes
 
     for _ in range(max_rounds):
-        current = kernel.colors
-        sizes = {c: int(np.sum(current == c)) for c in np.unique(current)}
-        if len(sizes) <= 1:
+        sizes = kernel.class_sizes
+        if sizes.size <= 1:
             break
-        # Try victims from the smallest class upward; stop the round at
-        # the first success (classes change) or give up entirely.
+        # Try victims from the smallest class upward (color id breaks
+        # ties); stop the round at the first success (classes change)
+        # or give up entirely.
         dissolved = False
-        for victim in sorted(sizes, key=lambda c: (sizes[c], c)):
+        for victim in np.argsort(sizes, kind="stable"):
             dissolved = _dissolve(kernel, int(victim))
             if dissolved:
                 break

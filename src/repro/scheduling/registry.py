@@ -40,9 +40,6 @@ Capability flags (:class:`AlgorithmCapabilities`) make the differences
   conflict graph needs the full distance matrix, so it does not);
   running an unsupported algorithm under a sparse default emits a
   ``RuntimeWarning`` naming the dense materialization.
-* ``supports_batch`` — has a lockstep batched kernel over
-  :class:`~repro.core.batch.ContextBatch` (currently first-fit, via
-  :meth:`~repro.core.batch.ContextBatch.first_fit_schedules`).
 
 New substrates (a GPU scheduler, an online/arrival variant, a
 distributed shard executor) plug in through :func:`register` — no
@@ -86,7 +83,6 @@ class AlgorithmCapabilities:
     needs_powers: bool
     deterministic: bool
     supports_sparse: bool = True
-    supports_batch: bool = False
     #: Pruned-sparse runs can be *certified* dense-equal for this
     #: algorithm: its admission decisions all route through the
     #: flip-risk-counting first-fit kernel on the caller's context
@@ -101,8 +97,6 @@ class AlgorithmCapabilities:
         ]
         if self.supports_sparse:
             parts.append("sparse")
-        if self.supports_batch:
-            parts.append("batch")
         if self.certifiable:
             parts.append("certifiable")
         return ",".join(parts)
@@ -361,7 +355,6 @@ for _spec in (
         capabilities=AlgorithmCapabilities(
             needs_powers=True,
             deterministic=True,
-            supports_batch=True,
             certifiable=True,
         ),
         adapter=_adapt_first_fit,
@@ -412,7 +405,7 @@ for _spec in (
         name="local_search",
         summary="Dissolve small color classes of an existing schedule=",
         capabilities=AlgorithmCapabilities(
-            needs_powers=False, deterministic=True, supports_batch=True
+            needs_powers=False, deterministic=True
         ),
         adapter=_adapt_local_search,
     ),

@@ -7,6 +7,8 @@ from repro.api import BatchSession, Problem, ScheduleResult, Session, schedule_b
 from repro.core.batch import BatchFallbackInfo
 from repro.core.context import cache_info, clear_context_cache
 from repro.core.errors import InvalidScheduleError
+from repro.core.instance import Instance
+from repro.geometry.line import LineMetric
 from repro.instances.random_instances import random_uniform_instance
 from repro.power.oblivious import SquareRootPower, UniformPower
 from repro.scheduling.firstfit import first_fit_schedule
@@ -70,7 +72,6 @@ class TestSessionSchedule:
         assert prov.wall_seconds >= 0.0
         assert prov.flip_risk_events == 0
         assert prov.certified is True  # dense, certifiable algorithm
-        assert prov.batch_fallback is None
         assert prov.peel_risk_events == 0  # first-fit never peels
         assert prov.peel_fallbacks == ()
 
@@ -265,15 +266,18 @@ class TestBackendConfigPlumbing:
 
 
 class TestBatchSession:
-    def _problems(self, count=3, n=10):
-        # Backend pinned dense: the stacked path is dense-only, and the
-        # suite must behave identically under REPRO_BACKEND=sparse.
+    def _problems(self, count=3, n=10, direction="bidirectional"):
+        # Backend pinned dense: the suite must behave identically under
+        # REPRO_BACKEND=sparse.
         return [
-            Problem(random_uniform_instance(n, rng=100 + i), backend="dense")
+            Problem(
+                random_uniform_instance(n, rng=100 + i, direction=direction),
+                backend="dense",
+            )
             for i in range(count)
         ]
 
-    def test_stacked_first_fit_matches_per_pair(self):
+    def test_first_fit_matches_per_pair(self):
         problems = self._problems()
         results = BatchSession(problems).schedule("first_fit")
         assert len(results) == 3
@@ -282,7 +286,6 @@ class TestBatchSession:
                 problem.instance, SquareRootPower()(problem.instance)
             )
             np.testing.assert_array_equal(result.colors, ref.colors)
-            assert result.provenance.batch_fallback is None
             assert result.provenance.certified is True
 
     def test_ragged_batch_records_fallback(self):
@@ -290,23 +293,78 @@ class TestBatchSession:
             Problem(random_uniform_instance(10, rng=0), backend="dense"),
             Problem(random_uniform_instance(6, rng=1), backend="dense"),
         ]
-        results = BatchSession(problems).schedule("first_fit")
-        info = results[0].provenance.batch_fallback
-        assert isinstance(info, BatchFallbackInfo)
-        assert "ragged_n" in info.reasons
+        batch = BatchSession(problems)
+        results = batch.schedule("first_fit")
         for problem, result in zip(problems, results):
             ref = first_fit_schedule(
                 problem.instance, SquareRootPower()(problem.instance)
             )
             np.testing.assert_array_equal(result.colors, ref.colors)
+        # Validation still runs, on the pooled per-pair fallback.
+        assert batch.validate() is batch
+        assert isinstance(batch.batch.fallback, BatchFallbackInfo)
+        assert "ragged_n" in batch.batch.fallback.reasons
 
-    def test_unbatchable_algorithm_loops_sessions(self):
-        results = BatchSession(self._problems()).schedule("peeling")
-        for result in results:
-            assert result.provenance.batch_fallback.reasons == (
-                "no_batch_kernel",
-            )
+    def test_peeling_runs_through_sessions(self):
+        problems = self._problems()
+        results = BatchSession(problems).schedule("peeling")
+        for problem, result in zip(problems, results):
+            ref = problem.session().schedule("peeling")
+            np.testing.assert_array_equal(result.colors, ref.colors)
             assert result.provenance.algorithm == "peeling"
+
+    @staticmethod
+    def _shared_node_problems():
+        """Chains with shared nodes: consecutive requests have infinite
+        mutual gain."""
+        metric = LineMetric([0.0, 1.0, 2.5, 4.5, 7.0])
+        pairs = [(0, 1), (1, 2), (2, 3), (3, 4)]
+        return [
+            Problem(
+                Instance(
+                    metric,
+                    [p[0] for p in pairs],
+                    [p[1] for p in pairs],
+                    direction=direction,
+                ),
+                powers=np.full(4, power),
+                backend="dense",
+            )
+            for direction, power in (("bidirectional", 1.0), ("directed", 2.0))
+        ]
+
+    @pytest.mark.parametrize("max_rounds", [None, 1])
+    @pytest.mark.parametrize("kind", ["bidirectional", "directed", "shared"])
+    def test_local_search_matches_each_session(self, kind, max_rounds):
+        if kind == "shared":
+            problems = self._shared_node_problems()
+        else:
+            problems = self._problems(count=4, n=40, direction=kind)
+        params = {} if max_rounds is None else {"max_rounds": max_rounds}
+        batch = BatchSession(problems)
+        seeds = batch.schedule("first_fit")
+        # Seeds may be ScheduleResults or bare Schedules.
+        seeds[0] = seeds[0].schedule
+        results = batch.schedule("local_search", schedule=seeds, **params)
+        assert len(results) == len(problems)
+        for problem, seed, result in zip(problems, seeds, results):
+            ref = problem.session().schedule(
+                "local_search", schedule=seed, **params
+            )
+            np.testing.assert_array_equal(result.colors, ref.colors)
+            np.testing.assert_array_equal(result.powers, ref.powers)
+            assert result.provenance.algorithm == "local_search"
+        assert batch.validate() is batch
+
+    def test_local_search_seed_count_must_match(self):
+        batch = BatchSession(self._problems())
+        seeds = batch.schedule("first_fit")
+        with pytest.raises(ValueError, match="2 schedules for 3 problems"):
+            batch.schedule("local_search", schedule=seeds[:2])
+
+    def test_local_search_requires_schedule(self):
+        with pytest.raises(TypeError, match="pass schedule="):
+            BatchSession(self._problems()).schedule("local_search")
 
     def test_randomized_fanout_is_seed_deterministic(self):
         problems = self._problems()

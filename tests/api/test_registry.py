@@ -74,7 +74,7 @@ class TestResolution:
     def test_flags_rendering(self):
         caps = get_algorithm("first_fit").capabilities
         rendered = caps.flags()
-        assert "powers" in rendered and "batch" in rendered
+        assert rendered == "powers,deterministic,sparse,certifiable"
         assert "certifiable" in rendered
         assert "randomized" in get_algorithm("sqrt_coloring").capabilities.flags()
 
@@ -106,7 +106,6 @@ class TestCapabilityEnforcement:
 
     def test_capabilities_declarative(self):
         assert get_algorithm("protocol_model").capabilities.supports_sparse is False
-        assert get_algorithm("first_fit").capabilities.supports_batch is True
         assert get_algorithm("sqrt_coloring").capabilities.deterministic is False
         assert get_algorithm("exact").capabilities.needs_powers is True
 

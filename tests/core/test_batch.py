@@ -8,12 +8,13 @@ both the stacked (shared-shape) and the ragged fallback paths.
 import numpy as np
 import pytest
 
+from repro.api import BatchSession, Problem
 from repro.core.batch import (
     ContextBatch,
     ContextPool,
     batch_margins,
     batch_validate_schedules,
-    reset_batch_fallback_registry,
+    reset_fallback_warnings,
 )
 from repro.core.context import get_context
 from repro.core.errors import InvalidScheduleError
@@ -45,6 +46,14 @@ def _pairs(n_values, direction="bidirectional", seed=0):
         powers = SquareRootPower()(instance)
         pairs.append((instance, powers))
     return pairs
+
+
+def _batch_session(pairs, **config):
+    """A :class:`BatchSession` over *pairs*, each problem pinned to its
+    pair's powers and to *config*."""
+    return BatchSession(
+        [Problem(instance, powers=powers, **config) for instance, powers in pairs]
+    )
 
 
 class TestStacked:
@@ -236,27 +245,28 @@ class TestRaggedScheduling:
 
     def test_ragged_first_fit_matches_per_pair(self):
         pairs = _pairs([6, 11, 9], seed=71)
-        batch = ContextBatch(pairs)
-        assert not batch.stacked
-        schedules = batch.first_fit_schedules()
-        for (instance, powers), schedule in zip(pairs, schedules):
+        session = _batch_session(pairs)
+        assert not session.batch.stacked
+        results = session.schedule("first_fit")
+        for (instance, powers), result in zip(pairs, results):
             reference = first_fit_schedule(instance, powers)
-            np.testing.assert_array_equal(schedule.colors, reference.colors)
-            np.testing.assert_array_equal(schedule.powers, reference.powers)
-            schedule.validate(instance)
+            np.testing.assert_array_equal(result.colors, reference.colors)
+            np.testing.assert_array_equal(result.powers, reference.powers)
+            result.schedule.validate(instance)
+        assert session.validate() is session
 
     def test_ragged_first_fit_with_shared_node_pair(self):
         shared_instance, shared_powers = self._shared_node_pair()
         pairs = _pairs([6, 9], seed=72) + [(shared_instance, shared_powers)]
-        batch = ContextBatch(pairs)
-        assert not batch.stacked  # 6 vs 9 vs 4 requests
-        schedules = batch.first_fit_schedules()
-        for (instance, powers), schedule in zip(pairs, schedules):
+        session = _batch_session(pairs)
+        assert not session.batch.stacked  # 6 vs 9 vs 4 requests
+        results = session.schedule("first_fit")
+        for (instance, powers), result in zip(pairs, results):
             reference = first_fit_schedule(instance, powers)
-            np.testing.assert_array_equal(schedule.colors, reference.colors)
+            np.testing.assert_array_equal(result.colors, reference.colors)
         # The shared-node chain must never share colors between
         # adjacent (infinite-gain) requests.
-        shared_colors = schedules[-1].colors
+        shared_colors = results[-1].colors
         for i, j in ((0, 1), (1, 2), (2, 3)):
             assert shared_colors[i] != shared_colors[j]
 
@@ -264,7 +274,8 @@ class TestRaggedScheduling:
         shared_instance, shared_powers = self._shared_node_pair()
         pairs = _pairs([6, 9], seed=73) + [(shared_instance, shared_powers)]
         batch = ContextBatch(pairs)
-        schedules = batch.first_fit_schedules()
+        assert not batch.stacked  # 6 vs 9 vs 4 requests
+        schedules = [first_fit_schedule(*pair) for pair in pairs]
         batch.validate_schedules(schedules)  # must not raise
         # Corrupt the shared-node schedule: merging two adjacent
         # requests into one color must be rejected, naming the pair.
@@ -332,7 +343,7 @@ class TestFallbackInfo:
     def test_lossy_backend_is_diagnosed_and_logged(self, caplog):
         import logging
 
-        reset_batch_fallback_registry()
+        reset_fallback_warnings()
         with caplog.at_level(logging.WARNING, logger="repro.core.batch"):
             batch = ContextBatch(
                 _pairs([8, 8]),
@@ -365,7 +376,7 @@ class TestFallbackInfo:
         keyed by call site — repeats from the same line drop to DEBUG."""
         import logging
 
-        reset_batch_fallback_registry()
+        reset_fallback_warnings()
         pairs = _pairs([8, 8])
         with caplog.at_level(logging.DEBUG, logger="repro.core.batch"):
             for _ in range(3):
@@ -382,7 +393,7 @@ class TestFallbackInfo:
             ContextBatch(pairs, config=default_config(backend="sparse", sparse_epsilon=1e-3))
         records = [r for r in caplog.records if "lossy_backend" in r.message]
         assert [r.levelno for r in records] == [logging.WARNING]
-        reset_batch_fallback_registry()
+        reset_fallback_warnings()
 
     def test_multiple_reasons_compose(self, dense_backend):
         pairs = _pairs([8]) + _pairs([6], direction="directed", seed=9)
@@ -431,10 +442,10 @@ class TestBlockStacking:
         )
         assert dense.stacked and other.stacked
         np.testing.assert_array_equal(other.margins(), dense.margins())
-        schedules = dense.first_fit_schedules()
-        rerun = other.first_fit_schedules()
-        for a, b in zip(schedules, rerun):
-            np.testing.assert_array_equal(a.colors, b.colors)
+        colors = [first_fit_schedule(*pair).colors for pair in pairs]
+        np.testing.assert_array_equal(
+            other.margins(colors=colors), dense.margins(colors=colors)
+        )
 
     @pytest.mark.parametrize(
         "backend,epsilon,namespace",
@@ -464,13 +475,13 @@ class TestBlockStacking:
         )
         assert batch.stacked
         batch.margins()
-        batch.first_fit_schedules()
 
 
 class TestLocalSearchSchedules:
-    """Batched local search conforms exactly to the per-pair
-    ``improve_schedule`` reference on every lossless backend and on the
-    ragged fallback."""
+    """Batched local search (``BatchSession.schedule("local_search",
+    schedule=...)``) conforms exactly to the per-pair
+    ``improve_schedule`` reference on every lossless backend and on
+    ragged batches."""
 
     @pytest.mark.parametrize("direction", ["bidirectional", "directed"])
     @pytest.mark.parametrize(
@@ -483,55 +494,67 @@ class TestLocalSearchSchedules:
         from repro.scheduling.local_search import improve_schedule
 
         pairs = _pairs([30, 30, 30], direction=direction, seed=90)
-        batch = ContextBatch(
+        session = _batch_session(
             pairs,
-            config=default_config(
-                backend=backend, sparse_epsilon=epsilon, array_namespace=namespace
-            ),
+            backend=backend,
+            sparse_epsilon=epsilon,
+            array_namespace=namespace,
         )
-        assert batch.stacked
-        seeds = batch.first_fit_schedules()
-        improved = batch.local_search_schedules(seeds)
+        assert session.batch.stacked
+        seeds = session.schedule("first_fit")
+        improved = session.schedule("local_search", schedule=seeds)
         for (instance, powers), seed, result in zip(pairs, seeds, improved):
-            reference = improve_schedule(instance, seed)
+            reference = improve_schedule(instance, seed.schedule)
             np.testing.assert_array_equal(result.colors, reference.colors)
-            result.validate(instance)
+            result.schedule.validate(instance)
+        assert session.validate() is session
 
     def test_ragged_fallback_matches(self):
         from repro.scheduling.local_search import improve_schedule
 
         pairs = _pairs([10, 16], seed=91)
-        batch = ContextBatch(pairs)
-        assert not batch.stacked
-        seeds = batch.first_fit_schedules()
-        improved = batch.local_search_schedules(seeds)
+        session = _batch_session(pairs)
+        assert not session.batch.stacked
+        seeds = session.schedule("first_fit")
+        improved = session.schedule("local_search", schedule=seeds)
         for (instance, powers), seed, result in zip(pairs, seeds, improved):
-            reference = improve_schedule(instance, seed)
+            reference = improve_schedule(instance, seed.schedule)
             np.testing.assert_array_equal(result.colors, reference.colors)
 
     def test_max_rounds_threads_through(self):
         pairs = _pairs([20, 20], seed=92)
-        batch = ContextBatch(pairs)
-        seeds = batch.first_fit_schedules()
-        capped = batch.local_search_schedules(seeds, max_rounds=0)
+        session = _batch_session(pairs)
+        seeds = session.schedule("first_fit")
+        capped = session.schedule(
+            "local_search", schedule=seeds, max_rounds=0
+        )
         for seed, result in zip(seeds, capped):
             np.testing.assert_array_equal(
-                result.colors, seed.compacted().colors
+                result.colors, seed.schedule.compacted().colors
             )
 
     def test_schedule_count_mismatch(self):
         pairs = _pairs([8, 8], seed=93)
-        batch = ContextBatch(pairs)
-        seeds = batch.first_fit_schedules()
-        with pytest.raises(InvalidScheduleError, match="1 schedules"):
-            batch.local_search_schedules(seeds[:1])
+        session = _batch_session(pairs)
+        seeds = session.schedule("first_fit")
+        with pytest.raises(ValueError, match="1 schedules for 2 problems"):
+            session.schedule("local_search", schedule=seeds[:1])
 
-    def test_foreign_powers_rejected(self):
+    def test_foreign_powers_kept(self):
+        """A seed carries its own powers: each problem's local search
+        improves it under those powers, exactly as a per-pair
+        ``improve_schedule`` does."""
+        from repro.scheduling.local_search import improve_schedule
+
         pairs = _pairs([8, 8], seed=94)
-        batch = ContextBatch(pairs)
-        seeds = batch.first_fit_schedules()
+        session = _batch_session(pairs)
+        seeds = session.schedule("first_fit")
         foreign = Schedule(
             colors=seeds[1].colors.copy(), powers=seeds[1].powers * 2.0
         )
-        with pytest.raises(InvalidScheduleError, match="powers differ"):
-            batch.local_search_schedules([seeds[0], foreign])
+        improved = session.schedule(
+            "local_search", schedule=[seeds[0], foreign]
+        )
+        reference = improve_schedule(pairs[1][0], foreign)
+        np.testing.assert_array_equal(improved[1].colors, reference.colors)
+        np.testing.assert_array_equal(improved[1].powers, foreign.powers)

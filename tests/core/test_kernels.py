@@ -18,11 +18,9 @@ Three layers of guarantees:
   no decision of it is too close to call.
 * **Property tests** — random add/remove/move sequences keep the
   :class:`ScheduleKernel` state bitwise equal to one
-  :class:`ClassAccumulator` per class, and snapshot/restore is an exact
-  rollback.
-* **Batch conformance** — :meth:`ContextBatch.first_fit_schedules`
-  equals per-pair :func:`first_fit_schedule` on stacked and ragged
-  batches.
+  :class:`ClassAccumulator` per class, and the copy-on-write
+  snapshot/restore is an exact rollback of every state array that
+  refuses snapshots it can no longer honour.
 """
 
 import json
@@ -35,7 +33,7 @@ from hypothesis import strategies as st
 
 import oracle
 from repro.analysis.capacity import greedy_max_feasible_subset
-from repro.core.batch import ContextBatch
+from repro.api import Problem
 from repro.core.context import (
     InterferenceContext,
     clear_context_cache,
@@ -43,11 +41,7 @@ from repro.core.context import (
 )
 from repro.core.errors import InvalidScheduleError
 from repro.core.instance import Direction, Instance
-from repro.core.kernels import (
-    ScheduleKernel,
-    peel_max_feasible_subset,
-    stacked_local_search,
-)
+from repro.core.kernels import ScheduleKernel, peel_max_feasible_subset
 from repro.core.schedule import Schedule, build_schedule
 from repro.geometry.line import LineMetric
 from repro.instances.line_instances import equispaced_line_instance
@@ -285,46 +279,124 @@ class TestKernelStateProperties:
                 for color, acc in accumulators.items():
                     assert per_class[color] == acc.interference([request])[0]
 
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 10_000))
-    def test_snapshot_restore_is_bitwise(self, seed):
+    @staticmethod
+    def _state(kernel):
+        """Every state array of *kernel*: colors, sizes, the u and v
+        rows of the open classes and the six own-class vectors."""
+        count = kernel.num_classes
+        rows = [
+            kernel._fin_u, kernel._ninf_u, kernel._npos_u,
+            kernel._fin_v, kernel._ninf_v, kernel._npos_v,
+        ]
+        own = [
+            kernel._own_fin_u, kernel._own_ninf_u, kernel._own_npos_u,
+            kernel._own_fin_v, kernel._own_ninf_v, kernel._own_npos_v,
+        ]
+        return (
+            kernel.colors.copy(),
+            list(kernel._sizes),
+            [arr[:count].copy() for arr in rows],
+            [arr.copy() for arr in own],
+            # Rows past the open classes must be exact zeros, so the
+            # next open_class() hands out a clean class.
+            all(bool(np.all(arr[count:] == 0)) for arr in rows),
+        )
+
+    @staticmethod
+    def _assert_same_state(got, want):
+        colors, sizes, rows, own, zero_tail = got
+        np.testing.assert_array_equal(colors, want[0])
+        assert sizes == want[1]
+        for arr, ref in zip(rows + own, want[2] + want[3]):
+            np.testing.assert_array_equal(arr, ref)
+        assert zero_tail
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        directed=st.booleans(),
+        shared=st.booleans(),
+    )
+    def test_snapshot_restore_is_bitwise(self, seed, directed, shared):
         rng = np.random.default_rng(seed)
-        instance = random_uniform_instance(9, rng=seed)
-        powers = SquareRootPower()(instance)
+        direction = Direction.DIRECTED if directed else Direction.BIDIRECTIONAL
+        if shared:
+            instance = _shared_node_instance(direction)
+            powers = np.ones(instance.n)
+        else:
+            instance = random_uniform_instance(9, rng=seed, direction=direction)
+            powers = SquareRootPower()(instance)
         clear_context_cache()
         context = get_context(instance, powers)
-        schedule = first_fit_schedule(instance, powers)
-        kernel = ScheduleKernel.from_colors(context, schedule.colors)
+        colors = np.array(first_fit_schedule(instance, powers).colors)
+        # Leave some requests unplaced so additions have candidates.
+        colors[rng.random(instance.n) < 0.3] = -1
+        kernel = ScheduleKernel.from_colors(context, colors)
         snap = kernel.snapshot()
-        reference = {
-            "colors": kernel.colors.copy(),
-            "fin_u": kernel._fin_u.copy(),
-            "ninf_u": kernel._ninf_u.copy(),
-            "npos_u": kernel._npos_u.copy(),
-            "own_fin_u": kernel._own_fin_u.copy(),
-            "sizes": list(kernel._sizes),
-        }
-        # Random mutations: moves, removals, additions, new classes.
-        for _ in range(12):
-            placed = np.flatnonzero(kernel.colors >= 0)
-            if placed.size == 0:
-                break
-            request = int(rng.choice(placed))
-            if rng.uniform() < 0.5 and kernel.num_classes > 1:
-                target = int(rng.integers(kernel.num_classes))
-                if target != kernel.colors[request]:
-                    kernel.move(request, target)
-            else:
-                kernel.remove(request)
-        kernel.restore(snap)
-        np.testing.assert_array_equal(kernel.colors, reference["colors"])
-        np.testing.assert_array_equal(kernel._fin_u, reference["fin_u"])
-        np.testing.assert_array_equal(kernel._ninf_u, reference["ninf_u"])
-        np.testing.assert_array_equal(kernel._npos_u, reference["npos_u"])
-        np.testing.assert_array_equal(
-            kernel._own_fin_u, reference["own_fin_u"]
-        )
-        assert list(kernel._sizes) == reference["sizes"]
+        reference = self._state(kernel)
+        # Two rounds: the snapshot stays live after a restore.
+        for _ in range(2):
+            # Random mutations: moves, removals, additions, new classes.
+            for _ in range(12):
+                op = rng.integers(4)
+                placed = np.flatnonzero(kernel.colors >= 0)
+                unplaced = np.flatnonzero(kernel.colors < 0)
+                if op == 0 and placed.size and kernel.num_classes > 1:
+                    request = int(rng.choice(placed))
+                    target = int(rng.integers(kernel.num_classes))
+                    if target != kernel.colors[request]:
+                        kernel.move(request, target)
+                elif op == 1 and placed.size:
+                    kernel.remove(int(rng.choice(placed)))
+                elif op == 2 and unplaced.size and kernel.num_classes:
+                    kernel.add(
+                        int(rng.choice(unplaced)),
+                        int(rng.integers(kernel.num_classes)),
+                    )
+                elif op == 3 and unplaced.size:
+                    kernel.add(int(rng.choice(unplaced)), kernel.open_class())
+            kernel.restore(snap)
+            self._assert_same_state(self._state(kernel), reference)
+
+    def test_superseded_snapshot_raises(self):
+        instance = random_uniform_instance(8, rng=12)
+        powers = SquareRootPower()(instance)
+        context = get_context(instance, powers)
+        colors = first_fit_schedule(instance, powers).colors
+        kernel = ScheduleKernel.from_colors(context, colors)
+        old = kernel.snapshot()
+        kernel.remove(0)
+        live = kernel.snapshot()
+        with pytest.raises(ValueError, match="live snapshot"):
+            kernel.restore(old)
+        other = ScheduleKernel.from_colors(context, colors)
+        with pytest.raises(ValueError, match="live snapshot"):
+            other.restore(live)
+        kernel.restore(live)  # the live one still restores
+        assert kernel.colors[0] == -1
+
+    @pytest.mark.parametrize("edit", ["drop_empty_class", "reseed"])
+    def test_snapshot_before_unsaved_rewrite_raises(self, edit):
+        """drop_empty_class shifts rows and reseed rewrites columns
+        without saving them, so an earlier snapshot cannot restore —
+        and Session.recover falls back to "rekernel"."""
+        session = Problem(random_uniform_instance(10, rng=5)).session()
+        kernel = session.ensure_live()
+        # Move request 0 into a class of its own, then snapshot.
+        kernel.move(0, kernel.open_class())
+        color = int(kernel.colors[0])
+        snap = kernel.snapshot()
+        kernel.remove(0)
+        if edit == "drop_empty_class":
+            kernel.drop_empty_class(color)
+        else:
+            kernel.reseed([0])
+        with pytest.raises(ValueError, match="live snapshot"):
+            kernel.restore(snap)
+        assert snap["stamp"] == kernel.stamp  # only the edit is stale
+        assert session.recover(snap) == "rekernel"
+        assert session.live_kernel is None
+        assert session.check_consistency() is None
 
     def test_restore_survives_capacity_growth(self):
         """Regression: restore() must write into the kernel's *current*
@@ -558,210 +630,6 @@ class TestKernelGrowthAndReseed:
         np.testing.assert_array_equal(kernel.colors, fresh.colors)
 
 
-class TestBatchedFirstFit:
-    @pytest.mark.parametrize(
-        "direction", [Direction.DIRECTED, Direction.BIDIRECTIONAL]
-    )
-    def test_stacked_matches_per_pair(self, direction, dense_backend):
-        pairs = []
-        for b in range(5):
-            instance = random_uniform_instance(24, rng=700 + b, direction=direction)
-            pairs.append((instance, SquareRootPower()(instance)))
-        batch = ContextBatch(pairs)
-        assert batch.stacked
-        schedules = batch.first_fit_schedules()
-        for (instance, powers), schedule in zip(pairs, schedules):
-            reference = first_fit_schedule(instance, powers)
-            np.testing.assert_array_equal(schedule.colors, reference.colors)
-            schedule.validate(instance)
-
-    def test_stacked_with_shared_nodes(self):
-        pairs = [
-            (_shared_node_instance(Direction.BIDIRECTIONAL), np.ones(4)),
-            (_shared_node_instance(Direction.BIDIRECTIONAL), np.full(4, 2.0)),
-        ]
-        batch = ContextBatch(pairs)
-        schedules = batch.first_fit_schedules()
-        for (instance, powers), schedule in zip(pairs, schedules):
-            reference = first_fit_schedule(instance, powers)
-            np.testing.assert_array_equal(schedule.colors, reference.colors)
-
-    def test_ragged_fallback_matches_per_pair(self):
-        pairs = []
-        for b, n in enumerate((6, 12, 9)):
-            instance = random_uniform_instance(n, rng=800 + b)
-            pairs.append((instance, SquareRootPower()(instance)))
-        batch = ContextBatch(pairs)
-        assert not batch.stacked
-        schedules = batch.first_fit_schedules()
-        for (instance, powers), schedule in zip(pairs, schedules):
-            reference = first_fit_schedule(instance, powers)
-            np.testing.assert_array_equal(schedule.colors, reference.colors)
-
-    def test_custom_orders_and_validation(self):
-        pairs = []
-        for b in range(3):
-            instance = random_uniform_instance(10, rng=900 + b)
-            pairs.append((instance, SquareRootPower()(instance)))
-        batch = ContextBatch(pairs)
-        orders = [np.arange(10)] * 3
-        schedules = batch.first_fit_schedules(orders=orders)
-        for (instance, powers), schedule in zip(pairs, schedules):
-            reference = first_fit_schedule(instance, powers, order=np.arange(10))
-            np.testing.assert_array_equal(schedule.colors, reference.colors)
-        with pytest.raises(ValueError):
-            batch.first_fit_schedules(orders=[np.arange(10)] * 2)
-
-    def test_unscalable_noise_raises(self):
-        metric = LineMetric([0.0, 10.0])
-        instance = Instance.bidirectional(metric, [(0, 1)], noise=1e6)
-        batch = ContextBatch([(instance, np.ones(1))])
-        with pytest.raises(InvalidScheduleError, match="pair 0"):
-            batch.first_fit_schedules()
-
-
-# ----------------------------------------------------------------------
-# Batched local search
-# ----------------------------------------------------------------------
-
-
-class TestStackedLocalSearch:
-    """Lockstep local search must match per-instance
-    :func:`improve_schedule` schedules exactly (acceptance criterion)."""
-
-    def _stack_inputs(self, pairs):
-        contexts = [get_context(*pair) for pair in pairs]
-        gains_ut = np.stack([ctx.gains_ut for ctx in contexts])
-        if all(ctx.gains_ut is ctx.gains_vt for ctx in contexts):
-            gains_vt = gains_ut
-        else:
-            gains_vt = np.stack([ctx.gains_vt for ctx in contexts])
-        signals = np.stack([ctx.signals for ctx in contexts])
-        betas = np.asarray([ctx.beta for ctx in contexts])
-        noises = np.asarray([ctx.noise for ctx in contexts])
-        return gains_ut, gains_vt, signals, betas, noises
-
-    @pytest.mark.parametrize(
-        "direction", [Direction.DIRECTED, Direction.BIDIRECTIONAL]
-    )
-    def test_matches_improve_schedule(self, direction, dense_backend):
-        pairs = []
-        for b in range(6):
-            instance = random_uniform_instance(
-                40, rng=1000 + b, direction=direction
-            )
-            pairs.append((instance, SquareRootPower()(instance)))
-        seeds = [first_fit_schedule(*pair) for pair in pairs]
-        gains_ut, gains_vt, signals, betas, noises = self._stack_inputs(pairs)
-        colors = stacked_local_search(
-            gains_ut,
-            gains_vt,
-            np.stack([s.compacted().colors for s in seeds]),
-            signals,
-            betas,
-            noises,
-        )
-        for index, ((instance, powers), seed) in enumerate(zip(pairs, seeds)):
-            reference = improve_schedule(instance, seed)
-            np.testing.assert_array_equal(
-                colors[index], reference.colors, err_msg=f"pair {index}"
-            )
-
-    @pytest.mark.parametrize("max_rounds", [None, 1])
-    def test_shared_node_instances(self, max_rounds, dense_backend):
-        """Infinite-gain pairs exercise the masked (non-finite) state
-        variant; decisions must still match the per-pair search."""
-        pairs = [
-            (_shared_node_instance(Direction.BIDIRECTIONAL), np.ones(4)),
-            (_shared_node_instance(Direction.DIRECTED), np.full(4, 2.0)),
-        ]
-        for pair in pairs:
-            seeds = [first_fit_schedule(*pair)]
-            gains_ut, gains_vt, signals, betas, noises = self._stack_inputs(
-                [pair]
-            )
-            colors = stacked_local_search(
-                gains_ut,
-                gains_vt,
-                np.stack([s.compacted().colors for s in seeds]),
-                signals,
-                betas,
-                noises,
-                max_rounds=max_rounds,
-            )
-            reference = improve_schedule(
-                pair[0], seeds[0], max_rounds=max_rounds
-            )
-            np.testing.assert_array_equal(colors[0], reference.colors)
-
-    def test_input_colors_not_mutated(self, dense_backend):
-        instance = random_uniform_instance(20, rng=1100)
-        powers = SquareRootPower()(instance)
-        seed = first_fit_schedule(instance, powers).compacted()
-        gains_ut, gains_vt, signals, betas, noises = self._stack_inputs(
-            [(instance, powers)]
-        )
-        colors_in = np.stack([seed.colors])
-        before = colors_in.copy()
-        stacked_local_search(
-            gains_ut, gains_vt, colors_in, signals, betas, noises
-        )
-        np.testing.assert_array_equal(colors_in, before)
-
-    def test_validation_errors(self, dense_backend):
-        instance = random_uniform_instance(6, rng=1200)
-        powers = SquareRootPower()(instance)
-        gains_ut, gains_vt, signals, betas, noises = self._stack_inputs(
-            [(instance, powers)]
-        )
-        good = np.zeros((1, 6), dtype=int)
-        with pytest.raises(ValueError, match="no -1"):
-            stacked_local_search(
-                gains_ut,
-                gains_vt,
-                np.full((1, 6), -1),
-                signals,
-                betas,
-                noises,
-            )
-        with pytest.raises(ValueError, match=r"\(B, n\)"):
-            stacked_local_search(
-                gains_ut, gains_vt, np.zeros(6, dtype=int), signals,
-                betas, noises,
-            )
-        with pytest.raises(ValueError, match="gains"):
-            stacked_local_search(
-                gains_ut[:, :4, :4], gains_vt[:, :4, :4], good, signals,
-                betas, noises,
-            )
-        with pytest.raises(ValueError, match="signals"):
-            stacked_local_search(
-                gains_ut, gains_vt, good, signals[:, :4], betas, noises
-            )
-        with pytest.raises(ValueError, match="betas/noises"):
-            stacked_local_search(
-                gains_ut, gains_vt, good, signals, np.ones(3), noises
-            )
-
-    def test_max_rounds_zero_is_identity(self, dense_backend):
-        instance = random_uniform_instance(15, rng=1300)
-        powers = SquareRootPower()(instance)
-        seed = first_fit_schedule(instance, powers).compacted()
-        gains_ut, gains_vt, signals, betas, noises = self._stack_inputs(
-            [(instance, powers)]
-        )
-        colors = stacked_local_search(
-            gains_ut,
-            gains_vt,
-            np.stack([seed.colors]),
-            signals,
-            betas,
-            noises,
-            max_rounds=0,
-        )
-        np.testing.assert_array_equal(colors[0], seed.colors)
-
-
 # ----------------------------------------------------------------------
 # Shared schedule constructor + context helpers
 # ----------------------------------------------------------------------
@@ -795,7 +663,6 @@ class TestBuildSchedule:
         for schedule in (
             first_fit_schedule(instance, powers),
             improve_schedule(instance, first_fit_schedule(instance, powers)),
-            ContextBatch([(instance, powers)]).first_fit_schedules()[0],
         ):
             assert schedule.colors.flags.writeable
             schedule.colors[0] = schedule.colors[0]  # must not raise

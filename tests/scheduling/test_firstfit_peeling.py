@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Problem
-from repro.core.batch import ContextBatch
+from repro.api import BatchSession, Problem
 from repro.core.instance import Instance
 from repro.geometry.line import LineMetric
 from repro.instances.random_instances import clustered_instance, random_uniform_instance
@@ -98,9 +97,9 @@ class TestFirstFitOrderValidation:
     @pytest.mark.parametrize("case", sorted(BAD_ORDERS))
     def test_batch(self, pair, case):
         order, message = BAD_ORDERS[case]
-        batch = ContextBatch([pair, pair])
-        with pytest.raises(ValueError, match=f"pair 1: .*{message}"):
-            batch.first_fit_schedules(orders=[np.arange(8), order])
+        problem = Problem(pair[0], powers=pair[1])
+        with pytest.raises(ValueError, match=message):
+            BatchSession([problem, problem]).schedule("first_fit", order=order)
 
 
 class TestFirstFitFreePower:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.gains import config_scope, default_config
 from repro.core.schedule import Schedule
 from repro.instances.random_instances import clustered_instance, random_uniform_instance
 from repro.power.oblivious import SquareRootPower
@@ -71,6 +72,34 @@ class TestImproveSchedule:
         once = improve_schedule(inst, first_fit_schedule(inst, powers))
         twice = improve_schedule(inst, once)
         assert twice.num_colors == once.num_colors
+
+
+class TestBackendConformance:
+    """Local search runs the same kernel on every lossless gain
+    backend: sparse at epsilon 0 and dense in the default array
+    namespace (``REPRO_ARRAY_NAMESPACE``) must reproduce numpy dense."""
+
+    @pytest.mark.parametrize("direction", ["bidirectional", "directed"])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            pytest.param({"backend": "sparse", "sparse_epsilon": 0.0}, id="sparse-0.0"),
+            pytest.param(
+                {"backend": "dense", "array_namespace": default_config().array_namespace},
+                id="dense-default-namespace",
+            ),
+        ],
+    )
+    def test_matches_numpy_dense(self, direction, overrides):
+        for seed in range(3):
+            inst = random_uniform_instance(30, rng=90 + seed, direction=direction)
+            powers = SquareRootPower()(inst)
+            with config_scope(backend="dense", array_namespace="numpy"):
+                base = first_fit_schedule(inst, powers)
+                reference = improve_schedule(inst, base)
+            with config_scope(**overrides):
+                improved = improve_schedule(inst, base)
+            np.testing.assert_array_equal(improved.colors, reference.colors)
 
 
 class TestNoiseGuard:
