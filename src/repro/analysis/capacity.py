@@ -37,14 +37,16 @@ def greedy_max_feasible_subset(
     Runs the incremental peel kernel
     :func:`repro.core.kernels.peel_max_feasible_subset` on the cached
     context for ``(instance, powers)`` (or the explicit *context*):
-    maintained interference sums, O(k) vectorized work per round, with
-    near-boundary decisions re-resolved exactly and counted as
+    maintained interference sums, most rounds decided on a shortlist of
+    the lowest margins and hopeless re-adds rejected in one tiled pass,
+    with near-boundary decisions re-resolved exactly and counted as
     ``peel_risk_events``.
 
     Raises
     ------
     ValueError
-        If a candidate is not a request index in ``[0, n)``.
+        If a candidate is not an integer request index in ``[0, n)``
+        (fractional values and boolean masks included).
     """
     if context is None:
         context = get_context(instance, powers)

@@ -124,8 +124,9 @@ class Provenance:
         (:func:`repro.core.kernels.peel_risk_events`) during the run:
         peel/stop/re-add comparisons that landed inside the
         :data:`~repro.core.kernels.PEEL_RISK_RTOL` band and were
-        resolved by exact reference-order recomputation.  Always ``0``
-        when the run never peels.
+        resolved by exact reference-order recomputation.  Re-add
+        trials the peel's prefilter rejects outright are never run and
+        add nothing.  Always ``0`` when the run never peels.
     peel_fallbacks:
         :class:`~repro.core.kernels.PeelFallbackInfo` records emitted
         during the run — peel calls (e.g. duplicate candidates) that

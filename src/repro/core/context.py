@@ -122,6 +122,54 @@ def _margins_from(
     return margins
 
 
+def _integral(value) -> bool:
+    """Is *value* (one entry of an object array) a non-boolean integral
+    number?"""
+    if isinstance(value, (bool, np.bool_)):
+        return False
+    try:
+        return float(value).is_integer()
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def request_indices(values, n: int, label: str) -> np.ndarray:
+    """*values* as a 1-D int array of request indices, or ``ValueError``
+    naming the first entry (as ``"{label} {value} at position {p}"``)
+    that is not an integer in ``[0, n)``.
+
+    Integral values of any integer or float dtype pass.  Fractional and
+    non-finite values are rejected instead of truncated, and a boolean
+    array is rejected outright instead of being read as indices 0/1.
+    """
+    arr = np.asarray(values).reshape(-1)
+    if arr.dtype.kind in "iu":
+        idx = arr.astype(int, copy=False)
+    else:
+        if arr.dtype.kind == "f":
+            bad = ~np.isfinite(arr) | (arr != np.trunc(arr))
+        elif arr.dtype.kind == "O":
+            bad = ~np.fromiter(map(_integral, arr), dtype=bool, count=arr.size)
+        else:  # booleans, strings, complex numbers
+            bad = np.ones(arr.size, dtype=bool)
+        if np.any(bad):
+            position = int(np.argmax(bad))
+            value = arr[position : position + 1].tolist()[0]
+            raise ValueError(
+                f"{label} {value!r} at position {position} is not an "
+                "integer request index"
+            )
+        idx = arr.astype(float).astype(int)
+    outside = (idx < 0) | (idx >= n)
+    if np.any(outside):
+        position = int(np.argmax(outside))
+        raise ValueError(
+            f"{label} {int(idx[position])} at position {position} is not "
+            f"a request index in [0, {n})"
+        )
+    return idx
+
+
 class InterferenceContext:
     """Cached interference state for one ``(instance, powers)`` pair.
 
@@ -532,12 +580,15 @@ class InterferenceContext:
         The plain O(k^2)-per-round loop, kept as the fallback of
         :func:`repro.core.kernels.peel_max_feasible_subset` for
         duplicate candidates and as the bitwise reference its
-        incremental peel is tested against.
+        incremental peel is tested against.  Candidates must be integer
+        request indices in ``[0, n)`` (see :func:`request_indices`).
         """
         if candidates is None:
             current = list(range(self.n))
         else:
-            current = [int(i) for i in candidates]
+            current = request_indices(
+                candidates, self.n, "peel candidate"
+            ).tolist()
         dropped: List[int] = []
         while current:
             subset = np.asarray(current, dtype=int)

@@ -20,10 +20,16 @@ of vectorized passes:
   rebuilds.
 * :func:`peel_max_feasible_subset` — the greedy peeling primitive on
   incrementally maintained interference sums: **identical** decisions
-  to :meth:`InterferenceContext.greedy_max_feasible_subset` at O(k)
-  vectorized work per round (subtract the victim's gain column, rescan
-  margins) instead of the reference's O(k²) block recompute — O(k²)
-  total versus O(k³).  Decisions that land inside the
+  to :meth:`InterferenceContext.greedy_max_feasible_subset` without
+  the reference's O(k²) block recompute per round.  Margins only rise
+  as victims leave, so most rounds are decided on a shortlist of the
+  lowest margins (a few small-array operations per victim) and only a
+  round whose decision band reaches the smallest margin outside the
+  shortlist rescans all k; the victims' columns reach the full sums
+  in one bitwise-sequential fold per rescan.  Re-add trials that
+  must fail (a margin against the post-peel set already clearly below
+  the threshold, which more members can only lower) are rejected in
+  one tiled pass.  Decisions that land inside the
   :data:`PEEL_RISK_RTOL` band of their boundary are re-resolved with
   fresh reference-order row sums and counted as risk events.
 
@@ -71,8 +77,9 @@ When to use what
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,7 +87,9 @@ from repro.core.context import (
     DEFAULT_RTOL,
     InterferenceContext,
     _margins_from,
+    request_indices,
 )
+from repro.core.interference import DEFAULT_TILE_ROWS
 
 __all__ = [
     "PEEL_RISK_RTOL",
@@ -156,7 +165,12 @@ _peel_fallbacks: List[PeelFallbackInfo] = []
 def peel_risk_events() -> int:
     """Running total of at-risk peel decisions (incremental margin
     within :data:`PEEL_RISK_RTOL` of a decision boundary, resolved by
-    exact recomputation)."""
+    exact recomputation).
+
+    It counts the decisions the kernel re-resolves.  Re-add trials its
+    prefilter rejects (certain rejections) are never run, so their
+    at-risk comparisons are not counted.
+    """
     return _peel_risk_events
 
 
@@ -903,14 +917,7 @@ class ScheduleKernel:
 def check_order(order: Sequence[int], n: int) -> np.ndarray:
     """*order* as an index array, or ``ValueError`` naming the first
     entry that keeps it from being a permutation of ``range(n)``."""
-    order = np.asarray(order, dtype=int).reshape(-1)
-    outside = (order < 0) | (order >= n)
-    if np.any(outside):
-        position = int(np.argmax(outside))
-        raise ValueError(
-            f"order entry {int(order[position])} at position {position} is "
-            f"not a request index in [0, {n})"
-        )
+    order = request_indices(order, n, "order entry")
     repeated = np.ones(order.size, dtype=bool)
     repeated[np.unique(order, return_index=True)[1]] = False
     if np.any(repeated):
@@ -1018,13 +1025,17 @@ def peel_max_feasible_subset(
     then re-add), agreeing decision-for-decision with
     :meth:`InterferenceContext.greedy_max_feasible_subset`.
 
-    This is the **incremental** peel: per-candidate
-    interference sums are maintained under subtraction as requests are
-    peeled (O(n) per round instead of an O(k²) block re-sum, O(k·n +
-    k²) per full peel instead of O(k³)), victim selection is one
-    vectorized margin scan over the maintained sums per round, and on
-    a sparse backend the whole pass walks CSR rows/columns — no dense
-    ``(k, k)`` block is ever gathered.
+    This is the **incremental** peel: per-candidate interference sums
+    are maintained under subtraction as requests are peeled, instead of
+    the reference's O(k²) block re-sum per round.  Most rounds are
+    decided on a shortlist of the lowest margins for a few ``O(s)``
+    array operations; a full ``O(k)`` margin scan runs only when a
+    round's decision could involve a request outside the shortlist.
+    Dropped requests that certainly cannot be re-added are rejected in
+    one tiled pass before the per-request re-add loop.  On a sparse
+    backend the whole pass walks CSR rows/columns and small cross
+    blocks — no dense ``(k, k)`` block is ever gathered.  See
+    :func:`_peel_incremental` for the cost model and invariants.
 
     Numerical contract
     ------------------
@@ -1039,28 +1050,26 @@ def peel_max_feasible_subset(
     as one :func:`peel_risk_events` event (surfaced per run in
     :class:`repro.api.Provenance.peel_risk_events`).  Out-of-band
     comparisons cannot flip: the band is orders of magnitude wider than
-    the drift a peel can accumulate.
+    the drift a peel can accumulate.  The count covers the decisions
+    the kernel re-resolves: a re-add trial the prefilter rejects is
+    never run, so an at-risk comparison inside such a trial (whose
+    outcome is a rejection either way) is not counted.
 
-    Candidates must be request indices in ``[0, n)``; anything else
-    raises ``ValueError``.  Duplicate candidate indices name two copies of one request, which
-    the cached matrices' zero diagonal cannot express; such calls fall
-    back to the per-round reference, recording a logged
-    :class:`PeelFallbackInfo` (surfaced in
-    :class:`repro.api.Provenance.peel_fallbacks`).
+    Candidates must be integer request indices in ``[0, n)`` (any
+    integer or float dtype; booleans, fractional values and anything
+    outside the range raise ``ValueError``, see
+    :func:`repro.core.context.request_indices`).  Duplicate candidate
+    indices name two copies of one request, which the cached matrices'
+    zero diagonal cannot express; such calls fall back to the per-round
+    reference, recording a logged :class:`PeelFallbackInfo` (surfaced
+    in :class:`repro.api.Provenance.peel_fallbacks`).
     """
     if candidates is None:
         idx = np.arange(context.n)
     else:
-        idx = np.asarray([int(i) for i in candidates], dtype=int)
+        idx = request_indices(candidates, context.n, "peel candidate")
     if idx.size == 0:
         return np.asarray([], dtype=int)
-    outside = (idx < 0) | (idx >= context.n)
-    if np.any(outside):
-        position = int(np.argmax(outside))
-        raise ValueError(
-            f"peel candidate {int(idx[position])} at position {position} "
-            f"is not a request index in [0, {context.n})"
-        )
     if np.unique(idx).size != idx.size:
         info = PeelFallbackInfo(
             reasons=("duplicate_candidates",),
@@ -1075,14 +1084,45 @@ def peel_max_feasible_subset(
         _peel_fallbacks.append(info)
         logger.warning(info.detail)
         return context.greedy_max_feasible_subset(
-            candidates=candidates, beta=beta, rtol=rtol
+            candidates=idx, beta=beta, rtol=rtol
         )
     return _peel_incremental(context, idx, beta, rtol)
+
+
+#: Lowest active margins the incremental peel keeps in its shortlist
+#: (see :func:`_peel_incremental`).
+_PEEL_SHORTLIST = 64
 
 
 def _band(margin: float) -> float:
     """Absolute half-width of the risk band around *margin*."""
     return PEEL_RISK_RTOL * max(1.0, abs(margin))
+
+
+def _worst(parts) -> np.ndarray:
+    """Worst-endpoint interference from per-endpoint ``(finite sum,
+    infinite count)`` pairs (count ``None`` without shared nodes):
+    ``inf`` where a count is positive, else the sum clamped at 0."""
+    interf = None
+    for fin, ninf in parts:
+        part = np.maximum(fin, 0.0)
+        if ninf is not None:
+            part = np.where(ninf > 0, np.inf, part)
+        interf = part if interf is None else np.maximum(interf, part)
+    return interf
+
+
+class _PeelEndpoint(NamedTuple):
+    """One endpoint matrix of the peel: its maintained per-position
+    sums and the backend accessors that read it."""
+
+    fin: np.ndarray
+    ninf: Optional[np.ndarray]
+    col: Callable
+    row: Callable
+    cross_block: Callable
+    gather_cols: Callable
+    row_sums: Callable
 
 
 def _peel_incremental(
@@ -1096,27 +1136,61 @@ def _peel_incremental(
     State per candidate position: the finite interference sum and the
     infinite-contribution count per endpoint (``inf - inf`` is ``nan``,
     so shared-node columns are tracked by count and resolved exactly,
-    like :func:`_resolve`).  Peeling subtracts the victim's gain column
-    from the maintained sums (O(n) per round); victim selection is a
-    vectorized margin scan over the maintained sums — O(k) NumPy work
-    per round instead of the reference's O(k^2) block recompute.  (A
-    lazy min-heap was tried first and lost badly: every removal shifts
-    every member's margin, so every key goes stale every round and the
-    per-entry Python revalidation costs more than one vectorized
-    scan.)  Any decision within the :data:`PEEL_RISK_RTOL` band of its
-    boundary is resolved by fresh reference-order row sums and counted
-    as a risk event.
+    like :func:`_resolve`).  Retired positions keep stale values: every
+    scan masks them out and a re-add overwrites them, so updates run
+    unmasked.
+
+    **Peel phase.**  Removing a victim only subtracts its gain column,
+    so every other margin can only rise.  A full scan therefore keeps
+    the :data:`_PEEL_SHORTLIST` lowest active margins and a *floor*,
+    the smallest margin outside the shortlist; the floor stays a lower
+    bound on every outside margin for the rest of the peel.  While a
+    round's decision band (its minimum, widened to the threshold when
+    the stop decision is at risk, plus the :data:`PEEL_RISK_RTOL` band)
+    stays below the floor, no outside request can be the victim, a
+    tied contender, or a reason to stop, so the round is decided inside
+    the shortlist: its sums are updated from the ``s × s`` gain block
+    gathered once per scan (``cross_block_*``), for a few ``O(s)``
+    array operations per victim.  Otherwise the round runs as a full
+    ``O(k)`` scan and rebuilds the shortlist.  Victims decided in the
+    shortlist are folded into the full sums at the next scan with one
+    ``np.subtract.reduce`` along axis 0 over their columns (rows of the
+    cached transpose): a left fold, so the full sums are bitwise the
+    sequential per-victim subtraction, and every margin, decision and
+    risk event is the same as with an eager update.  (A lazy min-heap
+    over all margins was tried before and lost: every removal shifts
+    every member's margin, so every key goes stale every round.  The
+    shortlist's floor is what makes most of those shifts irrelevant.)
+
+    **Re-add phase.**  Members only join during re-add, so every
+    margin in a trial can only fall below its value against the
+    post-peel set.  A dropped request whose own margin against the
+    post-peel set, or some member's margin with its column added, lies
+    below the threshold by more than twice the risk band is rejected by
+    the loop whatever it admits first.  (Twice: the own side's fresh
+    pairwise sum over a larger member set may reorder its rounding,
+    by far less than one band.)  One pass tests every dropped request,
+    the own side with ``row_sums_*`` and the member side with
+    ``cross_block_*`` in ``tile_rows`` member tiles (``O(tile_rows ×
+    k)`` scratch, never a ``(k, k)`` block); only the survivors run the
+    per-request trial loop.
+
+    Any decision within the :data:`PEEL_RISK_RTOL` band of its boundary
+    is resolved by fresh reference-order row sums and counted as a risk
+    event.  What remains per victim is the shortlist's handful of small
+    array operations and, per full scan, ``O(k)`` work; per surviving
+    re-add trial, ``O(k)`` work.
     """
     global _peel_risk_events
     beta_v = context.beta if beta is None else float(beta)
     noise = context.noise
     backend = context.backend
-    directed = backend.directed
     signals = context.signals
     threshold = 1.0 - rtol
     k0 = idx.size
     has_inf = backend.has_infinite_gains
     sig = signals[idx]
+    tile = max(1, int(getattr(backend, "tile_rows", DEFAULT_TILE_ROWS)))
 
     def init_sums(row_sums_fn, cross_fn):
         if not has_inf:
@@ -1125,7 +1199,6 @@ def _peel_incremental(
             return row_sums_fn(idx), None
         fin = np.empty(k0)
         ninf = np.zeros(k0, dtype=np.int64)
-        tile = 512
         for lo in range(0, k0, tile):
             hi = min(lo + tile, k0)
             block = cross_fn(idx[lo:hi], idx)
@@ -1134,33 +1207,20 @@ def _peel_incremental(
             ninf[lo:hi] = (~finite).sum(axis=1)
         return fin, ninf
 
-    fin_u, ninf_u = init_sums(backend.row_sums_u, backend.cross_block_u)
-    if directed:
-        fin_v, ninf_v = fin_u, ninf_u
-    else:
-        fin_v, ninf_v = init_sums(backend.row_sums_v, backend.cross_block_v)
-
-    endpoint_state = (
-        ((fin_u, ninf_u, backend.col_u, backend.row_u),)
-        if directed
-        else (
-            (fin_u, ninf_u, backend.col_u, backend.row_u),
-            (fin_v, ninf_v, backend.col_v, backend.row_v),
+    def endpoint(suffix: str) -> _PeelEndpoint:
+        cross_block = getattr(backend, "cross_block_" + suffix)
+        row_sums = getattr(backend, "row_sums_" + suffix)
+        return _PeelEndpoint(
+            *init_sums(row_sums, cross_block),
+            col=getattr(backend, "col_" + suffix),
+            row=getattr(backend, "row_" + suffix),
+            cross_block=cross_block,
+            gather_cols=getattr(backend, "gather_cols_" + suffix),
+            row_sums=row_sums,
         )
-    )
 
-    def margins_vec() -> np.ndarray:
-        """Current incremental margins for all positions, vectorized.
-
-        Inactive positions carry stale sums; callers mask them out.
-        """
-        interf: Optional[np.ndarray] = None
-        for fin, ninf, _, _ in endpoint_state:
-            part = np.maximum(fin, 0.0)
-            if ninf is not None:
-                part = np.where(ninf > 0, np.inf, part)
-            interf = part if interf is None else np.maximum(interf, part)
-        return _margins_from(sig, interf, beta_v, noise)
+    # A directed instance has one gain matrix: one endpoint.
+    endpoints = [endpoint(e) for e in (("u",) if backend.directed else ("u", "v"))]
 
     def exact_margin(g: int, member_globals: np.ndarray) -> float:
         """Fresh margin of request *g* among *member_globals*, summed
@@ -1169,8 +1229,8 @@ def _peel_incremental(
         :meth:`InterferenceContext.greedy_max_feasible_subset` reduces
         for this row."""
         interf = -np.inf
-        for _, _, _, row_fn in endpoint_state:
-            part = float(row_fn(g)[member_globals].sum())
+        for ep in endpoints:
+            part = float(ep.row(g)[member_globals].sum())
             if part > interf:
                 interf = part
         if np.isinf(interf):
@@ -1181,88 +1241,179 @@ def _peel_incremental(
         return float("inf")
 
     def near(a: float, b: float) -> bool:
-        if np.isinf(a) or np.isinf(b):
+        if math.isinf(a) or math.isinf(b):
             # Infinite (zero-denominator) and zero (shared-node)
             # margins come from exact state — never at risk.
             return False
         return abs(a - b) <= PEEL_RISK_RTOL * max(1.0, abs(a), abs(b))
 
-    def subtract_column(g: int, active: np.ndarray) -> None:
-        for fin, ninf, col_fn, _ in endpoint_state:
-            vals = col_fn(g)[idx]
-            if ninf is None:
-                np.subtract(fin, vals, out=fin, where=active)
-            else:
-                finite = np.isfinite(vals)
-                np.subtract(
-                    fin, np.where(finite, vals, 0.0), out=fin, where=active
-                )
-                np.subtract(ninf, ~finite, out=ninf, where=active)
-
     active = np.ones(k0, dtype=bool)
     dropped: List[int] = []
+    deferred: List[int] = []  # victims the full sums have not seen
     k = k0
     risk = 0
 
-    # --- peel phase ---------------------------------------------------
-    while k > 0:
-        m = margins_vec()
-        m[~active] = np.inf  # mask stale slots out of the argmin
-        p = int(np.argmin(m))
-        cur = float(m[p])
-        # If the minimum is inf, every active margin is inf as well, so
-        # the break below fires even when argmin lands on a masked slot.
-        at_threshold = near(cur, threshold)
-        if not at_threshold and cur >= threshold:
-            break  # the minimum is certainly feasible -> all are
-        # Contenders: every active entry whose margin lies within the
-        # risk band of the decision boundary — the round minimum
-        # (argmin ties), widened to the threshold when the stop/peel
-        # decision itself is at risk.
-        bound = max(cur, threshold) if at_threshold else cur
-        contenders = np.asarray([p])
-        if np.isfinite(bound):
-            mask = active & (m <= bound + _band(bound))
-            if mask.sum() > 1:
-                contenders = np.flatnonzero(mask)
-        if at_threshold or contenders.size > 1:
-            # Threshold-crossing or argmin-tie risk: resolve the
-            # implicated margins exactly and count the event.
-            risk += 1
-            member_globals = idx[active]
-            exact = sorted(
-                (exact_margin(int(idx[q]), member_globals), int(q))
-                for q in contenders
+    def fold() -> None:
+        """Subtract the deferred victims' columns from the full sums,
+        in peel order."""
+        if not deferred:
+            return
+        victims = np.asarray(deferred)
+        deferred.clear()
+        for ep in endpoints:
+            cols = np.take(ep.gather_cols(victims).T, idx, axis=1)
+            if ep.ninf is not None:
+                finite = np.isfinite(cols)
+                np.subtract(ep.ninf, (~finite).sum(axis=0), out=ep.ninf)
+                cols = np.where(finite, cols, 0.0)
+            np.subtract.reduce(
+                np.concatenate((ep.fin[None], cols)), axis=0, out=ep.fin
             )
-            if exact[0][0] >= threshold:
-                break  # exact: every margin clears the threshold
-            victim = exact[0][1]
-        else:
-            victim = p
-        g = int(idx[victim])
+
+    def decide(m: np.ndarray, globals_: np.ndarray, floor) -> Optional[int]:
+        """One peel round over margins *m* of requests *globals_*
+        (retired entries masked to ``inf``): the victim's index into
+        *m*, ``-1`` to stop peeling, or ``None`` when the round's
+        decision band reaches *floor*, the lower bound on every margin
+        outside *m* (``None`` when *m* covers every candidate)."""
+        nonlocal risk
+        a = int(np.argmin(m))
+        cur = float(m[a])
+        # If the minimum is inf, every margin is inf as well, so the
+        # stop below fires even when argmin lands on a masked entry.
+        at_threshold = near(cur, threshold)
+        # The decision boundary: the round minimum (argmin ties),
+        # widened to the threshold when the stop/peel decision itself
+        # is at risk.
+        bound = max(cur, threshold) if at_threshold else cur
+        reach = bound + _band(bound)
+        if floor is not None and not reach < floor:
+            return None
+        if not at_threshold and cur >= threshold:
+            return -1  # the minimum is certainly feasible -> all are
+        contenders = [a]
+        if math.isfinite(bound):
+            tied = np.flatnonzero(m <= reach)
+            if tied.size > 1:
+                contenders = tied
+        if not at_threshold and len(contenders) == 1:
+            return a
+        # Threshold-crossing or argmin-tie risk: resolve the implicated
+        # margins exactly and count the event.
+        risk += 1
+        member_globals = idx[active]
+        exact = sorted(
+            (exact_margin(int(globals_[q]), member_globals), int(q))
+            for q in contenders
+        )
+        if exact[0][0] >= threshold:
+            return -1  # exact: every margin clears the threshold
+        return exact[0][1]
+
+    def retire(position: int) -> None:
+        nonlocal k
+        g = int(idx[position])
         dropped.append(g)
-        active[victim] = False
+        deferred.append(g)
+        active[position] = False
         k -= 1
-        subtract_column(g, active)
+
+    def shortlist(m: np.ndarray):
+        """The lowest live entries of the full-scan margins *m*: their
+        positions (ascending), floor, requests, signals and live flags,
+        and per endpoint their sums, counts and ``s × s`` gain block
+        (transposed: a victim's column is one contiguous row)."""
+        if k0 > _PEEL_SHORTLIST:
+            part = np.argpartition(m, _PEEL_SHORTLIST)
+            short = np.sort(part[:_PEEL_SHORTLIST])
+            # Margins only rise from here, so the smallest one left out
+            # bounds every outside margin from below.
+            floor = float(m[part[_PEEL_SHORTLIST]])
+        else:
+            short, floor = np.arange(k0), np.inf
+        short_globals = idx[short]
+        parts = []
+        for ep in endpoints:
+            block = np.ascontiguousarray(
+                ep.cross_block(short_globals, short_globals).T
+            )
+            if ep.ninf is None:
+                parts.append((ep.fin[short], None, block, None))
+            else:
+                finite = np.isfinite(block)
+                parts.append(
+                    (
+                        ep.fin[short],
+                        ep.ninf[short],
+                        np.where(finite, block, 0.0),
+                        ~finite,
+                    )
+                )
+        return short, floor, short_globals, sig[short], active[short], parts
+
+    # --- peel phase ---------------------------------------------------
+    short = np.zeros(0, dtype=int)
+    while k > 0:
+        q = None
+        if short.size:
+            sm = _margins_from(
+                short_sig, _worst((p[0], p[1]) for p in parts), beta_v, noise
+            )
+            sm[~short_active] = np.inf
+            q = decide(sm, short_globals, floor)
+        if q is None:
+            # Full scan: bring the sums up to date, decide on every
+            # margin, then rebuild the shortlist around the new minima.
+            fold()
+            m = _margins_from(
+                sig, _worst((ep.fin, ep.ninf) for ep in endpoints), beta_v, noise
+            )
+            m[~active] = np.inf
+            q = decide(m, idx, None)
+            if q < 0:
+                break
+            retire(q)
+            fold()
+            m[q] = np.inf
+            short, floor, short_globals, short_sig, short_active, parts = shortlist(m)
+        elif q < 0:
+            break
+        else:
+            retire(int(short[q]))
+            short_active[q] = False
+            for sfin, sninf, bfin, binf in parts:
+                np.subtract(sfin, bfin[q], out=sfin)
+                if sninf is not None:
+                    np.subtract(sninf, binf[q], out=sninf)
+    fold()
 
     # --- re-add phase -------------------------------------------------
     # Membership order matters for the exact-resolution sums: the
     # reference appends every accepted re-add at the end of its buffer.
-    order_list = [int(g) for g in idx[active]]
+    member_pos = np.flatnonzero(active)
+    order_list = [int(g) for g in idx[member_pos]]
+    trials = np.asarray(dropped[::-1], dtype=int)
+    if member_pos.size and trials.size:
+        cut = threshold - 2.0 * _band(threshold)
+        trials = trials[
+            ~_hopeless_readds(
+                endpoints, idx, member_pos, trials, signals, beta_v, noise, cut, tile
+            )
+        ]
     pos_of = {int(g): pos for pos, g in enumerate(idx)}
 
-    for g in reversed(dropped):
+    for g in trials.tolist():
         pos = pos_of[g]
         positions = np.flatnonzero(active)
         member_globals = idx[positions]
-        trial_globals = np.asarray(order_list + [g], dtype=int)
         mem_interf: Optional[np.ndarray] = None
         req_interf = -np.inf
         commits = []
-        for fin, ninf, col_fn, row_fn in endpoint_state:
-            col_all = col_fn(g)[idx]  # (k0,) by candidate position
+        for ep in endpoints:
+            fin, ninf = ep.fin, ep.ninf
+            col_all = ep.col(g)[idx]  # (k0,) by candidate position
             colv = col_all[positions]
-            rowv = row_fn(g)[member_globals]
+            rowv = ep.row(g)[member_globals]
             if ninf is None:
                 part = np.maximum(fin[positions] + colv, 0.0)
                 r_fin = float(rowv.sum())
@@ -1299,6 +1450,7 @@ def _peel_incremental(
         if np.any(at_risk):
             risk += 1
             if ok:
+                trial_globals = np.asarray(order_list + [g], dtype=int)
                 for j in np.flatnonzero(at_risk):
                     gq = (
                         g
@@ -1311,22 +1463,70 @@ def _peel_incremental(
         if ok:
             for fin, ninf, col_all, r_fin, r_ninf in commits:
                 if ninf is None:
-                    np.add(fin, col_all, out=fin, where=active)
+                    np.add(fin, col_all, out=fin)
                 else:
                     cfin = np.isfinite(col_all)
-                    np.add(
-                        fin,
-                        np.where(cfin, col_all, 0.0),
-                        out=fin,
-                        where=active,
-                    )
-                    np.add(ninf, ~cfin, out=ninf, where=active)
+                    np.add(fin, np.where(cfin, col_all, 0.0), out=fin)
+                    np.add(ninf, ~cfin, out=ninf)
                 fin[pos] = r_fin
                 if ninf is not None:
                     ninf[pos] = r_ninf
             active[pos] = True
             order_list.append(g)
-            k += 1
 
     _peel_risk_events += risk
     return np.asarray(sorted(order_list), dtype=int)
+
+
+def _hopeless_readds(
+    endpoints: List[_PeelEndpoint],
+    idx: np.ndarray,
+    member_pos: np.ndarray,
+    trials: np.ndarray,
+    signals: np.ndarray,
+    beta: float,
+    noise: float,
+    cut: float,
+    tile: int,
+) -> np.ndarray:
+    """Mask of re-add *trials* whose own margin against the members at
+    candidate positions *member_pos*, or some member's margin with the
+    trial's column added, is below *cut* (see :func:`_peel_incremental`).
+
+    The member-side values are bitwise those of the trial loop's first
+    trial: the members' maintained sums plus the trial's gain, resolved
+    the same way.
+    """
+    member_globals = idx[member_pos]
+    own = _margins_from(
+        signals[trials],
+        _worst((ep.row_sums(trials, member_globals), None) for ep in endpoints),
+        beta,
+        noise,
+    )
+    worst_member = np.full(trials.size, np.inf)
+    for lo in range(0, member_pos.size, tile):
+        pos = member_pos[lo : lo + tile]
+        parts = []
+        for ep in endpoints:
+            # (members, trials): what each trial induces at each member.
+            block = ep.cross_block(idx[pos], trials)
+            if ep.ninf is None:
+                parts.append((ep.fin[pos, None] + block, None))
+            else:
+                finite = np.isfinite(block)
+                parts.append(
+                    (
+                        ep.fin[pos, None] + np.where(finite, block, 0.0),
+                        ep.ninf[pos, None] + ~finite,
+                    )
+                )
+        interf = _worst(parts)
+        margins = _margins_from(
+            np.broadcast_to(signals[idx[pos], None], interf.shape),
+            interf,
+            beta,
+            noise,
+        )
+        np.minimum(worst_member, margins.min(axis=0), out=worst_member)
+    return (own < cut) | (worst_member < cut)

@@ -33,9 +33,10 @@ def peeling_schedule(
     reuses the same cached gain matrices, and each extraction runs on
     the incremental peel kernel
     (:func:`repro.core.kernels.peel_max_feasible_subset`, identical
-    decisions from maintained interference sums; tolerance-window
-    decisions are re-resolved exactly and counted as risk events) via
-    :func:`greedy_max_feasible_subset`.
+    decisions from maintained interference sums, most rounds decided on
+    a shortlist of the lowest margins and hopeless re-adds rejected in
+    one pass; tolerance-window decisions are re-resolved exactly and
+    counted as risk events) via :func:`greedy_max_feasible_subset`.
     """
     powers = np.asarray(powers, dtype=float)
     context = get_context(instance, powers)

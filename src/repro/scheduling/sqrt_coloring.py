@@ -30,8 +30,9 @@ row sets), and a class whose every row sum already fits its budget has
 the all-ones vector as its unique optimum, taken in closed form.  The
 repair (step 3) and thinning (step 4) passes run through
 :func:`greedy_max_feasible_subset`, on the incremental peel kernel
-(:func:`repro.core.kernels.peel_max_feasible_subset`) — O(k) vectorized
-work per round from maintained interference sums (tolerance-window
+(:func:`repro.core.kernels.peel_max_feasible_subset`): maintained
+interference sums, most rounds decided on a shortlist of the lowest
+margins, hopeless re-adds rejected in one pass (tolerance-window
 decisions are re-resolved exactly and surfaced as ``peel_risk_events``
 in the result provenance).
 """

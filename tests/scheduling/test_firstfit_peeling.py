@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.api import BatchSession, Problem
 from repro.core.instance import Instance
+from repro.core.kernels import check_order
 from repro.geometry.line import LineMetric
 from repro.instances.random_instances import clustered_instance, random_uniform_instance
 from repro.power.oblivious import SquareRootPower, UniformPower
@@ -69,6 +70,13 @@ BAD_ORDERS = {
     "short": ([0, 1, 2, 3, 4, 5, 6], "7 entries for 8 requests; request 7"),
     "duplicate": ([0, 1, 2, 0, 4, 5, 6, 7], "repeats request 0 at position 3"),
     "past-end": ([0, 1, 2, 3, 4, 5, 6, 8], "order entry 8 at position 7"),
+    # Regression: fractional entries used to be truncated to a valid
+    # permutation, and a boolean mask read as indices 0/1.
+    "fractional": (
+        [0, 1, 2, 3.5, 4, 5, 6, 7],
+        "order entry 3.5 at position 3 is not an integer",
+    ),
+    "boolean": ([True] * 8, "order entry True at position 0 is not an integer"),
 }
 
 
@@ -100,6 +108,21 @@ class TestFirstFitOrderValidation:
         problem = Problem(pair[0], powers=pair[1])
         with pytest.raises(ValueError, match=message):
             BatchSession([problem, problem]).schedule("first_fit", order=order)
+
+
+class TestIntegralOrders:
+    @pytest.mark.parametrize("dtype", [np.int16, np.uint32, np.float32, np.float64])
+    def test_any_integral_dtype_is_accepted(self, dtype):
+        instance = random_uniform_instance(8, rng=0)
+        powers = SquareRootPower()(instance)
+        order = [7, 3, 0, 5, 1, 6, 2, 4]
+        expected = first_fit_schedule(instance, powers, order=order)
+        got = first_fit_schedule(instance, powers, order=np.asarray(order, dtype=dtype))
+        np.testing.assert_array_equal(got.colors, expected.colors)
+
+    def test_check_order_rejects_fractions(self):
+        with pytest.raises(ValueError, match="order entry 0.5 at position 0"):
+            check_order([0.5, 1.2, 2.9], 3)
 
 
 class TestFirstFitFreePower:
