@@ -4,8 +4,8 @@
 Walks the ``Problem -> Session -> ScheduleResult`` facade end to end:
 resolving algorithms by name from the registry, reading provenance
 (backend, certification, wall time), growing a session incrementally,
-switching to the sparse gain backend, and scheduling many problems
-at once with one stacked validation pass.
+switching to the sparse gain backend, and scheduling and validating
+many problems at once.
 
 Run:  python examples/api_quickstart.py [seed]
 """
@@ -54,7 +54,7 @@ def main(seed: int = 0) -> None:
     print(f"\nsparse backend: {sparse.num_colors} colors, "
           f"certified dense-equal: {sparse.provenance.certified}")
 
-    # -- many problems: one session each, one stacked validation ------
+    # -- many problems: one session each ------------------------------
     problems = [
         Problem(random_uniform_instance(24, rng=seed + i), backend="dense")
         for i in range(8)
@@ -63,8 +63,7 @@ def main(seed: int = 0) -> None:
     results = batch.schedule("first_fit")
     batch.validate()
     print(f"\nbatch of {len(results)}: "
-          f"{[r.num_colors for r in results]} colors "
-          f"(validation stacked: {batch.batch.stacked})")
+          f"{[r.num_colors for r in results]} colors (all validated)")
 
 
 if __name__ == "__main__":

@@ -65,8 +65,6 @@ from repro.analysis import (
 from repro.core import (
     BackendConfig,
     ClassAccumulator,
-    ContextBatch,
-    ContextPool,
     DenseBackend,
     Direction,
     GainBackend,
@@ -79,8 +77,6 @@ from repro.core import (
     Schedule,
     ScheduleKernel,
     SparseBackend,
-    batch_margins,
-    batch_validate_schedules,
     build_schedule,
     config_scope,
     default_config,
@@ -171,10 +167,6 @@ __all__ = [
     "scale_powers_for_noise",
     "InterferenceContext",
     "ClassAccumulator",
-    "ContextBatch",
-    "ContextPool",
-    "batch_margins",
-    "batch_validate_schedules",
     "get_context",
     "BackendConfig",
     "config_scope",

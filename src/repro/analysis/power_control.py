@@ -26,7 +26,7 @@ every power assignment and are reported as ``rho = inf``.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -122,29 +122,50 @@ def free_power_spectral_radius(
             return float("inf")
         return float(np.max(np.abs(np.linalg.eigvals(matrix))))
 
+    # The returned value is the last (sound) Collatz-Wielandt upper bound.
+    upper = np.inf
+    for _, upper in _growth_bounds(instance, subset, beta, iterations, tol):
+        pass
+    return max(0.0, upper)
+
+
+def _growth_bounds(
+    instance: Instance,
+    subset: Optional[Sequence[int]],
+    beta: Optional[float],
+    iterations: int = 200,
+    tol: float = 1e-10,
+) -> Iterator[Tuple[float, float]]:
+    """Yield Collatz-Wielandt bounds ``(lower, upper)`` on the growth
+    factor of the bidirectional constraint map, one pair per power
+    iteration step; the last pair is the converged one.
+
+    Power-iterates the damped map S(v) = T(v) + v, whose growth factor
+    is rho(T) + 1.  The identity term keeps the iterate strictly
+    positive and makes the map aperiodic, so the iteration converges
+    even for bipartite interference structures (where iterating T
+    itself oscillates with period two).  The bounds are
+    ``min_i S(v)_i/v_i - 1 <= rho(T) <= max_i S(v)_i/v_i - 1``; S is
+    monotone and homogeneous, so ``upper`` never rises and ``lower``
+    never falls from one step to the next.
+    """
     apply_map, size, has_inf = _constraint_map(instance, subset, beta)
     if has_inf:
-        return float("inf")
+        yield float("inf"), float("inf")
+        return
     if size <= 1:
-        return 0.0
-    # Power-iterate the damped map S(v) = T(v) + v, whose growth factor
-    # is rho(T) + 1.  The identity term keeps the iterate strictly
-    # positive and makes the map aperiodic, so the iteration converges
-    # even for bipartite interference structures (where iterating T
-    # itself oscillates with period two).  The Collatz-Wielandt bounds
-    # min_i S(v)_i/v_i <= rho(S) <= max_i S(v)_i/v_i certify
-    # convergence; the returned value is the (sound) upper bound.
+        yield 0.0, 0.0
+        return
     vector = np.ones(size)
-    upper = np.inf
     for _ in range(iterations):
         image = apply_map(vector) + vector
         ratios = image / vector
         upper = float(np.max(ratios)) - 1.0
         lower = float(np.min(ratios)) - 1.0
+        yield lower, upper
         if upper - lower <= tol * max(1.0, upper):
-            break
+            return
         vector = image / float(np.max(image))
-    return max(0.0, upper)
 
 
 def free_power_feasible(
@@ -153,8 +174,23 @@ def free_power_feasible(
     beta: Optional[float] = None,
     margin: float = 1e-9,
 ) -> bool:
-    """Can *subset* share one color under *some* power assignment?"""
-    return free_power_spectral_radius(instance, subset, beta) < 1.0 - margin
+    """Can *subset* share one color under *some* power assignment?
+
+    Same decision as ``free_power_spectral_radius(...) < 1 - margin``.
+    In the bidirectional case the power iteration stops as soon as its
+    monotone bounds settle which side of the threshold the converged
+    value falls on.
+    """
+    threshold = 1.0 - margin
+    if instance.direction is Direction.DIRECTED:
+        return free_power_spectral_radius(instance, subset, beta) < threshold
+    upper = np.inf
+    for lower, upper in _growth_bounds(instance, subset, beta):
+        if max(0.0, upper) < threshold:
+            return True
+        if lower >= threshold:
+            return False
+    return max(0.0, upper) < threshold
 
 
 def free_powers(

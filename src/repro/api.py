@@ -2,8 +2,7 @@
 
 The one coherent entry point over the whole engine stack
 (:class:`~repro.core.context.InterferenceContext`, the scheduler
-kernels, the pluggable gain backends and the batched validation of
-:class:`~repro.core.batch.ContextBatch`):
+kernels and the pluggable gain backends):
 
 >>> from repro.api import Problem
 >>> session = Problem(instance).session()          # doctest: +SKIP
@@ -29,8 +28,8 @@ kernels, the pluggable gain backends and the batched validation of
 * :class:`BatchSession` / :func:`schedule_batch` — the same facade
   over many problems at once: each problem runs through its own
   :class:`Session` (one production path per algorithm), and
-  :meth:`BatchSession.validate` checks every result in one stacked
-  :class:`~repro.core.batch.ContextBatch` pass.
+  :meth:`BatchSession.validate` validates each session's latest
+  result.
 
 Every result is bit-identical to calling the submodule implementations
 directly; the conformance suite asserts this on both dense and sparse
@@ -47,7 +46,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.batch import ContextBatch, ContextPool
 from repro.core.context import (
     DEFAULT_RTOL,
     InterferenceContext,
@@ -992,18 +990,13 @@ class BatchSession:
     Every algorithm runs through each problem's own :class:`Session`,
     so each result is identical to scheduling that problem alone;
     randomized algorithms draw one spawned stream of ``rng`` per
-    problem.  :meth:`validate` checks all results in one stacked
-    :class:`~repro.core.batch.ContextBatch` pass.
+    problem.  :meth:`validate` validates each session's latest result.
 
     All problems must agree on the backend preferences (one batch, one
     substrate).
     """
 
-    def __init__(
-        self,
-        problems: Sequence[Union[Problem, Instance]],
-        pool: Optional[ContextPool] = None,
-    ):
+    def __init__(self, problems: Sequence[Union[Problem, Instance]]):
         if len(problems) == 0:
             raise ValueError("a BatchSession needs at least one problem")
         normalized = [
@@ -1017,23 +1010,9 @@ class BatchSession:
             )
         self.problems: List[Problem] = normalized
         self.sessions: List[Session] = [Session(p) for p in normalized]
-        self.pool = ContextPool() if pool is None else pool
-        self._batch: Optional[ContextBatch] = None
 
     def __len__(self) -> int:
         return len(self.sessions)
-
-    @property
-    def batch(self) -> ContextBatch:
-        """The underlying :class:`~repro.core.batch.ContextBatch`
-        (built lazily, contexts pinned in :attr:`pool`)."""
-        if self._batch is None:
-            self._batch = ContextBatch(
-                [(s.instance, s.powers) for s in self.sessions],
-                pool=self.pool,
-                config=self.problems[0].config,
-            )
-        return self._batch
 
     def schedule(
         self, algorithm: str = "first_fit", rng: Any = None, **params: Any
@@ -1075,16 +1054,18 @@ class BatchSession:
         ]
 
     def validate(self) -> "BatchSession":
-        """Batched validation of every session's latest result."""
-        schedules = []
-        for session in self.sessions:
-            if session.last_result is None:
-                raise InvalidScheduleError(
-                    "validate() needs a schedule per session; call "
-                    "schedule() first"
-                )
-            schedules.append(session.last_result.schedule)
-        self.batch.validate_schedules(schedules)
+        """Validate every session's latest result; the
+        :class:`InvalidScheduleError` names the first offending pair."""
+        if any(session.last_result is None for session in self.sessions):
+            raise InvalidScheduleError(
+                "validate() needs a schedule per session; call "
+                "schedule() first"
+            )
+        for i, session in enumerate(self.sessions):
+            try:
+                session.last_result.validate()
+            except InvalidScheduleError as err:
+                raise InvalidScheduleError(f"pair {i}: {err}") from err
         return self
 
 
@@ -1092,10 +1073,9 @@ def schedule_batch(
     problems: Sequence[Union[Problem, Instance]],
     algorithm: str = "first_fit",
     rng: Any = None,
-    pool: Optional[ContextPool] = None,
     **params: Any,
 ) -> List[ScheduleResult]:
     """One-shot :meth:`BatchSession.schedule` over *problems*."""
-    return BatchSession(problems, pool=pool).schedule(
+    return BatchSession(problems).schedule(
         algorithm, rng=rng, **params
     )

@@ -5,13 +5,6 @@ bidirectional interference scheduling problems in the physical (SINR)
 model, plus the schedule representation shared by all algorithms.
 """
 
-from repro.core.batch import (
-    BatchFallbackInfo,
-    ContextBatch,
-    ContextPool,
-    batch_margins,
-    batch_validate_schedules,
-)
 from repro.core.context import (
     ClassAccumulator,
     InterferenceContext,
@@ -64,11 +57,6 @@ __all__ = [
     "InfeasibleError",
     "InterferenceContext",
     "ClassAccumulator",
-    "BatchFallbackInfo",
-    "ContextBatch",
-    "ContextPool",
-    "batch_margins",
-    "batch_validate_schedules",
     "get_context",
     "cache_info",
     "clear_context_cache",

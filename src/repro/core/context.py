@@ -270,11 +270,11 @@ class InterferenceContext:
         """Gain matrix at endpoint ``u`` (the single directed matrix in
         the directed variant; read-only on the dense backend).
 
-        Compatibility property for dense-only consumers (stacked
-        batching, affectance analyses): the dense backend's numpy
-        storage is returned without a copy, but a sparse backend
-        **materializes** an O(n^2) array on every access — hot paths
-        use the :attr:`backend` primitives instead.
+        Compatibility property for dense-only consumers (affectance
+        analyses): the dense backend's numpy storage is returned
+        without a copy, but a sparse backend **materializes** an
+        O(n^2) array on every access — hot paths use the
+        :attr:`backend` primitives instead.
 
         The dense array is read-only to callers but not immutable: a
         live session's slot reuse (:meth:`replace_requests`) rewrites

@@ -6,12 +6,12 @@ access patterns on the gain matrices ``G_u``/``G_v`` — single columns
 class), square sub-blocks (LP sub-problems), cross blocks (pairwise
 gains of a selection at new candidates), tiled sub-block row sums
 (subset interference / peel initialization, without materializing the
-block) and same-color row sums (validating a partition).  :class:`GainBackend` names exactly
-those primitives, and the engine layers
-(:class:`repro.core.context.InterferenceContext`,
-:class:`repro.core.context.ClassAccumulator`,
-:mod:`repro.core.kernels`, :class:`repro.core.batch.ContextBatch`, the
-schedulers) consume gains **only** through them.  Three implementations:
+block) and same-color row sums (validating a partition).
+:class:`GainBackend` names exactly those primitives, and the engine
+layers (:class:`repro.core.context.InterferenceContext`,
+:class:`repro.core.context.ClassAccumulator`, :mod:`repro.core.kernels`,
+the schedulers) consume gains **only** through them.  Three
+implementations:
 
 * :class:`DenseBackend` — the materialized ``(n, n)`` arrays the engine
   has always used, built one row tile at a time by the full-matrix
@@ -724,14 +724,14 @@ class DenseBackend(GainBackend):
     arrays the engine has always used: :attr:`gains_u`/:attr:`gains_v`,
     the cached contiguous transposes :attr:`gains_ut`/:attr:`gains_vt`
     and the worst-endpoint :attr:`worst_gains`, read-only and shared
-    without a copy by the dense-only fast paths (stacked batching,
-    affectance analyses).  Any other namespace (``array_api_strict``
-    for portability testing, ``torch``/``cupy`` via ``array-api-compat``
-    when installed) runs the same code through ``xp`` calls, with the
-    arrays on *device*: the build uploads each matrix once, growth
-    uploads only the appended strips, and every primitive crosses back
-    to the host at the one :meth:`_download` boundary (the identity
-    under numpy), so every namespace returns the same bits.
+    without a copy by the dense-only fast paths (affectance analyses).
+    Any other namespace (``array_api_strict`` for portability testing,
+    ``torch``/``cupy`` via ``array-api-compat`` when installed) runs the
+    same code through ``xp`` calls, with the arrays on *device*: the
+    build uploads each matrix once, growth uploads only the appended
+    strips, and every primitive crosses back to the host at the one
+    :meth:`_download` boundary (the identity under numpy), so every
+    namespace returns the same bits.
 
     Parameters
     ----------

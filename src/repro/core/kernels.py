@@ -128,7 +128,7 @@ PEEL_RISK_RTOL = 1e-9
 @dataclass(frozen=True)
 class PeelFallbackInfo:
     """Why one :func:`peel_max_feasible_subset` call left the kernel
-    path (same shape as :class:`repro.core.batch.BatchFallbackInfo`).
+    path.
 
     Recorded via :func:`peel_fallback_records`, logged, and surfaced in
     :class:`repro.api.Provenance.peel_fallbacks` — so the per-round

@@ -18,7 +18,6 @@ from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.core.batch import batch_validate_schedules
 from repro.core.instance import Instance
 from repro.instances.random_instances import (
     clustered_instance,
@@ -59,18 +58,15 @@ def run_theorem2_literal(
     )
     for n in n_values:
         ff_counts, lp_counts = [], []
-        instances, schedules = [], []
         for child in spawn_rngs(rng, trials):
             instance = one_color_feasible_instance(n, rng=child)
             powers = SquareRootPower()(instance)
             ff = run_algorithm("first_fit", instance, powers=powers).schedule
             lp = run_algorithm("sqrt_coloring", instance, rng=child).schedule
-            instances.extend((instance, instance))
-            schedules.extend((ff, lp))
+            ff.validate(instance)
+            lp.validate(instance)
             ff_counts.append(ff.num_colors)
             lp_counts.append(lp.num_colors)
-        # All trials share one shape: one stacked validation pass.
-        batch_validate_schedules(instances, schedules)
         table.add_row(
             n=n,
             colors_sqrt_firstfit=float(np.mean(ff_counts)),
@@ -115,7 +111,6 @@ def run_sqrt_universal(
     for family_name, factory in families.items():
         for n in n_values:
             lp_counts, ff_counts, free_counts = [], [], []
-            instances, schedules = [], []
             for child in spawn_rngs(rng, trials):
                 instance = factory(n, child)
                 sched_lp = run_algorithm(
@@ -128,13 +123,11 @@ def run_sqrt_universal(
                 sched_free = run_algorithm(
                     "first_fit_free_power", instance
                 ).schedule
-                instances.extend((instance, instance, instance))
-                schedules.extend((sched_lp, sched_ff, sched_free))
+                for schedule in (sched_lp, sched_ff, sched_free):
+                    schedule.validate(instance)
                 lp_counts.append(sched_lp.num_colors)
                 ff_counts.append(sched_ff.num_colors)
                 free_counts.append(sched_free.num_colors)
-            # One stacked pass validates every trial's three schedules.
-            batch_validate_schedules(instances, schedules)
             mean_lp = float(np.mean(lp_counts))
             mean_ff = float(np.mean(ff_counts))
             mean_free = float(np.mean(free_counts))

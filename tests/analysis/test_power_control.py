@@ -76,6 +76,44 @@ class TestFreePowerFeasible:
         # Adjacent nested pairs are pairwise schedulable (rho ~ 0.84).
         assert free_power_feasible(inst)
 
+    @pytest.mark.parametrize("family", ["uniform", "tree"])
+    def test_early_decision_matches_converged_radius(self, family):
+        """The bidirectional decision stops iterating once its bounds
+        settle; it must agree with the converged radius, also for
+        subsets scaled (via beta, which rho is linear in) to sit right
+        at the threshold."""
+        from repro.instances.random_instances import (
+            random_tree_metric_instance,
+            random_uniform_instance,
+        )
+
+        rng = np.random.default_rng(11)
+        margin = 1e-9
+        scales = (0.9, 0.999, 1 - 2 * margin, 1 - margin, 1.0, 1 + margin, 1.001, 1.1)
+        checked = 0
+        for trial in range(24):
+            n = int(rng.integers(8, 33))
+            if family == "uniform":
+                inst = random_uniform_instance(n, rng=trial)
+            else:
+                inst = random_tree_metric_instance(n, rng=trial)
+            # Node-disjoint requests only: a shared node makes rho = inf.
+            subset, used = [], set()
+            for i in rng.permutation(n)[: int(rng.integers(2, n + 1))]:
+                ends = {int(inst.senders[i]), int(inst.receivers[i])}
+                if not ends & used:
+                    subset.append(int(i))
+                    used |= ends
+            rho = free_power_spectral_radius(inst, subset, beta=1.0)
+            if not 0.0 < rho < np.inf:
+                continue
+            for scale in scales:
+                beta = scale / rho
+                expected = free_power_spectral_radius(inst, subset, beta=beta) < 1 - margin
+                assert free_power_feasible(inst, subset, beta=beta, margin=margin) == expected
+                checked += 1
+        assert checked >= 8 * len(scales)
+
 
 class TestFreePowers:
     def test_produces_strictly_feasible_powers(self, two_link_instance):

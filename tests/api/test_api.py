@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.api import BatchSession, Problem, ScheduleResult, Session, schedule_batch
-from repro.core.batch import BatchFallbackInfo
-from repro.core.context import cache_info, clear_context_cache
+from repro.core.context import cache_info, clear_context_cache, get_context
 from repro.core.errors import InvalidScheduleError
+from repro.core.gains import default_config
 from repro.core.instance import Instance
+from repro.core.schedule import Schedule
 from repro.geometry.line import LineMetric
 from repro.instances.random_instances import random_uniform_instance
 from repro.power.oblivious import SquareRootPower, UniformPower
@@ -228,16 +229,14 @@ class TestBackendConfigPlumbing:
         from repro.runner.executors import SerialShardExecutor
 
         batch = BatchSession([self._sharded(0)])
-        pooled = batch.batch.contexts[0]
-        backend = pooled.backend
+        context = batch.sessions[0].context
+        backend = context.backend
         try:
             assert (backend.epsilon, backend.workers) == (0.05, 3)
             assert isinstance(backend.executor, SerialShardExecutor)
         finally:
             backend.close()
-        session = batch.sessions[0]
-        assert pooled.config == session.context.config
-        assert pooled is session.context
+        assert context.config == batch.problems[0].config
 
     def test_batch_rejects_mixed_shard_workers(self):
         with pytest.raises(ValueError, match="share backend"):
@@ -300,10 +299,7 @@ class TestBatchSession:
                 problem.instance, SquareRootPower()(problem.instance)
             )
             np.testing.assert_array_equal(result.colors, ref.colors)
-        # Validation still runs, on the pooled per-pair fallback.
         assert batch.validate() is batch
-        assert isinstance(batch.batch.fallback, BatchFallbackInfo)
-        assert "ragged_n" in batch.batch.fallback.reasons
 
     def test_peeling_runs_through_sessions(self):
         problems = self._problems()
@@ -408,3 +404,545 @@ class TestBatchSession:
         instances = [random_uniform_instance(8, rng=i) for i in range(2)]
         results = schedule_batch(instances)
         assert len(results) == 2
+
+    # -- validation: each session's latest result, first bad pair named --
+
+    @staticmethod
+    def _pairs(n_values, direction="bidirectional", seed=0):
+        pairs = []
+        for i, n in enumerate(n_values):
+            instance = random_uniform_instance(n, direction=direction, rng=seed + i)
+            pairs.append((instance, SquareRootPower()(instance)))
+        return pairs
+
+    @staticmethod
+    def _batch_session(pairs, **config):
+        """A :class:`BatchSession` over *pairs*, each problem pinned to
+        its pair's powers and to *config*."""
+        return BatchSession(
+            [Problem(instance, powers=powers, **config) for instance, powers in pairs]
+        )
+
+    def _shared_node_pair(self):
+        problem = self._shared_node_problems()[0]  # bidirectional, unit powers
+        return problem.instance, problem.powers
+
+    @staticmethod
+    def _corrupt(session, i, j):
+        """Replace the session's latest result by one that puts requests
+        *i* and *j* in the same color."""
+        import dataclasses
+
+        result = session.last_result
+        colors = result.colors.copy()
+        colors[j] = colors[i]
+        session.last_result = dataclasses.replace(
+            result, schedule=Schedule(colors=colors, powers=result.powers)
+        )
+
+    def test_valid_schedules_pass(self):
+        batch = self._batch_session(self._pairs([10, 10, 10]))
+        batch.schedule("first_fit")
+        assert batch.validate() is batch
+
+    def test_single_shared_instance(self):
+        instance = random_uniform_instance(10, rng=3)
+        batch = BatchSession(
+            [
+                Problem(instance, powers=UniformPower(), backend="dense"),
+                Problem(instance, powers=SquareRootPower(), backend="dense"),
+            ]
+        )
+        batch.schedule("first_fit")
+        assert batch.validate() is batch
+
+    def test_infeasible_schedule_raises_with_pair_index(self):
+        pairs = self._pairs([10]) + [self._shared_node_pair()]
+        batch = self._batch_session(pairs)
+        batch.schedule("first_fit")
+        self._corrupt(batch.sessions[1], 0, 1)
+        assert not batch.sessions[1].last_result.schedule.is_feasible(pairs[1][0])
+        with pytest.raises(InvalidScheduleError, match=r"^pair 1: SINR"):
+            batch.validate()
+
+    def test_matches_schedule_validate_decision(self):
+        pairs = self._pairs([8, 8, 8], seed=21)
+        for bad in [(), (0,), (2,), (1, 2)]:
+            batch = self._batch_session(pairs)
+            batch.schedule("first_fit")
+            for i in bad:
+                self._corrupt(batch.sessions[i], 0, 1)
+            feasible = [
+                s.last_result.schedule.is_feasible(instance)
+                for s, (instance, _) in zip(batch.sessions, pairs)
+            ]
+            if all(feasible):
+                assert batch.validate() is batch
+            else:
+                first = feasible.index(False)
+                with pytest.raises(InvalidScheduleError, match=rf"^pair {first}: "):
+                    batch.validate()
+
+    def test_count_mismatch(self):
+        batch = self._batch_session(self._pairs([6, 6], seed=1))
+        batch.sessions[0].schedule("first_fit")
+        with pytest.raises(InvalidScheduleError, match="call schedule"):
+            batch.validate()
+
+    def test_validate_after_growth(self):
+        """Regression: validation follows a session that grew after the
+        batch first validated (a stale per-batch context cache broke
+        here)."""
+        batch = BatchSession(self._problems(count=2, n=20))
+        batch.schedule("first_fit")
+        batch.validate()
+        batch.sessions[0].add_requests([(0, 3), (5, 8)])
+        batch.schedule("first_fit")
+        assert batch.sessions[0].instance.n == 22
+        assert batch.validate() is batch
+
+    def test_validate_after_departure_and_arrival(self):
+        batch = BatchSession(self._problems(count=2, n=20))
+        batch.schedule("first_fit")
+        batch.validate()
+        session = batch.sessions[1]
+        session.remove_requests([3])
+        session.add_requests([(0, 7), (2, 9)])
+        batch.schedule("first_fit")
+        assert batch.validate() is batch
+
+    def test_infeasible_result_after_growth_names_the_pair(self):
+        batch = BatchSession(self._problems(count=2, n=20))
+        batch.schedule("first_fit")
+        batch.validate()
+        session = batch.sessions[1]
+        sender = int(session.instance.senders[0])
+        session.add_requests([(sender, int(session.instance.receivers[4]))])
+        batch.schedule("first_fit")
+        # The arrival shares its sender with request 0: one color for
+        # both is infeasible under every power assignment.
+        self._corrupt(session, 0, session.instance.n - 1)
+        with pytest.raises(InvalidScheduleError, match=r"^pair 1: "):
+            batch.validate()
+
+    # -- ragged batches (moved with their behaviour from the deleted
+    # stacked query plane) ------------------------------------------------
+
+    def test_ragged_first_fit_matches_per_pair(self):
+        pairs = self._pairs([6, 11, 9], seed=71)
+        batch = self._batch_session(pairs)
+        results = batch.schedule("first_fit")
+        for (instance, powers), result in zip(pairs, results):
+            reference = first_fit_schedule(instance, powers)
+            np.testing.assert_array_equal(result.colors, reference.colors)
+            np.testing.assert_array_equal(result.powers, reference.powers)
+            result.schedule.validate(instance)
+        assert batch.validate() is batch
+
+    def test_ragged_first_fit_with_shared_node_pair(self):
+        pairs = self._pairs([6, 9], seed=72) + [self._shared_node_pair()]
+        results = self._batch_session(pairs).schedule("first_fit")
+        for (instance, powers), result in zip(pairs, results):
+            reference = first_fit_schedule(instance, powers)
+            np.testing.assert_array_equal(result.colors, reference.colors)
+        # The shared-node chain must never share colors between
+        # adjacent (infinite-gain) requests.
+        shared_colors = results[-1].colors
+        for i, j in ((0, 1), (1, 2), (2, 3)):
+            assert shared_colors[i] != shared_colors[j]
+
+    def test_ragged_validation_matches_per_pair(self):
+        pairs = self._pairs([6, 9], seed=73) + [self._shared_node_pair()]
+        batch = self._batch_session(pairs)
+        batch.schedule("first_fit")
+        batch.validate()  # must not raise
+        # Merging two adjacent shared-node requests into one color must
+        # be rejected, naming the pair.
+        self._corrupt(batch.sessions[2], 0, 1)
+        with pytest.raises(InvalidScheduleError, match="pair 2"):
+            batch.validate()
+
+    # -- local search over a batch ----------------------------------------
+
+    @pytest.mark.parametrize("direction", ["bidirectional", "directed"])
+    @pytest.mark.parametrize(
+        "backend,epsilon,namespace",
+        [
+            pytest.param("dense", None, None, id="dense-None"),
+            pytest.param("sparse", 0.0, None, id="sparse-0.0"),
+        ]
+        + [
+            pytest.param("dense", None, ns, id=f"dense-{ns}")
+            for ns in sorted({"numpy", default_config().array_namespace})
+        ],
+    )
+    def test_matches_improve_schedule(self, direction, backend, epsilon, namespace):
+        from repro.scheduling.local_search import improve_schedule
+
+        pairs = self._pairs([30, 30, 30], direction=direction, seed=90)
+        batch = self._batch_session(
+            pairs, backend=backend, sparse_epsilon=epsilon, array_namespace=namespace
+        )
+        seeds = batch.schedule("first_fit")
+        improved = batch.schedule("local_search", schedule=seeds)
+        for (instance, _), seed, result in zip(pairs, seeds, improved):
+            reference = improve_schedule(instance, seed.schedule)
+            np.testing.assert_array_equal(result.colors, reference.colors)
+            result.schedule.validate(instance)
+        assert batch.validate() is batch
+
+    def test_ragged_local_search_matches(self):
+        from repro.scheduling.local_search import improve_schedule
+
+        pairs = self._pairs([10, 16], seed=91)
+        batch = self._batch_session(pairs)
+        seeds = batch.schedule("first_fit")
+        improved = batch.schedule("local_search", schedule=seeds)
+        for (instance, _), seed, result in zip(pairs, seeds, improved):
+            reference = improve_schedule(instance, seed.schedule)
+            np.testing.assert_array_equal(result.colors, reference.colors)
+
+    def test_max_rounds_threads_through(self):
+        batch = self._batch_session(self._pairs([20, 20], seed=92))
+        seeds = batch.schedule("first_fit")
+        capped = batch.schedule("local_search", schedule=seeds, max_rounds=0)
+        for seed, result in zip(seeds, capped):
+            np.testing.assert_array_equal(
+                result.colors, seed.schedule.compacted().colors
+            )
+
+    def test_schedule_count_mismatch(self):
+        batch = self._batch_session(self._pairs([8, 8], seed=93))
+        seeds = batch.schedule("first_fit")
+        with pytest.raises(ValueError, match="1 schedules for 2 problems"):
+            batch.schedule("local_search", schedule=seeds[:1])
+
+    def test_foreign_powers_kept(self):
+        """A seed carries its own powers: each problem's local search
+        improves it under those powers, exactly as a per-pair
+        ``improve_schedule`` does."""
+        from repro.scheduling.local_search import improve_schedule
+
+        pairs = self._pairs([8, 8], seed=94)
+        batch = self._batch_session(pairs)
+        seeds = batch.schedule("first_fit")
+        foreign = Schedule(colors=seeds[1].colors.copy(), powers=seeds[1].powers * 2.0)
+        improved = batch.schedule("local_search", schedule=[seeds[0], foreign])
+        reference = improve_schedule(pairs[1][0], foreign)
+        np.testing.assert_array_equal(improved[1].colors, reference.colors)
+        np.testing.assert_array_equal(improved[1].powers, foreign.powers)
+
+
+#: Dense storage namespaces: numpy plus the process default's
+#: (``REPRO_ARRAY_NAMESPACE``, numpy unless set).
+NAMESPACES = sorted({"numpy", default_config().array_namespace})
+
+#: ``(backend, sparse_epsilon, array_namespace)`` of the lossless
+#: configurations whose queries must equal numpy dense bit for bit.
+LOSSLESS = [pytest.param("sparse", 0.0, None, id="sparse-0.0")] + [
+    pytest.param("dense", None, ns, id=f"dense-{ns}") for ns in NAMESPACES
+]
+
+
+class TestBatchQueries:
+    """Each pair of a batch answers its SINR queries through its own
+    session's :class:`~repro.core.context.InterferenceContext`: built
+    for that pair's instance, powers and backend preferences, equal to
+    a context built from scratch and to the independent oracle, on
+    equal-size, ragged and mixed-direction batches alike."""
+
+    @staticmethod
+    def _batch(n_values, direction="bidirectional", seed=0, **config):
+        problems = []
+        for i, n in enumerate(n_values):
+            instance = random_uniform_instance(n, direction=direction, rng=seed + i)
+            problems.append(Problem(instance, **config))
+        return BatchSession(problems)
+
+    @staticmethod
+    def _fresh(session, config=None):
+        """A context for *session*'s pair built outside the cache."""
+        from repro.core.context import InterferenceContext
+
+        return InterferenceContext(
+            session.instance,
+            session.powers,
+            config=session.problem.config if config is None else config,
+        )
+
+    @staticmethod
+    def _oracle(session, **kwargs):
+        import oracle
+
+        return oracle.SINROracle(session.instance, session.powers, **kwargs)
+
+    @pytest.mark.parametrize("direction", ["bidirectional", "directed"])
+    def test_margins_match_per_context_exactly(self, direction, dense_backend):
+        batch = self._batch([12, 12, 12], direction=direction)
+        for session in batch.sessions:
+            margins = session.context.margins()
+            assert margins.shape == (12,)
+            np.testing.assert_array_equal(margins, self._fresh(session).margins())
+            np.testing.assert_allclose(
+                margins, self._oracle(session).margins(range(12)), rtol=1e-12
+            )
+
+    @pytest.mark.parametrize("direction", ["bidirectional", "directed"])
+    def test_colored_margins_match(self, direction):
+        batch = self._batch([10, 10], direction=direction, seed=3)
+        results = batch.schedule("first_fit")
+        for session, result in zip(batch.sessions, results):
+            margins = session.context.margins(colors=result.colors)
+            np.testing.assert_array_equal(
+                margins, self._fresh(session).margins(colors=result.colors)
+            )
+            np.testing.assert_allclose(
+                margins,
+                self._oracle(session).class_margins(result.colors),
+                rtol=1e-12,
+            )
+
+    @pytest.mark.parametrize("direction", ["bidirectional", "directed"])
+    def test_interference_matches(self, direction):
+        batch = self._batch([9, 9, 9, 9], direction=direction, seed=5)
+        for session in batch.sessions:
+            interference = session.context.interference()
+            np.testing.assert_array_equal(
+                interference, self._fresh(session).interference()
+            )
+            sinr = self._oracle(session)
+            expected = [sinr.interference(i, range(9)) for i in range(9)]
+            np.testing.assert_allclose(interference, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("direction", ["bidirectional", "directed"])
+    def test_beta_noise_overrides(self, direction):
+        batch = self._batch([8, 8], direction=direction, seed=7)
+        for session in batch.sessions:
+            margins = session.context.margins(beta=0.5, noise=0.1)
+            np.testing.assert_array_equal(
+                margins, self._fresh(session).margins(beta=0.5, noise=0.1)
+            )
+            np.testing.assert_allclose(
+                margins,
+                self._oracle(session, beta=0.5, noise=0.1).margins(range(8)),
+                rtol=1e-12,
+            )
+
+    def test_mixed_powers_same_instance(self, dense_backend):
+        instance = random_uniform_instance(10, rng=5)
+        batch = BatchSession(
+            [
+                Problem(instance, powers=UniformPower()),
+                Problem(instance, powers=SquareRootPower()),
+            ]
+        )
+        first, second = (session.context for session in batch.sessions)
+        assert first is not second
+        for session, assignment in zip(
+            batch.sessions, (UniformPower(), SquareRootPower())
+        ):
+            np.testing.assert_array_equal(
+                session.context.powers, assignment(instance)
+            )
+            np.testing.assert_array_equal(
+                session.context.margins(), self._fresh(session).margins()
+            )
+
+    def test_ragged_contexts_match(self):
+        batch = self._batch([6, 9, 12], seed=11)
+        for session, n in zip(batch.sessions, (6, 9, 12)):
+            margins = session.context.margins()
+            assert margins.shape == (n,)
+            np.testing.assert_array_equal(margins, self._fresh(session).margins())
+
+    @pytest.mark.parametrize("direction", ["bidirectional", "directed"])
+    def test_feasible_per_pair(self, direction):
+        batch = self._batch([6, 9], direction=direction, seed=13)
+        results = batch.schedule("first_fit")
+        for session, result in zip(batch.sessions, results):
+            assert session.context.is_feasible_partition(result.colors)
+            assert self._oracle(session).feasible(result.colors)
+
+    def test_mixed_direction_batch(self):
+        bidirectional = random_uniform_instance(8, rng=17)
+        directed = random_uniform_instance(8, rng=9, direction="directed")
+        batch = BatchSession([bidirectional, directed])
+        assert [s.context.directed for s in batch.sessions] == [False, True]
+        results = batch.schedule("first_fit")
+        for instance, result in zip((bidirectional, directed), results):
+            reference = first_fit_schedule(instance, SquareRootPower()(instance))
+            np.testing.assert_array_equal(result.colors, reference.colors)
+        assert batch.validate() is batch
+
+    def test_shared_node_pair_margins(self):
+        problem = TestBatchSession._shared_node_problems()[0]
+        batch = BatchSession([Problem(random_uniform_instance(6, rng=37)), problem])
+        session = batch.sessions[1]
+        # Adjacent requests share a node: one color for both drowns them.
+        colors = np.asarray([0, 0, 1, 2])
+        margins = session.context.margins(colors=colors)
+        np.testing.assert_array_equal(margins[:2], [0.0, 0.0])
+        np.testing.assert_array_equal(
+            margins, self._oracle(session).class_margins(colors)
+        )
+        assert not session.context.is_feasible_partition(colors)
+
+    def test_contexts_follow_growth(self):
+        batch = self._batch([20, 20], seed=41)
+        before = batch.sessions[0].context.margins()
+        batch.sessions[0].add_requests([(0, 3), (5, 8)])
+        for session, n in zip(batch.sessions, (22, 20)):
+            margins = session.context.margins()
+            assert margins.shape == (n,)
+            np.testing.assert_allclose(
+                margins, self._oracle(session).margins(range(n)), rtol=1e-12
+            )
+        assert not np.array_equal(before, batch.sessions[0].context.margins()[:20])
+
+    def test_contexts_follow_departure_and_arrival(self):
+        batch = self._batch([20, 20], seed=43)
+        session = batch.sessions[1]
+        session.remove_requests([3])
+        session.add_requests([(0, 7), (2, 9)])
+        results = batch.schedule("first_fit")
+        for session, result in zip(batch.sessions, results):
+            n = session.instance.n
+            np.testing.assert_allclose(
+                session.context.margins(colors=result.colors),
+                self._oracle(session).class_margins(result.colors),
+                rtol=1e-12,
+            )
+            assert session.context.n == n
+        assert batch.validate() is batch
+
+    # -- contexts are the shared cache entries each session pins ----------
+
+    def test_validate_reuses_session_contexts(self, dense_backend):
+        batch = self._batch([10, 12], seed=47)
+        batch.schedule("first_fit")
+        contexts = [session.context for session in batch.sessions]
+        misses = cache_info()["misses"]
+        assert batch.validate() is batch
+        assert cache_info()["misses"] == misses
+        assert [session.context for session in batch.sessions] == contexts
+
+    def test_reuses_contexts(self):
+        batch = self._batch([8], seed=19)
+        session = batch.sessions[0]
+        context = session.context
+        assert session.context is context
+        assert (
+            get_context(session.instance, session.powers, config=session.problem.config)
+            is context
+        )
+
+    def test_batch_shares_contexts(self):
+        problems = self._batch([6, 6], seed=40).problems
+        first, second = BatchSession(problems), BatchSession(problems)
+        for a, b in zip(first.sessions, second.sessions):
+            assert a.context is b.context
+
+    def test_lru_bound_keeps_session_contexts(self):
+        from repro.core.context import context_cache_limit, set_context_cache_limit
+
+        previous = context_cache_limit()
+        set_context_cache_limit(2)
+        try:
+            batch = self._batch([5, 6, 7], seed=30)
+            contexts = [session.context for session in batch.sessions]
+            assert cache_info()["contexts"] <= 2
+            results = batch.schedule("first_fit")
+            for session, context, result in zip(batch.sessions, contexts, results):
+                assert session.context is context
+                reference = first_fit_schedule(session.instance, session.powers)
+                np.testing.assert_array_equal(result.colors, reference.colors)
+            assert batch.validate() is batch
+        finally:
+            set_context_cache_limit(previous)
+            clear_context_cache()
+
+    # -- backend preferences reach every pair's context -------------------
+
+    def test_backend_preference_threads_to_contexts(self):
+        from repro.core.gains import SparseBackend
+
+        batch = self._batch([8, 8], backend="sparse", sparse_epsilon=0.0)
+        for session in batch.sessions:
+            assert session.context.config.backend == "sparse"
+            assert isinstance(session.context.backend, SparseBackend)
+
+    @pytest.mark.parametrize("direction", ["bidirectional", "directed"])
+    def test_lossy_backend_validates_exactly(self, direction):
+        batch = self._batch(
+            [8, 8], direction=direction, seed=23, backend="sparse", sparse_epsilon=1e-3
+        )
+        results = batch.schedule("first_fit")
+        for session, result in zip(batch.sessions, results):
+            assert session.context.backend.epsilon == 1e-3
+            assert self._oracle(session).feasible(result.colors)
+        assert batch.validate() is batch
+
+    def test_ragged_mixed_direction_lossy_batch(self):
+        problems = [
+            Problem(random_uniform_instance(8, rng=29), backend="sparse", sparse_epsilon=1e-3),
+            Problem(
+                random_uniform_instance(6, rng=31, direction="directed"),
+                backend="sparse",
+                sparse_epsilon=1e-3,
+            ),
+        ]
+        batch = BatchSession(problems)
+        results = batch.schedule("first_fit")
+        for problem, result in zip(problems, results):
+            reference = problem.session().schedule("first_fit")
+            np.testing.assert_array_equal(result.colors, reference.colors)
+        assert batch.validate() is batch
+
+    @pytest.mark.parametrize("direction", ["bidirectional", "directed"])
+    @pytest.mark.parametrize("backend,epsilon,namespace", LOSSLESS)
+    def test_queries_match_dense(self, direction, backend, epsilon, namespace):
+        """Lossless backends answer every pair's queries bit-identically
+        to numpy dense, above the backends' tile size."""
+        numpy_dense = default_config(backend="dense", array_namespace="numpy")
+        batch = self._batch(
+            [640, 640],
+            direction=direction,
+            seed=80,
+            backend=backend,
+            sparse_epsilon=epsilon,
+            array_namespace=namespace,
+        )
+        for session in batch.sessions:
+            reference = self._fresh(session, config=numpy_dense)
+            np.testing.assert_array_equal(session.context.margins(), reference.margins())
+            colors = first_fit_schedule(session.instance, session.powers).colors
+            np.testing.assert_array_equal(
+                session.context.margins(colors=colors), reference.margins(colors=colors)
+            )
+
+    @pytest.mark.parametrize(
+        "backend,epsilon,namespace",
+        # numpy dense answers from its own host arrays by design.
+        [p for p in LOSSLESS if p.values[2] != "numpy"],
+    )
+    def test_queries_never_densify(self, backend, epsilon, namespace, monkeypatch):
+        from repro.core import gains as gains_mod
+
+        def boom(self, *args, **kwargs):  # pragma: no cover - guard
+            raise AssertionError("a query materialized a dense matrix")
+
+        cls = gains_mod.SparseBackend if backend == "sparse" else gains_mod.DenseBackend
+        for name in ("dense_u", "dense_v", "dense_ut", "dense_vt"):
+            monkeypatch.setattr(cls, name, boom)
+        batch = self._batch(
+            [12, 12],
+            seed=81,
+            backend=backend,
+            sparse_epsilon=epsilon,
+            array_namespace=namespace,
+        )
+        for session in batch.sessions:
+            colors = np.arange(12) % 3
+            session.context.margins()
+            session.context.margins(colors=colors)
+            session.context.interference()

@@ -351,30 +351,30 @@ class TestPrunedBackend:
         assert ctx.backend.flip_risk_events == 3 * first_run
 
     def test_context_pool_keys_on_sparse_epsilon(self):
-        """A pool must never serve a context built under a different
-        pruning budget (mirrors get_context's cache key)."""
-        from repro.core.batch import ContextPool
+        """The context cache must never serve a context built under a
+        different pruning budget; an explicit budget hits the entry
+        the ambient one built."""
+        from repro.core.context import cache_info
 
         instance = random_uniform_instance(12, rng=21)
         powers = SquareRootPower()(instance)
-        pool = ContextPool()
-        lossless = pool.get(
+        lossless = get_context(
             instance, powers, config=default_config(backend="sparse")
         )
         assert lossless.config.sparse_epsilon == 0.0
         with config_scope(sparse_epsilon=0.2):
-            pruned = pool.get(
+            pruned = get_context(
                 instance, powers, config=default_config(backend="sparse")
             )
         assert pruned is not lossless
         assert pruned.config.sparse_epsilon == 0.2
-        explicit = pool.get(
+        explicit = get_context(
             instance,
             powers,
             config=default_config(backend="sparse", sparse_epsilon=0.2),
         )
         assert explicit is pruned
-        assert len(pool) == 2
+        assert cache_info()["contexts"] == 2
 
 
 class TestTiledMetricAccess:

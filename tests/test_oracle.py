@@ -24,7 +24,6 @@ FORBIDDEN = (
     "repro.core.gains",
     "repro.core.interference",
     "repro.core.feasibility",
-    "repro.core.batch",
     "repro.analysis",
     "repro.scheduling",
 )
