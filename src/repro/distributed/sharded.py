@@ -359,8 +359,13 @@ class ShardedBackend(GainBackend):
             (instance, powers, lo, hi, epsilon, tile_rows)
             for lo, hi in bounds
         ]
-        exec_obj.start(_build_gain_shard, payloads)
-        metas = exec_obj.broadcast("meta")
+        try:
+            exec_obj.start(_build_gain_shard, payloads)
+            metas = exec_obj.broadcast("meta")
+        except BaseException:
+            if not given:
+                exec_obj.close()
+            raise
         from repro.core.instance import Direction
 
         return cls(

@@ -174,14 +174,21 @@ class SerialShardExecutor(ShardExecutor):
         self._actors = None
 
 
-def _pipe_worker_main(conn, factory, payload):  # pragma: no cover - child
-    """Child-process loop: build the actor, answer calls until EOF.
+def _pipe_worker_main(conn, factory):  # pragma: no cover - child
+    """Child-process loop: receive the payload, build the actor, answer
+    calls until EOF.
 
-    Runs in the worker process (coverage does not see it).  Errors
-    raised by actor methods are reported back as ``("err", ...)`` —
-    they are deterministic and must surface in the parent, never
-    trigger a respawn.
+    Runs in the worker process (coverage does not see it).  The payload
+    is the first message on the pipe, not a ``Process`` argument (see
+    :class:`ProcessShardExecutor`).  Errors raised by the factory or by
+    actor methods are reported back as ``("err", ...)`` — they are
+    deterministic and must surface in the parent, never trigger a
+    respawn.
     """
+    try:
+        payload = conn.recv()
+    except _TRANSPORT_ERRORS:
+        return  # the parent gave up before sending it
     try:
         actor = factory(payload)
     except BaseException as exc:  # noqa: BLE001 - reported to parent
@@ -223,10 +230,25 @@ class ProcessShardExecutor(ShardExecutor):
     Workers are started with the ``spawn`` method (clean interpreter,
     honest per-worker memory accounting — no copy-on-write pages shared
     with the parent) as daemons (they can never outlive the parent).
+
+    Start order: every worker is launched first, with only ``(conn,
+    factory)`` as its ``Process`` arguments; then each is sent its
+    payload over its own pipe; then the build handshakes are collected
+    in worker order.  The workers' interpreter start-up, imports and
+    builds therefore overlap instead of running one after another.  The
+    payload stays off the ``Process`` arguments because ``spawn`` writes
+    those into a bootstrap pipe that the child drains only after its
+    imports: a payload larger than the pipe buffer (a block row of gains
+    easily is) would block ``Process.start`` for a whole import.  A
+    worker that dies while starting (crash, ``SIGKILL``, OOM) is started
+    again the same way under the retry policy; a build error, or a
+    payload that cannot be pickled, fails :meth:`start` at once, and
+    every worker it launched is reaped before the error propagates.
+
     A *transport* failure on a call — the pipe breaks because the
-    worker crashed or was killed — deterministically rebuilds the actor
-    from its original ``(factory, payload)`` and replays the call,
-    up to ``retry.max_attempts`` total attempts per call with
+    worker crashed or was killed — rebuilds the actor through that same
+    start path from its original ``(factory, payload)`` and replays the
+    call, up to ``retry.max_attempts`` total attempts per call with
     ``retry.delay_before_retry`` backoff between them.  Exceptions
     raised *by the actor method* are re-raised in the parent as
     :class:`ShardExecutorError` without any retry (they are
@@ -264,26 +286,53 @@ class ProcessShardExecutor(ShardExecutor):
 
     # -- lifecycle -----------------------------------------------------
 
-    def _spawn(self, worker: int) -> None:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        proc = self._ctx.Process(
-            target=_pipe_worker_main,
-            args=(child_conn, self._factory, self._payloads[worker]),
-            daemon=True,
-            name=f"repro-shard-{worker}",
-        )
-        proc.start()
-        child_conn.close()
-        self._conns[worker] = parent_conn
-        self._procs[worker] = proc
-        # Build handshake: surfaces pickling/build errors eagerly and
-        # guarantees the actor exists before the first real call.
-        status = self._recv(worker)
-        if status[0] != "ok":
-            raise ShardExecutorError(
-                f"worker {worker} failed to build its actor: "
-                f"{status[1]}: {status[2]}"
+    def _start_workers(
+        self, workers: Sequence[int]
+    ) -> List[Tuple[int, BaseException]]:
+        """The one start path, for cold start and respawn alike: launch
+        every worker in *workers*, then send each its payload, then
+        collect the build handshakes in worker order.
+
+        Returns the workers lost to a transport failure on the way (each
+        already reaped) with their errors; a deterministic build error
+        raises :class:`ShardExecutorError` at once.
+        """
+        for worker in workers:
+            parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+            proc = self._ctx.Process(
+                target=_pipe_worker_main,
+                args=(child_conn, self._factory),
+                daemon=True,
+                name=f"repro-shard-{worker}",
             )
+            proc.start()
+            child_conn.close()
+            self._conns[worker] = parent_conn
+            self._procs[worker] = proc
+        lost = {}
+        for worker in workers:
+            try:
+                self._conns[worker].send(self._payloads[worker])
+            except _TRANSPORT_ERRORS as exc:
+                lost[worker] = exc
+        for worker in workers:
+            if worker in lost:
+                continue
+            # Build handshake: surfaces build errors eagerly and
+            # guarantees the actor exists before the first real call.
+            try:
+                status = self._recv(worker)
+            except _TRANSPORT_ERRORS as exc:
+                lost[worker] = exc
+                continue
+            if status[0] != "ok":
+                raise ShardExecutorError(
+                    f"worker {worker} failed to build its actor: "
+                    f"{status[1]}: {status[2]}"
+                )
+        for worker in lost:
+            self._reap(worker)
+        return sorted(lost.items())
 
     def start(
         self, factory: Callable[[Any], Any], payloads: Sequence[Any]
@@ -299,37 +348,45 @@ class ProcessShardExecutor(ShardExecutor):
         self._payloads = list(payloads)
         self._conns = [None] * self._workers
         self._procs = [None] * self._workers
-        for worker in range(self._workers):
-            self._spawn_with_retry(worker)
-
-    def _spawn_with_retry(self, worker: int) -> None:
-        """Bootstrap a worker under the retry policy: a worker that
-        dies while *building* (e.g. OOM-killed mid-construction) is
-        retried like any other transport failure; deterministic build
-        errors surface immediately."""
-        policy = self._retry
-        failures = 0
-        while True:
-            try:
-                self._spawn(worker)
-                return
-            except _TRANSPORT_ERRORS as exc:
-                failures += 1
+        try:
+            self._start_with_retry()
+        except BaseException:
+            # Reap rather than close(): a worker still waiting for its
+            # payload would take close()'s None sentinel as one.
+            self._closed = True
+            for worker in range(self._workers):
                 self._reap(worker)
-                if failures >= policy.max_attempts:
+            raise
+
+    def _start_with_retry(self) -> None:
+        """Start every worker under the retry policy: a worker that
+        dies while *building* (e.g. OOM-killed mid-construction) is
+        started again, each worker counting its own attempts;
+        deterministic build errors surface immediately."""
+        policy = self._retry
+        failures = [0] * self._workers
+        pending: Sequence[int] = range(self._workers)
+        while pending:
+            lost = self._start_workers(pending)
+            for worker, exc in lost:
+                failures[worker] += 1
+                if failures[worker] >= policy.max_attempts:
                     raise ShardExecutorError(
                         f"worker {worker} died while building its actor "
-                        f"({failures}/{policy.max_attempts} attempts)",
+                        f"({failures[worker]}/{policy.max_attempts} "
+                        f"attempts)",
                         failure=ShardFailure(
                             key="__build__",
                             shard_index=worker,
                             seed=None,
                             error_type=type(exc).__name__,
                             error=str(exc) or "worker process died",
-                            attempts=failures,
+                            attempts=failures[worker],
                         ),
                     ) from exc
-                time.sleep(policy.delay_before_retry(failures))
+            pending = [worker for worker, _ in lost]
+            if pending:
+                time.sleep(policy.delay_before_retry(max(failures)))
 
     def _reap(self, worker: int) -> None:
         proc = self._procs[worker]
@@ -382,7 +439,9 @@ class ProcessShardExecutor(ShardExecutor):
 
     def _ensure_alive(self, worker: int) -> None:
         if self._conns[worker] is None:
-            self._spawn(worker)
+            lost = self._start_workers([worker])
+            if lost:
+                raise lost[0][1]
 
     def _attempt(self, worker: int, method: str, args: Tuple[Any, ...]) -> Any:
         """One send/recv attempt; raises a transport error on a dead

@@ -1,7 +1,9 @@
 """Unit tests for the ShardExecutor abstraction (serial + process)."""
 
+import multiprocessing
 import os
 import signal
+import time
 
 import pytest
 
@@ -45,6 +47,47 @@ def _bad_factory(payload):
 class _Unpicklable:
     def __reduce__(self):
         raise TypeError("not picklable")
+
+
+def _bad_on_one_factory(payload):
+    if payload == 1:
+        raise ValueError("bad shard payload: 1")
+    return Counter(payload)
+
+
+def _barrier_factory(payload):
+    """Worker ``i`` of ``W`` marks itself ready, then waits for every
+    other worker's mark: it builds only if all W build at once."""
+    directory, index, workers = payload
+    open(os.path.join(directory, f"ready-{index}"), "w").close()
+    deadline = time.monotonic() + 60.0
+    names = [os.path.join(directory, f"ready-{k}") for k in range(workers)]
+    while not all(os.path.exists(name) for name in names):
+        if time.monotonic() > deadline:
+            raise RuntimeError(f"worker {index} never saw all {workers} workers")
+        time.sleep(0.01)
+    return Counter(index)
+
+
+def _die_once_factory(payload):
+    """SIGKILL the worker on its first build (recording the pid in a
+    marker file); build normally on every later attempt."""
+    marker, base = payload
+    if not os.path.exists(marker):
+        with open(marker, "w") as handle:
+            handle.write(str(os.getpid()))
+        os.kill(os.getpid(), signal.SIGKILL)
+    return Counter(base)
+
+
+def _die_on_payload_factory(payload):
+    if payload == "die":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return Counter(payload)
+
+
+def _new_children(before):
+    return set(multiprocessing.active_children()) - before
 
 
 class TestSerialExecutor:
@@ -178,3 +221,56 @@ class TestProcessExecutor:
                 os.kill(pid, 0)
         with pytest.raises(RuntimeError, match="closed"):
             ex.call(0, "add", 1)
+
+
+class TestProcessStart:
+    def test_workers_build_concurrently(self, tmp_path):
+        # Each build waits for every other worker's ready mark, so this
+        # passes only if all workers are launched before any handshake
+        # is awaited.
+        with ProcessShardExecutor(2) as ex:
+            ex.start(
+                _barrier_factory,
+                [(str(tmp_path), index, 2) for index in range(2)],
+            )
+            assert ex.broadcast("add", 0) == [0, 1]
+
+    @pytest.mark.parametrize(
+        "factory, payloads, error",
+        [
+            (_bad_on_one_factory, [0, 1], ShardExecutorError),
+            (_counter_factory, [0, _Unpicklable()], TypeError),
+        ],
+        ids=["build-error", "unpicklable-payload"],
+    )
+    def test_failed_start_reaps_every_worker(self, factory, payloads, error):
+        before = set(multiprocessing.active_children())
+        ex = ProcessShardExecutor(2)
+        with pytest.raises(error):
+            ex.start(factory, payloads)
+        # No close(): start itself must leave no worker behind.
+        assert _new_children(before) == set()
+        with pytest.raises(RuntimeError, match="closed"):
+            ex.call(0, "add", 1)
+
+    def test_build_death_is_retried(self, tmp_path):
+        markers = [str(tmp_path / f"died-{k}") for k in range(2)]
+        with ProcessShardExecutor(2) as ex:
+            ex.start(_die_once_factory, [(markers[0], 10), (markers[1], 20)])
+            assert ex.broadcast("add", 1) == [11, 21]
+            for worker, marker in enumerate(markers):
+                with open(marker) as handle:
+                    dead_pid = int(handle.read())
+                assert ex.call(worker, "pid") != dead_pid
+
+    def test_build_death_exhausts_retry_budget(self):
+        retry = RetryPolicy(max_attempts=2, base_delay=0.0)
+        before = set(multiprocessing.active_children())
+        ex = ProcessShardExecutor(2, retry=retry)
+        with pytest.raises(ShardExecutorError, match="died while building") as info:
+            ex.start(_die_on_payload_factory, [0, "die"])
+        failure = info.value.failure
+        assert failure.key == "__build__"
+        assert failure.shard_index == 1
+        assert failure.attempts == retry.max_attempts
+        assert _new_children(before) == set()

@@ -7,6 +7,7 @@ when a shard worker is SIGKILLed mid-run and the
 rebuild the lost actor from its payload.
 """
 
+import multiprocessing
 import os
 import signal
 
@@ -60,6 +61,23 @@ class TestProcessConformance:
             )
         finally:
             backend.close()
+
+    def test_failed_build_closes_its_own_executor(self, monkeypatch):
+        def lost_meta(self, method, *args):
+            raise RuntimeError(f"{method} lost")
+
+        instance = _instance()
+        powers = SquareRootPower()(instance)
+        before = set(multiprocessing.active_children())
+        monkeypatch.setattr(ProcessShardExecutor, "broadcast", lost_meta)
+        with pytest.raises(RuntimeError, match="meta lost") as info:
+            ShardedBackend.build(
+                instance, powers, epsilon=0.0, workers=2, executor="process"
+            )
+        # The held traceback keeps the executor referenced, so only an
+        # explicit close inside build() can have stopped its workers.
+        assert info.traceback
+        assert set(multiprocessing.active_children()) - before == set()
 
     def test_serial_and_process_first_fit_identical(self):
         instance = _instance()
