@@ -38,7 +38,6 @@ backends.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import time
 from dataclasses import dataclass, field
@@ -68,9 +67,9 @@ from repro.core.kernels import (
     peel_risk_events,
 )
 from repro.core.schedule import Schedule, build_schedule
-from repro.power.base import PowerAssignment
+from repro.power.base import ObliviousPowerAssignment, PowerAssignment
 from repro.resilience.faults import FaultPlan
-from repro.power.oblivious import SquareRootPower
+from repro.power.oblivious import FunctionPower, SquareRootPower
 from repro.scheduling.registry import AlgorithmSpec, get_algorithm
 from repro.util.rng import ensure_rng, spawn_rngs
 
@@ -249,7 +248,8 @@ class Problem:
     def _grown(self, instance: Instance, powers: PowersLike) -> "Problem":
         """This problem over a new instance and powers, keeping the
         config resolved at construction."""
-        problem = copy.copy(self)
+        problem = Problem.__new__(Problem)
+        problem.__dict__.update(self.__dict__)
         problem.instance, problem.powers = instance, powers
         return problem
 
@@ -458,25 +458,40 @@ class Session:
         Each arrival takes over the storage slot of a departed request
         when one is free (lowest slot first), and is appended only when
         none is, so storage never exceeds the most requests ever active
-        at once.  A built context rewrites just the reused slots' gain
-        rows and columns
-        (:meth:`~repro.core.context.InterferenceContext.replace_requests`)
-        and grows by just the appended ones
-        (:meth:`~repro.core.context.InterferenceContext.extend_to`):
-        ``O(n)`` per arrival instead of an ``O(n^2)`` cold rebuild, and
-        bit-identical (at ``epsilon = 0``) to one.  If the session's
-        live online kernel is active (see :meth:`live_result`), each
-        new request is immediately admitted with one ``O(n)``
-        vectorized first-fit check.  Slots are storage only: handles,
-        :meth:`live_result`, :meth:`rebuild` and kernel replays all
-        follow arrival (uid) order.
+        at once.  Slots are storage only: handles, :meth:`live_result`,
+        :meth:`rebuild` and kernel replays all follow arrival (uid)
+        order.
 
-        When the problem's powers came from a
-        :class:`~repro.power.base.PowerAssignment` (or the default
-        square-root assignment) the vector is re-resolved for the new
-        instance; with explicit powers, pass one power per new request
-        via *powers*.  Sender/receiver indices are validated against
-        the metric up front, naming the offending pair.
+        Powers are oblivious (``p_i = f(l(u_i, v_i))``), so an arrival
+        changes nothing about any other request, and one arrival into
+        a live session computes only this:
+
+        * its one link (distance and loss; the instance copies every
+          other link's values);
+        * its one power — through the assignment's
+          :meth:`~repro.power.base.ObliviousPowerAssignment.of_losses`
+          for the default square-root or any other built-in oblivious
+          assignment, or taken from *powers* for an explicit vector;
+        * its slot's gain row and column, once per request endpoint
+          (:meth:`~repro.core.context.InterferenceContext.replace_requests`
+          for a reused slot,
+          :meth:`~repro.core.context.InterferenceContext.extend_to`
+          for an appended one);
+        * its one signal and one interference limit;
+        * with the live online kernel active (see :meth:`live_result`),
+          its class sums (seeded from its gain row) and one vectorized
+          first-fit admission (a fresh class opens when none fits).
+
+        Every check runs over the arrivals only, or as one vector pass
+        over the stored requests, and the result is bit-identical (at
+        ``epsilon = 0``) to a cold rebuild.  Any other
+        :class:`~repro.power.base.PowerAssignment`, including a
+        :class:`~repro.power.oblivious.FunctionPower` (its ``f`` is the
+        caller's and may not be elementwise), is re-resolved over
+        the whole instance; if that changes a power of an existing
+        request, the context and kernel are dropped and rebuild cold on
+        next use.  Sender/receiver indices are validated against the
+        metric up front, naming the offending pair.
 
         Returns the new requests' stable :class:`RequestHandle` list
         (hand them back to :meth:`remove_requests`).
@@ -495,11 +510,12 @@ class Session:
                         f"index {node} is out of range for a metric with "
                         f"{metric_size} nodes (valid: 0..{metric_size - 1})"
                     )
-        if self._assignment is not None:
+        assignment = self._assignment
+        if assignment is not None:
             if powers is not None:
                 raise ValueError(
                     "powers= conflicts with the problem's power assignment "
-                    f"({self._assignment!r}); the assignment re-resolves "
+                    f"({assignment!r}); the assignment re-resolves "
                     "automatically"
                 )
         else:
@@ -515,53 +531,51 @@ class Session:
                     f"{len(pairs)} new requests"
                 )
         n_old = old.n
-        # The lowest free slots, in order (the ones heappop would give).
-        slots = heapq.nsmallest(min(len(pairs), len(self._free)), self._free)
+        # The lowest free slots, in order (the ones heappop would give;
+        # a heap keeps its smallest first).
+        count = min(len(pairs), len(self._free))
+        slots = self._free[:1] if count == 1 else heapq.nsmallest(count, self._free)
         reused, appended = pairs[: len(slots)], pairs[len(slots) :]
         edited = old.replaced(slots, reused) if slots else old
-        new_instance = edited
-        if appended:
-            new_instance = Instance(
-                old.metric,
-                np.concatenate([edited.senders, [p[0] for p in appended]]),
-                np.concatenate([edited.receivers, [p[1] for p in appended]]),
-                direction=old.direction,
-                alpha=old.alpha,
-                beta=old.beta,
-                noise=old.noise,
-            )
-        if self._assignment is not None:
-            new_powers: PowersLike = self._assignment
+        new_instance = edited.appended(appended) if appended else edited
+        indices = slots + list(range(n_old, new_instance.n))
+        new_powers: PowersLike = assignment
+        in_place = True
+        # A caller's own f (FunctionPower) is not known to be
+        # elementwise, so it keeps the full re-resolve below.
+        oblivious = isinstance(
+            assignment, ObliviousPowerAssignment
+        ) and not isinstance(assignment, FunctionPower)
+        if oblivious:
+            arriving = assignment.of_losses(new_instance.link_losses[indices])
+        if assignment is None or oblivious:
+            resolved = np.concatenate([self._powers, arriving[len(slots) :]])
+            resolved[slots] = arriving[: len(slots)]
+            if assignment is None:
+                new_powers = resolved
         else:
-            new_powers = self._powers.copy()
-            new_powers[slots] = arriving[: len(slots)]
-            new_powers = np.concatenate([new_powers, arriving[len(slots) :]])
-        resolved, assignment = _resolve_powers(new_instance, new_powers)
-        # Oblivious assignments are elementwise over link losses, so
-        # re-resolving preserves every untouched power bit-for-bit —
-        # the contract in-place editing needs.  A (hypothetical)
-        # assignment whose powers depend on the whole instance falls
-        # back to the historical full invalidation: drop the context
-        # (and kernel) and rebuild cold on next use.
-        expected = self._powers.copy()
-        expected[slots] = resolved[slots]
-        in_place = np.array_equal(resolved[:n_old], expected)
+            # Not known to be elementwise: re-resolve everything, and
+            # edit in place only if no existing power moved.
+            resolved = np.asarray(assignment(new_instance), dtype=float)
+            expected = self._powers.copy()
+            expected[slots] = resolved[slots]
+            in_place = np.array_equal(resolved[:n_old], expected)
         # Mutation starts here.  Until the uids are assigned, a reused
         # slot is neither active nor free: an orphan check_consistency
         # sees.
         for _ in slots:
             heapq.heappop(self._free)
         self.problem = self.problem._grown(new_instance, new_powers)
-        self._powers, self._assignment = resolved, assignment
-        indices = slots + list(range(n_old, new_instance.n))
+        self._powers = resolved
+        # No local holds the context: a fault below keeps this frame
+        # alive in its traceback, and must not keep a context that
+        # recover() drops alive with it.
         if in_place and self._context is not None:
             # The context cache keys on (id(instance), power bytes) —
             # release the old slot, edit, take the new slot.
             unpin_context(self._context)
             if slots:
-                self._context.replace_requests(
-                    slots, edited, resolved[:n_old]
-                )
+                self._context.replace_requests(slots, edited, resolved[:n_old])
             if appended:
                 self._context.extend_to(new_instance, resolved)
             repin_context(self._context)
@@ -797,11 +811,18 @@ class Session:
 
     # -- live online kernel --------------------------------------------
 
-    def _compute_limits(self, context: InterferenceContext) -> np.ndarray:
-        """Tolerance-scaled interference budgets of every request."""
-        budgets = context.budgets()
-        if np.any(budgets < 0):
+    def _compute_limits(
+        self,
+        context: InterferenceContext,
+        requests: Optional[Sequence[int]] = None,
+    ) -> np.ndarray:
+        """Tolerance-scaled interference budgets of every request (of
+        *requests* only, when given)."""
+        budgets = context.budgets(requests=requests)
+        if np.count_nonzero(budgets < 0):
             bad = int(np.argmax(budgets < 0))
+            if requests is not None:
+                bad = int(requests[bad])
             raise InvalidScheduleError(
                 f"request {bad} cannot meet beta={context.beta} even "
                 "alone (negative interference budget)"
@@ -809,23 +830,27 @@ class Session:
         return budgets * (1.0 + DEFAULT_RTOL)
 
     def _admit_arrivals(self, indices: Sequence[int], reused: List[int]) -> None:
-        """Bring the live kernel up to the edited context — reseed the
-        *reused* slots, extend to appended ones — and first-fit admit
-        *indices* in arrival order, one O(n) vectorized admission check
-        each (a fresh class opens when none fits, so every arrival is
-        placed)."""
+        """Bring the live kernel and limits up to the edited context —
+        reseed the *reused* slots, extend to appended ones, set the
+        arrivals' limits — and first-fit admit *indices* in arrival
+        order, one O(n) vectorized admission check each (a fresh class
+        opens when none fits, so every arrival is placed)."""
         kernel = self._kernel
-        context = self.context
+        context = self._context
         if reused:
             kernel.reseed(reused)
         if context.n > kernel.n:
             kernel.extend_to(context.n)
-        self._limits = self._compute_limits(context)
+        limits = self._limits
+        if context.n > limits.size:
+            limits = np.concatenate([limits, np.empty(context.n - limits.size)])
+        limits[indices] = self._compute_limits(context, indices)
+        self._limits = limits
         for index in indices:
-            color = kernel.first_fit_admit(int(index), self._limits)
+            color = kernel.first_fit_admit(index, limits)
             if color < 0:
                 color = kernel.open_class()
-            kernel.add(int(index), color)
+            kernel.add(index, color)
 
     def ensure_live(self) -> ScheduleKernel:
         """The session's live online first-fit kernel, built on first

@@ -226,6 +226,9 @@ class InterferenceContext:
         self.config = default_config() if config is None else config
         self._signals: Optional[np.ndarray] = None
         self._backend: Optional[GainBackend] = None
+        # The cache key of the current powers (see _context_key),
+        # dropped whenever an edit changes them.
+        self._key: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Cached gain backend
@@ -346,8 +349,8 @@ class InterferenceContext:
         :meth:`~repro.core.gains.GainBackend.append_requests` — only
         the new rows/columns are computed, O(n) per arrival instead of
         an O(n^2) cold rebuild, and (at ``epsilon = 0``) bit-identical
-        to one.  Signals are recomputed lazily; being elementwise, the
-        recomputed prefix is bit-identical too.
+        to one.  Cached signals grow by the new requests' entries,
+        bit-identically to recomputing them (they are elementwise).
 
         Cache discipline: the context cache keys on ``id(instance)``
         and the power bytes, both of which change here.  Long-lived
@@ -361,15 +364,26 @@ class InterferenceContext:
             raise InvalidScheduleError(
                 f"powers must have shape ({instance.n},), got {powers.shape}"
             )
-        if np.any(powers <= 0):
+        n_old = self.n
+        # The prefix must equal the current (positive) powers.
+        if np.any(powers[n_old:] <= 0):
             raise InvalidScheduleError("all powers must be strictly positive")
-        validate_growth(self.instance, self.powers, instance, powers)
-        if self._backend is not None:
+        if self._backend is None:
+            validate_growth(self.instance, self.powers, instance, powers)
+        else:
+            # The backend holds this very pair and validates the growth
+            # itself before touching anything.
             self._backend.append_requests(instance, powers)
+        if self._signals is not None and instance.n > n_old:
+            signals = np.concatenate(
+                [self._signals, powers[n_old:] / instance.link_losses[n_old:]]
+            )
+            signals.setflags(write=False)
+            self._signals = signals
         self.instance = instance
         powers.setflags(write=False)
         self.powers = powers
-        self._signals = None
+        self._key = None
 
     def replace_requests(
         self, slots: Sequence[int], instance: Instance, powers: np.ndarray
@@ -411,18 +425,26 @@ class InterferenceContext:
         self.instance = instance
         powers.setflags(write=False)
         self.powers = powers
+        self._key = None
 
     def budgets(
-        self, beta: Optional[float] = None, noise: Optional[float] = None
+        self,
+        beta: Optional[float] = None,
+        noise: Optional[float] = None,
+        requests: Optional[Sequence[int]] = None,
     ) -> np.ndarray:
-        """Interference budgets ``signal / beta - noise`` per request.
+        """Interference budgets ``signal / beta - noise`` per request
+        (of *requests* only, when given).
 
         A request can join a class only while the class's interference
         at it stays within this budget.
         """
         beta = self.beta if beta is None else float(beta)
         noise = self.noise if noise is None else float(noise)
-        return self.signals / beta - noise
+        signals = self.signals
+        if requests is not None:
+            signals = signals[requests]
+        return signals / beta - noise
 
     # ------------------------------------------------------------------
     # Vectorized queries
@@ -1099,6 +1121,7 @@ def get_context(
         context = InterferenceContext(
             instance, powers_arr, beta=beta, noise=noise, config=config
         )
+        context._key = key
         per_instance[key] = context
         _lru[lru_key] = weakref.ref(instance)
         _evict_over_limit()
@@ -1112,10 +1135,16 @@ def _cache_key(
 
 
 def _context_key(context: InterferenceContext) -> tuple:
-    """The cache key *context* occupies (must match :func:`get_context`)."""
-    return _cache_key(
-        context.powers, context.beta, context.noise, context.config
-    )
+    """The cache key *context* occupies (must match :func:`get_context`).
+
+    Computed once per power vector and kept on the context, so the
+    unpin/repin around a live session's arrival hashes the powers once.
+    """
+    if context._key is None:
+        context._key = _cache_key(
+            context.powers, context.beta, context.noise, context.config
+        )
+    return context._key
 
 
 def repin_context(context: InterferenceContext) -> None:

@@ -99,6 +99,7 @@ from repro.core.interference import (
     DEFAULT_TILE_ROWS,
     _class_sum,
     _gain_block,
+    _gain_lines,
     bidirectional_gain_matrices,
     directed_gain_matrix,
 )
@@ -432,23 +433,20 @@ def validate_growth(
         )
     if replaced is not None:
         replaced = np.asarray(replaced, dtype=int).reshape(-1)
-        if replaced.size and (replaced.min() < 0 or replaced.max() >= n_old):
+        # A few slots: Python beats a handful of numpy calls.
+        if not all(0 <= slot < n_old for slot in replaced.tolist()):
             raise ValueError(
                 f"replaced indices must lie in 0..{n_old - 1}, got "
                 f"{replaced.min()}..{replaced.max()}"
             )
-
-    def unchanged(new: np.ndarray, old: np.ndarray) -> bool:
-        """Does *new* start with *old*, except at the replaced slots?"""
-        changed = np.flatnonzero(new[:n_old] != old)
-        if replaced is None or not changed.size:
-            return not changed.size
-        return set(changed.tolist()) <= set(replaced.tolist())
-
-    if not (
-        unchanged(new_instance.senders, old_instance.senders)
-        and unchanged(new_instance.receivers, old_instance.receivers)
-    ):
+    # One elementwise pass per array over the prefix; the replaced
+    # slots may differ.
+    changed = (new_instance.senders[:n_old] != old_instance.senders) | (
+        new_instance.receivers[:n_old] != old_instance.receivers
+    )
+    if replaced is not None:
+        changed[replaced] = False
+    if np.count_nonzero(changed):
         raise ValueError(
             "growth must keep the existing request pairs unchanged as a "
             "prefix of the new instance"
@@ -459,7 +457,10 @@ def validate_growth(
             f"powers must have shape ({new_instance.n},), "
             f"got {new_powers.shape}"
         )
-    if not unchanged(new_powers, np.asarray(old_powers, dtype=float)):
+    changed = new_powers[:n_old] != np.asarray(old_powers, dtype=float)
+    if replaced is not None:
+        changed[replaced] = False
+    if np.count_nonzero(changed):
         raise ValueError(
             "growth must keep the powers of existing requests bit-identical "
             "(oblivious assignments are elementwise, so re-resolving them "
@@ -470,7 +471,21 @@ def validate_growth(
 def _distinct_slots(slots: Sequence[int]) -> np.ndarray:
     """*slots* as a sorted array of distinct indices (arrivals edit one
     or a few slots, where a set beats :func:`numpy.unique`)."""
-    return np.array(sorted({int(slot) for slot in slots}), dtype=int)
+    if isinstance(slots, np.ndarray):
+        slots = slots.tolist()
+    return np.array(sorted(set(map(int, slots))), dtype=int)
+
+
+def _line_infs(lines, slots) -> int:
+    """Infinite entries among the gain rows and columns ``lines`` of
+    *slots*, each ``(slots, slots)`` entry counted once."""
+    count = 0
+    for row, col in lines:
+        count += int(np.count_nonzero(np.isinf(row)))
+        count += int(np.count_nonzero(np.isinf(col)))
+        if len(slots) > 1:
+            count -= int(np.count_nonzero(np.isinf(col[slots])))
+    return count
 
 
 class GainBackend(abc.ABC):
@@ -890,7 +905,7 @@ class DenseBackend(GainBackend):
             buf_v[:n_old, :n_old] = self._gains_v
             self._buf_v = buf_v
 
-    def _fill_appended(self, buf, instance, powers, nodes, n_old) -> bool:
+    def _fill_appended(self, buf, instance, powers, nodes, n_old) -> int:
         """Fill the strips a growth from ``n_old`` to ``instance.n``
         requests adds to *buf* — the arrivals' columns at the existing
         rows, then the arrivals' full rows — with exactly the entries a
@@ -989,40 +1004,29 @@ class DenseBackend(GainBackend):
         if self._buf_u is None:
             self._ensure_capacity(n)
             self._bind(n)
-        every = np.arange(n)
-
-        def infs(rows, cols) -> int:
-            """Infinite entries of the slots' rows and columns, the
-            (slots, slots) block counted once."""
-            return int(
-                np.count_nonzero(np.isinf(rows))
-                + np.count_nonzero(np.isinf(cols))
-                - np.count_nonzero(np.isinf(cols[slots]))
-            )
-
+        slots = slots.tolist()
         targets = _host_gain_targets(instance)
         bufs = ((self._buf_u, self._buf_ut), (self._buf_v, self._buf_vt))
         for (buf, buf_t), nodes in zip(bufs[: len(targets)], targets):
-            rows = _gain_block(instance, powers, nodes, slots, every)
-            cols = _gain_block(instance, powers, nodes, every, slots)
+            lines = [_gain_lines(instance, powers, nodes, s) for s in slots]
             if self._inf_count is not None:
-                self._inf_count += infs(rows, cols)
+                self._inf_count += _line_infs(lines, slots)
                 if self._inf_count > 0:
-                    old = [
-                        (self._download(buf[s, :n]), self._download(buf[:n, s]))
-                        for s in slots.tolist()
-                    ]
-                    self._inf_count -= infs(
-                        np.stack([r for r, _ in old]),
-                        np.stack([c for _, c in old], axis=1),
+                    self._inf_count -= _line_infs(
+                        [
+                            (self._download(buf[s, :n]), self._download(buf[:n, s]))
+                            for s in slots
+                        ],
+                        slots,
                     )
-            for pos, s in enumerate(slots.tolist()):
-                row, col = self._upload(rows[pos]), self._upload(cols[:, pos])
-                buf[s, :n] = row
-                buf[:n, s] = col
+            for s, (row, col) in zip(slots, lines):
+                # Uploaded as the (1, n) and (n, 1) strips they fill.
+                row, col = self._upload(row[None, :]), self._upload(col[:, None])
+                buf[s : s + 1, :n] = row
+                buf[:n, s : s + 1] = col
                 if buf_t is not None:
-                    buf_t[s, :n] = col
-                    buf_t[:n, s] = row
+                    buf_t[s : s + 1, :n] = col.T
+                    buf_t[:n, s : s + 1] = row.T
         self._worst = None
         self._instance, self._powers = instance, powers
 
@@ -1111,6 +1115,10 @@ class DenseBackend(GainBackend):
         return self._zero_mass
 
     pruned_mass_v = pruned_mass_u
+
+    @property
+    def is_lossless(self) -> bool:
+        return True
 
     def col_u(self, j: int) -> np.ndarray:
         return self._download(self.gains_ut[int(j), :])
@@ -1650,62 +1658,57 @@ class SparseBackend(GainBackend):
                 "(append_requests grows)"
             )
         self._fold_appends()
-        tile = max(1, int(self.tile_rows))
-        every = np.arange(n)
-        in_slots = np.zeros(n, dtype=bool)
-        in_slots[slots] = True
-        others = np.flatnonzero(~in_slots)
+        slot_list = slots.tolist()
         directed = instance.direction is Direction.DIRECTED
         endpoints = [
             (self._pruned_u, self.row_u, self.col_u),
             (self._pruned_v, self.row_v, self.col_v),
         ][: 1 if directed else 2]
-        targets = (
-            (instance.receivers,)
-            if directed
-            else (instance.senders, instance.receivers)
-        )
+        if self.epsilon > 0:
+            others = np.delete(np.arange(n), slots)
         fresh = []
-        for (pruned_old, row_of, col_of), nodes in zip(endpoints, targets):
-            rows_csr, pruned_rows, _ = _assemble_csr(
-                instance, powers, nodes, slots, every, self.epsilon, tile
-            )
-            cols_csr, pruned_cols, _ = _assemble_csr(
-                instance, powers, nodes, others, slots, self.epsilon, tile
-            )
-            rows = rows_csr.toarray()
-            cols = np.empty((n, slots.size))
-            cols[others] = cols_csr.toarray()
-            cols[slots] = rows[:, slots]
+        for (pruned, row_of, col_of), nodes in zip(
+            endpoints, _host_gain_targets(instance)
+        ):
+            lines = [_gain_lines(instance, powers, nodes, s) for s in slot_list]
             if self._inf_count is not None:
-                self._inf_count += self._touched_infs(rows, cols, in_slots)
+                # Pruning keeps every infinite entry, so the exact
+                # lines count the stored ones.
+                self._inf_count += _line_infs(lines, slot_list)
                 if self._inf_count > 0:
-                    self._inf_count -= self._touched_infs(
-                        np.stack([row_of(s) for s in slots.tolist()]),
-                        np.stack([col_of(s) for s in slots.tolist()], axis=1),
-                        in_slots,
+                    self._inf_count -= _line_infs(
+                        [(row_of(s), col_of(s)) for s in slot_list], slot_list
                     )
-            pruned = np.array(pruned_old, dtype=float)
-            pruned[others] += pruned_cols
-            pruned[slots] = pruned_rows
-            pruned.setflags(write=False)
+            rows = np.stack([row for row, _ in lines])
+            cols = np.stack([col for _, col in lines], axis=1)
+            if self.epsilon > 0:
+                keep, pruned_rows = _prune_tile(rows, self.epsilon)
+                rows = np.where(keep, rows, 0.0)
+                keep, pruned_cols = _prune_tile(cols[others], self.epsilon)
+                cols[others] = np.where(keep, cols[others], 0.0)
+                pruned = np.array(pruned, dtype=float)
+                pruned[others] += pruned_cols
+                pruned[slots] = pruned_rows
+                pruned.setflags(write=False)
+            # A lossless backend prunes nothing: its (zero) bounds stay.
+            cols[slots] = rows[:, slots]
             fresh.append((rows, cols, pruned))
 
         # Slots edited before (and not now) keep their overlay lines,
         # patched at the new slots; the new slots take (or reuse) a
         # position each.
-        kept_pos = np.array(
-            [p for slot, p in self._edit_pos.items() if not in_slots[slot]],
-            dtype=int,
-        )
+        again = [self._edit_pos[s] for s in slot_list if s in self._edit_pos]
+        kept_pos = np.delete(np.arange(len(self._edit_pos)), again)
         kept_slots = self._edit_slots[kept_pos]
-        for slot in slots.tolist():
-            self._edit_pos.setdefault(slot, len(self._edit_pos))
-        self._edit_slots = np.fromiter(
-            self._edit_pos, dtype=int, count=len(self._edit_pos)
-        )
+        added = [s for s in slot_list if s not in self._edit_pos]
+        for slot in added:
+            self._edit_pos[slot] = len(self._edit_pos)
+        if added:
+            self._edit_slots = np.concatenate(
+                [self._edit_slots, np.asarray(added, dtype=int)]
+            )
         positions = np.array(
-            [self._edit_pos[slot] for slot in slots.tolist()], dtype=int
+            [self._edit_pos[slot] for slot in slot_list], dtype=int
         )
         if self._edits_u is None:
             self._edits_u = _SlotEdits(n)
@@ -1727,18 +1730,6 @@ class SparseBackend(GainBackend):
         # slot) stays at most the size of the CSR it shadows.
         if 2 * n * len(self._edit_pos) >= max(int(self._csr_u.nnz), n):
             self._fold_edits()
-
-    @staticmethod
-    def _touched_infs(
-        rows: np.ndarray, cols: np.ndarray, in_slots: np.ndarray
-    ) -> int:
-        """Infinite entries among the slots' rows (``(k, n)``) and
-        columns (``(n, k)``), the ``(slots, slots)`` block counted
-        once."""
-        return int(
-            np.count_nonzero(np.isinf(rows))
-            + np.count_nonzero(np.isinf(cols[~in_slots]))
-        )
 
     def _fold_edits(self) -> None:
         """Write the slot-edit overlay back into the base CSR (and
@@ -1860,6 +1851,11 @@ class SparseBackend(GainBackend):
     @property
     def pruned_mass_v(self) -> np.ndarray:
         return self._pruned_v
+
+    @property
+    def is_lossless(self) -> bool:
+        # epsilon = 0 drops exact zeros only: no bound to scan.
+        return self.epsilon <= 0 or super().is_lossless
 
     @staticmethod
     def _expand_row(csr: "_sp.csr_matrix", i: int) -> np.ndarray:

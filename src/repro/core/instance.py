@@ -12,7 +12,6 @@ arrays.
 
 from __future__ import annotations
 
-import copy
 import enum
 from typing import Optional, Sequence, Tuple, Union
 
@@ -101,31 +100,47 @@ class Instance:
         read-only, with their link distances and losses.
 
         With ``patch=(source, slots)`` only the links at *slots* are
-        measured; every other link value is copied from *source*, whose
-        requests must agree outside *slots* (link values are
-        elementwise in the pair, so the result is bit-identical to
-        measuring every link).
+        validated and measured; every other link value is copied from
+        *source*, whose requests must agree outside *slots* (link
+        values are elementwise in the pair, so the result is
+        bit-identical to measuring every link).  *slots* may run past
+        ``source.n``: they then cover every appended request.
         """
-        for role, nodes in (("sender", senders), ("receiver", receivers)):
-            if np.any(nodes < 0) or np.any(nodes >= self.metric.n):
-                raise InvalidInstanceError(f"{role} index out of range")
+        size = self.metric.n
         if patch is None:
+            for role, nodes in (("sender", senders), ("receiver", receivers)):
+                if np.count_nonzero((nodes < 0) | (nodes >= size)):
+                    raise InvalidInstanceError(f"{role} index out of range")
             # pair_distances instead of a full-matrix gather: for
             # coordinate-backed metrics this keeps huge instances (the
             # sparse-backend regime, n >> 10^3) from materializing the
             # O(n^2) distance matrix just to resolve n link lengths.
             distances = self.metric.pair_distances(senders, receivers)
             losses = distances**self.alpha
+            fresh, measured = None, distances
         else:
-            source, slots = patch
-            distances = source._link_distances.copy()
-            losses = source._link_losses.copy()
-            distances[slots] = self.metric.pair_distances(
-                senders[slots], receivers[slots]
-            )
-            losses[slots] = distances[slots] ** self.alpha
-        if np.any(distances <= 0):
-            bad = int(np.argmax(distances <= 0))
+            source, fresh = patch
+            fresh = np.asarray(fresh, dtype=int)
+            new_senders, new_receivers = senders[fresh], receivers[fresh]
+            # A few new links: checking their nodes in Python beats a
+            # handful of numpy calls.
+            for role, nodes in (("sender", new_senders), ("receiver", new_receivers)):
+                if not all(0 <= node < size for node in nodes.tolist()):
+                    raise InvalidInstanceError(f"{role} index out of range")
+            distances, losses = source._link_distances, source._link_losses
+            if senders.size == distances.size:
+                distances, losses = distances.copy(), losses.copy()
+            else:
+                grown = np.empty(senders.size - distances.size)
+                distances = np.concatenate([distances, grown])
+                losses = np.concatenate([losses, grown])
+            measured = self.metric.pair_distances(new_senders, new_receivers)
+            distances[fresh] = measured
+            losses[fresh] = measured**self.alpha
+        if np.count_nonzero(measured <= 0):
+            bad = int(np.argmax(measured <= 0))
+            if fresh is not None:
+                bad = int(fresh[bad])
             raise InvalidInstanceError(
                 f"request {bad} has zero distance between its endpoints"
             )
@@ -133,6 +148,15 @@ class Instance:
             arr.setflags(write=False)
         self.senders, self.receivers = senders, receivers
         self._link_distances, self._link_losses = distances, losses
+
+    def _derived(self) -> "Instance":
+        """An instance with this one's metric and parameters and no
+        requests yet (for :meth:`_set_requests` with a patch)."""
+        out = Instance.__new__(Instance)
+        out.metric = self.metric
+        out.direction = self.direction
+        out.alpha, out.beta, out.noise = self.alpha, self.beta, self.noise
+        return out
 
     # ------------------------------------------------------------------
     # Constructors
@@ -208,11 +232,12 @@ class Instance:
     ) -> "Instance":
         """A copy with request ``slots[k]`` replaced by ``pairs[k]``.
 
-        Only the new links are measured: every other request keeps its
-        endpoints, link distance and loss bit for bit, so the copy costs
-        a few O(n) memory copies and no metric work over the unchanged
-        requests.  The result equals building the edited request list
-        from scratch (link values are elementwise in the pair).
+        Only the new links are validated and measured: every other
+        request keeps its endpoints, link distance and loss bit for
+        bit, so the copy costs a few O(n) memory copies and no metric
+        work over the unchanged requests.  The result equals building
+        the edited request list from scratch (link values are
+        elementwise in the pair).
         """
         slots = [int(slot) for slot in slots]
         if len(slots) != len(pairs):
@@ -223,10 +248,28 @@ class Instance:
             if not 0 <= slot < self.n:
                 raise InvalidInstanceError(f"replaced slot {slot} out of range")
         senders, receivers = self.senders.copy(), self.receivers.copy()
-        senders[slots] = [int(p[0]) for p in pairs]
-        receivers[slots] = [int(p[1]) for p in pairs]
-        out = copy.copy(self)
+        for slot, pair in zip(slots, pairs):
+            senders[slot], receivers[slot] = int(pair[0]), int(pair[1])
+        out = self._derived()
         out._set_requests(senders, receivers, patch=(self, slots))
+        return out
+
+    def appended(self, pairs: Sequence[Tuple[int, int]]) -> "Instance":
+        """A copy with *pairs* appended as requests ``n, n + 1, ...``.
+
+        Like :meth:`replaced`, only the new links are validated and
+        measured; the result equals building the grown request list
+        from scratch.
+        """
+        if len(pairs) == 0:
+            raise InvalidInstanceError("appended needs at least one request")
+        n = self.n
+        senders = np.concatenate([self.senders, [int(p[0]) for p in pairs]])
+        receivers = np.concatenate([self.receivers, [int(p[1]) for p in pairs]])
+        out = self._derived()
+        out._set_requests(
+            senders, receivers, patch=(self, range(n, n + len(pairs)))
+        )
         return out
 
     def subset(self, indices: Sequence[int]) -> "Instance":

@@ -40,7 +40,7 @@ def _safe_divide(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
     written over *denominator* (a fresh float block of the result's
     shape)."""
     positive = denominator > 0
-    if np.all(positive):
+    if np.count_nonzero(positive) == positive.size:
         # Fast path (no shared-node pairs): a plain divide produces the
         # identical values without the inf-fill and masked-divide
         # passes.
@@ -80,6 +80,43 @@ def _gain_block(
     if np.any(diagonal):
         gains[diagonal] = 0.0
     return gains
+
+
+def _gain_lines(
+    instance: Instance,
+    powers: np.ndarray,
+    endpoint_nodes: np.ndarray,
+    slot: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One endpoint's gain row ``G[slot, :]`` and column ``G[:, slot]``.
+
+    Bit for bit ``_gain_block(..., [slot], all)[0]`` and
+    ``_gain_block(..., all, [slot])[:, 0]``: the same elementwise
+    operations on one ``(1, n)`` and one ``(n, 1)`` loss block per
+    request endpoint, without the gathers over every column and the
+    diagonal search a general block needs (the diagonal entry is
+    ``slot`` itself).  A slot edit (an arrival into a reused slot)
+    computes just these.
+    """
+    metric = instance.metric
+    alpha = instance.alpha
+    here = endpoint_nodes[slot : slot + 1]
+    loss = metric.loss_block(here, instance.senders, alpha)
+    there = metric.loss_block(endpoint_nodes, instance.senders[slot : slot + 1], alpha)
+    if instance.direction is not Direction.DIRECTED:
+        np.minimum(loss, metric.loss_block(here, instance.receivers, alpha), out=loss)
+        np.minimum(
+            there,
+            metric.loss_block(
+                endpoint_nodes, instance.receivers[slot : slot + 1], alpha
+            ),
+            out=there,
+        )
+    row = _safe_divide(powers[None, :], loss)[0]
+    col = _safe_divide(powers[slot : slot + 1][None, :], there)[:, 0]
+    row[slot] = 0.0
+    col[slot] = 0.0
+    return row, col
 
 
 def _tiled_gain_matrix(

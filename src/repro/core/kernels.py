@@ -197,7 +197,10 @@ def _resolve(
     With *finite* the infinite counts are known to be all zero and the
     ``inf`` overlay — then an identity — is skipped.
     """
-    values = np.where(npos > 0, np.maximum(fin, 0.0), 0.0)
+    # The clamped sum is finite and never -0.0 (sums of non-negative
+    # gains), so scaling by the 0/1 contributor mask is exact.
+    values = np.maximum(fin, 0.0)
+    values *= npos > 0
     if finite:
         return values
     return np.where(ninf > 0, np.inf, values)
@@ -245,8 +248,9 @@ class ScheduleKernel:
         # Per-request pruned-mass bound of a lossy (sparse) backend;
         # None on lossless backends so the certification bookkeeping in
         # first_fit_admit costs nothing on the reference path.
-        pruned = self._backend.pruned_bound
-        self._pruned = pruned if bool(np.any(pruned > 0)) else None
+        self._pruned = (
+            None if self._backend.is_lossless else self._backend.pruned_bound
+        )
         #: At-risk admissions made by *this kernel* (see
         #: :meth:`first_fit_admit`): the per-run certification counter.
         #: The backend's :attr:`~repro.core.gains.GainBackend.flip_risk_events`
@@ -388,8 +392,9 @@ class ScheduleKernel:
         either path, and are all zero whenever the backend holds no
         infinite entry."""
         self._finite = not self._backend.has_infinite_gains
-        pruned = self._backend.pruned_bound
-        self._pruned = pruned if bool(np.any(pruned > 0)) else None
+        self._pruned = (
+            None if self._backend.is_lossless else self._backend.pruned_bound
+        )
 
     def _seed_rows(self, requests: Sequence[int]) -> None:
         """Set every class's sums at *requests* (unplaced) from their
@@ -397,36 +402,41 @@ class ScheduleKernel:
         bulk column sums of :meth:`_bulk_seed` do, so the entries equal
         a freshly seeded kernel's bit for bit."""
         count = len(self._sizes)
-        placed = np.flatnonzero(self._colors >= 0)
-        colors = self._colors[placed]
+        # Bin 0 collects the unplaced requests; class c is bin c + 1.
+        # bincount adds in index order either way, so each class sum is
+        # the one over its members alone, bit for bit.
+        bins = self._colors + 1
+        width = count + 1
         backend = self._backend
         for fin, ninf, npos, row_of in (
             (self._fin_u, self._ninf_u, self._npos_u, backend.row_u),
             (self._fin_v, self._ninf_v, self._npos_v, backend.row_v),
         ):
             for request in requests:
-                row = row_of(int(request))[placed]
+                # A grown backend's row may run past the kernel's
+                # requests; those are members of nothing.
+                row = row_of(int(request))[: bins.size]
                 if self._finite:
                     fin[:count, request] = np.bincount(
-                        colors, weights=row, minlength=count
-                    )
+                        bins, weights=row, minlength=width
+                    )[1:]
                     # A reused slot may carry counts from a request
                     # whose row held infinite gains.
                     ninf[:count, request] = 0
                     npos[:count, request] = np.bincount(
-                        colors[row > 0], minlength=count
-                    )
+                        bins, weights=row > 0, minlength=width
+                    )[1:]
                 else:
                     finite = np.isfinite(row)
                     fin[:count, request] = np.bincount(
-                        colors[finite], weights=row[finite], minlength=count
-                    )
+                        bins[finite], weights=row[finite], minlength=width
+                    )[1:]
                     ninf[:count, request] = np.bincount(
-                        colors[~finite], minlength=count
-                    )
+                        bins[~finite], minlength=width
+                    )[1:]
                     npos[:count, request] = np.bincount(
-                        colors[finite & (row > 0)], minlength=count
-                    )
+                        bins[finite & (row > 0)], minlength=width
+                    )[1:]
             if self._directed:
                 break
 
@@ -488,14 +498,16 @@ class ScheduleKernel:
         entries.
         """
         requests = [int(r) for r in requests]
-        placed = [r for r in requests if self._colors[r] >= 0]
+        colors = self._colors
+        placed = [r for r in requests if colors[r] >= 0]
         if placed:
             raise ValueError(f"requests {placed} are placed; remove them first")
         self._snapshot = None
         self._refresh_backend_flags()
         self._seed_rows(requests)
         for own in self._own_arrays():
-            own[requests] = 0
+            for r in requests:
+                own[r] = 0
 
     def _endpoint_rows(self):
         # gather_cols materializes bulk column gathers (for pairwise
@@ -816,26 +828,28 @@ class ScheduleKernel:
             )
             cand = np.maximum(cand_u, cand_v)
         admit = ~(cand > limits[request])
-        if not np.any(admit):
+        if not np.count_nonzero(admit):
             return -1
-        placed = self._colors >= 0
-        own_u = _resolve(
+        # _resolve returns fresh arrays, so the request's columns are
+        # added in place.
+        new_u = _resolve(
             self._own_fin_u, self._own_ninf_u, self._own_npos_u, self._finite
         )
-        new_u = own_u + self._backend.col_u(request)
-        viol = placed & (new_u > limits)
+        new_u += self._backend.col_u(request)
+        viol = new_u > limits
         if self._directed:
             new_v = new_u
         else:
-            own_v = _resolve(
+            new_v = _resolve(
                 self._own_fin_v, self._own_ninf_v, self._own_npos_v, self._finite
             )
-            new_v = own_v + self._backend.col_v(request)
-            viol |= placed & (new_v > limits)
-        if np.any(viol):
-            bad = np.bincount(self._colors[viol], minlength=count)[:count] > 0
-            admit &= ~bad
-            if not np.any(admit):
+            new_v += self._backend.col_v(request)
+            viol |= new_v > limits
+        viol &= self._colors >= 0
+        if np.count_nonzero(viol):
+            # A class with a violated member cannot take the request.
+            admit[self._colors[viol]] = False
+            if not np.count_nonzero(admit):
                 return -1
         choice = int(np.argmax(admit))
         if self._pruned is not None:
@@ -884,7 +898,7 @@ class ScheduleKernel:
             self.noise,
         )
         admissible = cand_margins >= threshold
-        if not np.any(admissible):
+        if not np.count_nonzero(admissible):
             return admissible
         placed = self._colors >= 0
         own_u = _resolve(
@@ -902,7 +916,7 @@ class ScheduleKernel:
             signals, new_interf, self.beta, self.noise
         )
         viol = placed & ~(member_margins >= threshold)
-        if np.any(viol):
+        if np.count_nonzero(viol):
             bad = np.bincount(self._colors[viol], minlength=count)[:count] > 0
             admissible &= ~bad
         return admissible

@@ -62,14 +62,15 @@ class EuclideanMetric(Metric):
         vs = np.asarray(vs, dtype=int)
         # np.take gathers whole coordinate rows several times faster
         # than fancy indexing, with the same values.
-        diff = np.take(self._points, us, axis=0) - np.take(self._points, vs, axis=0)
-        return np.sqrt(np.sum(diff * diff, axis=-1))
+        points = self._points
+        diff = points.take(us, axis=0) - points.take(vs, axis=0)
+        return np.sqrt((diff * diff).sum(axis=-1))
 
     def distance_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=int)
         cols = np.asarray(cols, dtype=int)
-        a = np.take(self._points, rows, axis=0)
-        b = np.take(self._points, cols, axis=0)
+        a = self._points.take(rows, axis=0)
+        b = self._points.take(cols, axis=0)
         if 0 < self.dim < 8:
             # Accumulate squared differences one coordinate at a time,
             # in place: (r, c) scratch per dimension instead of an

@@ -29,13 +29,17 @@ class PowerAssignment(abc.ABC):
         return type(self).__name__
 
     def __call__(self, instance: Instance) -> np.ndarray:
-        result = np.asarray(self.powers(instance), dtype=float)
-        if result.shape != (instance.n,):
+        return self._checked(self.powers(instance), instance.n)
+
+    def _checked(self, result, n: int) -> np.ndarray:
+        """*result* as a float array, or :class:`InvalidScheduleError`
+        unless it holds *n* positive finite powers."""
+        result = np.asarray(result, dtype=float)
+        if result.shape != (n,):
             raise InvalidScheduleError(
-                f"{self.name} produced shape {result.shape}, "
-                f"expected ({instance.n},)"
+                f"{self.name} produced shape {result.shape}, expected ({n},)"
             )
-        if not np.all(np.isfinite(result)) or np.any(result <= 0):
+        if np.count_nonzero(np.isfinite(result) & (result > 0)) != n:
             raise InvalidScheduleError(
                 f"{self.name} produced non-positive or non-finite powers"
             )
@@ -53,6 +57,19 @@ class ObliviousPowerAssignment(PowerAssignment):
         return np.asarray(
             self.power_of_loss(instance.link_losses), dtype=float
         ).reshape(-1)
+
+    def of_losses(self, losses: np.ndarray) -> np.ndarray:
+        """The checked powers of links with these *losses*.
+
+        ``f`` is elementwise, so these are bit for bit the entries a
+        full resolve (``self(instance)``) gives the same links: a live
+        session resolves only its arriving links through here.
+        """
+        losses = np.asarray(losses, dtype=float).reshape(-1)
+        return self._checked(
+            np.asarray(self.power_of_loss(losses), dtype=float).reshape(-1),
+            losses.size,
+        )
 
     def is_oblivious(self) -> bool:
         """All assignments of this class are oblivious by construction."""

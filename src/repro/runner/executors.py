@@ -240,10 +240,11 @@ class ProcessShardExecutor(ShardExecutor):
     those into a bootstrap pipe that the child drains only after its
     imports: a payload larger than the pipe buffer (a block row of gains
     easily is) would block ``Process.start`` for a whole import.  A
-    worker that dies while starting (crash, ``SIGKILL``, OOM) is started
-    again the same way under the retry policy; a build error, or a
-    payload that cannot be pickled, fails :meth:`start` at once, and
-    every worker it launched is reaped before the error propagates.
+    worker killed while starting (``SIGKILL``, OOM) is started again the
+    same way under the retry policy; a build error, a worker that exits
+    with a Python error during its spawn bootstrap, or a payload that
+    cannot be pickled fails :meth:`start` at once, and every worker it
+    launched is reaped before the error propagates.
 
     A *transport* failure on a call — the pipe breaks because the
     worker crashed or was killed — rebuilds the actor through that same
@@ -287,15 +288,21 @@ class ProcessShardExecutor(ShardExecutor):
     # -- lifecycle -----------------------------------------------------
 
     def _start_workers(
-        self, workers: Sequence[int]
+        self, workers: Sequence[int], failures: Optional[Sequence[int]] = None
     ) -> List[Tuple[int, BaseException]]:
         """The one start path, for cold start and respawn alike: launch
         every worker in *workers*, then send each its payload, then
         collect the build handshakes in worker order.
 
         Returns the workers lost to a transport failure on the way (each
-        already reaped) with their errors; a deterministic build error
-        raises :class:`ShardExecutorError` at once.
+        already reaped) with their errors.  Deterministic failures raise
+        :class:`ShardExecutorError` at once: a build error, and a worker
+        that exited with a positive code (a Python error during its
+        spawn bootstrap — the main module could not be re-imported, or
+        the factory could not be unpickled — which every retry would
+        repeat).  A death by signal (negative code, e.g. an OOM
+        ``SIGKILL``) is a transport failure.  *failures* counts each
+        worker's earlier failed starts, for the error's attempt count.
         """
         for worker in workers:
             parent_conn, child_conn = self._ctx.Pipe(duplex=True)
@@ -330,8 +337,31 @@ class ProcessShardExecutor(ShardExecutor):
                     f"worker {worker} failed to build its actor: "
                     f"{status[1]}: {status[2]}"
                 )
+        exits = {}
         for worker in lost:
+            # A lost worker is dead or dying: wait briefly for its exit
+            # code (None if it hangs on; _reap terminates it).
+            self._procs[worker].join(timeout=1.0)
+            exits[worker] = self._procs[worker].exitcode
             self._reap(worker)
+        for worker, code in sorted(exits.items()):
+            if code is not None and code > 0:
+                attempts = 1 + (failures[worker] if failures is not None else 0)
+                raise ShardExecutorError(
+                    f"worker {worker} exited with code {code} while "
+                    "starting, before it could build its actor (a Python "
+                    "error in its spawn bootstrap, e.g. the factory could "
+                    "not be unpickled or the main module not re-imported; "
+                    "the traceback is on the worker's stderr); not retried",
+                    failure=ShardFailure(
+                        key="__build__",
+                        shard_index=worker,
+                        seed=None,
+                        error_type="WorkerExit",
+                        error=f"exit code {code}",
+                        attempts=attempts,
+                    ),
+                ) from lost[worker]
         return sorted(lost.items())
 
     def start(
@@ -359,15 +389,15 @@ class ProcessShardExecutor(ShardExecutor):
             raise
 
     def _start_with_retry(self) -> None:
-        """Start every worker under the retry policy: a worker that
-        dies while *building* (e.g. OOM-killed mid-construction) is
-        started again, each worker counting its own attempts;
-        deterministic build errors surface immediately."""
+        """Start every worker under the retry policy: a worker killed
+        while *building* (e.g. OOM-killed mid-construction) is started
+        again, each worker counting its own attempts; deterministic
+        build and bootstrap errors surface immediately."""
         policy = self._retry
         failures = [0] * self._workers
         pending: Sequence[int] = range(self._workers)
         while pending:
-            lost = self._start_workers(pending)
+            lost = self._start_workers(pending, failures)
             for worker, exc in lost:
                 failures[worker] += 1
                 if failures[worker] >= policy.max_attempts:

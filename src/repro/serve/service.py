@@ -56,10 +56,17 @@ from repro.resilience.faults import FaultPlan
 
 __all__ = [
     "AdmissionDecision",
+    "LATENCY_WINDOW",
     "ScheduleServer",
     "ServeConfig",
     "SessionStats",
 ]
+
+#: How many of the most recent admissions' latencies a
+#: :class:`SessionStats` keeps for its percentiles.  A long-lived
+#: session's memory stays bounded; the mean still covers every
+#: admission.
+LATENCY_WINDOW = 4096
 
 
 @dataclass(frozen=True)
@@ -162,12 +169,43 @@ class SessionStats:
     degraded: bool = False
     #: True when recovery itself failed; the session no longer admits.
     broken: bool = False
-    latencies_s: List[float] = field(default_factory=list)
+    #: Sum of every admission's latency (the mean's numerator).
+    latency_sum_s: float = 0.0
     first_submit: Optional[float] = None
     last_decision: Optional[float] = None
+    # Ring of the last LATENCY_WINDOW admission latencies: admission k
+    # sits at k % LATENCY_WINDOW (allocated on the first admission).
+    _ring: Optional[np.ndarray] = field(default=None, repr=False)
+
+    def record_admission(self, latency_s: float) -> None:
+        """Count one admission and its submit-to-decision latency."""
+        if self._ring is None:
+            self._ring = np.empty(LATENCY_WINDOW)
+        self._ring[self.admitted % LATENCY_WINDOW] = latency_s
+        self.admitted += 1
+        self.latency_sum_s += latency_s
+
+    @property
+    def latencies_s(self) -> np.ndarray:
+        """Latencies of the most recent admissions (at most
+        :data:`LATENCY_WINDOW`), oldest first."""
+        if self._ring is None:
+            return np.zeros(0)
+        if self.admitted <= LATENCY_WINDOW:
+            return self._ring[: self.admitted].copy()
+        start = self.admitted % LATENCY_WINDOW
+        return np.concatenate([self._ring[start:], self._ring[:start]])
 
     def snapshot(self) -> Dict[str, Any]:
-        lat = np.asarray(self.latencies_s, dtype=np.float64)
+        """The counters, with p50/p99 latency over the window of recent
+        admissions and the mean over all of them."""
+        lat = self.latencies_s
+        if self.admitted <= LATENCY_WINDOW:
+            # The window holds every admission: the mean over it is the
+            # one over all, reduced as numpy reduces it.
+            mean = float(lat.mean()) if lat.size else None
+        else:
+            mean = self.latency_sum_s / self.admitted
         elapsed = (
             self.last_decision - self.first_submit
             if self.first_submit is not None
@@ -188,7 +226,7 @@ class SessionStats:
             "arrivals_per_sec": (
                 self.admitted / elapsed if elapsed else None
             ),
-            "mean_latency_s": float(lat.mean()) if lat.size else None,
+            "mean_latency_s": mean,
             "p50_latency_s": float(np.percentile(lat, 50)) if lat.size else None,
             "p99_latency_s": float(np.percentile(lat, 99)) if lat.size else None,
         }
@@ -489,8 +527,7 @@ class ScheduleServer:
         handle = session.add_requests([arrival.pair], powers=powers)[0]
         color = session.color_of(handle)
         now = time.perf_counter()
-        served.stats.admitted += 1
-        served.stats.latencies_s.append(now - arrival.submitted_at)
+        served.stats.record_admission(now - arrival.submitted_at)
         served.stats.last_decision = now
         return AdmissionDecision(
             session=served.name,

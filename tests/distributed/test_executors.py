@@ -86,6 +86,22 @@ def _die_on_payload_factory(payload):
     return Counter(payload)
 
 
+def _refuse_unpickle():
+    raise RuntimeError("this factory cannot be rebuilt in a worker")
+
+
+class _BootstrapBomb:
+    """A factory that pickles in the parent but raises while a spawned
+    worker unpickles it: the worker exits with a Python error before
+    its loop runs, as when the main module cannot be re-imported."""
+
+    def __call__(self, payload):
+        return Counter(payload)
+
+    def __reduce__(self):
+        return (_refuse_unpickle, ())
+
+
 def _new_children(before):
     return set(multiprocessing.active_children()) - before
 
@@ -262,6 +278,28 @@ class TestProcessStart:
                 with open(marker) as handle:
                     dead_pid = int(handle.read())
                 assert ex.call(worker, "pid") != dead_pid
+
+    def test_bootstrap_error_is_not_retried(self, monkeypatch):
+        retry = RetryPolicy(max_attempts=3, base_delay=0.0)
+        before = set(multiprocessing.active_children())
+        ex = ProcessShardExecutor(1, retry=retry)
+        launches = []
+        process = ex._ctx.Process
+
+        def counting(*args, **kwargs):
+            launches.append(kwargs["name"])
+            return process(*args, **kwargs)
+
+        monkeypatch.setattr(ex._ctx, "Process", counting)
+        with pytest.raises(ShardExecutorError, match="exited with code 1") as info:
+            ex.start(_BootstrapBomb(), [0])
+        assert "stderr" in str(info.value)
+        assert launches == ["repro-shard-0"]
+        failure = info.value.failure
+        assert failure.key == "__build__"
+        assert failure.error_type == "WorkerExit"
+        assert failure.attempts == 1
+        assert _new_children(before) == set()
 
     def test_build_death_exhausts_retry_budget(self):
         retry = RetryPolicy(max_attempts=2, base_delay=0.0)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.errors import InvalidScheduleError
+import repro.power
 from repro.core.instance import Instance
 from repro.geometry.line import LineMetric
+from repro.power.base import ObliviousPowerAssignment
 from repro.power.explicit import ExplicitPower, geometric_power
 from repro.power.oblivious import (
     FunctionPower,
@@ -116,3 +118,64 @@ class TestGeometricPower:
     def test_bad_base_rejected(self, instance):
         with pytest.raises(ValueError):
             geometric_power(instance, base=0.0)
+
+
+#: One of each oblivious family in repro.power (several shapes of the
+#: parametrized ones), for the one-power resolve below.
+ONE_POWER_CASES = [
+    UniformPower(2.0),
+    LinearPower(0.5),
+    SquareRootPower(),
+    SquareRootPower(3.0),
+    MeanPower(0.0),
+    MeanPower(0.25),
+    MeanPower(0.5),
+    MeanPower(1.0),
+    MeanPower(1.7, scale=2.0),
+    FunctionPower(lambda loss: 1.0 / (1.0 + loss), name="decaying"),
+]
+
+
+class TestOnePowerResolve:
+    """A live session resolves only an arrival's own power, so
+    ``f(losses[s])`` must equal ``f(losses)[s]`` bit for bit — including
+    across SIMD tails (lengths around multiples of 8) and misaligned
+    starts."""
+
+    def test_every_oblivious_family_is_covered(self):
+        families = {
+            obj
+            for obj in map(lambda name: getattr(repro.power, name), repro.power.__all__)
+            if isinstance(obj, type)
+            and issubclass(obj, ObliviousPowerAssignment)
+            and obj is not ObliviousPowerAssignment
+        }
+        assert families == {type(case) for case in ONE_POWER_CASES}
+
+    @pytest.mark.parametrize("length", [1, 7, 8, 9, 1023, 1026])
+    @pytest.mark.parametrize("assignment", ONE_POWER_CASES, ids=lambda a: a.name)
+    def test_subset_resolve_is_bitwise_the_full_one(self, assignment, length):
+        rng = np.random.default_rng(length)
+        # Losses of links from 1e-3 to 1e3 long at alpha = 3, behind one
+        # spare entry so the slices below also start misaligned.
+        spare = rng.uniform(1e-3, 1e3, size=length + 1) ** 3.0
+        for losses in (spare[:length], spare[1:]):
+            full = assignment.power_of_loss(losses)
+            slot_sets = [[s] for s in range(min(length, 9))]
+            slot_sets.append([length - 1])
+            for size in (2, 3, 8, 9, 17):
+                if size <= length:
+                    slot_sets.append(sorted(rng.choice(length, size, replace=False)))
+            for slots in slot_sets:
+                one = assignment.power_of_loss(losses[slots])
+                assert one.view(np.uint64).tolist() == (
+                    full[slots].view(np.uint64).tolist()
+                ), slots
+                checked = assignment.of_losses(losses[slots])
+                assert checked.view(np.uint64).tolist() == (
+                    full[slots].view(np.uint64).tolist()
+                )
+
+    def test_of_losses_rejects_bad_powers(self):
+        with pytest.raises(InvalidScheduleError):
+            FunctionPower(lambda loss: loss * 0.0).of_losses(np.array([2.0]))

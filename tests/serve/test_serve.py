@@ -12,6 +12,7 @@ import pytest
 from repro.api import Problem
 from repro.instances.random_instances import random_uniform_instance
 from repro.serve import AdmissionDecision, ScheduleServer, ServeConfig
+from repro.serve.service import LATENCY_WINDOW, SessionStats
 
 
 def _problem(n=10, seed=5):
@@ -244,3 +245,45 @@ class TestDrainAndClose:
                 assert set(everything) == {"a"}
 
         asyncio.run(main())
+
+
+class TestLatencyWindow:
+    """SessionStats keeps the last LATENCY_WINDOW admission latencies
+    in a ring (p50/p99 over them) and the mean over all admissions."""
+
+    def _recorded(self, latencies):
+        stats = SessionStats()
+        for latency in latencies:
+            stats.record_admission(latency)
+        return stats
+
+    def test_below_capacity_matches_the_full_history(self):
+        rng = np.random.default_rng(3)
+        latencies = rng.exponential(1e-3, size=LATENCY_WINDOW - 1).tolist()
+        snap = self._recorded(latencies).snapshot()
+        # What the unbounded list of every latency reports.
+        lat = np.asarray(latencies, dtype=np.float64)
+        assert snap["admitted"] == len(latencies)
+        assert snap["mean_latency_s"] == float(lat.mean())
+        assert snap["p50_latency_s"] == float(np.percentile(lat, 50))
+        assert snap["p99_latency_s"] == float(np.percentile(lat, 99))
+
+    def test_beyond_capacity_memory_stays_bounded(self):
+        rng = np.random.default_rng(4)
+        latencies = rng.exponential(1e-3, size=3 * LATENCY_WINDOW + 17).tolist()
+        stats = self._recorded(latencies)
+        assert stats._ring.shape == (LATENCY_WINDOW,)
+        recent = np.asarray(latencies[-LATENCY_WINDOW:])
+        np.testing.assert_array_equal(stats.latencies_s, recent)
+        snap = stats.snapshot()
+        assert snap["admitted"] == len(latencies)
+        assert snap["p50_latency_s"] == float(np.percentile(recent, 50))
+        assert snap["p99_latency_s"] == float(np.percentile(recent, 99))
+        assert snap["mean_latency_s"] == pytest.approx(
+            float(np.mean(latencies)), rel=1e-12
+        )
+
+    def test_no_admissions_report_no_latency(self):
+        snap = SessionStats().snapshot()
+        assert snap["mean_latency_s"] is None
+        assert snap["p50_latency_s"] is None and snap["p99_latency_s"] is None
