@@ -2,9 +2,10 @@
 
 The PR-7 serving layer exists for one reason: before it, every arrival
 tore down the pinned ``(instance, powers)`` context and rebuilt the
-O(n^2) gain matrices from scratch.  With in-place backend growth an
-arrival is one tile-fill of the appended row/column block plus a single
-O(n) vectorized admission against the live kernel.  This benchmark
+O(n^2) gain matrices from scratch.  With in-place backend edits an
+arrival writes its slot's gain row and column (a reused slot, or one
+appended past ``n``) plus a single O(n) vectorized admission against
+the live kernel.  This benchmark
 measures (and gates) that unlock at steady state:
 
 * **incremental**: a live session held at ``--n`` active requests
@@ -51,11 +52,12 @@ Run as a script::
 
 Reference results (one run, defaults, 2-vCPU x86_64 VM, see
 ``benchmarks/artifacts/BENCH_serve.json``): at n=4096 steady state the
-incremental path admits an arrival in 1.04 ms p50 (4.8 ms p99) and the
-serve front-end in 1.12 ms p50, 175 and 245 arrivals/s; a
-rebuild-per-arrival step costs 0.86 s p50, 149x over the 10x gate.
-The means (5.6 and 3.9 ms) are set by the first arrival, which finds
-no free slot and doubles the gain buffers to 8192 rows (0.7-1.2 s).
+incremental path admits an arrival in 0.90 ms p50 (3.5 ms p99) and the
+serve front-end in 1.03 ms p50, 334 and 318 arrivals/s; a
+rebuild-per-arrival step costs 0.91 s p50, 316x over the 10x gate.
+The means (2.9 and 3.0 ms) are set by the first arrival, which finds
+no free slot and grows the gain buffers by a quarter, to 5120 rows
+(about 0.5 s, the mean's excess over 256 arrivals).
 """
 
 from __future__ import annotations

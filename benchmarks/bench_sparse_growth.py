@@ -1,19 +1,25 @@
 """Micro-benchmark: amortized sparse-backend growth under an arrival stream.
 
-``SparseBackend.append_requests`` used to consolidate (hstack/vstack +
-transpose rebuild) on **every** arrival — O(nnz) per admission, so a
-stream of k arrivals cost O(k · nnz).  Growth is now deferred: arrival
-strips accumulate as pending blocks and fold into the base CSR only
-when a block-structured query (or the doubling rule) demands it, which
-amortizes consolidation to O(log k) folds per stream.
+``SparseBackend.replace_requests`` is the one way a request enters a
+built sparse backend.  A reused slot and an appended slot (an index
+past ``n``: the CSR is first padded with empty rows and columns) are
+written the same way: their gain rows and columns go into one dense
+overlay that row/column queries read directly, and the overlay is
+written back into the CSR every ``nnz / 2n`` written slots (or on
+``flush_growth()``).  Consolidating on every arrival instead costs
+O(nnz) per admission, so a stream of k arrivals would cost O(k · nnz).
 
-This benchmark replays the same ``--arrivals`` (default 256) arrival
-stream twice on a lossless sparse backend:
+This benchmark replays the same ``--arrivals`` (default 256)
+one-request-at-a-time append stream twice on a lossless sparse backend:
 
-* **deferred** — the production path: plain ``append_requests`` calls,
-  pending blocks folded lazily;
+* **deferred** — the production path: plain ``replace_requests`` calls
+  with the appended slot, the overlay written back lazily;
 * **eager** — ``flush_growth()`` forced after every arrival, which
-  reproduces the historical consolidate-per-arrival cost profile.
+  reproduces the consolidate-per-arrival cost profile.
+
+It then runs a **mixed** stream of the same length on the same links:
+appends interleaved with departures whose slots the next arrival
+reuses, all through the same overlay.
 
 Gates (exit non-zero on violation):
 
@@ -22,7 +28,10 @@ Gates (exit non-zero on violation):
 * after a final ``flush_growth()`` the deferred backend's matrices
   must be **bit-identical** to a cold rebuild on the grown instance
   (the lossless-growth contract of ``tests/core/test_gain_append.py``,
-  re-checked here so the fast path cannot drift from the semantics).
+  re-checked here so the fast path cannot drift from the semantics);
+* after a final ``flush_growth()`` the mixed stream's CSR storage
+  (data, indices and row pointers of every stored matrix) must be
+  bit-identical to a cold rebuild on its final instance.
 
 The second-half/first-half wall-time ratio of the deferred stream is
 reported (a consolidate-per-arrival regression drives it up) but not
@@ -79,12 +88,47 @@ def _replay_stream(prefix, powers_of, base_n, arrivals, eager: bool):
     for step in range(arrivals):
         k = base_n + step + 1
         tick = time.perf_counter()
-        backend.append_requests(prefix(k), powers_of(k))
+        backend.replace_requests([k - 1], prefix(k), powers_of(k))
         if eager:
             backend.flush_growth()
         spans[step >= half] += time.perf_counter() - tick
     total = time.perf_counter() - start
     return backend, total, spans[0], spans[1]
+
+
+def _mixed_stream(full, prefix, base_n, arrivals, seed):
+    """Replay the same links as a churning stream: even steps append
+    the next link, odd steps depart a random request and put the next
+    link into its slot.  Returns (backend, instance, powers, seconds)."""
+    from repro.core.gains import SparseBackend
+    from repro.power.oblivious import SquareRootPower
+
+    rng = np.random.default_rng(seed)
+    sqrt_power = SquareRootPower()
+    instance = prefix(base_n)
+    powers = sqrt_power(instance)
+    backend = SparseBackend.build(instance, powers, epsilon=0.0)
+    start = time.perf_counter()
+    for step in range(arrivals):
+        pair = (int(full.senders[base_n + step]), int(full.receivers[base_n + step]))
+        if step % 2 == 0:
+            slots = [instance.n]
+            instance = instance.appended([pair])
+        else:
+            slots = [int(rng.integers(instance.n))]
+            instance = instance.replaced(slots, [pair])
+        powers = sqrt_power(instance)
+        backend.replace_requests(slots, instance, powers)
+    return backend, instance, powers, time.perf_counter() - start
+
+
+def _csr_arrays(backend):
+    """The stored CSR arrays of a written-back sparse backend."""
+    backend.flush_growth()
+    out = []
+    for csr in (backend._csr_u, backend._csr_v, backend._csr_ut, backend._csr_vt):
+        out += [csr.data, csr.indices, csr.indptr]
+    return out
 
 
 def run(args) -> int:
@@ -127,7 +171,8 @@ def run(args) -> int:
             f"{eager_s:.3f}s consolidate-per-arrival replay)"
         )
 
-    # Bit-identity: fold everything and compare against a cold rebuild.
+    # Bit-identity: write everything back and compare against a cold
+    # rebuild.
     deferred.flush_growth()
     n_final = args.base_n + args.arrivals
     cold = SparseBackend.build(
@@ -141,6 +186,23 @@ def run(args) -> int:
             f"n={n_final} (lossless growth must be bit-identical)"
         )
 
+    mixed, mixed_instance, mixed_powers, mixed_s = _mixed_stream(
+        full, prefix, args.base_n, args.arrivals, args.seed
+    )
+    print(
+        f"mixed stream:    {mixed_s:.3f}s (appends interleaved with "
+        f"reused slots, n={mixed_instance.n})"
+    )
+    mixed_cold = SparseBackend.build(mixed_instance, mixed_powers, epsilon=0.0)
+    if not all(
+        np.array_equal(got, want)
+        for got, want in zip(_csr_arrays(mixed), _csr_arrays(mixed_cold))
+    ):
+        failures.append(
+            "mixed append/reuse stream diverged from a cold rebuild at "
+            f"n={mixed_instance.n} (lossless edits must be bit-identical)"
+        )
+
     if args.artifacts is not None:
         from repro.runner.artifacts import (
             BenchReport,
@@ -150,7 +212,7 @@ def run(args) -> int:
         from repro.util.tables import Table
 
         table = Table(
-            title="Sparse backend growth: deferred vs per-arrival folds",
+            title="Sparse backend growth: deferred vs per-arrival write-backs",
             columns=[
                 "mode",
                 "base_n",
@@ -162,8 +224,9 @@ def run(args) -> int:
         )
         table.add_note(
             f"gate: deferred stream within {args.max_fraction:.0%} of the "
-            "flush-per-arrival replay; final matrices bit-identical to a "
-            "cold rebuild (epsilon=0)"
+            "flush-per-arrival replay; final matrices of the append and "
+            "the mixed append/reuse streams bit-identical to a cold "
+            "rebuild (epsilon=0)"
         )
         table.add_row(
             mode="deferred",
@@ -178,6 +241,14 @@ def run(args) -> int:
             base_n=args.base_n,
             arrivals=args.arrivals,
             seconds=eager_s,
+            first_half_seconds=float("nan"),
+            second_half_seconds=float("nan"),
+        )
+        table.add_row(
+            mode="mixed",
+            base_n=args.base_n,
+            arrivals=args.arrivals,
+            seconds=mixed_s,
             first_half_seconds=float("nan"),
             second_half_seconds=float("nan"),
         )
@@ -198,6 +269,12 @@ def run(args) -> int:
                     seed=args.seed,
                     rows=1,
                     seconds=eager_s,
+                ),
+                ShardResult(
+                    key=f"mixed:{args.arrivals}",
+                    seed=args.seed,
+                    rows=1,
+                    seconds=mixed_s,
                 ),
             ],
             run_wall_seconds=time.perf_counter() - run_start,

@@ -12,12 +12,7 @@ Run:  python examples/api_quickstart.py [seed]
 
 import sys
 
-from repro import (
-    BatchSession,
-    Problem,
-    list_algorithms,
-    random_uniform_instance,
-)
+from repro import Problem, list_algorithms, random_uniform_instance
 
 
 def main(seed: int = 0) -> None:
@@ -59,9 +54,9 @@ def main(seed: int = 0) -> None:
         Problem(random_uniform_instance(24, rng=seed + i), backend="dense")
         for i in range(8)
     ]
-    batch = BatchSession(problems)
-    results = batch.schedule("first_fit")
-    batch.validate()
+    results = [problem.session().schedule("first_fit") for problem in problems]
+    for result in results:
+        result.validate()
     print(f"\nbatch of {len(results)}: "
           f"{[r.num_colors for r in results]} colors (all validated)")
 

@@ -34,13 +34,11 @@ Package map
 """
 
 from repro.api import (
-    BatchSession,
     Problem,
     Provenance,
     RequestHandle,
     ScheduleResult,
     Session,
-    schedule_batch,
 )
 from repro.scheduling.registry import (
     AlgorithmCapabilities,
@@ -142,11 +140,9 @@ __all__ = [
     # unified solver API
     "Problem",
     "Session",
-    "BatchSession",
     "ScheduleResult",
     "Provenance",
     "RequestHandle",
-    "schedule_batch",
     "AlgorithmSpec",
     "AlgorithmCapabilities",
     "get_algorithm",

@@ -25,12 +25,6 @@ kernels and the pluggable gain backends):
   a pruned-sparse run is *certified* bit-identical to dense (zero
   :attr:`~repro.core.gains.GainBackend.flip_risk_events`), the wall
   time, and the peel and arrival counters.
-* :class:`BatchSession` / :func:`schedule_batch` — the same facade
-  over many problems at once: each problem runs through its own
-  :class:`Session` (one production path per algorithm), and
-  :meth:`BatchSession.validate` validates each session's latest
-  result.
-
 Every result is bit-identical to calling the submodule implementations
 directly; the conformance suite asserts this on both dense and sparse
 backends.
@@ -71,16 +65,13 @@ from repro.power.base import ObliviousPowerAssignment, PowerAssignment
 from repro.resilience.faults import FaultPlan
 from repro.power.oblivious import FunctionPower, SquareRootPower
 from repro.scheduling.registry import AlgorithmSpec, get_algorithm
-from repro.util.rng import ensure_rng, spawn_rngs
 
 __all__ = [
-    "BatchSession",
     "Problem",
     "Provenance",
     "RequestHandle",
     "ScheduleResult",
     "Session",
-    "schedule_batch",
 ]
 
 #: Sentinel distinguishing "argument not passed" from an explicit
@@ -472,11 +463,11 @@ class Session:
           :meth:`~repro.power.base.ObliviousPowerAssignment.of_losses`
           for the default square-root or any other built-in oblivious
           assignment, or taken from *powers* for an explicit vector;
-        * its slot's gain row and column, once per request endpoint
-          (:meth:`~repro.core.context.InterferenceContext.replace_requests`
-          for a reused slot,
-          :meth:`~repro.core.context.InterferenceContext.extend_to`
-          for an appended one);
+        * its slot's gain row and column, once per request endpoint,
+          in one
+          :meth:`~repro.core.context.InterferenceContext.replace_requests`
+          call for reused and appended slots together (an appended
+          slot first grows the storage);
         * its one signal and one interference limit;
         * with the live online kernel active (see :meth:`live_result`),
           its class sums (seeded from its gain row) and one vectorized
@@ -574,10 +565,7 @@ class Session:
             # The context cache keys on (id(instance), power bytes) —
             # release the old slot, edit, take the new slot.
             unpin_context(self._context)
-            if slots:
-                self._context.replace_requests(slots, edited, resolved[:n_old])
-            if appended:
-                self._context.extend_to(new_instance, resolved)
+            self._context.replace_requests(indices, new_instance, resolved)
             repin_context(self._context)
             if self._kernel is not None:
                 self._admit_arrivals(indices, reused=slots)
@@ -1007,100 +995,3 @@ class Session:
             f"backend={self.problem.config.backend}, "
             f"last={self._last_algorithm!r})"
         )
-
-
-class BatchSession:
-    """The facade over many problems at once.
-
-    Every algorithm runs through each problem's own :class:`Session`,
-    so each result is identical to scheduling that problem alone;
-    randomized algorithms draw one spawned stream of ``rng`` per
-    problem.  :meth:`validate` validates each session's latest result.
-
-    All problems must agree on the backend preferences (one batch, one
-    substrate).
-    """
-
-    def __init__(self, problems: Sequence[Union[Problem, Instance]]):
-        if len(problems) == 0:
-            raise ValueError("a BatchSession needs at least one problem")
-        normalized = [
-            p if isinstance(p, Problem) else Problem(p) for p in problems
-        ]
-        prefs = {p.config.key() for p in normalized}
-        if len(prefs) > 1:
-            raise ValueError(
-                "all problems of a BatchSession must share backend "
-                f"preferences, got {sorted(map(str, prefs))}"
-            )
-        self.problems: List[Problem] = normalized
-        self.sessions: List[Session] = [Session(p) for p in normalized]
-
-    def __len__(self) -> int:
-        return len(self.sessions)
-
-    def schedule(
-        self, algorithm: str = "first_fit", rng: Any = None, **params: Any
-    ) -> List[ScheduleResult]:
-        """Schedule every problem; one :class:`ScheduleResult` each.
-
-        ``local_search`` takes ``schedule=`` as one seed per problem (a
-        :class:`~repro.core.schedule.Schedule` or :class:`ScheduleResult`
-        each), paired with the problems in order.
-        """
-        spec = get_algorithm(algorithm)
-        if spec.capabilities.deterministic and rng is not None:
-            raise TypeError(
-                f"algorithm {spec.name!r} is deterministic; rng= is not "
-                "accepted"
-            )
-        if spec.capabilities.deterministic:
-            rngs: List[Any] = [None] * len(self)
-        else:
-            rngs = list(spawn_rngs(ensure_rng(rng), len(self)))
-        runs = [dict(params) for _ in self.sessions]
-        if spec.name == "local_search":
-            seeds = params.get("schedule")
-            if seeds is None:
-                raise TypeError(
-                    "algorithm 'local_search' improves existing schedules; "
-                    "pass schedule= (a sequence of Schedule or "
-                    "ScheduleResult, one per problem)"
-                )
-            if len(seeds) != len(self):
-                raise ValueError(
-                    f"{len(seeds)} schedules for {len(self)} problems"
-                )
-            for run, seed in zip(runs, seeds):
-                run["schedule"] = seed
-        return [
-            session._run(spec, child, run)
-            for session, child, run in zip(self.sessions, rngs, runs)
-        ]
-
-    def validate(self) -> "BatchSession":
-        """Validate every session's latest result; the
-        :class:`InvalidScheduleError` names the first offending pair."""
-        if any(session.last_result is None for session in self.sessions):
-            raise InvalidScheduleError(
-                "validate() needs a schedule per session; call "
-                "schedule() first"
-            )
-        for i, session in enumerate(self.sessions):
-            try:
-                session.last_result.validate()
-            except InvalidScheduleError as err:
-                raise InvalidScheduleError(f"pair {i}: {err}") from err
-        return self
-
-
-def schedule_batch(
-    problems: Sequence[Union[Problem, Instance]],
-    algorithm: str = "first_fit",
-    rng: Any = None,
-    **params: Any,
-) -> List[ScheduleResult]:
-    """One-shot :meth:`BatchSession.schedule` over *problems*."""
-    return BatchSession(problems).schedule(
-        algorithm, rng=rng, **params
-    )

@@ -339,73 +339,39 @@ class InterferenceContext:
         """
         return self.backend.has_infinite_gains
 
-    def extend_to(self, instance: Instance, powers: np.ndarray) -> None:
-        """Grow this context in place to ``(instance, powers)``.
+    def replace_requests(
+        self, slots: Sequence[int], instance: Instance, powers: np.ndarray
+    ) -> None:
+        """Write the requests at *slots* from ``(instance, powers)`` in
+        place; every other request and its power must be bit-unchanged
+        (see :func:`repro.core.gains.validate_growth` with
+        ``replaced=``).  Slots at or past :attr:`n` are appended
+        requests, and must name every index up to ``instance.n``.
 
-        The new pair must extend the current one (same metric object,
-        variant and alpha; existing requests and powers bit-unchanged
-        as a prefix — see :func:`repro.core.gains.validate_growth`).
-        An already-built gain backend grows via
-        :meth:`~repro.core.gains.GainBackend.append_requests` — only
-        the new rows/columns are computed, O(n) per arrival instead of
-        an O(n^2) cold rebuild, and (at ``epsilon = 0``) bit-identical
-        to one.  Cached signals grow by the new requests' entries,
-        bit-identically to recomputing them (they are elementwise).
+        An already-built gain backend writes only the slots' rows and
+        columns (:meth:`~repro.core.gains.GainBackend.replace_requests`,
+        ``O(n)`` per slot, growing its storage first for appended
+        slots), bit-identical (at ``epsilon = 0``) to a cold rebuild;
+        cached signals are patched at the slots, bit-identically to
+        recomputing them (they are elementwise).
 
         Cache discipline: the context cache keys on ``id(instance)``
         and the power bytes, both of which change here.  Long-lived
         owners (:class:`repro.api.Session`) must
         :func:`unpin_context` **before** calling this and
         :func:`repin_context` **after**, so the old slot is released
-        and the grown context takes the new key's slot.
-        """
-        powers = np.array(powers, dtype=float).reshape(-1)
-        if powers.shape != (instance.n,):
-            raise InvalidScheduleError(
-                f"powers must have shape ({instance.n},), got {powers.shape}"
-            )
-        n_old = self.n
-        # The prefix must equal the current (positive) powers.
-        if np.any(powers[n_old:] <= 0):
-            raise InvalidScheduleError("all powers must be strictly positive")
-        if self._backend is None:
-            validate_growth(self.instance, self.powers, instance, powers)
-        else:
-            # The backend holds this very pair and validates the growth
-            # itself before touching anything.
-            self._backend.append_requests(instance, powers)
-        if self._signals is not None and instance.n > n_old:
-            signals = np.concatenate(
-                [self._signals, powers[n_old:] / instance.link_losses[n_old:]]
-            )
-            signals.setflags(write=False)
-            self._signals = signals
-        self.instance = instance
-        powers.setflags(write=False)
-        self.powers = powers
-        self._key = None
-
-    def replace_requests(
-        self, slots: Sequence[int], instance: Instance, powers: np.ndarray
-    ) -> None:
-        """Swap the requests at *slots* for those of ``(instance,
-        powers)`` in place, keeping ``n`` (every other request and its
-        power bit-unchanged — see :func:`repro.core.gains.validate_growth`
-        with ``replaced=``).
-
-        An already-built gain backend rewrites only the slots' rows and
-        columns (:meth:`~repro.core.gains.GainBackend.replace_requests`,
-        ``O(n)`` per slot on the dense backend); cached signals are
-        patched at the slots, bit-identically to recomputing them.  The
-        cache discipline of :meth:`extend_to` applies: unpin before,
-        repin after.
+        and the edited context takes the new key's slot.
         """
         slots = _distinct_slots(slots)
         powers = np.array(powers, dtype=float).reshape(-1)
-        if instance.n != self.n or powers.shape != (self.n,):
+        n = instance.n
+        if powers.shape != (n,):
             raise InvalidScheduleError(
-                f"replacement keeps n={self.n}; got an instance of "
-                f"n={instance.n} and powers of shape {powers.shape}"
+                f"powers must have shape ({n},), got {powers.shape}"
+            )
+        if slots.size and not (0 <= slots[0] and slots[-1] < n):
+            raise InvalidScheduleError(
+                f"slots must lie in 0..{n - 1}, got {slots[0]}..{slots[-1]}"
             )
         if not all(power > 0 for power in powers[slots].tolist()):
             raise InvalidScheduleError("all powers must be strictly positive")
@@ -418,7 +384,8 @@ class InterferenceContext:
             # itself before touching anything.
             self._backend.replace_requests(slots, instance, powers)
         if self._signals is not None:
-            signals = self._signals.copy()
+            signals = np.empty(n)
+            signals[: self.n] = self._signals
             signals[slots] = powers[slots] / instance.link_losses[slots]
             signals.setflags(write=False)
             self._signals = signals
@@ -778,71 +745,6 @@ class ClassAccumulator:
         self._mask[members] = True
         self._order.extend(int(i) for i in members)
         self._apply_columns(members, +1)
-
-    def extend_to(self, n_new: int) -> None:
-        """Grow the accumulator to a context that has grown to *n_new*
-        requests (see :meth:`InterferenceContext.extend_to`).
-
-        Existing per-request sums are untouched — the new requests'
-        rows only gain columns for the *new* requests, none of which is
-        a member yet — and the new requests' entries are seeded in one
-        vectorized pass over the members' gain block at the new rows
-        (same finite/infinite bookkeeping as :meth:`_apply_columns`),
-        so the accumulator keeps answering "what would this request
-        suffer if it joined?" for arrivals without any replay.
-        """
-        n_new = int(n_new)
-        n_old = self._mask.size
-        if n_new < n_old:
-            raise ValueError(
-                f"cannot shrink accumulator from n={n_old} to n={n_new}"
-            )
-        if self.context.n != n_new:
-            raise ValueError(
-                f"context has n={self.context.n}, expected {n_new}; grow "
-                "the context (InterferenceContext.extend_to) first"
-            )
-        if n_new == n_old:
-            return
-
-        def grow(arr: np.ndarray) -> np.ndarray:
-            out = np.zeros(n_new, dtype=arr.dtype)
-            out[:n_old] = arr
-            return out
-
-        self._mask = grow(self._mask)
-        self._fin_u = grow(self._fin_u)
-        self._ninf_u = grow(self._ninf_u)
-        self._npos_u = grow(self._npos_u)
-        if self._directed:
-            self._fin_v = self._fin_u
-            self._ninf_v = self._ninf_u
-            self._npos_v = self._npos_u
-        else:
-            self._fin_v = grow(self._fin_v)
-            self._ninf_v = grow(self._ninf_v)
-            self._npos_v = grow(self._npos_v)
-        if not self._order:
-            return
-        members = np.asarray(self._order, dtype=int)
-        tail = np.arange(n_old, n_new)
-        backend = self.context.backend
-        finite_gains = not backend.has_infinite_gains
-        for fin, ninf, npos, cross_block in (
-            (self._fin_u, self._ninf_u, self._npos_u, backend.cross_block_u),
-            (self._fin_v, self._ninf_v, self._npos_v, backend.cross_block_v),
-        ):
-            block = cross_block(tail, members)
-            if finite_gains:
-                fin[tail] = block.sum(axis=1)
-                npos[tail] = (block > 0).sum(axis=1)
-            else:
-                finite = np.isfinite(block)
-                fin[tail] = np.where(finite, block, 0.0).sum(axis=1)
-                ninf[tail] = (~finite).sum(axis=1)
-                npos[tail] = (finite & (block > 0)).sum(axis=1)
-            if self._directed:
-                break
 
     def add(self, request: int) -> None:
         """Add *request* to the class — O(n)."""

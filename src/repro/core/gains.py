@@ -398,17 +398,16 @@ def validate_growth(
     new_powers: np.ndarray,
     replaced: Optional[Sequence[int]] = None,
 ) -> None:
-    """Check that ``(new_instance, new_powers)`` extends the old pair
+    """Check that ``(new_instance, new_powers)`` edits the old pair
     *in place*: same metric object, variant and alpha; the existing
-    requests (and their powers, bitwise) unchanged as a prefix; only
-    new requests appended.  Requests at the *replaced* indices of the
-    prefix are exempt: they may carry new pairs and powers (see
-    :meth:`GainBackend.replace_requests`).  Raises :class:`ValueError`
-    naming the first violated condition — the contract every
-    :meth:`GainBackend.append_requests` and
-    :meth:`GainBackend.replace_requests` (and the context/kernel
-    updates built on them) relies on for bit-identity with a cold
-    rebuild.
+    requests (and their powers, bitwise) unchanged as a prefix, except
+    at the *replaced* indices; any new requests appended.  When
+    *replaced* is given it must name every appended index too (see
+    :meth:`GainBackend.replace_requests`, which writes exactly those
+    slots).  Raises :class:`ValueError` naming the first violated
+    condition — the contract every :meth:`GainBackend.replace_requests`
+    (and the context/kernel updates built on it) relies on for
+    bit-identity with a cold rebuild.
     """
     if new_instance.metric is not old_instance.metric:
         raise ValueError(
@@ -425,26 +424,33 @@ def validate_growth(
             f"growth cannot change alpha "
             f"({old_instance.alpha} -> {new_instance.alpha})"
         )
-    n_old = old_instance.n
-    if new_instance.n < n_old:
+    n_old, n_new = old_instance.n, new_instance.n
+    if n_new < n_old:
         raise ValueError(
             f"growth cannot shrink the instance "
             f"(n={old_instance.n} -> n={new_instance.n})"
         )
     if replaced is not None:
-        replaced = np.asarray(replaced, dtype=int).reshape(-1)
         # A few slots: Python beats a handful of numpy calls.
-        if not all(0 <= slot < n_old for slot in replaced.tolist()):
+        replaced = sorted(set(int(slot) for slot in np.ravel(replaced)))
+        if replaced and not (0 <= replaced[0] and replaced[-1] < n_new):
             raise ValueError(
-                f"replaced indices must lie in 0..{n_old - 1}, got "
-                f"{replaced.min()}..{replaced.max()}"
+                f"replaced indices must lie in 0..{n_new - 1}, got "
+                f"{replaced[0]}..{replaced[-1]}"
             )
+        appended = sum(1 for slot in replaced if slot >= n_old)
+        if appended != n_new - n_old:
+            raise ValueError(
+                f"replaced indices must name every appended request "
+                f"({n_old}..{n_new - 1})"
+            )
+        replaced = replaced[: len(replaced) - appended]
     # One elementwise pass per array over the prefix; the replaced
     # slots may differ.
     changed = (new_instance.senders[:n_old] != old_instance.senders) | (
         new_instance.receivers[:n_old] != old_instance.receivers
     )
-    if replaced is not None:
+    if replaced:
         changed[replaced] = False
     if np.count_nonzero(changed):
         raise ValueError(
@@ -458,7 +464,7 @@ def validate_growth(
             f"got {new_powers.shape}"
         )
     changed = new_powers[:n_old] != np.asarray(old_powers, dtype=float)
-    if replaced is not None:
+    if replaced:
         changed[replaced] = False
     if np.count_nonzero(changed):
         raise ValueError(
@@ -514,42 +520,28 @@ class GainBackend(abc.ABC):
         """Reset the at-risk-comparison counter."""
         self.flip_risk_events = 0
 
-    # -- growth --------------------------------------------------------
-
-    def append_requests(self, instance: Instance, powers: np.ndarray) -> None:
-        """Grow the backend in place to ``(instance, powers)``, which
-        must extend the pair the backend was built from (see
-        :func:`validate_growth`): same metric/variant/alpha, existing
-        requests and powers bit-unchanged as a prefix, new requests
-        appended.  Only the new rows and columns are computed (from
-        :func:`_gain_block` tiles), so an arrival costs ``O(n)`` gain
-        entries per endpoint instead of the ``O(n^2)`` cold rebuild —
-        and with ``epsilon = 0`` the grown storage is **bit-identical**
-        to a cold build of the grown pair.
-
-        Backends that cannot grow raise :class:`NotImplementedError`.
-        """
-        raise NotImplementedError(
-            f"backend {self.name!r} does not support in-place growth"
-        )
+    # -- edits ---------------------------------------------------------
 
     def replace_requests(
         self, slots: Sequence[int], instance: Instance, powers: np.ndarray
     ) -> None:
-        """Swap the requests at *slots* for those of ``(instance,
-        powers)`` in place; every other request must be unchanged (see
-        :func:`validate_growth` with ``replaced=slots``) and ``n`` stays
-        the same.  Powers are oblivious, so only the slots' gain rows
-        and columns change: they are recomputed from
-        :func:`_gain_block` tiles, ``O(n)`` entries per slot and
-        endpoint, and with ``epsilon = 0`` the storage is
-        **bit-identical** to a cold build of the edited pair.
+        """Write the requests at *slots* from ``(instance, powers)`` in
+        place; every other request must be unchanged (see
+        :func:`validate_growth` with ``replaced=slots``).  Slots at or
+        past the current ``n`` are appended requests and must name
+        every index up to ``instance.n``: storage first grows to
+        ``instance.n``, then each appended slot is written exactly like
+        a reused one.  Powers are oblivious, so only the slots' gain
+        rows and columns change: each comes from :func:`_gain_lines`,
+        ``O(n)`` entries per slot and endpoint, and with
+        ``epsilon = 0`` the storage is **bit-identical** to a cold
+        build of the edited pair.
 
         Backends that cannot edit in place raise
         :class:`NotImplementedError`.
         """
         raise NotImplementedError(
-            f"backend {self.name!r} does not support in-place replacement"
+            f"backend {self.name!r} does not support in-place edits"
         )
 
     # -- shape / bookkeeping -------------------------------------------
@@ -743,10 +735,10 @@ class DenseBackend(GainBackend):
     Any other namespace (``array_api_strict`` for portability testing,
     ``torch``/``cupy`` via ``array-api-compat`` when installed) runs the
     same code through ``xp`` calls, with the arrays on *device*: the
-    build uploads each matrix once, growth uploads only the appended
-    strips, and every primitive crosses back to the host at the one
-    :meth:`_download` boundary (the identity under numpy), so every
-    namespace returns the same bits.
+    build uploads each matrix once, an edit uploads only the written
+    rows and columns, and every primitive crosses back to the host at
+    the one :meth:`_download` boundary (the identity under numpy), so
+    every namespace returns the same bits.
 
     Parameters
     ----------
@@ -773,7 +765,7 @@ class DenseBackend(GainBackend):
         self._gains_t: Optional[Tuple[object, object]] = None
         self._worst = None
         # Infinite entries across the stored matrices (counted once,
-        # lazily; then maintained by appends and edits).
+        # lazily; then maintained by edits).
         self._inf_count: Optional[int] = None
         self._zero_mass: Optional[np.ndarray] = None
         # Growth state (populated by build(); raw-constructed backends
@@ -865,7 +857,7 @@ class DenseBackend(GainBackend):
         xp = self._xp
         return xp.full((size, size), 0.0, dtype=xp.float64, **self._on_device)
 
-    # -- growth --------------------------------------------------------
+    # -- edits ---------------------------------------------------------
 
     def _bind(self, n: int) -> None:
         """Point the public arrays at the leading ``(n, n)`` block of
@@ -885,102 +877,38 @@ class DenseBackend(GainBackend):
             )
 
     def _ensure_capacity(self, n_new: int) -> None:
-        """Guarantee the backing buffers hold at least ``n_new`` rows
-        and columns, doubling capacity on growth so a stream of
-        single-request appends reallocates ``O(log n)`` times (amortized
-        O(1) copied entries per appended entry).  An unpickled backend
-        has no storage; an in-place edit copies its arrays into storage
-        of exactly their size."""
-        if self._buf_u is not None and self._buf_u.shape[0] >= n_new:
-            return
+        """Guarantee the backing buffers, and the materialized
+        transposes when cached, hold at least ``n_new`` rows and
+        columns.  A buffer that must grow gains a quarter of the
+        current size (or exactly what ``n_new`` needs, if more): a
+        stream of single-request appends still reallocates
+        ``O(log n)`` times (amortized O(1) copied entries per appended
+        entry), while a churning session, which holds at most a couple
+        of rows past its active count, never pays for ``2n``.  An
+        unpickled backend has no storage; an in-place edit copies its
+        arrays into storage of exactly their size."""
         n_old = self.n
-        cap = max(n_new, 2 * n_old) if n_new > n_old else n_new
-        buf_u = self._zeros(cap)
-        buf_u[:n_old, :n_old] = self._gains_u
-        self._buf_u = buf_u
-        if self.directed:
-            self._buf_v = buf_u
-        else:
-            buf_v = self._zeros(cap)
-            buf_v[:n_old, :n_old] = self._gains_v
-            self._buf_v = buf_v
+        cap = max(n_new, n_old + n_old // 4) if n_new > n_old else n_new
 
-    def _fill_appended(self, buf, instance, powers, nodes, n_old) -> int:
-        """Fill the strips a growth from ``n_old`` to ``instance.n``
-        requests adds to *buf* — the arrivals' columns at the existing
-        rows, then the arrivals' full rows — with exactly the entries a
-        cold rebuild computes, uploading only those strips; returns
-        how many new entries are infinite."""
-        n_new = instance.n
-        new_idx = np.arange(n_old, n_new)
-        new_inf = 0
-        for rows, cols in ((np.arange(n_old), new_idx), (new_idx, np.arange(n_new))):
-            for lo in range(0, rows.size, DEFAULT_TILE_ROWS):
-                tile = rows[lo : lo + DEFAULT_TILE_ROWS]
-                block = _gain_block(instance, powers, nodes, tile, cols)
-                new_inf += int(np.count_nonzero(np.isinf(block)))
-                buf[tile[0] : tile[-1] + 1, cols[0] : n_new] = self._upload(block)
-        return new_inf
+        def grown(buf, public):
+            if buf is not None and buf.shape[0] >= n_new:
+                return buf
+            out = self._zeros(cap)
+            out[:n_old, :n_old] = public
+            return out
 
-    def append_requests(self, instance: Instance, powers: np.ndarray) -> None:
-        if self._instance is None:
-            raise ValueError(
-                "this DenseBackend was constructed from raw arrays; only "
-                "backends built via DenseBackend.build(...) can grow"
-            )
-        validate_growth(self._instance, self._powers, instance, powers)
-        powers = np.asarray(powers, dtype=float).reshape(-1)
-        n_old, n_new = self.n, instance.n
-        if n_new == n_old:
-            self._instance, self._powers = instance, powers
-            return
-        self._ensure_capacity(n_new)
-        new_inf = 0
-        for buf, nodes in zip(
-            (self._buf_u, self._buf_v), _host_gain_targets(instance)
-        ):
-            new_inf += self._fill_appended(buf, instance, powers, nodes, n_old)
-        if self._gains_t is not None:
-            # Extend the materialized transposes in place: dropping
-            # them would make the next col_u/col_v after every arrival
-            # re-transpose the whole O(n^2) matrix, turning the O(n)
-            # admission path quadratic.
-            self._grow_transposes(n_old, n_new)
-        self._bind(n_new)
-        self._worst = None
-        self._zero_mass = None
-        if self._inf_count is not None:
-            self._inf_count += new_inf
-        self._instance, self._powers = instance, powers
-
-    def _grow_transposes(self, n_old: int, n_new: int) -> None:
-        """Extend the cached contiguous transposes to ``n_new`` from
-        the freshly appended buffer blocks (pure element reordering, so
-        trivially bit-identical to re-transposing the grown matrix).
-        The transpose buffers share the main buffers' capacity, so a
-        single-append stream reallocates them O(log n) times too."""
-        cap = self._buf_u.shape[0]
-        ut_old, vt_old = self._gains_t
-        if self._buf_ut.shape[0] < n_new:
-            buf_ut = self._zeros(cap)
-            buf_ut[:n_old, :n_old] = ut_old
-            self._buf_ut = buf_ut
-            if self._buf_v is self._buf_u:
-                self._buf_vt = buf_ut
-            else:
-                buf_vt = self._zeros(cap)
-                buf_vt[:n_old, :n_old] = vt_old
-                self._buf_vt = buf_vt
-        pairs = (
-            ((self._buf_ut, self._buf_u),)
-            if self._buf_vt is self._buf_ut
-            else ((self._buf_ut, self._buf_u), (self._buf_vt, self._buf_v))
+        self._buf_u = grown(self._buf_u, self._gains_u)
+        self._buf_v = (
+            self._buf_u if self.directed else grown(self._buf_v, self._gains_v)
         )
-        for buf_t, buf in pairs:
-            # New rows of T = new columns of G; new columns of T (above
-            # the new rows) = new rows of G.  No overlap, full coverage.
-            buf_t[n_old:n_new, :n_new] = buf[:n_new, n_old:n_new].T
-            buf_t[:n_old, n_old:n_new] = buf[n_old:n_new, :n_old].T
+        if self._gains_t is not None:
+            gains_ut, gains_vt = self._gains_t
+            self._buf_ut = grown(self._buf_ut, gains_ut)
+            self._buf_vt = (
+                self._buf_ut
+                if gains_vt is gains_ut
+                else grown(self._buf_vt, gains_vt)
+            )
 
     def replace_requests(
         self, slots: Sequence[int], instance: Instance, powers: np.ndarray
@@ -988,22 +916,22 @@ class DenseBackend(GainBackend):
         if self._instance is None:
             raise ValueError(
                 "this DenseBackend was constructed from raw arrays; only "
-                "backends built via DenseBackend.build(...) can be edited"
+                "backends built via DenseBackend.build(...) can be edited "
+                "or grow"
             )
         slots = _distinct_slots(slots)
         validate_growth(
             self._instance, self._powers, instance, powers, replaced=slots
         )
         powers = np.asarray(powers, dtype=float).reshape(-1)
-        n = self.n
-        if instance.n != n:
-            raise ValueError(
-                f"replacement keeps n={n}; got an instance of n={instance.n} "
-                "(append_requests grows)"
-            )
-        if self._buf_u is None:
+        n = instance.n
+        if self._buf_u is None or n > self.n:
+            # Growth keeps the cached transposes: dropping them would
+            # make the next col_u/col_v re-transpose the whole O(n^2)
+            # matrix, turning the O(n) admission path quadratic.
             self._ensure_capacity(n)
             self._bind(n)
+            self._zero_mass = None
         slots = slots.tolist()
         targets = _host_gain_targets(instance)
         bufs = ((self._buf_u, self._buf_ut), (self._buf_v, self._buf_vt))
@@ -1296,8 +1224,8 @@ def _assemble_csr(
 
     Returns ``(csr, pruned_mass, has_infinite)`` with ``pruned_mass``
     the per-row bound from :func:`_prune_tile`.  Shared by the cold
-    :meth:`SparseBackend.build` (full square block) and the growable
-    appends (top-right and bottom strips).
+    :meth:`SparseBackend.build` (full square block) and the sharded
+    backend's block-row shards.
     """
     data, col_chunks, row_nnz = [], [], []
     pruned = np.zeros(rows.size)
@@ -1330,71 +1258,40 @@ def _assemble_csr(
     return csr, pruned, has_inf
 
 
-class _PendingBlock:
-    """One unconsolidated arrival batch of a growing sparse endpoint.
-
-    Appending at size ``start`` contributes exactly two strips: the
-    *right* strip ``G[:start, start:start+k]`` (what the ``k`` arrivals
-    induce at every pre-existing request, kept both row-major and
-    pre-transposed for O(row) column slices) and the *bottom* strip
-    ``G[start:start+k, :start+k]`` (the arrivals' full rows).  Folding
-    the blocks into the base CSR in arrival order reproduces the
-    rebuild-per-arrival storage bit-for-bit, so consolidation can be
-    deferred and amortized (see :meth:`SparseBackend.flush_growth`).
-    """
-
-    __slots__ = ("start", "right", "right_t", "bottom")
-
-    def __init__(self, start: int, right, bottom):
-        self.start = int(start)
-        self.right = right
-        self.right_t = right.T.tocsr()
-        self.bottom = bottom
-
-    @property
-    def k(self) -> int:
-        return self.right.shape[1]
-
-    @property
-    def nnz(self) -> int:
-        return int(self.right.nnz) + int(self.bottom.nnz)
-
-    @property
-    def nbytes(self) -> int:
-        total = 0
-        for csr in (self.right, self.right_t, self.bottom):
-            total += csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
-        return total
-
-
 class _SlotEdits:
-    """Unconsolidated slot replacements of one sparse endpoint.
+    """Slot writes of one sparse endpoint not yet written back.
 
-    Holds the current gain row and column of every edited slot as
-    dense buffer rows — ``rows[p]`` is ``G[slot, :]`` and ``cols[p]``
-    is ``G[:, slot]`` for the slot at position ``p`` (positions are
-    assigned by :class:`SparseBackend`, in edit order).  Reads overlay
-    them on the base CSR and :meth:`SparseBackend.flush_growth` writes
-    them back, so a stream of replacements pays amortized ``O(n)``
-    each instead of an ``O(nnz)`` reassembly.
+    Holds the current gain row and column of every written slot as
+    dense buffer rows — ``rows[p, :n]`` is ``G[slot, :]`` and
+    ``cols[p, :n]`` is ``G[:, slot]`` for the slot at position ``p``
+    (positions are assigned by :class:`SparseBackend`, in write
+    order).  Reads overlay them on the base CSR and
+    :meth:`SparseBackend.flush_growth` writes them back, so a stream of
+    arrivals, into reused or appended slots alike, pays amortized
+    ``O(n)`` each instead of an ``O(nnz)`` reassembly.
     """
 
     __slots__ = ("rows", "cols")
 
-    def __init__(self, n: int):
-        self.rows = np.zeros((0, n))
-        self.cols = np.zeros((0, n))
+    def __init__(self):
+        self.rows = np.zeros((0, 0))
+        self.cols = np.zeros((0, 0))
 
-    def reserve(self, count: int) -> None:
-        """Room for *count* positions, doubling on reallocation."""
-        cap = self.rows.shape[0]
-        if count <= cap:
+    def reserve(self, count: int, width: int) -> None:
+        """Room for *count* positions of *width* entries each; an
+        exhausted height doubles and an exhausted width grows by a
+        quarter, so reallocations stay geometric."""
+        height, cap = self.rows.shape
+        if count <= height and width <= cap:
             return
-        cap = max(count, 2 * cap)
+        if count > height:
+            height = max(count, 2 * height)
+        if width > cap:
+            cap = max(width, cap + cap // 4)
         for name in ("rows", "cols"):
             old = getattr(self, name)
-            new = np.zeros((cap, old.shape[1]))
-            new[: old.shape[0]] = old
+            new = np.zeros((height, cap))
+            new[: old.shape[0], : old.shape[1]] = old
             setattr(self, name, new)
 
     @property
@@ -1402,13 +1299,14 @@ class _SlotEdits:
         return self.rows.nbytes + self.cols.nbytes
 
 
-def _csr_cell(csr: "_sp.csr_matrix", row: int, col: int) -> float:
-    """One stored entry of a (sorted) CSR, ``0.0`` when absent."""
-    lo, hi = csr.indptr[row], csr.indptr[row + 1]
-    pos = lo + np.searchsorted(csr.indices[lo:hi], col)
-    if pos < hi and csr.indices[pos] == col:
-        return float(csr.data[pos])
-    return 0.0
+def _padded(csr: "_sp.csr_matrix", n: int) -> "_sp.csr_matrix":
+    """*csr* as an ``(n, n)`` matrix whose extra rows and columns are
+    empty: the stored arrays are shared, only ``indptr`` is extended."""
+    tail = np.full(n - csr.shape[0], csr.indptr[-1], dtype=csr.indptr.dtype)
+    return _sp.csr_matrix(
+        (csr.data, csr.indices, np.concatenate([csr.indptr, tail])),
+        shape=(n, n),
+    )
 
 
 class SparseBackend(GainBackend):
@@ -1421,22 +1319,16 @@ class SparseBackend(GainBackend):
     module docstring for the pruning rule and the exactness /
     certification contract.
 
-    Growth (``append_requests``) is *deferred*: arrival strips are kept
-    as :class:`_PendingBlock` buffers next to the consolidated base CSR
-    and folded in (one stacking pass plus one transpose rebuild) only
-    when the pending rows reach the base size, when a block-structured
-    query needs them, or on an explicit :meth:`flush_growth` — so a
-    stream of single-request arrivals consolidates ``O(log n)`` times
-    instead of rebuilding ``O(nnz)`` transposes per arrival, while the
-    hot single-row/column queries of live admission read base +
-    pending directly without consolidating at all.
-
-    Slot replacement (``replace_requests``) is deferred the same way:
-    the edited slots' rows and columns are kept as :class:`_SlotEdits`
-    overlays, read directly by the single-row/column queries, and
-    written back every ``nnz / 2n`` edited slots (or on demand), so a
-    churning session pays amortized ``O(n)`` per replaced slot.  Pending appends and pending edits
-    never coexist: each kind consolidates the other first.
+    Request edits are *deferred*: :meth:`replace_requests` keeps the
+    written slots' rows and columns in a :class:`_SlotEdits` overlay,
+    read directly by the single-row/column queries of live admission,
+    and writes it back into the CSR every ``nnz / 2n`` written slots,
+    when a block-structured query needs it, or on an explicit
+    :meth:`flush_growth` — so a churning or growing session pays
+    amortized ``O(n)`` per arrival, not an ``O(nnz)`` reassembly.  An
+    appended request is a slot like any other: the CSR is padded to
+    the new ``n`` (empty rows and columns) and the slot goes through
+    the overlay.
     """
 
     name = "sparse"
@@ -1463,18 +1355,14 @@ class SparseBackend(GainBackend):
         self._pruned_u = pruned_mass_u
         self._pruned_v = pruned_mass_v
         # Infinite stored entries (None: count lazily on first query;
-        # then maintained by appends and edits).
+        # then maintained by edits).
         self._inf_count: Optional[int] = None if has_infinite else 0
         self.tile_rows = DEFAULT_TILE_ROWS
         # Growth state (populated by build(); raw-constructed backends
         # cannot grow because they do not know their instance).
         self._instance: Optional[Instance] = None
         self._powers: Optional[np.ndarray] = None
-        # Deferred-consolidation buffers: logical size, pending arrival
-        # blocks per endpoint (aliased when directed, like the CSRs).
         self._n = int(csr_u.shape[0])
-        self._pend_u: list = []
-        self._pend_v: list = self._pend_u if csr_v is csr_u else []
         # Deferred slot edits: slot -> overlay position (insertion
         # ordered, so ``_edit_slots[p]`` is the slot at position p),
         # and one overlay per endpoint (aliased when directed).
@@ -1533,133 +1421,82 @@ class SparseBackend(GainBackend):
         backend._powers = powers
         return backend
 
-    def append_requests(self, instance: Instance, powers: np.ndarray) -> None:
-        """Append the new requests' CSR rows and extend every existing
-        row with the new columns, tile-by-tile.
-
-        With ``epsilon = 0`` the kept set of each entry is independent
-        of its row context (keep positive finite and ``inf``, drop exact
-        zeros), so the grown CSR storage — data, indices, indptr and
-        the transposed matrices, after consolidation — is
-        **bit-identical** to a cold :meth:`build` of the grown pair.
-        With ``epsilon > 0`` the appended block of each existing row is
-        pruned *on its own* (its dropped mass, at most ``epsilon``
-        times the block's finite mass, is added to the row's recorded
-        bound): a cold rebuild would re-prune whole rows against their
-        grown mass and may keep a different set, so grown and cold
-        storages can differ — but the backend remains a conservative
-        under-estimator with a true per-row pruned-mass upper bound,
-        which is all certification needs.
-
-        The new strips are buffered as a :class:`_PendingBlock` instead
-        of being stacked into the base CSR immediately; consolidation
-        (including the O(nnz) transposed-CSR rebuild that used to run
-        on *every* arrival) is deferred until the pending rows reach
-        the base size — see :meth:`flush_growth` — so a stream of
-        arrivals pays amortized ``O(n)`` per arrival, not ``O(nnz)``.
-        """
-        if self._instance is None:
-            raise ValueError(
-                "this SparseBackend was constructed from raw matrices; "
-                "only backends built via SparseBackend.build(...) can grow"
-            )
-        validate_growth(self._instance, self._powers, instance, powers)
-        powers = np.asarray(powers, dtype=float).reshape(-1)
-        n_old, n_new = self.n, instance.n
-        if n_new == n_old:
-            self._instance, self._powers = instance, powers
-            return
-        self._fold_edits()
-        epsilon = self.epsilon
-        tile = max(1, int(self.tile_rows))
-        old_idx = np.arange(n_old)
-        new_idx = np.arange(n_old, n_new)
-        all_idx = np.arange(n_new)
-
-        def extend_endpoint(pend, pruned_old, endpoint_nodes):
-            right, extra_pruned, inf_right = _assemble_csr(
-                instance, powers, endpoint_nodes, old_idx, new_idx,
-                epsilon, tile,
-            )
-            bottom, pruned_new, inf_bottom = _assemble_csr(
-                instance, powers, endpoint_nodes, new_idx, all_idx,
-                epsilon, tile,
-            )
-            pend.append(_PendingBlock(n_old, right, bottom))
-            pruned = np.concatenate(
-                [np.asarray(pruned_old) + extra_pruned, pruned_new]
-            )
-            pruned.setflags(write=False)
-            new_inf = 0
-            if inf_right or inf_bottom:
-                new_inf = int(np.count_nonzero(np.isinf(right.data))) + int(
-                    np.count_nonzero(np.isinf(bottom.data))
-                )
-            return pruned, new_inf
-
-        if instance.direction is Direction.DIRECTED:
-            pruned_u, new_inf = extend_endpoint(
-                self._pend_u, self._pruned_u, instance.receivers
-            )
-            pruned_v = pruned_u
-        else:
-            pruned_u, inf_u = extend_endpoint(
-                self._pend_u, self._pruned_u, instance.senders
-            )
-            pruned_v, inf_v = extend_endpoint(
-                self._pend_v, self._pruned_v, instance.receivers
-            )
-            new_inf = inf_u + inf_v
-        self._pruned_u, self._pruned_v = pruned_u, pruned_v
-        if self._inf_count is not None:
-            self._inf_count += new_inf
-        self._n = n_new
-        self._instance, self._powers = instance, powers
-        # Doubling rule: consolidate once the buffered rows match the
-        # base size, so total consolidation work over any arrival
-        # stream is a geometric series (O(nnz) overall, O(log n)
-        # rebuilds) instead of O(nnz) per arrival.
-        base_n = int(self._csr_u.shape[0])
-        if self._n - base_n >= max(base_n, 1):
-            self.flush_growth()
-
     def replace_requests(
         self, slots: Sequence[int], instance: Instance, powers: np.ndarray
     ) -> None:
         """Recompute the slots' gain rows and columns into the
         :class:`_SlotEdits` overlay — ``O(n)`` per slot, plus an
-        ``O(nnz)`` write-back amortized over ``nnz / 2n`` edited slots.
+        ``O(nnz)`` write-back whenever the overlay holds ``nnz / 2n``
+        slots, so it never holds more than about one CSR's worth of
+        entries.  Appended slots first pad the CSR to the new ``n``;
+        a batch larger than the write-back budget is written in
+        chunks, each filling the overlay up to the budget.
 
         With ``epsilon = 0`` the kept set of an entry does not depend on
         its row, so every query (and the storage after write-back) is
         **bit-identical** to a cold build of the edited pair.  With
         ``epsilon > 0`` the slots' own rows are pruned afresh (their
         recorded bound is the fresh one), and the slots' new columns at
-        every other row are pruned as one block the way
-        :meth:`append_requests` prunes appended columns; that block's
-        dropped mass is added to each row's bound, and nothing is ever
+        every other row are pruned as one block; that block's dropped
+        mass is added to each row's bound, and nothing is ever
         subtracted, so the bound stays a true upper bound.
         """
         if self._instance is None:
             raise ValueError(
                 "this SparseBackend was constructed from raw matrices; "
                 "only backends built via SparseBackend.build(...) can be "
-                "edited"
+                "edited or grow"
             )
         slots = _distinct_slots(slots)
         validate_growth(
             self._instance, self._powers, instance, powers, replaced=slots
         )
         powers = np.asarray(powers, dtype=float).reshape(-1)
-        n = self.n
-        if instance.n != n:
-            raise ValueError(
-                f"replacement keeps n={n}; got an instance of n={instance.n} "
-                "(append_requests grows)"
-            )
-        self._fold_appends()
+        if instance.n > self._n:
+            self._grow(instance.n)
+        n = self._n
+        start = 0
+        while start < slots.size:
+            # Written back once the overlay's 2n entries per slot reach
+            # the CSR's nnz: O(nnz) each time, amortized O(n) per slot.
+            budget = -(-max(int(self._csr_u.nnz), n) // (2 * n))
+            chunk = slots[start : start + max(1, budget - len(self._edit_pos))]
+            self._write_slots(chunk, instance, powers)
+            start += chunk.size
+            if len(self._edit_pos) >= budget:
+                self.flush_growth()
+        self._instance, self._powers = instance, powers
+
+    def _grow(self, n: int) -> None:
+        """Pad the stored matrices to ``(n, n)``, the pruned-mass
+        bounds with zeros and the overlay to width ``n``: the appended
+        slots are then written like reused ones."""
+        csr_u, csr_ut = _padded(self._csr_u, n), _padded(self._csr_ut, n)
+        pruned_u = np.concatenate([self._pruned_u, np.zeros(n - self._n)])
+        pruned_u.setflags(write=False)
+        if self.directed:
+            csr_v, csr_vt, pruned_v = csr_u, csr_ut, pruned_u
+        else:
+            csr_v, csr_vt = _padded(self._csr_v, n), _padded(self._csr_vt, n)
+            pruned_v = np.concatenate([self._pruned_v, np.zeros(n - self._n)])
+            pruned_v.setflags(write=False)
+        self._csr_u, self._csr_v, self._csr_ut, self._csr_vt = (
+            csr_u, csr_v, csr_ut, csr_vt
+        )
+        self._pruned_u, self._pruned_v = pruned_u, pruned_v
+        self._n = n
+        for edits in (self._edits_u, self._edits_v):
+            if edits is not None:
+                edits.reserve(len(self._edit_pos), n)
+
+    def _write_slots(
+        self, slots: np.ndarray, instance: Instance, powers: np.ndarray
+    ) -> None:
+        """Put the slots' exact (then pruned) gain lines of ``(instance,
+        powers)`` into the overlay (see :meth:`replace_requests`)."""
+        n = self._n
         slot_list = slots.tolist()
-        directed = instance.direction is Direction.DIRECTED
+        directed = self.directed
         endpoints = [
             (self._pruned_u, self.row_u, self.col_u),
             (self._pruned_v, self.row_v, self.col_v),
@@ -1694,7 +1531,7 @@ class SparseBackend(GainBackend):
             cols[slots] = rows[:, slots]
             fresh.append((rows, cols, pruned))
 
-        # Slots edited before (and not now) keep their overlay lines,
+        # Slots written before (and not now) keep their overlay lines,
         # patched at the new slots; the new slots take (or reuse) a
         # position each.
         again = [self._edit_pos[s] for s in slot_list if s in self._edit_pos]
@@ -1711,32 +1548,28 @@ class SparseBackend(GainBackend):
             [self._edit_pos[slot] for slot in slot_list], dtype=int
         )
         if self._edits_u is None:
-            self._edits_u = _SlotEdits(n)
-            self._edits_v = self._edits_u if directed else _SlotEdits(n)
+            self._edits_u = _SlotEdits()
+            self._edits_v = self._edits_u if directed else _SlotEdits()
         for edits, (rows, cols, _) in zip(
             (self._edits_u, self._edits_v), fresh
         ):
-            edits.reserve(len(self._edit_pos))
+            edits.reserve(len(self._edit_pos), n)
             if kept_pos.size:
                 edits.rows[np.ix_(kept_pos, slots)] = cols[kept_slots]
                 edits.cols[np.ix_(kept_pos, slots)] = rows[:, kept_slots].T
-            edits.rows[positions] = rows
-            edits.cols[positions] = cols.T
+            edits.rows[positions, :n] = rows
+            edits.cols[positions, :n] = cols.T
         self._pruned_u = fresh[0][2]
         self._pruned_v = fresh[-1][2]
-        self._instance, self._powers = instance, powers
-        # Write back every ~nnz/(2n) edited slots: O(nnz) each time,
-        # amortized O(n) per slot, and the overlay (2n entries per
-        # slot) stays at most the size of the CSR it shadows.
-        if 2 * n * len(self._edit_pos) >= max(int(self._csr_u.nnz), n):
-            self._fold_edits()
 
-    def _fold_edits(self) -> None:
+    def flush_growth(self) -> None:
         """Write the slot-edit overlay back into the base CSR (and
         rebuild the transposed matrices once).  The result holds the
-        overlay's nonzero entries where the edited rows and columns
+        overlay's nonzero entries where the written rows and columns
         lie and the base entries elsewhere — with ``epsilon = 0``
-        exactly what a cold build stores."""
+        exactly what a cold build stores, so block-structured queries
+        simply call this on demand.  Idempotent; a no-op when nothing
+        is pending."""
         if not self._edit_pos:
             return
         n = self._n
@@ -1753,8 +1586,8 @@ class SparseBackend(GainBackend):
             base = _sp.csr_matrix(
                 (csr.data[keep], csr.indices[keep], indptr), shape=(n, n)
             )
-            rows = edits.rows[:count]
-            cols = np.where(in_slots, 0.0, edits.cols[:count])
+            rows = edits.rows[:count, :n]
+            cols = np.where(in_slots, 0.0, edits.cols[:count, :n])
             row_pos, row_col = np.nonzero(rows)
             col_pos, col_row = np.nonzero(cols)
             patch = _sp.csr_matrix(
@@ -1785,43 +1618,6 @@ class SparseBackend(GainBackend):
         self._edit_pos = {}
         self._edit_slots = np.zeros(0, dtype=int)
         self._edits_u = self._edits_v = None
-
-    def flush_growth(self) -> None:
-        """Fold every pending arrival block and slot edit into the base
-        CSR (and rebuild the transposed matrices once).
-
-        Folding in arrival order reproduces exactly the storage the
-        historical rebuild-per-arrival path produced, so calling this
-        after any prefix of appends is bit-identical to having
-        consolidated eagerly — block-structured queries simply call it
-        on demand.  Idempotent; a no-op when nothing is pending.
-        """
-        self._fold_appends()
-        self._fold_edits()
-
-    def _fold_appends(self) -> None:
-        """Fold the pending arrival blocks (see :meth:`flush_growth`)."""
-        if not self._pend_u:
-            return
-
-        def fold(csr, pend):
-            for blk in pend:
-                top = _sp.hstack([csr, blk.right], format="csr")
-                csr = _sp.vstack([top, blk.bottom], format="csr")
-            csr.sort_indices()
-            return csr
-
-        csr_u = fold(self._csr_u, self._pend_u)
-        if self._csr_v is self._csr_u:
-            csr_v = csr_u
-        else:
-            csr_v = fold(self._csr_v, self._pend_v)
-        self._csr_u, self._csr_v = csr_u, csr_v
-        self._csr_ut = csr_u.T.tocsr()
-        self._csr_vt = self._csr_ut if csr_v is csr_u else csr_v.T.tocsr()
-        self._pend_u.clear()
-        if self._pend_v is not self._pend_u:
-            self._pend_v.clear()
 
     # -- protocol ------------------------------------------------------
 
@@ -1864,92 +1660,40 @@ class SparseBackend(GainBackend):
         out[csr.indices[lo:hi]] = csr.data[lo:hi]
         return out
 
-    def _grown_row(self, base, pend, i: int) -> np.ndarray:
-        """Row ``i`` of base + pending, without consolidating.
-
-        Every stored entry lands at the same value consolidation would
-        place (pure scatter of the identical stored floats), so the hot
-        single-row path of live admission never forces a flush.
-        """
-        out = np.zeros(self._n)
-        base_n = base.shape[0]
-        if i < base_n:
-            lo, hi = base.indptr[i], base.indptr[i + 1]
-            out[base.indices[lo:hi]] = base.data[lo:hi]
-        for blk in pend:
-            if i < blk.start:
-                # The arrivals' columns at a pre-existing row.
-                lo, hi = blk.right.indptr[i], blk.right.indptr[i + 1]
-                out[blk.start + blk.right.indices[lo:hi]] = (
-                    blk.right.data[lo:hi]
-                )
-            elif i < blk.start + blk.k:
-                # The arrival's own full row (covers all earlier cols).
-                r = i - blk.start
-                lo, hi = blk.bottom.indptr[r], blk.bottom.indptr[r + 1]
-                out[blk.bottom.indices[lo:hi]] = blk.bottom.data[lo:hi]
-        return out
-
     def _edited_line(self, csr, own, cross, i: int) -> np.ndarray:
-        """Row ``i`` of *csr* under the slot-edit overlay: an edited
+        """Row ``i`` of *csr* under the slot-edit overlay: a written
         slot's own overlay line (*own*), else the stored row with the
-        edited slots' entries taken from the *cross* lines.  Called
+        written slots' entries taken from the *cross* lines.  Called
         with the transposed CSR (and the overlay's columns as *own*)
-        it yields columns.  Pure scatter of the stored floats, like
-        :meth:`_grown_row`."""
+        it yields columns.  Pure scatter of the stored floats, so the
+        hot single-row path of live admission never forces a
+        write-back."""
         pos = self._edit_pos.get(i)
         if pos is not None:
-            return own[pos].copy()
+            return own[pos, : self._n].copy()
         out = self._expand_row(csr, i)
         out[self._edit_slots] = cross[: self._edit_slots.size, i]
         return out
 
-    def _grown_col(self, base_t, pend, j: int) -> np.ndarray:
-        """Column ``j`` of base + pending (see :meth:`_grown_row`)."""
-        out = np.zeros(self._n)
-        base_n = base_t.shape[0]
-        if j < base_n:
-            lo, hi = base_t.indptr[j], base_t.indptr[j + 1]
-            out[base_t.indices[lo:hi]] = base_t.data[lo:hi]
-        for blk in pend:
-            if blk.start <= j < blk.start + blk.k:
-                # What arrival j induces at every pre-existing request.
-                r = j - blk.start
-                lo, hi = blk.right_t.indptr[r], blk.right_t.indptr[r + 1]
-                out[blk.right_t.indices[lo:hi]] = blk.right_t.data[lo:hi]
-            if blk.start + blk.k > j:
-                # These arrivals' rows cover column j.
-                for r in range(blk.bottom.shape[0]):
-                    out[blk.start + r] = _csr_cell(blk.bottom, r, j)
-        return out
-
     def col_u(self, j: int) -> np.ndarray:
-        if self._pend_u:
-            return self._grown_col(self._csr_ut, self._pend_u, int(j))
         if self._edit_pos:
             edits = self._edits_u
             return self._edited_line(self._csr_ut, edits.cols, edits.rows, int(j))
         return self._expand_row(self._csr_ut, int(j))
 
     def col_v(self, j: int) -> np.ndarray:
-        if self._pend_v:
-            return self._grown_col(self._csr_vt, self._pend_v, int(j))
         if self._edit_pos:
             edits = self._edits_v
             return self._edited_line(self._csr_vt, edits.cols, edits.rows, int(j))
         return self._expand_row(self._csr_vt, int(j))
 
     def row_u(self, i: int) -> np.ndarray:
-        if self._pend_u:
-            return self._grown_row(self._csr_u, self._pend_u, int(i))
         if self._edit_pos:
             edits = self._edits_u
             return self._edited_line(self._csr_u, edits.rows, edits.cols, int(i))
         return self._expand_row(self._csr_u, int(i))
 
     def row_v(self, i: int) -> np.ndarray:
-        if self._pend_v:
-            return self._grown_row(self._csr_v, self._pend_v, int(i))
         if self._edit_pos:
             edits = self._edits_v
             return self._edited_line(self._csr_v, edits.rows, edits.cols, int(i))
@@ -1972,7 +1716,7 @@ class SparseBackend(GainBackend):
         return self._csr_v[idx][:, idx].toarray()
 
     def _cross_block(self, which_u: bool, rows, cols) -> np.ndarray:
-        if self._pend_u or self._edit_pos:
+        if self._edit_pos:
             rows = np.asarray(rows, dtype=int)
             if rows.size > 64:
                 # Bulk query (peel init, class analysis): consolidate
@@ -1980,7 +1724,7 @@ class SparseBackend(GainBackend):
                 self.flush_growth()
             else:
                 # Admission-path query (a handful of arrival rows):
-                # assemble from base + pending.  Pure gather of the
+                # assemble from base + overlay.  Pure gather of the
                 # same stored values, so bit-identical to flushing.
                 row_of = self.row_u if which_u else self.row_v
                 cols = np.asarray(cols, dtype=int)
@@ -2076,12 +1820,10 @@ class SparseBackend(GainBackend):
 
     @property
     def nnz(self) -> int:
-        self._fold_edits()
-        count = int(self._csr_u.nnz) + sum(blk.nnz for blk in self._pend_u)
+        self.flush_growth()
+        count = int(self._csr_u.nnz)
         if self._csr_v is not self._csr_u:
-            count += int(self._csr_v.nnz) + sum(
-                blk.nnz for blk in self._pend_v
-            )
+            count += int(self._csr_v.nnz)
         return count
 
     @property
@@ -2093,11 +1835,6 @@ class SparseBackend(GainBackend):
                 continue
             seen.add(id(csr))
             total += csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
-        for pend in (self._pend_u, self._pend_v):
-            for blk in pend:
-                total += blk.nbytes
-            if self._pend_v is self._pend_u:
-                break
         for edits in {id(e): e for e in (self._edits_u, self._edits_v) if e}.values():
             total += edits.nbytes
         return total

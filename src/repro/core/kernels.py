@@ -442,8 +442,9 @@ class ScheduleKernel:
 
     def extend_to(self, n_new: int) -> None:
         """Grow the kernel to a context that has grown to *n_new*
-        requests (see :meth:`InterferenceContext.extend_to`) — the live
-        state survives arrivals with no replay.
+        requests (appended slots of
+        :meth:`InterferenceContext.replace_requests`) — the live state
+        survives arrivals with no replay.
 
         Existing per-class and own-class entries are untouched (the new
         requests are not members of anything yet, so no existing sum
@@ -451,9 +452,9 @@ class ScheduleKernel:
         their gain rows with the member order of :meth:`_bulk_seed`,
         so the grown state equals a freshly seeded kernel's bit for bit
         and a subsequent :meth:`first_fit_admit` of an arrival sees
-        exactly the state a fresh kernel would.  The request capacity
-        doubles when exhausted (like the dense backend's buffers), so
-        a stream of arrivals copies the ``(classes, n)`` state
+        exactly the state a fresh kernel would.  An exhausted request
+        capacity grows by a quarter (like the dense backend's buffers),
+        so a stream of arrivals copies the ``(classes, n)`` state
         ``O(log n)`` times, not once per arrival.  The all-finite fast
         path and the pruned-mass bound are re-resolved from the
         (grown) backend, since arrivals can introduce shared-node pairs
@@ -468,7 +469,7 @@ class ScheduleKernel:
         if self.context.n != n_new:
             raise ValueError(
                 f"context has n={self.context.n}, expected {n_new}; grow "
-                "the context (InterferenceContext.extend_to) first"
+                "the context (InterferenceContext.replace_requests) first"
             )
         if n_new == n_old:
             return
@@ -477,7 +478,7 @@ class ScheduleKernel:
         columns = self._row_bufs[0].shape[1]
         if n_new > columns:
             self._reallocate(
-                self._row_bufs[0].shape[0], max(n_new, 2 * columns)
+                self._row_bufs[0].shape[0], max(n_new, columns + columns // 4)
             )
         self._n = n_new
         self._bind()

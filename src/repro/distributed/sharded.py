@@ -273,8 +273,9 @@ class ShardedBackend(GainBackend):
     :class:`~repro.runner.executors.ShardExecutor`.
 
     See the module docstring for the decomposition and the bit-identity
-    contract.  ``append_requests`` is not supported (growth would
-    require a resharding protocol); build a new backend instead.
+    contract.  ``replace_requests`` is not supported: writing a slot's
+    column touches every shard, and an appended slot would need a
+    resharding protocol; build a new backend instead.
     """
 
     name = "sharded"

@@ -1,9 +1,9 @@
-"""The Problem/Session/ScheduleResult facade and its batch entry points."""
+"""The Problem/Session/ScheduleResult facade, one session per problem."""
 
 import numpy as np
 import pytest
 
-from repro.api import BatchSession, Problem, ScheduleResult, Session, schedule_batch
+from repro.api import Problem, ScheduleResult, Session
 from repro.core.context import cache_info, clear_context_cache, get_context
 from repro.core.errors import InvalidScheduleError
 from repro.core.gains import default_config
@@ -192,6 +192,31 @@ class TestIncremental:
         assert list(handles) == []
         assert session.instance is instance
 
+    def test_reused_and_appended_arrivals_make_one_context_edit(
+        self, monkeypatch
+    ):
+        from repro.core.context import InterferenceContext
+
+        session = Problem(random_uniform_instance(12, rng=5), backend="dense").session()
+        session.ensure_live()
+        session.remove_requests(session.handles[:2])
+        calls = []
+        edit = InterferenceContext.replace_requests
+
+        def counting(self, slots, instance, powers):
+            calls.append(list(slots))
+            return edit(self, slots, instance, powers)
+
+        monkeypatch.setattr(InterferenceContext, "replace_requests", counting)
+        session.add_requests([(0, 3), (5, 8), (1, 9), (2, 7)])
+        assert calls == [[0, 1, 12, 13]]
+        assert session.instance.n == 14
+        cold = InterferenceContext(
+            session.instance, session.powers, config=session.problem.config
+        )
+        np.testing.assert_array_equal(session.context.margins(), cold.margins())
+        assert session.check_consistency() is None
+
     def test_reschedule_replays_last_params(self, instance):
         session = Problem(instance).session()
         first = session.schedule("gain_scaling", gamma_target=2.0)
@@ -213,34 +238,27 @@ class TestIncremental:
 
 
 class TestBackendConfigPlumbing:
-    """A problem's backend config reaches every context its sessions,
-    batches and algorithm runs build — one config, one context."""
+    """A problem's backend config reaches every context its sessions
+    and algorithm runs build — one config, one context."""
 
-    def _sharded(self, seed, workers=3):
-        return Problem(
-            random_uniform_instance(10, rng=seed),
-            backend="sharded",
-            sparse_epsilon=0.05,
-            workers=workers,
-            shard_executor="serial",
-        )
-
-    def test_batch_pools_the_problem_config(self):
+    def test_session_pools_the_problem_config(self):
         from repro.runner.executors import SerialShardExecutor
 
-        batch = BatchSession([self._sharded(0)])
-        context = batch.sessions[0].context
+        problem = Problem(
+            random_uniform_instance(10, rng=0),
+            backend="sharded",
+            sparse_epsilon=0.05,
+            workers=3,
+            shard_executor="serial",
+        )
+        context = problem.session().context
         backend = context.backend
         try:
             assert (backend.epsilon, backend.workers) == (0.05, 3)
             assert isinstance(backend.executor, SerialShardExecutor)
         finally:
             backend.close()
-        assert context.config == batch.problems[0].config
-
-    def test_batch_rejects_mixed_shard_workers(self):
-        with pytest.raises(ValueError, match="share backend"):
-            BatchSession([self._sharded(0, workers=2), self._sharded(1)])
+        assert context.config == problem.config
 
     def test_device_run_builds_one_context(self, instance):
         clear_context_cache()
@@ -264,7 +282,20 @@ class TestBackendConfigPlumbing:
         assert problem.session().context.backend.epsilon == 0.05
 
 
-class TestBatchSession:
+def _sessions(problems):
+    """One session per problem (an instance gets the default problem)."""
+    return [Session(problem) for problem in problems]
+
+
+def _schedule_all(sessions, algorithm, **params):
+    return [session.schedule(algorithm, **params) for session in sessions]
+
+
+class TestManyProblems:
+    """Many problems at once are one session each: every algorithm
+    runs through each problem's own session, and each result validates
+    itself against its own instance."""
+
     def _problems(self, count=3, n=10, direction="bidirectional"):
         # Backend pinned dense: the suite must behave identically under
         # REPRO_BACKEND=sparse.
@@ -278,7 +309,7 @@ class TestBatchSession:
 
     def test_first_fit_matches_per_pair(self):
         problems = self._problems()
-        results = BatchSession(problems).schedule("first_fit")
+        results = _schedule_all(_sessions(problems), "first_fit")
         assert len(results) == 3
         for problem, result in zip(problems, results):
             ref = first_fit_schedule(
@@ -287,23 +318,22 @@ class TestBatchSession:
             np.testing.assert_array_equal(result.colors, ref.colors)
             assert result.provenance.certified is True
 
-    def test_ragged_batch_records_fallback(self):
+    def test_ragged_problems_match_per_pair(self):
         problems = [
             Problem(random_uniform_instance(10, rng=0), backend="dense"),
             Problem(random_uniform_instance(6, rng=1), backend="dense"),
         ]
-        batch = BatchSession(problems)
-        results = batch.schedule("first_fit")
+        results = _schedule_all(_sessions(problems), "first_fit")
         for problem, result in zip(problems, results):
             ref = first_fit_schedule(
                 problem.instance, SquareRootPower()(problem.instance)
             )
             np.testing.assert_array_equal(result.colors, ref.colors)
-        assert batch.validate() is batch
+            assert result.validate() is result
 
     def test_peeling_runs_through_sessions(self):
         problems = self._problems()
-        results = BatchSession(problems).schedule("peeling")
+        results = _schedule_all(_sessions(problems), "peeling")
         for problem, result in zip(problems, results):
             ref = problem.session().schedule("peeling")
             np.testing.assert_array_equal(result.colors, ref.colors)
@@ -332,80 +362,43 @@ class TestBatchSession:
     @pytest.mark.parametrize("max_rounds", [None, 1])
     @pytest.mark.parametrize("kind", ["bidirectional", "directed", "shared"])
     def test_local_search_matches_each_session(self, kind, max_rounds):
+        from repro.scheduling.local_search import improve_schedule
+
         if kind == "shared":
             problems = self._shared_node_problems()
         else:
             problems = self._problems(count=4, n=40, direction=kind)
         params = {} if max_rounds is None else {"max_rounds": max_rounds}
-        batch = BatchSession(problems)
-        seeds = batch.schedule("first_fit")
+        sessions = _sessions(problems)
+        seeds = _schedule_all(sessions, "first_fit")
         # Seeds may be ScheduleResults or bare Schedules.
         seeds[0] = seeds[0].schedule
-        results = batch.schedule("local_search", schedule=seeds, **params)
-        assert len(results) == len(problems)
-        for problem, seed, result in zip(problems, seeds, results):
-            ref = problem.session().schedule(
-                "local_search", schedule=seed, **params
-            )
+        for session, seed in zip(sessions, seeds):
+            result = session.schedule("local_search", schedule=seed, **params)
+            if not isinstance(seed, Schedule):
+                seed = seed.schedule
+            ref = improve_schedule(session.instance, seed, **params)
             np.testing.assert_array_equal(result.colors, ref.colors)
             np.testing.assert_array_equal(result.powers, ref.powers)
             assert result.provenance.algorithm == "local_search"
-        assert batch.validate() is batch
-
-    def test_local_search_seed_count_must_match(self):
-        batch = BatchSession(self._problems())
-        seeds = batch.schedule("first_fit")
-        with pytest.raises(ValueError, match="2 schedules for 3 problems"):
-            batch.schedule("local_search", schedule=seeds[:2])
+            assert result.validate() is result
 
     def test_local_search_requires_schedule(self):
-        with pytest.raises(TypeError, match="pass schedule="):
-            BatchSession(self._problems()).schedule("local_search")
+        with pytest.raises(TypeError, match="schedule="):
+            self._problems()[0].session().schedule("local_search")
 
-    def test_randomized_fanout_is_seed_deterministic(self):
+    def test_deterministic_run_rejects_rng(self):
+        with pytest.raises(TypeError, match="deterministic"):
+            self._problems()[0].session().schedule("first_fit", rng=42)
+
+    def test_randomized_runs_are_seed_deterministic(self):
         problems = self._problems()
-        a = BatchSession(problems).schedule("sqrt_coloring", rng=9)
-        b = BatchSession(problems).schedule("sqrt_coloring", rng=9)
+        a = _schedule_all(_sessions(problems), "sqrt_coloring", rng=9)
+        b = _schedule_all(_sessions(problems), "sqrt_coloring", rng=9)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.colors, y.colors)
 
-    def test_deterministic_batch_rejects_rng(self):
-        with pytest.raises(TypeError, match="deterministic"):
-            BatchSession(self._problems()).schedule("first_fit", rng=42)
-
-    def test_mixed_backend_preferences_rejected(self):
-        problems = [
-            Problem(random_uniform_instance(8, rng=0), backend="dense"),
-            Problem(random_uniform_instance(8, rng=1), backend="sparse"),
-        ]
-        with pytest.raises(ValueError, match="backend"):
-            BatchSession(problems)
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            BatchSession([])
-
-    def test_validate_roundtrip(self):
-        batch = BatchSession(self._problems())
-        with pytest.raises(InvalidScheduleError, match="schedule"):
-            batch.validate()
-        batch.schedule("first_fit")
-        assert batch.validate() is batch
-
-    def test_schedule_batch_convenience(self):
-        problems = self._problems(count=2)
-        results = schedule_batch(problems, "first_fit")
-        assert [r.num_colors for r in results] == [
-            r.num_colors
-            for r in BatchSession(problems).schedule("first_fit")
-        ]
-
-    def test_instances_accepted_directly(self):
-        instances = [random_uniform_instance(8, rng=i) for i in range(2)]
-        results = schedule_batch(instances)
-        assert len(results) == 2
-
-    # -- validation: each session's latest result, first bad pair named --
+    # -- validation: each session's latest result -------------------------
 
     @staticmethod
     def _pairs(n_values, direction="bidirectional", seed=0):
@@ -416,10 +409,10 @@ class TestBatchSession:
         return pairs
 
     @staticmethod
-    def _batch_session(pairs, **config):
-        """A :class:`BatchSession` over *pairs*, each problem pinned to
-        its pair's powers and to *config*."""
-        return BatchSession(
+    def _pair_sessions(pairs, **config):
+        """One session per pair, each problem pinned to its pair's
+        powers and to *config*."""
+        return _sessions(
             [Problem(instance, powers=powers, **config) for instance, powers in pairs]
         )
 
@@ -440,108 +433,86 @@ class TestBatchSession:
             result, schedule=Schedule(colors=colors, powers=result.powers)
         )
 
-    def test_valid_schedules_pass(self):
-        batch = self._batch_session(self._pairs([10, 10, 10]))
-        batch.schedule("first_fit")
-        assert batch.validate() is batch
-
     def test_single_shared_instance(self):
         instance = random_uniform_instance(10, rng=3)
-        batch = BatchSession(
+        sessions = _sessions(
             [
                 Problem(instance, powers=UniformPower(), backend="dense"),
                 Problem(instance, powers=SquareRootPower(), backend="dense"),
             ]
         )
-        batch.schedule("first_fit")
-        assert batch.validate() is batch
+        for result in _schedule_all(sessions, "first_fit"):
+            assert result.validate() is result
 
-    def test_infeasible_schedule_raises_with_pair_index(self):
+    def test_infeasible_schedule_raises(self):
         pairs = self._pairs([10]) + [self._shared_node_pair()]
-        batch = self._batch_session(pairs)
-        batch.schedule("first_fit")
-        self._corrupt(batch.sessions[1], 0, 1)
-        assert not batch.sessions[1].last_result.schedule.is_feasible(pairs[1][0])
-        with pytest.raises(InvalidScheduleError, match=r"^pair 1: SINR"):
-            batch.validate()
+        sessions = self._pair_sessions(pairs)
+        _schedule_all(sessions, "first_fit")
+        self._corrupt(sessions[1], 0, 1)
+        assert not sessions[1].last_result.schedule.is_feasible(pairs[1][0])
+        sessions[0].last_result.validate()
+        with pytest.raises(InvalidScheduleError, match=r"^SINR"):
+            sessions[1].last_result.validate()
 
     def test_matches_schedule_validate_decision(self):
         pairs = self._pairs([8, 8, 8], seed=21)
         for bad in [(), (0,), (2,), (1, 2)]:
-            batch = self._batch_session(pairs)
-            batch.schedule("first_fit")
+            sessions = self._pair_sessions(pairs)
+            _schedule_all(sessions, "first_fit")
             for i in bad:
-                self._corrupt(batch.sessions[i], 0, 1)
-            feasible = [
-                s.last_result.schedule.is_feasible(instance)
-                for s, (instance, _) in zip(batch.sessions, pairs)
-            ]
-            if all(feasible):
-                assert batch.validate() is batch
-            else:
-                first = feasible.index(False)
-                with pytest.raises(InvalidScheduleError, match=rf"^pair {first}: "):
-                    batch.validate()
-
-    def test_count_mismatch(self):
-        batch = self._batch_session(self._pairs([6, 6], seed=1))
-        batch.sessions[0].schedule("first_fit")
-        with pytest.raises(InvalidScheduleError, match="call schedule"):
-            batch.validate()
+                self._corrupt(sessions[i], 0, 1)
+            for session, (instance, _) in zip(sessions, pairs):
+                if session.last_result.schedule.is_feasible(instance):
+                    session.last_result.validate()
+                else:
+                    with pytest.raises(InvalidScheduleError):
+                        session.last_result.validate()
 
     def test_validate_after_growth(self):
-        """Regression: validation follows a session that grew after the
-        batch first validated (a stale per-batch context cache broke
-        here)."""
-        batch = BatchSession(self._problems(count=2, n=20))
-        batch.schedule("first_fit")
-        batch.validate()
-        batch.sessions[0].add_requests([(0, 3), (5, 8)])
-        batch.schedule("first_fit")
-        assert batch.sessions[0].instance.n == 22
-        assert batch.validate() is batch
+        """Validation follows a session that grew after its first
+        validated result."""
+        session = self._problems(count=1, n=20)[0].session()
+        session.schedule("first_fit").validate()
+        session.add_requests([(0, 3), (5, 8)])
+        result = session.schedule("first_fit")
+        assert session.instance.n == 22
+        assert result.validate() is result
 
     def test_validate_after_departure_and_arrival(self):
-        batch = BatchSession(self._problems(count=2, n=20))
-        batch.schedule("first_fit")
-        batch.validate()
-        session = batch.sessions[1]
+        session = self._problems(count=1, n=20)[0].session()
+        session.schedule("first_fit").validate()
         session.remove_requests([3])
         session.add_requests([(0, 7), (2, 9)])
-        batch.schedule("first_fit")
-        assert batch.validate() is batch
+        result = session.schedule("first_fit")
+        assert result.validate() is result
 
-    def test_infeasible_result_after_growth_names_the_pair(self):
-        batch = BatchSession(self._problems(count=2, n=20))
-        batch.schedule("first_fit")
-        batch.validate()
-        session = batch.sessions[1]
+    def test_infeasible_result_after_growth_raises(self):
+        session = self._problems(count=1, n=20)[0].session()
+        session.schedule("first_fit").validate()
         sender = int(session.instance.senders[0])
         session.add_requests([(sender, int(session.instance.receivers[4]))])
-        batch.schedule("first_fit")
+        session.schedule("first_fit")
         # The arrival shares its sender with request 0: one color for
         # both is infeasible under every power assignment.
         self._corrupt(session, 0, session.instance.n - 1)
-        with pytest.raises(InvalidScheduleError, match=r"^pair 1: "):
-            batch.validate()
+        with pytest.raises(InvalidScheduleError):
+            session.last_result.validate()
 
-    # -- ragged batches (moved with their behaviour from the deleted
-    # stacked query plane) ------------------------------------------------
+    # -- ragged problems ----------------------------------------------------
 
     def test_ragged_first_fit_matches_per_pair(self):
         pairs = self._pairs([6, 11, 9], seed=71)
-        batch = self._batch_session(pairs)
-        results = batch.schedule("first_fit")
+        results = _schedule_all(self._pair_sessions(pairs), "first_fit")
         for (instance, powers), result in zip(pairs, results):
             reference = first_fit_schedule(instance, powers)
             np.testing.assert_array_equal(result.colors, reference.colors)
             np.testing.assert_array_equal(result.powers, reference.powers)
             result.schedule.validate(instance)
-        assert batch.validate() is batch
+            assert result.validate() is result
 
     def test_ragged_first_fit_with_shared_node_pair(self):
         pairs = self._pairs([6, 9], seed=72) + [self._shared_node_pair()]
-        results = self._batch_session(pairs).schedule("first_fit")
+        results = _schedule_all(self._pair_sessions(pairs), "first_fit")
         for (instance, powers), result in zip(pairs, results):
             reference = first_fit_schedule(instance, powers)
             np.testing.assert_array_equal(result.colors, reference.colors)
@@ -553,16 +524,16 @@ class TestBatchSession:
 
     def test_ragged_validation_matches_per_pair(self):
         pairs = self._pairs([6, 9], seed=73) + [self._shared_node_pair()]
-        batch = self._batch_session(pairs)
-        batch.schedule("first_fit")
-        batch.validate()  # must not raise
+        sessions = self._pair_sessions(pairs)
+        for result in _schedule_all(sessions, "first_fit"):
+            result.validate()  # must not raise
         # Merging two adjacent shared-node requests into one color must
-        # be rejected, naming the pair.
-        self._corrupt(batch.sessions[2], 0, 1)
-        with pytest.raises(InvalidScheduleError, match="pair 2"):
-            batch.validate()
+        # be rejected.
+        self._corrupt(sessions[2], 0, 1)
+        with pytest.raises(InvalidScheduleError, match="SINR"):
+            sessions[2].last_result.validate()
 
-    # -- local search over a batch ----------------------------------------
+    # -- local search, one session per problem ------------------------------
 
     @pytest.mark.parametrize("direction", ["bidirectional", "directed"])
     @pytest.mark.parametrize(
@@ -580,57 +551,51 @@ class TestBatchSession:
         from repro.scheduling.local_search import improve_schedule
 
         pairs = self._pairs([30, 30, 30], direction=direction, seed=90)
-        batch = self._batch_session(
+        sessions = self._pair_sessions(
             pairs, backend=backend, sparse_epsilon=epsilon, array_namespace=namespace
         )
-        seeds = batch.schedule("first_fit")
-        improved = batch.schedule("local_search", schedule=seeds)
-        for (instance, _), seed, result in zip(pairs, seeds, improved):
+        seeds = _schedule_all(sessions, "first_fit")
+        for session, (instance, _), seed in zip(sessions, pairs, seeds):
+            result = session.schedule("local_search", schedule=seed)
             reference = improve_schedule(instance, seed.schedule)
             np.testing.assert_array_equal(result.colors, reference.colors)
             result.schedule.validate(instance)
-        assert batch.validate() is batch
+            assert result.validate() is result
 
     def test_ragged_local_search_matches(self):
         from repro.scheduling.local_search import improve_schedule
 
         pairs = self._pairs([10, 16], seed=91)
-        batch = self._batch_session(pairs)
-        seeds = batch.schedule("first_fit")
-        improved = batch.schedule("local_search", schedule=seeds)
-        for (instance, _), seed, result in zip(pairs, seeds, improved):
+        sessions = self._pair_sessions(pairs)
+        seeds = _schedule_all(sessions, "first_fit")
+        for session, (instance, _), seed in zip(sessions, pairs, seeds):
+            result = session.schedule("local_search", schedule=seed)
             reference = improve_schedule(instance, seed.schedule)
             np.testing.assert_array_equal(result.colors, reference.colors)
 
     def test_max_rounds_threads_through(self):
-        batch = self._batch_session(self._pairs([20, 20], seed=92))
-        seeds = batch.schedule("first_fit")
-        capped = batch.schedule("local_search", schedule=seeds, max_rounds=0)
-        for seed, result in zip(seeds, capped):
+        sessions = self._pair_sessions(self._pairs([20, 20], seed=92))
+        seeds = _schedule_all(sessions, "first_fit")
+        for session, seed in zip(sessions, seeds):
+            capped = session.schedule("local_search", schedule=seed, max_rounds=0)
             np.testing.assert_array_equal(
-                result.colors, seed.schedule.compacted().colors
+                capped.colors, seed.schedule.compacted().colors
             )
 
-    def test_schedule_count_mismatch(self):
-        batch = self._batch_session(self._pairs([8, 8], seed=93))
-        seeds = batch.schedule("first_fit")
-        with pytest.raises(ValueError, match="1 schedules for 2 problems"):
-            batch.schedule("local_search", schedule=seeds[:1])
-
     def test_foreign_powers_kept(self):
-        """A seed carries its own powers: each problem's local search
-        improves it under those powers, exactly as a per-pair
-        ``improve_schedule`` does."""
+        """A seed carries its own powers: the session's local search
+        improves it under those powers, exactly as ``improve_schedule``
+        does."""
         from repro.scheduling.local_search import improve_schedule
 
         pairs = self._pairs([8, 8], seed=94)
-        batch = self._batch_session(pairs)
-        seeds = batch.schedule("first_fit")
-        foreign = Schedule(colors=seeds[1].colors.copy(), powers=seeds[1].powers * 2.0)
-        improved = batch.schedule("local_search", schedule=[seeds[0], foreign])
+        sessions = self._pair_sessions(pairs)
+        seed = sessions[1].schedule("first_fit")
+        foreign = Schedule(colors=seed.colors.copy(), powers=seed.powers * 2.0)
+        improved = sessions[1].schedule("local_search", schedule=foreign)
         reference = improve_schedule(pairs[1][0], foreign)
-        np.testing.assert_array_equal(improved[1].colors, reference.colors)
-        np.testing.assert_array_equal(improved[1].powers, foreign.powers)
+        np.testing.assert_array_equal(improved.colors, reference.colors)
+        np.testing.assert_array_equal(improved.powers, foreign.powers)
 
 
 #: Dense storage namespaces: numpy plus the process default's
@@ -644,20 +609,24 @@ LOSSLESS = [pytest.param("sparse", 0.0, None, id="sparse-0.0")] + [
 ]
 
 
-class TestBatchQueries:
-    """Each pair of a batch answers its SINR queries through its own
-    session's :class:`~repro.core.context.InterferenceContext`: built
-    for that pair's instance, powers and backend preferences, equal to
-    a context built from scratch and to the independent oracle, on
-    equal-size, ragged and mixed-direction batches alike."""
+class TestPerProblemQueries:
+    """Each problem answers its SINR queries through its own session's
+    :class:`~repro.core.context.InterferenceContext`: built for that
+    problem's instance, powers and backend preferences, equal to a
+    context built from scratch and to the independent oracle, for
+    equal-size, ragged and mixed-direction problems alike."""
 
     @staticmethod
-    def _batch(n_values, direction="bidirectional", seed=0, **config):
+    def _problems(n_values, direction="bidirectional", seed=0, **config):
         problems = []
         for i, n in enumerate(n_values):
             instance = random_uniform_instance(n, direction=direction, rng=seed + i)
             problems.append(Problem(instance, **config))
-        return BatchSession(problems)
+        return problems
+
+    @classmethod
+    def _sessions(cls, n_values, **kwargs):
+        return _sessions(cls._problems(n_values, **kwargs))
 
     @staticmethod
     def _fresh(session, config=None):
@@ -678,8 +647,8 @@ class TestBatchQueries:
 
     @pytest.mark.parametrize("direction", ["bidirectional", "directed"])
     def test_margins_match_per_context_exactly(self, direction, dense_backend):
-        batch = self._batch([12, 12, 12], direction=direction)
-        for session in batch.sessions:
+        sessions = self._sessions([12, 12, 12], direction=direction)
+        for session in sessions:
             margins = session.context.margins()
             assert margins.shape == (12,)
             np.testing.assert_array_equal(margins, self._fresh(session).margins())
@@ -689,9 +658,9 @@ class TestBatchQueries:
 
     @pytest.mark.parametrize("direction", ["bidirectional", "directed"])
     def test_colored_margins_match(self, direction):
-        batch = self._batch([10, 10], direction=direction, seed=3)
-        results = batch.schedule("first_fit")
-        for session, result in zip(batch.sessions, results):
+        sessions = self._sessions([10, 10], direction=direction, seed=3)
+        results = _schedule_all(sessions, "first_fit")
+        for session, result in zip(sessions, results):
             margins = session.context.margins(colors=result.colors)
             np.testing.assert_array_equal(
                 margins, self._fresh(session).margins(colors=result.colors)
@@ -704,8 +673,8 @@ class TestBatchQueries:
 
     @pytest.mark.parametrize("direction", ["bidirectional", "directed"])
     def test_interference_matches(self, direction):
-        batch = self._batch([9, 9, 9, 9], direction=direction, seed=5)
-        for session in batch.sessions:
+        sessions = self._sessions([9, 9, 9, 9], direction=direction, seed=5)
+        for session in sessions:
             interference = session.context.interference()
             np.testing.assert_array_equal(
                 interference, self._fresh(session).interference()
@@ -716,8 +685,8 @@ class TestBatchQueries:
 
     @pytest.mark.parametrize("direction", ["bidirectional", "directed"])
     def test_beta_noise_overrides(self, direction):
-        batch = self._batch([8, 8], direction=direction, seed=7)
-        for session in batch.sessions:
+        sessions = self._sessions([8, 8], direction=direction, seed=7)
+        for session in sessions:
             margins = session.context.margins(beta=0.5, noise=0.1)
             np.testing.assert_array_equal(
                 margins, self._fresh(session).margins(beta=0.5, noise=0.1)
@@ -730,16 +699,16 @@ class TestBatchQueries:
 
     def test_mixed_powers_same_instance(self, dense_backend):
         instance = random_uniform_instance(10, rng=5)
-        batch = BatchSession(
+        sessions = _sessions(
             [
                 Problem(instance, powers=UniformPower()),
                 Problem(instance, powers=SquareRootPower()),
             ]
         )
-        first, second = (session.context for session in batch.sessions)
+        first, second = (session.context for session in sessions)
         assert first is not second
         for session, assignment in zip(
-            batch.sessions, (UniformPower(), SquareRootPower())
+            sessions, (UniformPower(), SquareRootPower())
         ):
             np.testing.assert_array_equal(
                 session.context.powers, assignment(instance)
@@ -749,35 +718,36 @@ class TestBatchQueries:
             )
 
     def test_ragged_contexts_match(self):
-        batch = self._batch([6, 9, 12], seed=11)
-        for session, n in zip(batch.sessions, (6, 9, 12)):
+        sessions = self._sessions([6, 9, 12], seed=11)
+        for session, n in zip(sessions, (6, 9, 12)):
             margins = session.context.margins()
             assert margins.shape == (n,)
             np.testing.assert_array_equal(margins, self._fresh(session).margins())
 
     @pytest.mark.parametrize("direction", ["bidirectional", "directed"])
     def test_feasible_per_pair(self, direction):
-        batch = self._batch([6, 9], direction=direction, seed=13)
-        results = batch.schedule("first_fit")
-        for session, result in zip(batch.sessions, results):
+        sessions = self._sessions([6, 9], direction=direction, seed=13)
+        results = _schedule_all(sessions, "first_fit")
+        for session, result in zip(sessions, results):
             assert session.context.is_feasible_partition(result.colors)
             assert self._oracle(session).feasible(result.colors)
 
-    def test_mixed_direction_batch(self):
+    def test_mixed_direction_problems(self):
         bidirectional = random_uniform_instance(8, rng=17)
         directed = random_uniform_instance(8, rng=9, direction="directed")
-        batch = BatchSession([bidirectional, directed])
-        assert [s.context.directed for s in batch.sessions] == [False, True]
-        results = batch.schedule("first_fit")
+        sessions = _sessions([bidirectional, directed])
+        assert [s.context.directed for s in sessions] == [False, True]
+        results = _schedule_all(sessions, "first_fit")
         for instance, result in zip((bidirectional, directed), results):
             reference = first_fit_schedule(instance, SquareRootPower()(instance))
             np.testing.assert_array_equal(result.colors, reference.colors)
-        assert batch.validate() is batch
+        for session in sessions:
+            session.last_result.validate()
 
     def test_shared_node_pair_margins(self):
-        problem = TestBatchSession._shared_node_problems()[0]
-        batch = BatchSession([Problem(random_uniform_instance(6, rng=37)), problem])
-        session = batch.sessions[1]
+        problem = TestManyProblems._shared_node_problems()[0]
+        sessions = _sessions([Problem(random_uniform_instance(6, rng=37)), problem])
+        session = sessions[1]
         # Adjacent requests share a node: one color for both drowns them.
         colors = np.asarray([0, 0, 1, 2])
         margins = session.context.margins(colors=colors)
@@ -788,24 +758,24 @@ class TestBatchQueries:
         assert not session.context.is_feasible_partition(colors)
 
     def test_contexts_follow_growth(self):
-        batch = self._batch([20, 20], seed=41)
-        before = batch.sessions[0].context.margins()
-        batch.sessions[0].add_requests([(0, 3), (5, 8)])
-        for session, n in zip(batch.sessions, (22, 20)):
+        sessions = self._sessions([20, 20], seed=41)
+        before = sessions[0].context.margins()
+        sessions[0].add_requests([(0, 3), (5, 8)])
+        for session, n in zip(sessions, (22, 20)):
             margins = session.context.margins()
             assert margins.shape == (n,)
             np.testing.assert_allclose(
                 margins, self._oracle(session).margins(range(n)), rtol=1e-12
             )
-        assert not np.array_equal(before, batch.sessions[0].context.margins()[:20])
+        assert not np.array_equal(before, sessions[0].context.margins()[:20])
 
     def test_contexts_follow_departure_and_arrival(self):
-        batch = self._batch([20, 20], seed=43)
-        session = batch.sessions[1]
+        sessions = self._sessions([20, 20], seed=43)
+        session = sessions[1]
         session.remove_requests([3])
         session.add_requests([(0, 7), (2, 9)])
-        results = batch.schedule("first_fit")
-        for session, result in zip(batch.sessions, results):
+        results = _schedule_all(sessions, "first_fit")
+        for session, result in zip(sessions, results):
             n = session.instance.n
             np.testing.assert_allclose(
                 session.context.margins(colors=result.colors),
@@ -813,22 +783,24 @@ class TestBatchQueries:
                 rtol=1e-12,
             )
             assert session.context.n == n
-        assert batch.validate() is batch
+        for session in sessions:
+            session.last_result.validate()
 
     # -- contexts are the shared cache entries each session pins ----------
 
     def test_validate_reuses_session_contexts(self, dense_backend):
-        batch = self._batch([10, 12], seed=47)
-        batch.schedule("first_fit")
-        contexts = [session.context for session in batch.sessions]
+        sessions = self._sessions([10, 12], seed=47)
+        _schedule_all(sessions, "first_fit")
+        contexts = [session.context for session in sessions]
         misses = cache_info()["misses"]
-        assert batch.validate() is batch
+        for session in sessions:
+            session.last_result.validate()
         assert cache_info()["misses"] == misses
-        assert [session.context for session in batch.sessions] == contexts
+        assert [session.context for session in sessions] == contexts
 
     def test_reuses_contexts(self):
-        batch = self._batch([8], seed=19)
-        session = batch.sessions[0]
+        sessions = self._sessions([8], seed=19)
+        session = sessions[0]
         context = session.context
         assert session.context is context
         assert (
@@ -836,10 +808,10 @@ class TestBatchQueries:
             is context
         )
 
-    def test_batch_shares_contexts(self):
-        problems = self._batch([6, 6], seed=40).problems
-        first, second = BatchSession(problems), BatchSession(problems)
-        for a, b in zip(first.sessions, second.sessions):
+    def test_sessions_share_contexts(self):
+        problems = self._problems([6, 6], seed=40)
+        first, second = _sessions(problems), _sessions(problems)
+        for a, b in zip(first, second):
             assert a.context is b.context
 
     def test_lru_bound_keeps_session_contexts(self):
@@ -848,41 +820,43 @@ class TestBatchQueries:
         previous = context_cache_limit()
         set_context_cache_limit(2)
         try:
-            batch = self._batch([5, 6, 7], seed=30)
-            contexts = [session.context for session in batch.sessions]
+            sessions = self._sessions([5, 6, 7], seed=30)
+            contexts = [session.context for session in sessions]
             assert cache_info()["contexts"] <= 2
-            results = batch.schedule("first_fit")
-            for session, context, result in zip(batch.sessions, contexts, results):
+            results = _schedule_all(sessions, "first_fit")
+            for session, context, result in zip(sessions, contexts, results):
                 assert session.context is context
                 reference = first_fit_schedule(session.instance, session.powers)
                 np.testing.assert_array_equal(result.colors, reference.colors)
-            assert batch.validate() is batch
+            for session in sessions:
+                session.last_result.validate()
         finally:
             set_context_cache_limit(previous)
             clear_context_cache()
 
-    # -- backend preferences reach every pair's context -------------------
+    # -- backend preferences reach every problem's context ----------------
 
     def test_backend_preference_threads_to_contexts(self):
         from repro.core.gains import SparseBackend
 
-        batch = self._batch([8, 8], backend="sparse", sparse_epsilon=0.0)
-        for session in batch.sessions:
+        sessions = self._sessions([8, 8], backend="sparse", sparse_epsilon=0.0)
+        for session in sessions:
             assert session.context.config.backend == "sparse"
             assert isinstance(session.context.backend, SparseBackend)
 
     @pytest.mark.parametrize("direction", ["bidirectional", "directed"])
     def test_lossy_backend_validates_exactly(self, direction):
-        batch = self._batch(
+        sessions = self._sessions(
             [8, 8], direction=direction, seed=23, backend="sparse", sparse_epsilon=1e-3
         )
-        results = batch.schedule("first_fit")
-        for session, result in zip(batch.sessions, results):
+        results = _schedule_all(sessions, "first_fit")
+        for session, result in zip(sessions, results):
             assert session.context.backend.epsilon == 1e-3
             assert self._oracle(session).feasible(result.colors)
-        assert batch.validate() is batch
+        for session in sessions:
+            session.last_result.validate()
 
-    def test_ragged_mixed_direction_lossy_batch(self):
+    def test_ragged_mixed_direction_lossy_problems(self):
         problems = [
             Problem(random_uniform_instance(8, rng=29), backend="sparse", sparse_epsilon=1e-3),
             Problem(
@@ -891,20 +865,21 @@ class TestBatchQueries:
                 sparse_epsilon=1e-3,
             ),
         ]
-        batch = BatchSession(problems)
-        results = batch.schedule("first_fit")
+        sessions = _sessions(problems)
+        results = _schedule_all(sessions, "first_fit")
         for problem, result in zip(problems, results):
             reference = problem.session().schedule("first_fit")
             np.testing.assert_array_equal(result.colors, reference.colors)
-        assert batch.validate() is batch
+        for session in sessions:
+            session.last_result.validate()
 
     @pytest.mark.parametrize("direction", ["bidirectional", "directed"])
     @pytest.mark.parametrize("backend,epsilon,namespace", LOSSLESS)
     def test_queries_match_dense(self, direction, backend, epsilon, namespace):
-        """Lossless backends answer every pair's queries bit-identically
+        """Lossless backends answer every problem's queries bit-identically
         to numpy dense, above the backends' tile size."""
         numpy_dense = default_config(backend="dense", array_namespace="numpy")
-        batch = self._batch(
+        sessions = self._sessions(
             [640, 640],
             direction=direction,
             seed=80,
@@ -912,7 +887,7 @@ class TestBatchQueries:
             sparse_epsilon=epsilon,
             array_namespace=namespace,
         )
-        for session in batch.sessions:
+        for session in sessions:
             reference = self._fresh(session, config=numpy_dense)
             np.testing.assert_array_equal(session.context.margins(), reference.margins())
             colors = first_fit_schedule(session.instance, session.powers).colors
@@ -934,14 +909,14 @@ class TestBatchQueries:
         cls = gains_mod.SparseBackend if backend == "sparse" else gains_mod.DenseBackend
         for name in ("dense_u", "dense_v", "dense_ut", "dense_vt"):
             monkeypatch.setattr(cls, name, boom)
-        batch = self._batch(
+        sessions = self._sessions(
             [12, 12],
             seed=81,
             backend=backend,
             sparse_epsilon=epsilon,
             array_namespace=namespace,
         )
-        for session in batch.sessions:
+        for session in sessions:
             colors = np.arange(12) % 3
             session.context.margins()
             session.context.margins(colors=colors)

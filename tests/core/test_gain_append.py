@@ -1,25 +1,30 @@
-"""In-place backend growth: append_requests vs. cold rebuild.
+"""In-place backend edits: replace_requests vs. cold rebuild.
 
-The tentpole contract: appending rows/columns to a built backend is
-bit-identical to rebuilding the backend from scratch on the grown
-``(instance, powers)`` — for the dense backend always, in numpy and in
-the process default's array namespace, and for the sparse backend at
-``epsilon=0`` (the lossless setting the conformance
-grid runs on).  ε>0 appends stay conservative (pruned mass only ever
-adds to the bound) but are exempt from bit-identity, because pruning
-a row tile in isolation cannot reproduce the whole-row kept set.
+The contract: writing a request into a reused slot, or into a slot
+appended past ``n``, is bit-identical to rebuilding the backend from
+scratch on the edited ``(instance, powers)`` — for the dense backend
+always, in numpy and in the process default's array namespace, and for
+the sparse backend at ``epsilon=0`` (the lossless setting the
+conformance grid runs on).  ε>0 edits stay conservative (pruned mass
+only ever adds to the bound) but are exempt from bit-identity, because
+pruning a slot's lines in isolation cannot reproduce the whole-row
+kept set.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.context import InterferenceContext
+from repro.core.errors import InvalidScheduleError
 from repro.core.gains import (
     DenseBackend,
     SparseBackend,
+    _host_gain_targets,
     default_config,
     validate_growth,
 )
 from repro.core.instance import Instance
+from repro.core.interference import _gain_block
 from repro.instances.random_instances import random_uniform_instance
 from repro.power.oblivious import SquareRootPower
 
@@ -69,6 +74,12 @@ def _build(kind, instance, powers):
     return BUILDERS[kind](instance, powers)
 
 
+def _append(backend, instance, powers):
+    """Grow *backend* to *instance*: every index past its current ``n``
+    is an appended slot of the one edit method."""
+    backend.replace_requests(np.arange(backend.n, instance.n), instance, powers)
+
+
 def _backend_state(backend):
     """Everything observable: gains, transposes, masses, flags."""
     state = {
@@ -109,7 +120,7 @@ class TestAppendBitIdentity:
         powers = SquareRootPower()(big)
 
         grown = _build(kind, small, powers[: small.n])
-        grown.append_requests(big, powers)
+        _append(grown, big, powers)
         cold = _build(kind, big, powers)
         _assert_identical(grown, cold)
 
@@ -123,7 +134,7 @@ class TestAppendBitIdentity:
 
         grown = _build(kind, small, final_powers[: small.n])
         for inst in instances[1:]:
-            grown.append_requests(inst, final_powers[: inst.n])
+            _append(grown, inst, final_powers[: inst.n])
             cold = _build(kind, inst, final_powers[: inst.n])
             _assert_identical(grown, cold)
 
@@ -151,7 +162,7 @@ class TestAppendBitIdentity:
         powers = SquareRootPower()(big)
         grown = _build(kind, small, powers[: small.n])
         assert not grown.has_infinite_gains
-        grown.append_requests(big, powers)
+        _append(grown, big, powers)
         cold = _build(kind, big, powers)
         assert grown.has_infinite_gains
         _assert_identical(grown, cold)
@@ -170,7 +181,7 @@ class TestAppendBitIdentity:
             zero = np.zeros(small.n)
             backend = SparseBackend(csr, csr, zero, zero.copy(), 0.0, False)
         with pytest.raises(ValueError, match="grow"):
-            backend.append_requests(big, powers)
+            _append(backend, big, powers)
 
 
 @pytest.mark.parametrize("direction", ["directed", "bidirectional"])
@@ -185,7 +196,7 @@ class TestDenseTransposeGrowth:
         backend.gains_ut  # warm the cache
         for size in (7, 10, 16):
             inst = _grown(inst, size, rng)
-            backend.append_requests(inst, SquareRootPower()(inst))
+            _append(backend, inst, SquareRootPower()(inst))
             cold = DenseBackend.build(inst, SquareRootPower()(inst))
             np.testing.assert_array_equal(backend.gains_ut, cold.gains_ut)
             np.testing.assert_array_equal(backend.gains_vt, cold.gains_vt)
@@ -198,22 +209,25 @@ class TestDenseTransposeGrowth:
 
 
 class TestDenseCapacity:
-    def test_capacity_doubles_and_views_stay_readonly(self):
-        small, rng = _base(4, "directed", rng_seed=23)
-        powers_small = SquareRootPower()(small)
-        backend = DenseBackend.build(small, powers_small)
-        buf_before = backend._buf_u
-        sizes = [5, 6, 7, 8]
+    def test_capacity_grows_by_a_quarter_and_views_stay_readonly(self):
+        small, rng = _base(16, "directed", rng_seed=23, metric_nodes=120)
+        backend = DenseBackend.build(small, SquareRootPower()(small))
+        capacities = [backend._buf_u.shape[0]]
         inst = small
-        for size in sizes:
+        for size in range(17, 41):
             inst = _grown(inst, size, rng)
-            backend.append_requests(inst, SquareRootPower()(inst))
-        # 4 -> 8 fits inside one doubling: the buffer reallocated at
-        # most once, not once per append.
-        assert backend._buf_u.shape[0] >= 8
-        assert backend._buf_u is not buf_before
+            _append(backend, inst, SquareRootPower()(inst))
+            if backend._buf_u.shape[0] != capacities[-1]:
+                capacities.append(backend._buf_u.shape[0])
+        # One request at a time from 16 to 40: each reallocation adds
+        # a quarter (16 -> 20 -> 25 -> 31 -> 38 -> 47), not a doubling,
+        # and reallocates a handful of times, not once per append.
+        assert capacities == [16, 20, 25, 31, 38, 47]
         gains = backend.dense_u()
-        assert gains.shape == (8, 8)
+        assert gains.shape == (40, 40)
+        np.testing.assert_array_equal(
+            gains, DenseBackend.build(inst, SquareRootPower()(inst)).dense_u()
+        )
         with pytest.raises((ValueError, RuntimeError)):
             gains[0, 0] = 1.0
 
@@ -229,7 +243,7 @@ class TestSparseEpsilonAppend:
         epsilon = 0.2
 
         grown = SparseBackend.build(small, powers[: small.n], epsilon=epsilon)
-        grown.append_requests(big, powers)
+        _append(grown, big, powers)
         dense = DenseBackend.build(big, powers)
 
         rows = np.arange(big.n)
@@ -368,7 +382,7 @@ class TestReplaceBitIdentity:
         small, rng = _base(6, direction, rng_seed=47)
         big = _grown(small, 9, rng)
         backend = _build(kind, small, SquareRootPower()(small))
-        backend.append_requests(big, SquareRootPower()(big))
+        _append(backend, big, SquareRootPower()(big))
         edited = big.replaced([1, 7], _fresh_pairs(big, rng, 2))
         powers = SquareRootPower()(edited)
         backend.replace_requests([1, 7], edited, powers)
@@ -381,8 +395,21 @@ class TestReplaceBitIdentity:
         backend.replace_requests([2, 5], edited, SquareRootPower()(edited))
         big = _grown(edited, 11, rng)
         powers = SquareRootPower()(big)
-        backend.append_requests(big, powers)
+        _append(backend, big, powers)
         self._check(kind, backend, big, powers)
+
+    def test_reused_and_appended_slots_in_one_call_match_cold_build(
+        self, kind, direction
+    ):
+        base, rng = _base(8, direction, rng_seed=137)
+        backend = _build(kind, base, SquareRootPower()(base))
+        backend.col_u(0)
+        edited = base.replaced([0, 5], _fresh_pairs(base, rng, 2)).appended(
+            _fresh_pairs(base, rng, 3)
+        )
+        powers = SquareRootPower()(edited)
+        backend.replace_requests([0, 5, 8, 9, 10], edited, powers)
+        self._check(kind, backend, edited, powers)
 
     def test_shared_node_arrivals_set_and_clear_infinite_gains(
         self, kind, direction
@@ -411,12 +438,14 @@ class TestReplaceBitIdentity:
         assert not backend.has_infinite_gains
         self._check(kind, backend, cleared, cleared_powers)
 
-    def test_replacement_must_keep_n(self, kind, direction):
+    def test_growth_must_name_every_appended_slot(self, kind, direction):
         small, rng = _base(5, direction, rng_seed=59)
-        big = _grown(small, 6, rng)
+        big = _grown(small, 7, rng)
         backend = _build(kind, small, SquareRootPower()(small))
-        with pytest.raises(ValueError, match="keeps n"):
-            backend.replace_requests([0], big, SquareRootPower()(big))
+        for slots in ([0], [0, 5], [6]):
+            with pytest.raises(ValueError, match="every appended request"):
+                backend.replace_requests(slots, big, SquareRootPower()(big))
+        assert backend.n == small.n
 
     def test_raw_backend_cannot_be_edited(self, kind, direction):
         base, rng = _base(4, direction, rng_seed=61)
@@ -579,3 +608,142 @@ class TestValidateReplacement:
         power = SquareRootPower()
         with pytest.raises(ValueError, match="replaced indices"):
             validate_growth(base, power(base), base, power(base), replaced=[6])
+
+
+@pytest.mark.parametrize("direction", ["directed", "bidirectional"])
+class TestSparseEpsilonMixedStream:
+    """ε>0: appends interleaved with slot reuses keep every stored
+    entry exact and every row's recorded bound at or above the exact
+    mass the row is missing."""
+
+    def test_stored_entries_exact_and_bounds_cover_drops(self, direction):
+        base, rng = _base(16, direction, rng_seed=107, metric_nodes=120)
+        instance = base
+        backend = SparseBackend.build(
+            instance, SquareRootPower()(instance), epsilon=0.05
+        )
+        for step in range(12):
+            pairs = _fresh_pairs(instance, rng, 1 + step % 3)
+            if step % 2 == 0:
+                slots = list(range(instance.n, instance.n + len(pairs)))
+                instance = instance.appended(pairs)
+            else:
+                slots = rng.choice(instance.n, size=len(pairs), replace=False)
+                instance = instance.replaced(slots.tolist(), pairs)
+            powers = SquareRootPower()(instance)
+            backend.replace_requests(slots, instance, powers)
+            idx = np.arange(instance.n)
+            endpoints = (
+                (backend.row_u, backend.col_u, backend.pruned_mass_u),
+                (backend.row_v, backend.col_v, backend.pruned_mass_v),
+            )
+            for (row_of, col_of, pruned), nodes in zip(
+                endpoints, _host_gain_targets(instance)
+            ):
+                exact = _gain_block(instance, powers, nodes, idx, idx)
+                stored = np.stack([row_of(i) for i in idx])
+                np.testing.assert_array_equal(
+                    np.stack([col_of(j) for j in idx], axis=1), stored
+                )
+                kept = stored != 0
+                np.testing.assert_array_equal(stored[kept], exact[kept])
+                dropped = np.where(kept, 0.0, exact)
+                assert np.all(np.isfinite(dropped))  # inf is never dropped
+                assert np.all(dropped.sum(axis=1) <= pruned)
+        # The write-back stores exactly what the overlay answered.
+        rows_u = np.stack([backend.row_u(i) for i in idx])
+        backend.flush_growth()
+        assert not backend._edit_pos
+        np.testing.assert_array_equal(backend.dense_u(), rows_u)
+
+
+@pytest.mark.parametrize("direction", ["directed", "bidirectional"])
+class TestSparseBulkAppend:
+    def test_bulk_append_stays_within_one_write_back_budget(
+        self, direction, monkeypatch
+    ):
+        """Appending more slots than the write-back budget at once
+        writes back in chunks: the overlay never holds more than one
+        budget (2n entries per slot up to the CSR's nnz), and the
+        result is a cold build's storage."""
+        base, rng = _base(30, direction, rng_seed=109, metric_nodes=200)
+        backend = SparseBackend.build(base, SquareRootPower()(base), epsilon=0.0)
+        big = _grown(base, 90, rng)
+        n = big.n
+        assert n - base.n >= backend._csr_u.nnz / (2 * n)
+        seen = []
+        flush = SparseBackend.flush_growth
+
+        def recording(self):
+            if self._edit_pos:
+                edits = {id(e): e for e in (self._edits_u, self._edits_v)}
+                for e in edits.values():
+                    seen.append((e.nbytes, int(self._csr_u.nnz)))
+            flush(self)
+
+        monkeypatch.setattr(SparseBackend, "flush_growth", recording)
+        _append(backend, big, SquareRootPower()(big))
+        backend.flush_growth()
+        monkeypatch.undo()
+        assert len(seen) >= 2 * (1 if direction == "directed" else 2)
+        for nbytes, nnz in seen:
+            assert nbytes <= 8 * (max(nnz, n) + 2 * n)
+        cold = SparseBackend.build(big, SquareRootPower()(big), epsilon=0.0)
+        for got, want in zip(_csr_storage(backend), _csr_storage(cold)):
+            np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("direction", ["directed", "bidirectional"])
+@pytest.mark.parametrize("kind", ["DenseBackend", "SparseBackend"])
+class TestContextEdits:
+    """InterferenceContext.replace_requests: reused and appended slots
+    in one call leave the context a cold build's."""
+
+    @staticmethod
+    def _context(kind, instance, powers):
+        backend = "dense" if kind == "DenseBackend" else "sparse"
+        config = default_config(backend=backend, sparse_epsilon=0.0)
+        return InterferenceContext(instance, powers, config=config)
+
+    def test_reused_and_appended_slots_in_one_call(self, kind, direction):
+        base, rng = _base(10, direction, rng_seed=113)
+        context = self._context(kind, base, SquareRootPower()(base))
+        context.signals, context.backend  # build both caches
+        edited = base.replaced([2, 7], _fresh_pairs(base, rng, 2)).appended(
+            _fresh_pairs(base, rng, 3)
+        )
+        powers = SquareRootPower()(edited)
+        context.replace_requests([2, 7, 10, 11, 12], edited, powers)
+        cold = self._context(kind, edited, powers)
+        assert context.n == 13
+        np.testing.assert_array_equal(context.signals, cold.signals)
+        np.testing.assert_array_equal(context.margins(), cold.margins())
+        colors = np.arange(13) % 3
+        np.testing.assert_array_equal(
+            context.margins(colors=colors), cold.margins(colors=colors)
+        )
+        _assert_identical(context.backend, cold.backend)
+
+    def test_unbuilt_context_validates_the_edit(self, kind, direction):
+        base, rng = _base(6, direction, rng_seed=127)
+        context = self._context(kind, base, SquareRootPower()(base))
+        big = _grown(base, 8, rng)
+        powers = SquareRootPower()(big)
+        with pytest.raises(ValueError, match="every appended request"):
+            context.replace_requests([6], big, powers)
+        assert context.n == 6
+        context.replace_requests([6, 7], big, powers)
+        np.testing.assert_array_equal(
+            context.margins(), self._context(kind, big, powers).margins()
+        )
+
+    def test_appended_power_must_be_positive(self, kind, direction):
+        base, rng = _base(6, direction, rng_seed=131)
+        context = self._context(kind, base, SquareRootPower()(base))
+        context.backend
+        big = _grown(base, 7, rng)
+        powers = SquareRootPower()(big)
+        powers[6] = 0.0
+        with pytest.raises(InvalidScheduleError, match="strictly positive"):
+            context.replace_requests([6], big, powers)
+        assert context.n == 6 and context.backend.n == 6

@@ -461,7 +461,7 @@ class TestTiledMetricAccess:
             config=default_config(backend=name, array_namespace=namespace),
         )
         backend.class_sum_u(None)
-        backend.append_requests(grown, powers)
+        backend.replace_requests(np.arange(24, grown.n), grown, powers)
         backend.class_sum_u(None)
         assert backend.n == grown.n
         assert instance.metric._matrix_cache is None
@@ -683,7 +683,9 @@ class TestDenseNamespaces:
 
         monkeypatch.setattr(DenseBackend, "_upload", record)
         for n in range(33, 41):
-            backend.append_requests(grown.subset(np.arange(n)), powers[:n])
+            backend.replace_requests(
+                [n - 1], grown.subset(np.arange(n)), powers[:n]
+            )
             assert uploads and all(
                 rows * cols <= n for rows, cols in uploads
             ), uploads

@@ -538,7 +538,9 @@ class TestKernelGrowthAndReseed:
                 direction=direction,
             )
             powers = SquareRootPower()(instance)
-            context.extend_to(instance, powers)
+            context.replace_requests(
+                range(context.n, instance.n), instance, powers
+            )
             kernel.extend_to(instance.n)
             colors = np.concatenate([colors, -np.ones(size, dtype=int)])
             fresh = ScheduleKernel.from_colors(
@@ -598,14 +600,14 @@ class TestKernelGrowthAndReseed:
         with pytest.raises(ValueError, match="placed"):
             kernel.reseed([2])
 
-    def test_request_capacity_doubles(self):
+    def test_request_capacity_grows_by_a_quarter(self):
         """Single arrivals reallocate the (classes, n) state O(log n)
-        times, not once per arrival."""
+        times, not once per arrival, each time by a quarter."""
         base, _, _ = _edit_stream(5, Direction.DIRECTED, n=8, metric_nodes=40)
         instance = base
         context = InterferenceContext(base, SquareRootPower()(base))
         kernel = ScheduleKernel.from_colors(context, np.zeros(8, dtype=int))
-        buffers = set()
+        columns = [kernel._row_bufs[0].shape[1]]
         rng = np.random.default_rng(5)
         for _ in range(56):
             s, r = rng.choice(instance.metric.n, size=2, replace=False)
@@ -615,14 +617,17 @@ class TestKernelGrowthAndReseed:
                 np.append(instance.receivers, r),
                 direction=base.direction,
             )
-            context.extend_to(instance, SquareRootPower()(instance))
+            context.replace_requests(
+                [instance.n - 1], instance, SquareRootPower()(instance)
+            )
             kernel.extend_to(instance.n)
-            buffers.add(id(kernel._row_bufs[0]))
+            if kernel._row_bufs[0].shape[1] != columns[-1]:
+                columns.append(kernel._row_bufs[0].shape[1])
             color = kernel.first_fit_admit(instance.n - 1, context.budgets() * 2)
             kernel.add(instance.n - 1, color if color >= 0 else kernel.open_class())
-        # 8 -> 64 requests: capacities 16, 32, 64 (plus class growth).
+        # 8 -> 64 requests, one at a time.
         assert kernel.n == 64
-        assert len(buffers) <= 3 + int(np.log2(kernel.num_classes + 1)) + 1
+        assert columns == [8, 10, 12, 15, 18, 22, 27, 33, 41, 51, 63, 78]
         fresh = ScheduleKernel.from_colors(
             InterferenceContext(instance, SquareRootPower()(instance)),
             np.asarray(kernel.colors),

@@ -340,9 +340,9 @@ class TestProblemIntegration:
         assert a.backend.workers == 2
         assert b.backend.workers == 4
 
-    def test_append_requests_unsupported(self):
+    def test_replace_requests_unsupported(self):
         instance, powers = GRID["euclid-dir"]
         backend = _sharded(instance, powers, 2)
         with pytest.raises(NotImplementedError):
-            backend.append_requests(instance, powers)
+            backend.replace_requests([0], instance, powers)
         backend.close()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import BatchSession, Problem
+from repro.api import Problem
 from repro.core.instance import Instance
 from repro.core.kernels import check_order
 from repro.geometry.line import LineMetric
@@ -103,11 +103,15 @@ class TestFirstFitOrderValidation:
             session.schedule("first_fit", order=order)
 
     @pytest.mark.parametrize("case", sorted(BAD_ORDERS))
-    def test_batch(self, pair, case):
+    def test_warm_session(self, pair, case):
+        """A session that has scheduled (context and kernel built)
+        still rejects the order before running."""
         order, message = BAD_ORDERS[case]
-        problem = Problem(pair[0], powers=pair[1])
+        session = Problem(pair[0], powers=pair[1]).session()
+        valid = session.schedule("first_fit")
         with pytest.raises(ValueError, match=message):
-            BatchSession([problem, problem]).schedule("first_fit", order=order)
+            session.schedule("first_fit", order=order)
+        assert session.last_result is valid
 
 
 class TestIntegralOrders:
