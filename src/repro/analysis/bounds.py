@@ -16,13 +16,15 @@ implemented:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import networkx as nx
 import numpy as np
 
 from repro.analysis.power_control import free_power_spectral_radius
 from repro.core.instance import Instance
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def node_multiplicity_lower_bound(instance: Instance) -> int:
@@ -36,6 +38,7 @@ def node_multiplicity_lower_bound(instance: Instance) -> int:
 def conflict_graph(instance: Instance, beta: Optional[float] = None) -> nx.Graph:
     """Graph on requests with an edge where *no* power assignment lets
     the two requests share a color."""
+    import networkx as nx
     graph = nx.Graph()
     graph.add_nodes_from(range(instance.n))
     for i in range(instance.n):

@@ -551,6 +551,9 @@ class Session:
             expected = self._powers.copy()
             expected[slots] = resolved[slots]
             in_place = np.array_equal(resolved[:n_old], expected)
+        if in_place and self._context is not None:
+            # A backend that cannot edit in place refuses before any change.
+            self._context.check_editable()
         # Mutation starts here.  Until the uids are assigned, a reused
         # slot is neither active nor free: an orphan check_consistency
         # sees.

@@ -339,6 +339,12 @@ class InterferenceContext:
         """
         return self.backend.has_infinite_gains
 
+    def check_editable(self) -> None:
+        """Raise if a built backend cannot :meth:`replace_requests`."""
+        backend = self._backend
+        if backend is not None and not backend.edits_in_place:
+            raise NotImplementedError(f"backend {backend.name!r} does not support in-place edits")
+
     def replace_requests(
         self, slots: Sequence[int], instance: Instance, powers: np.ndarray
     ) -> None:

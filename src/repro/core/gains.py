@@ -516,6 +516,9 @@ class GainBackend(abc.ABC):
     #: per-run count.
     flip_risk_events: int = 0
 
+    #: Whether :meth:`replace_requests` edits this backend in place.
+    edits_in_place: bool = False
+
     def reset_flip_risk(self) -> None:
         """Reset the at-risk-comparison counter."""
         self.flip_risk_events = 0
@@ -537,8 +540,8 @@ class GainBackend(abc.ABC):
         ``epsilon = 0`` the storage is **bit-identical** to a cold
         build of the edited pair.
 
-        Backends that cannot edit in place raise
-        :class:`NotImplementedError`.
+        Backends that cannot edit in place (:attr:`edits_in_place` is
+        false) raise :class:`NotImplementedError`.
         """
         raise NotImplementedError(
             f"backend {self.name!r} does not support in-place edits"
@@ -753,6 +756,7 @@ class DenseBackend(GainBackend):
     """
 
     name = "dense"
+    edits_in_place = True
 
     def __init__(self, gains_u, gains_v, namespace: str = "numpy", device=None):
         self.flip_risk_events = 0
@@ -1332,6 +1336,7 @@ class SparseBackend(GainBackend):
     """
 
     name = "sparse"
+    edits_in_place = True
 
     def __init__(
         self,

@@ -7,10 +7,14 @@ suite exercises graph metrics as well).
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.geometry.metric import Metric
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class GraphMetric(Metric):
@@ -26,6 +30,7 @@ class GraphMetric(Metric):
     """
 
     def __init__(self, graph: nx.Graph):
+        import networkx as nx
         super().__init__()
         if graph.number_of_nodes() == 0:
             raise ValueError("graph must be non-empty")
@@ -53,6 +58,7 @@ class GraphMetric(Metric):
         return list(self._node_order)
 
     def _compute_matrix(self) -> np.ndarray:
+        import networkx as nx
         n = self.n
         matrix = np.zeros((n, n))
         lengths = dict(nx.all_pairs_dijkstra_path_length(self._graph, weight="weight"))

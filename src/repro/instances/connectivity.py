@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Union
 
-import networkx as nx
 import numpy as np
 
 from repro.core.instance import Direction, Instance
@@ -32,6 +31,7 @@ from repro.geometry.metric import Metric
 
 
 def _mst_edges(metric: Metric):
+    import networkx as nx
     matrix = metric.distance_matrix()
     graph = nx.Graph()
     graph.add_nodes_from(range(metric.n))

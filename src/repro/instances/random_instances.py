@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Optional, Tuple, Union
 
-import networkx as nx
 import numpy as np
 
 from repro.core.instance import Direction, Instance
@@ -197,6 +196,7 @@ def random_graph_metric_instance(
     path to guarantee connectivity; edge weights are uniform in
     ``weight_range``.
     """
+    import networkx as nx
     if n_requests < 1:
         raise ValueError("n_requests must be >= 1")
     rng = ensure_rng(rng)

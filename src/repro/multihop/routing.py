@@ -8,12 +8,13 @@ paths (by distance) of the resulting connectivity graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from repro.core.errors import ReproError
 from repro.geometry.metric import Metric
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class RoutingError(ReproError, RuntimeError):
@@ -52,6 +53,7 @@ def connectivity_graph(metric: Metric, transmission_range: float) -> nx.Graph:
     Edge weights are the metric distances (shortest *distance* paths,
     not hop counts, matching the latency objective of [3]).
     """
+    import networkx as nx
     if transmission_range <= 0:
         raise ValueError(f"transmission_range must be > 0, got {transmission_range}")
     matrix = metric.distance_matrix()
@@ -77,6 +79,7 @@ def route_requests(
         If some request's endpoints are disconnected at the given
         range.
     """
+    import networkx as nx
     graph = connectivity_graph(metric, transmission_range)
     routed = []
     for source, destination in requests:

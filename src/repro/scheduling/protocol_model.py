@@ -17,18 +17,21 @@ experiments can compare it against SINR-aware scheduling:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.core.instance import Instance
 from repro.core.schedule import Schedule, build_schedule
 from repro.scheduling.firstfit import first_fit_schedule
 
+if TYPE_CHECKING:
+    import networkx as nx
+
 
 def protocol_conflict_graph(instance: Instance, range_factor: float = 2.0) -> nx.Graph:
     """The protocol-model conflict graph over requests."""
+    import networkx as nx
     if range_factor <= 0:
         raise ValueError(f"range_factor must be > 0, got {range_factor}")
     dist = instance.metric.distance_matrix()
@@ -67,6 +70,7 @@ def protocol_schedule(
     returned schedule is genuinely feasible; the raw color count shows
     what the graph model *claimed* was enough.
     """
+    import networkx as nx
     powers = np.asarray(powers, dtype=float)
     graph = protocol_conflict_graph(instance, range_factor)
     greedy = nx.coloring.greedy_color(graph, strategy="largest_first")

@@ -44,7 +44,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.analysis.capacity import greedy_max_feasible_subset
 from repro.core.context import InterferenceContext, get_context
@@ -64,6 +63,13 @@ class SqrtColoringStats:
     class_sizes: List[int] = field(default_factory=list)
     distance_classes_seen: int = 0
     lp_objectives: List[float] = field(default_factory=list)
+
+
+def linprog(*args, **kwargs):
+    """:func:`scipy.optimize.linprog`, imported on first call (it costs
+    more than the rest of the package); every class LP calls it here."""
+    from scipy.optimize import linprog as scipy_linprog
+    return scipy_linprog(*args, **kwargs)
 
 
 def _distance_classes(distances: np.ndarray) -> List[np.ndarray]:

@@ -490,7 +490,10 @@ class ScheduleServer:
         last_exc: Optional[Exception] = None
         for _ in range(served.config.admit_retries + 1):
             kernel = session.live_kernel
-            snap = kernel.snapshot() if kernel is not None else None
+            # A free-slot arrival reseeds the kernel, which drops any
+            # snapshot: snapshot only an appended arrival.
+            reuses = session.instance.n > session.active_requests
+            snap = kernel.snapshot() if kernel is not None and not reuses else None
             try:
                 decision = self._admit(served, arrival)
             except Exception as exc:

@@ -346,3 +346,19 @@ class TestProblemIntegration:
         with pytest.raises(NotImplementedError):
             backend.replace_requests([0], instance, powers)
         backend.close()
+
+    def test_session_arrival_refused_before_any_mutation(self):
+        """A built sharded session cannot take arrivals; it refuses
+        before touching its free list, problem, powers or context."""
+        instance = random_uniform_instance(20, rng=3)
+        problem = Problem(
+            instance, backend="sharded", workers=2, shard_executor="serial"
+        )
+        session = problem.session()
+        before = session.schedule("first_fit").colors.copy()
+        with pytest.raises(NotImplementedError, match="sharded"):
+            session.add_requests([(0, 5)])
+        assert session.check_consistency() is None
+        assert session.instance is instance
+        assert session.powers.shape == (20,)
+        np.testing.assert_array_equal(session.schedule("first_fit").colors, before)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.api import Problem
+from repro.core.kernels import ScheduleKernel
 from repro.instances import random_uniform_instance
 from repro.resilience import FaultPlan
 from repro.resilience.faults import FaultSpec, InjectedFault
@@ -108,6 +109,36 @@ class TestSupervisedAdmission:
         assert stats["recoveries"] == 1
         survivors = [p for i, p in enumerate(PAIRS) if i != 1]
         assert np.array_equal(colors, asyncio.run(cold_colors(survivors)))
+
+    def test_reused_slot_arrival_takes_no_snapshot(self, monkeypatch):
+        """An arrival into a free slot reseeds the kernel, which drops
+        any snapshot: only an appended arrival is snapshotted."""
+        taken = []
+        real = ScheduleKernel.snapshot
+
+        def spy(kernel):
+            taken.append(kernel.n)
+            return real(kernel)
+
+        monkeypatch.setattr(ScheduleKernel, "snapshot", spy)
+
+        async def scenario():
+            async with ScheduleServer() as server:
+                server.add_session("s", make_problem())
+                session = server.session("s")
+                first = await server.submit("s", PAIRS[0])  # builds the kernel
+                await server.submit("s", PAIRS[1])  # appended
+                appended = len(taken)
+                server.remove("s", first.handle)
+                decision = await server.submit("s", PAIRS[2])  # reuses a slot
+                return appended, decision, session
+
+        appended, decision, session = asyncio.run(scenario())
+        assert appended == 1
+        assert len(taken) == 1
+        assert decision.accepted
+        assert session.instance.n == 14  # 12 + 2 appended; the third reused
+        assert session.check_consistency() is None
 
     def test_admit_retries_reruns_transient_fault(self):
         async def scenario():
