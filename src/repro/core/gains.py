@@ -1166,10 +1166,17 @@ def _prune_tile(
     rule drops the *smallest* finite entries of each row whose
     cumulative sum stays within ``epsilon`` times the row's total
     finite mass, so the bound is as tight as a sorted greedy allows.
+
+    The cut comes from one value sort per tile (``np.sort``, not
+    ``np.argsort``): a row drops every entry at or below its
+    ``drop_count``-th smallest value.  Only a row where equal values
+    straddle that cut needs a permutation; it drops its first
+    ``drop_count`` entries in ``np.argsort`` order of the row.  Ties at
+    the cut therefore keep argsort's order: the mask and the bound are
+    those of a row-wise argsort of the whole tile.
     """
     finite = np.isfinite(tile)
-    positive = tile > 0
-    eligible = finite & positive
+    eligible = finite & (tile > 0)
     if epsilon <= 0.0:
         return eligible | ~finite, np.zeros(tile.shape[0])
     # Sort each row's eligible values ascending (ineligible entries sort
@@ -1180,36 +1187,42 @@ def _prune_tile(
     # to define: stored entries stay exact float64, and the recorded
     # per-row bound below is widened past the worst-case float32
     # accumulation error so it remains a true upper bound on the exact
-    # dropped mass.  Ties among equal values may drop in either order
-    # (identical mass either way); the result is deterministic for a
-    # given tile.
-    vals = np.where(eligible, tile, np.inf).astype(np.float32)
-    order = np.argsort(vals, axis=1)
-    svals = np.take_along_axis(vals, order, axis=1)
+    # dropped mass.  A finite gain past float32's range casts to inf and
+    # is kept, like a shared node's.
+    with np.errstate(over="ignore"):
+        vals = tile.astype(np.float32)
+    np.copyto(vals, np.float32(np.inf), where=~eligible)
+    svals = np.sort(vals, axis=1)
     sfinite = np.isfinite(svals)
     csum = np.cumsum(np.where(sfinite, svals, np.float32(0.0)), axis=1)
     # Keep the budget slightly conservative so float32 rounding cannot
     # push the dropped mass past epsilon times the true row mass.
     budget = np.float32(epsilon * (1.0 - 1e-3)) * csum[:, -1]
     drop_count = np.count_nonzero(sfinite & (csum <= budget[:, None]), axis=1)
-    pruned = np.where(
-        drop_count > 0,
-        np.take_along_axis(
-            csum, np.maximum(drop_count - 1, 0)[:, None], axis=1
-        )[:, 0].astype(float),
-        0.0,
-    )
+    row_ids = np.arange(tile.shape[0])
+    last = np.maximum(drop_count - 1, 0)
+    dropping = drop_count > 0
+    pruned = np.where(dropping, csum[row_ids, last].astype(float), 0.0)
     # Widen the recorded bound past the sequential-float32-cumsum
     # worst case (~n * eps32 relative), plus an absolute term covering
     # float64 values that underflow to 0 in float32 (each < 1.2e-38),
     # so it upper-bounds the exact float64 dropped mass.
-    n_cols = np.float64(tile.shape[1])
+    width = tile.shape[1]
+    n_cols = np.float64(width)
     pruned = pruned * (1.0 + n_cols * 1.2e-7 + 1e-9) + np.where(
-        drop_count > 0, n_cols * 1.2e-38, 0.0
+        dropping, n_cols * 1.2e-38, 0.0
     )
-    drop_sorted = np.arange(tile.shape[1])[None, :] < drop_count[:, None]
-    drop = np.zeros(tile.shape, dtype=bool)
-    np.put_along_axis(drop, order, drop_sorted, axis=1)
+    # Each dropping row drops the entries at or below its cut value
+    # (ineligible entries are +inf, never below a finite cut).
+    cut = np.where(dropping, svals[row_ids, last], -np.inf)
+    drop = vals <= cut[:, None]
+    # A tie straddling the cut (the next sorted value equals it):
+    # argsort order decides which of the equal values drop.
+    following = svals[row_ids, np.minimum(drop_count, width - 1)]
+    straddle = dropping & (drop_count < width) & (following == cut)
+    for i in np.flatnonzero(straddle):
+        drop[i] = False
+        drop[i, np.argsort(vals[i])[: drop_count[i]]] = True
     return (eligible & ~drop) | ~finite, pruned
 
 
@@ -1321,7 +1334,9 @@ class SparseBackend(GainBackend):
     :meth:`repro.geometry.metric.Metric.distance_block`, so neither the
     gain nor the distance matrix is ever dense in memory.  See the
     module docstring for the pruning rule and the exactness /
-    certification contract.
+    certification contract.  Each row's cut comes from one value sort
+    per tile (:func:`_prune_tile`); ties at the cut keep argsort's
+    order, so the kept set is that of a row-wise argsort.
 
     Request edits are *deferred*: :meth:`replace_requests` keeps the
     written slots' rows and columns in a :class:`_SlotEdits` overlay,

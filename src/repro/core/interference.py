@@ -168,16 +168,22 @@ def bidirectional_gain_matrices(
 
 
 def _class_sum(gains: np.ndarray, colors: Optional[np.ndarray]) -> np.ndarray:
-    """Row sums of *gains* restricted to same-color columns."""
+    """Row sums of *gains* restricted to same-color columns, masked
+    ``DEFAULT_TILE_ROWS`` rows at a time: each row reduces one
+    contiguous length-``n`` buffer, so the sums equal those of one
+    ``(n, n)`` mask bit for bit."""
     n = gains.shape[0]
     if colors is None:
         return gains.sum(axis=1)
     colors = np.asarray(colors)
-    same = colors[:, None] == colors[None, :]
-    np.fill_diagonal(same, False)
-    # 0 * inf would be nan; mask infinities explicitly.
-    masked = np.where(same, gains, 0.0)
-    return masked.sum(axis=1)
+    sums = np.empty(n)
+    for lo in range(0, n, DEFAULT_TILE_ROWS):
+        hi = min(lo + DEFAULT_TILE_ROWS, n)
+        same = colors[lo:hi, None] == colors[None, :]
+        same[np.arange(hi - lo), np.arange(lo, hi)] = False
+        # 0 * inf would be nan; mask infinities explicitly.
+        sums[lo:hi] = np.where(same, gains[lo:hi], 0.0).sum(axis=1)
+    return sums
 
 
 def directed_interference(

@@ -5,6 +5,8 @@ import pytest
 
 from repro.core.instance import Direction, Instance
 from repro.core.interference import (
+    DEFAULT_TILE_ROWS,
+    _class_sum,
     bidirectional_gain_matrices,
     bidirectional_interference,
     directed_gain_matrix,
@@ -188,3 +190,25 @@ class TestBidirectionalGains:
             bidirectional_interference(a, powers),
             bidirectional_interference(b, powers),
         )
+
+
+def _reference_class_sum(gains, colors):
+    """Masked row sums over one full ``(n, n)`` mask."""
+    same = colors[:, None] == colors[None, :]
+    np.fill_diagonal(same, False)
+    return np.where(same, gains, 0.0).sum(axis=1)
+
+
+@pytest.mark.parametrize("n", [1, 7, DEFAULT_TILE_ROWS, 2 * DEFAULT_TILE_ROWS + 37])
+def test_class_sum_matches_full_mask_bitwise(n):
+    """Row tiles reduce the same row buffers as the full mask: equal
+    bits, with shared-node ``inf`` entries masked out off-color."""
+    rng = np.random.default_rng(n)
+    storage = rng.uniform(0.0, 1.0, size=(n + 3, n + 5)) ** -3
+    storage[rng.random(storage.shape) < 0.01] = np.inf
+    storage[rng.random(storage.shape) < 0.05] = 0.0
+    gains = storage[:n, :n]  # a view, as in a grown dense buffer
+    for colors in (rng.integers(0, 4, size=n), np.zeros(n, dtype=int)):
+        got = _class_sum(gains, colors)
+        want = _reference_class_sum(gains, colors)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
