@@ -378,7 +378,9 @@ def main(argv=None) -> int:
         "--window",
         type=int,
         default=64,
-        help="admissions per column-prefetch round trip (default 64)",
+        help="admissions per column-prefetch round trip; the next "
+        "window is fetched while this one is admitted, so two windows "
+        "must fit the 256-column cache: at most 128 (default 64)",
     )
     parser.add_argument(
         "--conf-n",

@@ -976,9 +976,9 @@ def first_fit_colors(
     return kernel.colors
 
 
-#: Admission-window width of the sharded first-fit driver.  Must stay
-#: below the sharded backend's column-cache capacity (so a window's
-#: columns survive until their request is admitted *and* placed).
+#: Admission-window width of the sharded first-fit driver.  Two
+#: windows must fit the sharded backend's column cache: the driver
+#: admits one window while the next one's columns are in flight.
 DEFAULT_ADMISSION_WINDOW = 64
 
 
@@ -994,11 +994,14 @@ def first_fit_colors_sharded(
     gain columns (``col_u``/``col_v`` in
     :meth:`ScheduleKernel.first_fit_admit` and :meth:`ScheduleKernel.add`);
     every budget comparison runs against parent-resident accumulators.
-    So the driver walks *order* in windows of *window* requests,
-    prefetching each window's columns in **one** round trip over the
-    shards (``backend.prefetch_columns``) — per-request traffic drops
-    from up to four column broadcasts to ``1/window`` broadcasts, one
-    round per admitted window rather than per candidate scan.
+    So the driver walks *order* in windows of *window* requests and
+    fetches each window's columns in **one** round trip over the shards
+    (``backend.prefetch_columns``) — per-request traffic drops from up
+    to four column broadcasts to ``1/window`` broadcasts.  The fetch of
+    window k+1 is posted before window k is admitted, so the shards
+    slice and pickle its columns while the parent admits; the backend's
+    column cache must therefore hold two windows (``ValueError``
+    otherwise).
 
     The kernel calls and their operands are exactly those of
     :func:`first_fit_colors` (prefetch only warms a cache of
@@ -1009,14 +1012,19 @@ def first_fit_colors_sharded(
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     backend = context.backend
-    prefetch = getattr(backend, "prefetch_columns", None)
+    cache_limit = getattr(backend, "COLUMN_CACHE_LIMIT", None)
+    if cache_limit is not None and 2 * window > cache_limit:
+        raise ValueError(
+            f"window {window}: two admission windows ({2 * window} "
+            f"columns) exceed the column cache ({cache_limit} columns)"
+        )
+    prefetch = getattr(backend, "prefetch_columns", lambda js: None)
     kernel = ScheduleKernel(context)
     order = np.asarray(order, dtype=int)
+    prefetch(order[:window])
     for lo in range(0, order.size, window):
-        chunk = order[lo : lo + window]
-        if prefetch is not None:
-            prefetch(chunk)
-        for req in chunk:
+        prefetch(order[lo + window : lo + 2 * window])
+        for req in order[lo : lo + window]:
             req = int(req)
             color = kernel.first_fit_admit(req, limits)
             if color < 0:

@@ -20,13 +20,17 @@ per-shard work plus one merge in shard order:
 * rows / row-blocks / row-sums — each global row lives in exactly one
   shard, so the parent partitions the row set by owner, every shard
   reduces its own rows, and results scatter back into caller order.
-* columns — column ``j`` crosses every shard; one broadcast returns
-  each shard's sparse slice ``(local_rows, values)`` and the parent
-  scatters them into a dense ``(n,)`` buffer.  Admission asks for the
+* columns — column ``j`` crosses every shard.  Admission asks for the
   same column up to four times (candidate check + placement, both
-  endpoints), so fetched columns land in a small parent-side cache and
-  :meth:`ShardedBackend.prefetch_columns` fetches a whole admission
-  *window* in one round trip (see
+  endpoints), so columns are fetched a whole admission *window* at a
+  time into a small parent-side cache.
+  :meth:`ShardedBackend.prefetch_columns` posts the window's fetch
+  without waiting; each shard answers with one packed CSR triple per
+  endpoint (the window's rows of its transposed block), which the
+  parent scatters into one dense ``(window, n)`` block when the
+  columns are first needed.  The sharded first-fit driver posts the
+  next window before it admits this one, so the shards slice and
+  pickle while the parent admits (see
   :func:`repro.core.kernels.first_fit_colors_sharded`).
 * ``class_sum`` — a local partial reduction per shard (the shard's
   rows against the global color vector) concatenated in shard order:
@@ -63,6 +67,7 @@ from repro.core.gains import (
 from repro.core.instance import Instance
 from repro.runner.executors import (
     ShardExecutor,
+    ShardPost,
     build_shard_executor,
     worker_identity,
 )
@@ -169,22 +174,16 @@ class GainShard:
 
     def columns(
         self, js: np.ndarray
-    ) -> List[List[Tuple[np.ndarray, np.ndarray]]]:
-        """Sparse column slices for each requested ``j``: per endpoint,
-        ``(local_row_indices, values)`` of ``G[lo:hi, j]``.  Directed
-        shards return the single endpoint once (the parent aliases)."""
-        out: List[List[Tuple[np.ndarray, np.ndarray]]] = []
+    ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The requested columns' slices ``G[lo:hi, js]``, packed: per
+        endpoint, the CSR triple ``(indptr, indices, data)`` of rows
+        *js* of the transposed block (row ``p`` holds column ``js[p]``'s
+        local row indices and values).  Directed shards return the
+        single endpoint once (the parent aliases)."""
+        js = np.asarray(js, dtype=int)
         endpoints = ("u",) if self._directed else ("u", "v")
-        for j in np.asarray(js, dtype=int):
-            per_endpoint = []
-            for endpoint in endpoints:
-                blk_t = self._blk_t[endpoint]
-                lo, hi = blk_t.indptr[j], blk_t.indptr[j + 1]
-                per_endpoint.append(
-                    (blk_t.indices[lo:hi].copy(), blk_t.data[lo:hi].copy())
-                )
-            out.append(per_endpoint)
-        return out
+        picked = [self._blk_t[endpoint][js] for endpoint in endpoints]
+        return [(csr.indptr, csr.indices, csr.data) for csr in picked]
 
     def expand_rows(
         self, local_rows: np.ndarray, cols: Optional[np.ndarray], endpoint: str
@@ -281,7 +280,8 @@ class ShardedBackend(GainBackend):
     name = "sharded"
 
     #: Parent-side column cache entries (each is O(n) floats per
-    #: endpoint).  Sized for a couple of admission windows.
+    #: endpoint).  Sized for a couple of admission windows: the sharded
+    #: first-fit driver refuses a window over half of it.
     COLUMN_CACHE_LIMIT = 256
 
     def __init__(
@@ -311,6 +311,7 @@ class ShardedBackend(GainBackend):
         self._col_cache: "OrderedDict[int, Tuple[np.ndarray, np.ndarray]]" = (
             OrderedDict()
         )
+        self._col_fetch: Optional[Tuple[np.ndarray, ShardPost]] = None
         self._finalizer = weakref.finalize(self, _close_executor, executor)
 
     @classmethod
@@ -419,49 +420,58 @@ class ShardedBackend(GainBackend):
     # -- column cache / halo fetch -------------------------------------
 
     def prefetch_columns(self, js: np.ndarray) -> None:
-        """Fetch the columns of every request in *js* (both endpoints)
-        in **one** round trip over the shards and cache them.
+        """Post a fetch of the columns of every request in *js* (both
+        endpoints), one round trip over the shards, without waiting.
 
-        The sharded first-fit driver calls this once per admission
-        window; the per-request :meth:`col_u`/:meth:`col_v` hits are
-        then parent-local, so a window of B admissions costs one
-        round trip instead of up to ``4 B``.
+        The columns land in the cache when first needed: at the next
+        miss or the next prefetch, which lands the fetch before it.
+        The sharded first-fit driver posts each admission window's
+        fetch before it admits the previous window, so a window of B
+        admissions costs one round trip instead of up to ``4 B``, and
+        the shards answer while the parent admits.
         """
+        self._land_columns()
         js = np.asarray(js, dtype=int)
         missing = np.array(
             [j for j in js if int(j) not in self._col_cache], dtype=int
-        )
-        if missing.size == 0:
-            return
-        parts = self._executor.broadcast("columns", missing)
-        for pos, j in enumerate(missing):
-            col_u = np.zeros(self._n)
-            col_v = col_u if self._directed else np.zeros(self._n)
-            for worker, (lo, _hi) in enumerate(self._bounds):
-                slices = parts[worker][pos]
-                idx, vals = slices[0]
-                col_u[lo + idx] = vals
-                if not self._directed:
-                    idx, vals = slices[1]
-                    col_v[lo + idx] = vals
-            col_u.setflags(write=False)
-            col_v.setflags(write=False)
-            self._cache_put(int(j), (col_u, col_v))
+        )[-self.COLUMN_CACHE_LIMIT :]  # the rest would be evicted at once
+        if missing.size:
+            post = self._executor.post(
+                "columns", [(missing,)] * self._executor.workers
+            )
+            self._col_fetch = (missing, post)
 
-    def _cache_put(
-        self, j: int, cols: Tuple[np.ndarray, np.ndarray]
-    ) -> None:
+    def _land_columns(self) -> None:
+        """Scatter the posted fetch's packed replies into one read-only
+        ``(len(js), n)`` block per endpoint and cache its rows."""
+        if self._col_fetch is None:
+            return
+        missing, post = self._col_fetch
+        self._col_fetch = None
+        parts = self._executor.collect(post)
         cache = self._col_cache
-        cache[j] = cols
-        cache.move_to_end(j)
-        while len(cache) > self.COLUMN_CACHE_LIMIT:
+        # Evict first: cached columns stay within the limit even while
+        # the new block fills.
+        while cache and len(cache) + missing.size > self.COLUMN_CACHE_LIMIT:
             cache.popitem(last=False)
+        block_u = np.zeros((missing.size, self._n))
+        block_v = block_u if self._directed else np.zeros_like(block_u)
+        for (lo, _hi), part in zip(self._bounds, parts):
+            for block, (indptr, indices, data) in zip((block_u, block_v), part):
+                rows = np.repeat(np.arange(missing.size), np.diff(indptr))
+                block[rows, lo + indices] = data
+        block_u.setflags(write=False)
+        block_v.setflags(write=False)
+        cols_u = list(block_u)  # row views; directed col_v is col_u
+        cols_v = cols_u if self._directed else list(block_v)
+        cache.update(zip(missing.tolist(), zip(cols_u, cols_v)))
 
     def _cached_cols(self, j: int) -> Tuple[np.ndarray, np.ndarray]:
         j = int(j)
         entry = self._col_cache.get(j)
         if entry is None:
             self.prefetch_columns(np.array([j]))
+            self._land_columns()
             entry = self._col_cache[j]
         else:
             self._col_cache.move_to_end(j)

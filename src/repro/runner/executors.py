@@ -73,13 +73,34 @@ class ShardExecutorError(RuntimeError):
         self.failure = failure
 
 
+class ShardPost:
+    """One scatter in flight, from :meth:`ShardExecutor.post` to
+    :meth:`ShardExecutor.collect`: the per-worker arguments, which
+    workers were sent them, and, once received, the replies in worker
+    order (or the first worker error, raised by ``collect``)."""
+
+    __slots__ = ("method", "args", "sent", "replies", "error")
+
+    def __init__(self, method: str, args: List[Tuple[Any, ...]]):
+        self.method = method
+        self.args = args
+        self.sent = [False] * len(args)
+        self.replies: Optional[List[Any]] = None
+        self.error: Optional[BaseException] = None
+
+
 class ShardExecutor(abc.ABC):
     """W long-lived actors, one per worker, addressed by method calls.
 
     Lifecycle: :meth:`start` builds actor ``k`` as ``factory(payloads[k])``;
     :meth:`call`/:meth:`broadcast`/:meth:`scatter` invoke actor methods;
-    :meth:`close` tears everything down (idempotent).  Implementations
-    must return broadcast/scatter results **in worker order**.
+    :meth:`close` tears everything down (idempotent).  A scatter splits
+    into :meth:`post`, which sends every worker its request and returns
+    at once, and :meth:`collect`, which returns the replies **in worker
+    order**; ``scatter`` is ``collect(post(...))``.  At most one post is
+    outstanding: a later call or post first receives its replies and
+    keeps them for that post's own ``collect``, so no caller reads
+    another caller's reply; ``close`` drops them.
     """
 
     @property
@@ -105,22 +126,47 @@ class ShardExecutor(abc.ABC):
     def broadcast(self, method: str, *args: Any) -> List[Any]:
         """Invoke the same call on every worker; results in worker
         order.  Process implementations overlap the workers' compute."""
-        return [self.call(k, method, *args) for k in range(self.workers)]
+        return self.scatter(method, [args] * self.workers)
 
     def scatter(
         self, method: str, per_worker_args: Sequence[Tuple[Any, ...]]
     ) -> List[Any]:
         """Invoke ``actor.<method>(*per_worker_args[k])`` on worker
         ``k``; results in worker order."""
+        return self.collect(self.post(method, per_worker_args))
+
+    def post(
+        self, method: str, per_worker_args: Sequence[Tuple[Any, ...]]
+    ) -> ShardPost:
+        """Start a scatter; :meth:`collect` returns its results or
+        raises its first worker error.  The base implementation answers
+        at once, through :meth:`call`."""
+        post = ShardPost(method, self._per_worker(per_worker_args))
+        try:
+            post.replies = [
+                self.call(k, method, *args) for k, args in enumerate(post.args)
+            ]
+        except Exception as exc:  # noqa: BLE001 - raised by collect
+            post.error = exc
+        return post
+
+    def collect(self, post: ShardPost) -> List[Any]:
+        """The results of *post*, in worker order."""
+        if post.error is not None:
+            raise post.error
+        if post.replies is None:
+            raise RuntimeError("executor closed before the post was collected")
+        return post.replies
+
+    def _per_worker(
+        self, per_worker_args: Sequence[Tuple[Any, ...]]
+    ) -> List[Tuple[Any, ...]]:
         if len(per_worker_args) != self.workers:
             raise ValueError(
                 f"scatter needs one argument tuple per worker "
                 f"({self.workers}), got {len(per_worker_args)}"
             )
-        return [
-            self.call(k, method, *per_worker_args[k])
-            for k in range(self.workers)
-        ]
+        return [tuple(args) for args in per_worker_args]
 
     @abc.abstractmethod
     def close(self) -> None:
@@ -279,6 +325,7 @@ class ProcessShardExecutor(ShardExecutor):
         self._payloads: Optional[List[Any]] = None
         self._conns: List[Any] = []
         self._procs: List[Any] = []
+        self._outstanding: Optional[ShardPost] = None
         self._closed = False
 
     @property
@@ -440,6 +487,7 @@ class ProcessShardExecutor(ShardExecutor):
         if self._closed:
             return
         self._closed = True
+        self._outstanding = None  # its workers are reaped below
         for worker, conn in enumerate(self._conns):
             if conn is None:
                 continue
@@ -477,9 +525,13 @@ class ProcessShardExecutor(ShardExecutor):
         """One send/recv attempt; raises a transport error on a dead
         worker, :class:`ShardExecutorError` on an actor exception."""
         self._ensure_alive(worker)
-        conn = self._conns[worker]
-        conn.send((method, args))
-        status = self._recv(worker)
+        self._conns[worker].send((method, args))
+        return self._reply(worker, method, self._recv(worker))
+
+    @staticmethod
+    def _reply(worker: int, method: str, status: Tuple[Any, ...]) -> Any:
+        """A worker's ``("ok", result)`` as its result; an
+        ``("err", ...)`` as :class:`ShardExecutorError`."""
         if status[0] != "ok":
             raise ShardExecutorError(
                 f"worker {worker} raised in {method!r}: "
@@ -535,67 +587,56 @@ class ProcessShardExecutor(ShardExecutor):
                 time.sleep(policy.delay_before_retry(failures))
 
     def call(self, worker: int, method: str, *args: Any) -> Any:
+        self._drain()
         return self._call_with_retry(worker, method, args)
 
-    def broadcast(self, method: str, *args: Any) -> List[Any]:
-        return self.scatter(method, [args] * self._workers)
-
-    def scatter(
+    def post(
         self, method: str, per_worker_args: Sequence[Tuple[Any, ...]]
-    ) -> List[Any]:
-        """Pipelined fan-out: send every worker its request first, then
-        collect replies in worker order — all workers compute
-        concurrently while the parent waits.  Workers whose send or
-        receive hits a transport failure fall back to the serial
-        respawn-and-replay path."""
-        if self._factory is None:
-            raise RuntimeError("executor not started")
-        if self._closed:
-            raise RuntimeError("executor is closed")
-        if len(per_worker_args) != self._workers:
-            raise ValueError(
-                f"scatter needs one argument tuple per worker "
-                f"({self._workers}), got {len(per_worker_args)}"
-            )
-        pending: List[bool] = [False] * self._workers
-        for worker in range(self._workers):
-            conn = self._conns[worker]
+    ) -> ShardPost:
+        """Send every worker its request and return without waiting:
+        the workers compute while the caller goes on.  (Before start or
+        after close no worker is sent anything; collect raises.)"""
+        post = ShardPost(method, self._per_worker(per_worker_args))
+        self._drain()
+        for worker, conn in enumerate(self._conns):
             if conn is None:
-                continue  # replayed below
+                continue  # replayed by _drain
             try:
-                conn.send((method, tuple(per_worker_args[worker])))
-                pending[worker] = True
+                conn.send((method, post.args[worker]))
+                post.sent[worker] = True
             except _TRANSPORT_ERRORS:
                 self._reap(worker)
-        results: List[Any] = [None] * self._workers
-        for worker in range(self._workers):
-            if pending[worker]:
-                try:
-                    status = self._recv(worker)
-                except _TRANSPORT_ERRORS:
-                    self._reap(worker)
-                else:
-                    if status[0] != "ok":
-                        raise ShardExecutorError(
-                            f"worker {worker} raised in {method!r}: "
-                            f"{status[1]}: {status[2]}",
-                            failure=ShardFailure(
-                                key=method,
-                                shard_index=worker,
-                                seed=None,
-                                error_type=status[1],
-                                error=status[2],
-                                attempts=1,
-                            ),
-                        )
-                    results[worker] = status[1]
-                    continue
-            # Worker lost before or during this round: respawn + replay
-            # (counts from a fresh per-call retry budget).
-            results[worker] = self._call_with_retry(
-                worker, method, tuple(per_worker_args[worker])
-            )
-        return results
+        self._outstanding = post
+        return post
+
+    def collect(self, post: ShardPost) -> List[Any]:
+        if post is self._outstanding:
+            self._drain()
+        return super().collect(post)
+
+    def _drain(self) -> None:
+        """Receive the outstanding post's replies in worker order.  A
+        worker lost before or during the post falls back to the serial
+        respawn-and-replay path (with a fresh per-call retry budget);
+        the first worker error is kept for the post's ``collect``."""
+        post, self._outstanding = self._outstanding, None
+        if post is None:
+            return
+        replies: List[Any] = [None] * self._workers
+        for worker, args in enumerate(post.args):
+            try:
+                if post.sent[worker]:
+                    try:
+                        status = self._recv(worker)
+                    except _TRANSPORT_ERRORS:
+                        self._reap(worker)
+                    else:
+                        replies[worker] = self._reply(worker, post.method, status)
+                        continue
+                replies[worker] = self._call_with_retry(worker, post.method, args)
+            except ShardExecutorError as exc:
+                post.error = post.error or exc
+        post.replies = replies
 
     def worker_pids(self) -> List[int]:
         """Live worker process ids (for fault-injection tests)."""

@@ -5,6 +5,7 @@ import os
 import signal
 import time
 
+import numpy as np
 import pytest
 
 from repro.resilience import RetryPolicy
@@ -25,6 +26,14 @@ class Counter:
 
     def add(self, x):
         return self.base + int(x)
+
+    def scaled(self, x):
+        return np.linspace(0.0, 1.0, 7) * (self.base + x) / 3.0
+
+    def check(self, x):
+        if x < 0:
+            raise ValueError(f"negative input {x}")
+        return self.base + x
 
     def pid(self):
         return os.getpid()
@@ -138,6 +147,43 @@ class TestSerialExecutor:
     def test_workers_validated(self):
         with pytest.raises(ValueError, match="workers"):
             SerialShardExecutor(0)
+
+
+@pytest.mark.parametrize("kind", SHARD_EXECUTORS)
+def test_post_collect_contract(kind):
+    """``collect(post(...))`` is ``scatter(...)``; whatever runs while a
+    post is outstanding gets its own reply, and so does the post."""
+    before = set(multiprocessing.active_children())
+    ex = build_shard_executor(kind, 2)
+    ex.start(_counter_factory, [10, 20])
+    try:
+        args = [(1.5,), (2.5,)]
+        posted = ex.collect(ex.post("scaled", args))
+        scattered = ex.scatter("scaled", args)
+        assert [a.tobytes() for a in posted] == [a.tobytes() for a in scattered]
+
+        requests = [
+            (lambda: ex.call(1, "add", 5), 25),
+            (lambda: ex.broadcast("add", 3), [13, 23]),
+            (lambda: ex.scatter("add", [(4,), (5,)]), [14, 25]),
+            (lambda: ex.collect(ex.post("add", [(6,), (7,)])), [16, 27]),
+        ]
+        for request, expected in requests:
+            outstanding = ex.post("add", [(1,), (2,)])
+            assert request() == expected
+            assert ex.collect(outstanding) == [11, 22]
+
+        # An actor error stays with its own post: the call that drains
+        # it reads its own reply, not worker 1's answer to the post.
+        failing = ex.post("check", [(-1,), (1,)])
+        assert ex.call(1, "add", 0) == 20
+        with pytest.raises((ValueError, ShardExecutorError), match="negative"):
+            ex.collect(failing)
+
+        ex.post("add", [(1,), (2,)])
+    finally:
+        ex.close()
+    assert _new_children(before) == set()
 
 
 class TestBuildShardExecutor:

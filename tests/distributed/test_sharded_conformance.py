@@ -275,6 +275,21 @@ class TestShardedFirstFitDriver:
             baseline = first_fit_schedule(instance, powers)
         np.testing.assert_array_equal(colors, baseline.colors)
 
+    def test_window_must_leave_room_for_the_lookahead(self):
+        # Two windows must fit the column cache (256): 128 runs and
+        # colors as dense does, 129 is refused before any admission.
+        instance = random_uniform_instance(300, rng=5, direction="directed")
+        powers = SquareRootPower()(instance)
+        context = get_context(instance, powers, config=_serial_config(2))
+        order = np.argsort(-instance.link_distances, kind="stable")
+        limits = context.budgets() * (1.0 + 1e-9)
+        with pytest.raises(ValueError, match=r"window 129.*\(256 columns\)"):
+            first_fit_colors_sharded(context, order, limits, window=129)
+        colors = first_fit_colors_sharded(context, order, limits, window=128)
+        with config_scope(backend="dense"):
+            baseline = first_fit_schedule(instance, powers)
+        np.testing.assert_array_equal(colors, baseline.colors)
+
     def test_window_validated(self):
         instance, powers = GRID["euclid-dir"]
         context = get_context(instance, powers, config=_serial_config(2))
