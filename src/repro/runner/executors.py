@@ -675,8 +675,28 @@ def build_shard_executor(
     )
 
 
+def _vm_hwm_mb(status: str) -> Optional[float]:
+    """The ``VmHWM`` (peak resident set) line of a
+    ``/proc/<pid>/status`` text, in MiB; ``None`` without one."""
+    for line in status.splitlines():
+        if line.startswith("VmHWM:"):
+            return float(line.split()[1]) / 1024.0
+    return None
+
+
 def _current_rss_mb() -> float:
-    """This process's peak RSS in MiB (actors expose it per worker)."""
+    """This process's peak RSS in MiB (actors expose it per worker).
+
+    ``VmHWM`` where ``/proc`` has it: Linux carries ``ru_maxrss``
+    across ``exec``, so a spawned worker's ``ru_maxrss`` starts at its
+    parent's peak.  ``ru_maxrss`` elsewhere."""
+    try:
+        with open("/proc/self/status") as handle:
+            peak = _vm_hwm_mb(handle.read())
+    except OSError:
+        peak = None
+    if peak is not None:
+        return peak
     try:
         import resource
 

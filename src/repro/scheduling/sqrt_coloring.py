@@ -28,6 +28,10 @@ a directed instance the ``u`` and ``v`` budget rows coincide and the LP
 gets the ``k x k`` gain block once (bidirectional instances keep both
 row sets), and a class whose every row sum already fits its budget has
 the all-ones vector as its unique optimum, taken in closed form.  The
+rest go to HiGHS through :func:`linprog`, which builds the model in one
+numpy pass and calls HiGHS's own binding, without scipy's ``linprog``
+wrapper (its per-call input checks, option manager and marginals); the
+solution is bitwise the wrapper's.  The
 repair (step 3) and thinning (step 4) passes run through
 :func:`greedy_max_feasible_subset`, on the incremental peel kernel
 (:func:`repro.core.kernels.peel_max_feasible_subset`): maintained
@@ -65,11 +69,107 @@ class SqrtColoringStats:
     lp_objectives: List[float] = field(default_factory=list)
 
 
-def linprog(*args, **kwargs):
-    """:func:`scipy.optimize.linprog`, imported on first call (it costs
-    more than the rest of the package); every class LP calls it here."""
-    from scipy.optimize import linprog as scipy_linprog
-    return scipy_linprog(*args, **kwargs)
+@dataclass(frozen=True)
+class LPResult:
+    """What :func:`linprog` reports: the solution ``x`` (``None`` when
+    HiGHS gives none), ``success``, a scipy-style ``status`` (0 solved,
+    4 not) and a ``message``."""
+
+    x: Optional[np.ndarray]
+    success: bool
+    status: int
+    message: str
+
+
+def _failed(message: str, x: Optional[np.ndarray] = None) -> LPResult:
+    return LPResult(x=x, success=False, status=4, message=message)
+
+
+def linprog(
+    *,
+    c: np.ndarray,
+    A_ub: np.ndarray,
+    b_ub: np.ndarray,
+    bounds: Tuple[float, float] = (0.0, 1.0),
+    method: str = "highs",
+) -> LPResult:
+    """Solve ``min c @ x`` s.t. ``A_ub @ x <= b_ub``, ``bounds[0] <= x <=
+    bounds[1]`` on HiGHS directly; every class LP calls it here.
+
+    The model and options are the ones :func:`scipy.optimize.linprog`
+    (``method="highs"``) hands HiGHS, so ``x`` is bitwise its ``x``
+    (``tests/scheduling/test_sqrt_coloring.py`` checks it): ``A_ub`` in
+    CSC without its zeros, rows ``(-inf, b_ub]``, presolve on, dual
+    simplex, no output.  It skips scipy's per-call layers: input
+    cleaning, an option manager per option, the marginals loop, the
+    COO-to-CSC detour.  One fresh ``_Highs`` per LP, so no solver state
+    crosses LPs.  ``scipy.optimize._highspy`` is imported on first call
+    (it costs more than the rest of the package).
+
+    scipy's post-check is kept: a non-optimal HiGHS status, a NaN in
+    ``x``, or ``x`` off its bounds or rows by more than
+    ``sqrt(1e-9) * 10`` gives ``success=False``.
+    """
+    from scipy.optimize._highspy import _core as highs
+
+    if method != "highs":
+        raise ValueError(f"linprog solves with method='highs', got {method!r}")
+    a = np.asarray(A_ub, dtype=float)
+    b = np.asarray(b_ub, dtype=float)
+    cost = np.asarray(c, dtype=float)
+    m, k = a.shape
+    # CSC as csc_array(a) lays it out: nonzeros column by column, rows
+    # ascending (NaN counts as nonzero).  The binding copies each field
+    # into a std::vector element by element, faster from a list than
+    # from an ndarray.
+    nonzero = a.T != 0
+    start = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(nonzero, axis=1), out=start[1:])
+
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = k
+    lp.num_row_ = lp.a_matrix_.num_row_ = m
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = start.tolist()
+    lp.a_matrix_.index_ = np.nonzero(nonzero)[1].tolist()
+    lp.a_matrix_.value_ = a.T[nonzero].tolist()
+    lp.col_cost_ = cost.tolist()
+    lp.col_lower_ = [float(bounds[0])] * k
+    lp.col_upper_ = [float(bounds[1])] * k
+    lp.row_lower_ = [-math.inf] * m
+    lp.row_upper_ = b.tolist()
+
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.solver = "choose"
+    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    options.output_flag = False
+    options.log_to_console = False
+    solver = highs._Highs()
+    solver.passOptions(options)
+    if solver.passModel(lp) == highs.HighsStatus.kError:
+        return _failed("HiGHS rejected the model")
+    solver.run()
+    status = solver.getModelStatus()
+    if status != highs.HighsModelStatus.kOptimal:
+        return _failed(f"HiGHS model status: {solver.modelStatusToString(status)}")
+
+    x = np.array(solver.getSolution().col_value)
+    tol = math.sqrt(1e-9) * 10
+    slack = b - a @ x
+    if np.isnan(x).any() or np.isnan(slack).any():
+        return _failed("NaN in the HiGHS solution or its row activities", x)
+    if (
+        (x < bounds[0] - tol).any()
+        or (x > bounds[1] + tol).any()
+        or (slack < -tol).any()
+    ):
+        return _failed(
+            f"the HiGHS solution misses its bounds or rows by more than {tol:.2E}",
+            x,
+        )
+    return LPResult(x=x, success=True, status=0, message="optimal")
 
 
 def _distance_classes(distances: np.ndarray) -> List[np.ndarray]:

@@ -14,7 +14,10 @@ from repro.runner.executors import (
     ProcessShardExecutor,
     SerialShardExecutor,
     ShardExecutorError,
+    _current_rss_mb,
+    _vm_hwm_mb,
     build_shard_executor,
+    worker_identity,
 )
 
 
@@ -37,6 +40,9 @@ class Counter:
 
     def pid(self):
         return os.getpid()
+
+    def identity(self):
+        return worker_identity()
 
     def boom(self):
         raise ValueError("deterministic actor error")
@@ -358,3 +364,32 @@ class TestProcessStart:
         assert failure.shard_index == 1
         assert failure.attempts == retry.max_attempts
         assert _new_children(before) == set()
+
+
+class TestWorkerPeakRss:
+    STATUS = (
+        "Name:\tpython\n"
+        "VmPeak:\t  412345 kB\n"
+        "VmHWM:\t   56196 kB\n"
+        "VmRSS:\t   40000 kB\n"
+    )
+
+    def test_vm_hwm_parsed_from_status_text(self):
+        assert _vm_hwm_mb(self.STATUS) == pytest.approx(56196 / 1024.0)
+
+    def test_status_without_vm_hwm_gives_none(self):
+        assert _vm_hwm_mb("Name:\tpython\nVmRSS:\t 40000 kB\n") is None
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="needs /proc/self/status"
+    )
+    def test_worker_reports_its_own_peak_not_its_parents(self):
+        ballast = np.ones(200 * 2**20 // 8)  # ~200 MB touched by the parent
+        parent_mb = _current_rss_mb()
+        with ProcessShardExecutor(1) as ex:
+            ex.start(_counter_factory, [0])
+            worker = ex.call(0, "identity")
+        del ballast
+        assert worker["pid"] != os.getpid()
+        assert parent_mb > 200
+        assert worker["peak_rss_mb"] < parent_mb - 100

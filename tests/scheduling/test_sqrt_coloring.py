@@ -276,3 +276,118 @@ class TestClassLP:
         inst = random_uniform_instance(20, rng=3, direction="directed")
         with pytest.raises(RuntimeError, match="numerical trouble"):
             sqrt_coloring(inst, rng=0)
+
+
+def _class_lp_corpus():
+    """Instances whose class LPs reach HiGHS, both row layouts."""
+    for direction in ("directed", "bidirectional"):
+        for n, seed in ((20, 3), (40, 1), (60, 2)):
+            yield random_uniform_instance(n, rng=seed, direction=direction)
+    yield clustered_instance(40, rng=5)
+    yield clustered_instance(40, rng=6, direction="directed")
+    for direction in (Direction.DIRECTED, Direction.BIDIRECTIONAL):
+        yield _shared_node_cluster(direction)
+
+
+def _shared_node_cluster(direction):
+    """Six unit links 0.5 apart, tight enough for HiGHS, and a seventh
+    sharing the first one's receiver node: its infinite column is
+    dropped from the class LP."""
+    points = [x for j in range(6) for x in (1.5 * j, 1.5 * j + 1.0)] + [2.0]
+    senders = [2 * j for j in range(6)] + [1]
+    receivers = [2 * j + 1 for j in range(6)] + [12]
+    return Instance(LineMetric(points), senders, receivers, direction=direction)
+
+
+class TestDirectHighs:
+    """``sqrt_coloring.linprog`` talks to HiGHS without scipy's
+    ``linprog`` wrapper; its ``x`` must be bitwise scipy's."""
+
+    def test_scipy_ships_the_highs_binding(self):
+        floor = "scipy>=1.15 (pyproject.toml)"
+        try:
+            from scipy.optimize._highspy import _core
+        except ImportError as exc:  # pragma: no cover - old or moved scipy
+            pytest.fail(
+                f"scipy {scipy.__version__} has no scipy.optimize._highspy._core, "
+                f"which sqrt_coloring.linprog needs; the floor is {floor}: {exc}"
+            )
+        for name in (
+            "_Highs", "HighsLp", "HighsOptions", "HighsStatus",
+            "HighsModelStatus", "HighsDebugLevel", "MatrixFormat",
+            "simplex_constants",
+        ):
+            assert hasattr(_core, name), (
+                f"scipy {scipy.__version__}'s HiGHS binding lacks {name}, "
+                f"which sqrt_coloring.linprog needs; the floor is {floor}"
+            )
+
+    def test_every_class_lp_matches_scipy_linprog(self, monkeypatch):
+        solved = []
+        real = sqrt_module.linprog
+
+        def spy(**kwargs):
+            result = real(**kwargs)
+            solved.append((kwargs, result))
+            return result
+
+        monkeypatch.setattr(sqrt_module, "linprog", spy)
+        for seed, inst in enumerate(_class_lp_corpus()):
+            sqrt_coloring(inst, rng=seed)
+        assert len(solved) > 20
+        rows_per_column = {call["A_ub"].shape[0] / call["c"].size for call, _ in solved}
+        # Both row layouts, and LPs with a dropped infinite column.
+        assert {1.0, 2.0} < rows_per_column
+        for call, result in solved:
+            reference = scipy.optimize.linprog(**call)
+            assert result.success and reference.success
+            assert result.status == 0
+            np.testing.assert_array_equal(result.x, reference.x)
+
+    def test_nan_in_a_ub_fails(self):
+        a_ub = np.array([[1.0, np.nan], [3.0, 1.0]])
+        result = sqrt_module.linprog(
+            c=-np.ones(2), A_ub=a_ub, b_ub=np.ones(2), bounds=(0.0, 1.0)
+        )
+        assert not result.success
+        assert result.status != 0
+        assert "NaN" in result.message
+
+    def test_nan_class_lp_raises(self, monkeypatch):
+        real = sqrt_module.linprog
+
+        def poisoned(**kwargs):
+            a_ub = kwargs["A_ub"].copy()
+            a_ub[0, :] = np.nan
+            return real(**{**kwargs, "A_ub": a_ub})
+
+        monkeypatch.setattr(sqrt_module, "linprog", poisoned)
+        inst = random_uniform_instance(20, rng=3, direction="directed")
+        with pytest.raises(RuntimeError, match="NaN"):
+            sqrt_coloring(inst, rng=0)
+
+    def test_non_optimal_status_fails_and_raises(self, monkeypatch):
+        from scipy.optimize._highspy import _core
+
+        class IterationLimit(_core._Highs):
+            def getModelStatus(self):
+                return _core.HighsModelStatus.kIterationLimit
+
+        monkeypatch.setattr(_core, "_Highs", IterationLimit)
+        result = sqrt_module.linprog(
+            c=-np.ones(2),
+            A_ub=np.array([[1.0, 2.0], [3.0, 1.0]]),
+            b_ub=np.ones(2),
+        )
+        assert not result.success and result.x is None
+        assert "Iteration limit" in result.message
+        inst = random_uniform_instance(20, rng=3, direction="directed")
+        with pytest.raises(RuntimeError, match="Iteration limit"):
+            sqrt_coloring(inst, rng=0)
+
+    def test_other_methods_are_refused(self):
+        with pytest.raises(ValueError, match="highs"):
+            sqrt_module.linprog(
+                c=-np.ones(1), A_ub=np.ones((1, 1)), b_ub=np.ones(1),
+                method="highs-ipm",
+            )

@@ -12,7 +12,7 @@ import subprocess
 import sys
 import textwrap
 
-import scipy.optimize
+from scipy.optimize._highspy import _core as highs_core
 
 import repro
 import repro.scheduling.sqrt_coloring as sqrt_module
@@ -46,21 +46,21 @@ def test_fresh_interpreter_loads_neither_networkx_nor_scipy_optimize():
 
 def test_every_class_lp_goes_through_the_module_attribute(monkeypatch):
     """Tracers and tests wrap ``sqrt_coloring.linprog``: each HiGHS
-    solve must pass through it, not reach scipy another way."""
+    solve must pass through it, not reach HiGHS another way."""
     wrapped, solved = [], []
     through_module = sqrt_module.linprog
-    highs = scipy.optimize.linprog
 
     def module_spy(*args, **kwargs):
         wrapped.append(kwargs["c"].size)
         return through_module(*args, **kwargs)
 
-    def scipy_spy(*args, **kwargs):
-        solved.append(kwargs["c"].size)
-        return highs(*args, **kwargs)
+    class CountingHighs(highs_core._Highs):
+        def run(self):
+            solved.append(self.getNumCol())
+            return super().run()
 
     monkeypatch.setattr(sqrt_module, "linprog", module_spy)
-    monkeypatch.setattr(scipy.optimize, "linprog", scipy_spy)
+    monkeypatch.setattr(highs_core, "_Highs", CountingHighs)
     instance = random_uniform_instance(20, rng=3, direction="directed")
     _, stats = sqrt_module.sqrt_coloring(instance, rng=0)
     assert solved, "instance must exercise HiGHS"
