@@ -50,8 +50,8 @@ def _blockwise_row_affectance(
     Each strip applies the same elementwise formula as
     :func:`affectance_matrix` to an exact gain block and reduces along
     the complete trailing axis, so the totals are bit-identical to the
-    dense route — ε-pruned sparse and device-resident backends just
-    never materialize ``(n, n)`` host arrays.
+    dense route — ε-pruned sparse backends just never materialize
+    ``(n, n)`` arrays.
     """
     signals = context.signals
     totals = np.empty(idx.size)

@@ -205,23 +205,20 @@ class Problem:
         :class:`~repro.power.base.PowerAssignment`, or an explicit
         positive power vector.  Self-powered algorithms (capability
         ``needs_powers=False``) ignore it and emit their own powers.
-    backend, sparse_epsilon, array_namespace, device, workers, shard_executor:
+    backend, sparse_epsilon, workers, shard_executor:
         Gain-backend preferences; each ``None`` follows
         :func:`~repro.core.gains.default_config`.  They are resolved
         once, at construction, into :attr:`config` (a
         :class:`~repro.core.gains.BackendConfig`, so a typo fails here,
         not deep inside ``get_context``); every context the problem's
         sessions create, and every algorithm run, uses that config.
-        *device* requires ``backend="dense"``, and *workers* /
-        *shard_executor* require ``backend="sharded"``.
+        *workers* and *shard_executor* require ``backend="sharded"``.
     """
 
     instance: Instance
     powers: PowersLike = None
     backend: Optional[str] = None
     sparse_epsilon: Optional[float] = None
-    array_namespace: Optional[str] = None
-    device: Optional[object] = None
     workers: Optional[int] = None
     shard_executor: Optional[str] = None
     config: BackendConfig = field(init=False, repr=False, compare=False)
@@ -230,8 +227,6 @@ class Problem:
         self.config = default_config(
             backend=self.backend,
             sparse_epsilon=self.sparse_epsilon,
-            array_namespace=self.array_namespace,
-            device=self.device,
             workers=self.workers,
             shard_executor=self.shard_executor,
         )

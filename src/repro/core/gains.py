@@ -19,9 +19,7 @@ implementations:
   full matrix on coordinate-backed metrics).  Every primitive returns
   the exact expression the pre-backend code evaluated on those arrays,
   so the dense path is bit-identical to historical behaviour.  The
-  arrays live in an array-API namespace: numpy by default (host
-  arrays, shared without a copy), or any of :data:`ARRAY_NAMESPACES`
-  on a device, with the same bits crossing back to the host.
+  arrays are numpy host arrays, shared read-only without a copy.
 * :class:`SparseBackend` — CSR storage (plus CSR transposes for column
   access) built **tiled**, a block of rows at a time, so an instance at
   ``n = 16384`` never materializes a dense matrix (nor, on
@@ -70,11 +68,10 @@ Selecting a backend
 -------------------
 
 One frozen :class:`BackendConfig` names the backend and its knobs
-(pruning budget, array namespace and device, shard workers and
-executor).  The process default is read once, at import, from the
-``REPRO_BACKEND`` / ``REPRO_SPARSE_EPSILON`` / ``REPRO_ARRAY_NAMESPACE``
-/ ``REPRO_SHARD_WORKERS`` / ``REPRO_SHARD_EXECUTOR`` environment
-variables (:meth:`BackendConfig.from_env`); :func:`default_config`
+(pruning budget, shard workers and executor).  The process default
+is read once, at import, from the ``REPRO_BACKEND`` /
+``REPRO_SPARSE_EPSILON`` / ``REPRO_SHARD_WORKERS`` /
+``REPRO_SHARD_EXECUTOR`` environment variables (:meth:`BackendConfig.from_env`); :func:`default_config`
 returns the config in effect and ``with config_scope(backend="sparse"):
 ...`` replaces it for a block.  :func:`repro.core.context.get_context`
 and :func:`build_backend` take an explicit ``config=``, and
@@ -105,7 +102,6 @@ from repro.core.interference import (
 )
 
 __all__ = [
-    "ARRAY_NAMESPACES",
     "BACKENDS",
     "BackendConfig",
     "GainBackend",
@@ -122,14 +118,6 @@ __all__ = [
 #: :class:`repro.runner.executors.ShardExecutor`) and is resolved
 #: lazily by :func:`build_backend` to keep this module import-light.
 BACKENDS = ("dense", "sparse", "sharded")
-
-#: Array-API namespaces :class:`DenseBackend` can host its storage in.
-#: ``numpy`` ships with the library; the others resolve lazily at build
-#: time and raise an :class:`ImportError` naming the install extra when
-#: missing (``pip install 'repro-oblivious-interference-scheduling[array]'``
-#: for the portability namespaces; ``torch``/``cupy`` additionally need
-#: the framework itself).
-ARRAY_NAMESPACES = ("numpy", "array_api_strict", "torch", "cupy")
 
 
 #: Registered shard-executor names (mirrors
@@ -182,19 +170,11 @@ def _workers(label: str, value) -> int:
     return workers
 
 
-_backend_name = _choice(BACKENDS)
-
 #: ``(field, label in errors, environment variable, validator)`` for
 #: every validated :class:`BackendConfig` field.
 _FIELDS = (
-    ("backend", "backend", "REPRO_BACKEND", _backend_name),
+    ("backend", "backend", "REPRO_BACKEND", _choice(BACKENDS)),
     ("sparse_epsilon", "sparse epsilon", "REPRO_SPARSE_EPSILON", _epsilon),
-    (
-        "array_namespace",
-        "array namespace",
-        "REPRO_ARRAY_NAMESPACE",
-        _choice(ARRAY_NAMESPACES),
-    ),
     ("workers", "shard workers", "REPRO_SHARD_WORKERS", _workers),
     (
         "shard_executor",
@@ -221,10 +201,6 @@ class BackendConfig:
     sparse_epsilon:
         Per-row pruned-mass budget of the sparse and sharded backends,
         in ``[0, 1)``.
-    array_namespace, device:
-        Array-API namespace (see :data:`ARRAY_NAMESPACES`) and device of
-        the dense backend's storage; a device other than ``None``
-        requires ``backend="dense"``.
     workers, shard_executor:
         Worker count and executor name (``"serial"``/``"process"``) of
         the sharded backend.
@@ -232,19 +208,12 @@ class BackendConfig:
 
     backend: str = "dense"
     sparse_epsilon: float = 0.0
-    array_namespace: str = "numpy"
-    device: Optional[object] = None
     workers: int = 2
     shard_executor: str = "process"
 
     def __post_init__(self) -> None:
         for name, label, _, check in _FIELDS:
             object.__setattr__(self, name, check(label, getattr(self, name)))
-        if self.device is not None and self.backend != "dense":
-            raise ValueError(
-                "device= requires backend='dense' "
-                f"(got backend={self.backend!r})"
-            )
 
     @classmethod
     def from_env(cls) -> "BackendConfig":
@@ -260,21 +229,17 @@ class BackendConfig:
     def derive(self, **overrides) -> "BackendConfig":
         """This config with every override that is not ``None`` applied.
 
-        A device is kept only while the backend stays ``"dense"``, and
-        overriding ``workers``/``shard_executor`` requires the sharded
+        Overriding ``workers``/``shard_executor`` requires the sharded
         backend.
         """
         given = {k: v for k, v in overrides.items() if v is not None}
-        backend = _backend_name("backend", given.get("backend", self.backend))
-        if backend != "dense":
-            given.setdefault("device", None)
         config = replace(self, **given)
-        if backend != "sharded" and (
+        if config.backend != "sharded" and (
             "workers" in given or "shard_executor" in given
         ):
             raise ValueError(
                 "workers=/shard_executor= require backend='sharded' "
-                f"(got backend={backend!r})"
+                f"(got backend={config.backend!r})"
             )
         return config
 
@@ -291,8 +256,6 @@ class BackendConfig:
         return (
             self.backend,
             self.pruning_epsilon,
-            self.array_namespace if self.backend == "dense" else "",
-            "" if self.device is None else str(self.device),
             self.workers if sharded else 0,
             self.shard_executor if sharded else "",
         )
@@ -329,42 +292,6 @@ def config_scope(
         _config.reset(token)
 
 
-def _import_array_namespace(name: str):
-    """The array-API namespace module backing *name*.
-
-    Imports are deferred to backend build so merely *configuring* a
-    namespace (env var, :class:`BackendConfig`) never imports a
-    heavy framework — and a missing package fails with an error naming
-    the install extra instead of a bare ``ModuleNotFoundError``.
-    """
-    if name == "numpy":
-        return np
-    if name == "array_api_strict":
-        try:
-            import array_api_strict
-        except ImportError:
-            raise ImportError(
-                "array namespace 'array_api_strict' needs the "
-                "array-api-strict package; install the array extra "
-                "(pip install 'repro-oblivious-interference-scheduling[array]')"
-            ) from None
-        return array_api_strict
-    # torch / cupy expose near-conformant namespaces; array-api-compat
-    # wraps them into fully standard ones so the backend code stays
-    # framework-agnostic.
-    try:
-        import importlib
-
-        return importlib.import_module(f"array_api_compat.{name}")
-    except ImportError:
-        raise ImportError(
-            f"array namespace {name!r} needs {name} plus array-api-compat; "
-            "install the array extra "
-            "(pip install 'repro-oblivious-interference-scheduling[array]') "
-            f"and {name} itself"
-        ) from None
-
-
 def _full_gain_matrices(
     instance: Instance, powers: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -384,11 +311,17 @@ def _host_gain_targets(instance: Instance):
     return (instance.senders, instance.receivers)
 
 
-def _frozen(x):
-    """Mark a host array read-only (other namespaces have no flag)."""
-    if isinstance(x, np.ndarray):
-        x.setflags(write=False)
+def _frozen(x: np.ndarray) -> np.ndarray:
+    """Mark *x* read-only and return it."""
+    x.setflags(write=False)
     return x
+
+
+def _adopt(host: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(storage, public)`` for a freshly built matrix: *host* itself,
+    frozen, is what callers see, and a writable view of it taken first
+    is the storage in-place edits write through."""
+    return host[...], _frozen(host)
 
 
 def validate_growth(
@@ -727,46 +660,32 @@ class GainBackend(abc.ABC):
 
 
 class DenseBackend(GainBackend):
-    """The materialized ``(n, n)`` gain arrays (bit-exact reference),
-    stored in an array-API namespace.
+    """The materialized ``(n, n)`` gain arrays (bit-exact reference).
 
-    Under the default ``numpy`` namespace the storage *is* the host
-    arrays the engine has always used: :attr:`gains_u`/:attr:`gains_v`,
-    the cached contiguous transposes :attr:`gains_ut`/:attr:`gains_vt`
-    and the worst-endpoint :attr:`worst_gains`, read-only and shared
-    without a copy by the dense-only fast paths (affectance analyses).
-    Any other namespace (``array_api_strict`` for portability testing,
-    ``torch``/``cupy`` via ``array-api-compat`` when installed) runs the
-    same code through ``xp`` calls, with the arrays on *device*: the
-    build uploads each matrix once, an edit uploads only the written
-    rows and columns, and every primitive crosses back to the host at
-    the one :meth:`_download` boundary (the identity under numpy), so
-    every namespace returns the same bits.
+    The storage *is* the host arrays the engine has always used:
+    :attr:`gains_u`/:attr:`gains_v`, the cached contiguous transposes
+    :attr:`gains_ut`/:attr:`gains_vt` and the worst-endpoint
+    :attr:`worst_gains`, read-only and shared without a copy by the
+    dense-only fast paths (affectance analyses).  Each public array is
+    a read-only view of a writable owner buffer, which in-place edits
+    write through.  Rows, columns and the full matrices come back as
+    read-only views of the storage; blocks and gathers as fresh arrays.
 
     Parameters
     ----------
     gains_u, gains_v:
-        The gain matrices in *namespace* (``gains_v is gains_u`` in the
-        directed variant).
-    namespace:
-        Registered namespace name (see :data:`ARRAY_NAMESPACES`).
-    device:
-        Optional device passed to the namespace's ``asarray``/creation
-        functions (``None`` = namespace default).
+        The gain matrices (``gains_v is gains_u`` in the directed
+        variant).
     """
 
     name = "dense"
     edits_in_place = True
 
-    def __init__(self, gains_u, gains_v, namespace: str = "numpy", device=None):
+    def __init__(self, gains_u, gains_v):
         self.flip_risk_events = 0
-        self.namespace = namespace
-        self.device = device
-        self._xp = _import_array_namespace(namespace)
-        self._on_device = {} if device is None else {"device": device}
         self._gains_u = gains_u
         self._gains_v = gains_v
-        self._gains_t: Optional[Tuple[object, object]] = None
+        self._gains_t: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._worst = None
         # Infinite entries across the stored matrices (counted once,
         # lazily; then maintained by edits).
@@ -782,84 +701,29 @@ class DenseBackend(GainBackend):
         self._buf_vt = None
 
     @classmethod
-    def build(
-        cls,
-        instance: Instance,
-        powers: np.ndarray,
-        namespace: str = "numpy",
-        device=None,
-    ) -> "DenseBackend":
+    def build(cls, instance: Instance, powers: np.ndarray) -> "DenseBackend":
         """Build from the shared tiled gain-matrix builders (the exact
-        arrays the pre-backend engine cached), then upload each matrix
-        once (the identity under numpy)."""
+        arrays the pre-backend engine cached)."""
         powers = np.asarray(powers, dtype=float).reshape(-1)
         host_u, host_v = _full_gain_matrices(instance, powers)
-        backend = cls(None, None, namespace, device)
-        backend._buf_u, backend._gains_u = backend._adopt(host_u)
+        backend = cls(None, None)
+        backend._buf_u, backend._gains_u = _adopt(host_u)
         if host_v is host_u:
             backend._buf_v, backend._gains_v = backend._buf_u, backend._gains_u
         else:
-            backend._buf_v, backend._gains_v = backend._adopt(host_v)
+            backend._buf_v, backend._gains_v = _adopt(host_v)
         backend._instance = instance
         backend._powers = powers
         return backend
 
     def __getstate__(self) -> dict:
-        # A module does not pickle; its registered name does.  The
-        # storage owners do not either: the public views pickle as
+        # The storage owners do not pickle: the public views pickle as
         # plain (n, n) arrays, and a later edit re-derives owners from
         # them (transposes are re-materialized on demand).
         state = dict(self.__dict__)
-        del state["_xp"]
         for key in ("_buf_u", "_buf_v", "_buf_ut", "_buf_vt", "_gains_t"):
             state[key] = None
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._xp = _import_array_namespace(self.namespace)
-
-    # -- transfer boundary ---------------------------------------------
-
-    def _upload(self, host: np.ndarray):
-        """The host→namespace transfer (identity under numpy)."""
-        return self._xp.asarray(host, **self._on_device)
-
-    @staticmethod
-    def _download(x) -> np.ndarray:
-        """The namespace→host transfer of a result (identity under
-        numpy)."""
-        if isinstance(x, np.ndarray):
-            return x
-        try:
-            return np.from_dlpack(x)
-        except (TypeError, RuntimeError, BufferError, AttributeError):
-            return np.asarray(x)
-
-    def _scratch(self, x) -> np.ndarray:
-        """Download as a writable scratch buffer (copying only when the
-        zero-copy download came back read-only)."""
-        out = self._download(x)
-        return out if out.flags.writeable else out.copy()
-
-    def _adopt(self, host: np.ndarray):
-        """Upload a freshly built host matrix and return ``(storage,
-        public)``: the uploaded array itself, frozen, is what callers
-        see, and a writable view of it is the storage in-place edits
-        write through (the two are one array outside numpy)."""
-        public = self._upload(host)
-        storage = public[...]
-        return storage, _frozen(public)
-
-    def _idx(self, idx):
-        """Index array in-namespace (int64, on the backend's device)."""
-        return self._upload(np.asarray(idx, dtype=np.int64))
-
-    def _zeros(self, size: int):
-        # Full writes every page now; zeros would leave them to fault
-        # in on the admission path, a huge page per 64 new rows.
-        xp = self._xp
-        return xp.full((size, size), 0.0, dtype=xp.float64, **self._on_device)
 
     # -- edits ---------------------------------------------------------
 
@@ -897,7 +761,9 @@ class DenseBackend(GainBackend):
         def grown(buf, public):
             if buf is not None and buf.shape[0] >= n_new:
                 return buf
-            out = self._zeros(cap)
+            # Full writes every page now; zeros would leave them to fault
+            # in on the admission path, a huge page per 64 new rows.
+            out = np.full((cap, cap), 0.0)
             out[:n_old, :n_old] = public
             return out
 
@@ -945,75 +811,63 @@ class DenseBackend(GainBackend):
                 self._inf_count += _line_infs(lines, slots)
                 if self._inf_count > 0:
                     self._inf_count -= _line_infs(
-                        [
-                            (self._download(buf[s, :n]), self._download(buf[:n, s]))
-                            for s in slots
-                        ],
-                        slots,
+                        [(buf[s, :n], buf[:n, s]) for s in slots], slots
                     )
             for s, (row, col) in zip(slots, lines):
-                # Uploaded as the (1, n) and (n, 1) strips they fill.
-                row, col = self._upload(row[None, :]), self._upload(col[:, None])
-                buf[s : s + 1, :n] = row
-                buf[:n, s : s + 1] = col
+                buf[s, :n] = row
+                buf[:n, s] = col
                 if buf_t is not None:
-                    buf_t[s : s + 1, :n] = col.T
-                    buf_t[:n, s : s + 1] = row.T
+                    buf_t[s, :n] = col
+                    buf_t[:n, s] = row
         self._worst = None
         self._instance, self._powers = instance, powers
 
     # -- the arrays ----------------------------------------------------
 
     @property
-    def gains_u(self):
-        """Gain matrix at endpoint ``u`` (read-only under numpy)."""
+    def gains_u(self) -> np.ndarray:
+        """Gain matrix at endpoint ``u`` (read-only)."""
         return self._gains_u
 
     @property
-    def gains_v(self):
+    def gains_v(self) -> np.ndarray:
         """Gain matrix at endpoint ``v`` (aliases :attr:`gains_u` in
-        the directed variant; read-only under numpy)."""
+        the directed variant; read-only)."""
         return self._gains_v
 
-    def _transpose(self, arr):
-        # Laid out on the host, where a contiguous transpose is one
-        # call, then uploaded once (both transfers are identities
-        # under numpy).
-        return self._adopt(np.ascontiguousarray(self._download(arr).T))
-
-    def _transposes(self) -> Tuple[object, object]:
+    def _transposes(self) -> Tuple[np.ndarray, np.ndarray]:
         if self._gains_t is None:
-            self._buf_ut, gains_ut = self._transpose(self._gains_u)
+            self._buf_ut, gains_ut = _adopt(np.ascontiguousarray(self._gains_u.T))
             if self.directed:
                 self._buf_vt, gains_vt = self._buf_ut, gains_ut
             else:
-                self._buf_vt, gains_vt = self._transpose(self._gains_v)
+                self._buf_vt, gains_vt = _adopt(
+                    np.ascontiguousarray(self._gains_v.T)
+                )
             self._gains_t = (gains_ut, gains_vt)
         return self._gains_t
 
     @property
-    def gains_ut(self):
+    def gains_ut(self) -> np.ndarray:
         """Contiguous transpose of :attr:`gains_u` (read-only, cached);
         ``gains_ut[j]`` is request ``j``'s gain column laid out
         contiguously."""
         return self._transposes()[0]
 
     @property
-    def gains_vt(self):
+    def gains_vt(self) -> np.ndarray:
         """Contiguous transpose of :attr:`gains_v` (read-only, cached;
         aliases :attr:`gains_ut` in the directed variant)."""
         return self._transposes()[1]
 
     @property
-    def worst_gains(self):
+    def worst_gains(self) -> np.ndarray:
         """Worst-endpoint gains ``max(G_u, G_v)`` (read-only, cached)."""
         if self._worst is None:
             if self.directed:
                 self._worst = self._gains_u
             else:
-                self._worst = _frozen(
-                    self._xp.maximum(self._gains_u, self._gains_v)
-                )
+                self._worst = _frozen(np.maximum(self._gains_u, self._gains_v))
         return self._worst
 
     # -- protocol ------------------------------------------------------
@@ -1029,9 +883,8 @@ class DenseBackend(GainBackend):
     @property
     def has_infinite_gains(self) -> bool:
         if self._inf_count is None:
-            xp = self._xp
             self._inf_count = sum(
-                int(xp.count_nonzero(xp.isinf(g)))
+                int(np.count_nonzero(np.isinf(g)))
                 for g in (
                     (self._gains_u,)
                     if self.directed
@@ -1053,25 +906,24 @@ class DenseBackend(GainBackend):
         return True
 
     def col_u(self, j: int) -> np.ndarray:
-        return self._download(self.gains_ut[int(j), :])
+        return self.gains_ut[int(j), :]
 
     def col_v(self, j: int) -> np.ndarray:
-        return self._download(self.gains_vt[int(j), :])
+        return self.gains_vt[int(j), :]
 
     def row_u(self, i: int) -> np.ndarray:
-        return self._download(self._gains_u[int(i), :])
+        return self._gains_u[int(i), :]
 
     def row_v(self, i: int) -> np.ndarray:
-        return self._download(self._gains_v[int(i), :])
+        return self._gains_v[int(i), :]
 
-    def _gather_cols(self, gains_t, members) -> np.ndarray:
+    @staticmethod
+    def _gather_cols(gains_t, members) -> np.ndarray:
         # Taking rows of the cached transpose copies contiguous memory
         # (3-20x faster than a strided column gather at n=2048), and
         # the transposed view has the (n, k) layout of ``G[:, members]``,
         # so the kernels' row reductions sum in the same order.
-        return self._download(
-            self._xp.take(gains_t, self._idx(members), axis=0)
-        ).T
+        return np.take(gains_t, np.asarray(members, dtype=np.int64), axis=0).T
 
     def gather_cols_u(self, members: np.ndarray) -> np.ndarray:
         return self._gather_cols(self.gains_ut, members)
@@ -1079,54 +931,44 @@ class DenseBackend(GainBackend):
     def gather_cols_v(self, members: np.ndarray) -> np.ndarray:
         return self._gather_cols(self.gains_vt, members)
 
-    def _cross(self, arr, rows, cols):
-        if self._xp is np:
-            # One fancy index beats two takes on numpy (3x at 64x64).
-            return arr[np.ix_(rows, cols)]
-        xp = self._xp
-        return xp.take(
-            xp.take(arr, self._idx(rows), axis=0), self._idx(cols), axis=1
-        )
-
     def block_u(self, idx: np.ndarray) -> np.ndarray:
-        return self._scratch(self._cross(self._gains_u, idx, idx))
+        return self._gains_u[np.ix_(idx, idx)]
 
     def block_v(self, idx: np.ndarray) -> np.ndarray:
-        return self._scratch(self._cross(self._gains_v, idx, idx))
+        return self._gains_v[np.ix_(idx, idx)]
 
     def cross_block_u(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return self._download(self._cross(self._gains_u, rows, cols))
+        return self._gains_u[np.ix_(rows, cols)]
 
     def cross_block_v(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return self._download(self._cross(self._gains_v, rows, cols))
+        return self._gains_v[np.ix_(rows, cols)]
 
     def class_sum_u(self, colors: Optional[np.ndarray]) -> np.ndarray:
-        return _class_sum(self.dense_u(), colors)
+        return _class_sum(self._gains_u, colors)
 
     def class_sum_v(self, colors: Optional[np.ndarray]) -> np.ndarray:
-        return _class_sum(self.dense_v(), colors)
+        return _class_sum(self._gains_v, colors)
 
     def dense_u(self) -> np.ndarray:
-        return self._download(self._gains_u)
+        return self._gains_u
 
     def dense_v(self) -> np.ndarray:
-        return self.dense_u() if self.directed else self._download(self._gains_v)
+        return self._gains_v
 
     def dense_ut(self) -> np.ndarray:
-        return self._download(self.gains_ut)
+        return self.gains_ut
 
     def dense_vt(self) -> np.ndarray:
-        return self.dense_ut() if self.directed else self._download(self.gains_vt)
+        return self.gains_vt
 
     def dense_worst(self) -> np.ndarray:
-        return self._download(self.worst_gains)
+        return self.worst_gains
 
     @property
     def nnz(self) -> int:
-        xp = self._xp
-        count = int(xp.sum(xp.astype(self._gains_u != 0, xp.int64)))
+        count = int(np.count_nonzero(self._gains_u))
         if not self.directed:
-            count += int(xp.sum(xp.astype(self._gains_v != 0, xp.int64)))
+            count += int(np.count_nonzero(self._gains_v))
         return count
 
     @property
@@ -1141,10 +983,7 @@ class DenseBackend(GainBackend):
         return 8 * self.n * self.n * matrices
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"DenseBackend(n={self.n}, directed={self.directed}, "
-            f"namespace={self.namespace!r}, device={self.device!r})"
-        )
+        return f"DenseBackend(n={self.n}, directed={self.directed})"
 
 
 class ArrayBackend(DenseBackend):
@@ -1889,6 +1728,4 @@ def build_backend(
             workers=config.workers,
             executor=config.shard_executor,
         )
-    return DenseBackend.build(
-        instance, powers, namespace=config.array_namespace, device=config.device
-    )
+    return DenseBackend.build(instance, powers)

@@ -34,11 +34,6 @@ class TreeEnsembleMember:
     stretch: np.ndarray
     core: np.ndarray  # boolean mask over points
 
-    @property
-    def core_indices(self) -> np.ndarray:
-        """Indices of core nodes."""
-        return np.flatnonzero(self.core)
-
 
 @dataclass
 class TreeEnsemble:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core.gains import ARRAY_NAMESPACES, BACKENDS, config_scope
+from repro.core.gains import BACKENDS
 from repro.experiments.registry import get_registry
 from repro.resilience.policy import RetryPolicy
 from repro.runner.orchestrator import run_experiments
@@ -69,16 +69,6 @@ def main(argv=None) -> int:
         help=(
             "gain backend for every experiment without its own pin "
             "(default: the process default, see REPRO_BACKEND)"
-        ),
-    )
-    parser.add_argument(
-        "--array-namespace",
-        choices=list(ARRAY_NAMESPACES),
-        default=None,
-        help=(
-            "array-API namespace for the 'dense' backend (default: the "
-            "process default, see REPRO_ARRAY_NAMESPACE); shipped to "
-            "--jobs workers with the rest of the backend config"
         ),
     )
     parser.add_argument(
@@ -167,17 +157,16 @@ def main(argv=None) -> int:
         print()
 
     try:
-        with config_scope(array_namespace=args.array_namespace):
-            run_experiments(
-                args.experiments,
-                fast=args.fast,
-                jobs=args.jobs,
-                artifacts_dir=args.artifacts,
-                on_report=_print_report,
-                backend=args.backend,
-                retry=retry,
-                resume=not args.no_resume,
-            )
+        run_experiments(
+            args.experiments,
+            fast=args.fast,
+            jobs=args.jobs,
+            artifacts_dir=args.artifacts,
+            on_report=_print_report,
+            backend=args.backend,
+            retry=retry,
+            resume=not args.no_resume,
+        )
     except KeyError as exc:
         # resolve_specs rejects unknown ids before any work starts.
         parser.error(str(exc).strip("'\""))

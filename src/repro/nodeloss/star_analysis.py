@@ -80,19 +80,6 @@ def decay_classes(star: StarNodeLoss) -> Dict[int, np.ndarray]:
     return classes
 
 
-def _sqrt_interference(star: StarNodeLoss, members: np.ndarray) -> np.ndarray:
-    """Square-root-assignment interference among *members* (aligned to
-    members)."""
-    if members.size == 0:
-        return np.zeros(0)
-    powers = star.sqrt_powers()
-    loss = star.loss_matrix()[np.ix_(members, members)]
-    gains = np.full_like(loss, np.inf)
-    np.divide(powers[members][None, :], loss, out=gains, where=loss > 0)
-    np.fill_diagonal(gains, 0.0)
-    return gains.sum(axis=1)
-
-
 def claim12_trim(
     star: StarNodeLoss,
     members: np.ndarray,

@@ -495,7 +495,7 @@ def run_experiments(
     }
     # Checkpoint staleness tag: the config's canonical key — shard
     # tables are only reusable across runs that execute on the same
-    # backend configuration (pruning budget and namespace included).
+    # backend configuration (pruning budget and shard settings included).
     backend_tags: Dict[str, str] = {
         spec_id: str(config.key()) for spec_id, config in configs.items()
     }

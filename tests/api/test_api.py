@@ -260,17 +260,6 @@ class TestBackendConfigPlumbing:
             backend.close()
         assert context.config == problem.config
 
-    def test_device_run_builds_one_context(self, instance):
-        clear_context_cache()
-        session = Problem(
-            instance, backend="dense", array_namespace="numpy", device="cpu"
-        ).session()
-        result = session.schedule("first_fit")
-        assert cache_info()["contexts"] == 1
-        assert session.context.config.device == "cpu"
-        assert result.provenance.certified is True
-        clear_context_cache()
-
     def test_dense_default_epsilon_reaches_sparse_problem(
         self, instance
     ):
@@ -537,23 +526,26 @@ class TestManyProblems:
 
     @pytest.mark.parametrize("direction", ["bidirectional", "directed"])
     @pytest.mark.parametrize(
-        "backend,epsilon,namespace",
+        "config",
         [
-            pytest.param("dense", None, None, id="dense-None"),
-            pytest.param("sparse", 0.0, None, id="sparse-0.0"),
-        ]
-        + [
-            pytest.param("dense", None, ns, id=f"dense-{ns}")
-            for ns in sorted({"numpy", default_config().array_namespace})
+            pytest.param({"backend": "dense"}, id="dense-None"),
+            pytest.param({"backend": "sparse", "sparse_epsilon": 0.0}, id="sparse-0.0"),
+            pytest.param(
+                {
+                    "backend": "sharded",
+                    "sparse_epsilon": 0.0,
+                    "workers": 2,
+                    "shard_executor": "serial",
+                },
+                id="sharded-0.0",
+            ),
         ],
     )
-    def test_matches_improve_schedule(self, direction, backend, epsilon, namespace):
+    def test_matches_improve_schedule(self, direction, config):
         from repro.scheduling.local_search import improve_schedule
 
         pairs = self._pairs([30, 30, 30], direction=direction, seed=90)
-        sessions = self._pair_sessions(
-            pairs, backend=backend, sparse_epsilon=epsilon, array_namespace=namespace
-        )
+        sessions = self._pair_sessions(pairs, **config)
         seeds = _schedule_all(sessions, "first_fit")
         for session, (instance, _), seed in zip(sessions, pairs, seeds):
             result = session.schedule("local_search", schedule=seed)
@@ -598,14 +590,11 @@ class TestManyProblems:
         np.testing.assert_array_equal(improved.powers, foreign.powers)
 
 
-#: Dense storage namespaces: numpy plus the process default's
-#: (``REPRO_ARRAY_NAMESPACE``, numpy unless set).
-NAMESPACES = sorted({"numpy", default_config().array_namespace})
-
-#: ``(backend, sparse_epsilon, array_namespace)`` of the lossless
-#: configurations whose queries must equal numpy dense bit for bit.
-LOSSLESS = [pytest.param("sparse", 0.0, None, id="sparse-0.0")] + [
-    pytest.param("dense", None, ns, id=f"dense-{ns}") for ns in NAMESPACES
+#: ``(backend, sparse_epsilon)`` of the lossless configurations whose
+#: queries must equal dense bit for bit.
+LOSSLESS = [
+    pytest.param("sparse", 0.0, id="sparse-0.0"),
+    pytest.param("dense", None, id="dense"),
 ]
 
 
@@ -874,48 +863,37 @@ class TestPerProblemQueries:
             session.last_result.validate()
 
     @pytest.mark.parametrize("direction", ["bidirectional", "directed"])
-    @pytest.mark.parametrize("backend,epsilon,namespace", LOSSLESS)
-    def test_queries_match_dense(self, direction, backend, epsilon, namespace):
+    @pytest.mark.parametrize("backend,epsilon", LOSSLESS)
+    def test_queries_match_dense(self, direction, backend, epsilon):
         """Lossless backends answer every problem's queries bit-identically
-        to numpy dense, above the backends' tile size."""
-        numpy_dense = default_config(backend="dense", array_namespace="numpy")
+        to a fresh dense context, above the backends' tile size."""
+        dense = default_config(backend="dense")
         sessions = self._sessions(
             [640, 640],
             direction=direction,
             seed=80,
             backend=backend,
             sparse_epsilon=epsilon,
-            array_namespace=namespace,
         )
         for session in sessions:
-            reference = self._fresh(session, config=numpy_dense)
+            reference = self._fresh(session, config=dense)
             np.testing.assert_array_equal(session.context.margins(), reference.margins())
             colors = first_fit_schedule(session.instance, session.powers).colors
             np.testing.assert_array_equal(
                 session.context.margins(colors=colors), reference.margins(colors=colors)
             )
 
-    @pytest.mark.parametrize(
-        "backend,epsilon,namespace",
-        # numpy dense answers from its own host arrays by design.
-        [p for p in LOSSLESS if p.values[2] != "numpy"],
-    )
-    def test_queries_never_densify(self, backend, epsilon, namespace, monkeypatch):
+    def test_queries_never_densify(self, monkeypatch):
+        """Sparse queries never materialize a dense matrix (dense
+        answers from its own host arrays by design)."""
         from repro.core import gains as gains_mod
 
         def boom(self, *args, **kwargs):  # pragma: no cover - guard
             raise AssertionError("a query materialized a dense matrix")
 
-        cls = gains_mod.SparseBackend if backend == "sparse" else gains_mod.DenseBackend
         for name in ("dense_u", "dense_v", "dense_ut", "dense_vt"):
-            monkeypatch.setattr(cls, name, boom)
-        sessions = self._sessions(
-            [12, 12],
-            seed=81,
-            backend=backend,
-            sparse_epsilon=epsilon,
-            array_namespace=namespace,
-        )
+            monkeypatch.setattr(gains_mod.SparseBackend, name, boom)
+        sessions = self._sessions([12, 12], seed=81, backend="sparse", sparse_epsilon=0.0)
         for session in sessions:
             colors = np.arange(12) % 3
             session.context.margins()

@@ -17,13 +17,13 @@ def rng():
 
 @pytest.fixture
 def dense_backend():
-    """Pin the dense gain backend on numpy for tests that assert
-    dense-only machinery (transpose aliasing, read-only array views) — such tests must keep passing
-    when the suite runs under ``REPRO_BACKEND=sparse`` or another
-    ``REPRO_ARRAY_NAMESPACE``."""
+    """Pin the dense gain backend for tests that assert dense-only
+    machinery (transpose aliasing, read-only array views) — such tests
+    must keep passing when the suite runs under
+    ``REPRO_BACKEND=sparse``."""
     from repro.core.gains import config_scope
 
-    with config_scope(backend="dense", array_namespace="numpy"):
+    with config_scope(backend="dense"):
         yield
 
 

@@ -1,8 +1,8 @@
 """Environment-variable validation at load time.
 
 Malformed ``REPRO_BACKEND`` / ``REPRO_CONTEXT_CACHE`` /
-``REPRO_SPARSE_EPSILON`` / ``REPRO_ARRAY_NAMESPACE`` /
-``REPRO_SHARD_WORKERS`` / ``REPRO_SHARD_EXECUTOR`` values must fail
+``REPRO_SPARSE_EPSILON`` / ``REPRO_SHARD_WORKERS`` /
+``REPRO_SHARD_EXECUTOR`` values must fail
 with messages naming the variable and the accepted values — these
 parsers run at module import (:meth:`BackendConfig.from_env` builds the
 process default), so a typo surfaces immediately instead of deep inside
@@ -24,10 +24,6 @@ def _env_backend():
 
 def _env_epsilon():
     return BackendConfig.from_env().sparse_epsilon
-
-
-def _env_array_namespace():
-    return BackendConfig.from_env().array_namespace
 
 
 def _env_shard_workers():
@@ -74,7 +70,8 @@ class TestBackendEnv:
         assert _env_backend() == "sparse"
 
     def test_array_backend_rejected(self, monkeypatch):
-        """The array backend is the dense backend's namespace now."""
+        """The retired array backend name is rejected, naming the
+        backends that exist."""
         monkeypatch.setenv("REPRO_BACKEND", "array")
         with pytest.raises(ValueError, match="REPRO_BACKEND") as err:
             _env_backend()
@@ -86,35 +83,6 @@ class TestBackendEnv:
             _env_backend()
         assert "dense" in str(err.value) and "sparse" in str(err.value)
         assert "sharded" in str(err.value)
-
-
-class TestArrayNamespaceEnv:
-    def test_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ARRAY_NAMESPACE", raising=False)
-        assert _env_array_namespace() == "numpy"
-
-    def test_blank_is_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ARRAY_NAMESPACE", "   ")
-        assert _env_array_namespace() == "numpy"
-
-    def test_case_and_whitespace_normalized(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ARRAY_NAMESPACE", "  NumPy ")
-        assert _env_array_namespace() == "numpy"
-
-    def test_known_namespaces_accepted(self, monkeypatch):
-        # Configuration never imports the framework, so names whose
-        # packages are absent still validate.
-        for name in ("array_api_strict", "torch", "cupy"):
-            monkeypatch.setenv("REPRO_ARRAY_NAMESPACE", name)
-            assert _env_array_namespace() == name
-
-    def test_unknown_namespace_names_variable_and_values(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ARRAY_NAMESPACE", "jax")
-        with pytest.raises(ValueError, match="REPRO_ARRAY_NAMESPACE") as err:
-            _env_array_namespace()
-        message = str(err.value)
-        assert "numpy" in message and "torch" in message
-        assert "'jax'" in message
 
 
 class TestSparseEpsilonEnv:
@@ -187,13 +155,11 @@ class TestFromEnvCombines:
     def test_all_variables_feed_one_config(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "sharded")
         monkeypatch.setenv("REPRO_SPARSE_EPSILON", "0.05")
-        monkeypatch.setenv("REPRO_ARRAY_NAMESPACE", "torch")
         monkeypatch.setenv("REPRO_SHARD_WORKERS", "3")
         monkeypatch.setenv("REPRO_SHARD_EXECUTOR", "serial")
         assert BackendConfig.from_env() == BackendConfig(
             "sharded",
             sparse_epsilon=0.05,
-            array_namespace="torch",
             workers=3,
             shard_executor="serial",
         )

@@ -3,13 +3,15 @@
 The contract: writing a request into a reused slot, or into a slot
 appended past ``n``, is bit-identical to rebuilding the backend from
 scratch on the edited ``(instance, powers)`` — for the dense backend
-always, in numpy and in the process default's array namespace, and for
-the sparse backend at ``epsilon=0`` (the lossless setting the
+always, and for the sparse backend at ``epsilon=0`` (the lossless setting the
 conformance grid runs on).  ε>0 edits stay conservative (pruned mass
 only ever adds to the bound) but are exempt from bit-identity, because
 pruning a slot's lines in isolation cannot reproduce the whole-row
 kept set.
 """
+
+import io
+import pickle
 
 import numpy as np
 import pytest
@@ -56,22 +58,63 @@ def _base(n, direction, rng_seed, metric_nodes=40):
     ), rng
 
 
-#: Parametrization ids -> builders: dense on numpy, dense in the
-#: process default's namespace (numpy unless ``REPRO_ARRAY_NAMESPACE``
-#: says otherwise), lossless sparse.
+def _round_trip(backend, metric):
+    """Pickle *backend* as part of a payload that also carries
+    *metric*: the unpickled backend's instance keeps that very metric
+    object, as it does in one pickle with the metric's other users."""
+
+    class Pickler(pickle.Pickler):
+        def persistent_id(self, obj):
+            return "metric" if obj is metric else None
+
+    class Unpickler(pickle.Unpickler):
+        def persistent_load(self, pid):
+            assert pid == "metric"
+            return metric
+
+    buffer = io.BytesIO()
+    Pickler(buffer).dump(backend)
+    buffer.seek(0)
+    return Unpickler(buffer).load()
+
+
+def _unpickled(build):
+    """*build*, then a pickle round trip after warming the transposes:
+    backends travel pickled inside instances (shard payloads carry the
+    instance's context cache), and the dense one drops its storage
+    owners on the way, so its first edit must re-derive them."""
+
+    def build_unpickled(instance, powers):
+        backend = build(instance, powers)
+        backend.dense_ut()
+        if backend.n:
+            backend.col_u(0)
+        return _round_trip(backend, instance.metric)
+
+    return build_unpickled
+
+
+def _sparse_build(instance, powers):
+    return SparseBackend.build(instance, powers, epsilon=0.0)
+
+
+#: Parametrization ids -> builders: dense, lossless sparse, and each
+#: of them after a pickle round trip.
 BUILDERS = {
     "DenseBackend": DenseBackend.build,
-    "DenseBackend-default-namespace": lambda instance, powers: DenseBackend.build(
-        instance, powers, namespace=default_config().array_namespace
-    ),
-    "SparseBackend": lambda instance, powers: SparseBackend.build(
-        instance, powers, epsilon=0.0
-    ),
+    "DenseBackend-unpickled": _unpickled(DenseBackend.build),
+    "SparseBackend": _sparse_build,
+    "SparseBackend-unpickled": _unpickled(_sparse_build),
 }
 
 
 def _build(kind, instance, powers):
     return BUILDERS[kind](instance, powers)
+
+
+def _cold(kind, instance, powers):
+    """The reference: a plain cold build of *kind*'s backend class."""
+    return BUILDERS[kind.removesuffix("-unpickled")](instance, powers)
 
 
 def _append(backend, instance, powers):
@@ -121,7 +164,7 @@ class TestAppendBitIdentity:
 
         grown = _build(kind, small, powers[: small.n])
         _append(grown, big, powers)
-        cold = _build(kind, big, powers)
+        cold = _cold(kind, big, powers)
         _assert_identical(grown, cold)
 
     def test_repeated_appends_match_cold_build(self, kind, direction):
@@ -135,7 +178,7 @@ class TestAppendBitIdentity:
         grown = _build(kind, small, final_powers[: small.n])
         for inst in instances[1:]:
             _append(grown, inst, final_powers[: inst.n])
-            cold = _build(kind, inst, final_powers[: inst.n])
+            cold = _cold(kind, inst, final_powers[: inst.n])
             _assert_identical(grown, cold)
 
     def test_shared_node_pairs_append_infinite_gains(
@@ -163,7 +206,7 @@ class TestAppendBitIdentity:
         grown = _build(kind, small, powers[: small.n])
         assert not grown.has_infinite_gains
         _append(grown, big, powers)
-        cold = _build(kind, big, powers)
+        cold = _cold(kind, big, powers)
         assert grown.has_infinite_gains
         _assert_identical(grown, cold)
 
@@ -344,9 +387,9 @@ class TestReplaceBitIdentity:
     exactly what a cold build of the edited instance holds."""
 
     def _check(self, kind, backend, instance, powers):
-        cold = _build(kind, instance, powers)
+        cold = _cold(kind, instance, powers)
         _assert_identical(backend, cold)
-        if kind == "SparseBackend":
+        if kind.startswith("SparseBackend"):
             for got, want in zip(_csr_storage(backend), _csr_storage(cold)):
                 np.testing.assert_array_equal(got, want)
 

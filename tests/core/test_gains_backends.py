@@ -12,10 +12,13 @@ Contracts under test (see :mod:`repro.core.gains`):
   times the row mass;
 * tiled metric access (``pair_distances`` / ``distance_block``) is
   bit-identical to full-matrix gathers;
-* the dense backend returns the same bits in every array namespace;
+* the dense backend is numpy host storage: zero-copy read-only views,
+  in-place edits that allocate only what they write;
 * backend selection (defaults, scopes, env plumbing, cache keying)
   behaves as documented.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -437,16 +440,9 @@ class TestTiledMetricAccess:
 
     @pytest.mark.parametrize("direction", ["directed", "bidirectional"])
     @pytest.mark.parametrize(
-        "name,namespace",
-        [
-            pytest.param("dense", None, id="dense"),
-            pytest.param("dense", "numpy", id="dense-numpy"),
-            pytest.param("sparse", None, id="sparse"),
-        ],
+        "name", [pytest.param("dense", id="dense"), pytest.param("sparse", id="sparse")]
     )
-    def test_sparse_build_never_builds_distance_matrix(
-        self, name, namespace, direction
-    ):
+    def test_sparse_build_never_builds_distance_matrix(self, name, direction):
         """No backend build, row sum or append may materialize the
         metric's full distance matrix on a coordinate-backed metric:
         every gain is computed from tiled metric blocks."""
@@ -458,7 +454,7 @@ class TestTiledMetricAccess:
         backend = build_backend(
             instance,
             powers[:24],
-            config=default_config(backend=name, array_namespace=namespace),
+            config=default_config(backend=name),
         )
         backend.class_sum_u(None)
         backend.replace_requests(np.arange(24, grown.n), grown, powers)
@@ -530,17 +526,28 @@ class TestBackendSelection:
         assert default_config().backend == before
 
     def test_config_cross_checks(self):
-        with pytest.raises(ValueError, match="device= requires backend='dense'"):
-            BackendConfig("sparse", device="cpu")
-        with pytest.raises(ValueError, match="device= requires backend='dense'"):
-            BackendConfig("sharded", device="cpu")
         with pytest.raises(ValueError, match="require backend='sharded'"):
             BackendConfig().derive(backend="sparse", workers=3)
-        # A device belongs to the dense backend only: switching away
-        # drops it instead of failing the cross-check.
-        dense = BackendConfig("dense", device="cpu")
-        assert dense.derive(backend="sparse").device is None
-        assert dense.derive(sparse_epsilon=0.1).device == "cpu"
+        with pytest.raises(ValueError, match="require backend='sharded'"):
+            BackendConfig().derive(shard_executor="serial")
+        sharded = BackendConfig().derive(backend="sharded", workers=3)
+        assert sharded.workers == 3
+        assert sharded.derive(shard_executor="serial").shard_executor == "serial"
+
+    def test_config_fields(self):
+        """Four fields; dense storage has no knobs of its own."""
+        from dataclasses import fields
+
+        assert [f.name for f in fields(BackendConfig)] == [
+            "backend",
+            "sparse_epsilon",
+            "workers",
+            "shard_executor",
+        ]
+        with pytest.raises(TypeError):
+            BackendConfig(array_namespace="numpy")
+        with pytest.raises(TypeError):
+            default_config(device="cpu")
 
     def test_key_drops_ignored_fields(self):
         dense = BackendConfig("dense", sparse_epsilon=0.05, workers=7)
@@ -550,22 +557,18 @@ class TestBackendSelection:
         sparse = dense.derive(backend="sparse")
         assert sparse.key() != BackendConfig("sparse").key()
         assert sparse.pruning_epsilon == 0.05
-        # The namespace is read by the dense backend only.
-        torch = BackendConfig("dense", array_namespace="torch")
-        assert torch.key() != BackendConfig("dense").key()
-        assert torch.derive(backend="sparse").key() == BackendConfig("sparse").key()
+        # Worker count and executor are read by the sharded backend only.
+        assert sparse.key() == BackendConfig("sparse", 0.05, 7, "serial").key()
+        sharded = BackendConfig("sharded", workers=3)
+        assert sharded.key() != BackendConfig("sharded").key()
 
     @pytest.mark.parametrize("direction", ["directed", "bidirectional"])
     def test_dense_backend_reuses_context_arrays(self, direction):
-        """On numpy the context's dense views are the backend's own
-        arrays, never copies."""
+        """The context's dense views are the backend's own arrays,
+        never copies."""
         instance = random_uniform_instance(8, rng=2, direction=direction)
         powers = SquareRootPower()(instance)
-        ctx = get_context(
-            instance,
-            powers,
-            config=default_config(backend="dense", array_namespace="numpy"),
-        )
+        ctx = get_context(instance, powers, config=default_config(backend="dense"))
         backend = ctx.backend
         assert isinstance(backend, DenseBackend)
         assert ctx.gains_u is backend.gains_u
@@ -579,132 +582,88 @@ class TestBackendSelection:
             assert ctx.worst_gains is ctx.gains_u
 
 
-#: The namespace the process default puts dense storage in (numpy
-#: unless ``REPRO_ARRAY_NAMESPACE`` says otherwise, as in CI's
-#: array-API job).
-DEFAULT_NAMESPACE = default_config().array_namespace
+def _peak_bytes(fn) -> int:
+    """Peak bytes *fn* allocates above what is live when it starts."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
-def _dense(instance, powers, namespace=None):
-    """A dense backend in *namespace* (default: the process default's)."""
-    return build_backend(
-        instance,
-        powers,
-        config=default_config(backend="dense", array_namespace=namespace),
-    )
-
-
-class TestDenseNamespaces:
-    """The dense backend under the process default's namespace returns
-    float64 bits identical to an explicit numpy build on every
-    primitive."""
-
-    @pytest.mark.parametrize("name", sorted(GRID))
-    def test_primitives_match_numpy(self, name):
-        instance, powers = GRID[name]
-        numpy = _dense(instance, powers, "numpy")
-        other = _dense(instance, powers)
-        assert isinstance(other, DenseBackend)
-        assert other.name == "dense"
-        assert numpy.namespace == "numpy"
-        assert other.namespace == DEFAULT_NAMESPACE
-        assert other.is_lossless
-        assert np.all(other.pruned_bound == 0.0)
-        assert other.directed == numpy.directed
-        assert other.has_infinite_gains == numpy.has_infinite_gains
-        assert other.nnz == numpy.nnz
-        assert other.nbytes == numpy.nbytes
-        n = instance.n
-        idx = np.arange(0, n, 2)
-        members = np.asarray([0, n - 1])
-        colors = np.arange(n) % 3
-        for endpoint in ("u", "v"):
-            def op(backend, method, *args, e=endpoint):
-                return getattr(backend, f"{method}_{e}")(*args)
-
-            for j in (0, n // 2, n - 1):
-                np.testing.assert_array_equal(
-                    op(numpy, "col", j), op(other, "col", j)
-                )
-                np.testing.assert_array_equal(
-                    op(numpy, "row", j), op(other, "row", j)
-                )
-            np.testing.assert_array_equal(
-                op(numpy, "gather_cols", members),
-                op(other, "gather_cols", members),
-            )
-            np.testing.assert_array_equal(
-                op(numpy, "block", idx), op(other, "block", idx)
-            )
-            np.testing.assert_array_equal(
-                op(numpy, "cross_block", idx, members),
-                op(other, "cross_block", idx, members),
-            )
-            np.testing.assert_array_equal(
-                op(numpy, "row_sums", np.arange(n)),
-                op(other, "row_sums", np.arange(n)),
-            )
-            for c in (None, colors):
-                np.testing.assert_array_equal(
-                    op(numpy, "class_sum", c), op(other, "class_sum", c)
-                )
-            for method in (f"dense_{endpoint}", f"dense_{endpoint}t"):
-                np.testing.assert_array_equal(
-                    getattr(numpy, method)(), getattr(other, method)()
-                )
-        np.testing.assert_array_equal(numpy.dense_worst(), other.dense_worst())
+class TestDenseStorage:
+    """The dense backend is numpy host storage: primitives return views
+    and copies of the stored arrays, public arrays are read-only, and
+    in-place edits write only the rows and columns they change."""
 
     def test_gather_cols_keeps_column_layout(self):
         """A column gather has the layout of ``G[:, members]``, so the
         kernels' row reductions over it sum in the same order."""
         instance, powers = GRID["euclid-bid"]
-        numpy = _dense(instance, powers, "numpy")
+        dense = DenseBackend.build(instance, powers)
         members = np.arange(1, instance.n, 3)
-        got = numpy.gather_cols_u(members)
-        expected = numpy.gains_u[:, members]
+        got = dense.gather_cols_u(members)
+        expected = dense.gains_u[:, members]
         np.testing.assert_array_equal(got, expected)
         assert got.strides == expected.strides
         np.testing.assert_array_equal(got.sum(axis=1), expected.sum(axis=1))
 
     @pytest.mark.parametrize("direction", ["directed", "bidirectional"])
-    def test_growth_uploads_only_new_strips(self, direction, monkeypatch):
-        """An arrival uploads its new rows and columns into the growth
-        buffers; no upload is ever the size of the whole matrix."""
-        grown = random_uniform_instance(40, rng=14, direction=direction)
+    def test_edit_within_capacity_allocates_only_strips(self, direction):
+        """An arrival that fits in the current capacity, and a reused
+        slot, allocate O(n) bytes (the written rows and columns), never
+        an (n, n) matrix: storage and the cached transposes are edited
+        in place."""
+        n0, n_max = 256, 264
+        grown = random_uniform_instance(n_max, rng=14, direction=direction)
         powers = SquareRootPower()(grown)
-        backend = _dense(grown.subset(np.arange(32)), powers[:32], "numpy")
-        backend.gains_ut  # transposes grow in place, never re-uploaded
-        uploads = []
-        upload = DenseBackend._upload
-
-        def record(self, host):
-            uploads.append(np.shape(host))
-            return upload(self, host)
-
-        monkeypatch.setattr(DenseBackend, "_upload", record)
-        for n in range(33, 41):
-            backend.replace_requests(
-                [n - 1], grown.subset(np.arange(n)), powers[:n]
+        prefixes = {n: grown.subset(np.arange(n)) for n in range(n0, n_max + 1)}
+        backend = DenseBackend.build(prefixes[n0], powers[:n0])
+        backend.gains_ut  # transposes are cached, then edited in place
+        # The first arrival grows the buffers by a quarter (to 320), so
+        # the rest fit.
+        backend.replace_requests([n0], prefixes[n0 + 1], powers[: n0 + 1])
+        # O(n): two dozen float64 lines of length n (the edit itself
+        # takes about ten), under a tenth of one (n, n) float64 matrix.
+        lines = 24 * 8 * n_max
+        assert lines < 8 * n0 * n0 // 10
+        for n in range(n0 + 2, n_max + 1):
+            peak = _peak_bytes(
+                lambda: (
+                    backend.replace_requests([n - 1], prefixes[n], powers[:n]),
+                    backend.col_u(n - 1),
+                    backend.col_v(n - 1),
+                )
             )
-            assert uploads and all(
-                rows * cols <= n for rows, cols in uploads
-            ), uploads
-            uploads.clear()
-        cold = _dense(grown, powers, "numpy")
+            assert peak < lines, (n, peak)
+        reuse = _peak_bytes(
+            lambda: backend.replace_requests([3], prefixes[n_max], powers[:n_max])
+        )
+        assert reuse < lines, reuse
+        cold = DenseBackend.build(grown, powers)
         np.testing.assert_array_equal(backend.dense_u(), cold.dense_u())
         np.testing.assert_array_equal(backend.dense_vt(), cold.dense_vt())
 
     @pytest.mark.parametrize("direction", ["directed", "bidirectional"])
     def test_pickle_round_trip(self, direction):
         """Backends travel inside pickled instances (shard payloads
-        carry the instance's context cache)."""
+        carry the instance's context cache); the storage owners stay
+        behind and an edit re-derives them."""
         import pickle
 
-        instance = random_uniform_instance(12, rng=15, direction=direction)
-        backend = _dense(instance, SquareRootPower()(instance))
+        grown = random_uniform_instance(13, rng=15, direction=direction)
+        powers = SquareRootPower()(grown)
+        instance = grown.subset(np.arange(12))
+        backend = DenseBackend.build(instance, powers[:12])
         backend.gains_ut
-        again = pickle.loads(pickle.dumps(backend))
-        assert again.namespace == backend.namespace
+        state = backend.__getstate__()
+        for key in ("_buf_u", "_buf_v", "_buf_ut", "_buf_vt", "_gains_t"):
+            assert state[key] is None, key
+        # One pickle keeps the backend's instance on grown's metric.
+        again, grown_again = pickle.loads(pickle.dumps((backend, grown)))
         assert again.directed == backend.directed
         for method in ("dense_u", "dense_vt", "dense_worst"):
             np.testing.assert_array_equal(
@@ -713,6 +672,8 @@ class TestDenseNamespaces:
         np.testing.assert_array_equal(
             again.gather_cols_v([3, 1]), backend.gather_cols_v([3, 1])
         )
+        again.replace_requests([12], grown_again, powers)
+        np.testing.assert_array_equal(again.dense_v(), DenseBackend.build(grown, powers).dense_v())
 
     def test_array_backend_name_is_only_an_alias(self):
         """``ArrayBackend`` survives only as a body-less subclass for
@@ -727,166 +688,21 @@ class TestDenseNamespaces:
         assert "ArrayBackend" not in gains.__all__
         assert gains.BACKENDS == ("dense", "sparse", "sharded")
 
-    def test_numpy_namespace_is_zero_copy(self):
-        """Under the numpy namespace the transfer boundary is the
-        identity: primitives return host float64 views of the stored
-        arrays without a round-trip copy of the whole matrix."""
+    def test_primitives_are_zero_copy_views(self):
+        """Rows, columns and the full matrices are read-only float64
+        views of the stored arrays, never a copy of the whole matrix;
+        blocks are fresh writable buffers."""
         instance, powers = GRID["euclid-bid"]
-        numpy = _dense(instance, powers, "numpy")
-        col = numpy.col_u(0)
+        dense = DenseBackend.build(instance, powers)
+        col = dense.col_u(0)
         assert isinstance(col, np.ndarray)
         assert col.dtype == np.float64
-        assert col.base is numpy.gains_ut
-        assert numpy.dense_u() is numpy.gains_u
-        assert numpy.dense_vt() is numpy.gains_vt
-
-    def test_schedulers_match_numpy_bitwise(self):
-        for direction in ("directed", "bidirectional"):
-            instance = random_uniform_instance(32, rng=78, direction=direction)
-            powers = SquareRootPower()(instance)
-            results = {}
-            for namespace in ("numpy", DEFAULT_NAMESPACE):
-                clear_context_cache()
-                with config_scope(backend="dense", array_namespace=namespace):
-                    results[namespace] = {
-                        "first_fit": first_fit_schedule(instance, powers).colors,
-                        "peeling": peeling_schedule(instance, powers).colors,
-                        "local_search": improve_schedule(
-                            instance, first_fit_schedule(instance, powers)
-                        ).colors,
-                    }
-                    backend = get_context(instance, powers).backend
-                    assert backend.namespace == namespace
-                    assert backend.flip_risk_events == 0
-            for key, expected in results["numpy"].items():
-                np.testing.assert_array_equal(
-                    results[DEFAULT_NAMESPACE][key],
-                    expected,
-                    err_msg=f"{direction}:{key}",
-                )
-
-    def test_namespace_validation(self):
-        instance, powers = GRID["euclid-dir"]
-        with pytest.raises(ValueError, match="array namespace"):
-            build_backend(
-                instance,
-                powers,
-                config=default_config(backend="dense", array_namespace="jax"),
-            )
-        with pytest.raises(ValueError, match="array namespace"):
-            BackendConfig(array_namespace="pandas")
-
-    def test_missing_framework_names_install_extra(self):
-        """Selecting an uninstalled namespace fails at build with an
-        error naming the package and the [array] extra (torch/cupy are
-        not test dependencies)."""
-        instance, powers = GRID["euclid-dir"]
-        missing = []
-        for name in ("torch", "cupy"):
-            try:
-                __import__(name)
-            except ImportError:
-                missing.append(name)
-        if not missing:
-            pytest.skip("torch and cupy both installed")
-        with pytest.raises(ImportError, match=r"\[array\]"):
-            _dense(instance, powers, missing[0])
-
-    def test_namespace_scope_and_default(self):
-        before = default_config().array_namespace
-        with config_scope(array_namespace="numpy"):
-            assert default_config().array_namespace == "numpy"
-            with config_scope(array_namespace=None):
-                assert default_config().array_namespace == "numpy"
-        assert default_config().array_namespace == before
-
-    def test_context_cache_keys_on_namespace_and_device(self):
-        instance, powers = GRID["euclid-bid"]
-        host = get_context(
-            instance,
-            powers,
-            config=default_config(backend="dense", array_namespace="numpy"),
-        )
-        on_cpu = get_context(
-            instance,
-            powers,
-            config=default_config(
-                backend="dense", array_namespace="numpy", device="cpu"
-            ),
-        )
-        again = get_context(
-            instance,
-            powers,
-            config=default_config(
-                backend="dense", array_namespace="numpy", device="cpu"
-            ),
-        )
-        assert host is not on_cpu
-        assert on_cpu is again
-        assert on_cpu.config.device == "cpu"
-        assert on_cpu.backend.device == "cpu"
-        np.testing.assert_array_equal(on_cpu.margins(), host.margins())
-
-
-class TestArrayApiStrict:
-    """The portability gate: every primitive must survive the strict
-    array-API namespace (run in CI's array-backend job; skipped locally
-    when array-api-strict is absent)."""
-
-    @pytest.fixture(autouse=True)
-    def _strict(self):
-        pytest.importorskip("array_api_strict")
-
-    @pytest.mark.parametrize("name", sorted(GRID))
-    def test_primitives_match_dense(self, name):
-        instance, powers = GRID[name]
-        dense = _dense(instance, powers, "numpy")
-        strict = build_backend(
-            instance,
-            powers,
-            config=default_config(backend="dense", array_namespace="array_api_strict"),
-        )
-        assert strict.namespace == "array_api_strict"
-        n = instance.n
-        idx = np.arange(0, n, 2)
-        members = np.asarray([0, n - 1])
-        colors = np.arange(n) % 3
-        for endpoint in ("u", "v"):
-            def op(backend, method, *args, e=endpoint):
-                return getattr(backend, f"{method}_{e}")(*args)
-
-            np.testing.assert_array_equal(
-                op(dense, "col", 0), op(strict, "col", 0)
-            )
-            np.testing.assert_array_equal(
-                op(dense, "gather_cols", members),
-                op(strict, "gather_cols", members),
-            )
-            np.testing.assert_array_equal(
-                op(dense, "block", idx), op(strict, "block", idx)
-            )
-            np.testing.assert_array_equal(
-                op(dense, "cross_block", idx, members),
-                op(strict, "cross_block", idx, members),
-            )
-            np.testing.assert_array_equal(
-                op(dense, "row_sums", np.arange(n)),
-                op(strict, "row_sums", np.arange(n)),
-            )
-            for c in (None, colors):
-                np.testing.assert_array_equal(
-                    op(dense, "class_sum", c), op(strict, "class_sum", c)
-                )
-            np.testing.assert_array_equal(
-                op(dense, "dense"), op(strict, "dense")
-            )
-
-    def test_schedules_match_dense(self):
-        instance = random_uniform_instance(24, rng=79)
-        powers = SquareRootPower()(instance)
-        with config_scope(backend="dense", array_namespace="numpy"):
-            expected = first_fit_schedule(instance, powers).colors
-        clear_context_cache()
-        with config_scope(backend="dense", array_namespace="array_api_strict"):
-            got = first_fit_schedule(instance, powers).colors
-        np.testing.assert_array_equal(got, expected)
+        assert col.base is dense.gains_ut
+        assert dense.row_v(1).base is dense.gains_v
+        assert dense.dense_u() is dense.gains_u
+        assert dense.dense_vt() is dense.gains_vt
+        assert dense.dense_worst() is dense.worst_gains
+        for arr in (col, dense.gains_u, dense.gains_vt, dense.worst_gains):
+            assert not arr.flags.writeable
+        block = dense.block_u(np.arange(0, instance.n, 2))
+        assert block.flags.writeable and block.base is not dense.gains_u

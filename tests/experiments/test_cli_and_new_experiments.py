@@ -29,10 +29,14 @@ class TestCli:
             cli_main(["e2", "--jobs", "0"])
 
     def test_array_backend_errors(self, capsys):
-        """The array backend is the dense backend's namespace now."""
+        """Neither the retired array backend nor its namespace flag is
+        accepted: numpy host arrays are the only dense storage."""
         with pytest.raises(SystemExit):
             cli_main(["e2", "--fast", "--backend", "array"])
         assert "'dense', 'sparse', 'sharded'" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            cli_main(["e2", "--fast", "--array-namespace", "numpy"])
+        assert "--array-namespace" in capsys.readouterr().err
 
     def test_jobs_and_artifacts(self, capsys, tmp_path):
         out_dir = tmp_path / "artifacts"

@@ -234,7 +234,7 @@ class TestCheckpointResume:
         from repro.util.tables import Table
 
         # Shard tables can legitimately differ across backends (sparse
-        # pruning, array namespaces), so the resolved backend tag is
+        # pruning, shard settings), so the resolved backend tag is
         # part of the staleness key.
         table = Table(title="t", columns=["x"])
         table.add_row(x=1)
@@ -246,9 +246,6 @@ class TestCheckpointResume:
         assert hit is not None
         assert read_checkpoint(
             tmp_path, "e1", 0, "n=4", seed=7, backend="dense"
-        ) is None
-        assert read_checkpoint(
-            tmp_path, "e1", 0, "n=4", seed=7, backend="array:numpy"
         ) is None
 
     def test_pre_backend_tag_checkpoint_reruns(self, tmp_path):

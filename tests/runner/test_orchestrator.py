@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from repro.core.gains import default_config
+from repro.core.gains import config_scope, default_config
 from repro.experiments.registry import get_registry
 from repro.runner.artifacts import (
     BenchReport,
@@ -97,6 +97,42 @@ class TestBackendPlumbing:
         )
         assert dense[0].backend == "dense"
         assert sparse[0].backend == "sparse"
+
+    def test_scoped_config_reaches_pool_workers(self, tmp_path, monkeypatch):
+        """A config set with ``config_scope`` in the parent, not through
+        the environment, reaches ``--jobs 2`` pool workers: pruned
+        sparse moves e1's colors, and the pooled table equals the
+        in-process one.  Workers are spawned, so they inherit neither
+        the parent's scope (as a fork would) nor a ``REPRO_*`` variable:
+        only the config shipped with each shard can reach them."""
+        from concurrent.futures import ProcessPoolExecutor
+        from functools import partial
+        from multiprocessing import get_context
+
+        from repro.runner import orchestrator
+
+        monkeypatch.setattr(
+            orchestrator,
+            "ProcessPoolExecutor",
+            partial(ProcessPoolExecutor, mp_context=get_context("spawn")),
+        )
+        for var in ("REPRO_BACKEND", "REPRO_SPARSE_EPSILON"):
+            monkeypatch.delenv(var, raising=False)
+        with config_scope(backend="dense"):
+            dense = run_experiments(["e1"], fast=True, jobs=1)[0]
+        with config_scope(backend="sparse", sparse_epsilon=0.05):
+            seq = run_experiments(
+                ["e1"], fast=True, jobs=1, artifacts_dir=tmp_path / "seq"
+            )[0]
+            par = run_experiments(
+                ["e1"], fast=True, jobs=2, artifacts_dir=tmp_path / "par"
+            )[0]
+        assert len(par.shards) == 2
+        assert bench_to_dict(seq)["table"] != bench_to_dict(dense)["table"]
+        assert bench_to_dict(par)["table"] == bench_to_dict(seq)["table"]
+        for out in ("seq", "par"):
+            payload = json.loads(artifact_path(tmp_path / out, "e1").read_text())
+            assert payload["env"]["backend"] == "sparse"
 
     def test_run_shard_applies_backend(self):
         table_dense, _ = run_shard(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.gains import config_scope, default_config
+from repro.core.gains import config_scope
 from repro.core.schedule import Schedule
 from repro.instances.random_instances import clustered_instance, random_uniform_instance
 from repro.power.oblivious import SquareRootPower
@@ -76,8 +76,7 @@ class TestImproveSchedule:
 
 class TestBackendConformance:
     """Local search runs the same kernel on every lossless gain
-    backend: sparse at epsilon 0 and dense in the default array
-    namespace (``REPRO_ARRAY_NAMESPACE``) must reproduce numpy dense."""
+    backend: sparse and sharded at epsilon 0 must reproduce dense."""
 
     @pytest.mark.parametrize("direction", ["bidirectional", "directed"])
     @pytest.mark.parametrize(
@@ -85,8 +84,13 @@ class TestBackendConformance:
         [
             pytest.param({"backend": "sparse", "sparse_epsilon": 0.0}, id="sparse-0.0"),
             pytest.param(
-                {"backend": "dense", "array_namespace": default_config().array_namespace},
-                id="dense-default-namespace",
+                {
+                    "backend": "sharded",
+                    "sparse_epsilon": 0.0,
+                    "workers": 2,
+                    "shard_executor": "serial",
+                },
+                id="sharded-0.0",
             ),
         ],
     )
@@ -94,7 +98,7 @@ class TestBackendConformance:
         for seed in range(3):
             inst = random_uniform_instance(30, rng=90 + seed, direction=direction)
             powers = SquareRootPower()(inst)
-            with config_scope(backend="dense", array_namespace="numpy"):
+            with config_scope(backend="dense"):
                 base = first_fit_schedule(inst, powers)
                 reference = improve_schedule(inst, base)
             with config_scope(**overrides):

@@ -234,9 +234,9 @@ def test_greedy_decisions_match_oracle(
 #: Session.schedule equivalents of the legacy free-function calls
 #: above: ``(algorithm, session params)`` keyed like SCHEDULERS.  The
 #: registry facade must reproduce every legacy schedule bit-for-bit on
-#: every gain backend (epsilon=0 sparse and the numpy-namespace array
-#: backend are lossless, so zero flip-risk events are expected
-#: throughout).
+#: every gain backend (epsilon=0 sparse is lossless, like dense, so
+#: zero flip-risk events are expected throughout), on a cold context
+#: cache and on a dense context a previous session already warmed.
 SESSION_CALLS = {
     "trivial": ("trivial", {}),
     "first_fit": ("first_fit", {}),
@@ -253,11 +253,11 @@ SESSION_CALLS = {
 
 
 @pytest.mark.parametrize(
-    "backend,namespace",
+    "backend,warm",
     [
-        pytest.param("dense", None, id="dense"),
-        pytest.param("sparse", None, id="sparse"),
-        pytest.param("dense", "numpy", id="dense-numpy"),
+        pytest.param("dense", False, id="dense"),
+        pytest.param("sparse", False, id="sparse"),
+        pytest.param("dense", True, id="dense-warm"),
     ],
 )
 @pytest.mark.parametrize("scheduler_name", sorted(SESSION_CALLS))
@@ -270,13 +270,15 @@ SESSION_CALLS = {
     ),
 )
 def test_session_matches_legacy_free_functions(
-    backend, namespace, instance_name, scheduler_name
+    backend, warm, instance_name, scheduler_name
 ):
     """Acceptance: every scheduler resolved through the registry and
     called via Session.schedule emits the very schedule the submodule
     function emits under the process default — on the dense backend
-    (default and numpy namespace) and the (lossless) sparse backend —
-    with zero flip-risk events."""
+    and the (lossless) sparse backend — with zero flip-risk events.
+    The warm column first runs the same call in another session, so
+    the measured session reuses a context whose caches (transposes,
+    columns, kernel state) that run already filled."""
     from repro.api import Problem
 
     instance = GRID[instance_name]
@@ -286,18 +288,25 @@ def test_session_matches_legacy_free_functions(
 
     clear_context_cache()
     algorithm, params = SESSION_CALLS[scheduler_name]
-    params = dict(params)
-    session = Problem(
-        instance, backend=backend, array_namespace=namespace
-    ).session()
-    rng = None
-    if scheduler_name in ("sqrt_coloring", "sqrt_coloring_no_lp", "distributed"):
-        rng = np.random.default_rng(99)
-    if scheduler_name == "gain_scaling":
-        params["gamma_target"] = 2.0 * instance.beta
-    if scheduler_name == "local_search":
-        params["schedule"] = session.schedule("first_fit")
-    result = session.schedule(algorithm, rng=rng, **params)
+
+    def run_session():
+        session = Problem(instance, backend=backend).session()
+        call = dict(params)
+        rng = None
+        if scheduler_name in ("sqrt_coloring", "sqrt_coloring_no_lp", "distributed"):
+            rng = np.random.default_rng(99)
+        if scheduler_name == "gain_scaling":
+            call["gamma_target"] = 2.0 * instance.beta
+        if scheduler_name == "local_search":
+            call["schedule"] = session.schedule("first_fit")
+        return session, session.schedule(algorithm, rng=rng, **call)
+
+    if warm:
+        primed, _ = run_session()
+        context = primed.context
+    session, result = run_session()
+    if warm:
+        assert session.context is context
 
     np.testing.assert_array_equal(
         result.colors,
