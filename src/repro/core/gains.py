@@ -725,6 +725,14 @@ class DenseBackend(GainBackend):
             state[key] = None
         return state
 
+    def __setstate__(self, state: dict) -> None:
+        # numpy does not pickle the read-only flag: freeze the public
+        # arrays again (the transposes are rebuilt frozen on demand).
+        self.__dict__.update(state)
+        for array in (self._gains_u, self._gains_v, self._worst):
+            if array is not None:
+                array.setflags(write=False)
+
     # -- edits ---------------------------------------------------------
 
     def _bind(self, n: int) -> None:

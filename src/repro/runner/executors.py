@@ -36,7 +36,10 @@ order, mirroring the mergeable-aggregate rule (shard-order concat) of
 from __future__ import annotations
 
 import abc
+import atexit
 import os
+import sys
+import threading
 import time
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
@@ -53,6 +56,23 @@ __all__ = [
 
 #: Registered executor names (see :func:`build_shard_executor`).
 SHARD_EXECUTORS = ("serial", "process")
+
+#: What a shard worker imports before it can build: numpy and
+#: ``scipy.sparse`` for the gain shards, this module for the worker
+#: loop, and :mod:`repro.distributed.sharded`, whose package import
+#: brings in :mod:`repro.distributed.protocol` (e11's node blocks) and
+#: the rest of repro.  The fork server imports them once; every worker
+#: forks from it with them loaded.
+WORKER_PRELOAD = (
+    "numpy",
+    "scipy.sparse",
+    "repro.runner.executors",
+    "repro.distributed.sharded",
+)
+
+_fork_server_lock = threading.Lock()
+#: Pid of the process that started the fork server (``None`` before).
+_fork_server_owner: Optional[int] = None
 
 #: Transport errors that mean "the worker process is gone" (as opposed
 #: to an exception *inside* the actor method, which is deterministic
@@ -269,28 +289,102 @@ def _pipe_worker_main(conn, factory):  # pragma: no cover - child
             return
 
 
+def _ensure_fork_server() -> None:
+    """Start this process's fork server, with :data:`WORKER_PRELOAD`
+    imported in it, unless it is already running.
+
+    Every :class:`ProcessShardExecutor` of the process forks its
+    workers from this one server, a single-threaded interpreter that
+    paid for the imports once.  CPython (3.11–3.13) hands the server
+    the parent's ``sys.path`` but never applies it, and skips a preload
+    that fails to import without a word: repro, importable in a caller
+    that put it on ``sys.path`` at run time, would not be preloaded.
+    So the server is started with the parent's ``sys.path`` as its
+    ``PYTHONPATH``, set only for that start.  Called before every start
+    batch, so a server that died is started again, preloaded.  A process
+    forked from the one that started the server inherits CPython's
+    record of it, though the server is not its child and cannot fork
+    for it: it forgets that record and starts a server of its own.
+    """
+    global _fork_server_owner
+    from multiprocessing import forkserver
+
+    with _fork_server_lock:
+        if _fork_server_owner is None:
+            atexit.register(_stop_fork_server)
+        elif _fork_server_owner != os.getpid():
+            server = forkserver._forkserver
+            if server._forkserver_alive_fd is not None:
+                os.close(server._forkserver_alive_fd)
+            server._forkserver_alive_fd = None
+            server._forkserver_address = None
+            server._forkserver_pid = None
+        _fork_server_owner = os.getpid()
+        forkserver.set_forkserver_preload(list(WORKER_PRELOAD))
+        saved = os.environ.get("PYTHONPATH")
+        os.environ["PYTHONPATH"] = os.pathsep.join(
+            entry for entry in sys.path if isinstance(entry, str) and entry
+        )
+        try:
+            forkserver.ensure_running()
+        finally:
+            if saved is None:
+                del os.environ["PYTHONPATH"]
+            else:
+                os.environ["PYTHONPATH"] = saved
+
+
+def _stop_fork_server() -> None:
+    """At exit, stop the fork server and reap it, so the process leaves
+    no orphan behind for init to reap.  Shard workers still running are
+    terminated first, as multiprocessing would terminate them anyway; a
+    server that may still serve another child process is left alone."""
+    import multiprocessing
+    from multiprocessing import forkserver
+
+    if _fork_server_owner != os.getpid():
+        return  # not started here (or a forked copy of where it was)
+    children = multiprocessing.active_children()
+    if any(not child.name.startswith("repro-shard-") for child in children):
+        return
+    for child in children:
+        child.terminate()
+        child.join(timeout=5.0)
+        if child.is_alive():  # pragma: no cover - last resort
+            child.kill()
+            child.join()
+    try:
+        forkserver._forkserver._stop()
+    except OSError:  # pragma: no cover - already reaped elsewhere
+        pass
+
+
 class ProcessShardExecutor(ShardExecutor):
     """One resident OS process per worker, self-healing under a
     :class:`~repro.resilience.RetryPolicy`.
 
-    Workers are started with the ``spawn`` method (clean interpreter,
-    honest per-worker memory accounting — no copy-on-write pages shared
-    with the parent) as daemons (they can never outlive the parent).
+    Workers are forked from the process's one fork server (see
+    :func:`_ensure_fork_server`), which has numpy, ``scipy.sparse`` and
+    repro already imported, so a worker starts in milliseconds without
+    inheriting the parent's memory or threads.  They are daemons, and
+    each exits when its pipe to the parent closes, so none outlives the
+    parent; the fork server exits once the parent and every worker are
+    gone.
 
     Start order: every worker is launched first, with only ``(conn,
     factory)`` as its ``Process`` arguments; then each is sent its
     payload over its own pipe; then the build handshakes are collected
-    in worker order.  The workers' interpreter start-up, imports and
-    builds therefore overlap instead of running one after another.  The
-    payload stays off the ``Process`` arguments because ``spawn`` writes
-    those into a bootstrap pipe that the child drains only after its
-    imports: a payload larger than the pipe buffer (a block row of gains
-    easily is) would block ``Process.start`` for a whole import.  A
-    worker killed while starting (``SIGKILL``, OOM) is started again the
-    same way under the retry policy; a build error, a worker that exits
-    with a Python error during its spawn bootstrap, or a payload that
-    cannot be pickled fails :meth:`start` at once, and every worker it
-    launched is reaped before the error propagates.
+    in worker order.  The workers' builds therefore overlap instead of
+    running one after another.  The payload stays off the ``Process``
+    arguments because ``Process.start`` writes those into the child's
+    bootstrap pipe and returns only once it is written: a payload larger
+    than the pipe buffer (a block row of gains easily is) would hold the
+    parent until that child had read it.  A worker killed while starting
+    (``SIGKILL``, OOM) is started again the same way under the retry
+    policy; a build error, a worker that exits with a Python error
+    during its bootstrap, or a payload that cannot be pickled fails
+    :meth:`start` at once, and every worker it launched is reaped before
+    the error propagates.
 
     A *transport* failure on a call — the pipe breaks because the
     worker crashed or was killed — rebuilds the actor through that same
@@ -308,19 +402,14 @@ class ProcessShardExecutor(ShardExecutor):
     #: respawn-and-replay attempts.
     DEFAULT_RETRY = RetryPolicy(max_attempts=3, base_delay=0.05)
 
-    def __init__(
-        self,
-        workers: int,
-        retry: Optional[RetryPolicy] = None,
-        mp_method: str = "spawn",
-    ):
+    def __init__(self, workers: int, retry: Optional[RetryPolicy] = None):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         import multiprocessing
 
         self._workers = int(workers)
         self._retry = self.DEFAULT_RETRY if retry is None else retry
-        self._ctx = multiprocessing.get_context(mp_method)
+        self._ctx = multiprocessing.get_context("forkserver")
         self._factory: Optional[Callable[[Any], Any]] = None
         self._payloads: Optional[List[Any]] = None
         self._conns: List[Any] = []
@@ -345,12 +434,13 @@ class ProcessShardExecutor(ShardExecutor):
         already reaped) with their errors.  Deterministic failures raise
         :class:`ShardExecutorError` at once: a build error, and a worker
         that exited with a positive code (a Python error during its
-        spawn bootstrap — the main module could not be re-imported, or
-        the factory could not be unpickled — which every retry would
+        bootstrap — the main module could not be re-imported, or the
+        factory could not be unpickled — which every retry would
         repeat).  A death by signal (negative code, e.g. an OOM
         ``SIGKILL``) is a transport failure.  *failures* counts each
         worker's earlier failed starts, for the error's attempt count.
         """
+        _ensure_fork_server()
         for worker in workers:
             parent_conn, child_conn = self._ctx.Pipe(duplex=True)
             proc = self._ctx.Process(
@@ -397,9 +487,10 @@ class ProcessShardExecutor(ShardExecutor):
                 raise ShardExecutorError(
                     f"worker {worker} exited with code {code} while "
                     "starting, before it could build its actor (a Python "
-                    "error in its spawn bootstrap, e.g. the factory could "
-                    "not be unpickled or the main module not re-imported; "
-                    "the traceback is on the worker's stderr); not retried",
+                    "error in the worker's bootstrap, e.g. the factory "
+                    "could not be unpickled or the main module not "
+                    "re-imported; the traceback is on the worker's "
+                    "stderr); not retried",
                     failure=ShardFailure(
                         key="__build__",
                         shard_index=worker,
@@ -502,8 +593,8 @@ class ProcessShardExecutor(ShardExecutor):
 
     def _recv(self, worker: int) -> Any:
         """Receive one reply, polling so a worker that dies without the
-        pipe EOFing in the parent (e.g. killed before it fetched its
-        fd from the spawn resource sharer) still raises a transport
+        pipe EOFing in the parent (e.g. killed while another process
+        still holds its end of the pipe) still raises a transport
         error instead of blocking forever."""
         conn = self._conns[worker]
         proc = self._procs[worker]
@@ -688,8 +779,9 @@ def _current_rss_mb() -> float:
     """This process's peak RSS in MiB (actors expose it per worker).
 
     ``VmHWM`` where ``/proc`` has it: Linux carries ``ru_maxrss``
-    across ``exec``, so a spawned worker's ``ru_maxrss`` starts at its
-    parent's peak.  ``ru_maxrss`` elsewhere."""
+    across ``exec`` and into a forked child, so a worker's
+    ``ru_maxrss`` can start at an ancestor's peak.  ``ru_maxrss``
+    elsewhere."""
     try:
         with open("/proc/self/status") as handle:
             peak = _vm_hwm_mb(handle.read())

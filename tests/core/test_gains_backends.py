@@ -675,6 +675,22 @@ class TestDenseStorage:
         again.replace_requests([12], grown_again, powers)
         np.testing.assert_array_equal(again.dense_v(), DenseBackend.build(grown, powers).dense_v())
 
+    @pytest.mark.parametrize("direction", ["directed", "bidirectional"])
+    def test_unpickled_public_arrays_stay_read_only(self, direction):
+        """numpy does not pickle the read-only flag; an unpickled
+        backend freezes its public arrays again, bit for bit."""
+        import pickle
+
+        instance = random_uniform_instance(8, rng=16, direction=direction)
+        backend = DenseBackend.build(instance, SquareRootPower()(instance))
+        names = ("gains_u", "gains_v", "gains_ut", "gains_vt", "worst_gains")
+        before = {name: getattr(backend, name).tobytes() for name in names}
+        again = pickle.loads(pickle.dumps(backend))
+        for name in names:
+            array = getattr(again, name)
+            assert not array.flags.writeable, name
+            assert array.tobytes() == before[name], name
+
     def test_array_backend_name_is_only_an_alias(self):
         """``ArrayBackend`` survives only as a body-less subclass for
         the benchmark's span list: a distinct class (wrapping its build

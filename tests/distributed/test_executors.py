@@ -1,13 +1,17 @@
 """Unit tests for the ShardExecutor abstraction (serial + process)."""
 
+import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import repro
 from repro.resilience import RetryPolicy
 from repro.runner.executors import (
     SHARD_EXECUTORS,
@@ -393,3 +397,93 @@ class TestWorkerPeakRss:
         assert worker["pid"] != os.getpid()
         assert parent_mb > 200
         assert worker["peak_rss_mb"] < parent_mb - 100
+
+
+PROBE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fork_server_probe.py")
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+
+def _probe(tmp_path, *args):
+    """Start the probe as perfbench starts the library: no
+    ``PYTHONPATH``, ``src`` put on ``sys.path`` at run time."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    return subprocess.Popen(
+        [sys.executable, PROBE, SRC_DIR, *args],
+        cwd=tmp_path,
+        env=env,
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+def _gone(pid):
+    """True once *pid* has exited (a zombie awaiting its reaper counts)."""
+    try:
+        with open(f"/proc/{pid}/status") as handle:
+            return any(
+                line.startswith("State:") and line.split()[1] == "Z"
+                for line in handle
+            )
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="needs /proc/<pid>/status"
+)
+class TestForkServer:
+    def test_workers_fork_from_one_preloaded_server(self, tmp_path):
+        proc = _probe(tmp_path, "preload")
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        report = json.loads(out.strip().splitlines()[-1])
+        workers = report["workers"]
+        assert len(workers) == 4
+        for worker in workers:
+            assert worker["preloaded"] == ["numpy", "repro.distributed.sharded"]
+        servers = {worker["ppid"] for worker in workers}
+        assert len(servers) == 1
+        assert servers.isdisjoint({report["pid"], os.getpid()})
+
+    def test_forked_copy_starts_its_own_server(self, tmp_path):
+        """A process forked from one that runs the fork server (an
+        orchestrator pool worker, say) is not the server's parent, so it
+        must start a server of its own rather than use the inherited one."""
+        proc = _probe(tmp_path, "forked")
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        report = json.loads(out.strip().splitlines()[-1])
+        first, forked = report["first"], report["forked"]
+        assert "error" not in forked, forked["error"]
+        assert forked["preloaded"] == ["numpy", "repro.distributed.sharded"]
+        assert forked["ppid"] not in (first["ppid"], forked["parent"])
+
+    @pytest.mark.parametrize("ending", ["exit", "sigkill"])
+    def test_nothing_outlives_the_parent(self, tmp_path, ending):
+        proc = _probe(tmp_path, "sharded", "exit" if ending == "exit" else "wait")
+        try:
+            line = proc.stdout.readline()
+            assert line, proc.stderr.read()
+            report = json.loads(line)
+            if ending == "sigkill":
+                os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
+            proc.stdin.close()
+        pids = report["fork_servers"] + report["workers"]
+        assert len(report["fork_servers"]) == 1 and len(pids) == 3
+        if ending == "exit":
+            # The parent reaped all it started, leaving init no zombie.
+            assert [pid for pid in pids if os.path.exists(f"/proc/{pid}")] == []
+        else:
+            deadline = time.monotonic() + 5.0
+            while not all(map(_gone, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in pids if not _gone(pid)] == []

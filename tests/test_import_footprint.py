@@ -1,5 +1,6 @@
-"""What a fresh interpreter loads: every spawned shard worker, pool
-worker and CLI subprocess pays for its imports before it does any work.
+"""What a fresh interpreter loads: the fork server that shard workers
+fork from (started once per process, so no worker imports again) and
+each CLI subprocess pay for their imports before they do any work.
 
 networkx and scipy.optimize are imported where they are used (graph
 metrics and baselines, the Theorem 15 class LP), so importing the
