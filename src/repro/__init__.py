@@ -62,7 +62,6 @@ from repro.analysis import (
 )
 from repro.core import (
     BackendConfig,
-    ClassAccumulator,
     DenseBackend,
     Direction,
     GainBackend,
@@ -162,7 +161,6 @@ __all__ = [
     "is_feasible_partition",
     "scale_powers_for_noise",
     "InterferenceContext",
-    "ClassAccumulator",
     "get_context",
     "BackendConfig",
     "config_scope",

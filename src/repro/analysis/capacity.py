@@ -46,7 +46,8 @@ def greedy_max_feasible_subset(
     ------
     ValueError
         If a candidate is not an integer request index in ``[0, n)``
-        (fractional values and boolean masks included).
+        (fractional values and boolean masks included) or repeats an
+        earlier candidate.
     """
     if context is None:
         context = get_context(instance, powers)

@@ -54,12 +54,7 @@ from repro.core.gains import (
     default_config,
 )
 from repro.core.instance import Instance
-from repro.core.kernels import (
-    PeelFallbackInfo,
-    ScheduleKernel,
-    peel_fallback_records,
-    peel_risk_events,
-)
+from repro.core.kernels import ScheduleKernel, peel_risk_events
 from repro.core.schedule import Schedule, build_schedule
 from repro.power.base import ObliviousPowerAssignment, PowerAssignment
 from repro.resilience.faults import FaultPlan
@@ -115,10 +110,6 @@ class Provenance:
         resolved by exact reference-order recomputation.  Re-add
         trials the peel's prefilter rejects outright are never run and
         add nothing.  Always ``0`` when the run never peels.
-    peel_fallbacks:
-        :class:`~repro.core.kernels.PeelFallbackInfo` records emitted
-        during the run — peel calls (e.g. duplicate candidates) that
-        left the kernel path for the from-scratch reference.
     incremental:
         ``True`` when the schedule came from the live online kernel
         (:meth:`Session.live_result`) — colors were assigned one
@@ -138,7 +129,6 @@ class Provenance:
     flip_risk_events: int = 0
     certified: Optional[bool] = None
     peel_risk_events: int = 0
-    peel_fallbacks: Tuple[PeelFallbackInfo, ...] = ()
     incremental: bool = False
     arrivals: int = 0
     departures: int = 0
@@ -936,11 +926,10 @@ class Session:
             repin_context(context)
             backend_obj = context.backend
         before = backend_obj.flip_risk_events if backend_obj is not None else 0
-        # Peel counters are module totals (self-powered algorithms build
-        # contexts this session never sees), so snapshot-and-diff around
-        # the run (single scheduler thread).
+        # The peel counter is a module total (self-powered algorithms
+        # build contexts this session never sees), so snapshot-and-diff
+        # around the run (single scheduler thread).
         peel_before = peel_risk_events()
-        fb_before = len(peel_fallback_records())
         start = time.perf_counter()
         with config_scope(self.problem.config):
             outcome = spec.run(
@@ -974,7 +963,6 @@ class Session:
                 flip_risk_events=delta,
                 certified=certified,
                 peel_risk_events=peel_risk_events() - peel_before,
-                peel_fallbacks=peel_fallback_records()[fb_before:],
                 arrivals=self._arrivals,
                 departures=self._departures,
             ),

@@ -6,7 +6,6 @@ model, plus the schedule representation shared by all algorithms.
 """
 
 from repro.core.context import (
-    ClassAccumulator,
     InterferenceContext,
     cache_info,
     clear_context_cache,
@@ -56,7 +55,6 @@ __all__ = [
     "InvalidScheduleError",
     "InfeasibleError",
     "InterferenceContext",
-    "ClassAccumulator",
     "get_context",
     "cache_info",
     "clear_context_cache",

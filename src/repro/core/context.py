@@ -1,4 +1,4 @@
-"""Shared interference engine: cached gain matrices + incremental classes.
+"""Shared interference engine: cached gain matrices per power vector.
 
 Every algorithm in this library reduces to one primitive — querying
 SINR interference under a fixed power vector.  Before this module each
@@ -23,15 +23,11 @@ Two levels of API
   loop that issues many interference queries (a scheduler, a search, a
   simulation).  Methods — :meth:`~InterferenceContext.margins`,
   :meth:`~InterferenceContext.feasible_mask`,
-  :meth:`~InterferenceContext.budget_slack`,
-  :meth:`~InterferenceContext.greedy_max_feasible_subset` — are
-  vectorized on the cached matrices and skip all per-call rebuilding.
-  For sets that grow and shrink one request at a time (first-fit
-  classes, local search, protocol simulation), obtain a
-  :class:`ClassAccumulator` via :meth:`InterferenceContext.accumulator`:
-  it maintains the interference **every request of the instance** would
-  suffer from the current member set, so membership changes cost O(n)
-  and feasibility checks cost O(k) — no O(k^2) recompute.
+  :meth:`~InterferenceContext.budget_slack` — are vectorized on the
+  cached matrices and skip all per-call rebuilding.  Sets that grow
+  and shrink one request at a time (first-fit classes, local search,
+  peeling) run on the incremental kernels of :mod:`repro.core.kernels`,
+  which take the context.
 
 Gain backends
 -------------
@@ -56,22 +52,11 @@ Numerical contract
 Gain-matrix entries come from the :mod:`repro.core.interference`
 builders, and subset/color reductions use one fixed operation order, so
 margins (and therefore every feasibility decision and every schedule)
-are deterministic bit for bit.  The accumulator maintains sums
-incrementally, so its values agree with a fresh subset sum only up to
-floating-point accumulation order (tested against the independent
-oracle in ``tests/oracle.py`` to 1e-9 relative).  A lossless sparse
-backend (``epsilon = 0``, the default) reproduces the dense values
-exactly; a pruned one underestimates interference by at most the
-per-request :attr:`~repro.core.gains.GainBackend.pruned_mass_u` bound
-(see :mod:`repro.core.gains` for the certification story).
-
-Shared-node pairs (infinite gain) are tracked exactly: the accumulator
-counts infinite contributions separately from the finite sum, so
-removing a shared-node member restores the finite interference instead
-of leaving ``inf - inf = nan`` behind.  Zero interference is exact
-too — the accumulator counts positive contributors per request, so a
-request whose interferers all left reports margin ``inf`` again rather
-than a cancellation residue.
+are deterministic bit for bit.  A lossless sparse backend
+(``epsilon = 0``, the default) reproduces the dense values exactly; a
+pruned one underestimates interference by at most the per-request
+:attr:`~repro.core.gains.GainBackend.pruned_mass_u` bound (see
+:mod:`repro.core.gains` for the certification story).
 """
 
 from __future__ import annotations
@@ -80,7 +65,7 @@ import os
 import threading
 import weakref
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -332,8 +317,8 @@ class InterferenceContext:
     def has_infinite_gains(self) -> bool:
         """Does any gain entry equal ``inf`` (shared-node pairs)?
 
-        Answered by the backend (computed once).  The accumulator and
-        the scheduler kernels take a cheaper all-finite fast path (no
+        Answered by the backend (computed once).  The scheduler
+        kernels take a cheaper all-finite fast path (no
         per-update ``isfinite`` masking) when this is ``False`` — which
         is every instance without shared-node pairs.
         """
@@ -549,346 +534,12 @@ class InterferenceContext:
         margins = self.margins(colors=np.asarray(colors), beta=beta, noise=noise)
         return bool(np.all(margins >= 1.0 - rtol))
 
-    # ------------------------------------------------------------------
-    # Incremental structures and algorithms
-    # ------------------------------------------------------------------
-
-    def accumulator(
-        self,
-        members: Optional[Sequence[int]] = None,
-        beta: Optional[float] = None,
-        noise: Optional[float] = None,
-    ) -> "ClassAccumulator":
-        """A fresh :class:`ClassAccumulator`, optionally pre-seeded with
-        *members* (bulk-initialized in one vectorized pass)."""
-        return ClassAccumulator(self, members=members, beta=beta, noise=noise)
-
-    def greedy_max_feasible_subset(
-        self,
-        candidates: Optional[Sequence[int]] = None,
-        beta: Optional[float] = None,
-        rtol: float = DEFAULT_RTOL,
-    ) -> np.ndarray:
-        """A maximal feasible subset of *candidates* (peel worst margin,
-        then re-add).
-
-        The plain O(k^2)-per-round loop, kept as the fallback of
-        :func:`repro.core.kernels.peel_max_feasible_subset` for
-        duplicate candidates and as the bitwise reference its
-        incremental peel is tested against.  Candidates must be integer
-        request indices in ``[0, n)`` (see :func:`request_indices`).
-        """
-        if candidates is None:
-            current = list(range(self.n))
-        else:
-            current = request_indices(
-                candidates, self.n, "peel candidate"
-            ).tolist()
-        dropped: List[int] = []
-        while current:
-            subset = np.asarray(current, dtype=int)
-            margins = self.margins(subset=subset, beta=beta)
-            if np.all(margins >= 1.0 - rtol):
-                break
-            worst = int(np.argmin(margins))
-            dropped.append(current.pop(worst))
-        for req in reversed(dropped):
-            trial = np.asarray(current + [req], dtype=int)
-            trial_margins = self.margins(subset=trial, beta=beta)
-            if np.all(trial_margins >= 1.0 - rtol):
-                current.append(req)
-        return np.asarray(sorted(current), dtype=int)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = self._backend.name if self._backend is not None else "lazy"
         return (
             f"InterferenceContext(n={self.n}, "
             f"direction={self.instance.direction.value}, "
             f"backend={self.config.backend}, gains={state})"
-        )
-
-
-class ClassAccumulator:
-    """Incremental same-color interference bookkeeping for one class.
-
-    The accumulator maintains, for **every** request of the instance,
-    the interference it would suffer from the current member set — so
-    testing whether an outside request can join is O(k), and
-    joining/leaving is O(n) (one gain-matrix column), never an O(k^2)
-    recompute.
-
-    Infinite gains (shared-node pairs) are tracked as separate counts so
-    that removal is exact: ``inf`` contributions never enter the finite
-    running sums, hence never leave ``nan`` debris behind.
-
-    Use :meth:`InterferenceContext.accumulator` to construct one.
-    """
-
-    def __init__(
-        self,
-        context: InterferenceContext,
-        members: Optional[Sequence[int]] = None,
-        beta: Optional[float] = None,
-        noise: Optional[float] = None,
-    ):
-        self.context = context
-        self.beta = context.beta if beta is None else float(beta)
-        self.noise = context.noise if noise is None else float(noise)
-        n = context.n
-        self._mask = np.zeros(n, dtype=bool)
-        self._order: List[int] = []
-        # Finite part, infinite-contribution count and positive-finite
-        # contribution count of the member interference at each
-        # request, per endpoint.  The counts make two cases *exact*
-        # (not merely close): infinite interference (shared nodes) and
-        # zero interference (no contributing member) — the latter so a
-        # request whose interferers all left reports margin inf again
-        # instead of a cancellation residue.
-        self._fin_u = np.zeros(n)
-        self._ninf_u = np.zeros(n, dtype=np.int64)
-        self._npos_u = np.zeros(n, dtype=np.int64)
-        self._directed = context.directed
-        if self._directed:
-            self._fin_v = self._fin_u
-            self._ninf_v = self._ninf_u
-            self._npos_v = self._npos_u
-        else:
-            self._fin_v = np.zeros(n)
-            self._ninf_v = np.zeros(n, dtype=np.int64)
-            self._npos_v = np.zeros(n, dtype=np.int64)
-        if members is not None:
-            self._bulk_add(np.asarray(members, dtype=int))
-
-    # -- membership ----------------------------------------------------
-
-    @property
-    def members(self) -> np.ndarray:
-        """Current members in insertion order."""
-        return np.asarray(self._order, dtype=int)
-
-    @property
-    def member_mask(self) -> np.ndarray:
-        """Boolean membership mask over all requests (read-only view)."""
-        view = self._mask.view()
-        view.setflags(write=False)
-        return view
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __contains__(self, request: int) -> bool:
-        return bool(self._mask[int(request)])
-
-    def _apply_columns(self, members: np.ndarray, sign: int) -> None:
-        """Accumulate the gain columns of *members* into the running
-        sums — one vectorized pass per endpoint, shared by single-add,
-        remove and bulk initialization.  Columns come from the gain
-        backend (``col_u``/``gather_cols_u``), so the same code runs on
-        dense and sparse gains.
-
-        Instances without shared-node pairs (the common case, detected
-        once via :attr:`InterferenceContext.has_infinite_gains`) skip
-        the per-update ``isfinite`` masking entirely: the finite sum is
-        a plain column (sum) add and the infinite counts stay zero.
-        Values are bit-identical either way (``np.where`` with an
-        all-true mask is the identity).
-        """
-        single = members.size == 1
-        backend = self.context.backend
-        finite_gains = not backend.has_infinite_gains
-        for fin, ninf, npos, col, gather_cols in (
-            (
-                self._fin_u,
-                self._ninf_u,
-                self._npos_u,
-                backend.col_u,
-                backend.gather_cols_u,
-            ),
-            (
-                self._fin_v,
-                self._ninf_v,
-                self._npos_v,
-                backend.col_v,
-                backend.gather_cols_v,
-            ),
-        ):
-            if single:
-                columns = col(int(members[0]))
-                if finite_gains:
-                    np.add(fin, sign * columns, out=fin)
-                    np.add(npos, sign * (columns > 0), out=npos)
-                else:
-                    finite = np.isfinite(columns)
-                    np.add(fin, sign * np.where(finite, columns, 0.0), out=fin)
-                    np.add(ninf, sign * ~finite, out=ninf)
-                    np.add(npos, sign * (finite & (columns > 0)), out=npos)
-            else:
-                columns = gather_cols(members)
-                if finite_gains:
-                    np.add(fin, sign * columns.sum(axis=1), out=fin)
-                    np.add(npos, sign * (columns > 0).sum(axis=1), out=npos)
-                else:
-                    finite = np.isfinite(columns)
-                    np.add(
-                        fin,
-                        sign * np.where(finite, columns, 0.0).sum(axis=1),
-                        out=fin,
-                    )
-                    np.add(ninf, sign * (~finite).sum(axis=1), out=ninf)
-                    np.add(
-                        npos,
-                        sign * (finite & (columns > 0)).sum(axis=1),
-                        out=npos,
-                    )
-            if self._directed:
-                break
-
-    def _bulk_add(self, members: np.ndarray) -> None:
-        if members.size == 0:
-            return
-        if np.unique(members).size != members.size or np.any(self._mask[members]):
-            raise ValueError("duplicate member in bulk initialization")
-        self._mask[members] = True
-        self._order.extend(int(i) for i in members)
-        self._apply_columns(members, +1)
-
-    def add(self, request: int) -> None:
-        """Add *request* to the class — O(n)."""
-        request = int(request)
-        if self._mask[request]:
-            raise ValueError(f"request {request} is already a member")
-        self._mask[request] = True
-        self._order.append(request)
-        self._apply_columns(np.asarray([request], dtype=int), +1)
-
-    def remove(self, request: int) -> None:
-        """Remove *request* from the class — O(n), exact even for
-        shared-node (infinite-gain) members."""
-        request = int(request)
-        if not self._mask[request]:
-            raise ValueError(f"request {request} is not a member")
-        self._mask[request] = False
-        self._order.remove(request)
-        if not self._order:
-            # Reset exactly: an emptied class must not carry rounding
-            # residue from the add/subtract cycle.
-            self._fin_u.fill(0.0)
-            self._ninf_u.fill(0)
-            self._npos_u.fill(0)
-            self._fin_v.fill(0.0)
-            self._ninf_v.fill(0)
-            self._npos_v.fill(0)
-        else:
-            self._apply_columns(np.asarray([request], dtype=int), -1)
-
-    # -- queries -------------------------------------------------------
-
-    def interference_parts(
-        self, requests: Optional[Sequence[int]] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-endpoint member interference ``(at u, at v)`` at
-        *requests* (default: members, ascending).  In the directed
-        variant both entries are the same array."""
-        requests = self._requests_or_members(requests)
-
-        def _resolve(fin, ninf, npos):
-            # inf wins; with no positive contributor the value is an
-            # exact 0; otherwise the (clamped) running sum.
-            values = np.where(
-                npos[requests] > 0, np.maximum(fin[requests], 0.0), 0.0
-            )
-            return np.where(ninf[requests] > 0, np.inf, values)
-
-        interf_u = _resolve(self._fin_u, self._ninf_u, self._npos_u)
-        if self._directed:
-            return interf_u, interf_u
-        interf_v = _resolve(self._fin_v, self._ninf_v, self._npos_v)
-        return interf_u, interf_v
-
-    def _requests_or_members(self, requests: Optional[Sequence[int]]) -> np.ndarray:
-        if requests is None:
-            return np.asarray(sorted(self._order), dtype=int)
-        return np.asarray(requests, dtype=int)
-
-    def interference(
-        self, requests: Optional[Sequence[int]] = None
-    ) -> np.ndarray:
-        """Worst-endpoint interference the current members induce at
-        *requests* (default: the members themselves, ascending).
-
-        Because the gain diagonals are zero, a member's own entry counts
-        only the *other* members — exactly the same-color interference
-        of :func:`repro.core.interference.interference`.  Entries for
-        non-members answer "what would this request suffer if it
-        joined?" in O(1).
-        """
-        idx = self._requests_or_members(requests)
-        interf_u, interf_v = self.interference_parts(idx)
-        return np.maximum(interf_u, interf_v)
-
-    def margins(self, requests: Optional[Sequence[int]] = None) -> np.ndarray:
-        """SINR margins of *requests* (default: members, ascending)
-        against the current member set."""
-        idx = self._requests_or_members(requests)
-        interf = self.interference(idx)
-        return _margins_from(
-            self.context.signals[idx], interf, self.beta, self.noise
-        )
-
-    def budget_slack(
-        self, requests: Optional[Sequence[int]] = None
-    ) -> np.ndarray:
-        """Remaining budget ``budget - interference`` at *requests*
-        (default: members, ascending); ``-inf`` under shared-node
-        interference."""
-        idx = self._requests_or_members(requests)
-        budgets = self.context.budgets(beta=self.beta, noise=self.noise)[idx]
-        return budgets - self.interference(idx)
-
-    def feasible(self, rtol: float = DEFAULT_RTOL) -> bool:
-        """Do all current members satisfy their SINR constraints?"""
-        if not self._order:
-            return True
-        return bool(np.all(self.margins() >= 1.0 - rtol))
-
-    def can_add(self, request: int, rtol: float = DEFAULT_RTOL) -> bool:
-        """Would the class stay feasible if *request* joined? — O(k).
-
-        Checks the candidate's own margin against the current members
-        plus every member's margin with the candidate's gain column
-        added; nothing is mutated.
-        """
-        request = int(request)
-        if self._mask[request]:
-            raise ValueError(f"request {request} is already a member")
-        signals = self.context.signals
-        threshold = 1.0 - rtol
-        cand = np.asarray([request])
-        cand_interf = float(self.interference(cand)[0])
-        cand_margin = _margins_from(
-            signals[cand], np.asarray([cand_interf]), self.beta, self.noise
-        )[0]
-        if not cand_margin >= threshold:
-            return False
-        if not self._order:
-            return True
-        members = np.asarray(self._order, dtype=int)
-        interf_u, interf_v = self.interference_parts(members)
-        backend = self.context.backend
-        col_u = backend.col_u(request)
-        col_v = col_u if self._directed else backend.col_v(request)
-        new_u = interf_u + col_u[members]
-        new_v = interf_v + col_v[members]
-        new_interf = np.maximum(new_u, new_v)
-        member_margins = _margins_from(
-            signals[members], new_interf, self.beta, self.noise
-        )
-        return bool(np.all(member_margins >= threshold))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ClassAccumulator(k={len(self._order)}, n={self.context.n}, "
-            f"beta={self.beta}, noise={self.noise})"
         )
 
 

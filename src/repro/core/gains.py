@@ -9,8 +9,8 @@ gains of a selection at new candidates), tiled sub-block row sums
 block) and same-color row sums (validating a partition).
 :class:`GainBackend` names exactly those primitives, and the engine
 layers (:class:`repro.core.context.InterferenceContext`,
-:class:`repro.core.context.ClassAccumulator`, :mod:`repro.core.kernels`,
-the schedulers) consume gains **only** through them.  Three
+:mod:`repro.core.kernels`, the schedulers) consume gains **only**
+through them.  Three
 implementations:
 
 * :class:`DenseBackend` — the materialized ``(n, n)`` arrays the engine

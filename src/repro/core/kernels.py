@@ -1,50 +1,49 @@
 """Vectorized scheduling kernels on cached gain matrices.
 
 The schedulers in :mod:`repro.scheduling` share one inner loop: test
-whether a request may join a color class, then commit or move on.  With
-the PR-1 engine that loop ran one :class:`~repro.core.context.ClassAccumulator`
-query per *(request, class)* pair — O(n·C) interpreter-bound
-iterations, each issuing a handful of tiny NumPy calls, on top of gain
-matrices that are already fully cached.  This module keeps **every**
-class's state dense so the whole scan collapses into a constant number
-of vectorized passes:
+whether a request may join a color class, then commit or move on.  Run
+one class at a time, that loop costs one query per *(request, class)*
+pair — O(n·C) interpreter-bound iterations, each issuing a handful of
+tiny NumPy calls, on top of gain matrices that are already fully
+cached.  This module keeps **every** class's state dense so the whole
+scan collapses into a constant number of vectorized passes:
 
 * :class:`ScheduleKernel` — all color classes of one
   schedule-in-progress as ``(C, n)`` interference matrices per endpoint
-  (finite sums plus the accumulator's exact infinite/positive
-  contribution counts).  First-fit placement becomes **one** admission
-  check across every open class per request
+  (finite sums plus exact infinite/positive contribution counts).
+  First-fit placement becomes **one** admission check across every
+  open class per request
   (:meth:`~ScheduleKernel.first_fit_admit`), and local-search moves
   become delta checks (:meth:`~ScheduleKernel.admissible_targets`) with
   copy-on-write snapshot/restore rollback instead of per-move subset
   rebuilds.
 * :func:`peel_max_feasible_subset` — the greedy peeling primitive on
   incrementally maintained interference sums: **identical** decisions
-  to :meth:`InterferenceContext.greedy_max_feasible_subset` without
-  the reference's O(k²) block recompute per round.  Margins only rise
-  as victims leave, so most rounds are decided on a shortlist of the
-  lowest margins (a few small-array operations per victim) and only a
-  round whose decision band reaches the smallest margin outside the
-  shortlist rescans all k; the victims' columns reach the full sums
-  in one bitwise-sequential fold per rescan.  Re-add trials that
-  must fail (a margin against the post-peel set already clearly below
-  the threshold, which more members can only lower) are rejected in
-  one tiled pass.  Decisions that land inside the
+  to the plain loop that peels the worst fresh subset margin and then
+  re-adds, without that loop's O(k²) block recompute per round.
+  Margins only rise as victims leave, so most rounds are decided on a
+  shortlist of the lowest margins (a few small-array operations per
+  victim) and only a round whose decision band reaches the smallest
+  margin outside the shortlist rescans all k; the victims' columns
+  reach the full sums in one bitwise-sequential fold per rescan.
+  Re-add trials that must fail (a margin against the post-peel set
+  already clearly below the threshold, which more members can only
+  lower) are rejected in one tiled pass.  Decisions that land inside the
   :data:`PEEL_RISK_RTOL` band of their boundary are re-resolved with
   fresh reference-order row sums and counted as risk events.
 
 Numerical contract
 ------------------
 
-:meth:`ScheduleKernel.first_fit_admit` reproduces the sequential
-``ClassAccumulator`` scan **bit-for-bit**: class rows accumulate gain
-columns in the same insertion order with the same operations,
-interference is resolved with the same ``interference_parts`` formula,
-and the comparisons are the same elementwise float ops — so the
-admitted class (and hence every first-fit schedule) is identical to a
-per-class scan; the kernel-state property tests hold the rows bitwise
-equal to per-class accumulators, and the scheduler goldens in
-``tests/data/scheduler_goldens.json`` pin the emitted colorings.
+:meth:`ScheduleKernel.first_fit_admit` reproduces a sequential
+one-class-at-a-time scan **bit-for-bit**: each class row accumulates
+gain columns in insertion order, interference is resolved by
+:func:`_resolve`, and the comparisons are elementwise float ops — so
+the admitted class (and hence every first-fit schedule) is identical
+to a per-class scan; the kernel-state property tests hold the rows
+bitwise equal to a per-class row tracker in ``tests/reference.py``,
+and the scheduler goldens in ``tests/data/scheduler_goldens.json`` pin
+the emitted colorings.
 :func:`peel_max_feasible_subset` maintains interference sums
 incrementally, so raw margins agree with the reference only up to
 accumulation order — but every peel, stop, and re-add decision is made
@@ -52,13 +51,11 @@ accumulation order — but every peel, stop, and re-add decision is made
 :data:`PEEL_RISK_RTOL` of their boundary (argmin ties, threshold
 crossings) are re-resolved from fresh row sums taken in the
 reference's own membership order (bitwise the reference's values) and
-surfaced as ``peel_risk_events`` in the result provenance.  Calls the
-incremental path cannot express (duplicate candidate indices) fall
-back to the per-round reference and are recorded as
-:class:`PeelFallbackInfo` entries.  The local-search delta checks are
-the remaining exception: like the accumulator itself they maintain sums incrementally, so they agree
-with fresh subset margins only up to floating-point accumulation order
-(~1e-16 relative, far inside the 1e-9 feasibility tolerance);
+surfaced as ``peel_risk_events`` in the result provenance.  The
+local-search delta checks are the remaining exception: they maintain
+sums incrementally, so they agree with fresh subset margins only up to
+floating-point accumulation order (~1e-16 relative, far inside the
+1e-9 feasibility tolerance);
 ``tests/core/test_kernels.py`` checks the emitted colorings against
 the pinned goldens and the independent oracle in ``tests/oracle.py``.
 
@@ -67,19 +64,16 @@ When to use what
 
 * One-off queries → the public wrappers / ``InterferenceContext``
   methods (cached, vectorized, no state to manage).
-* One set growing/shrinking a request at a time →
-  :class:`~repro.core.context.ClassAccumulator` (O(n) membership
-  changes, O(k) feasibility probes).
-* *Many* classes probed per request (schedulers, searches) →
-  :class:`ScheduleKernel` (one vectorized pass over all classes).
+* Classes growing and shrinking a request at a time (schedulers,
+  searches) → :class:`ScheduleKernel` (O(n) membership changes, one
+  vectorized pass over all classes per probe).
+* A maximal feasible subset → :func:`peel_max_feasible_subset`.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -93,7 +87,6 @@ from repro.core.interference import DEFAULT_TILE_ROWS
 
 __all__ = [
     "PEEL_RISK_RTOL",
-    "PeelFallbackInfo",
     "DEFAULT_ADMISSION_WINDOW",
     "ScheduleKernel",
     "check_order",
@@ -101,15 +94,11 @@ __all__ = [
     "first_fit_colors_sharded",
     "peel_max_feasible_subset",
     "peel_risk_events",
-    "peel_fallback_records",
     "reset_peel_events",
 ]
 
-logger = logging.getLogger(__name__)
-
-
 # ----------------------------------------------------------------------
-# Peel provenance counters
+# Peel provenance counter
 # ----------------------------------------------------------------------
 
 #: Relative width of the incremental peel's decision-risk band.  A
@@ -125,41 +114,13 @@ logger = logging.getLogger(__name__)
 PEEL_RISK_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class PeelFallbackInfo:
-    """Why one :func:`peel_max_feasible_subset` call left the kernel
-    path.
-
-    Recorded via :func:`peel_fallback_records`, logged, and surfaced in
-    :class:`repro.api.Provenance.peel_fallbacks` — so the per-round
-    from-scratch fallback is a *visible* property of a result instead
-    of a silent performance cliff.
-
-    Attributes
-    ----------
-    reasons:
-        Machine-readable reason tags; currently only
-        ``"duplicate_candidates"`` (a repeated index names two copies
-        of one request, which the cached matrices' zero diagonal cannot
-        express).
-    candidates:
-        Size of the candidate list handed to the peel.
-    detail:
-        Human-readable one-liner (also the logged message).
-    """
-
-    reasons: Tuple[str, ...]
-    candidates: int
-    detail: str
-
-
 # Module-level peel provenance state.  The peel runs against whatever
 # context its caller resolved — including contexts built *inside*
 # self-powered algorithms (e.g. sqrt_coloring) that a Session never
-# sees — so per-run accounting snapshots these process-wide totals
-# before/after the run (single scheduler thread) instead of hanging counters off one backend object.
+# sees — so per-run accounting snapshots this process-wide total
+# before/after the run (single scheduler thread) instead of hanging a
+# counter off one backend object.
 _peel_risk_events = 0
-_peel_fallbacks: List[PeelFallbackInfo] = []
 
 
 def peel_risk_events() -> int:
@@ -174,25 +135,18 @@ def peel_risk_events() -> int:
     return _peel_risk_events
 
 
-def peel_fallback_records() -> Tuple[PeelFallbackInfo, ...]:
-    """Every :class:`PeelFallbackInfo` recorded since the last
-    :func:`reset_peel_events` (a snapshot tuple)."""
-    return tuple(_peel_fallbacks)
-
-
 def reset_peel_events() -> None:
-    """Reset the peel risk counter and the fallback record list."""
+    """Reset the peel risk counter (:func:`peel_risk_events`) to 0."""
     global _peel_risk_events
     _peel_risk_events = 0
-    _peel_fallbacks.clear()
 
 
 def _resolve(
     fin: np.ndarray, ninf: np.ndarray, npos: np.ndarray, finite: bool = False
 ) -> np.ndarray:
-    """The accumulator's exact interference resolution: ``inf`` wins,
-    no positive contributor is an exact 0, else the clamped running sum
-    (bit-identical to ``ClassAccumulator.interference_parts``).
+    """Exact interference resolution of one class row: ``inf`` wins,
+    no positive contributor is an exact 0, else the clamped running
+    sum.
 
     With *finite* the infinite counts are known to be all zero and the
     ``inf`` overlay — then an identity — is skipped.
@@ -211,14 +165,13 @@ class ScheduleKernel:
 
     Maintains, for every color class ``c`` and every request ``i`` of
     the instance, the interference class ``c``'s members induce at
-    ``i`` — as ``(C, n)`` arrays per endpoint, using the same
-    finite-sum / infinite-count / positive-count bookkeeping as
-    :class:`~repro.core.context.ClassAccumulator` (so shared-node and
-    emptied-class cases stay exact).  On top of the per-class rows it
-    keeps per-request *own-class* state (each placed request's entry of
-    its own class row, maintained bitwise-equal), so member-side
-    admission checks run as one ``(n,)`` broadcast instead of a Python
-    loop over classes.
+    ``i`` — as ``(C, n)`` arrays per endpoint of finite sums,
+    infinite-contribution counts and positive-contribution counts (so
+    shared-node and emptied-class cases stay exact).  On top of the
+    per-class rows it keeps per-request *own-class* state (each placed
+    request's entry of its own class row, maintained bitwise-equal), so
+    member-side admission checks run as one ``(n,)`` broadcast instead
+    of a Python loop over classes.
 
     Parameters
     ----------
@@ -540,7 +493,7 @@ class ScheduleKernel:
 
     def _bulk_seed(self, color: int, members: np.ndarray) -> None:
         """Seed class *color* with *members* in one vectorized pass
-        (same pairwise column sums as ``ClassAccumulator._bulk_add``)."""
+        (pairwise column sums)."""
         for fin, ninf, npos, _, _, _, gather_cols, _ in self._endpoint_rows():
             columns = gather_cols(members)
             if self._finite:
@@ -571,10 +524,9 @@ class ScheduleKernel:
     def add(self, request: int, color: int) -> None:
         """Place *request* into class *color* — O(n).
 
-        The class row accumulates the request's gain column with the
-        exact operations ``ClassAccumulator.add`` uses, so kernel and
-        accumulator state stay bitwise equal under the same insertion
-        sequence.
+        The class row accumulates the request's gain column in place
+        (``+=``): bitwise what one class row fed the same insertion
+        sequence holds.
         """
         request = int(request)
         color = int(color)
@@ -618,8 +570,7 @@ class ScheduleKernel:
         """Remove *request* from its class — O(n); returns the class.
 
         Exact for shared-node members (infinite counts) and for emptied
-        classes (rows reset to exact zero), mirroring
-        ``ClassAccumulator.remove``.
+        classes (rows reset to exact zero).
         """
         request = int(request)
         color = int(self._colors[request])
@@ -766,7 +717,7 @@ class ScheduleKernel:
 
     def class_interference(self, request: int) -> np.ndarray:
         """Worst-endpoint interference each class would induce at
-        *request* — ``(C,)``, resolved with the accumulator's exact
+        *request* — ``(C,)``, resolved with :func:`_resolve`'s exact
         inf/zero semantics."""
         request = int(request)
         count = len(self._sizes)
@@ -794,8 +745,7 @@ class ScheduleKernel:
         (``budget * (1 + rtol)``).  One vectorized pass evaluates the
         candidate-budget check for **all** classes and the member-budget
         delta check for **all** placed requests; decisions are
-        bit-identical to scanning the classes one
-        :class:`ClassAccumulator` at a time.
+        bit-identical to scanning the classes one at a time.
 
         On a pruned (sparse) backend every interference value is a
         conservative under-estimate, so rejections here are always
@@ -993,7 +943,7 @@ def first_fit_colors_sharded(
     The admission loop's only remote data dependency is the candidate's
     gain columns (``col_u``/``col_v`` in
     :meth:`ScheduleKernel.first_fit_admit` and :meth:`ScheduleKernel.add`);
-    every budget comparison runs against parent-resident accumulators.
+    every budget comparison runs against parent-resident class rows.
     So the driver walks *order* in windows of *window* requests and
     fetches each window's columns in **one** round trip over the shards
     (``backend.prefetch_columns``) — per-request traffic drops from up
@@ -1045,12 +995,16 @@ def peel_max_feasible_subset(
     rtol: float = DEFAULT_RTOL,
 ) -> np.ndarray:
     """A maximal feasible subset of *candidates* (peel worst margin,
-    then re-add), agreeing decision-for-decision with
-    :meth:`InterferenceContext.greedy_max_feasible_subset`.
+    then re-add).
 
-    This is the **incremental** peel: per-candidate interference sums
-    are maintained under subtraction as requests are peeled, instead of
-    the reference's O(k²) block re-sum per round.  Most rounds are
+    The reference loop peels the request of lowest fresh subset margin
+    (:meth:`InterferenceContext.margins` with ``subset=``; first
+    occurrence on ties) until the rest is feasible, then tries the
+    peeled requests again, last peeled first, keeping each one whose
+    trial set is feasible.  This is the **incremental** version of that
+    loop, decision for decision: per-candidate interference sums are
+    maintained under subtraction as requests are peeled, instead of the
+    loop's O(k²) block re-sum per round.  Most rounds are
     decided on a shortlist of the lowest margins for a few ``O(s)``
     array operations; a full ``O(k)`` margin scan runs only when a
     round's decision could involve a request outside the shortlist.
@@ -1078,14 +1032,10 @@ def peel_max_feasible_subset(
     never run, so an at-risk comparison inside such a trial (whose
     outcome is a rejection either way) is not counted.
 
-    Candidates must be integer request indices in ``[0, n)`` (any
-    integer or float dtype; booleans, fractional values and anything
-    outside the range raise ``ValueError``, see
-    :func:`repro.core.context.request_indices`).  Duplicate candidate
-    indices name two copies of one request, which the cached matrices'
-    zero diagonal cannot express; such calls fall back to the per-round
-    reference, recording a logged :class:`PeelFallbackInfo` (surfaced
-    in :class:`repro.api.Provenance.peel_fallbacks`).
+    Candidates must be distinct integer request indices in ``[0, n)``
+    (any integer or float dtype; booleans, fractional values, anything
+    outside the range and repeated indices raise ``ValueError``, see
+    :func:`repro.core.context.request_indices`).
     """
     if candidates is None:
         idx = np.arange(context.n)
@@ -1094,20 +1044,12 @@ def peel_max_feasible_subset(
     if idx.size == 0:
         return np.asarray([], dtype=int)
     if np.unique(idx).size != idx.size:
-        info = PeelFallbackInfo(
-            reasons=("duplicate_candidates",),
-            candidates=int(idx.size),
-            detail=(
-                f"peel_max_feasible_subset over {idx.size} candidates "
-                "falls back to the from-scratch subset path: duplicate "
-                "candidate indices name two copies of one request, which "
-                "the cached matrices' zero diagonal cannot express"
-            ),
-        )
-        _peel_fallbacks.append(info)
-        logger.warning(info.detail)
-        return context.greedy_max_feasible_subset(
-            candidates=idx, beta=beta, rtol=rtol
+        repeated = np.ones(idx.size, dtype=bool)
+        repeated[np.unique(idx, return_index=True)[1]] = False
+        position = int(np.argmax(repeated))
+        raise ValueError(
+            f"peel candidate {int(idx[position])} at position {position} "
+            "repeats an earlier candidate"
         )
     return _peel_incremental(context, idx, beta, rtol)
 
@@ -1248,9 +1190,9 @@ def _peel_incremental(
     def exact_margin(g: int, member_globals: np.ndarray) -> float:
         """Fresh margin of request *g* among *member_globals*, summed
         in the reference's membership order — the same contiguous value
-        sequence (hence the same bits)
-        :meth:`InterferenceContext.greedy_max_feasible_subset` reduces
-        for this row."""
+        sequence (hence the same bits) the reference loop's
+        :meth:`InterferenceContext.margins` call reduces for this
+        row."""
         interf = -np.inf
         for ep in endpoints:
             part = float(ep.row(g)[member_globals].sum())

@@ -158,8 +158,13 @@ def _exit_with_parent(parent_pid: int) -> None:
 
 
 def _init_worker(sys_path: List[str], parent_pid: int) -> None:
-    """Reproduce the parent's import path in spawned workers, and make
+    """Reproduce the parent's import path in pool workers, and make
     each worker exit once its parent dies.
+
+    The pool takes the platform's default start method: workers are
+    forked on Linux (inheriting the parent's modules and any active
+    ``config_scope``) and spawned elsewhere, where the path copy is
+    what lets them import the parent's modules.
 
     A killed orchestrator never shuts its pool down; its workers are
     re-parented (``os.getppid()`` changes), and a daemon thread watching

@@ -31,9 +31,10 @@ the all-ones vector as its unique optimum, taken in closed form.  The
 rest go to HiGHS through :func:`linprog`, which builds the model in one
 numpy pass and calls HiGHS's own binding, without scipy's ``linprog``
 wrapper (its per-call input checks, option manager and marginals); the
-solution is bitwise the wrapper's.  The
-repair (step 3) and thinning (step 4) passes run through
-:func:`greedy_max_feasible_subset`, on the incremental peel kernel
+solution is bitwise the wrapper's.  The repair (step 3) and thinning
+(step 4) passes run through
+:func:`repro.analysis.capacity.greedy_max_feasible_subset`, on the
+incremental peel kernel
 (:func:`repro.core.kernels.peel_max_feasible_subset`): maintained
 interference sums, most rounds decided on a shortlist of the lowest
 margins, hopeless re-adds rejected in one pass (tolerance-window

@@ -74,7 +74,6 @@ class TestSessionSchedule:
         assert prov.flip_risk_events == 0
         assert prov.certified is True  # dense, certifiable algorithm
         assert prov.peel_risk_events == 0  # first-fit never peels
-        assert prov.peel_fallbacks == ()
 
     def test_non_certifiable_algorithm_has_no_verdict(self, instance):
         result = Problem(instance).session().schedule("peeling")
@@ -88,7 +87,6 @@ class TestSessionSchedule:
         session = Problem(instance).session()
         first = session.schedule("peeling")
         assert first.provenance.peel_risk_events >= 0
-        assert first.provenance.peel_fallbacks == ()
         total = kernels.peel_risk_events()
         second = session.schedule("peeling")
         # Same instance, same peel: the per-run delta equals the first

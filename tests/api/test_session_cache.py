@@ -63,12 +63,14 @@ class TestEvictionVsLiveSessions:
         session = Problem(instance).session()
         context = session.context
         margins_before = context.margins()
+        margins_before_subset = context.margins(subset=[0, 3, 5])
         _churn_cache(5)
         # The pinned context object answers queries unchanged after its
         # cache slot was reused.
         np.testing.assert_array_equal(margins_before, context.margins())
-        acc = context.accumulator(members=[0])
-        assert len(acc) == 1
+        np.testing.assert_array_equal(
+            margins_before_subset, context.margins(subset=[0, 3, 5])
+        )
 
     def test_session_context_is_stable_across_calls(self):
         set_context_cache_limit(4)

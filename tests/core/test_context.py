@@ -2,11 +2,12 @@
 
 Context margins and the feasibility wrappers are checked against the
 independent SINR oracle (``tests/oracle.py``) to 1e-12 relative.  The
-hypothesis properties drive a :class:`ClassAccumulator` through random
-add/remove sequences and require agreement with the oracle's margins
-to 1e-9 relative (the accumulator sums incrementally) — including
-infinite-gain (shared-node) entries, which must survive removal
-exactly (no ``inf - inf`` debris).
+hypothesis properties drive one class of a
+:class:`~repro.core.kernels.ScheduleKernel` through random add/remove
+sequences and require agreement with the oracle's interference to 1e-9
+relative (the kernel sums incrementally) — including infinite-gain
+(shared-node) entries, which must survive removal exactly (no
+``inf - inf`` debris).
 """
 
 import numpy as np
@@ -30,6 +31,7 @@ from repro.core.feasibility import (
     sinr_margins,
 )
 from repro.core.instance import Direction, Instance
+from repro.core.kernels import ScheduleKernel
 from repro.geometry.line import LineMetric
 from repro.instances.random_instances import random_uniform_instance
 from repro.power.oblivious import SquareRootPower
@@ -342,147 +344,63 @@ class TestGreedyOnContext:
 
 
 # ----------------------------------------------------------------------
-# Property-based: ClassAccumulator vs the oracle
+# Property-based: one kernel class vs the oracle
 # ----------------------------------------------------------------------
 
 
-def _apply_ops(acc, ops):
-    """Replay an add/remove script; returns the final member list."""
+def _one_class(instance, powers, ops):
+    """A kernel with one class, fed an add/remove script (each op
+    toggles request ``op % n``); returns it and the final members."""
+    kernel = ScheduleKernel(get_context(instance, powers))
+    color = kernel.open_class()
     members = []
     for op in ops:
-        idx = op % acc.context.n
+        idx = op % instance.n
         if idx in members:
-            acc.remove(idx)
+            kernel.remove(idx)
             members.remove(idx)
         else:
-            acc.add(idx)
+            kernel.add(idx, color)
             members.append(idx)
-    return members
+    return kernel, members
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    name=st.sampled_from(sorted(POOL)),
-    ops=st.lists(st.integers(min_value=0, max_value=10**6), max_size=40),
-)
-def test_accumulator_matches_from_scratch_margins(name, ops):
+@pytest.mark.parametrize("name", sorted(POOL))
+@settings(max_examples=15, deadline=None)
+@given(ops=st.lists(st.integers(min_value=0, max_value=10**6), max_size=40))
+def test_kernel_class_matches_from_scratch_interference(name, ops):
+    """The class row answers, for members and outsiders alike, the
+    interference the current members induce — what an outsider would
+    suffer if it joined."""
     instance, powers = POOL[name], POWERS[name]
-    acc = get_context(instance, powers).accumulator()
-    members = _apply_ops(acc, ops)
-    assert sorted(members) == sorted(acc.members.tolist())
-    if not members:
-        assert acc.feasible()
-        return
-    expected = oracle_margins(instance, powers, subset=sorted(members))
-    # inf/0 entries (shared-node pairs) must match exactly; finite
-    # entries to 1e-9 relative.
-    assert_margins_match(acc.margins(), expected, 1e-9)
+    kernel, members = _one_class(instance, powers, ops)
+    assert np.flatnonzero(kernel.colors == 0).tolist() == sorted(members)
+    sinr = oracle.SINROracle(instance, powers)
+    got = np.array([kernel.class_interference(i)[0] for i in range(instance.n)])
+    expected = np.array([sinr.interference(i, members) for i in range(instance.n)])
+    # inf (shared-node pairs, exact after removals) and 0 (no
+    # contributor left) exactly; the incremental sums to 1e-9.
+    assert_margins_match(got, expected, 1e-9)
 
 
-@settings(max_examples=60, deadline=None)
+@pytest.mark.parametrize("name", sorted(POOL))
+@settings(max_examples=15, deadline=None)
 @given(
-    name=st.sampled_from(sorted(POOL)),
     ops=st.lists(st.integers(min_value=0, max_value=10**6), max_size=30),
     probe=st.integers(min_value=0, max_value=10**6),
 )
-def test_accumulator_interference_at_outsiders(name, ops, probe):
-    """The accumulator answers "what would request i suffer if it
-    joined?" for non-members too — checked against the oracle on
-    members + probe."""
+def test_kernel_admission_matches_oracle_feasibility(name, ops, probe):
+    """``admissible_targets`` admits an outsider exactly when the class
+    plus the outsider is feasible."""
     instance, powers = POOL[name], POWERS[name]
-    context = get_context(instance, powers)
-    acc = context.accumulator()
-    members = _apply_ops(acc, ops)
+    kernel, members = _one_class(instance, powers, ops)
     probe = probe % instance.n
     if probe in members:
         return
-    expected_probe = oracle.SINROracle(instance, powers).margin(
-        probe, members + [probe]
-    )
-    got_interf = acc.interference(np.asarray([probe]))[0]
-    signal = context.signals[probe]
-    if np.isinf(got_interf):
-        assert expected_probe == 0.0
-    elif got_interf == 0.0 and instance.noise == 0.0:
-        assert np.isinf(expected_probe)
-    else:
-        got_margin = signal / (instance.beta * (got_interf + instance.noise))
-        np.testing.assert_allclose(got_margin, expected_probe, rtol=1e-9)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    name=st.sampled_from(sorted(POOL)),
-    ops=st.lists(st.integers(min_value=0, max_value=10**6), max_size=30),
-)
-def test_accumulator_feasible_matches_is_feasible_subset(name, ops):
-    instance, powers = POOL[name], POWERS[name]
-    acc = get_context(instance, powers).accumulator()
-    members = _apply_ops(acc, ops)
-    margins = oracle.SINROracle(instance, powers).margins(members)
+    trial = members + [probe]
+    margins = oracle.SINROracle(instance, powers).margins(trial)
     threshold = 1.0 - oracle.RTOL
     if any(oracle.near(m, threshold) for m in margins):
-        return  # too close to call at the accumulator's 1e-9 agreement
-    assert acc.feasible() == all(m >= threshold for m in margins)
-
-
-class TestAccumulatorUnit:
-    def test_shared_node_add_remove_is_exact(self):
-        """inf contributions must vanish exactly on removal."""
-        instance = POOL["shared-bidir"]
-        context = get_context(instance, POWERS["shared-bidir"])
-        acc = context.accumulator()
-        acc.add(0)
-        baseline = acc.interference(np.arange(instance.n)).copy()
-        acc.add(1)  # shares a node with request 0
-        assert np.isinf(acc.interference(np.asarray([0]))[0])
-        acc.remove(1)
-        after = acc.interference(np.arange(instance.n))
-        # The inf bookkeeping is exact (counts, not arithmetic): no
-        # nan debris, and the inf/finite pattern is fully restored.
-        assert not np.any(np.isnan(after))
-        np.testing.assert_array_equal(np.isinf(after), np.isinf(baseline))
-        finite = np.isfinite(baseline)
-        np.testing.assert_allclose(
-            after[finite], baseline[finite], rtol=1e-12, atol=0.0
-        )
-
-    def test_can_add_agrees_with_commit(self):
-        instance, powers = POOL["bidir"], POWERS["bidir"]
-        context = get_context(instance, powers)
-        acc = context.accumulator()
-        for req in range(instance.n):
-            verdict = acc.can_add(req)
-            acc.add(req)
-            if verdict != acc.feasible():
-                # can_add may only disagree when the class was already
-                # infeasible before the candidate arrived.
-                acc.remove(req)
-                assert not acc.feasible()
-                acc.add(req)
-            if not acc.feasible():
-                acc.remove(req)
-
-    def test_bulk_init_equals_sequential(self):
-        instance, powers = POOL["shared-dir"], POWERS["shared-dir"]
-        context = get_context(instance, powers)
-        bulk = context.accumulator(members=[0, 2, 4])
-        seq = context.accumulator()
-        for req in (0, 2, 4):
-            seq.add(req)
-        np.testing.assert_array_equal(
-            bulk.interference(np.arange(instance.n)),
-            seq.interference(np.arange(instance.n)),
-        )
-        np.testing.assert_array_equal(bulk.member_mask, seq.member_mask)
-
-    def test_membership_errors(self):
-        context = get_context(POOL["bidir"], POWERS["bidir"])
-        acc = context.accumulator(members=[1])
-        with pytest.raises(ValueError):
-            acc.add(1)
-        with pytest.raises(ValueError):
-            acc.remove(2)
-        with pytest.raises(ValueError):
-            context.accumulator(members=[3, 3])
-        assert 1 in acc and 2 not in acc and len(acc) == 1
+        return  # too close to call at the kernel's 1e-9 agreement
+    verdict = bool(kernel.admissible_targets(probe)[0])
+    assert verdict == all(m >= threshold for m in margins)

@@ -23,6 +23,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.analysis.capacity import greedy_max_feasible_subset
 from repro.core.context import clear_context_cache, get_context
 from repro.core.gains import (
     BackendConfig,
@@ -185,8 +186,8 @@ class TestLosslessBitIdentity:
             ctx_dense.budget_slack(subset), ctx_sparse.budget_slack(subset)
         )
         np.testing.assert_array_equal(
-            ctx_dense.greedy_max_feasible_subset(),
-            ctx_sparse.greedy_max_feasible_subset(),
+            greedy_max_feasible_subset(instance, powers, context=ctx_dense),
+            greedy_max_feasible_subset(instance, powers, context=ctx_sparse),
         )
 
     def test_schedulers_match_dense_bitwise(self):

@@ -18,7 +18,7 @@ Three layers of guarantees:
   no decision of it is too close to call.
 * **Property tests** — random add/remove/move sequences keep the
   :class:`ScheduleKernel` state bitwise equal to one
-  :class:`ClassAccumulator` per class, and the copy-on-write
+  :class:`reference.ClassRows` per class, and the copy-on-write
   snapshot/restore is an exact rollback of every state array that
   refuses snapshots it can no longer honour.
 """
@@ -32,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+import reference
 from repro.analysis.capacity import greedy_max_feasible_subset
 from repro.api import Problem
 from repro.core.context import (
@@ -199,15 +200,6 @@ class TestKernelGoldenEquality:
             ),
         )
 
-    def test_peel_duplicate_candidates_defers_to_reference(self):
-        instance = GRID["euclid-bid-n8"]
-        powers = SquareRootPower()(instance)
-        context = get_context(instance, powers)
-        candidates = [0, 1, 1, 4]
-        kernel = peel_max_feasible_subset(context, candidates=candidates)
-        reference = context.greedy_max_feasible_subset(candidates=candidates)
-        np.testing.assert_array_equal(kernel, reference)
-
     def test_peel_empty_candidates(self):
         instance = GRID["euclid-bid-n8"]
         powers = SquareRootPower()(instance)
@@ -217,7 +209,7 @@ class TestKernelGoldenEquality:
 
 
 # ----------------------------------------------------------------------
-# Property tests: kernel state vs per-class accumulators
+# Property tests: kernel state vs per-class reference rows
 # ----------------------------------------------------------------------
 
 
@@ -230,7 +222,7 @@ class TestKernelStateProperties:
     )
     def test_random_ops_match_accumulators(self, seed, directed, shared):
         """A random add/remove sequence leaves the kernel rows bitwise
-        equal to per-class ClassAccumulators fed the same sequence."""
+        equal to per-class reference rows fed the same sequence."""
         rng = np.random.default_rng(seed)
         direction = Direction.DIRECTED if directed else Direction.BIDIRECTIONAL
         if shared:
@@ -241,14 +233,14 @@ class TestKernelStateProperties:
         clear_context_cache()
         context = get_context(instance, powers)
         kernel = ScheduleKernel(context)
-        accumulators = {}
+        classes = {}
         for _ in range(40):
             placed = np.flatnonzero(kernel.colors >= 0)
             if placed.size and rng.uniform() < 0.35:
                 request = int(rng.choice(placed))
                 color = int(kernel.colors[request])
                 kernel.remove(request)
-                accumulators[color].remove(request)
+                classes[color].remove(request)
             else:
                 unplaced = np.flatnonzero(kernel.colors < 0)
                 if unplaced.size == 0:
@@ -256,28 +248,28 @@ class TestKernelStateProperties:
                 request = int(rng.choice(unplaced))
                 if kernel.num_classes == 0 or rng.uniform() < 0.3:
                     color = kernel.open_class()
-                    accumulators[color] = context.accumulator()
+                    classes[color] = reference.ClassRows(context)
                 else:
                     color = int(rng.integers(kernel.num_classes))
                 kernel.add(request, color)
-                accumulators[color].add(request)
-            everyone = np.arange(instance.n)
-            for color, acc in accumulators.items():
-                np.testing.assert_array_equal(
-                    kernel._fin_u[color], acc._fin_u,
-                    err_msg=f"fin_u diverged for class {color}",
-                )
-                np.testing.assert_array_equal(
-                    kernel._ninf_u[color], acc._ninf_u
-                )
-                np.testing.assert_array_equal(
-                    kernel._npos_u[color], acc._npos_u
-                )
+                classes[color].add(request)
+            endpoints = [
+                (kernel._fin_u, kernel._ninf_u, kernel._npos_u),
+                (kernel._fin_v, kernel._ninf_v, kernel._npos_v),
+            ]
+            for color, rows in classes.items():
+                for e, (fin, ninf, npos) in enumerate(endpoints[: len(rows.fin)]):
+                    np.testing.assert_array_equal(
+                        fin[color], rows.fin[e],
+                        err_msg=f"fin diverged for class {color}, endpoint {e}",
+                    )
+                    np.testing.assert_array_equal(ninf[color], rows.ninf[e])
+                    np.testing.assert_array_equal(npos[color], rows.npos[e])
             # Resolved worst-endpoint interference agrees per request.
-            for request in everyone:
-                per_class = kernel.class_interference(int(request))
-                for color, acc in accumulators.items():
-                    assert per_class[color] == acc.interference([request])[0]
+            for request in range(instance.n):
+                per_class = kernel.class_interference(request)
+                for color, rows in classes.items():
+                    assert per_class[color] == rows.interference(request)
 
     @staticmethod
     def _state(kernel):
@@ -464,6 +456,22 @@ class TestKernelStateProperties:
         assert np.all(kernel._fin_u[color] == 0.0)
         assert np.all(kernel._ninf_u[color] == 0)
         assert np.all(kernel._npos_u[color] == 0)
+
+    def test_bulk_seed_equals_sequential_adds(self):
+        instance = _shared_node_instance(Direction.DIRECTED)
+        context = get_context(instance, np.ones(instance.n))
+        colors = np.array([0, -1, 0, 0])  # 2 and 3 share a node
+        bulk = ScheduleKernel.from_colors(context, colors)
+        seq = ScheduleKernel(context)
+        color = seq.open_class()
+        for request in (0, 2, 3):
+            seq.add(request, color)
+        np.testing.assert_array_equal(bulk.colors, seq.colors)
+        for request in range(instance.n):
+            np.testing.assert_array_equal(
+                bulk.class_interference(request),
+                seq.class_interference(request),
+            )
 
     def test_from_colors_matches_incremental_adds_membership(self):
         instance = random_uniform_instance(12, rng=5)

@@ -3,9 +3,9 @@
 Contracts under test (see :func:`repro.core.kernels.peel_max_feasible_subset`):
 
 * the incremental peel returns exactly the same subset as the plain
-  per-round reference
-  (:meth:`~repro.core.context.InterferenceContext.greedy_max_feasible_subset`)
-  and, on lossless backends, as the independent oracle's replay
+  per-round reference (:func:`reference.peel`, a loop over fresh
+  subset margins that shares no code with the kernel) and, on lossless
+  backends, as the independent oracle's replay
   (``tests/oracle.py``) whenever that replay is unambiguous — across
   directed and bidirectional instances, shared nodes (infinite gains),
   candidate subsets, beta overrides, and epsilon-pruned sparse
@@ -15,18 +15,13 @@ Contracts under test (see :func:`repro.core.kernels.peel_max_feasible_subset`):
   resolved exactly and counted as ``peel_risk_events``;
 * heap/argmin tie-breaking is deterministic (golden subset, stable
   across repeats);
-* duplicate candidates produce a structured, logged
-  :class:`~repro.core.kernels.PeelFallbackInfo` instead of a silent
-  fallback;
-* candidates must be integers: fractional values and boolean masks
-  are rejected, integral floats are accepted;
+* candidates must be distinct integers: repeated indices, fractional
+  values and boolean masks are rejected, integral floats are accepted;
 * the cases above also run well past the kernel's shortlist size, where
   rounds alternate between shortlist decisions and full rescans and
   the re-add prefilter rejects most dropped requests;
 * on a sparse backend the peel never gathers a dense ``(k, k)`` block.
 """
-
-import logging
 
 import numpy as np
 import pytest
@@ -34,14 +29,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+import reference
 from repro.analysis.capacity import greedy_max_feasible_subset
 from repro.core.context import clear_context_cache, get_context
 from repro.core import kernels
 from repro.core.gains import build_backend, config_scope, default_config
 from repro.core.instance import Direction, Instance
 from repro.core.kernels import (
-    PeelFallbackInfo,
-    peel_fallback_records,
     peel_max_feasible_subset,
     peel_risk_events,
     reset_peel_events,
@@ -132,10 +126,8 @@ def _both_ways(context, candidates=None, beta=None, replay=True):
     incremental = peel_max_feasible_subset(
         context, candidates=candidates, beta=beta
     )
-    reference = context.greedy_max_feasible_subset(
-        candidates=candidates, beta=beta
-    )
-    np.testing.assert_array_equal(incremental, reference)
+    expected = reference.peel(context, candidates=candidates, beta=beta)
+    np.testing.assert_array_equal(incremental, expected)
     if replay and context.config.pruning_epsilon == 0.0:
         replay = oracle.peel(
             context.instance, context.powers, candidates=candidates, beta=beta
@@ -363,47 +355,18 @@ class TestRiskEventsAndDeterminism:
         assert peel_risk_events() > 0
         reset_peel_events()
         assert peel_risk_events() == 0
-        assert peel_fallback_records() == ()
-
-
-class TestDuplicateFallback:
-    def test_structured_record_and_log(self, caplog):
-        inst = random_uniform_instance(6, rng=5)
-        ctx = get_context(inst, SquareRootPower()(inst))
-        with caplog.at_level(logging.WARNING, logger="repro.core.kernels"):
-            result = peel_max_feasible_subset(
-                ctx, candidates=[0, 1, 1, 3, 4]
-            )
-        records = peel_fallback_records()
-        assert len(records) == 1
-        info = records[0]
-        assert isinstance(info, PeelFallbackInfo)
-        assert info.reasons == ("duplicate_candidates",)
-        assert info.candidates == 5
-        assert info.detail in caplog.text
-        expected = ctx.greedy_max_feasible_subset(
-            candidates=[0, 1, 1, 3, 4]
-        )
-        np.testing.assert_array_equal(result, expected)
-
-    def test_unique_candidates_record_nothing(self):
-        inst = random_uniform_instance(6, rng=5)
-        ctx = get_context(inst, SquareRootPower()(inst))
-        peel_max_feasible_subset(ctx, candidates=[0, 1, 3, 4])
-        assert peel_fallback_records() == ()
 
 
 class TestCandidateRange:
     @pytest.mark.parametrize("j", range(12))
     def test_negative_alias_rejected(self, j):
         """Regression: ``j - n`` used to wrap to request ``j``, so the
-        peel counted one request twice without a fallback record."""
+        peel counted one request twice."""
         inst = random_uniform_instance(12, rng=0)
         powers = SquareRootPower()(inst)
         candidates = list(range(12)) + [j - 12]
         with pytest.raises(ValueError, match=f"candidate {j - 12} at position 12"):
             greedy_max_feasible_subset(inst, powers, candidates=candidates)
-        assert peel_fallback_records() == ()
 
     @pytest.mark.parametrize(
         "candidates, message",
@@ -414,26 +377,29 @@ class TestCandidateRange:
             ([0, 1, None], "candidate None at position 2 is not an integer"),
             ([True, False, True], "candidate True at position 0 is not an integer"),
             (np.ones(6, dtype=bool), "candidate True at position 0"),
+            ([0, 1, 1, 3, 4], "candidate 1 at position 2 repeats an earlier"),
         ],
     )
     def test_non_integer_candidates_rejected(self, candidates, message):
         """Regression: fractional candidates were truncated (0.9, 1.5,
-        2.2 peeled requests 0, 1, 2) and a boolean mask was read as
-        indices 1/0/1, taking the duplicate fallback."""
+        2.2 peeled requests 0, 1, 2), a boolean mask was read as
+        indices 1/0/1, and repeated indices, which name two copies of
+        one request, were peeled by a separate from-scratch path."""
         inst = random_uniform_instance(6, rng=1)
-        ctx = get_context(inst, SquareRootPower()(inst))
+        powers = SquareRootPower()(inst)
+        ctx = get_context(inst, powers)
         with pytest.raises(ValueError, match=message):
             peel_max_feasible_subset(ctx, candidates=candidates)
         with pytest.raises(ValueError, match=message):
-            ctx.greedy_max_feasible_subset(candidates=candidates)
-        assert peel_fallback_records() == ()
+            greedy_max_feasible_subset(inst, powers, candidates=candidates)
 
     @pytest.mark.parametrize(
         "dtype", [np.int8, np.uint16, np.int64, np.float32, np.float64]
     )
     def test_integral_candidates_of_any_dtype(self, dtype):
         inst = random_uniform_instance(20, rng=3)
-        ctx = get_context(inst, SquareRootPower()(inst))
+        powers = SquareRootPower()(inst)
+        ctx = get_context(inst, powers)
         candidates = [19, 4, 0, 7, 11, 12, 3]
         expected = _both_ways(ctx, candidates=candidates, beta=3.0)
         as_dtype = np.asarray(candidates, dtype=dtype)
@@ -442,15 +408,17 @@ class TestCandidateRange:
             expected,
         )
         np.testing.assert_array_equal(
-            ctx.greedy_max_feasible_subset(candidates=as_dtype, beta=3.0),
+            greedy_max_feasible_subset(
+                inst, powers, candidates=as_dtype, beta=3.0, context=ctx
+            ),
             expected,
         )
 
-    def test_reference_rejects_negative_alias(self):
+    def test_kernel_rejects_negative_alias(self):
         inst = random_uniform_instance(6, rng=1)
         ctx = get_context(inst, SquareRootPower()(inst))
         with pytest.raises(ValueError, match=r"candidate -1 at position 2"):
-            ctx.greedy_max_feasible_subset(candidates=[0, 1, -1])
+            peel_max_feasible_subset(ctx, candidates=[0, 1, -1])
 
     def test_index_past_end_rejected(self):
         inst = random_uniform_instance(6, rng=1)
@@ -531,6 +499,4 @@ class TestSparseNeverDensifies:
         assert max(folds) >= 2  # deferred shortlist victims folded
         assert len(prefilter) == 1 and prefilter[0][0] > 0
         monkeypatch.undo()
-        np.testing.assert_array_equal(
-            result, ctx.greedy_max_feasible_subset()
-        )
+        np.testing.assert_array_equal(result, reference.peel(ctx))

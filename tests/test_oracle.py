@@ -2,7 +2,8 @@
 
 Closed-form two-link instances pin its SINR arithmetic by hand, and an
 AST check keeps it independent of the library code it is the reference
-for.
+for.  The same check keeps the kernel reference (``tests/reference.py``)
+off the kernels it checks.
 """
 
 import ast
@@ -24,6 +25,14 @@ FORBIDDEN = (
     "repro.core.gains",
     "repro.core.interference",
     "repro.core.feasibility",
+    "repro.analysis",
+    "repro.scheduling",
+)
+
+#: Modules the kernel test reference (``tests/reference.py``) must not
+#: import: the kernels it checks and everything built on them.
+REFERENCE_FORBIDDEN = (
+    "repro.core.kernels",
     "repro.analysis",
     "repro.scheduling",
 )
@@ -139,8 +148,9 @@ class TestAmbiguity:
         assert not oracle.near(math.inf, math.inf)
 
 
-def test_oracle_imports_nothing_under_test():
-    tree = ast.parse((Path(__file__).parent / "oracle.py").read_text())
+def _imports(module_file):
+    """Every module name (and ``module.name``) *module_file* imports."""
+    tree = ast.parse((Path(__file__).parent / module_file).read_text())
     imported = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -148,6 +158,23 @@ def test_oracle_imports_nothing_under_test():
         elif isinstance(node, ast.ImportFrom):
             imported.append(node.module)
             imported += [f"{node.module}.{alias.name}" for alias in node.names]
+    return imported
+
+
+def test_oracle_imports_nothing_under_test():
+    imported = _imports("oracle.py")
     assert "repro" not in imported
     for name in imported:
         assert not name.startswith(FORBIDDEN), f"oracle imports {name}"
+
+
+def test_reference_imports_no_kernel():
+    """``tests/reference.py`` reads only context margins and backend
+    columns: it must not route through the kernels it is the reference
+    for, nor through the layers built on them."""
+    imported = _imports("reference.py")
+    assert "repro" not in imported
+    for name in imported:
+        assert not name.startswith(REFERENCE_FORBIDDEN), (
+            f"reference imports {name}"
+        )

@@ -37,6 +37,24 @@ class TestPublicSurface:
         assert not hasattr(repro, "ReproDeprecationWarning")
         assert not hasattr(repro, "RequestHandles")
 
+    def test_test_only_references_are_gone(self):
+        """The per-round peel, the one-class accumulator and the peel
+        fallback records were references for the tests only; the tests
+        keep their own copies (``tests/reference.py``)."""
+        import repro.api
+        import repro.core
+        import repro.core.kernels
+
+        assert not hasattr(repro, "ClassAccumulator")
+        assert not hasattr(repro.core, "ClassAccumulator")
+        assert not hasattr(repro.InterferenceContext, "accumulator")
+        assert not hasattr(
+            repro.InterferenceContext, "greedy_max_feasible_subset"
+        )
+        for name in ("PeelFallbackInfo", "peel_fallback_records"):
+            assert not hasattr(repro.core.kernels, name)
+        assert "peel_fallbacks" not in repro.api.Provenance.__dataclass_fields__
+
     def test_registry_surface(self):
         names = repro.run_algorithm.__module__  # exported callables exist
         assert names == "repro.scheduling.registry"
