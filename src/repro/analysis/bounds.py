@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.analysis.power_control import free_power_spectral_radius
+from repro.analysis.power_control import _power_control_matrices
 from repro.core.instance import Instance
 
 if TYPE_CHECKING:
@@ -37,15 +37,19 @@ def node_multiplicity_lower_bound(instance: Instance) -> int:
 
 def conflict_graph(instance: Instance, beta: Optional[float] = None) -> nx.Graph:
     """Graph on requests with an edge where *no* power assignment lets
-    the two requests share a color."""
+    the two requests share a color: the pair's growth factor
+    ``sqrt(A[i, j] * A[j, i])`` (``A`` the entrywise max of the power
+    control matrices) is at least 1, or an entry is infinite."""
     import networkx as nx
+    beta = instance.beta if beta is None else float(beta)
+    matrix = np.maximum.reduce(_power_control_matrices(instance, np.arange(instance.n), beta))
+    infinite = np.isinf(matrix)
+    with np.errstate(invalid="ignore", over="ignore"):
+        conflict = infinite | infinite.T | (np.sqrt(matrix * matrix.T) >= 1.0)
+    rows, cols = np.nonzero(np.triu(conflict, k=1))
     graph = nx.Graph()
     graph.add_nodes_from(range(instance.n))
-    for i in range(instance.n):
-        for j in range(i + 1, instance.n):
-            rho = free_power_spectral_radius(instance, [i, j], beta=beta)
-            if not rho < 1.0:
-                graph.add_edge(i, j)
+    graph.add_edges_from(zip(rows.tolist(), cols.tolist()))
     return graph
 
 

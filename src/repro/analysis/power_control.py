@@ -22,6 +22,12 @@ under *some* power vector is classic power-control theory
 
 Infinite entries (pairs sharing a node) make the set infeasible for
 every power assignment and are reported as ``rho = inf``.
+
+Each call builds only its subset's ``k x k`` blocks, from
+``Metric.loss_block`` tiles whose entries are bitwise the full loss
+matrix's.  A two-request map has a zero diagonal, so its growth factor
+is ``sqrt(A[i, j] * A[j, i])`` with ``A = B`` or ``max(B_u, B_v)``:
+:func:`repro.analysis.bounds.conflict_graph` tests all pairs that way.
 """
 
 from __future__ import annotations
@@ -30,70 +36,56 @@ from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.context import request_indices
 from repro.core.errors import InfeasibleError
 from repro.core.instance import Direction, Instance
 
 
-def _directed_matrix(instance: Instance, beta: float) -> np.ndarray:
-    """The directed power-control matrix ``B`` for the full instance."""
-    metric, alpha = instance.metric, instance.alpha
-    # cross[i, j] = l(u_j, v_i)
-    cross = metric.loss_block(instance.receivers, instance.senders, alpha)
-    with np.errstate(divide="ignore"):
-        inv = np.where(cross > 0, 1.0 / cross, np.inf)
-    matrix = beta * instance.link_losses[:, None] * inv
-    np.fill_diagonal(matrix, 0.0)
-    return matrix
+def _subset(instance: Instance, subset: Optional[Sequence[int]]) -> np.ndarray:
+    """*subset* as distinct request indices (all requests by default)."""
+    if subset is None:
+        return np.arange(instance.n)
+    return request_indices(subset, instance.n, "subset index")
 
 
-def _bidirectional_matrices(instance: Instance, beta: float) -> Tuple[np.ndarray, np.ndarray]:
-    """The two endpoint matrices ``B_u`` and ``B_v`` (rows scaled by
-    ``beta * l_i``)."""
+def _power_control_matrices(
+    instance: Instance, idx: np.ndarray, beta: float
+) -> Tuple[np.ndarray, ...]:
+    """``(B,)`` on a directed instance, the endpoint matrices
+    ``(B_u, B_v)`` on a bidirectional one, on the requests *idx* only."""
     metric, alpha = instance.metric, instance.alpha
-    s, r = instance.senders, instance.receivers
-    min_at_u = np.minimum(metric.loss_block(s, s, alpha), metric.loss_block(s, r, alpha))
-    min_at_v = np.minimum(metric.loss_block(r, s, alpha), metric.loss_block(r, r, alpha))
-    with np.errstate(divide="ignore"):
-        inv_u = np.where(min_at_u > 0, 1.0 / min_at_u, np.inf)
-        inv_v = np.where(min_at_v > 0, 1.0 / min_at_v, np.inf)
-    matrix_u = beta * instance.link_losses[:, None] * inv_u
-    matrix_v = beta * instance.link_losses[:, None] * inv_v
-    np.fill_diagonal(matrix_u, 0.0)
-    np.fill_diagonal(matrix_v, 0.0)
-    return matrix_u, matrix_v
+    s, r = instance.senders[idx], instance.receivers[idx]
+    if instance.direction is Direction.DIRECTED:
+        losses = [metric.loss_block(r, s, alpha)]  # l(u_j, v_i)
+    else:
+        losses = [
+            np.minimum(metric.loss_block(s, s, alpha), metric.loss_block(s, r, alpha)),
+            np.minimum(metric.loss_block(r, s, alpha), metric.loss_block(r, r, alpha)),
+        ]
+    scale = beta * instance.link_losses[idx][:, None]
+    matrices = []
+    for loss in losses:
+        with np.errstate(divide="ignore"):
+            matrix = scale * np.where(loss > 0, 1.0 / loss, np.inf)
+        np.fill_diagonal(matrix, 0.0)
+        matrices.append(matrix)
+    return tuple(matrices)
 
 
 def _constraint_map(
-    instance: Instance, subset: Optional[Sequence[int]], beta: Optional[float]
+    instance: Instance, idx: np.ndarray, beta: Optional[float]
 ) -> Tuple[Callable[[np.ndarray], np.ndarray], int, bool]:
     """Build the monotone homogeneous constraint map ``T`` restricted to
-    *subset*; returns ``(T, size, has_infinite_entry)``."""
+    the requests *idx*; returns ``(T, size, has_infinite_entry)``."""
     beta = instance.beta if beta is None else float(beta)
-    if subset is None:
-        idx = np.arange(instance.n)
-    else:
-        idx = np.asarray(subset, dtype=int)
-    if instance.direction is Direction.DIRECTED:
-        matrix = _directed_matrix(instance, beta)[np.ix_(idx, idx)]
-        has_inf = bool(np.any(np.isinf(matrix)))
-        finite = np.where(np.isinf(matrix), 0.0, matrix)
-
-        def apply_map(p: np.ndarray) -> np.ndarray:
-            return finite @ p
-
-        return apply_map, idx.size, has_inf
-
-    matrix_u, matrix_v = _bidirectional_matrices(instance, beta)
-    matrix_u = matrix_u[np.ix_(idx, idx)]
-    matrix_v = matrix_v[np.ix_(idx, idx)]
-    has_inf = bool(np.any(np.isinf(matrix_u)) or np.any(np.isinf(matrix_v)))
-    finite_u = np.where(np.isinf(matrix_u), 0.0, matrix_u)
-    finite_v = np.where(np.isinf(matrix_v), 0.0, matrix_v)
-
-    def apply_map(p: np.ndarray) -> np.ndarray:
-        return np.maximum(finite_u @ p, finite_v @ p)
-
-    return apply_map, idx.size, has_inf
+    matrices = _power_control_matrices(instance, idx, beta)
+    has_inf = any(bool(np.any(np.isinf(m))) for m in matrices)
+    finite = [np.where(np.isinf(m), 0.0, m) for m in matrices]
+    if len(finite) == 1:
+        (matrix,) = finite
+        return (lambda p: matrix @ p), idx.size, has_inf
+    finite_u, finite_v = finite
+    return (lambda p: np.maximum(finite_u @ p, finite_v @ p)), idx.size, has_inf
 
 
 def free_power_spectral_radius(
@@ -109,36 +101,41 @@ def free_power_spectral_radius(
     color; ``inf`` means two requests share a node.  Computed by power
     iteration (exact spectral radius in the directed/linear case, the
     Collatz-Wielandt number in the bidirectional case).
+
+    *subset* holds distinct request indices (see
+    :func:`repro.core.context.request_indices`); anything else raises
+    ``ValueError``.
     """
+    idx = _subset(instance, subset)
     if instance.direction is Direction.DIRECTED:
         # The directed constraint map is linear: compute the spectral
         # radius exactly from the eigenvalues.
-        beta_val = instance.beta if beta is None else float(beta)
-        idx = np.arange(instance.n) if subset is None else np.asarray(subset, int)
         if idx.size <= 1:
             return 0.0
-        matrix = _directed_matrix(instance, beta_val)[np.ix_(idx, idx)]
+        beta_val = instance.beta if beta is None else float(beta)
+        (matrix,) = _power_control_matrices(instance, idx, beta_val)
         if np.any(np.isinf(matrix)):
             return float("inf")
         return float(np.max(np.abs(np.linalg.eigvals(matrix))))
 
     # The returned value is the last (sound) Collatz-Wielandt upper bound.
     upper = np.inf
-    for _, upper in _growth_bounds(instance, subset, beta, iterations, tol):
+    for _, upper in _growth_bounds(instance, idx, beta, iterations, tol):
         pass
     return max(0.0, upper)
 
 
 def _growth_bounds(
     instance: Instance,
-    subset: Optional[Sequence[int]],
+    idx: np.ndarray,
     beta: Optional[float],
     iterations: int = 200,
     tol: float = 1e-10,
 ) -> Iterator[Tuple[float, float]]:
     """Yield Collatz-Wielandt bounds ``(lower, upper)`` on the growth
-    factor of the bidirectional constraint map, one pair per power
-    iteration step; the last pair is the converged one.
+    factor of the bidirectional constraint map on the requests *idx*,
+    one pair per power iteration step; the last pair is the converged
+    one.
 
     Power-iterates the damped map S(v) = T(v) + v, whose growth factor
     is rho(T) + 1.  The identity term keeps the iterate strictly
@@ -149,7 +146,7 @@ def _growth_bounds(
     monotone and homogeneous, so ``upper`` never rises and ``lower``
     never falls from one step to the next.
     """
-    apply_map, size, has_inf = _constraint_map(instance, subset, beta)
+    apply_map, size, has_inf = _constraint_map(instance, idx, beta)
     if has_inf:
         yield float("inf"), float("inf")
         return
@@ -160,12 +157,12 @@ def _growth_bounds(
     for _ in range(iterations):
         image = apply_map(vector) + vector
         ratios = image / vector
-        upper = float(np.max(ratios)) - 1.0
-        lower = float(np.min(ratios)) - 1.0
+        upper = float(ratios.max()) - 1.0
+        lower = float(ratios.min()) - 1.0
         yield lower, upper
         if upper - lower <= tol * max(1.0, upper):
             return
-        vector = image / float(np.max(image))
+        vector = image / float(image.max())
 
 
 def free_power_feasible(
@@ -182,10 +179,11 @@ def free_power_feasible(
     value falls on.
     """
     threshold = 1.0 - margin
+    idx = _subset(instance, subset)
     if instance.direction is Direction.DIRECTED:
-        return free_power_spectral_radius(instance, subset, beta) < threshold
+        return free_power_spectral_radius(instance, idx, beta) < threshold
     upper = np.inf
-    for lower, upper in _growth_bounds(instance, subset, beta):
+    for lower, upper in _growth_bounds(instance, idx, beta):
         if max(0.0, upper) < threshold:
             return True
         if lower >= threshold:
@@ -207,8 +205,9 @@ def free_powers(
     iteration from ``p = 1``; the result then satisfies
     ``p >= (1 + slack) * T(p)``, i.e. every SINR margin is at least
     ``1 + slack`` — robust against the additive constant vanishing in
-    floating point when the growth factor is close to one.  If the
-    slacked map is supercritical, the slack is halved until it fits.
+    floating point when the growth factor is close to one.  The slack
+    is capped at half the gap ``1/rho - 1``, so the slacked map stays
+    subcritical.
 
     Raises
     ------
@@ -216,7 +215,8 @@ def free_powers(
         If no power assignment makes the subset simultaneously
         schedulable.
     """
-    radius = free_power_spectral_radius(instance, subset, beta)
+    idx = _subset(instance, subset)
+    radius = free_power_spectral_radius(instance, idx, beta)
     if not radius < 1.0:
         raise InfeasibleError(
             f"subset is infeasible for every power assignment (rho={radius:g})"
@@ -224,12 +224,14 @@ def free_powers(
     if radius > 0:
         slack = min(slack, 0.5 * (1.0 / radius - 1.0))
     slack = max(slack, 0.0)
-    apply_map, size, _ = _constraint_map(instance, subset, beta)
+    apply_map, size, _ = _constraint_map(instance, idx, beta)
     factor = 1.0 + slack
     p = np.ones(size)
+    # Up to 10^4 steps per class: array-method reductions reduce as
+    # np.max does, without its per-call Python dispatch.
     for _ in range(iterations):
         new_p = factor * apply_map(p) + 1.0
-        if np.max(np.abs(new_p - p)) <= tol * np.max(new_p):
+        if abs(new_p - p).max() <= tol * new_p.max():
             p = new_p
             break
         p = new_p

@@ -119,9 +119,10 @@ def _integral(value) -> bool:
 
 
 def request_indices(values, n: int, label: str) -> np.ndarray:
-    """*values* as a 1-D int array of request indices, or ``ValueError``
-    naming the first entry (as ``"{label} {value} at position {p}"``)
-    that is not an integer in ``[0, n)``.
+    """*values* as a 1-D int array of distinct request indices, or
+    ``ValueError`` naming the first entry (as ``"{label} {value} at
+    position {p}"``) that is not an integer in ``[0, n)`` or repeats an
+    earlier entry.
 
     Integral values of any integer or float dtype pass.  Fractional and
     non-finite values are rejected instead of truncated, and a boolean
@@ -151,6 +152,15 @@ def request_indices(values, n: int, label: str) -> np.ndarray:
         raise ValueError(
             f"{label} {int(idx[position])} at position {position} is not "
             f"a request index in [0, {n})"
+        )
+    first = np.unique(idx, return_index=True)[1]
+    if first.size != idx.size:
+        repeated = np.ones(idx.size, dtype=bool)
+        repeated[first] = False
+        position = int(np.argmax(repeated))
+        raise ValueError(
+            f"{label} {int(idx[position])} at position {position} "
+            "repeats an earlier entry"
         )
     return idx
 

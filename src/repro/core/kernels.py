@@ -883,14 +883,6 @@ def check_order(order: Sequence[int], n: int) -> np.ndarray:
     """*order* as an index array, or ``ValueError`` naming the first
     entry that keeps it from being a permutation of ``range(n)``."""
     order = request_indices(order, n, "order entry")
-    repeated = np.ones(order.size, dtype=bool)
-    repeated[np.unique(order, return_index=True)[1]] = False
-    if np.any(repeated):
-        position = int(np.argmax(repeated))
-        raise ValueError(
-            f"order repeats request {int(order[position])} at position "
-            f"{position}"
-        )
     if order.size != n:
         missing = np.setdiff1d(np.arange(n), order)
         raise ValueError(
@@ -1043,14 +1035,6 @@ def peel_max_feasible_subset(
         idx = request_indices(candidates, context.n, "peel candidate")
     if idx.size == 0:
         return np.asarray([], dtype=int)
-    if np.unique(idx).size != idx.size:
-        repeated = np.ones(idx.size, dtype=bool)
-        repeated[np.unique(idx, return_index=True)[1]] = False
-        position = int(np.argmax(repeated))
-        raise ValueError(
-            f"peel candidate {int(idx[position])} at position {position} "
-            "repeats an earlier candidate"
-        )
     return _peel_incremental(context, idx, beta, rtol)
 
 

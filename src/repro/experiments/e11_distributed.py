@@ -13,10 +13,12 @@ against centralized first-fit: colors actually used, total protocol
 slots (idle/collision slots included — the distributed cost), and
 attempts per success.
 
-``executor="process"`` (the ``full`` spec mode) runs the protocol on
-real OS processes; ``"serial"`` (the default, and the ``fast`` mode)
-runs the same message schedule in-process — outputs are bit-identical
-for a given ``(seed, workers)`` by the executor determinism contract.
+``executor="serial"`` (the default, and both spec modes) runs the
+message schedule in-process; ``"process"`` stages the same schedule on
+real OS processes.  Outputs are bit-identical for a given ``(seed,
+workers)`` by the executor determinism contract; CI's "E11 executor
+contract" step checks that at the full spec's sizes, so the paper
+table need not pay for process start-up.
 """
 
 from __future__ import annotations
@@ -104,8 +106,8 @@ SPEC = ExperimentSpec(
     id="e11",
     title="Distributed protocol vs centralized",
     runner="repro.experiments.e11_distributed:run_distributed",
-    full={"n_values": (10, 20, 40), "trials": 2, "executor": "process"},
-    fast={"n_values": (8,), "trials": 1, "executor": "serial"},
+    full={"n_values": (10, 20, 40), "trials": 2},
+    fast={"n_values": (8,), "trials": 1},
     seed=61,
     shard_by="n_values",
     metric="distributed_overhead",

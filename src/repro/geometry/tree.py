@@ -89,23 +89,17 @@ class TreeMetric(Metric):
         node = check_index(node, self._n, "node")
         return len(self._adjacency[node])
 
-    def _distances_from(self, source: int) -> np.ndarray:
-        dist = np.full(self._n, np.inf)
-        dist[source] = 0.0
-        stack = [source]
-        while stack:
-            node = stack.pop()
-            for neighbor, weight in self._adjacency[node]:
-                if np.isinf(dist[neighbor]):
-                    dist[neighbor] = dist[node] + weight
-                    stack.append(neighbor)
-        return dist
-
     def _compute_matrix(self) -> np.ndarray:
-        matrix = np.empty((self._n, self._n))
-        for source in range(self._n):
-            matrix[source] = self._distances_from(source)
-        return matrix
+        # A tree path is unique, so Dijkstra sets each distance once,
+        # as the parent's distance plus the edge weight: path sums
+        # accumulated from the source outward.
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import dijkstra
+
+        edges = np.asarray(self._edges, dtype=float).reshape(-1, 3)
+        ends = edges[:, :2].astype(int)
+        graph = csr_matrix((edges[:, 2], (ends[:, 0], ends[:, 1])), shape=(self._n, self._n))
+        return dijkstra(graph, directed=False)
 
     def subtree_nodes_after_removal(self, center: int) -> List[List[int]]:
         """Connected components of the forest obtained by deleting *center*.

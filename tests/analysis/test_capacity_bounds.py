@@ -10,6 +10,7 @@ from repro.analysis.bounds import (
     opt_color_lower_bound,
 )
 from repro.analysis.capacity import greedy_max_feasible_subset, one_shot_capacity
+from repro.analysis.power_control import free_power_spectral_radius
 from repro.analysis.measures import in_interference_measure
 from repro.analysis.verify import verify_schedule
 from repro.core.feasibility import is_feasible_subset
@@ -18,6 +19,7 @@ from repro.core.schedule import Schedule
 from repro.geometry.line import LineMetric
 from repro.instances.nested import nested_instance
 from repro.power.oblivious import SquareRootPower, UniformPower
+from test_conformance import GRID
 
 
 class TestGreedyMaxFeasibleSubset:
@@ -74,6 +76,41 @@ class TestLowerBounds:
         inst = Instance.bidirectional(metric, [(0, 1), (1, 2)])
         graph = conflict_graph(inst)
         assert graph.has_edge(0, 1)
+
+    @pytest.mark.parametrize("name", sorted(GRID))
+    def test_conflict_graph_matches_pairwise_radius(self, name):
+        """The closed-form pair test decides every pair as the per-pair
+        growth factor does (pairs within 1e-9 of the threshold, where
+        the eigenvalue or power-iteration value and the closed form may
+        round apart, are skipped; tree metrics put many pairs exactly
+        at 1)."""
+        inst = GRID[name]
+        graph = conflict_graph(inst)
+        assert list(graph.nodes) == list(range(inst.n))
+        for i in range(inst.n):
+            for j in range(i + 1, inst.n):
+                rho = free_power_spectral_radius(inst, [i, j])
+                if abs(rho - 1.0) <= 1e-9:
+                    continue
+                assert graph.has_edge(i, j) == (not rho < 1.0), (i, j, rho)
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_shared_node_pairs_are_edges(self, direction):
+        # A chain of ever longer requests, each sender the previous
+        # request's receiver (a zero loss on both directions' matrices),
+        # at a beta that leaves every finite entry tiny.
+        metric = LineMetric([0.0, 1.0, 1000.0, 2000.0, 1e6])
+        inst = Instance(metric, [0, 1, 2, 3], [1, 2, 3, 4], direction=direction)
+        edges = set(conflict_graph(inst, beta=1e-9).edges)
+        shared = {
+            (i, j)
+            for i in range(inst.n)
+            for j in range(i + 1, inst.n)
+            if {int(inst.senders[i]), int(inst.receivers[i])}
+            & {int(inst.senders[j]), int(inst.receivers[j])}
+        }
+        assert shared == {(0, 1), (1, 2), (2, 3)}
+        assert edges == shared
 
     def test_clique_bound_on_pairwise_conflicting(self):
         # Interleaved long links on the line: every sender is closer to

@@ -151,3 +151,96 @@ class TestFreePowers:
         powers = free_powers(two_link_instance, subset=[1])
         assert powers.shape == (1,)
         assert powers[0] > 0
+
+
+def _probe_instances():
+    """A directed and a bidirectional instance of each kind: random
+    Euclidean, random tree, and a chain whose requests share nodes."""
+    from repro.instances.random_instances import (
+        random_tree_metric_instance,
+        random_uniform_instance,
+    )
+
+    chain = LineMetric([0.0, 1.0, 2.5, 4.5, 7.0])
+    cases = {}
+    for direction in (Direction.DIRECTED, Direction.BIDIRECTIONAL):
+        tag = direction.value[:3]
+        cases[f"euclid-{tag}"] = random_uniform_instance(12, rng=5, direction=direction)
+        cases[f"tree-{tag}"] = random_tree_metric_instance(12, rng=6, direction=direction)
+        cases[f"shared-{tag}"] = Instance(
+            chain, [0, 1, 2, 3], [1, 2, 3, 4], direction=direction
+        )
+    return cases
+
+
+PROBES = _probe_instances()
+
+
+class TestSubsetBuild:
+    """Each call builds only its subset's block; it must equal the full
+    instance's matrices sliced to the subset, bit for bit."""
+
+    @staticmethod
+    def _subsets(n):
+        rng = np.random.default_rng(n)
+        return [
+            np.arange(n),
+            np.arange(n)[::-1],
+            rng.permutation(n)[: n // 2],
+            np.array([n - 1, 0]),
+            np.array([1]),
+            np.array([], dtype=int),
+        ]
+
+    @pytest.mark.parametrize("name", sorted(PROBES))
+    def test_block_equals_sliced_full_matrix(self, name):
+        from repro.analysis.power_control import _power_control_matrices
+        from reference import power_control_matrices
+
+        inst = PROBES[name]
+        for idx in self._subsets(inst.n):
+            for beta in (1.0, 0.37):
+                got = _power_control_matrices(inst, idx, beta)
+                want = power_control_matrices(inst, idx, beta)
+                assert len(got) == len(want) == (1 if "dir" in name else 2)
+                for a, b in zip(got, want):
+                    assert a.shape == (idx.size, idx.size)
+                    np.testing.assert_array_equal(a, b)
+
+    def test_shared_node_subsets_are_infinite(self):
+        for direction in ("shared-dir", "shared-bid"):
+            inst = PROBES[direction]
+            assert free_power_spectral_radius(inst, [2, 1]) == np.inf
+            assert not free_power_feasible(inst, [3, 0, 2])
+
+
+class TestSubsetValidation:
+    """Subsets are distinct request indices in ``[0, n)``; anything
+    else raises instead of being wrapped, truncated or double-counted."""
+
+    CALLS = (free_power_spectral_radius, free_power_feasible, free_powers)
+
+    @pytest.mark.parametrize("name", ["euclid-dir", "euclid-bid"])
+    @pytest.mark.parametrize(
+        "subset, message",
+        [
+            ([-1, 0], "subset index -1 at position 0 is not a request index"),
+            ([0.7, 2], "subset index 0.7 at position 0 is not an integer"),
+            ([2, 2], "subset index 2 at position 1 repeats an earlier"),
+            ([0, 3, 1, 3], "subset index 3 at position 3 repeats an earlier"),
+            ([0, 12], "subset index 12 at position 1 is not a request index"),
+            ([True, False], "is not an integer"),
+        ],
+        ids=["negative", "fractional", "repeat", "later-repeat", "too-large", "boolean"],
+    )
+    def test_bad_subsets_raise(self, name, subset, message):
+        for call in self.CALLS:
+            with pytest.raises(ValueError, match=message):
+                call(PROBES[name], subset)
+
+    @pytest.mark.parametrize("name", ["euclid-dir", "euclid-bid"])
+    def test_integral_floats_pass(self, name):
+        inst = PROBES[name]
+        assert free_power_spectral_radius(inst, [3.0, 5.0]) == (
+            free_power_spectral_radius(inst, [3, 5])
+        )

@@ -70,6 +70,49 @@ class TestTreeMetric:
         assert frozenset({2, 3}) in as_sets
 
 
+def _lognormal_tree(n, seed):
+    """A random recursive tree on shuffled labels with lognormal
+    weights, its edges in random order and orientation."""
+    rng = np.random.default_rng(seed)
+    label = rng.permutation(n)
+    edges = []
+    for v in range(1, n):
+        u, w = int(rng.integers(v)), float(rng.lognormal(0.0, 2.0))
+        a, b = int(label[u]), int(label[v])
+        edges.append((a, b, w) if rng.random() < 0.5 else (b, a, w))
+    return [edges[i] for i in rng.permutation(len(edges))]
+
+
+TREE_CASES = {
+    "single": (1, []),
+    "path": (6, [(i, i + 1, 0.1 * (i + 1)) for i in range(5)]),
+    "star": (7, [(0, v, 1.0 / v) for v in range(1, 7)]),
+    **{f"lognormal-{n}-{seed}": (n, _lognormal_tree(n, seed))
+       for n, seed in ((2, 0), (17, 1), (64, 2), (150, 3))},
+}
+
+
+class TestTreeDistances:
+    """Tree distances are path sums from the source outward."""
+
+    @pytest.mark.parametrize("case", sorted(TREE_CASES))
+    def test_equals_path_sum_reference(self, case):
+        from reference import tree_path_sums
+
+        n, edges = TREE_CASES[case]
+        got = TreeMetric(n, edges).distance_matrix()
+        assert got.shape == (n, n) and got.dtype == np.float64
+        np.testing.assert_array_equal(got, tree_path_sums(n, edges))
+
+    @pytest.mark.parametrize("case", sorted(TREE_CASES))
+    def test_close_to_exact_sums(self, case):
+        from oracle import _tree_distances
+
+        n, edges = TREE_CASES[case]
+        got = TreeMetric(n, edges).distance_matrix()
+        np.testing.assert_allclose(got, np.array(_tree_distances(n, edges)), rtol=1e-12, atol=0)
+
+
 class TestFindCentroid:
     def test_path_centroid_is_middle(self):
         tree = TreeMetric(5, [(i, i + 1, 1.0) for i in range(4)])

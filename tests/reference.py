@@ -1,4 +1,4 @@
-"""Plain references the kernel tests compare against bit for bit.
+"""Plain references the tests compare against bit for bit.
 
 * :func:`peel` — the greedy peel as a plain loop: drop the request of
   lowest fresh subset margin (:meth:`InterferenceContext.margins` with
@@ -10,11 +10,17 @@
   infinite-contribution count and positive-contribution count at every
   request, per endpoint, fed one backend gain column at a time with
   ``+=`` and ``-=``.
+* :func:`power_control_matrices` — the power-control matrices of the
+  whole instance, from its full loss matrix, then sliced to a subset
+  with ``np.ix_``.
+* :func:`tree_path_sums` — all-pairs tree distances, each the parent's
+  distance plus one edge weight, summed from the source outward.
 
-Both read only the context's margins and gain columns.  Neither
-imports :mod:`repro.core.kernels` or the analysis and scheduling layers
-built on it, so a kernel error cannot hide in both the code under test
-and its reference (``tests/test_oracle.py`` checks the imports).
+All of them read only the context's margins and gain columns or the
+raw instance and metric data.  None imports :mod:`repro.core.kernels`
+or the analysis and scheduling layers built on it, so an error cannot
+hide in both the code under test and its reference
+(``tests/test_oracle.py`` checks the imports).
 """
 
 import numpy as np
@@ -101,3 +107,50 @@ class ClassRows:
             if npos[request] > 0:
                 worst = max(worst, float(fin[request]), 0.0)
         return worst
+
+
+def power_control_matrices(instance, subset, beta):
+    """``(B,)`` on a directed instance, ``(B_u, B_v)`` on a
+    bidirectional one: ``B[i, j] = beta * l_i / l(u_j, v_i)`` (the
+    endpoint matrices take the nearer endpoint of request ``j``), with
+    ``inf`` for a zero loss and a zero diagonal, built over all ``n``
+    requests and then sliced at ``np.ix_(subset, subset)``."""
+    loss = instance.metric.loss_matrix(instance.alpha)
+    s, r = instance.senders, instance.receivers
+    if instance.direction.value == "directed":
+        blocks = [loss[np.ix_(r, s)]]
+    else:
+        blocks = [
+            np.minimum(loss[np.ix_(s, s)], loss[np.ix_(s, r)]),
+            np.minimum(loss[np.ix_(r, s)], loss[np.ix_(r, r)]),
+        ]
+    idx = np.asarray(subset)
+    matrices = []
+    for block in blocks:
+        with np.errstate(divide="ignore"):
+            inv = np.where(block > 0, 1.0 / block, np.inf)
+        matrix = beta * instance.link_losses[:, None] * inv
+        np.fill_diagonal(matrix, 0.0)
+        matrices.append(matrix[np.ix_(idx, idx)])
+    return tuple(matrices)
+
+
+def tree_path_sums(n, edges):
+    """``(n, n)`` distances of the tree on *edges* ``(u, v, weight)``:
+    a walk out from each source sets every node's distance to its
+    parent's distance plus the edge weight between them."""
+    adjacency = [[] for _ in range(n)]
+    for u, v, w in edges:
+        adjacency[u].append((v, w))
+        adjacency[v].append((u, w))
+    dist = np.full((n, n), np.nan)
+    for source in range(n):
+        dist[source, source] = 0.0
+        stack = [source]
+        while stack:
+            node = stack.pop()
+            for neighbor, weight in adjacency[node]:
+                if np.isnan(dist[source, neighbor]):
+                    dist[source, neighbor] = dist[source, node] + weight
+                    stack.append(neighbor)
+    return dist

@@ -68,7 +68,7 @@ class TestFirstFit:
 BAD_ORDERS = {
     "negative": ([-8, 1, 2, 3, 4, 5, 6, 7], "order entry -8 at position 0"),
     "short": ([0, 1, 2, 3, 4, 5, 6], "7 entries for 8 requests; request 7"),
-    "duplicate": ([0, 1, 2, 0, 4, 5, 6, 7], "repeats request 0 at position 3"),
+    "duplicate": ([0, 1, 2, 0, 4, 5, 6, 7], "order entry 0 at position 3 repeats an earlier"),
     "past-end": ([0, 1, 2, 3, 4, 5, 6, 8], "order entry 8 at position 7"),
     # Regression: fractional entries used to be truncated to a valid
     # permutation, and a boolean mask read as indices 0/1.

@@ -169,9 +169,10 @@ def test_oracle_imports_nothing_under_test():
 
 
 def test_reference_imports_no_kernel():
-    """``tests/reference.py`` reads only context margins and backend
-    columns: it must not route through the kernels it is the reference
-    for, nor through the layers built on them."""
+    """``tests/reference.py`` reads only context margins, backend
+    columns and raw instance and metric data: it must not route through
+    the kernels or analysis code it is the reference for, nor through
+    the layers built on them."""
     imported = _imports("reference.py")
     assert "repro" not in imported
     for name in imported:
