@@ -51,14 +51,14 @@ Run as a script::
 Each row's ``seconds`` is ``build_s`` (the gain backend, built first)
 plus ``solve_s`` (the scheduler on the built context).
 
-Reference results (one run, defaults, 2-CPU x86-64 box, see
-``benchmarks/artifacts/BENCH_backends.json``): sparse first-fit at
-n=16384 takes 15.4 s (build 11.4 s + solve 4.0 s) at 0.76% stored
-density in 355 MB of RSS.  The dense n=4096 reference now takes 1.05 s,
-so the 25% time gate (4.2 s) fails: the gain build, not the solve, is
-what the sparse path still pays for.  sqrt_coloring runs at n=8192 in
-4.3 s against the 343 s compacting-peel seed (same schedule), and at
-n=32768 in 675 MB RSS.
+Reference results (one run, defaults, 2-CPU x86-64 box, gain builds
+on both CPUs, see ``benchmarks/artifacts/BENCH_backends.json``): sparse
+first-fit at n=16384 takes 10.1 s (build 6.8 s + solve 3.4 s) at 0.76%
+stored density in 155 MB of RSS.  The dense n=4096 reference takes
+0.56 s, so the 25% time gate (2.25 s) fails: the gain build, not the
+solve, is what the sparse path still pays for.  sqrt_coloring runs at
+n=8192 in 2.6 s against the 343 s compacting-peel seed (same
+schedule), and at n=32768 in 542 MB RSS.
 """
 
 from __future__ import annotations

@@ -3,10 +3,12 @@
 Approximation experiments need a handle on OPT.  Two sound bounds are
 implemented:
 
-* **Node multiplicity** — requests sharing an endpoint can never share
-  a color (shared nodes give zero loss, i.e. infinite interference),
-  so the maximum number of requests incident to one node lower-bounds
-  OPT.
+* **Node multiplicity** — requests sharing an endpoint with a zero
+  loss between them (any shared node when bidirectional; a sender of
+  one at the receiver of another when directed) can never share a
+  color, and directed requests sharing only a sender or only a
+  receiver fit at most ``floor(1/beta) + 1`` to a color, so the
+  colors one node forces lower-bound OPT.
 * **Pairwise conflicts** — two requests that are mutually infeasible
   under *every* power assignment (power-control growth factor >= 1 for
   the pair) must receive distinct colors; any clique in this conflict
@@ -21,18 +23,39 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.analysis.power_control import _power_control_matrices
-from repro.core.instance import Instance
+from repro.core.instance import Direction, Instance
 
 if TYPE_CHECKING:
     import networkx as nx
 
 
-def node_multiplicity_lower_bound(instance: Instance) -> int:
-    """Max number of requests sharing a node — a sound OPT lower bound."""
-    endpoints = np.concatenate([instance.senders, instance.receivers])
-    _, counts = np.unique(endpoints, return_counts=True)
-    # A node used by k requests forces k distinct colors.
-    return int(np.max(counts))
+def node_multiplicity_lower_bound(
+    instance: Instance, beta: Optional[float] = None
+) -> int:
+    """Colors forced by requests sharing a node — a sound OPT lower
+    bound.
+
+    Bidirectional: every request using a node has a zero loss to every
+    other one using it, so a node used by ``k`` requests forces ``k``
+    colors.  Directed: only a request *sent* from a node and one
+    *received* at it have a zero loss between them (the one's sender to
+    the other's receiver).  ``k`` requests sharing just their sender
+    (or just their receiver) interfere at exactly their own link
+    losses, so summing their SINR constraints shows they fit one color
+    only when ``beta * (k - 1) <= 1``: at most ``m = floor(1/beta) + 1``
+    per color, and a node sending ``a`` requests and receiving ``b``
+    forces ``ceil(a/m) + ceil(b/m)`` colors.
+    """
+    if instance.direction is not Direction.DIRECTED:
+        endpoints = np.concatenate([instance.senders, instance.receivers])
+        return int(np.max(np.unique(endpoints, return_counts=True)[1]))
+    beta = instance.beta if beta is None else float(beta)
+    # Round 1/beta up by a hair: a larger m only weakens the bound.
+    per_color = int(np.floor((1.0 / beta) * (1.0 + 1e-12))) + 1
+    size = instance.metric.n
+    sent = np.bincount(instance.senders, minlength=size)
+    received = np.bincount(instance.receivers, minlength=size)
+    return int(np.max(-(-sent // per_color) - (-received // per_color)))
 
 
 def conflict_graph(instance: Instance, beta: Optional[float] = None) -> nx.Graph:
@@ -79,6 +102,6 @@ def clique_lower_bound(instance: Instance, beta: Optional[float] = None) -> int:
 def opt_color_lower_bound(instance: Instance, beta: Optional[float] = None) -> int:
     """Best available certified lower bound on the optimal color count."""
     return max(
-        node_multiplicity_lower_bound(instance),
+        node_multiplicity_lower_bound(instance, beta=beta),
         clique_lower_bound(instance, beta=beta),
     )

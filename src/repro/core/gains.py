@@ -14,7 +14,7 @@ through them.  Three
 implementations:
 
 * :class:`DenseBackend` — the materialized ``(n, n)`` arrays the engine
-  has always used, built one row tile at a time by the full-matrix
+  has always used, built a band of rows at a time by the full-matrix
   builders of :mod:`repro.core.interference` (never from the metric's
   full matrix on coordinate-backed metrics).  Every primitive returns
   the exact expression the pre-backend code evaluated on those arrays,
@@ -32,6 +32,13 @@ implementations:
 * :class:`repro.distributed.ShardedBackend` — the sparse backend's
   storage split into block-row shards, each built and held by a shard
   worker.
+
+Every full pass that builds or copies a gain matrix (the dense build,
+:func:`_assemble_csr` behind the sparse and sharded builds, the dense
+backend's cached transposes) runs its row bands on one thread per CPU
+through :func:`repro.core.tiles.map_row_tiles`; each output row depends
+on its own row alone, so the arrays are bit for bit those of a serial
+build.
 
 Numerical contract
 ------------------
@@ -100,6 +107,7 @@ from repro.core.interference import (
     bidirectional_gain_matrices,
     directed_gain_matrix,
 )
+from repro.core.tiles import map_row_tiles
 
 __all__ = [
     "BACKENDS",
@@ -315,6 +323,24 @@ def _frozen(x: np.ndarray) -> np.ndarray:
     """Mark *x* read-only and return it."""
     x.setflags(write=False)
     return x
+
+
+def _transposed(gains: np.ndarray) -> np.ndarray:
+    """A fresh C-contiguous copy of ``gains.T``.  Each
+    :func:`repro.core.tiles.map_row_tiles` task copies one row band of
+    the output (a column band of *gains*) in 64-column blocks, small
+    enough that a block's reads and writes stay in cache; one
+    ``np.ascontiguousarray(gains.T)`` pass strides across every row of
+    *gains* for each output row and runs about 3× slower."""
+    n = gains.shape[0]
+    out = np.empty((gains.shape[1], n))
+
+    def copy(lo: int, hi: int) -> None:
+        for c in range(0, n, 64):
+            out[lo:hi, c : c + 64] = gains[c : c + 64, lo:hi].T
+
+    map_row_tiles(copy, out.shape[0], n, DEFAULT_TILE_ROWS)
+    return out
 
 
 def _adopt(host: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -845,13 +871,11 @@ class DenseBackend(GainBackend):
 
     def _transposes(self) -> Tuple[np.ndarray, np.ndarray]:
         if self._gains_t is None:
-            self._buf_ut, gains_ut = _adopt(np.ascontiguousarray(self._gains_u.T))
+            self._buf_ut, gains_ut = _adopt(_transposed(self._gains_u))
             if self.directed:
                 self._buf_vt, gains_vt = self._buf_ut, gains_ut
             else:
-                self._buf_vt, gains_vt = _adopt(
-                    np.ascontiguousarray(self._gains_v.T)
-                )
+                self._buf_vt, gains_vt = _adopt(_transposed(self._gains_v))
             self._gains_t = (gains_ut, gains_vt)
         return self._gains_t
 
@@ -1041,10 +1065,18 @@ def _prune_tile(
     np.copyto(vals, np.float32(np.inf), where=~eligible)
     svals = np.sort(vals, axis=1)
     sfinite = np.isfinite(svals)
-    csum = np.cumsum(np.where(sfinite, svals, np.float32(0.0)), axis=1)
+    with np.errstate(over="ignore"):
+        csum = np.cumsum(np.where(sfinite, svals, np.float32(0.0)), axis=1)
     # Keep the budget slightly conservative so float32 rounding cannot
-    # push the dropped mass past epsilon times the true row mass.
-    budget = np.float32(epsilon * (1.0 - 1e-3)) * csum[:, -1]
+    # push the dropped mass past epsilon times the true row mass.  A row
+    # whose finite mass overflows float32 has no budget to measure: it
+    # drops nothing (a budget below every running sum) and records 0.
+    total = csum[:, -1]
+    budget = np.where(
+        np.isfinite(total),
+        np.float32(epsilon * (1.0 - 1e-3)) * total,
+        np.float32(-1.0),
+    )
     drop_count = np.count_nonzero(sfinite & (csum <= budget[:, None]), axis=1)
     row_ids = np.arange(tile.shape[0])
     last = np.maximum(drop_count - 1, 0)
@@ -1083,43 +1115,36 @@ def _assemble_csr(
     tile_rows: int,
 ) -> Tuple["_sp.csr_matrix", np.ndarray, bool]:
     """ε-pruned CSR of one endpoint's gain sub-block ``G[rows][:, cols]``
-    (column indices relative to *cols*), assembled ``tile_rows`` rows of
-    dense scratch at a time from :func:`_gain_block`.
+    (column indices relative to *cols*), assembled from row bands of
+    dense :func:`_gain_block` scratch (at most ``tile_rows`` rows each)
+    that :func:`repro.core.tiles.map_row_tiles` prunes concurrently.
+    The pruning rule is per row and the bands are concatenated in
+    order, so the arrays do not depend on the split.
 
     Returns ``(csr, pruned_mass, has_infinite)`` with ``pruned_mass``
     the per-row bound from :func:`_prune_tile`.  Shared by the cold
     :meth:`SparseBackend.build` (full square block) and the sharded
     backend's block-row shards.
     """
-    data, col_chunks, row_nnz = [], [], []
-    pruned = np.zeros(rows.size)
-    has_inf = False
-    for lo in range(0, rows.size, tile_rows):
-        hi = min(lo + tile_rows, rows.size)
+
+    def band(lo: int, hi: int):
         gains = _gain_block(instance, powers, endpoint_nodes, rows[lo:hi], cols)
-        keep, tile_pruned = _prune_tile(gains, epsilon)
-        pruned[lo:hi] = tile_pruned
+        keep, pruned = _prune_tile(gains, epsilon)
         kept_rows, kept_cols = np.nonzero(keep)
         kept = gains[kept_rows, kept_cols]
-        if not has_inf and kept.size:
-            has_inf = not bool(np.all(np.isfinite(kept)))
-        data.append(kept)
-        col_chunks.append(kept_cols)
-        row_nnz.append(np.bincount(kept_rows, minlength=hi - lo))
-    indptr = np.zeros(rows.size + 1, dtype=np.int64)
-    if row_nnz:
-        np.cumsum(np.concatenate(row_nnz), out=indptr[1:])
-    csr = _sp.csr_matrix(
-        (
-            np.concatenate(data) if data else np.zeros(0),
-            np.concatenate(col_chunks)
-            if col_chunks
-            else np.zeros(0, dtype=int),
-            indptr,
-        ),
-        shape=(rows.size, cols.size),
+        row_nnz = np.bincount(kept_rows, minlength=hi - lo)
+        return kept, kept_cols, row_nnz, pruned, not np.all(np.isfinite(kept))
+
+    empty_shard = (np.zeros(0), np.zeros(0, dtype=int), np.zeros(0, dtype=int),
+                   np.zeros(0), False)
+    parts = map_row_tiles(band, rows.size, cols.size, tile_rows) or [empty_shard]
+    data, indices, row_nnz, pruned = (
+        np.concatenate(arrays) for arrays in list(zip(*parts))[:4]
     )
-    return csr, pruned, has_inf
+    indptr = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(row_nnz, out=indptr[1:])
+    csr = _sp.csr_matrix((data, indices, indptr), shape=(rows.size, cols.size))
+    return csr, pruned, any(part[4] for part in parts)
 
 
 class _SlotEdits:

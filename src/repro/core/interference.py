@@ -17,8 +17,11 @@ the correct semantics: such pairs can never share a color.
 
 Every gain entry comes from one primitive, :func:`_gain_block`, over
 :meth:`~repro.geometry.metric.Metric.loss_block` tiles; the full-matrix
-builders fill their ``(n, n)`` output one row tile at a time and never
-build the metric's full matrix over all ``2n`` endpoints.
+builders fill their ``(n, n)`` output a band of rows at a time, the
+bands running on one thread per CPU (:mod:`repro.core.tiles`), and
+never build the metric's full matrix over all ``2n`` endpoints.  Each
+entry takes the same elementwise operations however the rows are
+split, so the matrix is bit for bit the same on any number of threads.
 """
 
 from __future__ import annotations
@@ -28,10 +31,13 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.instance import Direction, Instance
+from repro.core.tiles import map_row_tiles, row_bands
 
 #: Default number of gain-matrix rows materialized at once while
-#: building (or row-summing) gains; peak scratch memory is
-#: ``O(tile * n)`` on top of the output.
+#: row-summing gains, and the most rows one build task fills
+#: (:func:`repro.core.tiles.row_bands` caps a task at about
+#: :data:`repro.core.tiles.TASK_ENTRIES` entries); peak scratch memory
+#: is ``O(tile * n)`` on top of the output.
 DEFAULT_TILE_ROWS = 512
 
 
@@ -123,17 +129,20 @@ def _tiled_gain_matrix(
     instance: Instance, powers: np.ndarray, endpoint_nodes: np.ndarray
 ) -> np.ndarray:
     """The full ``(n, n)`` gain matrix decoding at ``endpoint_nodes``,
-    filled one :data:`DEFAULT_TILE_ROWS` row tile at a time (a single
-    tile is the matrix itself)."""
-    idx = np.arange(instance.n)
-    if idx.size <= DEFAULT_TILE_ROWS:
+    each row band of :func:`repro.core.tiles.map_row_tiles` written
+    straight into its slice of the output (a single band is the matrix
+    itself)."""
+    n = instance.n
+    idx = np.arange(n)
+    bands = row_bands(n, n, DEFAULT_TILE_ROWS)
+    if len(bands) == 1:
         return _gain_block(instance, powers, endpoint_nodes, idx, idx)
-    out = np.empty((idx.size, idx.size))
-    for lo in range(0, idx.size, DEFAULT_TILE_ROWS):
-        rows = idx[lo : lo + DEFAULT_TILE_ROWS]
-        out[lo : lo + rows.size] = _gain_block(
-            instance, powers, endpoint_nodes, rows, idx
-        )
+    out = np.empty((n, n))
+
+    def fill(lo: int, hi: int) -> None:
+        out[lo:hi] = _gain_block(instance, powers, endpoint_nodes, idx[lo:hi], idx)
+
+    map_row_tiles(fill, n, n, DEFAULT_TILE_ROWS)
     return out
 
 

@@ -20,11 +20,25 @@ of rows never forces the O(n^2) matrix into memory.
 from __future__ import annotations
 
 import abc
+import os
+import threading
 from typing import Optional
 
 import numpy as np
 
 from repro.util.validation import check_index
+
+#: Serializes the lazy computation of every metric's cached matrix; a
+#: forked child replaces it (a thread may have held it at the fork).
+_matrix_lock = threading.RLock()
+
+
+def _new_matrix_lock() -> None:
+    global _matrix_lock
+    _matrix_lock = threading.RLock()
+
+
+os.register_at_fork(after_in_child=_new_matrix_lock)
 
 
 class Metric(abc.ABC):
@@ -49,15 +63,21 @@ class Metric(abc.ABC):
         return float(self.distance_matrix()[u, v])
 
     def distance_matrix(self) -> np.ndarray:
-        """The full pairwise distance matrix (cached, read-only)."""
+        """The full pairwise distance matrix (cached, read-only).
+
+        Computed once even when the row-band tasks of a gain build
+        (:mod:`repro.core.tiles`) ask for it at the same time."""
         if self._matrix_cache is None:
-            matrix = np.asarray(self._compute_matrix(), dtype=float)
-            if matrix.shape != (self.n, self.n):
-                raise ValueError(
-                    f"distance matrix shape {matrix.shape} != ({self.n}, {self.n})"
-                )
-            matrix.setflags(write=False)
-            self._matrix_cache = matrix
+            with _matrix_lock:
+                if self._matrix_cache is None:
+                    matrix = np.asarray(self._compute_matrix(), dtype=float)
+                    if matrix.shape != (self.n, self.n):
+                        raise ValueError(
+                            f"distance matrix shape {matrix.shape} != "
+                            f"({self.n}, {self.n})"
+                        )
+                    matrix.setflags(write=False)
+                    self._matrix_cache = matrix
         return self._matrix_cache
 
     def loss_matrix(self, alpha: float) -> np.ndarray:

@@ -293,15 +293,18 @@ def _ensure_fork_server() -> None:
     """Start this process's fork server, with :data:`WORKER_PRELOAD`
     imported in it, unless it is already running.
 
-    Every :class:`ProcessShardExecutor` of the process forks its
-    workers from this one server, a single-threaded interpreter that
-    paid for the imports once.  CPython (3.11–3.13) hands the server
-    the parent's ``sys.path`` but never applies it, and skips a preload
-    that fails to import without a word: repro, importable in a caller
-    that put it on ``sys.path`` at run time, would not be preloaded.
-    So the server is started with the parent's ``sys.path`` as its
-    ``PYTHONPATH``, set only for that start.  Called before every start
-    batch, so a server that died is started again, preloaded.  A process
+    Every :class:`ProcessShardExecutor` of the process, and the
+    experiment orchestrator's pool, forks its workers from this one
+    server, a single-threaded interpreter that paid for the imports
+    once (the parent may run threads, such as the gain builds' tile
+    pool, which a plain fork must not copy).  CPython (3.11–3.13)
+    hands the server the parent's ``sys.path`` but never applies it,
+    and skips a preload that fails to import without a word: repro,
+    importable in a caller that put it on ``sys.path`` at run time,
+    would not be preloaded.  So the server is started with the parent's
+    ``sys.path`` as its ``PYTHONPATH``, set only for that start.
+    Called before every start batch, so a server that died is started
+    again, preloaded.  A process
     forked from the one that started the server inherits CPython's
     record of it, though the server is not its child and cannot fork
     for it: it forgets that record and starts a server of its own.

@@ -54,6 +54,7 @@ the artifact's ``shards`` section.
 from __future__ import annotations
 
 import os
+import select
 import sys
 import threading
 import time
@@ -61,6 +62,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from multiprocessing import get_context
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.gains import BackendConfig, config_scope, default_config
@@ -75,6 +77,7 @@ from repro.runner.artifacts import (
     write_artifact,
     write_checkpoint,
 )
+from repro.runner.executors import _ensure_fork_server
 from repro.runner.spec import ExperimentSpec, Shard, merge_tables
 from repro.util.tables import Table
 
@@ -147,38 +150,36 @@ def run_shard(
     return table, time.perf_counter() - start
 
 
-#: How often a pool worker checks that its parent is still alive.
-_PARENT_POLL_S = 0.5
-
-
-def _exit_with_parent(parent_pid: int) -> None:
-    while os.getppid() == parent_pid:
-        time.sleep(_PARENT_POLL_S)
+def _exit_with(pidfd: int) -> None:
+    """Block until the process behind *pidfd* exits, then exit."""
+    select.select([pidfd], [], [])
     os._exit(1)
 
 
-def _init_worker(sys_path: List[str], parent_pid: int) -> None:
+def _init_worker(sys_path: List[str], orchestrator_pid: int) -> None:
     """Reproduce the parent's import path in pool workers, and make
-    each worker exit once its parent dies.
+    each worker exit once the orchestrator dies.
 
-    The pool takes the platform's default start method: workers are
-    forked on Linux (inheriting the parent's modules and any active
-    ``config_scope``) and spawned elsewhere, where the path copy is
-    what lets them import the parent's modules.
+    Workers are forked from the orchestrator's preloaded fork server
+    (:func:`repro.runner.executors._ensure_fork_server`), never from
+    the orchestrator itself: they inherit neither its threads nor its
+    ``config_scope``, so each shard runs on the config shipped with it.
 
-    A killed orchestrator never shuts its pool down; its workers are
-    re-parented (``os.getppid()`` changes), and a daemon thread watching
-    for that ends them instead of leaving them running.  A worker whose
-    parent is not the orchestrator (a fork server in between) is not
-    watched.
+    A killed orchestrator never shuts its pool down, and its fork
+    server outlives it while any worker holds the server's liveness
+    pipe, so a worker cannot wait for a parent to change.  It opens a
+    pidfd on the orchestrator instead (readable once that process has
+    exited, reaped or not), and a daemon thread blocked on it ends the
+    worker instead of leaving it running.
     """
     for entry in sys_path:
         if entry not in sys.path:
             sys.path.append(entry)
-    if os.getppid() == parent_pid:
-        threading.Thread(
-            target=_exit_with_parent, args=(parent_pid,), daemon=True
-        ).start()
+    try:
+        pidfd = os.pidfd_open(orchestrator_pid)
+    except ProcessLookupError:
+        os._exit(1)
+    threading.Thread(target=_exit_with, args=(pidfd,), daemon=True).start()
 
 
 @dataclass
@@ -243,8 +244,10 @@ class _ShardScheduler:
         self._futures.clear()
 
     def _new_pool(self) -> ProcessPoolExecutor:
+        _ensure_fork_server()
         return ProcessPoolExecutor(
             max_workers=self.jobs,
+            mp_context=get_context("forkserver"),
             initializer=_init_worker,
             initargs=(list(sys.path), os.getpid()),
         )

@@ -19,6 +19,7 @@ from repro.core.schedule import Schedule
 from repro.geometry.line import LineMetric
 from repro.instances.nested import nested_instance
 from repro.power.oblivious import SquareRootPower, UniformPower
+from repro.scheduling.registry import run_algorithm
 from test_conformance import GRID
 
 
@@ -63,6 +64,38 @@ class TestLowerBounds:
         metric = LineMetric([0.0, 1.0, 2.0, 3.0])
         inst = Instance.bidirectional(metric, [(0, 1), (1, 2), (2, 3)])
         assert node_multiplicity_lower_bound(inst) == 2
+
+    def test_directed_shared_receiver_fits_one_color(self):
+        # Two requests received at node 1 interfere at their own link
+        # losses: growth factor beta = 0.5, and one color carries both.
+        inst = Instance.directed(
+            LineMetric([0.0, 1.0, 2.0]), [(0, 1), (2, 1)], beta=0.5
+        )
+        assert node_multiplicity_lower_bound(inst) == 1
+        assert opt_color_lower_bound(inst) == 1
+        exact = run_algorithm("exact", inst, free_power=True)
+        assert exact.schedule.num_colors == 1
+
+    @pytest.mark.parametrize(
+        "pairs, beta, bound",
+        [
+            # Sender of one request at the receiver of another: zero loss.
+            ([(0, 1), (1, 2)], 0.5, 2),
+            # k requests sharing one role fit floor(1/beta) + 1 per color.
+            ([(0, 1), (2, 1), (3, 1)], 0.5, 1),
+            ([(0, 1), (2, 1), (3, 1), (4, 1)], 0.5, 2),
+            ([(1, 0), (1, 2), (1, 3), (1, 4)], 1.0, 2),
+            ([(1, 0), (1, 2), (1, 3)], 1.5, 3),
+            # Both roles at node 1: 2 senders + 2 receivers at beta 0.5.
+            ([(1, 0), (1, 2), (3, 1), (4, 1)], 0.5, 2),
+        ],
+    )
+    def test_directed_bound_never_exceeds_exact_opt(self, pairs, beta, bound):
+        metric = LineMetric([0.0, 1.0, 3.0, 7.0, 15.0])
+        inst = Instance.directed(metric, pairs, beta=beta)
+        assert node_multiplicity_lower_bound(inst) == bound
+        exact = run_algorithm("exact", inst, free_power=True)
+        assert opt_color_lower_bound(inst) <= exact.schedule.num_colors
 
     def test_node_multiplicity_disjoint(self, two_link_instance):
         assert node_multiplicity_lower_bound(two_link_instance) == 1

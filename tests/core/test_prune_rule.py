@@ -40,9 +40,12 @@ def _reference_prune_tile(tile, epsilon):
     order = np.argsort(vals, axis=1)
     svals = np.take_along_axis(vals, order, axis=1)
     sfinite = np.isfinite(svals)
-    csum = np.cumsum(np.where(sfinite, svals, np.float32(0.0)), axis=1)
+    with np.errstate(over="ignore"):
+        csum = np.cumsum(np.where(sfinite, svals, np.float32(0.0)), axis=1)
     budget = np.float32(epsilon * (1.0 - 1e-3)) * csum[:, -1]
     drop_count = np.count_nonzero(sfinite & (csum <= budget[:, None]), axis=1)
+    # A row whose float32 mass overflows keeps every entry.
+    drop_count[~np.isfinite(csum[:, -1])] = 0
     pruned = np.where(
         drop_count > 0,
         np.take_along_axis(
@@ -166,6 +169,26 @@ def test_finite_gain_past_float32_range_emits_no_warning():
         keep, pruned = _prune_tile(tile, 0.05)
     np.testing.assert_array_equal(keep, [[False, True, True, True]])
     assert pruned[0] == 0.0
+
+
+@pytest.mark.parametrize(
+    "epsilon, second_row",
+    [
+        (1e-6, [True, True, True, True]),
+        (0.05, [False, False, True, True]),
+        (0.5, [False, False, False, True]),
+    ],
+)
+def test_row_whose_float32_mass_overflows_keeps_every_entry(epsilon, second_row):
+    tile = np.array([[1.0, 2e38, 3e38, 2.0], [1.0, 2.0, 3.0, 100.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        keep, pruned = _prune_tile(tile, epsilon)
+        _assert_same_rule(tile, epsilon)
+    np.testing.assert_array_equal(keep[0], True)
+    assert pruned[0] == 0.0
+    # The other row of the tile is pruned as usual.
+    np.testing.assert_array_equal(keep[1], second_row)
 
 
 # ----------------------------------------------------------------------

@@ -471,16 +471,56 @@ class TestWorkerReaping:
             time.sleep(0.2)
         assert not _processes_with_env(marker)
 
-    def test_worker_under_another_parent_is_not_watched(self):
-        """A worker whose parent is not the orchestrator (a fork server
-        in between) must not take that for its parent's death."""
-        import threading
+    def test_worker_under_a_fork_server_watches_the_orchestrator(self):
+        """A pool worker forked by a fork server (which outlives the
+        orchestrator while the worker holds its liveness pipe) exits
+        when the orchestrator dies, not when its own parent does."""
+        script = textwrap.dedent(
+            """
+            import os, time
+            from repro.runner.orchestrator import _init_worker
 
-        from repro.runner.orchestrator import _init_worker
-
-        before = threading.active_count()
-        _init_worker([], -1)
-        assert threading.active_count() == before
+            read, write = os.pipe()
+            if os.fork() == 0:  # stands in for the orchestrator
+                orchestrator = os.getpid()
+                if os.fork() == 0:  # its fork server, which stays up
+                    if os.fork() == 0:  # a pool worker the server forked
+                        os.close(read)
+                        _init_worker([], orchestrator)
+                        os.write(write, b"up")
+                        time.sleep(60)
+                        os._exit(0)
+                    time.sleep(60)
+                    os._exit(0)
+                os.close(write)
+                # Die without shutting the worker down, once it is up.
+                os._exit(0 if os.read(read, 2) == b"up" else 1)
+            os.close(read)
+            os.close(write)
+            _, status = os.wait()
+            raise SystemExit(os.waitstatus_to_exitcode(status))
+            """
+        )
+        token = uuid.uuid4().hex
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={
+                **os.environ,
+                "PYTHONPATH": SRC_DIR,
+                "REPRO_SERVED_WORKER_MARKER": token,
+            },
+            timeout=60,
+        )
+        assert proc.returncode == 0, "the worker never came up"
+        marker = f"REPRO_SERVED_WORKER_MARKER={token}".encode()
+        deadline = time.monotonic() + 10.0
+        while len(_processes_with_env(marker)) > 1 and time.monotonic() < deadline:
+            time.sleep(0.2)
+        # Only the fork server's stand-in is left; end it.
+        survivors = _processes_with_env(marker)
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert len(survivors) == 1
 
 
 @pytest.mark.slow

@@ -102,20 +102,10 @@ class TestBackendPlumbing:
         """A config set with ``config_scope`` in the parent, not through
         the environment, reaches ``--jobs 2`` pool workers: pruned
         sparse moves e1's colors, and the pooled table equals the
-        in-process one.  Workers are spawned, so they inherit neither
-        the parent's scope (as a fork would) nor a ``REPRO_*`` variable:
-        only the config shipped with each shard can reach them."""
-        from concurrent.futures import ProcessPoolExecutor
-        from functools import partial
-        from multiprocessing import get_context
-
-        from repro.runner import orchestrator
-
-        monkeypatch.setattr(
-            orchestrator,
-            "ProcessPoolExecutor",
-            partial(ProcessPoolExecutor, mp_context=get_context("spawn")),
-        )
+        in-process one.  Workers come from the fork server, so they
+        inherit neither the parent's scope (as a fork would) nor a
+        ``REPRO_*`` variable: only the config shipped with each shard
+        can reach them."""
         for var in ("REPRO_BACKEND", "REPRO_SPARSE_EPSILON"):
             monkeypatch.delenv(var, raising=False)
         with config_scope(backend="dense"):
